@@ -12,11 +12,12 @@
 //! * [`cell`]: TCAM/MCAM/ACAM cell match semantics (incl. don't-care),
 //! * [`subarray`]: an `R × C` array slice supporting exact / best /
 //!   threshold search under Hamming or Euclidean metrics, with selective
-//!   row activation (selective precharge, paper \[27\]). Searches run
-//!   over incrementally maintained packed *match planes* (`u64`
-//!   value/care bit-planes plus a `u8` level plane) — `XOR → AND →
-//!   popcount` word kernels that are bit-identical to the retained
-//!   per-cell oracle ([`Subarray::search_naive`]),
+//!   row activation (selective precharge, paper \[27\]). Its contents
+//!   *are* packed *match planes* (`u8` level and care planes, plus
+//!   `u64` value/care bit-planes for TCAM rows) that rows are
+//!   programmed straight into; `XOR → AND → popcount` word kernels
+//!   search them, bit-identical to the retained per-cell oracle
+//!   ([`Subarray::search_naive`]), which decodes rows back to cells,
 //! * [`machine`]: the bank→mat→array→subarray hierarchy with allocation
 //!   bookkeeping, *timing scopes* (parallel = max, sequential = sum —
 //!   the compiler encodes its mapping policy as loop structure and the
@@ -60,4 +61,6 @@ pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };
 pub use stats::ExecStats;
-pub use subarray::{resolve_tier, KernelTier, RowSelection, SearchResult, SearchScratch, Subarray};
+pub use subarray::{
+    encode_row, resolve_tier, KernelTier, RowSelection, SearchResult, SearchScratch, Subarray,
+};

@@ -24,9 +24,10 @@ use std::fmt;
 /// Which search kernel the machine drives.
 ///
 /// [`SearchPath::Packed`] (the default) searches over the subarrays'
-/// bit/level match planes; [`SearchPath::Naive`] walks the `CamCell`
-/// grid one cell at a time — the pre-packing implementation, retained
-/// as a differential oracle and benchmark baseline. Both produce
+/// bit/level match planes; [`SearchPath::Naive`] decodes each row back
+/// into `CamCell`s and walks them one cell at a time — the pre-packing
+/// implementation, retained as a differential oracle and benchmark
+/// baseline. Both produce
 /// bit-identical results and statistics (except
 /// [`ExecStats::searched_words`], which counts the work the selected
 /// kernel actually performs).
@@ -181,7 +182,8 @@ struct ArrayState {
 /// The simulated CAM accelerator.
 ///
 /// `Clone` duplicates the full machine state — allocations, programmed
-/// subarray contents, scope stack, and statistics. The tape engine's
+/// subarray contents (the match planes: 2.25 B per cell), scope stack,
+/// and statistics. The tape engine's
 /// batched executor clones a machine per worker shard after the setup
 /// phase, runs independent query iterations on each clone, and folds the
 /// shards' cost deltas back with [`CamMachine::absorb_delta`].
@@ -305,6 +307,14 @@ impl CamMachine {
     /// Subarray geometry `(rows, cols)` of this machine.
     pub fn geometry(&self) -> (usize, usize) {
         (self.rows, self.cols)
+    }
+
+    /// Bytes of heap the allocated subarrays own for their contents
+    /// ([`Subarray::heap_bytes`], summed): 2.25 B per cell of plane plus
+    /// 12 B per cell of any row that needs the side table. A count that
+    /// repeats exactly for the same allocation and write sequence.
+    pub fn heap_bytes(&self) -> usize {
+        self.subs.iter().map(Subarray::heap_bytes).sum()
     }
 
     // ------------------------------------------------------------------

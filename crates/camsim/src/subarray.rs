@@ -1,28 +1,35 @@
-//! Functional model of one CAM subarray: an `R × C` grid of cells with
-//! parallel search over all (or a selected window of) rows.
+//! Functional model of one CAM subarray: `R` rows of `C` cells held as
+//! packed **match planes**, searched in parallel over all (or a
+//! selected window of) rows.
 //!
-//! ## Packed match planes
+//! ## The planes are the device state
 //!
-//! A real CAM evaluates every row in one parallel operation; the cell
-//! grid is the *functional* model, not the fast path. Alongside the
-//! [`CamCell`] grid, each subarray incrementally maintains per-row
-//! **match planes** (rebuilt per row on every write):
+//! A real CAM evaluates every row in one parallel operation, so rows
+//! are stored in the layout the search kernels read and programming
+//! encodes each row straight into it — there is no per-cell
+//! [`CamCell`] grid. Per row: a `u8` **level plane** (the stored
+//! integer level of every cell, `0`/`1` for TCAM bits), a `u8` **care
+//! plane** (`0` for don't-care cells and padding, which never
+//! mismatch), the same two packed 64 cells per `u64` word for rows of
+//! TCAM bits, and one classification (`RowKind`).
 //!
-//! * a `u64` **value plane** (`bits`) holding one bit per binary cell,
-//! * a `u64` **care plane** (`care`) marking cells that participate in
-//!   matching (don't-care cells never mismatch),
-//! * a `u8` **level plane** (`levels`) holding the stored integer level
-//!   of every binary/multi-bit cell.
+//! A `Binary` row holds only `Zero`/`One`/`DontCare` cells and a
+//! `Levels` row only `Multi`/`DontCare`, so (kind, level, care) names
+//! each cell exactly: the row is **invertible** and
+//! [`Subarray::decode_row`] rebuilds its cells from the planes. An
+//! `Other` row is not — a `Range` cell is two `f32` bounds no level
+//! byte can carry, and among mixed TCAM and multi-bit cells level `1`
+//! would be ambiguous between `One` and `Multi(1)` — so its cells live
+//! in a **side table** that does not exist until the first such row is
+//! written and is released when the last one is overwritten.
 //!
-//! Every row is classified: rows of pure TCAM bits search
-//! as `XOR → AND care → popcount` over 64-cell words; multi-bit (MCAM)
-//! rows search over the level plane; rows containing analog range cells
-//! (or mixing binary with multi-bit cells) fall back to the per-cell
-//! walk. Euclidean distances accumulate as exact integers when the
-//! query is integral (converted to `f64` only at the [`SearchResult`]
-//! boundary) and in column order over precomputed per-column squares
-//! otherwise, so packed results are **bit-identical** to the retained
-//! [`Subarray::search_naive`] oracle in every case.
+//! Binary rows search as `XOR → AND care → popcount` word folds,
+//! multi-bit rows over the level plane, `Other` rows through the
+//! per-cell walk. Euclidean distances accumulate as exact integers
+//! when the query is integral and in column order over per-column
+//! squares otherwise, so packed results are **bit-identical** to the
+//! per-cell oracle [`Subarray::search_naive`], which decodes each row
+//! it walks and shares no arithmetic with the plane kernels.
 
 use crate::cell::CamCell;
 use c4cam_arch::{MatchKind, Metric};
@@ -343,30 +350,95 @@ fn mismatch_binary_body(bits: &[u64], care: &[u64], qbits: &[u64], qlen: usize) 
     n
 }
 
+/// Encode one `f32` row straight into a level-plane row and its byte
+/// care plane (both one subarray row wide): 1-bit cells store
+/// `value != 0`, multi-bit cells the rounded value clamped to the level
+/// range, columns past the row's end are don't-care padding. `faults`
+/// (the state, and the logical row being programmed) perturbs the
+/// programmed levels before they are stored.
+pub fn encode_row(
+    row: &[f32],
+    bits_per_cell: u32,
+    faults: Option<(&mut SubarrayFaults, usize)>,
+    levels: &mut [u8],
+    care: &mut [u8],
+) {
+    let (programmed, padding) = levels.split_at_mut(row.len());
+    // Top level of the cell alphabet — what a stuck-at-one cell stores.
+    let top = ((1u32 << bits_per_cell.clamp(1, 8)) - 1) as u8;
+    for (l, &v) in programmed.iter_mut().zip(row) {
+        *l = match bits_per_cell {
+            0 | 1 => u8::from(v != 0.0),
+            _ => v.round().clamp(0.0, f32::from(top)) as u8,
+        };
+    }
+    if let Some((f, r)) = faults {
+        f.program_row(r, programmed, top);
+    }
+    padding.fill(0);
+    care[..row.len()].fill(1);
+    care[row.len()..].fill(0);
+}
+
+/// Pack up to 64 `0`/`1` bytes into one plane word, bit `i` = byte `i`.
+fn pack_word(bytes: &[u8]) -> u64 {
+    let mut word = 0u64;
+    let mut groups = bytes.chunks_exact(8);
+    for (g, group) in groups.by_ref().enumerate() {
+        // Eight 0/1 bytes at once: the multiply lands byte `k`'s bit at
+        // `56 + k`, and no two partial products share a bit to carry.
+        let x = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
+        word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    let tail = bytes.len() - groups.remainder().len();
+    for (i, &b) in groups.remainder().iter().enumerate() {
+        word |= u64::from(b) << (tail + i);
+    }
+    word
+}
+
+/// Everything one row sweep works on besides the subarray itself.
+struct Sweep<'a> {
+    window: std::ops::Range<usize>,
+    query: &'a [f32],
+    metric: Metric,
+    int_mode: bool,
+    wta: Option<u32>,
+    /// Query identity for transient-fault draws (`None` = none can fire).
+    qh: Option<u64>,
+    faults: &'a mut Option<Box<SubarrayFaults>>,
+    scratch: &'a SearchScratch,
+    result: &'a mut SearchResult,
+}
+
 /// A single `rows × cols` CAM subarray.
 #[derive(Debug, Clone)]
 pub struct Subarray {
     rows: usize,
     cols: usize,
-    cells: Vec<CamCell>,
     valid: Vec<bool>,
     /// `u64` words per packed plane row.
     words_per_row: usize,
-    /// Value plane: one bit per binary cell (`One` = 1).
+    /// Value (`One` = 1) and care bit planes of [`RowKind::Binary`]
+    /// rows, 64 cells per word; unspecified for rows of other kinds.
     bits: Vec<u64>,
-    /// Care plane: 1 where the cell participates in matching.
     care: Vec<u64>,
-    /// Byte-granular copy of the care plane (`1`/`0` per cell) for the
-    /// branchless level-plane kernels.
+    /// Byte care plane (`1`/`0` per cell) of binary and multi-bit rows,
+    /// for the branchless level-plane kernels.
     care_bytes: Vec<u8>,
     /// Level plane: stored integer level per binary/multi-bit cell.
     levels: Vec<u8>,
-    /// Packed classification per row.
+    /// Packed classification per row (`Binary` until programmed).
     kinds: Vec<RowKind>,
     /// Valid-row counts by [`RowKind`] (`[Binary, Levels, Other]`),
     /// maintained at write time so a full-window search skips the
     /// per-row classification scan.
     kind_mix: [usize; 3],
+    /// Side table: the cells of the [`RowKind::Other`] rows, `cols`
+    /// per row, densely in ascending row order (row `r`'s slot is the
+    /// number of `Other` rows below it). Empty — and unallocated —
+    /// while the subarray holds no such row.
+    other_cells: Vec<CamCell>,
     /// Plane words (packed rows) / cells (fallback rows) visited by the
     /// most recent search.
     last_words: u64,
@@ -380,13 +452,13 @@ pub struct Subarray {
 }
 
 impl Subarray {
-    /// New subarray with all rows invalid (unprogrammed).
+    /// New subarray with all rows invalid (unprogrammed). The OS backs
+    /// the zero-filled planes lazily: unprogrammed rows are never touched.
     pub fn new(rows: usize, cols: usize) -> Subarray {
         let words_per_row = cols.div_ceil(64);
         Subarray {
             rows,
             cols,
-            cells: vec![CamCell::DontCare; rows * cols],
             valid: vec![false; rows],
             words_per_row,
             bits: vec![0; rows * words_per_row],
@@ -395,6 +467,7 @@ impl Subarray {
             levels: vec![0; rows * cols],
             kinds: vec![RowKind::Binary; rows],
             kind_mix: [0; 3],
+            other_cells: Vec::new(),
             last_words: 0,
             last_result: None,
             faults: None,
@@ -427,6 +500,18 @@ impl Subarray {
         self.valid.iter().filter(|&&v| v).count()
     }
 
+    /// Bytes of heap this subarray owns for its contents — planes,
+    /// per-row flags, side table; not result buffers or the fault map —
+    /// by capacity: a count that repeats exactly for the same writes.
+    pub fn heap_bytes(&self) -> usize {
+        self.valid.capacity()
+            + self.kinds.capacity() * std::mem::size_of::<RowKind>()
+            + (self.bits.capacity() + self.care.capacity()) * 8
+            + self.care_bytes.capacity()
+            + self.levels.capacity()
+            + self.other_cells.capacity() * std::mem::size_of::<CamCell>()
+    }
+
     /// Plane words the most recent search visited — the work metric
     /// behind [`ExecStats::searched_words`](crate::ExecStats::searched_words):
     /// one 8-byte word per 64 cells for bit-plane rows, per 8 cells for
@@ -436,161 +521,168 @@ impl Subarray {
         self.last_words
     }
 
+    /// Reject a write whose rows don't fit or are wider than the
+    /// subarray, before anything is programmed.
+    fn check_write<T>(&self, row_offset: usize, data: &[Vec<T>]) -> Result<(), String> {
+        let (n, rows, cols) = (data.len(), self.rows, self.cols);
+        if row_offset + n > rows {
+            return Err(format!(
+                "write of {n} rows at offset {row_offset} exceeds {rows} rows"
+            ));
+        }
+        if let Some(i) = data.iter().position(|row| row.len() > cols) {
+            let (r, width) = (row_offset + i, data[i].len());
+            return Err(format!(
+                "row {r} has {width} elements but subarray has {cols} columns"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Reject a query wider than the subarray.
+    fn check_query(&self, query: &[f32]) -> Result<(), String> {
+        let (width, cols) = (query.len(), self.cols);
+        if width > cols {
+            return Err(format!("query width {width} exceeds {cols} columns"));
+        }
+        Ok(())
+    }
+
     /// Program `data` rows starting at `row_offset`, encoding each datum
     /// with `bits_per_cell` resolution. Short rows are padded with
     /// don't-care cells (they never mismatch).
     ///
     /// # Errors
-    /// Fails if the rows don't fit or a row is wider than the subarray.
+    /// Fails if the rows don't fit or a row is wider than the subarray;
+    /// nothing is programmed in that case.
     pub fn write_rows(
         &mut self,
         row_offset: usize,
         data: &[Vec<f32>],
         bits_per_cell: u32,
     ) -> Result<(), String> {
-        if row_offset + data.len() > self.rows {
-            return Err(format!(
-                "write of {} rows at offset {row_offset} exceeds {} rows",
-                data.len(),
-                self.rows
-            ));
-        }
-        for (i, row) in data.iter().enumerate() {
-            if row.len() > self.cols {
-                return Err(format!(
-                    "row {} has {} elements but subarray has {} columns",
-                    row_offset + i,
-                    row.len(),
-                    self.cols
-                ));
-            }
-        }
-        let mut faults = self.faults.take();
-        let levels_max = if bits_per_cell <= 1 {
-            1u8
-        } else {
-            ((1u32 << bits_per_cell) - 1).min(255) as u8
-        };
+        self.check_write(row_offset, data)?;
+        let cols = self.cols;
         for (i, row) in data.iter().enumerate() {
             let r = row_offset + i;
-            for c in 0..self.cols {
-                self.cells[r * self.cols + c] = match row.get(c) {
-                    Some(&v) => {
-                        let cell = CamCell::encode(v, bits_per_cell);
-                        match faults.as_deref_mut() {
-                            None => cell,
-                            // Permanent faults perturb only programmed
-                            // cells; don't-care padding has no device
-                            // state to get stuck.
-                            Some(f) => {
-                                let intended = match cell {
-                                    CamCell::Zero => 0,
-                                    CamCell::One => 1,
-                                    CamCell::Multi(l) => l,
-                                    _ => unreachable!("encode yields bits or levels"),
-                                };
-                                let stored = f.program_level(r, c, intended, levels_max);
-                                if bits_per_cell <= 1 {
-                                    if stored != 0 {
-                                        CamCell::One
-                                    } else {
-                                        CamCell::Zero
-                                    }
-                                } else {
-                                    CamCell::Multi(stored)
-                                }
-                            }
-                        }
-                    }
-                    None => CamCell::DontCare,
-                };
-            }
-            self.mark_valid_and_repack(r);
+            encode_row(
+                row,
+                bits_per_cell,
+                self.faults.as_deref_mut().map(|f| (f, r)),
+                &mut self.levels[r * cols..(r + 1) * cols],
+                &mut self.care_bytes[r * cols..(r + 1) * cols],
+            );
+            // An empty row is all padding: don't-care cells only.
+            self.commit_packed_row(r, bits_per_cell > 1 && !row.is_empty());
         }
-        self.faults = faults;
         Ok(())
     }
 
     /// Program raw cells (for wildcard patterns) starting at `row_offset`.
+    /// Short rows are padded with don't-care cells.
     ///
     /// # Errors
-    /// Fails if the rows don't fit or a row is wider than the subarray.
+    /// Fails if the rows don't fit or a row is wider than the subarray;
+    /// nothing is programmed in that case.
     pub fn write_cells(&mut self, row_offset: usize, data: &[Vec<CamCell>]) -> Result<(), String> {
-        if row_offset + data.len() > self.rows {
-            return Err("cell write exceeds subarray rows".to_string());
-        }
+        self.check_write(row_offset, data)?;
+        let cols = self.cols;
         for (i, row) in data.iter().enumerate() {
-            if row.len() > self.cols {
-                return Err("cell row wider than subarray".to_string());
-            }
             let r = row_offset + i;
-            for c in 0..self.cols {
-                self.cells[r * self.cols + c] = row.get(c).copied().unwrap_or(CamCell::DontCare);
+            let levels = &mut self.levels[r * cols..(r + 1) * cols];
+            let care = &mut self.care_bytes[r * cols..(r + 1) * cols];
+            levels.fill(0);
+            care.fill(0);
+            let (mut binary, mut multi, mut range) = (false, false, false);
+            for ((l, cb), cell) in levels.iter_mut().zip(care.iter_mut()).zip(row) {
+                let (flag, level, cared) = match *cell {
+                    CamCell::Zero => (&mut binary, 0, 1),
+                    CamCell::One => (&mut binary, 1, 1),
+                    CamCell::Multi(v) => (&mut multi, v, 1),
+                    CamCell::Range(..) => (&mut range, 0, 0),
+                    CamCell::DontCare => continue,
+                };
+                (*flag, *l, *cb) = (true, level, cared);
             }
-            self.mark_valid_and_repack(r);
+            if !(range || (binary && multi)) {
+                self.commit_packed_row(r, multi);
+                continue;
+            }
+            // The planes cannot name these cells: keep them as they are.
+            let pad = std::iter::repeat(CamCell::DontCare);
+            let at = self.other_offset(r);
+            let held = usize::from(self.kinds[r] == RowKind::Other) * cols;
+            let padded = row.iter().copied().chain(pad).take(cols);
+            self.other_cells.splice(at..at + held, padded);
+            self.set_kind(r, RowKind::Other);
         }
         Ok(())
     }
 
-    /// Mark row `r` programmed, rebuild its planes, and keep the
-    /// valid-row kind counts in step.
-    fn mark_valid_and_repack(&mut self, r: usize) {
+    /// Finish programming row `r` from its freshly written byte planes:
+    /// classify it, release a side-table slot it no longer needs, and
+    /// pack the bit planes of a binary row a `u64` word at a time.
+    fn commit_packed_row(&mut self, r: usize, multi: bool) {
+        if self.kinds[r] == RowKind::Other {
+            let at = self.other_offset(r);
+            self.other_cells.drain(at..at + self.cols);
+            self.other_cells.shrink_to_fit(); // the last one out frees it
+        }
+        if multi {
+            self.set_kind(r, RowKind::Levels);
+            return;
+        }
+        self.set_kind(r, RowKind::Binary);
+        let (cols, wpr) = (self.cols, self.words_per_row);
+        for w in 0..wpr {
+            let cells = r * cols + w * 64..r * cols + cols.min(w * 64 + 64);
+            self.bits[r * wpr + w] = pack_word(&self.levels[cells.clone()]);
+            self.care[r * wpr + w] = pack_word(&self.care_bytes[cells]);
+        }
+    }
+
+    /// Mark row `r` programmed as `kind`, keeping `kind_mix` in step.
+    fn set_kind(&mut self, r: usize, kind: RowKind) {
         if self.valid[r] {
             self.kind_mix[self.kinds[r] as usize] -= 1;
         }
         self.valid[r] = true;
-        self.repack_row(r);
-        self.kind_mix[self.kinds[r] as usize] += 1;
+        self.kinds[r] = kind;
+        self.kind_mix[kind as usize] += 1;
     }
 
-    /// Rebuild row `r`'s match planes and classification from its cells.
-    fn repack_row(&mut self, r: usize) {
-        let wpr = self.words_per_row;
-        let (mut has_binary, mut has_multi, mut has_range) = (false, false, false);
-        for w in 0..wpr {
-            self.bits[r * wpr + w] = 0;
-            self.care[r * wpr + w] = 0;
+    /// Where row `r`'s cells start (or would be inserted) in the side
+    /// table: `cols` cells per `Other` row below `r`.
+    fn other_offset(&self, r: usize) -> usize {
+        self.kinds[..r]
+            .iter()
+            .filter(|&&k| k == RowKind::Other)
+            .count()
+            * self.cols
+    }
+
+    /// The cells of row `r` (all `cols` of them, padding included),
+    /// written into `out`: decoded from the level and care planes for
+    /// binary and multi-bit rows, copied from the side table otherwise.
+    /// An unprogrammed row decodes as all don't-care.
+    ///
+    /// # Panics
+    /// If `r` is not a row of this subarray.
+    pub fn decode_row(&self, r: usize, out: &mut Vec<CamCell>) {
+        let (kind, cols) = (self.kinds[r], self.cols);
+        out.clear();
+        if kind == RowKind::Other {
+            let at = self.other_offset(r);
+            return out.extend_from_slice(&self.other_cells[at..at + cols]);
         }
-        for c in 0..self.cols {
-            let (w, mask) = (r * wpr + c / 64, 1u64 << (c % 64));
-            let mut cared = true;
-            let level = match self.cells[r * self.cols + c] {
-                CamCell::Zero => {
-                    has_binary = true;
-                    self.care[w] |= mask;
-                    0
-                }
-                CamCell::One => {
-                    has_binary = true;
-                    self.care[w] |= mask;
-                    self.bits[w] |= mask;
-                    1
-                }
-                CamCell::DontCare => {
-                    cared = false;
-                    0
-                }
-                CamCell::Multi(v) => {
-                    has_multi = true;
-                    self.care[w] |= mask;
-                    v
-                }
-                CamCell::Range(..) => {
-                    has_range = true;
-                    cared = false;
-                    0
-                }
-            };
-            self.levels[r * self.cols + c] = level;
-            self.care_bytes[r * self.cols + c] = u8::from(cared);
-        }
-        self.kinds[r] = if has_range || (has_binary && has_multi) {
-            RowKind::Other
-        } else if has_multi {
-            RowKind::Levels
-        } else {
-            RowKind::Binary
-        };
+        let levels = &self.levels[r * cols..(r + 1) * cols];
+        let care = &self.care_bytes[r * cols..(r + 1) * cols];
+        out.extend(levels.iter().zip(care).map(|(&l, &cb)| match (cb, kind) {
+            (0, _) => CamCell::DontCare,
+            (_, RowKind::Levels) => CamCell::Multi(l),
+            (_, _) if l == 0 => CamCell::Zero,
+            (_, _) => CamCell::One,
+        }));
     }
 
     // ------------------------------------------------------------------
@@ -677,33 +769,19 @@ impl Subarray {
         sum
     }
 
-    /// Per-cell distance of row `r` (the original enum walk): the oracle
-    /// kernel, and the fallback for [`RowKind::Other`] rows.
-    fn row_distance_naive(&self, r: usize, query: &[f32], metric: Metric) -> f64 {
-        let cells = &self.cells[r * self.cols..r * self.cols + query.len()];
+    /// Per-cell distance of one row's cells (the original enum walk):
+    /// the oracle kernel, and the fallback for [`RowKind::Other`] rows.
+    fn cells_distance(cells: &[CamCell], query: &[f32], metric: Metric) -> f64 {
+        let pairs = cells.iter().zip(query); // the query's width decides
         match metric {
-            Metric::Hamming => cells
-                .iter()
-                .zip(query)
-                .map(|(c, &q)| f64::from(c.hamming(q)))
-                .sum::<f64>(),
-            Metric::Euclidean => cells
-                .iter()
-                .zip(query)
-                .map(|(c, &q)| c.squared_distance(q))
-                .sum::<f64>(),
+            Metric::Hamming => pairs.map(|(c, &q)| f64::from(c.hamming(q))).sum(),
+            Metric::Euclidean => pairs.map(|(c, &q)| c.squared_distance(q)).sum(),
             // A dot-product similarity is realized on CAM hardware by
             // bit-encoding such that Hamming distance is inversely
             // proportional to the dot product (cf. [22]); functionally
             // we count matching positions and negate so that "smaller
             // is better" holds uniformly.
-            Metric::Dot => {
-                -(cells
-                    .iter()
-                    .zip(query)
-                    .filter(|(c, &q)| c.matches(q))
-                    .count() as f64)
-            }
+            Metric::Dot => -(pairs.filter(|(c, &q)| c.matches(q)).count() as f64),
         }
     }
 
@@ -717,29 +795,27 @@ impl Subarray {
     /// dispatch overhead. The `f64` fallbacks stay bit-identical under
     /// wider features: Rust emits no fast-math flags, so LLVM cannot
     /// contract or reassociate the float sums.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn sweep_rows_body(
-        &self,
-        window: std::ops::Range<usize>,
-        query: &[f32],
-        metric: Metric,
-        int_mode: bool,
-        wta_window: Option<u32>,
-        qh: Option<u64>,
-        faults: &mut Option<Box<SubarrayFaults>>,
-        scratch: &SearchScratch,
-        result: &mut SearchResult,
-    ) -> u64 {
+    fn sweep_rows_body(&self, sw: Sweep) -> u64 {
+        let (query, metric, scratch) = (sw.query, sw.metric, sw.scratch);
         let qlen = query.len();
         let mut words = 0u64;
-        for r in window {
+        // Side-table cursor: `Other` rows sit there in row order.
+        let mut other_at = match self.kind_mix[RowKind::Other as usize] {
+            0 => 0,
+            _ => self.other_offset(sw.window.start),
+        };
+        for r in sw.window {
             if !self.valid[r] {
                 continue;
             }
             let kind_r = self.kinds[r];
             let mut dist = match (kind_r, metric) {
-                (RowKind::Other, _) => self.row_distance_naive(r, query, metric),
+                (RowKind::Other, _) => {
+                    let cells = &self.other_cells[other_at..other_at + self.cols];
+                    other_at += self.cols;
+                    Self::cells_distance(cells, query, metric)
+                }
                 (RowKind::Binary, Metric::Hamming) => {
                     self.mismatch_binary(r, qlen, &scratch.qbits) as f64
                 }
@@ -754,7 +830,7 @@ impl Subarray {
                         as f64)
                 }
                 (RowKind::Binary | RowKind::Levels, Metric::Euclidean) => {
-                    if int_mode {
+                    if sw.int_mode {
                         self.euclid_int(r, qlen, &scratch.qint, &scratch.qint16) as f64
                     } else if kind_r == RowKind::Binary {
                         self.euclid_f64_binary(r, qlen, &scratch.sq0, &scratch.sq1)
@@ -763,15 +839,15 @@ impl Subarray {
                     }
                 }
             };
-            if let Some(window) = wta_window {
+            if let Some(window) = sw.wta {
                 if metric == Metric::Hamming {
                     dist = dist.min(f64::from(window));
                 }
             }
             // A transient sense-amp misfire lands *after* the WTA
             // discrimination: the row reports one spurious mismatch.
-            if let Some(qh) = qh {
-                if let Some(f) = faults.as_deref_mut() {
+            if let Some(qh) = sw.qh {
+                if let Some(f) = sw.faults.as_deref_mut() {
                     if f.transient_hit(qh, r) {
                         dist += SubarrayFaults::TRANSIENT_PENALTY;
                     }
@@ -786,91 +862,36 @@ impl Subarray {
                 RowKind::Levels => qlen.div_ceil(8) as u64,
                 RowKind::Other => qlen as u64,
             };
-            result.rows.push(r);
-            result.distances.push(dist);
+            sw.result.rows.push(r);
+            sw.result.distances.push(dist);
         }
         words
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn sweep_rows_avx2(
-        &self,
-        window: std::ops::Range<usize>,
-        query: &[f32],
-        metric: Metric,
-        int_mode: bool,
-        wta_window: Option<u32>,
-        qh: Option<u64>,
-        faults: &mut Option<Box<SubarrayFaults>>,
-        scratch: &SearchScratch,
-        result: &mut SearchResult,
-    ) -> u64 {
-        self.sweep_rows_body(
-            window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
-        )
+    unsafe fn sweep_rows_avx2(&self, sweep: Sweep) -> u64 {
+        self.sweep_rows_body(sweep)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn sweep_rows_avx512(
-        &self,
-        window: std::ops::Range<usize>,
-        query: &[f32],
-        metric: Metric,
-        int_mode: bool,
-        wta_window: Option<u32>,
-        qh: Option<u64>,
-        faults: &mut Option<Box<SubarrayFaults>>,
-        scratch: &SearchScratch,
-        result: &mut SearchResult,
-    ) -> u64 {
-        self.sweep_rows_body(
-            window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
-        )
+    unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> u64 {
+        self.sweep_rows_body(sweep)
     }
 
     /// Dispatch the row sweep once on the resolved kernel tier.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_rows(
-        &self,
-        tier: KernelTier,
-        window: std::ops::Range<usize>,
-        query: &[f32],
-        metric: Metric,
-        int_mode: bool,
-        wta_window: Option<u32>,
-        qh: Option<u64>,
-        faults: &mut Option<Box<SubarrayFaults>>,
-        scratch: &SearchScratch,
-        result: &mut SearchResult,
-    ) -> u64 {
+    fn sweep_rows(&self, tier: KernelTier, sweep: Sweep) -> u64 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier resolution verified the target features at startup.
         match tier {
-            KernelTier::Avx512 => {
-                return unsafe {
-                    self.sweep_rows_avx512(
-                        window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
-                    )
-                }
-            }
-            KernelTier::Avx2 => {
-                return unsafe {
-                    self.sweep_rows_avx2(
-                        window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
-                    )
-                }
-            }
+            KernelTier::Avx512 => return unsafe { self.sweep_rows_avx512(sweep) },
+            KernelTier::Avx2 => return unsafe { self.sweep_rows_avx2(sweep) },
             KernelTier::Scalar => {}
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = tier;
-        self.sweep_rows_body(
-            window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
-        )
+        self.sweep_rows_body(sweep)
     }
 
     /// Search all selected valid rows against `query` using the packed
@@ -895,13 +916,7 @@ impl Subarray {
         wta_window: Option<u32>,
         scratch: &mut SearchScratch,
     ) -> Result<&SearchResult, String> {
-        if query.len() > self.cols {
-            return Err(format!(
-                "query width {} exceeds {} columns",
-                query.len(),
-                self.cols
-            ));
-        }
+        self.check_query(query)?;
         // One tier decision per search; the whole row sweep below is
         // dispatched once on this value (never per row) and feature
         // detection is not touched again.
@@ -914,22 +929,13 @@ impl Subarray {
         // Full-window searches (the common case) read the write-time
         // kind counts; selective windows still scan their row range.
         let (has_binary, has_levels) = if window == (0..self.rows) {
-            (
-                self.kind_mix[RowKind::Binary as usize] > 0,
-                self.kind_mix[RowKind::Levels as usize] > 0,
-            )
+            let any = |kind| self.kind_mix[kind as usize] > 0;
+            (any(RowKind::Binary), any(RowKind::Levels))
         } else {
-            let (mut has_binary, mut has_levels) = (false, false);
-            for r in window.clone() {
-                if self.valid[r] {
-                    match self.kinds[r] {
-                        RowKind::Binary => has_binary = true,
-                        RowKind::Levels => has_levels = true,
-                        RowKind::Other => {}
-                    }
-                }
-            }
-            (has_binary, has_levels)
+            let kinds = window.clone().filter(|&r| self.valid[r]);
+            let kinds = kinds.map(|r| self.kinds[r]);
+            let has = |kind| kinds.clone().any(|k| k == kind);
+            (has(RowKind::Binary), has(RowKind::Levels))
         };
 
         // Pack the query once, per what the selected rows need.
@@ -1005,18 +1011,18 @@ impl Subarray {
         };
         let mut result = self.last_result.take().unwrap_or_default();
         result.clear();
-        let words = self.sweep_rows(
-            tier,
+        let sweep = Sweep {
             window,
             query,
             metric,
             int_mode,
-            wta_window,
+            wta: wta_window,
             qh,
-            &mut faults,
+            faults: &mut faults,
             scratch,
-            &mut result,
-        );
+            result: &mut result,
+        };
+        let words = self.sweep_rows(tier, sweep);
         Self::flag_matches(&mut result, kind, threshold);
         self.faults = faults;
         self.last_words = words;
@@ -1024,10 +1030,10 @@ impl Subarray {
         Ok(self.last_result.as_ref().unwrap())
     }
 
-    /// The original per-cell search: walks the `CamCell` grid one cell
-    /// at a time. Kept as the differential-testing oracle for the
-    /// packed planes (and as the kernel for rows the planes cannot
-    /// represent).
+    /// The original per-cell search: decodes each selected row back
+    /// into `CamCell`s ([`Subarray::decode_row`]) and walks them one
+    /// cell at a time. Kept as the differential-testing oracle for the
+    /// plane kernels.
     ///
     /// # Errors
     /// Fails if the query is wider than the subarray.
@@ -1040,24 +1046,20 @@ impl Subarray {
         threshold: f64,
         wta_window: Option<u32>,
     ) -> Result<&SearchResult, String> {
-        if query.len() > self.cols {
-            return Err(format!(
-                "query width {} exceeds {} columns",
-                query.len(),
-                self.cols
-            ));
-        }
+        self.check_query(query)?;
         let mut faults = self.faults.take();
         let qh = match faults.as_deref() {
             Some(f) if f.transient_enabled() => Some(query_hash(query)),
             _ => None,
         };
         let mut result = SearchResult::default();
+        let mut cells = Vec::with_capacity(self.cols);
         for r in selection.range(self.rows) {
             if !self.valid[r] {
                 continue;
             }
-            let mut dist = self.row_distance_naive(r, query, metric);
+            self.decode_row(r, &mut cells);
+            let mut dist = Self::cells_distance(&cells, query, metric);
             if let Some(window) = wta_window {
                 if metric == Metric::Hamming {
                     dist = dist.min(f64::from(window));
@@ -1082,9 +1084,7 @@ impl Subarray {
 
     /// Fill `result.matched` from the distances under `kind`.
     fn flag_matches(result: &mut SearchResult, kind: MatchKind, threshold: f64) {
-        let SearchResult {
-            distances, matched, ..
-        } = result;
+        let (distances, matched) = (&result.distances, &mut result.matched);
         match kind {
             MatchKind::Exact => matched.extend(distances.iter().map(|&d| d == 0.0)),
             MatchKind::Threshold => matched.extend(distances.iter().map(|&d| d <= threshold)),
@@ -1355,6 +1355,157 @@ mod tests {
                 None,
             )
             .is_err());
+    }
+
+    /// Everything a write may change, for before/after comparison.
+    fn contents(s: &Subarray) -> impl PartialEq + std::fmt::Debug {
+        (
+            (s.levels.clone(), s.care_bytes.clone()),
+            (s.bits.clone(), s.care.clone()),
+            (s.valid.clone(), s.kinds.clone(), s.kind_mix),
+            s.other_cells.clone(),
+        )
+    }
+
+    #[test]
+    fn failing_writes_program_nothing() {
+        let mut s = Subarray::new(4, 3);
+        s.write_rows(0, &[vec![1.0, 0.0, 1.0]], 1).unwrap();
+        s.write_cells(1, &[vec![CamCell::Range(0.0, 1.0), CamCell::One]])
+            .unwrap();
+        let q = [1.0f32, 1.0, 0.0];
+        let search = |s: &mut Subarray| {
+            let spec = (MatchKind::Best, Metric::Hamming, RowSelection::All);
+            s.search(&q, spec.0, spec.1, spec.2, 0.0, None, &mut scratch())
+                .unwrap()
+                .clone()
+        };
+        let (before, found) = (contents(&s), search(&mut s));
+
+        // Row 1 of the batch is too wide: rows 0 and 2 of it must not
+        // land either, whichever write call carries them.
+        let ok = vec![CamCell::Multi(2); 3];
+        let wide = vec![CamCell::Zero; 4];
+        let e = s
+            .write_cells(0, &[ok.clone(), wide, ok.clone()])
+            .unwrap_err();
+        assert_eq!(e, "row 1 has 4 elements but subarray has 3 columns");
+        let e = s.write_cells(2, &[ok.clone(), ok.clone(), ok]).unwrap_err();
+        assert_eq!(e, "write of 3 rows at offset 2 exceeds 4 rows");
+        let e = s
+            .write_rows(1, &[vec![0.0; 3], vec![0.0; 5]], 1)
+            .unwrap_err();
+        assert_eq!(e, "row 2 has 5 elements but subarray has 3 columns");
+
+        assert_eq!(contents(&s), before);
+        assert_eq!(search(&mut s), found);
+    }
+
+    #[test]
+    fn footprint_is_the_planes_plus_a_side_table_only_when_needed() {
+        let (rows, cols) = (128usize, 128usize);
+        let mut s = Subarray::new(rows, cols);
+        let planes = s.heap_bytes();
+        assert!(
+            planes as f64 <= 2.5 * (rows * cols) as f64,
+            "{planes} B for {} cells",
+            rows * cols
+        );
+        assert_eq!(s.other_cells.capacity(), 0, "no cell storage up front");
+
+        // Fully programmed, 2-bit: still the planes and nothing else.
+        let data: Vec<Vec<f32>> = (0..rows)
+            .map(|r| (0..cols).map(|c| ((r + c) % 4) as f32).collect())
+            .collect();
+        s.write_rows(0, &data, 2).unwrap();
+        assert_eq!(s.heap_bytes(), planes);
+
+        // One analog row: 12 B per column of side table, nothing more.
+        assert_eq!(std::mem::size_of::<CamCell>(), 12);
+        s.write_cells(7, &[vec![CamCell::Range(0.0, 1.0); cols]])
+            .unwrap();
+        assert_eq!(s.heap_bytes(), planes + 12 * cols);
+        // Rewriting it in place allocates nothing; a packed row over it
+        // releases the table.
+        s.write_cells(7, &[vec![CamCell::Range(1.0, 2.0)]]).unwrap();
+        assert_eq!(s.heap_bytes(), planes + 12 * cols);
+        s.write_rows(7, &data[..1], 2).unwrap();
+        assert_eq!(s.heap_bytes(), planes);
+    }
+
+    #[test]
+    fn side_table_keeps_row_order_under_out_of_order_writes() {
+        let mut s = Subarray::new(6, 2);
+        let range = |lo: f32| vec![CamCell::Range(lo, lo + 0.5), CamCell::One];
+        let mut cells = Vec::new();
+        for r in [4usize, 1, 5, 2] {
+            s.write_cells(r, &[range(r as f32)]).unwrap();
+        }
+        s.write_rows(1, &[vec![1.0, 1.0]], 1).unwrap(); // releases slot 0
+        s.write_cells(2, &[range(20.0)]).unwrap(); // rewrites in place
+        assert_eq!(s.other_cells.len(), 3 * 2);
+        for (r, lo) in [(2usize, 20.0f32), (4, 4.0), (5, 5.0)] {
+            s.decode_row(r, &mut cells);
+            assert_eq!(cells, range(lo), "row {r}");
+        }
+        s.decode_row(1, &mut cells);
+        assert_eq!(cells, vec![CamCell::One, CamCell::One]);
+        s.decode_row(0, &mut cells);
+        assert_eq!(cells, vec![CamCell::DontCare; 2], "unprogrammed row");
+        // A windowed search starts its side-table cursor mid-table.
+        let r = s
+            .search(
+                &[4.25, 1.0],
+                MatchKind::Exact,
+                Metric::Hamming,
+                RowSelection::Window { start: 3, len: 3 },
+                0.0,
+                None,
+                &mut scratch(),
+            )
+            .unwrap();
+        assert_eq!((r.rows.clone(), r.matching_rows()), (vec![4, 5], vec![4]));
+    }
+
+    #[test]
+    fn row_encoder_agrees_with_the_cell_encoder_at_every_resolution() {
+        let values = [
+            0.0f32,
+            -0.0,
+            0.4999,
+            0.5,
+            1.5,
+            2.5,
+            -3.0,
+            254.5,
+            255.0,
+            300.0,
+            1e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut cells = Vec::new();
+        for bits in [0u32, 1, 2, 3, 5, 8, 9, 12, 31] {
+            let mut s = Subarray::new(1, values.len());
+            s.write_rows(0, &[values.to_vec()], bits).unwrap();
+            s.decode_row(0, &mut cells);
+            let want: Vec<CamCell> = values.iter().map(|&v| CamCell::encode(v, bits)).collect();
+            assert_eq!(cells, want, "{bits} bits per cell");
+        }
+    }
+
+    #[test]
+    fn pack_word_gathers_bytes_in_column_order() {
+        for len in [0usize, 1, 7, 8, 9, 37, 63, 64] {
+            let bytes: Vec<u8> = (0..len).map(|i| u8::from(i % 3 == 0 || i == 62)).collect();
+            let want = bytes
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | u64::from(b) << i);
+            assert_eq!(pack_word(&bytes), want, "{len} bytes");
+        }
+        assert_eq!(pack_word(&[1; 64]), u64::MAX);
     }
 
     #[test]

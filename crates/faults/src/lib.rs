@@ -161,6 +161,23 @@ pub enum CellFault {
     DriftDown,
 }
 
+impl CellFault {
+    /// The level a cell with this fault stores when programmed with
+    /// `intended`, on an alphabet whose top level is `levels_max`.
+    fn apply(self, intended: u8, levels_max: u8) -> u8 {
+        match self {
+            CellFault::None => intended,
+            CellFault::StuckZero => 0,
+            CellFault::StuckOne => levels_max,
+            // 1-bit cells have no intermediate sensing margin to drift
+            // across; drift only manifests on multi-level alphabets.
+            CellFault::DriftUp if levels_max > 1 => intended.saturating_add(1).min(levels_max),
+            CellFault::DriftDown if levels_max > 1 => intended.saturating_sub(1),
+            CellFault::DriftUp | CellFault::DriftDown => intended,
+        }
+    }
+}
+
 // Distinct stream constants keep the cell-fault and transient hash
 // families statistically independent even for identical coordinates.
 const STREAM_CELL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -334,20 +351,29 @@ impl SubarrayFaults {
     /// Returns the level actually stored, tallying a fault event when
     /// it differs from the intent.
     pub fn program_level(&mut self, row: usize, col: usize, intended: u8, levels_max: u8) -> u8 {
-        let stored = match self.cell_fault(row, col) {
-            CellFault::None => intended,
-            CellFault::StuckZero => 0,
-            CellFault::StuckOne => levels_max,
-            // 1-bit cells have no intermediate sensing margin to drift
-            // across; drift only manifests on multi-level alphabets.
-            CellFault::DriftUp if levels_max > 1 => intended.saturating_add(1).min(levels_max),
-            CellFault::DriftDown if levels_max > 1 => intended.saturating_sub(1),
-            CellFault::DriftUp | CellFault::DriftDown => intended,
-        };
-        if stored != intended {
-            self.fault_cells += 1;
-        }
+        let stored = self.cell_fault(row, col).apply(intended, levels_max);
+        self.fault_cells += u64::from(stored != intended);
         stored
+    }
+
+    /// [`SubarrayFaults::program_level`] over a whole row: `levels`
+    /// holds the intended levels of logical `row`'s columns
+    /// `0..levels.len()` and is rewritten in place with the levels
+    /// actually stored. One remap lookup per row instead of per cell —
+    /// the write hook of devices that program a level plane directly.
+    pub fn program_row(&mut self, row: usize, levels: &mut [u8], levels_max: u8) {
+        if row >= self.data_rows {
+            return;
+        }
+        let phys = self.effective_phys[row] as usize;
+        let sites = &self.cells[phys * self.cols..(phys + 1) * self.cols];
+        let mut altered = 0u64;
+        for (level, site) in levels.iter_mut().zip(sites) {
+            let stored = site.apply(*level, levels_max);
+            altered += u64::from(stored != *level);
+            *level = stored;
+        }
+        self.fault_cells += altered;
     }
 
     /// Whether transient faults can fire at all (lets callers skip
@@ -521,6 +547,32 @@ mod tests {
         // Tally counted only actual changes: 5 of the 8 calls above
         // (the two clamp cases and the binary drift stored the intent).
         assert_eq!(f.fault_cells(), 5);
+    }
+
+    #[test]
+    fn program_row_equals_per_cell_program_level() {
+        let mut c = cfg(0.3, 17);
+        c.resilience.spare_rows = 2;
+        let mut by_cell = SubarrayFaults::generate(&c, 4, 8, 12);
+        let mut by_row = by_cell.clone();
+        for levels_max in [1u8, 7] {
+            // Short rows (ragged writes) and a row past the data rows.
+            for (row, width) in [(0, 12), (3, 5), (7, 0), (8, 12)] {
+                let intended: Vec<u8> = (0..width)
+                    .map(|c| (c % 8) as u8 % (levels_max + 1))
+                    .collect();
+                let want: Vec<u8> = intended
+                    .iter()
+                    .enumerate()
+                    .map(|(col, &l)| by_cell.program_level(row, col, l, levels_max))
+                    .collect();
+                let mut got = intended;
+                by_row.program_row(row, &mut got, levels_max);
+                assert_eq!(got, want, "row {row}, top level {levels_max}");
+            }
+        }
+        assert_eq!(by_row, by_cell, "tallies agree too");
+        assert!(by_row.fault_cells() > 0);
     }
 
     #[test]

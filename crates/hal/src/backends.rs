@@ -94,6 +94,7 @@ impl Plan for WalkPlan {
             stats: machine.stats(),
             phases: machine.phases().to_vec(),
             trace: None,
+            heap_bytes: machine.heap_bytes(),
         })
     }
 }
@@ -160,6 +161,7 @@ impl Plan for TapePlan {
             stats: machine.stats(),
             phases: machine.phases().to_vec(),
             trace: None,
+            heap_bytes: machine.heap_bytes(),
         })
     }
 }
@@ -229,6 +231,7 @@ impl Plan for SimdPlan {
             stats: device.stats(),
             phases: device.phases().to_vec(),
             trace: None,
+            heap_bytes: device.heap_bytes(),
         })
     }
 }
@@ -301,6 +304,7 @@ impl Plan for TracePlan {
             stats: machine.stats(),
             phases: machine.phases().to_vec(),
             trace: Some(trace.to_text()),
+            heap_bytes: machine.heap_bytes(),
         })
     }
 }

@@ -214,6 +214,10 @@ pub struct Execution {
     /// Serialized op trace, when the backend records one (the `trace`
     /// backend); parseable by `c4cam_engine::Trace::parse`.
     pub trace: Option<String>,
+    /// Bytes of heap the device owned for its programmed contents at
+    /// function return (`CamMachine::heap_bytes`): a count that repeats
+    /// exactly, surfaced as the `sim.heap_bytes` telemetry counter.
+    pub heap_bytes: usize,
 }
 
 impl Execution {

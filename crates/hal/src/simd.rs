@@ -23,8 +23,8 @@
 use c4cam_arch::tech::Level;
 use c4cam_arch::{ArchSpec, MatchKind, Metric};
 use c4cam_camsim::{
-    ArrayId, BankId, CamDevice, ExecStats, MatId, RowSelection, SearchResult, SearchSpec, SimError,
-    SubarrayId,
+    encode_row, ArrayId, BankId, CamDevice, ExecStats, MatId, RowSelection, SearchResult,
+    SearchSpec, SimError, SubarrayId,
 };
 use c4cam_faults::{query_hash, FaultConfig, SubarrayFaults};
 
@@ -164,6 +164,15 @@ impl SimdDevice {
             self.stats.rows_remapped += state.as_ref().map_or(0, |f| f.rows_remapped());
             sub.faults = state;
         }
+    }
+
+    /// Bytes of heap the allocated subarrays own for their contents
+    /// (the byte planes and per-row flags, by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        let of = |s: &SimdSubarray| {
+            s.levels.capacity() + s.care.capacity() + s.valid.capacity() + s.multi.capacity()
+        };
+        self.subs.iter().map(of).sum()
     }
 
     fn add_latency(&mut self, ns: f64) {
@@ -365,36 +374,26 @@ impl CamDevice for SimdDevice {
                 data.len()
             )));
         }
-        let levels_max = if bits <= 1 { 1 } else { (1u32 << bits) - 1 } as f32;
-        let levels_max_u8 = (levels_max as u32).min(255) as u8;
         let sub = &mut self.subs[idx];
-        for (i, row) in data.iter().enumerate() {
-            if row.len() > cols {
-                return Err(SimError::new(format!(
-                    "row {} has {} elements but subarray has {cols} columns",
-                    row_offset + i,
-                    row.len()
-                )));
-            }
+        if let Some(i) = data.iter().position(|row| row.len() > cols) {
+            return Err(SimError::new(format!(
+                "row {} has {} elements but subarray has {cols} columns",
+                row_offset + i,
+                data[i].len()
+            )));
         }
         let faults_before = sub.faults.as_ref().map_or(0, |f| f.fault_cells());
         for (i, row) in data.iter().enumerate() {
             let r = row_offset + i;
-            for c in 0..cols {
-                let (level, cared) = match row.get(c) {
-                    Some(&v) if bits <= 1 => (u8::from(v != 0.0), 1u8),
-                    Some(&v) => (v.round().clamp(0.0, levels_max) as u8, 1u8),
-                    None => (0, 0),
-                };
-                let level = match sub.faults.as_deref_mut() {
-                    // Faults perturb only programmed cells, exactly as
-                    // the device model does.
-                    Some(f) if cared == 1 => f.program_level(r, c, level, levels_max_u8),
-                    _ => level,
-                };
-                sub.levels[r * cols + c] = level;
-                sub.care[r * cols + c] = cared;
-            }
+            // The device model's own row encoder, faults included: the
+            // two devices cannot drift apart on what a write stores.
+            encode_row(
+                row,
+                bits,
+                sub.faults.as_deref_mut().map(|f| (f, r)),
+                &mut sub.levels[r * cols..(r + 1) * cols],
+                &mut sub.care[r * cols..(r + 1) * cols],
+            );
             sub.valid[r] = true;
             sub.multi[r] = bits > 1 && !row.is_empty();
         }

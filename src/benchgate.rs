@@ -1,6 +1,7 @@
 //! **Perf-regression gate** (`c4cam bench-gate`): run the search/engine
-//! microbenchmark workloads in-process at short duration and compare
-//! against a committed baseline, failing on significant regressions.
+//! microbenchmark workloads — and one that only builds and programs a
+//! machine — in-process at short duration and compare against a
+//! committed baseline, failing on significant regressions.
 //!
 //! The full `criterion` benches under `crates/bench` answer "how fast
 //! is it"; this gate answers the CI question "did this change make it
@@ -240,19 +241,25 @@ fn knn_inputs() -> (Tensor, Tensor) {
     )
 }
 
-/// Binary HDC class/query data (same generator as `search_micro`).
+/// Bit `d` of HDC class vector `class` (same generator as
+/// `search_micro`).
+fn hdc_class_bit(class: usize, d: usize) -> u8 {
+    u8::from((d * 7 + class * 3) % 5 < 2)
+}
+
+/// Binary HDC class/query data.
 fn hdc_inputs(classes: usize, dims: usize) -> (Tensor, Tensor) {
     let mut stored = Vec::with_capacity(classes * dims);
     for c in 0..classes {
         for d in 0..dims {
-            stored.push(f32::from(u8::from((d * 7 + c * 3) % 5 < 2)));
+            stored.push(f32::from(hdc_class_bit(c, d)));
         }
     }
     let mut queries = Vec::with_capacity(QUERIES * dims);
     for q in 0..QUERIES {
         let class = q % classes;
         for d in 0..dims {
-            let base = u8::from((d * 7 + class * 3) % 5 < 2);
+            let base = hdc_class_bit(class, d);
             let flip = u8::from(d % 89 == q % 89 && d % 7 == 0);
             queries.push(f32::from(base ^ flip));
         }
@@ -265,22 +272,72 @@ fn hdc_inputs(classes: usize, dims: usize) -> (Tensor, Tensor) {
 
 struct GateBench {
     name: String,
-    spec: ArchSpec,
-    tape: Tape,
-    args: Vec<Value>,
+    run_once: Box<dyn Fn()>,
 }
 
 impl GateBench {
-    fn run_once(&self) {
-        let mut machine = CamMachine::new(&self.spec);
-        self.tape
-            .run(&mut machine, &self.args)
-            .expect("gate bench run");
+    /// One batch of `tape` on a fresh machine.
+    fn tape(name: String, spec: ArchSpec, tape: Tape, args: Vec<Value>) -> GateBench {
+        let run_once = move || {
+            let mut machine = CamMachine::new(&spec);
+            tape.run(&mut machine, &args).expect("gate bench run");
+        };
+        GateBench {
+            name,
+            run_once: Box::new(run_once),
+        }
     }
 }
 
+/// Machine construction + programming with no search behind it: the
+/// paper's HDC geometry (10 class vectors × 8192 dims, Fig. 8/9) on
+/// 64 × 64 subarrays — 128 of them, 10 rows each — through the public
+/// `alloc_*` + `write_rows` calls a design-space sweep makes per point.
+fn program_hdc_bench() -> Result<GateBench, String> {
+    const CLASSES: usize = 10;
+    const HDC_DIMS: usize = 8192;
+    const SIDE: usize = 64;
+    let spec = ArchSpec::builder()
+        .subarray(SIDE, SIDE)
+        .hierarchy(4, 4, 8)
+        .build()
+        .map_err(|e| format!("program spec: {e}"))?;
+    let chunks: Vec<Vec<Vec<f32>>> = (0..HDC_DIMS / SIDE)
+        .map(|chunk| {
+            let dims = chunk * SIDE..(chunk + 1) * SIDE;
+            (0..CLASSES)
+                .map(|class| {
+                    let bit = |d| f32::from(hdc_class_bit(class, d));
+                    dims.clone().map(bit).collect()
+                })
+                .collect()
+        })
+        .collect();
+    let run_once = move || {
+        let mut machine = CamMachine::new(&spec);
+        let bank = machine.alloc_bank().expect("bank");
+        let mut chunks = chunks.iter();
+        for _ in 0..4 {
+            let mat = machine.alloc_mat(bank).expect("mat");
+            for _ in 0..4 {
+                let array = machine.alloc_array(mat).expect("array");
+                for rows in chunks.by_ref().take(8) {
+                    let sub = machine.alloc_subarray(array).expect("subarray");
+                    machine.write_rows(sub, 0, rows).expect("program");
+                }
+            }
+        }
+        assert_eq!(machine.stats().write_ops, (HDC_DIMS / SIDE) as u64);
+        std::hint::black_box(machine.heap_bytes());
+    };
+    Ok(GateBench {
+        name: "program-hdc".to_string(),
+        run_once: Box::new(run_once),
+    })
+}
+
 /// Build the gated workloads: the `search_micro` kNN/HDC packed
-/// batches and the `engine_micro` tape batch.
+/// batches, the `engine_micro` tape batch, and machine programming.
 fn build_benches() -> Result<Vec<GateBench>, String> {
     let mut benches = Vec::new();
 
@@ -307,12 +364,12 @@ fn build_benches() -> Result<Vec<GateBench>, String> {
         .compile(m)
         .map_err(|e| format!("knn compile: {e}"))?;
     let (stored, queries) = knn_inputs();
-    benches.push(GateBench {
-        name: format!("knn-packed/{QUERIES}q"),
-        spec: knn_spec,
-        tape: Tape::compile(&knn.module, "knn").map_err(|e| format!("knn tape: {e}"))?,
-        args: vec![Value::Tensor(stored), Value::Tensor(queries)],
-    });
+    benches.push(GateBench::tape(
+        format!("knn-packed/{QUERIES}q"),
+        knn_spec,
+        Tape::compile(&knn.module, "knn").map_err(|e| format!("knn tape: {e}"))?,
+        vec![Value::Tensor(stored), Value::Tensor(queries)],
+    ));
 
     // HDC: dot metric over TCAM bits (XOR/popcount kernel).
     let hdc_spec = ArchSpec::builder()
@@ -326,12 +383,12 @@ fn build_benches() -> Result<Vec<GateBench>, String> {
         .compile(m)
         .map_err(|e| format!("hdc compile: {e}"))?;
     let (stored, queries) = hdc_inputs(64, 512);
-    benches.push(GateBench {
-        name: format!("hdc-packed/{QUERIES}q"),
-        spec: hdc_spec,
-        tape: Tape::compile(&hdc.module, "forward").map_err(|e| format!("hdc tape: {e}"))?,
-        args: vec![Value::Tensor(queries), Value::Tensor(stored)],
-    });
+    benches.push(GateBench::tape(
+        format!("hdc-packed/{QUERIES}q"),
+        hdc_spec,
+        Tape::compile(&hdc.module, "forward").map_err(|e| format!("hdc tape: {e}"))?,
+        vec![Value::Tensor(queries), Value::Tensor(stored)],
+    ));
 
     // Engine: the tape VM on the small-subarray HDC batch — this is
     // the workload where per-op overheads (allocation, dispatch)
@@ -347,13 +404,14 @@ fn build_benches() -> Result<Vec<GateBench>, String> {
         .compile(m)
         .map_err(|e| format!("engine compile: {e}"))?;
     let (stored, queries) = hdc_inputs(8, 256);
-    benches.push(GateBench {
-        name: format!("engine-tape/{QUERIES}q"),
-        spec: eng_spec,
-        tape: Tape::compile(&eng.module, "forward").map_err(|e| format!("engine tape: {e}"))?,
-        args: vec![Value::Tensor(queries), Value::Tensor(stored)],
-    });
+    benches.push(GateBench::tape(
+        format!("engine-tape/{QUERIES}q"),
+        eng_spec,
+        Tape::compile(&eng.module, "forward").map_err(|e| format!("engine tape: {e}"))?,
+        vec![Value::Tensor(queries), Value::Tensor(stored)],
+    ));
 
+    benches.push(program_hdc_bench()?);
     Ok(benches)
 }
 
@@ -408,7 +466,7 @@ pub fn run_bench_gate(args: &BenchGateArgs) -> Result<String, String> {
         .iter()
         .map(|b| Measurement {
             name: b.name.clone(),
-            ns_per_iter: measure_ns(window, || b.run_once()) * inject,
+            ns_per_iter: measure_ns(window, &b.run_once) * inject,
         })
         .collect();
 

@@ -683,6 +683,8 @@ impl CompiledExperiment {
                 .counter("sim.search_ops", s.search_ops as f64);
             self.telemetry
                 .counter("sim.searched_words", s.searched_words as f64);
+            self.telemetry
+                .counter("sim.heap_bytes", execution.heap_bytes as f64);
             if self.faults.is_some() {
                 self.telemetry
                     .counter("sim.fault_cells", s.fault_cells as f64);

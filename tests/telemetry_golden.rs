@@ -132,6 +132,7 @@ fn recorded_events_cover_the_full_span_taxonomy() {
         "sim.energy_fj",
         "sim.search_ops",
         "sim.searched_words",
+        "sim.heap_bytes",
     ] {
         assert!(counters.contains(&name), "missing counter {name}");
     }
