@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices docs/ARCHITECTURE.md calls out:
 //!
 //! 1. **Canonicalization** (Fig. 3's "generic optimizations"): effect of
 //!    DCE + constant folding + trivial-loop collapse on generated-code

@@ -9,7 +9,7 @@
 //! orders of magnitude above the HDC case (the dataset needs hundreds
 //! of banks).
 //!
-//! **Documented deviation** (see EXPERIMENTS.md): the paper's
+//! **Documented deviation** (see README.md): the paper's
 //! *cam-based* power column also declines monotonically (44 W →
 //! 0.86 W); our rate-based power model is non-monotonic for the base
 //! configuration because per-query latency collapses faster than energy

@@ -49,18 +49,14 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod device;
 pub mod machine;
 pub mod stats;
 pub mod subarray;
 
 pub use c4cam_faults::{CellFault, FaultConfig, FaultModel, Resilience, SubarrayFaults};
 pub use cell::CamCell;
-pub use device::CamDevice;
 pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };
 pub use stats::ExecStats;
-pub use subarray::{
-    encode_row, resolve_tier, KernelTier, RowSelection, SearchResult, SearchScratch, Subarray,
-};
+pub use subarray::{resolve_tier, KernelTier, RowSelection, SearchResult, SearchScratch, Subarray};

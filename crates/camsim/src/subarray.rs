@@ -356,7 +356,7 @@ fn mismatch_binary_body(bits: &[u64], care: &[u64], qbits: &[u64], qlen: usize) 
 /// range, columns past the row's end are don't-care padding. `faults`
 /// (the state, and the logical row being programmed) perturbs the
 /// programmed levels before they are stored.
-pub fn encode_row(
+fn encode_row(
     row: &[f32],
     bits_per_cell: u32,
     faults: Option<(&mut SubarrayFaults, usize)>,
@@ -1592,57 +1592,65 @@ mod tests {
 
     #[test]
     fn packed_matches_naive_bitwise_on_mixed_content() {
-        // Binary rows, multi-bit rows, a mixed row, and a range row in
-        // one subarray; float and integral queries; every metric/kind.
-        let mut s = Subarray::new(6, 5);
-        s.write_rows(0, &[vec![1.0, 0.0, 1.0], vec![0.0, 0.0, 1.0]], 1)
+        // Binary rows, multi-bit rows (2- and 4-bit, fractional and
+        // clamped values), a mixed row, and a range row in one
+        // subarray; fractional, negative, out-of-level-range and
+        // past-the-integer-guard queries; every metric/kind; ideal and
+        // under 25 % seeded faults with 3-way voting.
+        let mut faulty = c4cam_faults::FaultConfig::with_rate(0.25, 42);
+        faulty.resilience.vote = 3;
+        for faults in [None, Some(faulty)] {
+            let mut s = Subarray::new(7, 5);
+            s.set_faults(faults.map(|cfg| Box::new(SubarrayFaults::generate(&cfg, 0, 7, 5))));
+            s.write_rows(0, &[vec![1.0, 0.0, 1.0], vec![0.0, 0.0, 1.0]], 1)
+                .unwrap();
+            s.write_rows(2, &[vec![3.0, 1.0, 0.0], vec![2.0, 2.0, 2.0]], 2)
+                .unwrap();
+            s.write_cells(
+                4,
+                &[
+                    vec![CamCell::One, CamCell::Multi(2), CamCell::Zero],
+                    vec![CamCell::Range(0.5, 1.5), CamCell::One, CamCell::DontCare],
+                ],
+            )
             .unwrap();
-        s.write_rows(2, &[vec![3.0, 1.0, 0.0], vec![2.0, 2.0, 2.0]], 2)
-            .unwrap();
-        s.write_cells(
-            4,
-            &[
-                vec![CamCell::One, CamCell::Multi(2), CamCell::Zero],
-                vec![CamCell::Range(0.5, 1.5), CamCell::One, CamCell::DontCare],
-            ],
-        )
-        .unwrap();
-        for q in [
-            vec![1.0f32, 0.0, 1.0, 0.0, 0.0],
-            vec![0.25, -1.5, 3.75],
-            vec![2.0, 2.0, 2.0],
-            vec![1e7, 0.0, 1.0],
-        ] {
-            for metric in [Metric::Hamming, Metric::Euclidean, Metric::Dot] {
-                for kind in [MatchKind::Exact, MatchKind::Best, MatchKind::Threshold] {
-                    for wta in [None, Some(1)] {
-                        let naive = s
-                            .search_naive(&q, kind, metric, RowSelection::All, 1.5, wta)
-                            .unwrap()
-                            .clone();
-                        let packed = s
-                            .search(
-                                &q,
-                                kind,
-                                metric,
-                                RowSelection::All,
-                                1.5,
-                                wta,
-                                &mut scratch(),
-                            )
-                            .unwrap();
-                        assert_eq!(naive.rows, packed.rows);
-                        assert_eq!(naive.matched, packed.matched);
-                        let same = naive
-                            .distances
-                            .iter()
-                            .zip(&packed.distances)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(
-                            same,
-                            "{metric:?}/{kind:?}/wta={wta:?}: {:?} vs {:?}",
-                            naive.distances, packed.distances
-                        );
+            s.write_rows(6, &[vec![15.0, 0.5, 2.6, 1.0, 7.0]], 4)
+                .unwrap();
+            for q in [
+                vec![1.0f32, 0.0, 1.0, 0.0, 0.0],
+                vec![0.25, -1.5, 3.75],
+                vec![2.0, 2.0, 2.0],
+                vec![2.5, 0.5, 1.5],
+                vec![300.0, -2.0, 1.0],
+                vec![1e7, 0.0, 1.0],
+            ] {
+                for metric in [Metric::Hamming, Metric::Euclidean, Metric::Dot] {
+                    for kind in [MatchKind::Exact, MatchKind::Best, MatchKind::Threshold] {
+                        for (selection, wta) in [
+                            (RowSelection::All, None),
+                            (RowSelection::All, Some(1)),
+                            (RowSelection::Window { start: 1, len: 2 }, Some(1)),
+                        ] {
+                            let naive = s
+                                .search_naive(&q, kind, metric, selection, 1.5, wta)
+                                .unwrap()
+                                .clone();
+                            let packed = s
+                                .search(&q, kind, metric, selection, 1.5, wta, &mut scratch())
+                                .unwrap();
+                            assert_eq!(naive.rows, packed.rows);
+                            assert_eq!(naive.matched, packed.matched);
+                            let same = naive
+                                .distances
+                                .iter()
+                                .zip(&packed.distances)
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(
+                                same,
+                                "{metric:?}/{kind:?}/{selection:?}/wta={wta:?}: {:?} vs {:?}",
+                                naive.distances, packed.distances
+                            );
+                        }
                     }
                 }
             }

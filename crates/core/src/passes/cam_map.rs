@@ -78,7 +78,8 @@ impl Pass for CamMapPass {
 /// the Hamming complement — exactly like the FeFET CAM hardware the
 /// paper validates against \[22\]. Match-count ranking coincides with
 /// true dot-product ranking when the stored rows are norm-balanced
-/// (random hypervectors are); see DESIGN.md §4. Euclidean is exact.
+/// (random hypervectors are); see docs/ARCHITECTURE.md. Euclidean is
+/// exact.
 fn device_metric(metric: &str) -> Metric {
     match metric {
         "eucl" => Metric::Euclidean,

@@ -1,5 +1,5 @@
 //! Batched parallel execution: shard the query loop across worker
-//! threads, each with its own [`CamDevice`] clone, then merge results
+//! threads, each with its own [`CamMachine`] clone, then merge results
 //! and statistics deterministically.
 //!
 //! ## Protocol
@@ -15,7 +15,7 @@
 //!    compiler's query-loop conditions — so this reproduces the
 //!    sequential result bit-for-bit), and each shard's cost delta is
 //!    folded into the caller's machine with
-//!    [`CamDevice::absorb_delta`].
+//!    [`CamMachine::absorb_delta`].
 //! 4. Run the rest of the tape (final reduce + return) on the caller's
 //!    machine.
 //!
@@ -53,7 +53,7 @@ use crate::frozen::{freeze, thaw, Frozen};
 use crate::isa::QueryLoop;
 use crate::pool;
 use crate::vm::TapeVm;
-use c4cam_camsim::{CamDevice, ExecStats};
+use c4cam_camsim::{CamMachine, ExecStats};
 use c4cam_faults::{RetryPolicy, ShardChaos};
 use c4cam_runtime::Value;
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
@@ -79,9 +79,9 @@ impl Tape {
     /// # Errors
     /// Propagates compile-surface and runtime failures; a panicking
     /// worker surfaces as an error.
-    pub fn run_batched<D: CamDevice + 'static>(
+    pub fn run_batched(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
         threads: usize,
     ) -> BResult<Vec<Value>> {
@@ -96,9 +96,9 @@ impl Tape {
     /// # Errors
     /// Propagates compile-surface and runtime failures; a panicking
     /// worker surfaces as an error.
-    pub fn run_batched_with_telemetry<D: CamDevice + 'static>(
+    pub fn run_batched_with_telemetry(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
         threads: usize,
         telemetry: &Telemetry,
@@ -131,9 +131,9 @@ impl Tape {
     /// Propagates compile-surface and runtime failures; a shard that
     /// exhausts its retries without a sequential fallback surfaces as
     /// an [`EngineError`] carrying a [`ShardPanic`].
-    pub fn run_batched_resilient<D: CamDevice + 'static>(
+    pub fn run_batched_resilient(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
         threads: usize,
         telemetry: &Telemetry,
@@ -213,9 +213,9 @@ impl Tape {
 
 /// One shard's iterations, exactly as the scoped-thread version ran
 /// them: thaw the snapshot, execute the chunk, collect buffers + stats.
-fn run_one_shard<D: CamDevice>(
+fn run_one_shard(
     tape: &Tape,
-    shard_machine: &mut D,
+    shard_machine: &mut CamMachine,
     snapshot: &[Frozen],
     chunk: &[i64],
     ql: QueryLoop,
@@ -266,9 +266,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_shards<D: CamDevice + 'static>(
+fn run_shards(
     tape: &Arc<Tape>,
-    machine: &D,
+    machine: &CamMachine,
     snapshot: &Arc<Vec<Frozen>>,
     chunks: &[Vec<i64>],
     ql: QueryLoop,

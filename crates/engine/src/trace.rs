@@ -7,12 +7,11 @@
 //! partial-score merges, reductions, phase markers, and timing-scope
 //! transitions — together with the value dataflow that connects them.
 //! The resulting [`Trace`] is self-contained: [`Trace::replay`]
-//! re-executes the recorded operations against any fresh
-//! [`CamDevice`] and reconstructs the function outputs without the
-//! tape, the IR, or the original inputs. On a
-//! [`c4cam_camsim::CamMachine`] the replayed op/scope sequence is
-//! identical to the recorded run, so outputs *and* statistics are
-//! bit-identical.
+//! re-executes the recorded operations against a fresh
+//! [`CamMachine`] and reconstructs the function outputs without the
+//! tape, the IR, or the original inputs. The replayed op/scope
+//! sequence is identical to the recorded run, so outputs *and*
+//! statistics are bit-identical.
 //!
 //! Traces serialize to a line-based text format ([`Trace::to_text`] /
 //! [`Trace::parse`]) with every float written as its raw bit pattern
@@ -29,7 +28,7 @@ use crate::error::EngineError;
 use crate::isa::Slot;
 use c4cam_arch::tech::Level;
 use c4cam_arch::{MatchKind, Metric};
-use c4cam_camsim::{ArrayId, BankId, CamDevice, MatId, RowSelection, SearchSpec, SubarrayId};
+use c4cam_camsim::{ArrayId, BankId, CamMachine, MatId, RowSelection, SearchSpec, SubarrayId};
 use c4cam_runtime::kernels::{merge_partial_rows, read_tensors, reduce_scores};
 use c4cam_runtime::Value;
 use c4cam_tensor::Tensor;
@@ -593,7 +592,7 @@ impl Trace {
     /// # Errors
     /// Fails on device errors, undefined value ids, or a trace with no
     /// return record.
-    pub fn replay<D: CamDevice>(&self, device: &mut D) -> Result<Vec<Value>, EngineError> {
+    pub fn replay(&self, device: &mut CamMachine) -> Result<Vec<Value>, EngineError> {
         let mut banks: Vec<BankId> = Vec::new();
         let mut mats: Vec<MatId> = Vec::new();
         let mut arrays: Vec<ArrayId> = Vec::new();

@@ -1,6 +1,5 @@
-//! The tape VM: executes a compiled [`Tape`] against any
-//! [`CamDevice`] (the [`c4cam_camsim::CamMachine`] reference simulator
-//! or an alternative device) without touching IR structures.
+//! The tape VM: executes a compiled [`Tape`] against a
+//! [`CamMachine`] without touching IR structures.
 //!
 //! Execution state is a dense slot file (`Vec<Value>`) plus a loop-frame
 //! stack; dispatch is a single `match` over pre-resolved instructions.
@@ -13,7 +12,7 @@ use crate::error::EngineError;
 use crate::frozen::{freeze, thaw, Frozen};
 use crate::isa::{FloatBinOp, Inst, IntBinOp, PreConst, SliceOffset, Slot};
 use crate::trace::{Trace, TraceOp, TraceState};
-use c4cam_camsim::{CamDevice, ExecStats, RowSelection, SearchSpec, SubarrayId};
+use c4cam_camsim::{CamMachine, ExecStats, RowSelection, SearchSpec, SubarrayId};
 use c4cam_runtime::kernels::{
     merge_partial_rows, read_tensors, read_tensors_into, reduce_scores, search_query_view,
     tensor_rows,
@@ -256,9 +255,9 @@ impl<'t> TapeVm<'t> {
     ///
     /// # Errors
     /// Propagates instruction failures with op context attached.
-    pub fn exec<D: CamDevice>(
+    pub fn exec(
         &mut self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         from: usize,
         stop: usize,
     ) -> VResult<Option<Vec<Value>>> {
@@ -316,9 +315,9 @@ impl<'t> TapeVm<'t> {
     ///
     /// # Errors
     /// Propagates body failures.
-    pub(crate) fn exec_iterations<D: CamDevice>(
+    pub(crate) fn exec_iterations(
         &mut self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         enter: usize,
         next: usize,
         iv_slot: Slot,
@@ -349,11 +348,7 @@ impl<'t> TapeVm<'t> {
     ///
     /// # Errors
     /// Propagates worker failures.
-    fn exec_shard_loop<D: CamDevice>(
-        &mut self,
-        machine: &mut D,
-        pc: usize,
-    ) -> VResult<Option<usize>> {
+    fn exec_shard_loop(&mut self, machine: &mut CamMachine, pc: usize) -> VResult<Option<usize>> {
         let Inst::LoopEnter {
             lb,
             ub,
@@ -598,7 +593,7 @@ impl<'t> TapeVm<'t> {
     /// carrying the host duration plus the simulated latency/energy
     /// delta the op charged to the machine. Only reached when a live
     /// recorder is attached (`tl_on`).
-    fn step_timed<D: CamDevice>(&mut self, machine: &mut D, pc: usize) -> VResult<Step> {
+    fn step_timed(&mut self, machine: &mut CamMachine, pc: usize) -> VResult<Step> {
         let Some(name) = Self::device_op_name(&self.tape.insts[pc]) else {
             return self.step(machine, pc);
         };
@@ -629,7 +624,7 @@ impl<'t> TapeVm<'t> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step<D: CamDevice>(&mut self, machine: &mut D, pc: usize) -> VResult<Step> {
+    fn step(&mut self, machine: &mut CamMachine, pc: usize) -> VResult<Step> {
         // `self.tape` is a shared reference; copying it out decouples the
         // instruction borrow from `self` so arms can mutate the slots.
         let tape = self.tape;
@@ -1201,16 +1196,12 @@ enum Step {
 impl Tape {
     /// Execute the whole tape on `machine` with the given arguments
     /// (single-threaded; drives the device in exactly the tree-walker's
-    /// call order, so on a [`c4cam_camsim::CamMachine`] outputs and
-    /// statistics are bit-identical to [`c4cam_runtime::Executor`]).
+    /// call order, so outputs and statistics are bit-identical to
+    /// [`c4cam_runtime::Executor`]).
     ///
     /// # Errors
     /// Propagates compile-surface and runtime failures with op context.
-    pub fn run<D: CamDevice>(
-        &self,
-        machine: &mut D,
-        args: &[Value],
-    ) -> Result<Vec<Value>, EngineError> {
+    pub fn run(&self, machine: &mut CamMachine, args: &[Value]) -> Result<Vec<Value>, EngineError> {
         self.run_with_telemetry(machine, args, &Telemetry::default())
     }
 
@@ -1220,9 +1211,9 @@ impl Tape {
     ///
     /// # Errors
     /// Propagates compile-surface and runtime failures with op context.
-    pub fn run_with_telemetry<D: CamDevice>(
+    pub fn run_with_telemetry(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
         telemetry: &Telemetry,
     ) -> Result<Vec<Value>, EngineError> {
@@ -1242,9 +1233,9 @@ impl Tape {
     ///
     /// # Errors
     /// Propagates compile-surface and runtime failures with op context.
-    pub fn run_traced<D: CamDevice>(
+    pub fn run_traced(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
     ) -> Result<(Vec<Value>, Trace), EngineError> {
         self.run_traced_with_telemetry(machine, args, &Telemetry::default())
@@ -1255,9 +1246,9 @@ impl Tape {
     ///
     /// # Errors
     /// Propagates compile-surface and runtime failures with op context.
-    pub fn run_traced_with_telemetry<D: CamDevice>(
+    pub fn run_traced_with_telemetry(
         &self,
-        machine: &mut D,
+        machine: &mut CamMachine,
         args: &[Value],
         telemetry: &Telemetry,
     ) -> Result<(Vec<Value>, Trace), EngineError> {

@@ -1,14 +1,13 @@
-//! The four standard backends: `walk`, `tape`, `simd`, `trace`.
+//! The three standard backends: `walk`, `tape`, `trace`.
 
 use c4cam_arch::ArchSpec;
-use c4cam_camsim::{CamDevice, CamMachine};
+use c4cam_camsim::CamMachine;
 use c4cam_engine::Tape;
 use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
 
-use crate::simd::SimdDevice;
-use crate::{Backend, Capabilities, ExecOptions, Execution, HalError, Plan, StatsContract};
+use crate::{Backend, Capabilities, ExecOptions, Execution, HalError, Plan};
 
 /// Build a [`CamMachine`] per the execution options.
 fn machine_for(spec: &ArchSpec, opts: &ExecOptions) -> CamMachine {
@@ -60,7 +59,6 @@ impl Backend for WalkBackend {
         Capabilities {
             supports_threads: false,
             supports_sharding: false,
-            stats: StatsContract::DeviceExact,
         }
     }
 
@@ -125,7 +123,6 @@ impl Backend for TapeBackend {
         Capabilities {
             supports_threads: true,
             supports_sharding: true,
-            stats: StatsContract::DeviceExact,
         }
     }
 
@@ -167,76 +164,6 @@ impl Plan for TapePlan {
 }
 
 // ---------------------------------------------------------------------
-// simd
-// ---------------------------------------------------------------------
-
-/// The CPU-native vectorized reference device: bit-identical outputs
-/// over flat byte planes, estimated statistics.
-pub struct SimdBackend;
-
-struct SimdPlan {
-    tape: Tape,
-    spec: ArchSpec,
-}
-
-impl Backend for SimdBackend {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn description(&self) -> &'static str {
-        "CPU-native vectorized reference (bit-identical outputs, estimated stats)"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            supports_threads: true,
-            supports_sharding: true,
-            stats: StatsContract::Estimated,
-        }
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        func: &str,
-        spec: &ArchSpec,
-    ) -> Result<Box<dyn Plan>, HalError> {
-        Ok(Box::new(SimdPlan {
-            tape: Tape::compile(module, func)?,
-            spec: spec.clone(),
-        }))
-    }
-}
-
-impl Plan for SimdPlan {
-    fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError> {
-        // The estimated cost model ignores `opts.tech` by contract.
-        let mut span = opts.telemetry.span("backend:simd", cat::BACKEND);
-        span.arg("threads", ArgValue::Int(opts.threads.max(1) as i64));
-        let mut device = SimdDevice::new(&self.spec);
-        device.set_wta_window(opts.wta_window);
-        device.set_faults(opts.faults.clone());
-        let outputs = self.tape.run_batched_resilient(
-            &mut device,
-            args,
-            opts.threads.max(1),
-            &opts.telemetry,
-            &opts.retry,
-            opts.chaos,
-        )?;
-        span.finish();
-        Ok(Execution {
-            outputs,
-            stats: device.stats(),
-            phases: device.phases().to_vec(),
-            trace: None,
-            heap_bytes: device.heap_bytes(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // trace
 // ---------------------------------------------------------------------
 
@@ -267,7 +194,6 @@ impl Backend for TraceBackend {
         Capabilities {
             supports_threads: false,
             supports_sharding: false,
-            stats: StatsContract::DeviceExact,
         }
     }
 

@@ -11,23 +11,19 @@
 //!    trace.
 //!
 //! Backends advertise what they can do through [`Capabilities`]
-//! (threaded query-loop sharding, intra-query sharding) and what their
-//! statistics *mean* through [`StatsContract`]: `DeviceExact` backends
-//! charge the calibrated [`CamMachine`](c4cam_camsim::CamMachine) cost
-//! model and are
-//! bit-identical to the walker oracle in outputs **and** statistics;
-//! `Estimated` backends guarantee bit-identical outputs but report
-//! their own deterministic work/latency estimates.
+//! (threaded query-loop sharding, intra-query sharding). Every backend
+//! charges the calibrated [`CamMachine`](c4cam_camsim::CamMachine) cost
+//! model, so all are bit-identical to the walker oracle in outputs
+//! **and** statistics.
 //!
-//! The standard registry ([`BackendRegistry::standard`]) ships four
+//! The standard registry ([`BackendRegistry::standard`]) ships three
 //! backends:
 //!
-//! | name    | executes via                              | stats        |
-//! |---------|-------------------------------------------|--------------|
-//! | `walk`  | IR-walking interpreter (the oracle)       | device-exact |
-//! | `tape`  | flat CAM-ISA tape engine (sharding)       | device-exact |
-//! | `simd`  | CPU-native vectorized reference device    | estimated    |
-//! | `trace` | record → replay of a deterministic trace  | device-exact |
+//! | name    | executes via                              |
+//! |---------|-------------------------------------------|
+//! | `walk`  | IR-walking interpreter (the oracle)       |
+//! | `tape`  | flat CAM-ISA tape engine (sharding)       |
+//! | `trace` | record → replay of a deterministic trace  |
 //!
 //! Adding a backend means implementing the two traits and registering
 //! a boxed instance; the cross-backend conformance suite picks it up
@@ -48,12 +44,10 @@ use c4cam_telemetry::Telemetry;
 
 mod backends;
 mod registry;
-mod simd;
 
-pub use backends::{SimdBackend, TapeBackend, TraceBackend, WalkBackend};
+pub use backends::{TapeBackend, TraceBackend, WalkBackend};
 pub use c4cam_faults::{FaultConfig, FaultModel, Resilience, RetryPolicy, ShardChaos};
 pub use registry::BackendRegistry;
-pub use simd::SimdDevice;
 
 /// HAL-level failure: compilation of a plan, execution, or a request a
 /// backend cannot honor (e.g. threads on a single-threaded backend).
@@ -86,21 +80,6 @@ impl From<c4cam_engine::EngineError> for HalError {
     }
 }
 
-/// What a backend's reported statistics mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatsContract {
-    /// Costs come from the calibrated [`CamMachine`]
-    /// (`c4cam_camsim`) technology model — bit-identical to the walker
-    /// oracle's statistics.
-    ///
-    /// [`CamMachine`]: c4cam_camsim::CamMachine
-    DeviceExact,
-    /// Costs are the backend's own deterministic estimate: operation
-    /// counts are exact, but energy/latency/work metrics follow the
-    /// backend's model (outputs are still bit-identical to the oracle).
-    Estimated,
-}
-
 /// What a backend supports, declared up front so drivers can reject
 /// impossible requests with a configuration error instead of a
 /// mid-execution surprise.
@@ -112,8 +91,6 @@ pub struct Capabilities {
     /// Whether single-query workloads shard *within* a query across
     /// independent subarray groups.
     pub supports_sharding: bool,
-    /// Meaning of the statistics in [`Execution::stats`].
-    pub stats: StatsContract,
 }
 
 /// Knobs applied at execution time (not baked into the [`Plan`]).
@@ -125,8 +102,8 @@ pub struct ExecOptions {
     /// Winner-take-all sensing window (Hamming distances saturate at
     /// this mismatch count).
     pub wta_window: Option<u32>,
-    /// Technology model override for device-exact backends (estimated
-    /// backends use their own cost model and ignore this).
+    /// Technology model override; `None` charges the machine's default
+    /// model.
     pub tech: Option<TechnologyModel>,
     /// Telemetry handle: while enabled, backends record a `backend:*`
     /// span around plan execution plus sampled per-op and per-shard
@@ -236,13 +213,13 @@ impl Execution {
 /// internally, so one registered backend instance serves any number of
 /// concurrent compilations.
 pub trait Backend: Send + Sync {
-    /// Stable registry key (`walk`, `tape`, `simd`, `trace`, ...).
+    /// Stable registry key (`walk`, `tape`, `trace`, ...).
     fn name(&self) -> &'static str;
 
     /// One-line human description for CLI help and docs.
     fn description(&self) -> &'static str;
 
-    /// What this backend supports and what its statistics mean.
+    /// What this backend supports.
     fn capabilities(&self) -> Capabilities;
 
     /// Lower `func` of the placed `module` into an executable plan for
@@ -373,13 +350,8 @@ mod tests {
                 .execute(&args, &ExecOptions::sequential())
                 .unwrap();
             assert_outputs_equal(&run.outputs, &oracle.outputs, backend.name());
-            if backend.capabilities().stats == StatsContract::DeviceExact {
-                assert_eq!(run.stats, oracle.stats, "{} stats", backend.name());
-                assert_eq!(run.phases, oracle.phases, "{} phases", backend.name());
-            } else {
-                assert!(run.stats.search_ops > 0, "{} search_ops", backend.name());
-                assert!(run.stats.latency_ns > 0.0, "{} latency", backend.name());
-            }
+            assert_eq!(run.stats, oracle.stats, "{} stats", backend.name());
+            assert_eq!(run.phases, oracle.phases, "{} phases", backend.name());
         }
     }
 
@@ -453,7 +425,7 @@ mod tests {
             .get("jit")
             .err()
             .expect("unknown name must fail");
-        for name in ["walk", "tape", "simd", "trace"] {
+        for name in ["walk", "tape", "trace"] {
             assert!(err.message.contains(name), "{err}");
         }
     }

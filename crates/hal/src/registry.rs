@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use crate::backends::{SimdBackend, TapeBackend, TraceBackend, WalkBackend};
+use crate::backends::{TapeBackend, TraceBackend, WalkBackend};
 use crate::{Backend, HalError};
 
 /// A name → [`Backend`] map. Iteration is in name order, so listings
@@ -20,12 +20,11 @@ impl BackendRegistry {
         }
     }
 
-    /// The standard registry: `walk`, `tape`, `simd`, `trace`.
+    /// The standard registry: `walk`, `tape`, `trace`.
     pub fn standard() -> BackendRegistry {
         let mut r = BackendRegistry::new();
         r.register(Box::new(WalkBackend));
         r.register(Box::new(TapeBackend));
-        r.register(Box::new(SimdBackend));
         r.register(Box::new(TraceBackend));
         r
     }
@@ -75,22 +74,24 @@ impl Default for BackendRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StatsContract;
 
     #[test]
-    fn standard_registry_lists_all_four_backends_in_name_order() {
+    fn standard_registry_lists_every_backend_in_name_order() {
         let r = BackendRegistry::standard();
-        assert_eq!(r.names(), vec!["simd", "tape", "trace", "walk"]);
-        assert_eq!(r.all().count(), 4);
+        assert_eq!(r.names(), vec!["tape", "trace", "walk"]);
+        assert_eq!(r.all().count(), 3);
     }
 
     #[test]
     fn lookup_resolves_names_and_reports_unknowns() {
         let r = BackendRegistry::standard();
         assert_eq!(r.get("tape").unwrap().name(), "tape");
-        let err = r.get("cuda").err().expect("unknown name must fail");
-        assert!(err.message.contains("unknown engine 'cuda'"), "{err}");
-        assert!(err.message.contains("simd, tape, trace, walk"), "{err}");
+        // `simd` is a retired name: it fails like any unknown one, never aliases.
+        for name in ["cuda", "simd"] {
+            let err = r.get(name).err().expect("unknown name must fail");
+            let want = format!("unknown engine '{name}' (registered backends: tape, trace, walk)");
+            assert!(err.message.contains(&want), "{err}");
+        }
     }
 
     #[test]
@@ -98,15 +99,9 @@ mod tests {
         let r = BackendRegistry::global();
         let caps = |n: &str| r.get(n).unwrap().capabilities();
         assert!(!caps("walk").supports_threads);
-        assert_eq!(caps("walk").stats, StatsContract::DeviceExact);
         assert!(caps("tape").supports_threads);
         assert!(caps("tape").supports_sharding);
-        assert_eq!(caps("tape").stats, StatsContract::DeviceExact);
-        assert!(caps("simd").supports_threads);
-        assert!(caps("simd").supports_sharding);
-        assert_eq!(caps("simd").stats, StatsContract::Estimated);
         assert!(!caps("trace").supports_threads);
-        assert_eq!(caps("trace").stats, StatsContract::DeviceExact);
     }
 
     #[test]

@@ -113,7 +113,8 @@ pub enum ErrorCode {
     BadRequest,
     /// The bounded admission queue is full; retry later.
     Overloaded,
-    /// More rows in one request than the compiled batch capacity.
+    /// More rows in one request than the compiled batch capacity, or a
+    /// request line over the server's 1 MiB cap.
     TooLarge,
     /// The requested plan key failed to compile.
     CompileFailed,
@@ -261,7 +262,7 @@ mod tests {
     #[test]
     fn parses_classify_with_overrides() {
         let r = parse_request(
-            r#"{"id":9,"cmd":"classify","rows":[4,0],"task":"knn","bits":1,"subarray":16,"backend":"simd"}"#,
+            r#"{"id":9,"cmd":"classify","rows":[4,0],"task":"knn","bits":1,"subarray":16,"backend":"walk"}"#,
         )
         .unwrap();
         assert_eq!(r.id, 9);
@@ -271,7 +272,7 @@ mod tests {
                 assert_eq!(key.task.as_deref(), Some("knn"));
                 assert_eq!(key.bits, Some(1));
                 assert_eq!(key.subarray, Some(16));
-                assert_eq!(key.backend.as_deref(), Some("simd"));
+                assert_eq!(key.backend.as_deref(), Some("walk"));
             }
             other => panic!("wrong cmd: {other:?}"),
         }
@@ -317,13 +318,13 @@ mod tests {
         let k = KeyOverride::default().resolve(&defaults);
         assert_eq!(k, defaults);
         let k = KeyOverride {
-            backend: Some("simd".into()),
+            backend: Some("walk".into()),
             ..Default::default()
         }
         .resolve(&defaults);
-        assert_eq!(k.backend, "simd");
+        assert_eq!(k.backend, "walk");
         assert_eq!(k.task, "hdc");
-        assert_eq!(k.to_string(), "hdc/2b/32x32/simd");
+        assert_eq!(k.to_string(), "hdc/2b/32x32/walk");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::protocol::{
 };
 use crate::PlanSource;
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,21 +229,41 @@ pub fn serve(
     })
 }
 
+/// Longest request line accepted, newline excluded: bounds what one
+/// connection can make the server buffer.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // peer went away
-        };
-        if line.trim().is_empty() {
-            continue;
+    let reject = |code, detail: &str| {
+        shared.rejected.fetch_add(1, Ordering::SeqCst);
+        error_response(0, code, detail)
+    };
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break, // peer went away
+            Ok(_) => {}
         }
-        let (response, close) = handle_line(&line, shared);
+        let (response, close) = if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            // The rest of the line is unread: the stream cannot be
+            // resynchronized, so answer and hang up.
+            let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            (reject(ErrorCode::TooLarge, &detail), true)
+        } else {
+            match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => handle_line(text, shared),
+                Err(e) => (reject(ErrorCode::BadRequest, &e.to_string()), false),
+            }
+        };
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))

@@ -2,13 +2,12 @@
 //! on the simulated CAM accelerator.
 //!
 //! ```text
-//! cargo run --example quickstart --release [-- --engine simd|tape|trace|walk]
+//! cargo run --example quickstart --release [-- --engine tape|trace|walk]
 //! ```
 //!
 //! The default engine is the flat CAM-ISA tape; any name registered in
 //! the [`c4cam::hal::BackendRegistry`] works. Every backend produces
-//! identical results; the device-exact ones (`walk`, `tape`, `trace`)
-//! also report identical statistics.
+//! identical results and identical statistics.
 
 use c4cam::arch::ArchSpec;
 use c4cam::compiler::C4camPipeline;

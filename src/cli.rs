@@ -32,7 +32,7 @@
 //! ```
 //!
 //! `--engine` names resolve through [`c4cam_hal::BackendRegistry`]
-//! (`simd`, `tape`, `trace`, `walk`); `sweep` accepts a
+//! (`tape`, `trace`, `walk`); `sweep` accepts a
 //! comma-separated list as an extra grid axis.
 //!
 //! The argument parsing and command execution live here (unit-tested);
@@ -2452,9 +2452,9 @@ optimization: density
             "--bits",
             "1,2",
             "--engine",
-            "tape,simd",
+            "tape,walk",
             "--threads",
-            "2",
+            "1",
             "--pareto",
             "--format",
             "csv",
@@ -2468,8 +2468,8 @@ optimization: density
                 assert_eq!(s.opts, vec![Optimization::Base, Optimization::PowerDensity]);
                 assert_eq!(s.techs.len(), 2);
                 assert_eq!(s.bits, vec![1, 2]);
-                assert_eq!(s.engines, vec!["tape".to_string(), "simd".to_string()]);
-                assert_eq!(s.threads, 2);
+                assert_eq!(s.engines, vec!["tape".to_string(), "walk".to_string()]);
+                assert_eq!(s.threads, 1);
                 assert!(s.pareto);
                 assert_eq!(s.format, SweepFormat::Csv);
             }
@@ -2965,8 +2965,12 @@ optimization: density
         ] {
             let e = parse_args(&strings(&cmd)).unwrap_err();
             assert!(e.message.contains("unknown engine 'nonsense'"), "{e}");
-            assert!(e.message.contains("simd, tape, trace, walk"), "{e}");
+            assert!(e.message.contains("tape, trace, walk"), "{e}");
         }
+        // `simd` is a retired name: it fails like any unknown one, never aliases.
+        let e = parse_args(&strings(&["run", "--dataset", "d", "--engine", "simd"])).unwrap_err();
+        let want = "unknown engine 'simd' (registered backends: tape, trace, walk)";
+        assert!(e.message.contains(want), "{e}");
         // The help text embeds the registry's names, so new backends
         // show up without editing the usage string.
         let help = usage();
@@ -3365,7 +3369,7 @@ optimization: density
             "--source",
             "s",
             "--engine",
-            "simd",
+            "tape",
             "--threads",
             "2",
         ]))
@@ -3412,7 +3416,7 @@ optimization: density
             "--subarray",
             "64",
             "--engine",
-            "simd",
+            "tape",
             "--threads",
             "4",
             "--port",
@@ -3432,7 +3436,7 @@ optimization: density
                 assert_eq!(a.task, "knn");
                 assert_eq!(a.bits, 1);
                 assert_eq!(a.subarray, 64);
-                assert_eq!(a.engine, "simd");
+                assert_eq!(a.engine, "tape");
                 assert_eq!(a.threads, 4);
                 assert_eq!(a.port, 9000);
                 assert_eq!(a.max_batch, 8);

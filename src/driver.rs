@@ -23,7 +23,7 @@
 //!
 //! Execution goes through the backend HAL
 //! ([`c4cam_hal::BackendRegistry`]): the experiment names a backend
-//! (`walk`, `tape`, `simd`, `trace`, or anything registered), the
+//! (`walk`, `tape`, `trace`, or anything registered), the
 //! driver resolves it, checks its declared capabilities against the
 //! requested knobs, and runs the compiled plan.
 
@@ -353,7 +353,7 @@ impl<'w> Experiment<'w> {
     }
 
     /// Select the execution backend by registry name (`walk`, `tape`,
-    /// `simd`, `trace`, ...). Unknown names surface as a
+    /// `trace`, ...). Unknown names surface as a
     /// [`DriverError::Config`] listing the registered backends when the
     /// experiment runs.
     pub fn backend(mut self, backend: impl Into<String>) -> Self {
@@ -850,16 +850,14 @@ mod tests {
         for backend in BackendRegistry::global().all() {
             let out = exp.clone().backend(backend.name()).run().unwrap();
             assert_eq!(out.predictions, walk.predictions, "{}", backend.name());
-            if backend.capabilities().stats == c4cam_hal::StatsContract::DeviceExact {
-                assert_eq!(out.total, walk.total, "{} total", backend.name());
-                assert_eq!(out.setup, walk.setup, "{} setup", backend.name());
-                assert_eq!(
-                    out.query_phase,
-                    walk.query_phase,
-                    "{} query phase",
-                    backend.name()
-                );
-            }
+            assert_eq!(out.total, walk.total, "{} total", backend.name());
+            assert_eq!(out.setup, walk.setup, "{} setup", backend.name());
+            assert_eq!(
+                out.query_phase,
+                walk.query_phase,
+                "{} query phase",
+                backend.name()
+            );
         }
     }
 
@@ -926,12 +924,12 @@ mod tests {
     #[test]
     fn unknown_backend_is_a_config_error_listing_registered_names() {
         let hdc = small_hdc();
-        let e = Experiment::new(&hdc).backend("jit").run().unwrap_err();
-        assert!(matches!(e, DriverError::Config(_)), "{e}");
-        let msg = e.to_string();
-        assert!(msg.contains("unknown engine 'jit'"), "{msg}");
-        for name in ["simd", "tape", "trace", "walk"] {
-            assert!(msg.contains(name), "{msg}");
+        // `simd` is a retired name: it fails like any unknown one, never aliases.
+        for name in ["jit", "simd"] {
+            let e = Experiment::new(&hdc).backend(name).run().unwrap_err();
+            assert!(matches!(e, DriverError::Config(_)), "{e}");
+            let want = format!("unknown engine '{name}' (registered backends: tape, trace, walk)");
+            assert!(e.to_string().contains(&want), "{e}");
         }
     }
 

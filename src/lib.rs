@@ -14,8 +14,9 @@
 //!    ─cam-map→ cam + scf loop nest ─runtime→ CAM simulator (+ stats)
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See `docs/ARCHITECTURE.md` for the system inventory and the
+//! paper-artifact cross-reference, and `README.md` for how to reproduce
+//! every table and figure.
 
 #![warn(missing_docs)]
 

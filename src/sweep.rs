@@ -597,7 +597,7 @@ mod tests {
             .square_subarrays([16])
             .optimizations([Optimization::Base])
             .bits([1, 2])
-            .backends(["tape", "simd"])
+            .backends(["tape", "walk"])
             .grid()
             .unwrap();
         // 1 opt × 1 subarray × 1 tech × 2 bits × 2 backends.
@@ -608,7 +608,7 @@ mod tests {
             .collect();
         assert_eq!(
             coords,
-            vec![(1, "tape"), (1, "simd"), (2, "tape"), (2, "simd")]
+            vec![(1, "tape"), (1, "walk"), (2, "tape"), (2, "walk")]
         );
     }
 
@@ -705,7 +705,7 @@ mod tests {
             .square_subarrays([32])
             .optimizations([Optimization::Base])
             .hierarchy(2, 2, 4)
-            .backends(["tape", "simd", "walk"])
+            .backends(["tape", "trace", "walk"])
             .run()
             .unwrap();
         assert_eq!(outcome.points.len(), 3);
@@ -714,7 +714,7 @@ mod tests {
             .iter()
             .map(|p| p.grid.engine.as_str())
             .collect();
-        assert_eq!(engines, vec!["tape", "simd", "walk"]);
+        assert_eq!(engines, vec!["tape", "trace", "walk"]);
         // Same workload, same geometry: every backend predicts the
         // same classes (the HAL's bit-identical output contract).
         for p in &outcome.points[1..] {
@@ -723,9 +723,9 @@ mod tests {
         // The engine column flows through every renderer.
         let csv = outcome.to_csv(false);
         assert!(csv.contains("bits_per_cell,engine,"), "{csv}");
-        assert!(csv.contains(",1,simd,"), "{csv}");
-        assert!(outcome.to_json(false).contains("\"engine\":\"simd\""));
-        assert!(outcome.to_table(false).contains("simd"));
+        assert!(csv.contains(",1,trace,"), "{csv}");
+        assert!(outcome.to_json(false).contains("\"engine\":\"trace\""));
+        assert!(outcome.to_table(false).contains("trace"));
         // An unknown backend fails at its grid point with the
         // registry's name list.
         let e = SweepPlan::new(&w)

@@ -1,7 +1,7 @@
 //! Cross-backend differential conformance suite: every backend
 //! registered in the [`BackendRegistry`] must reproduce the walker
 //! oracle's predictions bit-exactly over the full workload ×
-//! bits-per-cell grid, and must honor its declared stats contract.
+//! bits-per-cell grid, statistics and phase snapshots included.
 //!
 //! The suite iterates the registry, so adding a backend extends the
 //! coverage without editing a single test here — a new backend either
@@ -9,7 +9,7 @@
 
 use c4cam::arch::Optimization;
 use c4cam::driver::{build_arch, Experiment, RunOutcome};
-use c4cam::hal::{BackendRegistry, FaultConfig, StatsContract};
+use c4cam::hal::{BackendRegistry, FaultConfig};
 use c4cam::telemetry::clock::ManualClock;
 use c4cam::telemetry::{cat, CollectingRecorder, Event, Telemetry};
 use c4cam::workloads::{DtreeWorkload, HdcWorkload, KnnWorkload, Workload};
@@ -67,26 +67,14 @@ fn every_backend_matches_the_walk_oracle_over_the_grid() {
                 );
                 assert_eq!(outcome.labels, oracle.labels, "{name}");
                 assert_eq!(outcome.queries, oracle.queries, "{name}");
-                match backend.capabilities().stats {
-                    StatsContract::DeviceExact => {
-                        assert_eq!(
-                            outcome.total,
-                            oracle.total,
-                            "{name} total stats diverged on {}/{bits}b",
-                            workload.name()
-                        );
-                        assert_eq!(outcome.setup, oracle.setup, "{name}");
-                        assert_eq!(outcome.query_phase, oracle.query_phase, "{name}");
-                    }
-                    StatsContract::Estimated => {
-                        // Estimated backends still owe plausible,
-                        // self-consistent numbers.
-                        assert!(
-                            outcome.total.latency_ns >= outcome.query_phase.latency_ns,
-                            "{name}"
-                        );
-                    }
-                }
+                assert_eq!(
+                    outcome.total,
+                    oracle.total,
+                    "{name} total stats diverged on {}/{bits}b",
+                    workload.name()
+                );
+                assert_eq!(outcome.setup, oracle.setup, "{name}");
+                assert_eq!(outcome.query_phase, oracle.query_phase, "{name}");
             }
         }
     }
@@ -94,8 +82,8 @@ fn every_backend_matches_the_walk_oracle_over_the_grid() {
 
 #[test]
 fn stats_contract_invariants_hold_for_every_backend() {
-    // Regardless of contract flavor, a run that stored rows and
-    // searched them reports nonzero work and positive latency/energy.
+    // A run that stored rows and searched them reports nonzero work
+    // and positive latency/energy.
     let registry = BackendRegistry::global();
     for workload in workloads() {
         for backend in registry.all() {
@@ -234,9 +222,8 @@ fn sharded_runs_record_worker_lane_spans_without_perturbing_outputs() {
 #[test]
 fn fault_rate_zero_is_bit_identical_to_the_oracle_on_every_backend() {
     // The resilient-execution acceptance bar: installing the fault
-    // hooks at rate 0 must not perturb a single output bit or — for
-    // DeviceExact backends — a single stats field, on any registered
-    // backend.
+    // hooks at rate 0 must not perturb a single output bit or a
+    // single stats field, on any registered backend.
     let registry = BackendRegistry::global();
     for workload in workloads() {
         for bits in [1, 2] {
@@ -256,14 +243,12 @@ fn fault_rate_zero_is_bit_identical_to_the_oracle_on_every_backend() {
                     "{name} perturbed outputs at fault rate 0 on {}/{bits}b",
                     workload.name()
                 );
-                if backend.capabilities().stats == StatsContract::DeviceExact {
-                    assert_eq!(outcome.total, oracle.total, "{name} total stats");
-                    assert_eq!(outcome.setup, oracle.setup, "{name} setup stats");
-                    assert_eq!(
-                        outcome.query_phase, oracle.query_phase,
-                        "{name} query stats"
-                    );
-                }
+                assert_eq!(outcome.total, oracle.total, "{name} total stats");
+                assert_eq!(outcome.setup, oracle.setup, "{name} setup stats");
+                assert_eq!(
+                    outcome.query_phase, oracle.query_phase,
+                    "{name} query stats"
+                );
             }
         }
     }
@@ -301,13 +286,7 @@ fn seeded_fault_injection_is_deterministic_across_backends_and_threads() {
             let again = run_with("walk", 1);
             assert_eq!(reference.predictions, again.predictions, "seed {seed}");
             assert_eq!(reference.total, again.total, "seed {seed} not reproducible");
-            for (engine, threads) in [
-                ("tape", 1),
-                ("tape", 4),
-                ("simd", 1),
-                ("simd", 4),
-                ("trace", 1),
-            ] {
+            for (engine, threads) in [("tape", 1), ("tape", 4), ("trace", 1)] {
                 let outcome = run_with(engine, threads);
                 assert_eq!(
                     outcome.predictions, reference.predictions,

@@ -213,7 +213,7 @@ proptest! {
     // -----------------------------------------------------------------
     // End-to-end: random geometry, device == host reference
     //
-    // Contract (see DESIGN.md §4 and the `cam_map` docs): the device
+    // Contract (see docs/ARCHITECTURE.md and the `cam_map` docs): the device
     // executes dot similarity as a symbol-match count — the Hamming
     // complement — exactly as the FeFET CAM hardware of [22] does. That
     // ranking equals true dot-product ranking iff the stored rows are

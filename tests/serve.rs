@@ -177,7 +177,7 @@ fn cached_plans_skip_parse_place_compile_on_later_requests() {
     }
 
     // A different key pays its own pipeline exactly once.
-    let (runner, hit) = cache.get_or_compile(&key("simd"), &source).unwrap();
+    let (runner, hit) = cache.get_or_compile(&key("walk"), &source).unwrap();
     assert!(!hit);
     runner.run_rows(&[0]).unwrap();
     assert_eq!(span_count("Parse"), 2);
@@ -193,6 +193,9 @@ impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
+        // A server that never answers is a failure, not a hang.
+        let timeout = Some(Duration::from_secs(20));
+        stream.set_read_timeout(timeout).unwrap();
         Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
@@ -200,8 +203,11 @@ impl Client {
     }
 
     fn roundtrip(&mut self, line: &str) -> Json {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        self.roundtrip_bytes(format!("{line}\n").as_bytes())
+    }
+
+    fn roundtrip_bytes(&mut self, bytes: &[u8]) -> Json {
+        self.writer.write_all(bytes).unwrap();
         self.writer.flush().unwrap();
         let mut response = String::new();
         self.reader.read_line(&mut response).unwrap();
@@ -269,10 +275,10 @@ fn tcp_server_classifies_verifies_and_shuts_down_gracefully() {
     assert_eq!(big.get("error").and_then(Json::as_str), Some("too_large"));
 
     // A per-request backend override compiles (miss) then caches.
-    let miss = client.roundtrip(r#"{"id":9,"cmd":"classify","rows":[5],"backend":"simd"}"#);
+    let miss = client.roundtrip(r#"{"id":9,"cmd":"classify","rows":[5],"backend":"walk"}"#);
     assert_eq!(miss.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(miss.get("cache_hit").and_then(Json::as_bool), Some(false));
-    let hit = client.roundtrip(r#"{"id":10,"cmd":"classify","rows":[5],"backend":"simd"}"#);
+    let hit = client.roundtrip(r#"{"id":10,"cmd":"classify","rows":[5],"backend":"walk"}"#);
     assert_eq!(hit.get("cache_hit").and_then(Json::as_bool), Some(true));
     assert_eq!(
         hit.get("classes").and_then(Json::as_arr).unwrap()[0].as_u64(),
@@ -289,10 +295,46 @@ fn tcp_server_classifies_verifies_and_shuts_down_gracefully() {
     assert_eq!(bye.get("shutting_down").and_then(Json::as_bool), Some(true));
     let report = handle.join().unwrap();
     assert_eq!(report.requests, 3, "{report:?}");
-    // Default 'tape' plan + simd override = exactly two compiles.
+    // Default 'tape' plan + walk override = exactly two compiles.
     assert_eq!(report.cache_misses, 2, "{report:?}");
     assert!(report.cache_hits >= 2, "{report:?}");
     assert!(report.rejected >= 3, "{report:?}");
+}
+
+#[test]
+fn an_over_long_line_is_answered_too_large_and_the_connection_closed() {
+    let (addr, handle) = start_server(4);
+    let mut client = Client::connect(addr);
+    // One byte past the server's 1 MiB line cap, no newline in sight.
+    let reply = client.roundtrip_bytes(&vec![b'x'; (1 << 20) + 1]);
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("too_large"));
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).unwrap(), 0, "{rest:?}");
+
+    let mut fresh = Client::connect(addr);
+    let v = fresh.roundtrip(r#"{"id":1,"cmd":"classify","rows":[0]}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    fresh.roundtrip(r#"{"cmd":"shutdown"}"#);
+    assert_eq!(handle.join().unwrap().rejected, 1);
+}
+
+#[test]
+fn invalid_utf8_is_answered_bad_request_and_the_connection_keeps_serving() {
+    let (addr, handle) = start_server(4);
+    let mut client = Client::connect(addr);
+    let reply = client.roundtrip_bytes(b"{\"cmd\":\"info\xff\"}\n");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let v = client.roundtrip(r#"{"id":1,"cmd":"classify","rows":[0]}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+
+    let mut fresh = Client::connect(addr);
+    let v = fresh.roundtrip(r#"{"id":2,"cmd":"classify","rows":[1]}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    fresh.roundtrip(r#"{"cmd":"shutdown"}"#);
+    assert_eq!(handle.join().unwrap().rejected, 1);
 }
 
 #[test]
