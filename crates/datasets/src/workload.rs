@@ -49,6 +49,18 @@ impl DatasetTask {
     }
 }
 
+impl std::str::FromStr for DatasetTask {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DatasetTask, String> {
+        match s {
+            "hdc" => Ok(DatasetTask::Hdc),
+            "knn" => Ok(DatasetTask::Knn),
+            other => Err(format!("unknown task '{other}' (expected hdc|knn)")),
+        }
+    }
+}
+
 /// Fraction of samples held out as the query pool (the tail quarter).
 const QUERY_POOL_DENOMINATOR: usize = 4;
 
@@ -282,6 +294,15 @@ mod tests {
     use super::*;
     use crate::mini_mnist;
     use c4cam_arch::CamKind;
+
+    #[test]
+    fn task_keywords_round_trip_and_unknown_ones_list_the_alternatives() {
+        for task in [DatasetTask::Hdc, DatasetTask::Knn] {
+            assert_eq!(task.keyword().parse(), Ok(task));
+        }
+        let e = "svm".parse::<DatasetTask>().unwrap_err();
+        assert_eq!(e, "unknown task 'svm' (expected hdc|knn)");
+    }
 
     fn spec(bits: u32) -> ArchSpec {
         ArchSpec::builder()

@@ -1,18 +1,12 @@
-//! The `c4cam` command-line compiler driver.
-//!
-//! ```text
-//! c4cam compile --arch spec.txt --source kernel.py --input 10x8192 \
-//!               --param weight=10x8192 --emit cam
-//! c4cam run     --arch spec.txt --source kernel.py --input 10x8192 \
-//!               --param weight=10x8192 --data q.csv --data w.csv
-//! c4cam place   --arch spec.txt --stored-rows 10 --dims 8192
-//! ```
+//! The `c4cam` command-line compiler driver. `c4cam help` prints every
+//! command's synopsis (generated from the flag table in `c4cam::cli`).
 //!
 //! Reports go to stdout; diagnostics go to stderr. The exit code
-//! distinguishes usage errors (2: bad flags/values, rejected at parse
-//! time) from execution failures (1: a valid command whose pipeline,
-//! simulation, or I/O failed), so scripts can tell a typo from a real
-//! failure.
+//! distinguishes usage errors (2: unknown commands or flags, a flag the
+//! command does not read, bad values and keywords, missing required
+//! flags -- everything rejected at parse time) from execution failures
+//! (1: a valid command whose pipeline, simulation, or I/O failed), so
+//! scripts can tell a typo from a real failure.
 
 use c4cam::cli;
 

@@ -1,42 +1,19 @@
 //! Command-line interface logic for the `c4cam` binary.
 //!
-//! ```text
-//! c4cam compile --arch spec.txt --source kernel.py \
-//!               --input 10x8192 --param weight=10x8192 \
-//!               [--emit torch|cim|cim-fused|partitioned|cam] [--canonicalize]
-//! c4cam run     --arch spec.txt --source kernel.py \
-//!               --input 10x8192 --param weight=10x8192 \
-//!               [--data input.csv --data weight.csv | --random-seed 42]
-//! c4cam place   --arch spec.txt --stored-rows N --dims D [--queries Q]
-//! c4cam run     --dataset DIR|FILE.csv [--dataset-format idx|csv]
-//!               [--workload hdc|knn] [--limit N] [--arch spec.txt]
-//! c4cam sweep   [--workload hdc|knn|dtree|gpu] [--subarrays 16,32,...]
-//!               [--opts base,power,...] [--techs default,fefet-45nm,...]
-//!               [--bits 1,2] [--pareto] [--format table|json|csv]
-//!               [--dataset DIR|FILE.csv [--limit N]]
-//!               [--fault-rate R,R,...] [--fault-seed N]
-//! c4cam accuracy --dataset DIR|FILE.csv [--dataset-format idx|csv]
-//!               [--workload hdc|knn] [--limit N] [--bits 1,2]
-//!               [--subarray N] [--engine NAME] [--threads N]
-//!               [--fault-rate R,R,...] [--fault-seed N]
-//!               [--spare-rows N] [--vote K]
-//!               [--format table|json|csv]
-//! c4cam serve   --dataset DIR|FILE.csv [--workload hdc|knn] [--bits B]
-//!               [--subarray N] [--engine NAME] [--threads N]
-//!               [--host H] [--port P] [--max-batch N] [--linger-ms MS]
-//!               [--queue-depth N] [--cache-cap N]
-//! c4cam loadgen --addr HOST:PORT [--requests N] [--concurrency N]
-//!               [--rows-per-request N] [--mode closed|open [--rate R]]
-//!               [--verify-dataset DIR|FILE.csv] [--shutdown]
-//!               [--out FILE.json]
-//! ```
+//! `c4cam help` prints the synopsis of every command; it is generated
+//! by [`usage`] from the flag table in this file, which is also what
+//! [`parse_args`] tokenises against, so the two cannot disagree. A flag
+//! that a command's row does not list is a usage error, never silently
+//! ignored.
+//!
+//! Exit codes (`src/bin/c4cam.rs`): 2 for a usage error (anything
+//! [`parse_args`] rejects: unknown or foreign flags, bad values and
+//! keywords, missing required flags), 1 for a valid command whose
+//! pipeline, simulation or I/O failed in [`execute`], 0 on success.
 //!
 //! `--engine` names resolve through [`c4cam_hal::BackendRegistry`]
 //! (`tape`, `trace`, `walk`); `sweep` accepts a
 //! comma-separated list as an extra grid axis.
-//!
-//! The argument parsing and command execution live here (unit-tested);
-//! `src/bin/c4cam.rs` is a thin wrapper.
 
 use crate::accuracy::{evaluate_faulty, AccuracyReport, FaultKnobs};
 use crate::benchgate::{run_bench_gate, BenchGateArgs};
@@ -44,7 +21,7 @@ use crate::driver::{build_arch, DriverError, Experiment, ParseKeywordError};
 use crate::service::{reference_pool_classes, DatasetPlanSource};
 use crate::sweep::SweepPlan;
 use c4cam_arch::tech::TechnologyModel;
-use c4cam_arch::{parse_spec, ArchSpec, Optimization};
+use c4cam_arch::{parse_spec, ArchSpec, Optimization, SpecError};
 use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem};
 use c4cam_core::pipeline::{C4camPipeline, PipelineOptions, Target};
@@ -275,7 +252,7 @@ impl FromStr for MetricsMode {
     }
 }
 
-/// Telemetry configuration shared by `run`, `sweep`, and `accuracy`:
+/// Telemetry configuration shared by the executing commands:
 /// the recorder is enabled exactly when a trace file or a metrics
 /// report was requested, so the default run pays nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -322,25 +299,30 @@ impl TelemetrySession {
         }
     }
 
-    /// Drain the recorder: write `--trace-out` (if requested) and
-    /// append the `--metrics` report to `output`.
-    fn finish(self, output: &mut String) -> Result<(), CliError> {
+    /// Drain the recorder: write `--trace-out` (if requested) whether
+    /// the run succeeded or failed (a failed run is traced up to its
+    /// failure, and its own error is the one returned), then append the
+    /// `--metrics` report to a successful run's output.
+    fn finish(self, result: Result<String, CliError>) -> Result<String, CliError> {
         let Some(recorder) = self.recorder else {
-            return Ok(());
+            return result;
         };
         let events = recorder.events();
+        let mut written = Ok(());
         if let Some(path) = &self.args.trace_out {
             let text = if path.ends_with(".jsonl") {
                 json_lines(&events)
             } else {
                 chrome_trace(&events)
             };
-            std::fs::write(path, text)
-                .map_err(|e| cli_err(format!("cannot write trace file '{path}': {e}")))?;
-            tlog::summary(format_args!("wrote trace to {path}"));
+            written = std::fs::write(path, text)
+                .map(|()| tlog::summary(format_args!("wrote trace to {path}")))
+                .map_err(|e| cli_err(format!("cannot write trace file '{path}': {e}")));
         }
+        let mut output = result?;
+        written?;
         let report = match self.args.metrics {
-            MetricsMode::None => return Ok(()),
+            MetricsMode::None => return Ok(output),
             MetricsMode::Summary => MetricsReport::from_events(&events).render_summary(5),
             MetricsMode::Full => MetricsReport::from_events(&events).render_full(5),
         };
@@ -349,7 +331,7 @@ impl TelemetrySession {
         }
         output.push('\n');
         output.push_str(report.trim_end_matches('\n'));
-        Ok(())
+        Ok(output)
     }
 }
 
@@ -385,9 +367,9 @@ pub struct DatasetRunArgs {
     pub dataset: String,
     /// Explicit dataset format (inferred from the path when `None`).
     pub dataset_format: Option<DatasetFormat>,
-    /// Task keyword (`hdc` = nearest prototype, `knn` = nearest
-    /// training sample).
-    pub task: String,
+    /// Task (`hdc` = nearest prototype, `knn` = nearest training
+    /// sample).
+    pub task: DatasetTask,
     /// Cap on executed queries.
     pub limit: Option<usize>,
     /// Optional architecture spec file (the default [`ArchSpec`]
@@ -411,8 +393,8 @@ pub struct AccuracyArgs {
     pub dataset: String,
     /// Explicit dataset format (inferred from the path when `None`).
     pub dataset_format: Option<DatasetFormat>,
-    /// Task keyword (`hdc` or `knn`).
-    pub task: String,
+    /// Task (`hdc` or `knn`).
+    pub task: DatasetTask,
     /// Cap on executed queries.
     pub limit: Option<usize>,
     /// Cell widths to evaluate (one report row each).
@@ -445,8 +427,8 @@ pub struct ServeArgs {
     pub dataset: String,
     /// Explicit dataset format (inferred from the path when `None`).
     pub dataset_format: Option<DatasetFormat>,
-    /// Default task keyword (`hdc` or `knn`).
-    pub task: String,
+    /// Default task (`hdc` or `knn`).
+    pub task: DatasetTask,
     /// Default cell width in bits.
     pub bits: u32,
     /// Default square subarray size.
@@ -484,17 +466,15 @@ pub struct LoadgenArgs {
     pub concurrency: usize,
     /// Query-pool rows per request.
     pub rows_per_request: usize,
-    /// Arrival mode (`closed` or `open`).
-    pub mode: String,
-    /// Target request rate for open-loop mode, requests/second.
-    pub rate: Option<f64>,
+    /// Arrival mode (`closed`, or `open` at `--rate` requests/second).
+    pub mode: LoadMode,
     /// Dataset path for exact verification against the CPU reference
     /// (must be the dataset the server loaded).
     pub verify_dataset: Option<String>,
     /// Explicit dataset format (inferred from the path when `None`).
     pub dataset_format: Option<DatasetFormat>,
-    /// Task keyword of the server's default plan key.
-    pub task: String,
+    /// Task of the server's default plan key.
+    pub task: DatasetTask,
     /// Cell width of the server's default plan key.
     pub bits: u32,
     /// Subarray size of the server's default plan key.
@@ -532,9 +512,9 @@ pub struct SweepArgs {
     pub subarrays: Vec<usize>,
     /// Optimization configurations to sweep.
     pub opts: Vec<Optimization>,
-    /// Technology names to sweep (`default`, `fefet-45nm`,
-    /// `cmos-16nm`).
-    pub techs: Vec<String>,
+    /// Technologies to sweep, by name (`default`, `fefet-45nm`,
+    /// `cmos-16nm`); `None` is the spec's own model.
+    pub techs: Vec<(String, Option<TechnologyModel>)>,
     /// Bits-per-cell values to sweep.
     pub bits: Vec<u32>,
     /// Execution backend names to sweep (an extra grid axis).
@@ -567,7 +547,7 @@ impl Default for SweepArgs {
             dims: None,
             subarrays: crate::sweep::DEFAULT_SUBARRAY_SIZES.to_vec(),
             opts: crate::sweep::DEFAULT_OPTIMIZATIONS.to_vec(),
-            techs: vec!["default".to_string()],
+            techs: vec![("default".to_string(), None)],
             bits: vec![1],
             engines: vec!["tape".to_string()],
             fault_rates: vec![0.0],
@@ -606,815 +586,491 @@ pub fn parse_shape(text: &str) -> Result<Vec<i64>, CliError> {
     }
 }
 
-/// Parse the full argument vector (excluding the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter().peekable();
-    let cmd = it.next().ok_or_else(|| cli_err(usage()))?;
-    let mut arch = None;
-    let mut source = None;
-    let mut inputs = Vec::new();
-    let mut params = Vec::new();
-    let mut emit: Option<EmitStage> = None;
-    let mut canonicalize = false;
-    let mut data = Vec::new();
-    let mut random_seed: Option<u64> = None;
-    let mut stored_rows = None;
-    let mut dims = None;
-    let mut queries: Option<usize> = None;
-    let mut classes: Option<usize> = None;
-    let mut engine: Option<String> = None;
-    let mut threads = 1usize;
-    let mut format: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut subarrays: Option<Vec<usize>> = None;
-    let mut opts: Option<Vec<Optimization>> = None;
-    let mut techs: Option<Vec<String>> = None;
-    let mut bits: Option<Vec<u32>> = None;
-    let mut pareto = false;
-    let mut dataset: Option<String> = None;
-    let mut dataset_format: Option<DatasetFormat> = None;
-    let mut limit: Option<usize> = None;
-    let mut subarray: Option<usize> = None;
-    let mut trace_out: Option<String> = None;
-    let mut metrics: Option<MetricsMode> = None;
-    let mut log_level: Option<LogLevel> = None;
-    let mut fault_rates: Option<Vec<f64>> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut spare_rows: Option<usize> = None;
-    let mut vote: Option<usize> = None;
-    let mut host: Option<String> = None;
-    let mut port: Option<u16> = None;
-    let mut max_batch: Option<usize> = None;
-    let mut linger_ms: Option<u64> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut cache_cap: Option<usize> = None;
-    let mut addr: Option<String> = None;
-    let mut requests: Option<usize> = None;
-    let mut concurrency: Option<usize> = None;
-    let mut rows_per_request: Option<usize> = None;
-    let mut mode: Option<String> = None;
-    let mut rate: Option<f64> = None;
-    let mut verify_dataset: Option<String> = None;
-    let mut shutdown = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut short = false;
+/// The command forms, in synopsis order; form `i` owns bit `1 << i` of
+/// the [`Flag`] masks. `run` has two forms with different flag sets: a
+/// label's second word is the flag whose presence selects the form.
+const COMMANDS: [&str; 9] = [
+    "compile",
+    "run",
+    "run --dataset",
+    "place",
+    "sweep",
+    "accuracy",
+    "serve",
+    "loadgen",
+    "bench-gate",
+];
+const COMPILE: u16 = 1 << 0;
+const RUN: u16 = 1 << 1;
+const RUN_DATASET: u16 = 1 << 2;
+const PLACE: u16 = 1 << 3;
+const SWEEP: u16 = 1 << 4;
+const ACCURACY: u16 = 1 << 5;
+const SERVE: u16 = 1 << 6;
+const LOADGEN: u16 = 1 << 7;
+const BENCH_GATE: u16 = 1 << 8;
+/// The forms that run on a backend: they take an engine, threads and telemetry.
+const EXECUTING: u16 = RUN | RUN_DATASET | SWEEP | ACCURACY | SERVE;
+/// The forms that name a dataset's file format and the task to run on it.
+const ON_DATASET: u16 = RUN_DATASET | SWEEP | ACCURACY | SERVE | LOADGEN;
 
-    let next_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                      flag: &str|
-     -> Result<String, CliError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| cli_err(format!("{flag} requires a value")))
-    };
+/// One row of the flag table: everything the parser and [`usage`]
+/// know about a flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder shown in the synopsis; empty for a switch.
+    value: &'static str,
+    /// May be given more than once (otherwise the last value wins).
+    repeats: bool,
+    /// Command forms that read the flag; every other form rejects it.
+    commands: u16,
+    /// The subset of `commands` that fail without the flag.
+    required: u16,
+}
 
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--arch" => arch = Some(next_value(&mut it, flag)?),
-            "--source" => source = Some(next_value(&mut it, flag)?),
-            "--input" => inputs.push(parse_shape(&next_value(&mut it, flag)?)?),
-            "--param" => {
-                let v = next_value(&mut it, flag)?;
-                let (name, shape) = v
-                    .split_once('=')
-                    .ok_or_else(|| cli_err("--param expects name=SHAPE"))?;
-                params.push((name.to_string(), parse_shape(shape)?));
-            }
-            "--emit" => {
-                let v = next_value(&mut it, flag)?;
-                emit = Some(
-                    EmitStage::from_keyword(&v)
-                        .ok_or_else(|| cli_err(format!("unknown --emit stage '{v}'")))?,
-                );
-            }
-            "--canonicalize" => canonicalize = true,
-            "--data" => data.push(next_value(&mut it, flag)?),
-            "--random-seed" => {
-                random_seed = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--random-seed expects an integer"))?,
-                );
-            }
-            "--stored-rows" => {
-                stored_rows = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .map_err(|_| cli_err("--stored-rows expects an integer"))?,
-                );
-            }
-            "--dims" => {
-                dims = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .map_err(|_| cli_err("--dims expects an integer"))?,
-                );
-            }
-            "--queries" => {
-                queries = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--queries expects an integer"))?,
-                );
-            }
-            "--classes" => {
-                classes = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--classes expects an integer"))?,
-                );
-            }
-            "--engine" => engine = Some(next_value(&mut it, flag)?),
-            "--threads" => {
-                threads = next_value(&mut it, flag)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or_else(|| cli_err("--threads expects a positive integer"))?;
-            }
-            "--format" => format = Some(next_value(&mut it, flag)?),
-            "--workload" => workload = Some(next_value(&mut it, flag)?),
-            "--subarrays" => {
-                subarrays = Some(parse_list(
-                    &next_value(&mut it, flag)?,
-                    "--subarrays",
-                    |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| cli_err(format!("invalid subarray size '{v}'")))
-                    },
-                )?);
-            }
-            "--opts" => {
-                opts = Some(parse_list(&next_value(&mut it, flag)?, "--opts", |v| {
-                    Optimization::from_keyword(v).ok_or_else(|| {
-                        cli_err(format!(
-                            "unknown optimization '{v}' (expected base|power|density|power+density)"
-                        ))
-                    })
-                })?);
-            }
-            "--techs" => {
-                let list = parse_list(&next_value(&mut it, flag)?, "--techs", |v| {
-                    // Validate eagerly; the models are rebuilt at run time.
-                    parse_tech(v).map(|_| v.to_string())
-                })?;
-                techs = Some(list);
-            }
-            "--bits" => {
-                bits = Some(parse_list(&next_value(&mut it, flag)?, "--bits", |v| {
-                    v.parse::<u32>()
-                        .ok()
-                        .filter(|&b| (1..=4).contains(&b))
-                        .ok_or_else(|| cli_err(format!("invalid bits-per-cell '{v}' (1..=4)")))
-                })?);
-            }
-            "--pareto" => pareto = true,
-            "--dataset" => dataset = Some(next_value(&mut it, flag)?),
-            "--dataset-format" => {
-                dataset_format = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            "--limit" => {
-                limit = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--limit expects a positive integer"))?,
-                );
-            }
-            "--subarray" => {
-                subarray = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--subarray expects a positive integer"))?,
-                );
-            }
-            "--fault-rate" => {
-                fault_rates = Some(parse_list(
-                    &next_value(&mut it, flag)?,
-                    "--fault-rate",
-                    |v| {
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
-                            .ok_or_else(|| {
-                                cli_err(format!("invalid fault rate '{v}' (expected 0.0..=1.0)"))
-                            })
-                    },
-                )?);
-            }
-            "--fault-seed" => {
-                fault_seed = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--fault-seed expects an integer"))?,
-                );
-            }
-            "--spare-rows" => {
-                spare_rows = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--spare-rows expects an integer"))?,
-                );
-            }
-            "--vote" => {
-                vote = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&k| k >= 1)
-                        .ok_or_else(|| cli_err("--vote expects a positive integer"))?,
-                );
-            }
-            "--host" => host = Some(next_value(&mut it, flag)?),
-            "--port" => {
-                port = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<u16>()
-                        .map_err(|_| cli_err("--port expects 0..=65535"))?,
-                );
-            }
-            "--max-batch" => {
-                max_batch = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--max-batch expects a positive integer"))?,
-                );
-            }
-            "--linger-ms" => {
-                linger_ms = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<u64>()
-                        .map_err(|_| cli_err("--linger-ms expects an integer"))?,
-                );
-            }
-            "--queue-depth" => {
-                queue_depth = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--queue-depth expects a positive integer"))?,
-                );
-            }
-            "--cache-cap" => {
-                cache_cap = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--cache-cap expects a positive integer"))?,
-                );
-            }
-            "--addr" => addr = Some(next_value(&mut it, flag)?),
-            "--requests" => {
-                requests = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--requests expects a positive integer"))?,
-                );
-            }
-            "--concurrency" => {
-                concurrency = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--concurrency expects a positive integer"))?,
-                );
-            }
-            "--rows-per-request" => {
-                rows_per_request = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--rows-per-request expects a positive integer"))?,
-                );
-            }
-            "--mode" => mode = Some(next_value(&mut it, flag)?),
-            "--rate" => {
-                rate = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| cli_err("--rate expects a positive number"))?,
-                );
-            }
-            "--verify-dataset" => verify_dataset = Some(next_value(&mut it, flag)?),
-            "--shutdown" => shutdown = true,
-            "--out" => out = Some(next_value(&mut it, flag)?),
-            "--baseline" => baseline = Some(next_value(&mut it, flag)?),
-            "--short" => short = true,
-            "--trace-out" => trace_out = Some(next_value(&mut it, flag)?),
-            "--metrics" => {
-                metrics = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            "--log-level" => {
-                log_level = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            other => return Err(cli_err(format!("unknown flag '{other}'\n{}", usage()))),
+const fn flag(name: &'static str, value: &'static str, required: u16, optional: u16) -> Flag {
+    Flag {
+        name,
+        value,
+        repeats: false,
+        commands: required | optional,
+        required,
+    }
+}
+
+impl Flag {
+    const fn repeated(mut self) -> Flag {
+        self.repeats = true;
+        self
+    }
+}
+
+/// The flag table, in synopsis order: `flag(name, value, required by,
+/// optional for)`. A flag is declared here and nowhere else:
+/// [`parse_args`] rejects it on every command form its row does not
+/// list, and [`usage`] prints each form's synopsis from the same rows.
+const FLAGS: [Flag; 49] = [
+    flag("--arch", "SPEC", COMPILE | RUN | PLACE, RUN_DATASET),
+    flag("--source", "KERNEL.py", COMPILE | RUN, 0),
+    flag("--input", "SHAPE", 0, COMPILE | RUN).repeated(),
+    flag("--param", "name=SHAPE", 0, COMPILE | RUN).repeated(),
+    flag(
+        "--emit",
+        "torch|cim|cim-fused|partitioned|cam",
+        0,
+        COMPILE | RUN,
+    ),
+    flag("--canonicalize", "", 0, COMPILE | RUN),
+    flag("--data", "FILE.csv", 0, RUN).repeated(),
+    flag("--random-seed", "N", 0, RUN),
+    flag("--stored-rows", "N", PLACE, 0),
+    flag("--dims", "D", PLACE, SWEEP),
+    flag("--queries", "N", 0, PLACE | SWEEP),
+    flag("--classes", "N", 0, SWEEP),
+    // `usage` fills in the registered backends; `sweep` takes a
+    // comma-separated list as a grid axis.
+    flag("--engine", "ENGINE", 0, EXECUTING),
+    flag("--threads", "N", 0, EXECUTING),
+    // text|json for run/place, table|json|csv for sweep/accuracy.
+    flag(
+        "--format",
+        "text|json|table|csv",
+        0,
+        RUN | RUN_DATASET | PLACE | SWEEP | ACCURACY,
+    ),
+    // dtree and gpu are synthetic `sweep` workloads.
+    flag("--workload", "hdc|knn|dtree|gpu", 0, ON_DATASET),
+    flag("--subarrays", "N,N,...", 0, SWEEP),
+    flag("--opts", "base,power,density,power+density", 0, SWEEP),
+    flag("--techs", "default,fefet-45nm,cmos-16nm", 0, SWEEP),
+    // `serve` and `loadgen` take a single value.
+    flag("--bits", "B,B,...", 0, SWEEP | ACCURACY | SERVE | LOADGEN),
+    flag("--pareto", "", 0, SWEEP),
+    flag(
+        "--dataset",
+        "DIR|FILE.csv",
+        RUN_DATASET | ACCURACY | SERVE,
+        SWEEP,
+    ),
+    flag("--dataset-format", "idx|csv", 0, ON_DATASET),
+    flag("--limit", "N", 0, RUN_DATASET | SWEEP | ACCURACY),
+    flag("--subarray", "N", 0, ACCURACY | SERVE | LOADGEN),
+    flag("--fault-rate", "R,R,...", 0, SWEEP | ACCURACY),
+    flag("--fault-seed", "N", 0, SWEEP | ACCURACY),
+    flag("--spare-rows", "N", 0, ACCURACY),
+    flag("--vote", "K", 0, ACCURACY),
+    flag("--host", "H", 0, SERVE),
+    flag("--port", "P", 0, SERVE),
+    flag("--max-batch", "N", 0, SERVE),
+    flag("--linger-ms", "MS", 0, SERVE),
+    flag("--queue-depth", "N", 0, SERVE),
+    flag("--cache-cap", "N", 0, SERVE),
+    flag("--addr", "HOST:PORT", LOADGEN, 0),
+    flag("--requests", "N", 0, LOADGEN),
+    flag("--concurrency", "N", 0, LOADGEN),
+    flag("--rows-per-request", "N", 0, LOADGEN),
+    flag("--mode", "closed|open", 0, LOADGEN),
+    flag("--rate", "R", 0, LOADGEN),
+    flag("--verify-dataset", "DIR|FILE.csv", 0, LOADGEN),
+    flag("--shutdown", "", 0, LOADGEN),
+    flag("--out", "FILE.json", 0, LOADGEN | BENCH_GATE),
+    flag("--baseline", "FILE.json", 0, BENCH_GATE),
+    flag("--short", "", 0, BENCH_GATE),
+    flag("--trace-out", "PATH", 0, EXECUTING),
+    flag("--metrics", "none|summary|full", 0, EXECUTING),
+    flag("--log-level", "off|summary|debug", 0, EXECUTING),
+];
+
+fn row(name: &str) -> &'static Flag {
+    let row = FLAGS.iter().find(|row| row.name == name);
+    row.expect("the flag has a row in FLAGS")
+}
+
+const CHECKED: &str = "parse_args checked the form's required flags";
+
+/// The flags of one invocation, in argument order, already checked
+/// against the command form's rows; the getters take a row's `name`.
+struct Given {
+    form: u16,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Given {
+    fn all(&self, name: &'static str) -> impl Iterator<Item = &str> {
+        assert!(
+            row(name).commands & self.form != 0,
+            "a builder reads {name}, which its command's row does not allow"
+        );
+        let given = self.flags.iter().filter(move |(n, _)| *n == name);
+        given.map(|(_, value)| value.as_str())
+    }
+
+    fn text(&self, name: &'static str) -> Option<&str> {
+        self.all(name).last()
+    }
+
+    fn owned(&self, name: &'static str) -> Option<String> {
+        self.text(name).map(str::to_string)
+    }
+
+    fn has(&self, name: &'static str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// A value read through [`FromStr`], failing with the type's own
+    /// message (keywords list their alternatives).
+    fn keyword<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        let parse = |v: &str| v.parse().map_err(cli_err);
+        self.text(name).map(parse).transpose()
+    }
+
+    /// A number satisfying `ok`, failing with `<flag> expects <what>`.
+    fn number<T: FromStr>(
+        &self,
+        name: &'static str,
+        ok: impl Fn(&T) -> bool,
+        what: &str,
+    ) -> Result<Option<T>, CliError> {
+        let parse = |v: &str| {
+            let n = v.parse().ok().filter(&ok);
+            n.ok_or_else(|| cli_err(format!("{name} expects {what}")))
+        };
+        self.text(name).map(parse).transpose()
+    }
+
+    fn int<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, CliError> {
+        self.number(name, |_| true, "an integer")
+    }
+
+    fn positive(&self, name: &'static str) -> Result<Option<usize>, CliError> {
+        self.number(name, |&n| n >= 1, "a positive integer")
+    }
+
+    /// A comma-separated list; empty lists and empty items are
+    /// rejected.
+    fn list<T>(
+        &self,
+        name: &'static str,
+        item: impl FnMut(&str) -> Result<T, CliError>,
+    ) -> Result<Option<Vec<T>>, CliError> {
+        let Some(text) = self.text(name) else {
+            return Ok(None);
+        };
+        let items: Vec<&str> = text.split(',').map(str::trim).collect();
+        if items.iter().any(|s| s.is_empty()) {
+            return Err(cli_err(format!(
+                "{name} expects a non-empty comma-separated list, got '{text}'"
+            )));
+        }
+        let items: Result<Vec<T>, CliError> = items.into_iter().map(item).collect();
+        items.map(Some)
+    }
+
+    fn bits(&self) -> Result<Option<Vec<u32>>, CliError> {
+        self.list("--bits", |v| {
+            let bits = v.parse().ok().filter(|b| (1..=4).contains(b));
+            bits.ok_or_else(|| cli_err(format!("invalid bits-per-cell '{v}' (1..=4)")))
+        })
+    }
+
+    /// `serve` and `loadgen` take one cell width (default 2), not a
+    /// grid axis.
+    fn single_bits(&self, who: &str, why: &str) -> Result<u32, CliError> {
+        match self.bits()?.as_deref() {
+            None => Ok(2),
+            Some([bits]) => Ok(*bits),
+            Some(_) => Err(cli_err(format!(
+                "{who} expects a single --bits value ({why})"
+            ))),
         }
     }
 
-    let require = |opt: Option<String>, name: &str| {
-        opt.ok_or_else(|| cli_err(format!("missing required {name}\n{}", usage())))
-    };
-    let out_format = |format: Option<String>| -> Result<OutputFormat, CliError> {
-        match format {
-            None => Ok(OutputFormat::default()),
-            Some(v) => v.parse().map_err(cli_err),
+    fn fault_rates(&self) -> Result<Option<Vec<f64>>, CliError> {
+        self.list("--fault-rate", |v| {
+            let rate = v.parse().ok().filter(|r| (0.0..=1.0).contains(r));
+            rate.ok_or_else(|| cli_err(format!("invalid fault rate '{v}' (expected 0.0..=1.0)")))
+        })
+    }
+
+    fn threads(&self) -> Result<usize, CliError> {
+        Ok(self.positive("--threads")?.unwrap_or(1))
+    }
+
+    /// `--engine` (default `tape`), checked against `--threads`.
+    fn engine(&self) -> Result<String, CliError> {
+        resolve_engine(self.text("--engine").unwrap_or("tape"), self.threads()?)
+    }
+
+    fn telemetry(&self) -> Result<TelemetryArgs, CliError> {
+        Ok(TelemetryArgs {
+            trace_out: self.owned("--trace-out"),
+            metrics: self.keyword("--metrics")?.unwrap_or_default(),
+            log_level: self.keyword("--log-level")?,
+        })
+    }
+
+    fn compile(&self) -> Result<CompileArgs, CliError> {
+        let mut params = Vec::new();
+        for v in self.all("--param") {
+            let (name, shape) = v
+                .split_once('=')
+                .ok_or_else(|| cli_err("--param expects name=SHAPE"))?;
+            params.push((name.to_string(), parse_shape(shape)?));
         }
+        let inputs: Result<_, _> = self.all("--input").map(parse_shape).collect();
+        Ok(CompileArgs {
+            arch: self.owned("--arch").expect(CHECKED),
+            source: self.owned("--source").expect(CHECKED),
+            inputs: inputs?,
+            params,
+            emit: self.keyword("--emit")?.unwrap_or(EmitStage::Cam),
+            canonicalize: self.has("--canonicalize"),
+        })
+    }
+}
+
+/// Resolve an `--engine` name through the backend registry; more than
+/// one thread needs a backend whose capabilities allow it.
+fn resolve_engine(name: &str, threads: usize) -> Result<String, CliError> {
+    let backend = BackendRegistry::global().get(name).map_err(cli_err)?;
+    if threads > 1 && !backend.capabilities().supports_threads {
+        return Err(cli_err(format!(
+            "--threads requires a threaded backend (the {name} backend is single-threaded)"
+        )));
+    }
+    Ok(name.to_string())
+}
+
+/// Parse the full argument vector (excluding the program name). The
+/// tokens are matched against the `FLAGS` table; a flag whose row does
+/// not list the command form is a usage error, as is a missing
+/// required one; the form's builder then reads the typed values.
+pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
+    let (word, rest) = args.split_first().ok_or_else(|| cli_err(usage()))?;
+    if matches!(word.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let mut flags = Vec::new();
+    let mut tokens = rest.iter();
+    while let Some(token) = tokens.next() {
+        let row = FLAGS
+            .iter()
+            .find(|row| row.name == token)
+            .ok_or_else(|| cli_err(format!("unknown flag '{token}'\n{}", usage())))?;
+        let value = match row.value {
+            "" => String::new(),
+            _ => tokens
+                .next()
+                .cloned()
+                .ok_or_else(|| cli_err(format!("{token} requires a value")))?,
+        };
+        flags.push((row.name, value));
+    }
+    let given = |name: &str| flags.iter().any(|(n, _)| *n == name);
+    let selected = |label: &&str| match label.split_once(' ') {
+        Some((command, selector)) => command == word && given(selector),
+        None => label == word,
     };
-    // Flags are parsed in one namespace; reject cross-command ones
-    // explicitly so e.g. `sweep --arch spec.txt` cannot silently sweep
-    // the built-in hierarchy instead of the user's spec. Flag groups:
-    // compile-ish flags belong to compile/run/place, grid flags to
-    // sweep (--bits also to accuracy), dataset flags to run/sweep/
-    // accuracy, --subarray to accuracy alone.
-    let reject = |groups: &[&[(bool, &str)]], cmd: &str| -> Result<(), CliError> {
-        for &(given, flag) in groups.iter().copied().flatten() {
-            if given {
-                return Err(cli_err(format!("{flag} is not supported by '{cmd}'")));
-            }
-        }
-        Ok(())
-    };
-    let compile_flags: &[(bool, &str)] = &[
-        (arch.is_some(), "--arch"),
-        (source.is_some(), "--source"),
-        (!inputs.is_empty(), "--input"),
-        (!params.is_empty(), "--param"),
-        (!data.is_empty(), "--data"),
-        (stored_rows.is_some(), "--stored-rows"),
-    ];
-    let sweep_only: &[(bool, &str)] = &[
-        (subarrays.is_some(), "--subarrays"),
-        (opts.is_some(), "--opts"),
-        (techs.is_some(), "--techs"),
-        (classes.is_some(), "--classes"),
-        (pareto, "--pareto"),
-    ];
-    let dataset_flags: &[(bool, &str)] = &[
-        (dataset.is_some(), "--dataset"),
-        (dataset_format.is_some(), "--dataset-format"),
-        (limit.is_some(), "--limit"),
-    ];
-    let bits_flag: &[(bool, &str)] = &[(bits.is_some(), "--bits")];
-    let subarray_flag: &[(bool, &str)] = &[(subarray.is_some(), "--subarray")];
-    let workload_flag: &[(bool, &str)] = &[(workload.is_some(), "--workload")];
-    // Flags that configure source compilation / synthetic data — they
-    // would be silently ignored everywhere else.
-    let source_run_flags: &[(bool, &str)] = &[
-        (emit.is_some(), "--emit"),
-        (canonicalize, "--canonicalize"),
-        (random_seed.is_some(), "--random-seed"),
-    ];
-    // Telemetry flags belong to the executing commands (run/sweep/
-    // accuracy); compile and place never execute anything to trace.
-    let telemetry_flags: &[(bool, &str)] = &[
-        (trace_out.is_some(), "--trace-out"),
-        (metrics.is_some(), "--metrics"),
-        (log_level.is_some(), "--log-level"),
-    ];
-    // Fault injection is a sweep/accuracy concern; the resilience
-    // levers (--spare-rows/--vote) are accuracy-only.
-    let fault_axis_flags: &[(bool, &str)] = &[
-        (fault_rates.is_some(), "--fault-rate"),
-        (fault_seed.is_some(), "--fault-seed"),
-    ];
-    let resilience_flags: &[(bool, &str)] = &[
-        (spare_rows.is_some(), "--spare-rows"),
-        (vote.is_some(), "--vote"),
-    ];
-    // Service-mode flag groups: server knobs belong to `serve`, client
-    // knobs to `loadgen`.
-    let serve_flags: &[(bool, &str)] = &[
-        (host.is_some(), "--host"),
-        (port.is_some(), "--port"),
-        (max_batch.is_some(), "--max-batch"),
-        (linger_ms.is_some(), "--linger-ms"),
-        (queue_depth.is_some(), "--queue-depth"),
-        (cache_cap.is_some(), "--cache-cap"),
-    ];
-    let loadgen_flags: &[(bool, &str)] = &[
-        (addr.is_some(), "--addr"),
-        (requests.is_some(), "--requests"),
-        (concurrency.is_some(), "--concurrency"),
-        (rows_per_request.is_some(), "--rows-per-request"),
-        (mode.is_some(), "--mode"),
-        (rate.is_some(), "--rate"),
-        (verify_dataset.is_some(), "--verify-dataset"),
-        (shutdown, "--shutdown"),
-        (out.is_some(), "--out"),
-    ];
-    // Gate knobs belong to `bench-gate` alone (--out is shared with
-    // loadgen, so it lives in that group, not here).
-    let gate_flags: &[(bool, &str)] = &[(baseline.is_some(), "--baseline"), (short, "--short")];
-    match cmd.as_str() {
-        "compile" | "place" => {
-            reject(
-                &[
-                    sweep_only,
-                    dataset_flags,
-                    bits_flag,
-                    subarray_flag,
-                    workload_flag,
-                    telemetry_flags,
-                    fault_axis_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if cmd == "place" {
-                reject(&[source_run_flags], cmd)?;
-            }
-        }
-        "run" => {
-            reject(
-                &[
-                    sweep_only,
-                    bits_flag,
-                    subarray_flag,
-                    fault_axis_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if dataset.is_some() {
-                // A dataset run replaces the TorchScript source; only
-                // --arch carries over (the spec to simulate on).
-                for (given, flag) in [
-                    (source.is_some(), "--source"),
-                    (!inputs.is_empty(), "--input"),
-                    (!params.is_empty(), "--param"),
-                    (!data.is_empty(), "--data"),
-                    (stored_rows.is_some(), "--stored-rows"),
-                    (emit.is_some(), "--emit"),
-                    (canonicalize, "--canonicalize"),
-                    (random_seed.is_some(), "--random-seed"),
-                ] {
-                    if given {
-                        return Err(cli_err(format!(
-                            "{flag} is not supported by 'run --dataset' (the dataset supplies the kernel and the data)"
-                        )));
-                    }
+    let index = COMMANDS
+        .iter()
+        .rposition(selected)
+        .ok_or_else(|| cli_err(format!("unknown command '{word}'\n{}", usage())))?;
+    let (label, form) = (COMMANDS[index], 1u16 << index);
+    if let Some((name, _)) = flags.iter().find(|(n, _)| row(n).commands & form == 0) {
+        return Err(cli_err(format!("{name} is not supported by '{label}'")));
+    }
+    let missing = |row: &&Flag| row.required & form != 0 && !given(row.name);
+    if let Some(row) = FLAGS.iter().find(missing) {
+        let name = row.name;
+        return Err(cli_err(format!("missing required {name}\n{}", usage())));
+    }
+    let g = Given { form, flags };
+    Ok(match form {
+        COMPILE => Command::Compile(g.compile()?),
+        RUN => Command::Run(RunArgs {
+            compile: g.compile()?,
+            data: g.all("--data").map(str::to_string).collect(),
+            random_seed: g.int("--random-seed")?.unwrap_or(42),
+            engine: g.engine()?,
+            threads: g.threads()?,
+            format: g.keyword("--format")?.unwrap_or_default(),
+            telemetry: g.telemetry()?,
+        }),
+        RUN_DATASET => Command::RunDataset(DatasetRunArgs {
+            dataset: g.owned("--dataset").expect(CHECKED),
+            dataset_format: g.keyword("--dataset-format")?,
+            task: g.keyword("--workload")?.unwrap_or(DatasetTask::Hdc),
+            limit: g.positive("--limit")?,
+            arch: g.owned("--arch"),
+            engine: g.engine()?,
+            threads: g.threads()?,
+            format: g.keyword("--format")?.unwrap_or_default(),
+            telemetry: g.telemetry()?,
+        }),
+        PLACE => Command::Place(PlaceArgs {
+            arch: g.owned("--arch").expect(CHECKED),
+            stored_rows: g.int("--stored-rows")?.expect(CHECKED),
+            dims: g.int("--dims")?.expect(CHECKED),
+            queries: g.int("--queries")?.unwrap_or(1),
+            format: g.keyword("--format")?.unwrap_or_default(),
+        }),
+        SWEEP => {
+            let base = SweepArgs::default();
+            let dataset = g.owned("--dataset");
+            let workload = g.owned("--workload").unwrap_or(base.workload);
+            let (queries, classes, dims) =
+                (g.int("--queries")?, g.int("--classes")?, g.int("--dims")?);
+            if dataset.is_none() {
+                if !SWEEP_WORKLOADS.contains(&workload.as_str()) {
+                    return Err(unknown_sweep_workload(&workload));
                 }
-            } else {
-                reject(&[dataset_flags, workload_flag], "run (without --dataset)")?;
-            }
-        }
-        "sweep" => {
-            reject(
-                &[
-                    compile_flags,
-                    subarray_flag,
-                    source_run_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if dataset.is_some() && (classes.is_some() || dims.is_some() || queries.is_some()) {
+            } else if queries.is_some() || classes.is_some() || dims.is_some() {
                 return Err(cli_err(
                     "--classes/--dims/--queries are not supported with 'sweep --dataset' \
                      (the dataset fixes the shape; use --limit to cap queries)",
                 ));
-            }
-        }
-        "accuracy" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                serve_flags,
-                loadgen_flags,
-                gate_flags,
-                &[(queries.is_some(), "--queries"), (dims.is_some(), "--dims")],
-            ],
-            cmd,
-        )?,
-        "serve" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                fault_axis_flags,
-                resilience_flags,
-                loadgen_flags,
-                gate_flags,
-                &[
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                    (
-                        limit.is_some(),
-                        "--limit (serve keeps the whole query pool addressable)",
-                    ),
-                ],
-            ],
-            cmd,
-        )?,
-        "loadgen" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                fault_axis_flags,
-                resilience_flags,
-                serve_flags,
-                telemetry_flags,
-                gate_flags,
-                &[
-                    (dataset.is_some(), "--dataset (use --verify-dataset)"),
-                    (limit.is_some(), "--limit"),
-                    (engine.is_some(), "--engine"),
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                ],
-            ],
-            cmd,
-        )?,
-        "bench-gate" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                dataset_flags,
-                bits_flag,
-                subarray_flag,
-                workload_flag,
-                source_run_flags,
-                telemetry_flags,
-                fault_axis_flags,
-                resilience_flags,
-                serve_flags,
-                // Loadgen's client knobs, minus --out (the gate writes
-                // its measurement artifact there too).
-                &[
-                    (addr.is_some(), "--addr"),
-                    (requests.is_some(), "--requests"),
-                    (concurrency.is_some(), "--concurrency"),
-                    (rows_per_request.is_some(), "--rows-per-request"),
-                    (mode.is_some(), "--mode"),
-                    (rate.is_some(), "--rate"),
-                    (verify_dataset.is_some(), "--verify-dataset"),
-                    (shutdown, "--shutdown"),
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                    (engine.is_some(), "--engine"),
-                ],
-            ],
-            cmd,
-        )?,
-        _ => {}
-    }
-    // Resolve an --engine name through the backend registry; unknown
-    // names fail with the registered list.
-    let resolve_engine = |name: &str| -> Result<String, CliError> {
-        BackendRegistry::global().get(name).map_err(cli_err)?;
-        Ok(name.to_string())
-    };
-    // Threaded execution needs backends whose capabilities allow it.
-    let check_threads = |names: &[String], threads: usize| -> Result<(), CliError> {
-        if threads > 1 {
-            for name in names {
-                let backend = BackendRegistry::global().get(name).map_err(cli_err)?;
-                if !backend.capabilities().supports_threads {
-                    return Err(cli_err(format!(
-                        "--threads requires a threaded backend \
-                         (the {name} backend is single-threaded)"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    };
-    let telemetry = TelemetryArgs {
-        trace_out,
-        metrics: metrics.unwrap_or_default(),
-        log_level,
-    };
-    match cmd.as_str() {
-        "run" if dataset.is_some() => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            Ok(Command::RunDataset(DatasetRunArgs {
-                dataset: dataset.expect("guarded"),
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                limit,
-                arch,
-                engine,
-                threads,
-                format: out_format(format)?,
-                telemetry,
-            }))
-        }
-        "compile" | "run" => {
-            let compile = CompileArgs {
-                arch: require(arch, "--arch")?,
-                source: require(source, "--source")?,
-                inputs,
-                params,
-                emit: emit.unwrap_or(EmitStage::Cam),
-                canonicalize,
-            };
-            if cmd == "compile" {
-                Ok(Command::Compile(compile))
             } else {
-                let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-                check_threads(std::slice::from_ref(&engine), threads)?;
-                Ok(Command::Run(RunArgs {
-                    compile,
-                    data,
-                    random_seed: random_seed.unwrap_or(42),
-                    engine,
-                    threads,
-                    format: out_format(format)?,
-                    telemetry,
-                }))
+                workload.parse::<DatasetTask>().map_err(cli_err)?;
             }
-        }
-        "accuracy" => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            Ok(Command::Accuracy(AccuracyArgs {
-                dataset: require(dataset, "--dataset")?,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                limit,
-                bits: bits.unwrap_or_else(|| vec![1, 2]),
-                subarray: subarray.unwrap_or(32),
-                engine,
-                threads,
-                fault_rates: fault_rates.unwrap_or_else(|| vec![0.0]),
-                fault_seed: fault_seed.unwrap_or(0),
-                spare_rows: spare_rows.unwrap_or(0),
-                vote: vote.unwrap_or(1),
-                format: match format {
-                    None => SweepFormat::default(),
-                    Some(v) => v.parse().map_err(cli_err)?,
-                },
-                telemetry,
-            }))
-        }
-        "place" => Ok(Command::Place(PlaceArgs {
-            arch: require(arch, "--arch")?,
-            stored_rows: stored_rows.ok_or_else(|| cli_err("missing --stored-rows"))?,
-            dims: dims.ok_or_else(|| cli_err("missing --dims"))?,
-            queries: queries.unwrap_or(1),
-            format: out_format(format)?,
-        })),
-        "sweep" => {
-            // The sweep's --engine is a comma-separated list: an
-            // extra grid axis.
-            let engines = match engine {
-                None => vec!["tape".to_string()],
-                Some(list) => parse_list(&list, "--engine", |v| resolve_engine(v))?,
+            let threads = g.threads()?;
+            let subarray = |v: &str| {
+                let size = v.parse().ok().filter(|&n: &usize| n >= 1);
+                size.ok_or_else(|| cli_err(format!("invalid subarray size '{v}'")))
             };
-            check_threads(&engines, threads)?;
-            let defaults = SweepArgs::default();
-            Ok(Command::Sweep(SweepArgs {
-                workload: workload.unwrap_or(defaults.workload),
+            let opt = |v: &str| v.parse().map_err(|e: SpecError| cli_err(e.message));
+            let tech = |v: &str| Ok((v.to_string(), parse_tech(v)?));
+            // Every name in the list is one point of the engine axis.
+            let engine = |v: &str| resolve_engine(v, threads);
+            Command::Sweep(SweepArgs {
+                workload,
                 dataset,
-                dataset_format,
-                limit,
+                dataset_format: g.keyword("--dataset-format")?,
+                limit: g.positive("--limit")?,
                 queries,
                 classes,
                 dims,
-                subarrays: subarrays.unwrap_or(defaults.subarrays),
-                opts: opts.unwrap_or(defaults.opts),
-                techs: techs.unwrap_or(defaults.techs),
-                bits: bits.unwrap_or(defaults.bits),
-                engines,
-                fault_rates: fault_rates.unwrap_or(defaults.fault_rates),
-                fault_seed: fault_seed.unwrap_or(defaults.fault_seed),
+                subarrays: g.list("--subarrays", subarray)?.unwrap_or(base.subarrays),
+                opts: g.list("--opts", opt)?.unwrap_or(base.opts),
+                techs: g.list("--techs", tech)?.unwrap_or(base.techs),
+                bits: g.bits()?.unwrap_or(base.bits),
+                engines: g.list("--engine", engine)?.unwrap_or(base.engines),
+                fault_rates: g.fault_rates()?.unwrap_or(base.fault_rates),
+                fault_seed: g.int("--fault-seed")?.unwrap_or(base.fault_seed),
                 threads,
-                pareto,
-                format: match format {
-                    None => SweepFormat::default(),
-                    Some(v) => v.parse().map_err(cli_err)?,
-                },
-                telemetry,
-            }))
+                pareto: g.has("--pareto"),
+                format: g.keyword("--format")?.unwrap_or_default(),
+                telemetry: g.telemetry()?,
+            })
         }
-        "serve" => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            // Serve takes one default cell width, not a grid axis.
-            let bits = match bits {
-                None => 2,
-                Some(list) if list.len() == 1 => list[0],
-                Some(_) => {
-                    return Err(cli_err(
-                        "serve expects a single --bits value (clients override per request)",
-                    ))
-                }
+        ACCURACY => Command::Accuracy(AccuracyArgs {
+            dataset: g.owned("--dataset").expect(CHECKED),
+            dataset_format: g.keyword("--dataset-format")?,
+            task: g.keyword("--workload")?.unwrap_or(DatasetTask::Hdc),
+            limit: g.positive("--limit")?,
+            bits: g.bits()?.unwrap_or_else(|| vec![1, 2]),
+            subarray: g.positive("--subarray")?.unwrap_or(32),
+            engine: g.engine()?,
+            threads: g.threads()?,
+            fault_rates: g.fault_rates()?.unwrap_or_else(|| vec![0.0]),
+            fault_seed: g.int("--fault-seed")?.unwrap_or(0),
+            spare_rows: g.int("--spare-rows")?.unwrap_or(0),
+            vote: g.positive("--vote")?.unwrap_or(1),
+            format: g.keyword("--format")?.unwrap_or_default(),
+            telemetry: g.telemetry()?,
+        }),
+        SERVE => Command::Serve(ServeArgs {
+            dataset: g.owned("--dataset").expect(CHECKED),
+            dataset_format: g.keyword("--dataset-format")?,
+            task: g.keyword("--workload")?.unwrap_or(DatasetTask::Hdc),
+            bits: g.single_bits("serve", "clients override per request")?,
+            subarray: g.positive("--subarray")?.unwrap_or(32),
+            engine: g.engine()?,
+            threads: g.threads()?,
+            host: g.owned("--host").unwrap_or_else(|| "127.0.0.1".to_string()),
+            port: g.number("--port", |_| true, "0..=65535")?.unwrap_or(0),
+            max_batch: g.positive("--max-batch")?.unwrap_or(16),
+            linger_ms: g.int("--linger-ms")?.unwrap_or(2),
+            queue_depth: g.positive("--queue-depth")?.unwrap_or(256),
+            cache_cap: g.positive("--cache-cap")?.unwrap_or(8),
+            telemetry: g.telemetry()?,
+        }),
+        LOADGEN => {
+            let positive = |r: &f64| r.is_finite() && *r > 0.0;
+            let rate = g.number("--rate", positive, "a positive number")?;
+            let mode: Result<LoadMode, String> = match (g.text("--mode").unwrap_or("closed"), rate)
+            {
+                ("closed", None) => Ok(LoadMode::Closed),
+                ("open", Some(rate)) => Ok(LoadMode::Open { rate }),
+                ("closed", Some(_)) => Err("--rate is only meaningful with --mode open".into()),
+                ("open", None) => Err("--mode open requires --rate".into()),
+                (other, _) => Err(format!("unknown --mode '{other}' (expected closed|open)")),
             };
-            Ok(Command::Serve(ServeArgs {
-                dataset: require(dataset, "--dataset")?,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                bits,
-                subarray: subarray.unwrap_or(32),
-                engine,
-                threads,
-                host: host.unwrap_or_else(|| "127.0.0.1".to_string()),
-                port: port.unwrap_or(0),
-                max_batch: max_batch.unwrap_or(16),
-                linger_ms: linger_ms.unwrap_or(2),
-                queue_depth: queue_depth.unwrap_or(256),
-                cache_cap: cache_cap.unwrap_or(8),
-                telemetry,
-            }))
+            Command::Loadgen(LoadgenArgs {
+                addr: g.owned("--addr").expect(CHECKED),
+                requests: g.positive("--requests")?.unwrap_or(64),
+                concurrency: g.positive("--concurrency")?.unwrap_or(4),
+                rows_per_request: g.positive("--rows-per-request")?.unwrap_or(1),
+                mode: mode.map_err(cli_err)?,
+                verify_dataset: g.owned("--verify-dataset"),
+                dataset_format: g.keyword("--dataset-format")?,
+                task: g.keyword("--workload")?.unwrap_or(DatasetTask::Hdc),
+                bits: g.single_bits("loadgen", "the server's default key")?,
+                subarray: g.positive("--subarray")?.unwrap_or(32),
+                shutdown: g.has("--shutdown"),
+                out: g.owned("--out"),
+            })
         }
-        "loadgen" => {
-            let mode = mode.unwrap_or_else(|| "closed".to_string());
-            match mode.as_str() {
-                "closed" => {
-                    if rate.is_some() {
-                        return Err(cli_err("--rate is only meaningful with --mode open"));
-                    }
-                }
-                "open" => {
-                    if rate.is_none() {
-                        return Err(cli_err("--mode open requires --rate"));
-                    }
-                }
-                other => {
-                    return Err(cli_err(format!(
-                        "unknown --mode '{other}' (expected closed|open)"
-                    )))
-                }
-            }
-            let bits = match bits {
-                None => 2,
-                Some(list) if list.len() == 1 => list[0],
-                Some(_) => {
-                    return Err(cli_err(
-                        "loadgen expects a single --bits value (the server's default key)",
-                    ))
-                }
-            };
-            Ok(Command::Loadgen(LoadgenArgs {
-                addr: require(addr, "--addr")?,
-                requests: requests.unwrap_or(64),
-                concurrency: concurrency.unwrap_or(4),
-                rows_per_request: rows_per_request.unwrap_or(1),
-                mode,
-                rate,
-                verify_dataset,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                bits,
-                subarray: subarray.unwrap_or(32),
-                shutdown,
-                out,
-            }))
-        }
-        "bench-gate" => Ok(Command::BenchGate(BenchGateArgs {
-            baseline: baseline.unwrap_or_else(|| "BENCH_baseline.json".to_string()),
-            short,
-            out,
-        })),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(cli_err(format!("unknown command '{other}'\n{}", usage()))),
-    }
-}
-
-/// Parse a comma-separated list with a per-item parser; empty lists
-/// and empty items are rejected.
-fn parse_list<T>(
-    text: &str,
-    flag: &str,
-    mut item: impl FnMut(&str) -> Result<T, CliError>,
-) -> Result<Vec<T>, CliError> {
-    let items: Vec<&str> = text.split(',').map(str::trim).collect();
-    if items.iter().any(|s| s.is_empty()) {
-        return Err(cli_err(format!(
-            "{flag} expects a non-empty comma-separated list, got '{text}'"
-        )));
-    }
-    items.into_iter().map(&mut item).collect()
+        _ => Command::BenchGate(BenchGateArgs {
+            baseline: g
+                .owned("--baseline")
+                .unwrap_or_else(|| "BENCH_baseline.json".to_string()),
+            short: g.has("--short"),
+            out: g.owned("--out"),
+        }),
+    })
 }
 
 /// Resolve a technology keyword to a model (`None` = spec default).
@@ -1429,14 +1085,45 @@ fn parse_tech(name: &str) -> Result<Option<TechnologyModel>, CliError> {
     }
 }
 
-/// Usage text. The `--engine` alternatives are generated from the
-/// [`BackendRegistry`], so the help stays in sync with the registered
-/// backends.
+/// What [`usage`] prints under the synopsis lines. A `  --flag: text`
+/// line gains the flag's placeholder and the commands that read it.
+const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails; a .jsonl extension selects JSON-lines instead\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
+
+/// Usage text, generated from the `FLAGS` table: one synopsis line per
+/// command form (required flags, then the optional ones in brackets),
+/// then `NOTES`. The `--engine` alternatives are the registry's names.
 pub fn usage() -> String {
+    let word = |label: &'static str| label.split(' ').next().unwrap_or(label);
+    let synopsis = |row: &Flag| format!("{} {}", row.name, row.value).trim_end().to_string();
+    let mut text = String::from("usage:");
+    for (i, label) in COMMANDS.iter().enumerate() {
+        text += &format!("\n  c4cam {}", word(label));
+        for row in FLAGS.iter().filter(|row| row.required & (1 << i) != 0) {
+            text += &format!(" {}", synopsis(row));
+        }
+        let optional = |row: &&Flag| row.commands & !row.required & (1 << i) != 0;
+        for row in FLAGS.iter().filter(optional) {
+            let more = if row.repeats { "..." } else { "" };
+            text += &format!(" [{}]{more}", synopsis(row));
+        }
+    }
+    for line in NOTES.lines() {
+        let note = line.split_once(": ").filter(|_| line.starts_with("  --"));
+        let Some((name, what)) = note else {
+            text += &format!("\n{line}");
+            continue;
+        };
+        let row = row(name.trim_start());
+        let mut readers: Vec<&str> = Vec::new();
+        for (i, label) in COMMANDS.iter().enumerate() {
+            if row.commands & (1 << i) != 0 && !readers.contains(&word(label)) {
+                readers.push(word(label));
+            }
+        }
+        text += &format!("\n  {:<30} {what} ({})", synopsis(row), readers.join("/"));
+    }
     let engines = BackendRegistry::global().names().join("|");
-    format!(
-        "usage:\n  c4cam compile --arch SPEC --source KERNEL.py --input SHAPE [--param name=SHAPE]... [--emit torch|cim|cim-fused|partitioned|cam] [--canonicalize]\n  c4cam run     --arch SPEC --source KERNEL.py --input SHAPE [--param name=SHAPE]... [--data file.csv]... [--random-seed N] [--engine {engines}] [--threads N] [--format text|json]\n  c4cam run     --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--limit N] [--arch SPEC] [--engine {engines}] [--threads N] [--format text|json]\n  c4cam place   --arch SPEC --stored-rows N --dims D [--queries Q] [--format text|json]\n  c4cam sweep   [--workload hdc|knn|dtree|gpu] [--queries N] [--classes N] [--dims D] [--subarrays N,N,...] [--opts base,power,density,power+density] [--techs default,fefet-45nm,cmos-16nm] [--bits 1,2] [--engine {engines},...] [--threads N] [--pareto] [--format table|json|csv] [--dataset DIR|FILE.csv [--dataset-format idx|csv] [--limit N]] [--fault-rate R,R,...] [--fault-seed N]\n  c4cam accuracy --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--limit N] [--bits 1,2] [--subarray N] [--engine {engines}] [--threads N] [--fault-rate R,R,...] [--fault-seed N] [--spare-rows N] [--vote K] [--format table|json|csv]\n  c4cam serve   --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--bits B] [--subarray N] [--engine {engines}] [--threads N] [--host H] [--port P] [--max-batch N] [--linger-ms MS] [--queue-depth N] [--cache-cap N]\n  c4cam loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--rows-per-request N] [--mode closed|open [--rate R]] [--verify-dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--bits B] [--subarray N]] [--shutdown] [--out FILE.json]\n  c4cam bench-gate [--baseline FILE.json] [--short] [--out FILE.json]\n  c4cam help\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection (sweep/accuracy):\n  --fault-rate R,R,...       seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed N             seed of the deterministic fault-site hash streams\n  --spare-rows N             spare rows per subarray for stuck-row remapping (accuracy only)\n  --vote K                   k-modular redundant-search voting (accuracy only)\n\ntelemetry (run/sweep/accuracy):\n  --trace-out PATH           write a Chrome trace-event JSON (load in Perfetto / chrome://tracing); a .jsonl extension selects JSON-lines instead\n  --metrics none|summary|full  append a per-phase/per-op metrics report to the output\n  --log-level off|summary|debug  stderr diagnostics (alias for the C4CAM_LOG environment variable)"
-    )
+    text.replace(row("--engine").value, &engines)
 }
 
 fn load_arch(path: &str) -> Result<ArchSpec, CliError> {
@@ -1531,15 +1218,10 @@ impl RunReport {
     }
 }
 
-/// Execute `run`.
-pub fn run_run(args: &RunArgs) -> Result<RunReport, CliError> {
-    run_run_with_telemetry(args, &Telemetry::default())
-}
-
-/// [`run_run`] recording into `telemetry`: the TorchScript path has no
-/// placement stage, so the phases are Parse (source → torch IR),
+/// Execute `run`, recording into `telemetry`: the TorchScript path has
+/// no placement stage, so the phases are Parse (source → torch IR),
 /// Compile (pipeline + backend plan), Execute.
-fn run_run_with_telemetry(args: &RunArgs, telemetry: &Telemetry) -> Result<RunReport, CliError> {
+pub fn run_run(args: &RunArgs, telemetry: &Telemetry) -> Result<RunReport, CliError> {
     let span = telemetry.phase(Phase::Parse);
     let parsed = compile_module(&args.compile);
     span.finish();
@@ -1723,40 +1405,21 @@ fn read_csv_tensor(path: &str, shape: &[usize]) -> Result<Tensor, CliError> {
     Tensor::from_vec(shape.to_vec(), data).map_err(cli_err)
 }
 
-/// Parse a dataset task keyword (`hdc`/`knn`).
-fn parse_task(s: &str) -> Result<DatasetTask, CliError> {
-    match s {
-        "hdc" => Ok(DatasetTask::Hdc),
-        "knn" => Ok(DatasetTask::Knn),
-        other => Err(cli_err(format!(
-            "unknown dataset --workload '{other}' (expected hdc|knn)"
-        ))),
-    }
-}
-
 /// Load a dataset from disk and adapt it to a [`DatasetWorkload`].
 fn load_dataset_workload(
     path: &str,
     format: Option<DatasetFormat>,
-    task: &str,
+    task: DatasetTask,
     limit: Option<usize>,
 ) -> Result<DatasetWorkload, CliError> {
-    let task = parse_task(task)?;
     let dataset = Dataset::load(std::path::Path::new(path), format).map_err(cli_err)?;
     DatasetWorkload::new(dataset, task, limit).map_err(cli_err)
 }
 
 /// Execute `run --dataset`: one experiment over the dataset workload.
-pub fn run_dataset(args: &DatasetRunArgs) -> Result<String, CliError> {
-    run_dataset_with_telemetry(args, &Telemetry::default())
-}
-
-fn run_dataset_with_telemetry(
-    args: &DatasetRunArgs,
-    telemetry: &Telemetry,
-) -> Result<String, CliError> {
+pub fn run_dataset(args: &DatasetRunArgs, telemetry: &Telemetry) -> Result<String, CliError> {
     let workload =
-        load_dataset_workload(&args.dataset, args.dataset_format, &args.task, args.limit)?;
+        load_dataset_workload(&args.dataset, args.dataset_format, args.task, args.limit)?;
     let spec = match &args.arch {
         Some(path) => load_arch(path)?,
         None => ArchSpec::default(),
@@ -1798,16 +1461,9 @@ fn run_dataset_with_telemetry(
 
 /// Execute `accuracy`: evaluate the dataset at each requested cell
 /// width and render the CAM-vs-CPU report.
-pub fn run_accuracy(args: &AccuracyArgs) -> Result<String, CliError> {
-    run_accuracy_with_telemetry(args, &Telemetry::default())
-}
-
-fn run_accuracy_with_telemetry(
-    args: &AccuracyArgs,
-    telemetry: &Telemetry,
-) -> Result<String, CliError> {
+pub fn run_accuracy(args: &AccuracyArgs, telemetry: &Telemetry) -> Result<String, CliError> {
     let workload =
-        load_dataset_workload(&args.dataset, args.dataset_format, &args.task, args.limit)?;
+        load_dataset_workload(&args.dataset, args.dataset_format, args.task, args.limit)?;
     let mut rows = Vec::with_capacity(args.bits.len() * args.fault_rates.len());
     for &bits in &args.bits {
         let spec = build_arch(
@@ -1851,15 +1507,11 @@ fn run_accuracy_with_telemetry(
 /// and run the resident service until shutdown. The bound address is
 /// printed (and flushed) the moment the listener is ready, so scripts
 /// can start a client as soon as the line appears.
-pub fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
-    run_serve_with_telemetry(args, &Telemetry::default())
-}
-
-fn run_serve_with_telemetry(args: &ServeArgs, telemetry: &Telemetry) -> Result<String, CliError> {
+pub fn run_serve(args: &ServeArgs, telemetry: &Telemetry) -> Result<String, CliError> {
     let dataset =
         Dataset::load(std::path::Path::new(&args.dataset), args.dataset_format).map_err(cli_err)?;
     let defaults = PlanKey {
-        task: args.task.clone(),
+        task: args.task.keyword().to_string(),
         bits: args.bits,
         subarray: args.subarray,
         backend: args.engine.clone(),
@@ -1901,7 +1553,7 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<String, CliError> {
             // The backend never affects the reference (quantization
             // depends on bits; the reduction is backend-independent).
             let key = PlanKey {
-                task: args.task.clone(),
+                task: args.task.keyword().to_string(),
                 bits: args.bits,
                 subarray: args.subarray,
                 backend: "cpu-reference".to_string(),
@@ -1919,18 +1571,12 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<String, CliError> {
         }
         None => None,
     };
-    let mode = match args.mode.as_str() {
-        "open" => LoadMode::Open {
-            rate: args.rate.expect("parser guarantees --rate with open"),
-        },
-        _ => LoadMode::Closed,
-    };
     let cfg = LoadgenConfig {
         addr: args.addr.clone(),
         requests: args.requests,
         concurrency: args.concurrency,
         rows_per_request: args.rows_per_request,
-        mode,
+        mode: args.mode,
         pool_size,
         expected_classes,
         shutdown_after: args.shutdown,
@@ -1944,12 +1590,20 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<String, CliError> {
     Ok(report.summary())
 }
 
+/// The synthetic workloads `sweep` builds when no dataset is given.
+const SWEEP_WORKLOADS: &[&str] = &["hdc", "knn", "dtree", "gpu"];
+
+fn unknown_sweep_workload(name: &str) -> CliError {
+    cli_err(ParseKeywordError::new("--workload", name, SWEEP_WORKLOADS))
+}
+
 /// Build the workload a `sweep` invocation selects, applying the shape
 /// overrides over the workload's paper defaults (dataset sweeps fix
 /// the shape from the data).
 pub fn build_sweep_workload(args: &SweepArgs) -> Result<Box<dyn Workload>, CliError> {
     if let Some(path) = &args.dataset {
-        let w = load_dataset_workload(path, args.dataset_format, &args.workload, args.limit)?;
+        let task = args.workload.parse().map_err(cli_err)?;
+        let w = load_dataset_workload(path, args.dataset_format, task, args.limit)?;
         return Ok(Box::new(w));
     }
     match args.workload.as_str() {
@@ -1990,28 +1644,17 @@ pub fn build_sweep_workload(args: &SweepArgs) -> Result<Box<dyn Workload>, CliEr
             }
             Ok(Box::new(w))
         }
-        other => Err(cli_err(format!(
-            "unknown --workload '{other}' (expected hdc|knn|dtree|gpu)"
-        ))),
+        other => Err(unknown_sweep_workload(other)),
     }
 }
 
 /// Execute `sweep`, returning the rendered report.
-pub fn run_sweep(args: &SweepArgs) -> Result<String, CliError> {
-    run_sweep_with_telemetry(args, &Telemetry::default())
-}
-
-fn run_sweep_with_telemetry(args: &SweepArgs, telemetry: &Telemetry) -> Result<String, CliError> {
+pub fn run_sweep(args: &SweepArgs, telemetry: &Telemetry) -> Result<String, CliError> {
     let workload = build_sweep_workload(args)?;
-    let technologies: Result<Vec<(String, Option<TechnologyModel>)>, CliError> = args
-        .techs
-        .iter()
-        .map(|name| Ok((name.clone(), parse_tech(name)?)))
-        .collect();
     let plan = SweepPlan::new(workload.as_ref())
         .square_subarrays(args.subarrays.iter().copied())
         .optimizations(args.opts.iter().copied())
-        .technologies(technologies?)
+        .technologies(args.techs.iter().cloned())
         .bits(args.bits.iter().copied())
         .backends(args.engines.iter().cloned())
         .fault_rates(args.fault_rates.iter().copied())
@@ -2028,33 +1671,29 @@ fn run_sweep_with_telemetry(args: &SweepArgs, telemetry: &Telemetry) -> Result<S
     Ok(rendered.trim_end_matches('\n').to_string())
 }
 
-/// Dispatch a parsed command; returns the text to print. Commands that
-/// execute (run/sweep/accuracy) record into a telemetry session
-/// when `--trace-out`/`--metrics` ask for it; the trace file is
-/// written and the metrics report appended before returning.
+/// Dispatch a parsed command; returns the text to print. The
+/// executing commands record into a telemetry session when
+/// `--trace-out`/`--metrics` ask for it: the trace file is written
+/// whether the run succeeds or fails, and the metrics report is
+/// appended to a successful run's output.
 pub fn execute(command: &Command) -> Result<String, CliError> {
     let traced = |targs: &TelemetryArgs,
                   run: &dyn Fn(&Telemetry) -> Result<String, CliError>|
      -> Result<String, CliError> {
         let session = TelemetrySession::start(targs);
-        let mut out = run(&session.telemetry)?;
-        session.finish(&mut out)?;
-        Ok(out)
+        let result = run(&session.telemetry);
+        session.finish(result)
     };
     match command {
         Command::Compile(args) => run_compile(args),
         Command::Run(args) => traced(&args.telemetry, &|t| {
-            Ok(run_run_with_telemetry(args, t)?.render(args.format))
+            Ok(run_run(args, t)?.render(args.format))
         }),
-        Command::RunDataset(args) => {
-            traced(&args.telemetry, &|t| run_dataset_with_telemetry(args, t))
-        }
+        Command::RunDataset(args) => traced(&args.telemetry, &|t| run_dataset(args, t)),
         Command::Place(args) => run_place(args),
-        Command::Sweep(args) => traced(&args.telemetry, &|t| run_sweep_with_telemetry(args, t)),
-        Command::Accuracy(args) => {
-            traced(&args.telemetry, &|t| run_accuracy_with_telemetry(args, t))
-        }
-        Command::Serve(args) => traced(&args.telemetry, &|t| run_serve_with_telemetry(args, t)),
+        Command::Sweep(args) => traced(&args.telemetry, &|t| run_sweep(args, t)),
+        Command::Accuracy(args) => traced(&args.telemetry, &|t| run_accuracy(args, t)),
+        Command::Serve(args) => traced(&args.telemetry, &|t| run_serve(args, t)),
         Command::Loadgen(args) => run_loadgen(args),
         Command::BenchGate(args) => run_bench_gate(args).map_err(cli_err),
         Command::Help => Ok(usage()),
@@ -2190,7 +1829,7 @@ mats_per_bank: 2
             format: OutputFormat::Text,
             telemetry: TelemetryArgs::default(),
         };
-        let report = run_run(&args).unwrap();
+        let report = run_run(&args, &Telemetry::default()).unwrap();
         assert_eq!(report.outputs.len(), 2);
         assert!(report.stats.latency_ns > 0.0);
         assert!(report.render(OutputFormat::Text).contains("latency"));
@@ -2243,14 +1882,14 @@ mats_per_bank: 2
             format: OutputFormat::Text,
             telemetry: TelemetryArgs::default(),
         };
-        let walk = run_run(&mk("walk")).unwrap();
+        let walk = run_run(&mk("walk"), &Telemetry::default()).unwrap();
         for name in BackendRegistry::global().names() {
-            let report = run_run(&mk(name)).unwrap();
+            let report = run_run(&mk(name), &Telemetry::default()).unwrap();
             assert_eq!(walk.outputs, report.outputs, "{name}");
         }
         // Device-exact backends report identical statistics too.
-        let tape = run_run(&mk("tape")).unwrap();
-        let trace = run_run(&mk("trace")).unwrap();
+        let tape = run_run(&mk("tape"), &Telemetry::default()).unwrap();
+        let trace = run_run(&mk("trace"), &Telemetry::default()).unwrap();
         assert_eq!(walk.stats, tape.stats);
         assert_eq!(walk.stats, trace.stats);
     }
@@ -2281,7 +1920,7 @@ mats_per_bank: 2
             format: OutputFormat::Text,
             telemetry: TelemetryArgs::default(),
         };
-        let report = run_run(&args).unwrap();
+        let report = run_run(&args, &Telemetry::default()).unwrap();
         // Query 0 == weight row 0, query 1 == weight row 1.
         assert!(
             report.outputs[1].contains("[0.0, 1.0]"),
@@ -2406,8 +2045,8 @@ optimization: density
             format: OutputFormat::Text,
             telemetry: TelemetryArgs::default(),
         };
-        let seq = run_run(&mk(1)).unwrap();
-        let par = run_run(&mk(4)).unwrap();
+        let seq = run_run(&mk(1), &Telemetry::default()).unwrap();
+        let par = run_run(&mk(4), &Telemetry::default()).unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.stats.search_ops, par.stats.search_ops);
         assert!(
@@ -2424,7 +2063,7 @@ optimization: density
                 assert_eq!(s.workload, "hdc");
                 assert_eq!(s.subarrays, vec![16, 32, 64, 128, 256]);
                 assert_eq!(s.opts.len(), 4);
-                assert_eq!(s.techs, vec!["default".to_string()]);
+                assert_eq!(s.techs, vec![("default".to_string(), None)]);
                 assert_eq!(s.bits, vec![1]);
                 assert_eq!(s.engines, vec!["tape".to_string()]);
                 assert_eq!(s.format, SweepFormat::Table);
@@ -2512,13 +2151,14 @@ optimization: density
         assert!(parse_args(&strings(&["sweep", "--format", "yaml"])).is_err());
         assert!(parse_args(&strings(&["sweep", "--threads", "0"])).is_err());
         assert!(parse_args(&strings(&["sweep", "--engine", "walk", "--threads", "2"])).is_err());
-        // Unknown workloads surface at execution time (workload
-        // construction), with the keyword list in the message.
+        // Unknown workloads are a parse-time error (see
+        // `accuracy_arg_errors_are_caught`); a hand-built `SweepArgs`
+        // still fails at workload construction, with the keyword list.
         let bad = SweepArgs {
             workload: "resnet".to_string(),
             ..SweepArgs::default()
         };
-        let e = run_sweep(&bad).unwrap_err();
+        let e = run_sweep(&bad, &Telemetry::default()).unwrap_err();
         assert!(e.message.contains("hdc|knn|dtree|gpu"), "{e}");
     }
 
@@ -2565,7 +2205,7 @@ optimization: density
             Command::Accuracy(a) => {
                 assert_eq!(a.dataset, "d");
                 assert_eq!(a.dataset_format, None);
-                assert_eq!(a.task, "hdc");
+                assert_eq!(a.task, DatasetTask::Hdc);
                 assert_eq!(a.limit, None);
                 assert_eq!(a.bits, vec![1, 2]);
                 assert_eq!(a.subarray, 32);
@@ -2600,7 +2240,7 @@ optimization: density
         match cmd {
             Command::Accuracy(a) => {
                 assert_eq!(a.dataset_format, Some(DatasetFormat::Csv));
-                assert_eq!(a.task, "knn");
+                assert_eq!(a.task, DatasetTask::Knn);
                 assert_eq!(a.limit, Some(16));
                 assert_eq!(a.bits, vec![1, 4]);
                 assert_eq!(a.subarray, 64);
@@ -2704,26 +2344,23 @@ optimization: density
             "4"
         ]))
         .is_err());
-        // An unknown task surfaces at execution time with the keyword
-        // list.
-        let e = run_accuracy(&AccuracyArgs {
-            dataset: fixture_path(),
-            dataset_format: None,
-            task: "dtree".to_string(),
-            limit: Some(4),
-            bits: vec![1],
-            subarray: 32,
-            engine: "tape".to_string(),
-            threads: 1,
-            fault_rates: vec![0.0],
-            fault_seed: 0,
-            spare_rows: 0,
-            vote: 1,
-            format: SweepFormat::Table,
-            telemetry: TelemetryArgs::default(),
-        })
-        .unwrap_err();
-        assert!(e.message.contains("expected hdc|knn"), "{e}");
+        // An unknown task is a parse-time error carrying the keyword
+        // list, on every command that takes a dataset task; nothing is
+        // read from disk first.
+        for args in [
+            vec!["accuracy", "--dataset", "/nonexistent"],
+            vec!["run", "--dataset", "/nonexistent"],
+            vec!["serve", "--dataset", "/nonexistent"],
+            vec!["sweep", "--dataset", "/nonexistent"],
+            vec!["loadgen", "--addr", "h:1"],
+        ] {
+            let mut args = strings(&args);
+            args.extend(strings(&["--workload", "dtree"]));
+            let e = parse_args(&args).unwrap_err();
+            assert!(e.message.contains("expected hdc|knn)"), "{args:?}: {e}");
+        }
+        let e = parse_args(&strings(&["sweep", "--workload", "resnet"])).unwrap_err();
+        assert!(e.message.contains("expected hdc|knn|dtree|gpu"), "{e}");
     }
 
     #[test]
@@ -2743,7 +2380,7 @@ optimization: density
         match cmd {
             Command::RunDataset(r) => {
                 assert_eq!(r.dataset, "dir");
-                assert_eq!(r.task, "knn");
+                assert_eq!(r.task, DatasetTask::Knn);
                 assert_eq!(r.limit, Some(8));
                 assert_eq!(r.arch, None);
                 assert_eq!(r.format, OutputFormat::Json);
@@ -2759,7 +2396,7 @@ optimization: density
         let args = |format: SweepFormat| AccuracyArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "hdc".to_string(),
+            task: DatasetTask::Hdc,
             limit: Some(16),
             bits: vec![1, 2],
             subarray: 32,
@@ -2772,7 +2409,7 @@ optimization: density
             format,
             telemetry: TelemetryArgs::default(),
         };
-        let csv = run_accuracy(&args(SweepFormat::Csv)).unwrap();
+        let csv = run_accuracy(&args(SweepFormat::Csv), &Telemetry::default()).unwrap();
         assert!(csv.starts_with(crate::accuracy::CSV_HEADER), "{csv}");
         assert_eq!(csv.lines().count(), 3, "header + 2 bit widths: {csv}");
         for line in csv.lines().skip(1) {
@@ -2783,9 +2420,9 @@ optimization: density
             assert_eq!(fields[9], fields[10], "{line}");
             assert_eq!(fields[11], "1", "{line}");
         }
-        let table = run_accuracy(&args(SweepFormat::Table)).unwrap();
+        let table = run_accuracy(&args(SweepFormat::Table), &Telemetry::default()).unwrap();
         assert!(table.contains("mini-mnist"), "{table}");
-        let json = run_accuracy(&args(SweepFormat::Json)).unwrap();
+        let json = run_accuracy(&args(SweepFormat::Json), &Telemetry::default()).unwrap();
         assert!(json.contains("\"agreement\":1"), "{json}");
         assert!(json.contains("\"query_phase\":{"), "{json}");
     }
@@ -2795,7 +2432,7 @@ optimization: density
         let mk = |engine: &str, threads| AccuracyArgs {
             dataset: fixture_path(),
             dataset_format: Some(DatasetFormat::Idx),
-            task: "knn".to_string(),
+            task: DatasetTask::Knn,
             limit: Some(12),
             bits: vec![2],
             subarray: 32,
@@ -2808,9 +2445,9 @@ optimization: density
             format: SweepFormat::Csv,
             telemetry: TelemetryArgs::default(),
         };
-        let walk = run_accuracy(&mk("walk", 1)).unwrap();
-        let tape = run_accuracy(&mk("tape", 1)).unwrap();
-        let sharded = run_accuracy(&mk("tape", 4)).unwrap();
+        let walk = run_accuracy(&mk("walk", 1), &Telemetry::default()).unwrap();
+        let tape = run_accuracy(&mk("tape", 1), &Telemetry::default()).unwrap();
+        let sharded = run_accuracy(&mk("tape", 4), &Telemetry::default()).unwrap();
         // The engine/threads columns differ by construction. The
         // accuracy columns must be bit-identical everywhere; the
         // stats columns are bit-identical between the sequential
@@ -2845,32 +2482,32 @@ optimization: density
 
     #[test]
     fn run_dataset_executes_the_fixture() {
-        let text = run_dataset(&DatasetRunArgs {
+        let args = DatasetRunArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "hdc".to_string(),
+            task: DatasetTask::Hdc,
             limit: Some(8),
             arch: None,
             engine: "tape".to_string(),
             threads: 1,
             format: OutputFormat::Text,
             telemetry: TelemetryArgs::default(),
-        })
-        .unwrap();
+        };
+        let text = run_dataset(&args, &Telemetry::default()).unwrap();
         assert!(text.contains("mini-mnist"), "{text}");
         assert!(text.contains("accuracy:"), "{text}");
-        let json = run_dataset(&DatasetRunArgs {
+        let args = DatasetRunArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "knn".to_string(),
+            task: DatasetTask::Knn,
             limit: Some(8),
             arch: None,
             engine: "tape".to_string(),
             threads: 2,
             format: OutputFormat::Json,
             telemetry: TelemetryArgs::default(),
-        })
-        .unwrap();
+        };
+        let json = run_dataset(&args, &Telemetry::default()).unwrap();
         assert!(json.starts_with("{\"dataset\":\"mini-mnist\""), "{json}");
         assert!(json.contains("\"stats\":{"), "{json}");
     }
@@ -2904,7 +2541,7 @@ optimization: density
 
     #[test]
     fn sweep_runs_the_dataset_fixture_end_to_end() {
-        let out = run_sweep(&SweepArgs {
+        let args = SweepArgs {
             workload: "hdc".to_string(),
             dataset: Some(fixture_path()),
             dataset_format: None,
@@ -2914,8 +2551,8 @@ optimization: density
             bits: vec![1],
             format: SweepFormat::Csv,
             ..SweepArgs::default()
-        })
-        .unwrap();
+        };
+        let out = run_sweep(&args, &Telemetry::default()).unwrap();
         assert!(out.starts_with("workload,subarray_rows"), "{out}");
         assert!(out.contains("dataset-hdc,32,32"), "{out}");
     }
@@ -3089,7 +2726,7 @@ optimization: density
         let cmd = Command::RunDataset(DatasetRunArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "hdc".to_string(),
+            task: DatasetTask::Hdc,
             limit: Some(4),
             arch: None,
             engine: "tape".to_string(),
@@ -3127,7 +2764,7 @@ optimization: density
         let cmd = Command::RunDataset(DatasetRunArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "hdc".to_string(),
+            task: DatasetTask::Hdc,
             limit: Some(4),
             arch: None,
             engine: "tape".to_string(),
@@ -3307,7 +2944,7 @@ optimization: density
         let args = |rates: Vec<f64>| AccuracyArgs {
             dataset: fixture_path(),
             dataset_format: None,
-            task: "hdc".to_string(),
+            task: DatasetTask::Hdc,
             limit: Some(8),
             bits: vec![1, 2],
             subarray: 32,
@@ -3320,7 +2957,7 @@ optimization: density
             format: SweepFormat::Csv,
             telemetry: TelemetryArgs::default(),
         };
-        let csv = run_accuracy(&args(vec![0.0, 0.02])).unwrap();
+        let csv = run_accuracy(&args(vec![0.0, 0.02]), &Telemetry::default()).unwrap();
         // One row per bits × fault rate.
         assert_eq!(csv.lines().count(), 1 + 4, "{csv}");
         let fields: Vec<Vec<String>> = csv
@@ -3335,7 +2972,10 @@ optimization: density
         // The faulty rows materialized fault sites; the seeded run is
         // reproducible byte for byte.
         assert!(fields[1][16].parse::<u64>().unwrap() > 0, "{csv}");
-        assert_eq!(csv, run_accuracy(&args(vec![0.0, 0.02])).unwrap());
+        assert_eq!(
+            csv,
+            run_accuracy(&args(vec![0.0, 0.02]), &Telemetry::default()).unwrap()
+        );
         // Agreement stays exact on the fault-free rows.
         assert_eq!(fields[0][11], "1", "{csv}");
     }
@@ -3392,7 +3032,7 @@ optimization: density
         match cmd {
             Command::Serve(a) => {
                 assert_eq!(a.dataset, "d");
-                assert_eq!(a.task, "hdc");
+                assert_eq!(a.task, DatasetTask::Hdc);
                 assert_eq!(a.bits, 2);
                 assert_eq!(a.subarray, 32);
                 assert_eq!(a.engine, "tape");
@@ -3433,7 +3073,7 @@ optimization: density
         .unwrap();
         match cmd {
             Command::Serve(a) => {
-                assert_eq!(a.task, "knn");
+                assert_eq!(a.task, DatasetTask::Knn);
                 assert_eq!(a.bits, 1);
                 assert_eq!(a.subarray, 64);
                 assert_eq!(a.engine, "tape");
@@ -3478,8 +3118,7 @@ optimization: density
                 assert_eq!(a.requests, 64);
                 assert_eq!(a.concurrency, 4);
                 assert_eq!(a.rows_per_request, 1);
-                assert_eq!(a.mode, "closed");
-                assert_eq!(a.rate, None);
+                assert_eq!(a.mode, LoadMode::Closed);
                 assert_eq!(a.verify_dataset, None);
                 assert!(!a.shutdown);
                 assert_eq!(a.out, None);
@@ -3512,8 +3151,7 @@ optimization: density
                 assert_eq!(a.requests, 128);
                 assert_eq!(a.concurrency, 8);
                 assert_eq!(a.rows_per_request, 2);
-                assert_eq!(a.mode, "open");
-                assert_eq!(a.rate, Some(50.0));
+                assert_eq!(a.mode, LoadMode::Open { rate: 50.0 });
                 assert_eq!(a.verify_dataset.as_deref(), Some("d"));
                 assert!(a.shutdown);
                 assert_eq!(a.out.as_deref(), Some("r.json"));
@@ -3566,5 +3204,146 @@ optimization: density
         assert!(parse_args(&strings(&["sweep", "--baseline", "b.json"])).is_err());
         assert!(parse_args(&strings(&["loadgen", "--addr", "h:1", "--short"])).is_err());
         assert!(usage().contains("bench-gate"));
+    }
+
+    /// The smallest argument list each command form accepts, in
+    /// [`COMMANDS`] order.
+    const MINIMAL: [&str; 9] = [
+        "compile --arch a --source s",
+        "run --arch a --source s",
+        "run --dataset d",
+        "place --arch a --stored-rows 4 --dims 8",
+        "sweep",
+        "accuracy --dataset d",
+        "serve --dataset d",
+        "loadgen --addr h:1",
+        "bench-gate",
+    ];
+
+    /// Parse `MINIMAL[form]` plus one valid use of the flag: a keyword
+    /// where one is expected, otherwise `3` (a count, seed, path, host
+    /// or list item). A rate also needs the open loop.
+    fn parse_with(form: usize, row: &Flag) -> Result<Command, CliError> {
+        let keywords = "--input 4x4 --param w=4x4 --emit cam --engine tape --format json \
+            --workload knn --opts base --techs default --dataset-format csv --fault-rate 0.1 \
+            --mode closed --metrics summary --log-level debug --rate 5 --mode open";
+        let keywords: Vec<&str> = keywords.split_whitespace().collect();
+        let at = keywords.iter().position(|w| *w == row.name);
+        let sample = match (at, row.name) {
+            (Some(at), "--rate") => keywords[at..].to_vec(),
+            (Some(at), _) => keywords[at..at + 2].to_vec(),
+            (None, _) if row.value.is_empty() => vec![row.name],
+            (None, _) => vec![row.name, "3"],
+        };
+        let args: Vec<&str> = MINIMAL[form].split(' ').chain(sample).collect();
+        parse_args(&strings(&args))
+    }
+
+    #[test]
+    fn every_command_accepts_exactly_the_flags_its_rows_list() {
+        for (form, label) in COMMANDS.iter().enumerate() {
+            for row in &FLAGS {
+                // `--dataset` on `run` selects the other form instead
+                // of being accepted or rejected by this one.
+                if (*label, row.name) == ("run", "--dataset") {
+                    continue;
+                }
+                let parsed = parse_with(form, row);
+                if row.commands & (1 << form) != 0 {
+                    assert!(parsed.is_ok(), "{label} {}: {parsed:?}", row.name);
+                } else {
+                    let want = format!("{} is not supported by '{label}'", row.name);
+                    assert_eq!(parsed.unwrap_err().message, want);
+                }
+            }
+        }
+        // The pairs that parsed and were silently ignored before the
+        // table, by name.
+        for pairs in [
+            "compile: --data --random-seed --stored-rows --dims --queries --engine --threads --format",
+            "place: --source --input --param --data --engine --threads",
+            "run: --stored-rows --dims --queries",
+            "run --dataset: --dims --queries",
+            "loadgen: --threads",
+            "bench-gate: --threads",
+        ] {
+            let (label, flags) = pairs.split_once(": ").unwrap();
+            let form = COMMANDS.iter().position(|c| *c == label).unwrap();
+            for name in flags.split(' ') {
+                let e = parse_with(form, row(name)).unwrap_err();
+                assert_eq!(e.message, format!("{name} is not supported by '{label}'"));
+            }
+        }
+    }
+
+    #[test]
+    fn usage_synopses_name_exactly_the_flags_of_the_table() {
+        let help = usage();
+        let synopses: Vec<&str> = help.lines().filter(|l| l.starts_with("  c4cam ")).collect();
+        assert_eq!(synopses.len(), COMMANDS.len() + 1, "one per form + help");
+        for (form, label) in COMMANDS.iter().enumerate() {
+            // A flag is the word after an optional `[`; required flags
+            // stand bare.
+            let mut named: Vec<(String, bool)> = synopses[form]
+                .split_whitespace()
+                .filter(|w| w.trim_start_matches('[').starts_with("--"))
+                .map(|w| {
+                    (
+                        w.trim_matches(|c| "[].".contains(c)).to_string(),
+                        !w.starts_with('['),
+                    )
+                })
+                .collect();
+            named.sort();
+            let mut listed: Vec<(String, bool)> = FLAGS
+                .iter()
+                .filter(|row| row.commands & (1 << form) != 0)
+                .map(|row| (row.name.to_string(), row.required & (1 << form) != 0))
+                .collect();
+            listed.sort();
+            assert_eq!(named, listed, "synopsis of '{label}'");
+        }
+        // Nothing in the help, prose included, names a flag without a
+        // row.
+        for word in help.split(|c: char| !(c.is_ascii_lowercase() || c == '-')) {
+            if word.starts_with("--") && word.len() > 2 {
+                let known = FLAGS.iter().any(|row| row.name == word);
+                assert!(known, "usage names {word}, which has no row");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_run_still_writes_its_trace() {
+        let spec = write_temp("spec_fail.txt", SPEC);
+        let kernel = write_temp("kernel_fail.py", KERNEL);
+        let wrong_shape = write_temp("wrong_shape.csv", "1,2,3\n");
+        let trace = write_temp("failed-run-trace.json", "");
+        std::fs::remove_file(&trace).unwrap();
+        let args = format!(
+            "run --arch {spec} --source {kernel} --input 2x64 --param weight=4x64 \
+             --data {wrong_shape} --trace-out {trace} --metrics summary"
+        );
+        let args: Vec<&str> = args.split_whitespace().collect();
+        // The run's own error comes back, without a metrics report.
+        let e = execute(&parse_args(&strings(&args)).unwrap()).unwrap_err();
+        assert!(e.message.contains("expected 128 values"), "{e}");
+        assert!(!e.message.contains("phase breakdown"), "{e}");
+        let text = std::fs::read_to_string(&trace).expect("the trace of a failed run");
+        let json = c4cam_server::json::Json::parse(&text).expect("a well-formed trace");
+        let events = json.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name")?.as_str())
+            .collect();
+        // The run failed assembling its arguments, after both phases.
+        for phase in [Phase::Parse, Phase::Compile] {
+            assert!(
+                names.contains(&phase.name()),
+                "missing {phase} in {names:?}"
+            );
+        }
+        assert!(!names.contains(&Phase::Execute.name()), "{names:?}");
+        std::fs::remove_file(&trace).ok();
     }
 }

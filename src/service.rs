@@ -69,14 +69,6 @@ impl DatasetPlanSource {
     }
 }
 
-fn parse_task(task: &str) -> Result<DatasetTask, String> {
-    match task {
-        "hdc" => Ok(DatasetTask::Hdc),
-        "knn" => Ok(DatasetTask::Knn),
-        other => Err(format!("unknown task '{other}' (expected hdc|knn)")),
-    }
-}
-
 /// The deterministic train/pool split every dataset workload uses:
 /// `(train, pool)` sample counts.
 fn pool_split(dataset: &Dataset) -> (usize, usize) {
@@ -100,7 +92,7 @@ impl PlanSource for DatasetPlanSource {
     }
 
     fn compile(&self, key: &PlanKey) -> Result<Arc<dyn BatchRunner>, String> {
-        let task = parse_task(&key.task)?;
+        let task: DatasetTask = key.task.parse()?;
         let spec = arch_for(key)?;
         let (train, pool) = pool_split(&self.dataset);
         let capacity = self.max_batch.min(pool);
@@ -208,7 +200,7 @@ impl BatchRunner for DatasetRunner {
 /// Unknown task keywords, invalid arch parameters, and datasets the
 /// task cannot adapt (e.g. a class with no training representative).
 pub fn reference_pool_classes(dataset: &Dataset, key: &PlanKey) -> Result<Vec<usize>, String> {
-    let task = parse_task(&key.task)?;
+    let task: DatasetTask = key.task.parse()?;
     let spec = arch_for(key)?;
     let (_, pool) = pool_split(dataset);
     // Full-pool workload: predict_cpu covers every addressable row.

@@ -26,6 +26,11 @@ fn usage_errors_exit_2_with_stderr_only() {
         vec!["accuracy", "--dataset", "d", "--fault-rate", "1.5"],
         vec!["accuracy", "--dataset", "d", "--engine", "nonsense"],
         vec!["sweep", "--spare-rows", "2"],
+        // A flag the command does not read, and a bad keyword.
+        "place --arch a --stored-rows 10 --dims 64 --engine walk"
+            .split(' ')
+            .collect(),
+        vec!["accuracy", "--dataset", "d", "--workload", "bogus"],
     ] {
         let out = c4cam(&args);
         assert_eq!(
