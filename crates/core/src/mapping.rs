@@ -49,8 +49,9 @@ impl Placement {
 /// Place a problem onto an architecture.
 ///
 /// # Errors
-/// Fails on degenerate problems (zero rows/dims) or if a fixed bank
-/// budget cannot hold the data.
+/// Fails on degenerate problems (zero rows/dims), on a problem whose
+/// tile count or padded row count does not fit in `usize`, or if a
+/// fixed bank budget cannot hold the data.
 pub fn place(spec: &ArchSpec, problem: &MappingProblem) -> Result<Placement, SpecError> {
     if problem.stored_rows == 0 || problem.feature_dims == 0 || problem.queries == 0 {
         return Err(SpecError {
@@ -62,7 +63,16 @@ pub fn place(spec: &ArchSpec, problem: &MappingProblem) -> Result<Placement, Spe
     let rows_used = problem.stored_rows.min(r);
     let row_groups = problem.stored_rows.div_ceil(rows_used);
     let col_chunks = problem.feature_dims.div_ceil(c);
-    let logical_tiles = row_groups * col_chunks;
+    let too_large = || {
+        SpecError {
+        message: format!(
+            "mapping problem is too large: {} rows x {} dims overflows the tile or padded-row count",
+            problem.stored_rows, problem.feature_dims
+        ),
+    }
+    };
+    let logical_tiles = row_groups.checked_mul(col_chunks).ok_or_else(too_large)?;
+    let padded_rows = row_groups.checked_mul(rows_used).ok_or_else(too_large)?;
     let batches_per_subarray = if spec.optimization.uses_selective_search() {
         (r / rows_used).max(1)
     } else {
@@ -78,7 +88,7 @@ pub fn place(spec: &ArchSpec, problem: &MappingProblem) -> Result<Placement, Spe
         batches_per_subarray,
         physical_subarrays,
         banks,
-        padded_rows: row_groups * rows_used,
+        padded_rows,
     })
 }
 
@@ -190,6 +200,20 @@ mod tests {
             }
         )
         .is_err());
+        // Hostile sizes: the tile count, and the padded row count on
+        // its own, overflow `usize` instead of wrapping to 0.
+        for feature_dims in [usize::MAX, 8] {
+            let e = place(
+                &spec,
+                &MappingProblem {
+                    stored_rows: usize::MAX,
+                    feature_dims,
+                    queries: 1,
+                },
+            )
+            .unwrap_err();
+            assert!(e.message.contains("too large"), "{e}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::error::{EngineError, ShardPanic};
 use crate::frozen::{freeze, thaw, Frozen};
 use crate::isa::QueryLoop;
 use crate::pool;
-use crate::vm::TapeVm;
+use crate::vm::{returned, TapeVm};
 use c4cam_camsim::{CamMachine, ExecStats};
 use c4cam_faults::{RetryPolicy, ShardChaos};
 use c4cam_runtime::Value;
@@ -85,38 +85,25 @@ impl Tape {
         args: &[Value],
         threads: usize,
     ) -> BResult<Vec<Value>> {
-        self.run_batched_with_telemetry(machine, args, threads, &Telemetry::default())
-    }
-
-    /// [`Tape::run_batched`] with a telemetry handle: while the recorder
-    /// is enabled, the main lane records sampled per-op spans and each
-    /// worker shard records a `cat::SHARD` span on lane `1 + shard`.
-    /// Outputs and device statistics are unaffected.
-    ///
-    /// # Errors
-    /// Propagates compile-surface and runtime failures; a panicking
-    /// worker surfaces as an error.
-    pub fn run_batched_with_telemetry(
-        &self,
-        machine: &mut CamMachine,
-        args: &[Value],
-        threads: usize,
-        telemetry: &Telemetry,
-    ) -> BResult<Vec<Value>> {
         self.run_batched_resilient(
             machine,
             args,
             threads,
-            telemetry,
+            &Telemetry::default(),
             &RetryPolicy::default(),
             None,
         )
     }
 
-    /// [`Tape::run_batched_with_telemetry`] with an explicit
-    /// [`RetryPolicy`] for panicked or timed-out shard workers, plus an
+    /// [`Tape::run_batched`] with a telemetry handle, an explicit
+    /// [`RetryPolicy`] for panicked or timed-out shard workers, and an
     /// optional [`ShardChaos`] fault injector for testing the retry
     /// path end to end.
+    ///
+    /// While the recorder is enabled, the main lane records sampled
+    /// per-op `cat::OP` spans and each worker shard records a
+    /// `cat::SHARD` span on lane `1 + shard`. Outputs and device
+    /// statistics are unaffected.
     ///
     /// A worker that panics (or exceeds `retry.attempt_timeout`) is
     /// retried up to `retry.max_retries` times on a fresh machine
@@ -140,21 +127,18 @@ impl Tape {
         retry: &RetryPolicy,
         chaos: Option<ShardChaos>,
     ) -> BResult<Vec<Value>> {
+        let mut vm = TapeVm::new(self, args)?;
+        vm.set_telemetry(telemetry.clone());
         if threads <= 1 {
-            return self.run_with_telemetry(machine, args, telemetry);
+            return returned(vm.exec(machine, 0, usize::MAX)?);
         }
         let Some(ql) = self.query_loop else {
             // No query loop to shard across: fall back to intra-query
             // sharding of the parallel subarray-group loops.
-            let mut vm = TapeVm::new(self, args)?;
-            vm.set_telemetry(telemetry.clone());
             vm.set_shard_threads(threads);
             vm.set_shard_chaos(chaos);
-            let out = vm.exec(machine, 0, usize::MAX)?;
-            return out.ok_or_else(|| EngineError::new("function body ended without func.return"));
+            return returned(vm.exec(machine, 0, usize::MAX)?);
         };
-        let mut vm = TapeVm::new(self, args)?;
-        vm.set_telemetry(telemetry.clone());
         // Phase 1: setup.
         if vm.exec(machine, 0, ql.enter)?.is_some() {
             return Err(EngineError::new("function returned before the query loop"));
@@ -169,8 +153,7 @@ impl Tape {
             // subarray-group loops inside it instead.
             vm.set_shard_threads(threads);
             vm.set_shard_chaos(chaos);
-            let out = vm.exec(machine, ql.enter, usize::MAX)?;
-            return out.ok_or_else(|| EngineError::new("function body ended without func.return"));
+            return returned(vm.exec(machine, ql.enter, usize::MAX)?);
         }
 
         // Phase 2: fork and run shards on the pooled workers.
@@ -206,8 +189,7 @@ impl Tape {
         }
 
         // Phase 4: epilogue (reduce + return), skipping the loop.
-        let out = vm.exec(machine, ql.exit, usize::MAX)?;
-        out.ok_or_else(|| EngineError::new("function body ended without func.return"))
+        returned(vm.exec(machine, ql.exit, usize::MAX)?)
     }
 }
 

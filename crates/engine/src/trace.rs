@@ -13,12 +13,11 @@
 //! sequence is identical to the recorded run, so outputs *and*
 //! statistics are bit-identical.
 //!
-//! Traces serialize to a line-based text format ([`Trace::to_text`] /
-//! [`Trace::parse`]) with every float written as its raw bit pattern
-//! in hex, so emission is byte-exact and round-trips losslessly —
-//! suitable for golden-file testing and offline analysis.
+//! Recording observes a tape run; it is not an execution engine.
+//! `replay` is the reference implementation the equivalence tests and
+//! the benchmark's layer waterfall compare the VM against.
 //!
-//! Host-side values flow through *value ids* (`%n` in the text form):
+//! Host-side values flow through *value ids*:
 //! device reads and buffer allocations define ids, merges and
 //! reductions consume and mutate them, and host-computed tensors
 //! (query slices, constants, function arguments) are materialized as
@@ -33,10 +32,6 @@ use c4cam_runtime::kernels::{merge_partial_rows, read_tensors, reduce_scores};
 use c4cam_runtime::Value;
 use c4cam_tensor::Tensor;
 use std::collections::HashMap;
-use std::fmt;
-
-/// Magic first line of the text serialization.
-const MAGIC: &str = "c4cam-trace v1";
 
 fn err(message: impl Into<String>) -> EngineError {
     EngineError::new(message)
@@ -226,51 +221,6 @@ impl TraceState {
     }
 }
 
-// ----------------------------------------------------------------------
-// Serialization
-// ----------------------------------------------------------------------
-
-fn f32_hex(v: f32) -> String {
-    format!("{:08x}", v.to_bits())
-}
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn level_keyword(level: Level) -> &'static str {
-    match level {
-        Level::Bank => "bank",
-        Level::Mat => "mat",
-        Level::Array => "array",
-        Level::Subarray => "subarray",
-    }
-}
-
-fn level_from_keyword(s: &str) -> Option<Level> {
-    match s {
-        "bank" => Some(Level::Bank),
-        "mat" => Some(Level::Mat),
-        "array" => Some(Level::Array),
-        "subarray" => Some(Level::Subarray),
-        _ => None,
-    }
-}
-
-fn push_shape(out: &mut String, shape: &[usize]) {
-    use fmt::Write;
-    let _ = write!(out, " {}", shape.len());
-    for d in shape {
-        let _ = write!(out, " {d}");
-    }
-}
-
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
-    }
-}
-
 impl Trace {
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
@@ -280,310 +230,6 @@ impl Trace {
     /// Whether the trace records nothing.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Serialize to the line-based text format (byte-exact: floats are
-    /// written as raw bit patterns in hex).
-    pub fn to_text(&self) -> String {
-        use fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC}");
-        for op in &self.ops {
-            match op {
-                TraceOp::AllocBank => s.push_str("bank"),
-                TraceOp::AllocMat { bank } => {
-                    let _ = write!(s, "mat {bank}");
-                }
-                TraceOp::AllocArray { mat } => {
-                    let _ = write!(s, "array {mat}");
-                }
-                TraceOp::AllocSubarray { array } => {
-                    let _ = write!(s, "sub {array}");
-                }
-                TraceOp::Write { sub, row_off, rows } => {
-                    let _ = write!(s, "write {sub} {row_off} {}", rows.len());
-                    for row in rows {
-                        let _ = write!(s, " {}", row.len());
-                        for &v in row {
-                            let _ = write!(s, " {}", f32_hex(v));
-                        }
-                    }
-                }
-                TraceOp::Search {
-                    sub,
-                    kind,
-                    metric,
-                    selection,
-                    threshold,
-                    share,
-                    query,
-                } => {
-                    let _ = write!(s, "search {sub} {} {}", kind.keyword(), metric.keyword());
-                    match selection {
-                        Some((start, len)) => {
-                            let _ = write!(s, " {start} {len}");
-                        }
-                        None => s.push_str(" - -"),
-                    }
-                    match threshold {
-                        Some(t) => {
-                            let _ = write!(s, " {}", f64_hex(*t));
-                        }
-                        None => s.push_str(" -"),
-                    }
-                    match share {
-                        Some(sh) => {
-                            let _ = write!(s, " {}", f64_hex(*sh));
-                        }
-                        None => s.push_str(" -"),
-                    }
-                    let _ = write!(s, " {}", query.len());
-                    for &v in query {
-                        let _ = write!(s, " {}", f32_hex(v));
-                    }
-                }
-                TraceOp::Read {
-                    sub,
-                    shape,
-                    vals,
-                    idx,
-                } => {
-                    let _ = write!(s, "read {sub} %{vals} %{idx}");
-                    push_shape(&mut s, shape);
-                }
-                TraceOp::Buffer { shape, out } => {
-                    let _ = write!(s, "buf %{out}");
-                    push_shape(&mut s, shape);
-                }
-                TraceOp::Literal { data, out } => {
-                    let _ = write!(s, "lit %{out}");
-                    push_shape(&mut s, data.shape());
-                    for &v in data.data() {
-                        let _ = write!(s, " {}", f32_hex(v));
-                    }
-                }
-                TraceOp::Snapshot { src, out } => {
-                    let _ = write!(s, "snap %{out} %{src}");
-                }
-                TraceOp::MergePartial {
-                    acc,
-                    vals,
-                    idx,
-                    q,
-                    offset,
-                } => {
-                    let _ = write!(s, "merge %{acc} %{vals} %{idx} {q} {offset}");
-                }
-                TraceOp::MergeLevel { level, elems } => {
-                    let _ = write!(s, "mergelevel {} {elems}", level_keyword(*level));
-                }
-                TraceOp::Phase { name } => {
-                    let _ = write!(s, "phase {name}");
-                }
-                TraceOp::PushParallel => s.push_str("par"),
-                TraceOp::PushSequential => s.push_str("seq"),
-                TraceOp::PopScope => s.push_str("pop"),
-                TraceOp::Reduce {
-                    acc,
-                    k,
-                    n_valid,
-                    largest,
-                    metric,
-                    vals_shape,
-                    idx_shape,
-                    vals,
-                    idx,
-                } => {
-                    let _ = write!(
-                        s,
-                        "reduce %{acc} {k} {n_valid} {} {metric}",
-                        u8::from(*largest)
-                    );
-                    push_shape(&mut s, vals_shape);
-                    push_shape(&mut s, idx_shape);
-                    let _ = write!(s, " %{vals} %{idx}");
-                }
-                TraceOp::Return { values } => {
-                    let _ = write!(s, "ret {}", values.len());
-                    for v in values {
-                        let _ = write!(s, " %{v}");
-                    }
-                }
-            }
-            s.push('\n');
-        }
-        s.push_str("end\n");
-        s
-    }
-
-    /// Parse the text format back into a trace.
-    ///
-    /// # Errors
-    /// Fails on a bad magic line, an unknown record, a malformed or
-    /// truncated payload, or a missing `end` marker.
-    pub fn parse(text: &str) -> Result<Trace, EngineError> {
-        let mut lines = text.lines().enumerate();
-        let Some((_, magic)) = lines.next() else {
-            return Err(err("empty trace"));
-        };
-        if magic != MAGIC {
-            return Err(err(format!(
-                "bad trace magic {magic:?} (expected {MAGIC:?})"
-            )));
-        }
-        let mut ops = Vec::new();
-        let mut ended = false;
-        for (n, line) in lines {
-            let lineno = n + 1;
-            if ended && !line.trim().is_empty() {
-                return Err(err(format!("line {lineno}: content after end marker")));
-            }
-            if ended || line.trim().is_empty() {
-                continue;
-            }
-            let mut p = Parser::new(line, lineno);
-            let opname = p.token()?;
-            let op = match opname {
-                "end" => {
-                    ended = true;
-                    continue;
-                }
-                "bank" => TraceOp::AllocBank,
-                "mat" => TraceOp::AllocMat { bank: p.usize()? },
-                "array" => TraceOp::AllocArray { mat: p.usize()? },
-                "sub" => TraceOp::AllocSubarray { array: p.usize()? },
-                "write" => {
-                    let sub = p.usize()?;
-                    let row_off = p.usize()?;
-                    let nrows = p.usize()?;
-                    let mut rows = Vec::with_capacity(nrows);
-                    for _ in 0..nrows {
-                        let len = p.usize()?;
-                        let mut row = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            row.push(p.f32()?);
-                        }
-                        rows.push(row);
-                    }
-                    TraceOp::Write { sub, row_off, rows }
-                }
-                "search" => {
-                    let sub = p.usize()?;
-                    let kind = p.token()?;
-                    let kind = MatchKind::from_keyword(kind)
-                        .ok_or_else(|| p.fail(format!("unknown match kind {kind:?}")))?;
-                    let metric = p.token()?;
-                    let metric = Metric::from_keyword(metric)
-                        .ok_or_else(|| p.fail(format!("unknown metric {metric:?}")))?;
-                    let start = p.opt_usize()?;
-                    let len = p.opt_usize()?;
-                    let selection = match (start, len) {
-                        (Some(s), Some(l)) => Some((s, l)),
-                        (None, None) => None,
-                        _ => return Err(p.fail("half-specified row selection")),
-                    };
-                    let threshold = p.opt_f64()?;
-                    let share = p.opt_f64()?;
-                    let qlen = p.usize()?;
-                    let mut query = Vec::with_capacity(qlen);
-                    for _ in 0..qlen {
-                        query.push(p.f32()?);
-                    }
-                    TraceOp::Search {
-                        sub,
-                        kind,
-                        metric,
-                        selection,
-                        threshold,
-                        share,
-                        query,
-                    }
-                }
-                "read" => {
-                    let sub = p.usize()?;
-                    let vals = p.vid()?;
-                    let idx = p.vid()?;
-                    let shape = p.shape()?;
-                    TraceOp::Read {
-                        sub,
-                        shape,
-                        vals,
-                        idx,
-                    }
-                }
-                "buf" => {
-                    let out = p.vid()?;
-                    let shape = p.shape()?;
-                    TraceOp::Buffer { shape, out }
-                }
-                "lit" => {
-                    let out = p.vid()?;
-                    let shape = p.shape()?;
-                    let len = shape.iter().product();
-                    let mut data = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        data.push(p.f32()?);
-                    }
-                    let data = Tensor::from_vec(shape, data).map_err(|e| p.fail(e.message))?;
-                    TraceOp::Literal { data, out }
-                }
-                "snap" => {
-                    let out = p.vid()?;
-                    let src = p.vid()?;
-                    TraceOp::Snapshot { src, out }
-                }
-                "merge" => TraceOp::MergePartial {
-                    acc: p.vid()?,
-                    vals: p.vid()?,
-                    idx: p.vid()?,
-                    q: p.usize()?,
-                    offset: p.i64()?,
-                },
-                "mergelevel" => {
-                    let level = p.token()?;
-                    let level = level_from_keyword(level)
-                        .ok_or_else(|| p.fail(format!("unknown merge level {level:?}")))?;
-                    TraceOp::MergeLevel {
-                        level,
-                        elems: p.usize()?,
-                    }
-                }
-                "phase" => TraceOp::Phase {
-                    name: p.rest().to_string(),
-                },
-                "par" => TraceOp::PushParallel,
-                "seq" => TraceOp::PushSequential,
-                "pop" => TraceOp::PopScope,
-                "reduce" => TraceOp::Reduce {
-                    acc: p.vid()?,
-                    k: p.usize()?,
-                    n_valid: p.usize()?,
-                    largest: p.usize()? != 0,
-                    metric: p.token()?.to_string(),
-                    vals_shape: p.shape()?,
-                    idx_shape: p.shape()?,
-                    vals: p.vid()?,
-                    idx: p.vid()?,
-                },
-                "ret" => {
-                    let n = p.usize()?;
-                    let mut values = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        values.push(p.vid()?);
-                    }
-                    TraceOp::Return { values }
-                }
-                other => return Err(p.fail(format!("unknown trace record {other:?}"))),
-            };
-            if opname != "phase" {
-                p.finish()?;
-            }
-            ops.push(op);
-        }
-        if !ended {
-            return Err(err("truncated trace: missing end marker"));
-        }
-        Ok(Trace { ops })
     }
 
     /// Re-execute the recorded operations against a fresh device and
@@ -742,106 +388,6 @@ impl Trace {
     }
 }
 
-/// Whitespace-token parser for one trace line.
-struct Parser<'a> {
-    tokens: std::str::SplitWhitespace<'a>,
-    line: &'a str,
-    lineno: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(line: &'a str, lineno: usize) -> Parser<'a> {
-        Parser {
-            tokens: line.split_whitespace(),
-            line,
-            lineno,
-        }
-    }
-
-    fn fail(&self, message: impl fmt::Display) -> EngineError {
-        err(format!("line {}: {message}", self.lineno))
-    }
-
-    fn token(&mut self) -> Result<&'a str, EngineError> {
-        self.tokens
-            .next()
-            .ok_or_else(|| self.fail("truncated record"))
-    }
-
-    fn usize(&mut self) -> Result<usize, EngineError> {
-        let t = self.token()?;
-        t.parse()
-            .map_err(|_| self.fail(format!("expected an integer, got {t:?}")))
-    }
-
-    fn i64(&mut self) -> Result<i64, EngineError> {
-        let t = self.token()?;
-        t.parse()
-            .map_err(|_| self.fail(format!("expected an integer, got {t:?}")))
-    }
-
-    fn vid(&mut self) -> Result<u32, EngineError> {
-        let t = self.token()?;
-        let Some(n) = t.strip_prefix('%') else {
-            return Err(self.fail(format!("expected a value id, got {t:?}")));
-        };
-        n.parse()
-            .map_err(|_| self.fail(format!("bad value id {t:?}")))
-    }
-
-    fn f32(&mut self) -> Result<f32, EngineError> {
-        let t = self.token()?;
-        u32::from_str_radix(t, 16)
-            .map(f32::from_bits)
-            .map_err(|_| self.fail(format!("bad f32 bit pattern {t:?}")))
-    }
-
-    fn opt_usize(&mut self) -> Result<Option<usize>, EngineError> {
-        let t = self.token()?;
-        if t == "-" {
-            return Ok(None);
-        }
-        t.parse()
-            .map(Some)
-            .map_err(|_| self.fail(format!("expected an integer or '-', got {t:?}")))
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, EngineError> {
-        let t = self.token()?;
-        if t == "-" {
-            return Ok(None);
-        }
-        u64::from_str_radix(t, 16)
-            .map(|b| Some(f64::from_bits(b)))
-            .map_err(|_| self.fail(format!("bad f64 bit pattern {t:?}")))
-    }
-
-    fn shape(&mut self) -> Result<Vec<usize>, EngineError> {
-        let rank = self.usize()?;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.usize()?);
-        }
-        Ok(dims)
-    }
-
-    fn rest(&mut self) -> &'a str {
-        let rest = self.tokens.next().map_or("", |first| {
-            let start = first.as_ptr() as usize - self.line.as_ptr() as usize;
-            &self.line[start..]
-        });
-        self.tokens = "".split_whitespace();
-        rest
-    }
-
-    fn finish(&mut self) -> Result<(), EngineError> {
-        match self.tokens.next() {
-            None => Ok(()),
-            Some(t) => Err(self.fail(format!("trailing token {t:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,16 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trips_losslessly() {
-        let t = sample();
-        let text = t.to_text();
-        let back = Trace::parse(&text).unwrap();
-        assert_eq!(t, back);
-        // Byte-exact re-emission.
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
     fn replay_executes_on_a_machine() {
         use c4cam_arch::ArchSpec;
         use c4cam_camsim::CamMachine;
@@ -936,28 +472,6 @@ mod tests {
         assert_eq!(stats.read_ops, 1);
         assert_eq!(stats.merge_ops, 1);
         assert_eq!(m.phase("setup-complete").unwrap().search_ops, 1);
-    }
-
-    #[test]
-    fn parse_rejects_corruption() {
-        let good = sample().to_text();
-        // Bad magic.
-        assert!(Trace::parse("not-a-trace\nend\n").is_err());
-        // Missing end marker.
-        let truncated = good.trim_end_matches("end\n");
-        assert!(Trace::parse(truncated).is_err());
-        // Unknown record.
-        let unknown = good.replace("mergelevel array 2", "frobnicate 1");
-        assert!(Trace::parse(&unknown).is_err());
-        // Bad hex payload.
-        let bad_hex = good.replace("3f800000", "zzzzzzzz");
-        assert!(Trace::parse(&bad_hex).is_err());
-        // Trailing garbage on a record.
-        let trailing = good.replace("mergelevel array 2", "mergelevel array 2 9");
-        assert!(Trace::parse(&trailing).is_err());
-        // Content after end.
-        let after = format!("{good}bank\n");
-        assert!(Trace::parse(&after).is_err());
     }
 
     #[test]
@@ -976,7 +490,8 @@ mod tests {
                 rows: vec![vec![1.0]],
             }],
         };
-        assert!(t.replay(&mut m).is_err());
+        let e = t.replay(&mut m).unwrap_err();
+        assert!(e.message.contains("unallocated subarray"), "{e}");
         // No return record.
         let t = Trace {
             ops: vec![TraceOp::AllocBank],

@@ -1202,27 +1202,8 @@ impl Tape {
     /// # Errors
     /// Propagates compile-surface and runtime failures with op context.
     pub fn run(&self, machine: &mut CamMachine, args: &[Value]) -> Result<Vec<Value>, EngineError> {
-        self.run_with_telemetry(machine, args, &Telemetry::default())
-    }
-
-    /// [`Tape::run`] with a telemetry handle: device ops are wrapped in
-    /// sampled `cat::OP` spans while the recorder is enabled, with zero
-    /// effect on outputs or device statistics.
-    ///
-    /// # Errors
-    /// Propagates compile-surface and runtime failures with op context.
-    pub fn run_with_telemetry(
-        &self,
-        machine: &mut CamMachine,
-        args: &[Value],
-        telemetry: &Telemetry,
-    ) -> Result<Vec<Value>, EngineError> {
         let mut vm = TapeVm::new(self, args)?;
-        vm.set_telemetry(telemetry.clone());
-        match vm.exec(machine, 0, usize::MAX)? {
-            Some(values) => Ok(values),
-            None => Err(EngineError::new("function body ended without func.return")),
-        }
+        returned(vm.exec(machine, 0, usize::MAX)?)
     }
 
     /// Execute the whole tape on `machine` (single-threaded) while
@@ -1238,29 +1219,16 @@ impl Tape {
         machine: &mut CamMachine,
         args: &[Value],
     ) -> Result<(Vec<Value>, Trace), EngineError> {
-        self.run_traced_with_telemetry(machine, args, &Telemetry::default())
-    }
-
-    /// [`Tape::run_traced`] with a telemetry handle (see
-    /// [`Tape::run_with_telemetry`]).
-    ///
-    /// # Errors
-    /// Propagates compile-surface and runtime failures with op context.
-    pub fn run_traced_with_telemetry(
-        &self,
-        machine: &mut CamMachine,
-        args: &[Value],
-        telemetry: &Telemetry,
-    ) -> Result<(Vec<Value>, Trace), EngineError> {
         let mut vm = TapeVm::new(self, args)?;
-        vm.set_telemetry(telemetry.clone());
         vm.trace = Some(TraceState::new(self.n_slots));
-        match vm.exec(machine, 0, usize::MAX)? {
-            Some(values) => {
-                let ops = vm.trace.take().expect("tracing state").ops;
-                Ok((values, Trace { ops }))
-            }
-            None => Err(EngineError::new("function body ended without func.return")),
-        }
+        let values = returned(vm.exec(machine, 0, usize::MAX)?)?;
+        let ops = vm.trace.take().expect("tracing state").ops;
+        Ok((values, Trace { ops }))
     }
+}
+
+/// The values a completed run returned; a tape that fell off its end
+/// without `func.return` is an error.
+pub(crate) fn returned(out: Option<Vec<Value>>) -> Result<Vec<Value>, EngineError> {
+    out.ok_or_else(|| EngineError::new("function body ended without func.return"))
 }

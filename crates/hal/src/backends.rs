@@ -1,4 +1,4 @@
-//! The three standard backends: `walk`, `tape`, `trace`.
+//! The two standard backends: `walk`, `tape`.
 
 use c4cam_arch::ArchSpec;
 use c4cam_camsim::CamMachine;
@@ -7,7 +7,7 @@ use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
 
-use crate::{Backend, Capabilities, ExecOptions, Execution, HalError, Plan};
+use crate::{Backend, ExecOptions, Execution, HalError, Plan};
 
 /// Build a [`CamMachine`] per the execution options.
 fn machine_for(spec: &ArchSpec, opts: &ExecOptions) -> CamMachine {
@@ -55,11 +55,8 @@ impl Backend for WalkBackend {
         "IR-walking interpreter (single-threaded oracle, device-exact stats)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            supports_threads: false,
-            supports_sharding: false,
-        }
+    fn supports_threads(&self) -> bool {
+        false
     }
 
     fn compile(
@@ -91,7 +88,6 @@ impl Plan for WalkPlan {
             outputs,
             stats: machine.stats(),
             phases: machine.phases().to_vec(),
-            trace: None,
             heap_bytes: machine.heap_bytes(),
         })
     }
@@ -119,11 +115,8 @@ impl Backend for TapeBackend {
         "flat CAM-ISA tape engine (threaded sharding, device-exact stats)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            supports_threads: true,
-            supports_sharding: true,
-        }
+    fn supports_threads(&self) -> bool {
+        true
     }
 
     fn compile(
@@ -157,79 +150,6 @@ impl Plan for TapePlan {
             outputs,
             stats: machine.stats(),
             phases: machine.phases().to_vec(),
-            trace: None,
-            heap_bytes: machine.heap_bytes(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// trace
-// ---------------------------------------------------------------------
-
-/// The record/replay backend: executes the tape once on a scratch
-/// machine to record a deterministic op trace, then **replays the
-/// trace** on a fresh device-exact machine — the replay is the
-/// execution whose outputs and statistics are reported, so the trace
-/// is proven faithful on every run. The serialized trace rides along
-/// in [`Execution::trace`] for golden-file testing and offline
-/// analysis.
-pub struct TraceBackend;
-
-struct TracePlan {
-    tape: Tape,
-    spec: ArchSpec,
-}
-
-impl Backend for TraceBackend {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn description(&self) -> &'static str {
-        "deterministic op-trace recorder with replayed execution (device-exact stats)"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            supports_threads: false,
-            supports_sharding: false,
-        }
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        func: &str,
-        spec: &ArchSpec,
-    ) -> Result<Box<dyn Plan>, HalError> {
-        Ok(Box::new(TracePlan {
-            tape: Tape::compile(module, func)?,
-            spec: spec.clone(),
-        }))
-    }
-}
-
-impl Plan for TracePlan {
-    fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError> {
-        reject_threads("trace", opts)?;
-        let span = opts.telemetry.span("backend:trace", cat::BACKEND);
-        let record = opts.telemetry.span("trace:record", cat::BACKEND);
-        let mut scratch = machine_for(&self.spec, opts);
-        let (_, trace) =
-            self.tape
-                .run_traced_with_telemetry(&mut scratch, args, &opts.telemetry)?;
-        record.finish();
-        let replay_span = opts.telemetry.span("trace:replay", cat::BACKEND);
-        let mut machine = machine_for(&self.spec, opts);
-        let outputs = trace.replay(&mut machine)?;
-        replay_span.finish();
-        span.finish();
-        Ok(Execution {
-            outputs,
-            stats: machine.stats(),
-            phases: machine.phases().to_vec(),
-            trace: Some(trace.to_text()),
             heap_bytes: machine.heap_bytes(),
         })
     }

@@ -7,23 +7,20 @@
 //!    opaque, reusable [`Plan`];
 //! 2. [`Plan::execute`] runs the plan against concrete inputs and
 //!    returns an [`Execution`]: outputs, cumulative [`ExecStats`],
-//!    phase snapshots, and (for tracing backends) a replayable op
-//!    trace.
+//!    and phase snapshots.
 //!
-//! Backends advertise what they can do through [`Capabilities`]
-//! (threaded query-loop sharding, intra-query sharding). Every backend
-//! charges the calibrated [`CamMachine`](c4cam_camsim::CamMachine) cost
-//! model, so all are bit-identical to the walker oracle in outputs
-//! **and** statistics.
+//! A backend says whether it shards across worker threads through
+//! [`Backend::supports_threads`]. Every backend charges the calibrated
+//! [`CamMachine`](c4cam_camsim::CamMachine) cost model, so all are
+//! bit-identical to the walker oracle in outputs **and** statistics.
 //!
-//! The standard registry ([`BackendRegistry::standard`]) ships three
+//! The standard registry ([`BackendRegistry::standard`]) ships two
 //! backends:
 //!
 //! | name    | executes via                              |
 //! |---------|-------------------------------------------|
 //! | `walk`  | IR-walking interpreter (the oracle)       |
 //! | `tape`  | flat CAM-ISA tape engine (sharding)       |
-//! | `trace` | record → replay of a deterministic trace  |
 //!
 //! Adding a backend means implementing the two traits and registering
 //! a boxed instance; the cross-backend conformance suite picks it up
@@ -45,7 +42,7 @@ use c4cam_telemetry::Telemetry;
 mod backends;
 mod registry;
 
-pub use backends::{TapeBackend, TraceBackend, WalkBackend};
+pub use backends::{TapeBackend, WalkBackend};
 pub use c4cam_faults::{FaultConfig, FaultModel, Resilience, RetryPolicy, ShardChaos};
 pub use registry::BackendRegistry;
 
@@ -78,19 +75,6 @@ impl From<c4cam_engine::EngineError> for HalError {
     fn from(e: c4cam_engine::EngineError) -> HalError {
         HalError::new(e.to_string())
     }
-}
-
-/// What a backend supports, declared up front so drivers can reject
-/// impossible requests with a configuration error instead of a
-/// mid-execution surprise.
-#[derive(Debug, Clone, Copy)]
-pub struct Capabilities {
-    /// Whether [`ExecOptions::threads`] `> 1` shards the query loop
-    /// across worker threads.
-    pub supports_threads: bool,
-    /// Whether single-query workloads shard *within* a query across
-    /// independent subarray groups.
-    pub supports_sharding: bool,
 }
 
 /// Knobs applied at execution time (not baked into the [`Plan`]).
@@ -188,9 +172,6 @@ pub struct Execution {
     /// Named mid-execution snapshots (`cam.phase_marker`), e.g.
     /// `"setup-complete"` separating programming from querying.
     pub phases: Vec<(String, ExecStats)>,
-    /// Serialized op trace, when the backend records one (the `trace`
-    /// backend); parseable by `c4cam_engine::Trace::parse`.
-    pub trace: Option<String>,
     /// Bytes of heap the device owned for its programmed contents at
     /// function return (`CamMachine::heap_bytes`): a count that repeats
     /// exactly, surfaced as the `sim.heap_bytes` telemetry counter.
@@ -213,14 +194,17 @@ impl Execution {
 /// internally, so one registered backend instance serves any number of
 /// concurrent compilations.
 pub trait Backend: Send + Sync {
-    /// Stable registry key (`walk`, `tape`, `trace`, ...).
+    /// Stable registry key (`walk`, `tape`, ...).
     fn name(&self) -> &'static str;
 
     /// One-line human description for CLI help and docs.
     fn description(&self) -> &'static str;
 
-    /// What this backend supports.
-    fn capabilities(&self) -> Capabilities;
+    /// Whether [`ExecOptions::threads`] `> 1` shards execution across
+    /// worker threads. Declared up front so drivers can reject an
+    /// impossible request with a configuration error instead of a
+    /// mid-execution surprise.
+    fn supports_threads(&self) -> bool;
 
     /// Lower `func` of the placed `module` into an executable plan for
     /// an accelerator described by `spec`.
@@ -383,7 +367,7 @@ mod tests {
         let threaded = ExecOptions::sequential().with_threads(4);
         for backend in reg.all() {
             let plan = backend.compile(&compiled.module, "knn", &s).unwrap();
-            if backend.capabilities().supports_threads {
+            if backend.supports_threads() {
                 let run = plan.execute(&args, &threaded).unwrap();
                 assert_outputs_equal(&run.outputs, &oracle.outputs, backend.name());
             } else {
@@ -398,34 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_backend_emits_a_parseable_replayable_trace() {
-        let mut m = Module::new();
-        torch::build_hdc_dot_with(&mut m, 2, 4, 64, 1, true);
-        let (stored, queries) = hdc_inputs(2, 4, 64);
-        let args = [Value::Tensor(queries), Value::Tensor(stored)];
-        let s = spec(16, Optimization::Base);
-        let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
-
-        let run = BackendRegistry::global()
-            .get("trace")
-            .unwrap()
-            .compile(&compiled.module, "forward", &s)
-            .unwrap()
-            .execute(&args, &ExecOptions::sequential())
-            .unwrap();
-        let text = run.trace.expect("trace backend records a trace");
-        let trace = c4cam_engine::Trace::parse(&text).unwrap();
-        assert!(!trace.is_empty());
-        assert_eq!(trace.to_text(), text, "re-emission is byte-exact");
-    }
-
-    #[test]
     fn unknown_backend_error_lists_the_registered_names() {
         let err = BackendRegistry::global()
             .get("jit")
             .err()
             .expect("unknown name must fail");
-        for name in ["walk", "tape", "trace"] {
+        for name in ["walk", "tape"] {
             assert!(err.message.contains(name), "{err}");
         }
     }
@@ -494,7 +456,6 @@ mod tests {
             let b = plan.execute(&args, &ExecOptions::sequential()).unwrap();
             assert_outputs_equal(&a.outputs, &b.outputs, backend.name());
             assert_eq!(a.stats, b.stats, "{} rerun stats", backend.name());
-            assert_eq!(a.trace, b.trace, "{} rerun trace", backend.name());
         }
     }
 
@@ -527,7 +488,7 @@ mod tests {
             // `Execution` is not `Send` either (outputs hold `Value`s),
             // so each thread snapshots its outputs to plain tensors
             // before handing them back.
-            let runs: Vec<(Vec<Tensor>, ExecStats, Option<String>)> = std::thread::scope(|scope| {
+            let runs: Vec<(Vec<Tensor>, ExecStats)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
                         let plan = Arc::clone(&plan);
@@ -540,7 +501,7 @@ mod tests {
                                 .iter()
                                 .map(|v| v.snapshot_tensor().unwrap())
                                 .collect();
-                            (outputs, run.stats, run.trace)
+                            (outputs, run.stats)
                         })
                     })
                     .collect();
@@ -551,7 +512,7 @@ mod tests {
                 .iter()
                 .map(|v| v.snapshot_tensor().unwrap())
                 .collect();
-            for (outputs, stats, trace) in &runs {
+            for (outputs, stats) in &runs {
                 assert_eq!(outputs.len(), expected.len(), "{} arity", backend.name());
                 for (i, (got, want)) in outputs.iter().zip(&expected).enumerate() {
                     assert_eq!(got.shape(), want.shape(), "{} result {i}", backend.name());
@@ -563,7 +524,6 @@ mod tests {
                     assert!(same, "{}: result {i} diverged", backend.name());
                 }
                 assert_eq!(*stats, reference.stats, "{} shared stats", backend.name());
-                assert_eq!(*trace, reference.trace, "{} shared trace", backend.name());
             }
         }
     }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use crate::backends::{TapeBackend, TraceBackend, WalkBackend};
+use crate::backends::{TapeBackend, WalkBackend};
 use crate::{Backend, HalError};
 
 /// A name → [`Backend`] map. Iteration is in name order, so listings
@@ -20,12 +20,11 @@ impl BackendRegistry {
         }
     }
 
-    /// The standard registry: `walk`, `tape`, `trace`.
+    /// The standard registry: `walk`, `tape`.
     pub fn standard() -> BackendRegistry {
         let mut r = BackendRegistry::new();
         r.register(Box::new(WalkBackend));
         r.register(Box::new(TapeBackend));
-        r.register(Box::new(TraceBackend));
         r
     }
 
@@ -78,30 +77,27 @@ mod tests {
     #[test]
     fn standard_registry_lists_every_backend_in_name_order() {
         let r = BackendRegistry::standard();
-        assert_eq!(r.names(), vec!["tape", "trace", "walk"]);
-        assert_eq!(r.all().count(), 3);
+        assert_eq!(r.names(), vec!["tape", "walk"]);
+        assert_eq!(r.all().count(), 2);
     }
 
     #[test]
     fn lookup_resolves_names_and_reports_unknowns() {
         let r = BackendRegistry::standard();
         assert_eq!(r.get("tape").unwrap().name(), "tape");
-        // `simd` is a retired name: it fails like any unknown one, never aliases.
-        for name in ["cuda", "simd"] {
+        // `simd` and `trace` are retired names: they fail like any unknown one, never alias.
+        for name in ["cuda", "simd", "trace"] {
             let err = r.get(name).err().expect("unknown name must fail");
-            let want = format!("unknown engine '{name}' (registered backends: tape, trace, walk)");
+            let want = format!("unknown engine '{name}' (registered backends: tape, walk)");
             assert!(err.message.contains(&want), "{err}");
         }
     }
 
     #[test]
-    fn capability_matrix_is_as_documented() {
+    fn thread_support_is_as_documented() {
         let r = BackendRegistry::global();
-        let caps = |n: &str| r.get(n).unwrap().capabilities();
-        assert!(!caps("walk").supports_threads);
-        assert!(caps("tape").supports_threads);
-        assert!(caps("tape").supports_sharding);
-        assert!(!caps("trace").supports_threads);
+        assert!(!r.get("walk").unwrap().supports_threads());
+        assert!(r.get("tape").unwrap().supports_threads());
     }
 
     #[test]

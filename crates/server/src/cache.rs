@@ -229,15 +229,15 @@ mod tests {
         let cache = PlanCache::new(2);
         let src = source();
         cache.get_or_compile(&key("tape"), &src).unwrap();
-        cache.get_or_compile(&key("trace"), &src).unwrap();
-        // Touch "tape" so "trace" is now the LRU entry.
+        cache.get_or_compile(&key("cold"), &src).unwrap();
+        // Touch "tape" so "cold" is now the LRU entry.
         cache.get_or_compile(&key("tape"), &src).unwrap();
         cache.get_or_compile(&key("walk"), &src).unwrap();
         let keys: Vec<String> = cache.keys().iter().map(|k| k.backend.clone()).collect();
-        assert_eq!(keys, ["tape", "walk"], "trace evicted as LRU");
+        assert_eq!(keys, ["tape", "walk"], "cold evicted as LRU");
         assert_eq!(cache.stats().evictions, 1);
         // Re-requesting the evicted key recompiles.
-        let (_, hit) = cache.get_or_compile(&key("trace"), &src).unwrap();
+        let (_, hit) = cache.get_or_compile(&key("cold"), &src).unwrap();
         assert!(!hit);
         assert_eq!(src.compiles.load(Ordering::SeqCst), 4);
     }
@@ -304,7 +304,7 @@ mod tests {
     fn cold_compile_does_not_serialize_other_keys() {
         let cache = Arc::new(PlanCache::new(4));
         let fast = source();
-        cache.get_or_compile(&key("trace"), &fast).unwrap();
+        cache.get_or_compile(&key("walk"), &fast).unwrap();
         let src = Arc::new(GatedSource {
             compiles: AtomicUsize::new(0),
             enter: Barrier::new(2),
@@ -318,7 +318,7 @@ mod tests {
         // "tape" is mid-compile and will not finish until we release
         // `exit` below; a hot lookup for a different key must still
         // complete. Under compile-under-the-lock this deadlocks.
-        let (_, hit) = cache.get_or_compile(&key("trace"), &fast).unwrap();
+        let (_, hit) = cache.get_or_compile(&key("walk"), &fast).unwrap();
         assert!(hit);
         src.exit.wait();
         slow.join().unwrap();

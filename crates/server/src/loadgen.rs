@@ -159,7 +159,7 @@ impl LoadgenReport {
         )
     }
 
-    /// Serialize as a pretty-stable JSON document (`BENCH_pr9.json`).
+    /// Serialize as a pretty-stable JSON document (`loadgen --out`).
     pub fn to_json(&self) -> String {
         let agreement = match self.agreement {
             Some(a) => jw::num_f64(a),

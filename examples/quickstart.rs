@@ -2,7 +2,7 @@
 //! on the simulated CAM accelerator.
 //!
 //! ```text
-//! cargo run --example quickstart --release [-- --engine tape|trace|walk]
+//! cargo run --example quickstart --release [-- --engine tape|walk]
 //! ```
 //!
 //! The default engine is the flat CAM-ISA tape; any name registered in
@@ -84,9 +84,6 @@ def forward(self, input: Tensor) -> Tensor:
     let indices = execution.outputs[1].as_tensor().expect("indices tensor");
     println!("\npredicted classes: {:?}", indices.data());
     assert_eq!(indices.data(), &[1.0, 3.0, 5.0, 7.0]);
-    if let Some(trace) = &execution.trace {
-        println!("\nrecorded {} trace lines", trace.lines().count());
-    }
 
     // 7. What did it cost?
     println!("\nsimulator statistics:\n{}", execution.stats);

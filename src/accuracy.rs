@@ -491,7 +491,7 @@ mod tests {
     fn seeded_faults_are_reproducible_and_backend_agnostic() {
         // Same knobs, same seed: byte-identical reports across repeated
         // runs, and identical predictions/fault counters across every
-        // backend (walk oracle, trace, tape) and thread count.
+        // backend (walk oracle, tape) and thread count.
         let w = fixture(DatasetTask::Hdc, 8);
         let spec = build_arch((32, 32), (4, 4, 8), Optimization::Base, 2).unwrap();
         let knobs = FaultKnobs {
@@ -523,7 +523,7 @@ mod tests {
             AccuracyReport { rows: vec![again] }.to_csv(),
             "seeded fault runs must be byte-reproducible"
         );
-        for (engine, threads) in [("walk", 1), ("trace", 1), ("tape", 4)] {
+        for (engine, threads) in [("walk", 1), ("tape", 4)] {
             let other = run(engine, threads);
             assert_eq!(
                 other.outcome.predictions, first.outcome.predictions,

@@ -12,8 +12,8 @@
 //! pipeline, simulation or I/O failed in [`execute`], 0 on success.
 //!
 //! `--engine` names resolve through [`c4cam_hal::BackendRegistry`]
-//! (`tape`, `trace`, `walk`); `sweep` accepts a
-//! comma-separated list as an extra grid axis.
+//! (`tape`, `walk`); `sweep` accepts a comma-separated list as an
+//! extra grid axis.
 
 use crate::accuracy::{evaluate_faulty, AccuracyReport, FaultKnobs};
 use crate::benchgate::{run_bench_gate, BenchGateArgs};
@@ -654,12 +654,7 @@ const FLAGS: [Flag; 49] = [
     flag("--source", "KERNEL.py", COMPILE | RUN, 0),
     flag("--input", "SHAPE", 0, COMPILE | RUN).repeated(),
     flag("--param", "name=SHAPE", 0, COMPILE | RUN).repeated(),
-    flag(
-        "--emit",
-        "torch|cim|cim-fused|partitioned|cam",
-        0,
-        COMPILE | RUN,
-    ),
+    flag("--emit", "torch|cim|cim-fused|partitioned|cam", 0, COMPILE),
     flag("--canonicalize", "", 0, COMPILE | RUN),
     flag("--data", "FILE.csv", 0, RUN).repeated(),
     flag("--random-seed", "N", 0, RUN),
@@ -852,7 +847,9 @@ impl Given {
         })
     }
 
-    fn compile(&self) -> Result<CompileArgs, CliError> {
+    /// The source-compilation flags `compile` and `run` share; `emit`
+    /// is the stage to stop at (`run` always lowers to `cam`).
+    fn compile(&self, emit: EmitStage) -> Result<CompileArgs, CliError> {
         let mut params = Vec::new();
         for v in self.all("--param") {
             let (name, shape) = v
@@ -866,17 +863,17 @@ impl Given {
             source: self.owned("--source").expect(CHECKED),
             inputs: inputs?,
             params,
-            emit: self.keyword("--emit")?.unwrap_or(EmitStage::Cam),
+            emit,
             canonicalize: self.has("--canonicalize"),
         })
     }
 }
 
 /// Resolve an `--engine` name through the backend registry; more than
-/// one thread needs a backend whose capabilities allow it.
+/// one thread needs a backend that supports threads.
 fn resolve_engine(name: &str, threads: usize) -> Result<String, CliError> {
     let backend = BackendRegistry::global().get(name).map_err(cli_err)?;
-    if threads > 1 && !backend.capabilities().supports_threads {
+    if threads > 1 && !backend.supports_threads() {
         return Err(cli_err(format!(
             "--threads requires a threaded backend (the {name} backend is single-threaded)"
         )));
@@ -929,9 +926,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
     let g = Given { form, flags };
     Ok(match form {
-        COMPILE => Command::Compile(g.compile()?),
+        COMPILE => {
+            let emit = g.keyword("--emit")?.unwrap_or(EmitStage::Cam);
+            Command::Compile(g.compile(emit)?)
+        }
         RUN => Command::Run(RunArgs {
-            compile: g.compile()?,
+            compile: g.compile(EmitStage::Cam)?,
             data: g.all("--data").map(str::to_string).collect(),
             random_seed: g.int("--random-seed")?.unwrap_or(42),
             engine: g.engine()?,
@@ -1889,9 +1889,7 @@ mats_per_bank: 2
         }
         // Device-exact backends report identical statistics too.
         let tape = run_run(&mk("tape"), &Telemetry::default()).unwrap();
-        let trace = run_run(&mk("trace"), &Telemetry::default()).unwrap();
         assert_eq!(walk.stats, tape.stats);
-        assert_eq!(walk.stats, trace.stats);
     }
 
     #[test]
@@ -2602,12 +2600,14 @@ optimization: density
         ] {
             let e = parse_args(&strings(&cmd)).unwrap_err();
             assert!(e.message.contains("unknown engine 'nonsense'"), "{e}");
-            assert!(e.message.contains("tape, trace, walk"), "{e}");
+            assert!(e.message.contains("tape, walk"), "{e}");
         }
-        // `simd` is a retired name: it fails like any unknown one, never aliases.
-        let e = parse_args(&strings(&["run", "--dataset", "d", "--engine", "simd"])).unwrap_err();
-        let want = "unknown engine 'simd' (registered backends: tape, trace, walk)";
-        assert!(e.message.contains(want), "{e}");
+        // `simd` and `trace` are retired names: they fail like any unknown one, never alias.
+        for name in ["simd", "trace"] {
+            let e = parse_args(&strings(&["run", "--dataset", "d", "--engine", name])).unwrap_err();
+            let want = format!("unknown engine '{name}' (registered backends: tape, walk)");
+            assert!(e.message.contains(&want), "{e}");
+        }
         // The help text embeds the registry's names, so new backends
         // show up without editing the usage string.
         let help = usage();
@@ -2982,25 +2982,19 @@ optimization: density
 
     #[test]
     fn single_threaded_engines_reject_threads_by_capability() {
-        for engine in ["walk", "trace"] {
-            let e = parse_args(&strings(&[
-                "run",
-                "--arch",
-                "a",
-                "--source",
-                "s",
-                "--engine",
-                engine,
-                "--threads",
-                "2",
-            ]))
-            .unwrap_err();
-            assert!(
-                e.message
-                    .contains(&format!("{engine} backend is single-threaded")),
-                "{e}"
-            );
-        }
+        let e = parse_args(&strings(&[
+            "run",
+            "--arch",
+            "a",
+            "--source",
+            "s",
+            "--engine",
+            "walk",
+            "--threads",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(e.message.contains("walk backend is single-threaded"), "{e}");
         // A threaded backend accepts the same flag.
         assert!(parse_args(&strings(&[
             "run",
@@ -3262,7 +3256,7 @@ optimization: density
         for pairs in [
             "compile: --data --random-seed --stored-rows --dims --queries --engine --threads --format",
             "place: --source --input --param --data --engine --threads",
-            "run: --stored-rows --dims --queries",
+            "run: --emit --stored-rows --dims --queries",
             "run --dataset: --dims --queries",
             "loadgen: --threads",
             "bench-gate: --threads",

@@ -23,9 +23,9 @@
 //!
 //! Execution goes through the backend HAL
 //! ([`c4cam_hal::BackendRegistry`]): the experiment names a backend
-//! (`walk`, `tape`, `trace`, or anything registered), the
-//! driver resolves it, checks its declared capabilities against the
-//! requested knobs, and runs the compiled plan.
+//! (`walk`, `tape`, or anything registered), the driver resolves it,
+//! checks its declared thread support against the requested knobs, and
+//! runs the compiled plan.
 
 use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
@@ -185,9 +185,6 @@ pub struct RunOutcome {
     pub placement: Placement,
     /// Number of queries executed.
     pub queries: usize,
-    /// Serialized op trace, when the backend records one (the `trace`
-    /// backend); parseable by `c4cam_engine::Trace::parse`.
-    pub trace: Option<String>,
 }
 
 impl RunOutcome {
@@ -353,9 +350,8 @@ impl<'w> Experiment<'w> {
     }
 
     /// Select the execution backend by registry name (`walk`, `tape`,
-    /// `trace`, ...). Unknown names surface as a
-    /// [`DriverError::Config`] listing the registered backends when the
-    /// experiment runs.
+    /// ...). Unknown names surface as a [`DriverError::Config`] listing
+    /// the registered backends when the experiment runs.
     pub fn backend(mut self, backend: impl Into<String>) -> Self {
         self.backend = backend.into();
         self
@@ -470,7 +466,7 @@ impl<'w> Experiment<'w> {
         let backend = BackendRegistry::global()
             .get(&self.backend)
             .map_err(|e| DriverError::Config(e.message))?;
-        if self.threads > 1 && !backend.capabilities().supports_threads {
+        if self.threads > 1 && !backend.supports_threads() {
             return Err(DriverError::Config(format!(
                 "the {} backend is single-threaded (got threads = {})",
                 backend.name(),
@@ -721,7 +717,6 @@ impl CompiledExperiment {
             labels,
             placement: self.placement,
             queries: nq,
-            trace: execution.trace,
         })
     }
 }
@@ -862,18 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_backend_surfaces_its_trace_in_the_outcome() {
-        let hdc = small_hdc();
-        let exp = Experiment::new(&hdc).arch(paper_arch(32, Optimization::Base, 1));
-        let tape = exp.clone().run().unwrap();
-        assert!(tape.trace.is_none(), "tape records no trace");
-        let traced = exp.backend("trace").run().unwrap();
-        let text = traced.trace.expect("trace backend records a trace");
-        assert!(!c4cam_engine::Trace::parse(&text).unwrap().is_empty());
-        assert_eq!(traced.predictions, tape.predictions);
-    }
-
-    #[test]
     fn default_backend_is_the_tape_engine() {
         let hdc = small_hdc();
         let exp = Experiment::new(&hdc).arch(paper_arch(32, Optimization::Base, 1));
@@ -910,25 +893,23 @@ mod tests {
     #[test]
     fn threads_on_a_single_threaded_backend_are_a_config_error() {
         let hdc = small_hdc();
-        for name in ["walk", "trace"] {
-            let e = Experiment::new(&hdc)
-                .backend(name)
-                .threads(2)
-                .run()
-                .unwrap_err();
-            assert!(matches!(e, DriverError::Config(_)), "{name}: {e}");
-            assert!(e.to_string().contains(name), "{e}");
-        }
+        let e = Experiment::new(&hdc)
+            .backend("walk")
+            .threads(2)
+            .run()
+            .unwrap_err();
+        assert!(matches!(e, DriverError::Config(_)), "{e}");
+        assert!(e.to_string().contains("walk"), "{e}");
     }
 
     #[test]
     fn unknown_backend_is_a_config_error_listing_registered_names() {
         let hdc = small_hdc();
-        // `simd` is a retired name: it fails like any unknown one, never aliases.
-        for name in ["jit", "simd"] {
+        // `simd` and `trace` are retired names: they fail like any unknown one, never alias.
+        for name in ["jit", "simd", "trace"] {
             let e = Experiment::new(&hdc).backend(name).run().unwrap_err();
             assert!(matches!(e, DriverError::Config(_)), "{e}");
-            let want = format!("unknown engine '{name}' (registered backends: tape, trace, walk)");
+            let want = format!("unknown engine '{name}' (registered backends: tape, walk)");
             assert!(e.to_string().contains(&want), "{e}");
         }
     }

@@ -705,16 +705,16 @@ mod tests {
             .square_subarrays([32])
             .optimizations([Optimization::Base])
             .hierarchy(2, 2, 4)
-            .backends(["tape", "trace", "walk"])
+            .backends(["tape", "walk"])
             .run()
             .unwrap();
-        assert_eq!(outcome.points.len(), 3);
+        assert_eq!(outcome.points.len(), 2);
         let engines: Vec<&str> = outcome
             .points
             .iter()
             .map(|p| p.grid.engine.as_str())
             .collect();
-        assert_eq!(engines, vec!["tape", "trace", "walk"]);
+        assert_eq!(engines, vec!["tape", "walk"]);
         // Same workload, same geometry: every backend predicts the
         // same classes (the HAL's bit-identical output contract).
         for p in &outcome.points[1..] {
@@ -723,9 +723,9 @@ mod tests {
         // The engine column flows through every renderer.
         let csv = outcome.to_csv(false);
         assert!(csv.contains("bits_per_cell,engine,"), "{csv}");
-        assert!(csv.contains(",1,trace,"), "{csv}");
-        assert!(outcome.to_json(false).contains("\"engine\":\"trace\""));
-        assert!(outcome.to_table(false).contains("trace"));
+        assert!(csv.contains(",1,walk,"), "{csv}");
+        assert!(outcome.to_json(false).contains("\"engine\":\"walk\""));
+        assert!(outcome.to_table(false).contains("walk"));
         // An unknown backend fails at its grid point with the
         // registry's name list.
         let e = SweepPlan::new(&w)

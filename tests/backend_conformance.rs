@@ -286,7 +286,7 @@ fn seeded_fault_injection_is_deterministic_across_backends_and_threads() {
             let again = run_with("walk", 1);
             assert_eq!(reference.predictions, again.predictions, "seed {seed}");
             assert_eq!(reference.total, again.total, "seed {seed} not reproducible");
-            for (engine, threads) in [("tape", 1), ("tape", 4), ("trace", 1)] {
+            for (engine, threads) in [("tape", 1), ("tape", 4)] {
                 let outcome = run_with(engine, threads);
                 assert_eq!(
                     outcome.predictions, reference.predictions,
@@ -325,7 +325,7 @@ fn threaded_backends_reproduce_sequential_outputs() {
     let spec = build_arch((32, 32), (2, 2, 4), Optimization::Base, 2).unwrap();
     for backend in registry.all() {
         let name = backend.name();
-        if !backend.capabilities().supports_threads {
+        if !backend.supports_threads() {
             // Single-threaded backends must refuse, not silently run.
             let err = Experiment::new(&workload)
                 .arch(spec.clone())

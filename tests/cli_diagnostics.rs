@@ -31,6 +31,10 @@ fn usage_errors_exit_2_with_stderr_only() {
             .split(' ')
             .collect(),
         vec!["accuracy", "--dataset", "d", "--workload", "bogus"],
+        // `run` always lowers to the cam stage; it has no `--emit`.
+        vec!["run", "--arch", "a", "--source", "s", "--emit", "cim"],
+        // A retired engine name is an unknown one.
+        vec!["run", "--dataset", "d", "--engine", "trace"],
     ] {
         let out = c4cam(&args);
         assert_eq!(
@@ -49,6 +53,8 @@ fn usage_errors_exit_2_with_stderr_only() {
 fn execution_failures_exit_1_with_stderr_only() {
     // Valid flags, but the dataset does not exist: the parse succeeds
     // and the execution fails.
+    let arch = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/arch_asplos.txt");
+    let max = "18446744073709551615";
     for args in [
         vec!["accuracy", "--dataset", "/nonexistent/dataset"],
         vec!["run", "--dataset", "/nonexistent/dataset"],
@@ -59,6 +65,8 @@ fn execution_failures_exit_1_with_stderr_only() {
             "--source",
             "/nonexistent/kernel.py",
         ],
+        // A placement whose tile count overflows `usize`.
+        vec!["place", "--arch", arch, "--stored-rows", max, "--dims", max],
     ] {
         let out = c4cam(&args);
         assert_eq!(

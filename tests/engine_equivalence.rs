@@ -2,11 +2,15 @@
 //! knn-style modules, EVERY backend registered in the HAL must produce
 //! bit-identical results and identical energy/latency statistics to
 //! the tree-walking interpreter, and every thread-capable backend must
-//! reproduce the outputs exactly when the query loop is sharded.
+//! reproduce the outputs exactly when the query loop is sharded. The
+//! tape's recorder is held to the same contract: a `Tape::run_traced`
+//! recording replayed on a fresh machine equals the walker.
 
 use c4cam::arch::{ArchSpec, Optimization};
+use c4cam::camsim::CamMachine;
 use c4cam::compiler::dialects::{cim, torch};
 use c4cam::compiler::pipeline::C4camPipeline;
+use c4cam::engine::Tape;
 use c4cam::hal::{BackendRegistry, ExecOptions};
 use c4cam::ir::Module;
 use c4cam::runtime::Value;
@@ -32,8 +36,8 @@ fn random_binary(rows: usize, cols: usize, next: &mut impl FnMut() -> u64) -> Te
 }
 
 /// Compile for `spec`, run the walker oracle, then every registered
-/// backend (sequential and, where supported, sharded), and assert the
-/// equivalence contract.
+/// backend (sequential and, where supported, sharded) and a
+/// record-then-replay of the tape, and assert the equivalence contract.
 fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) {
     let compiled = C4camPipeline::new(spec.clone()).compile(m).unwrap();
 
@@ -46,33 +50,43 @@ fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) {
         .execute(args, &ExecOptions::sequential())
         .unwrap();
 
+    let assert_outputs_match = |got: &[Value], what: &str| {
+        assert_eq!(oracle.outputs.len(), got.len(), "{what}");
+        for (w, t) in oracle.outputs.iter().zip(got) {
+            assert_eq!(
+                w.snapshot_tensor().unwrap().data(),
+                t.snapshot_tensor().unwrap().data(),
+                "{what} output diverged"
+            );
+        }
+    };
+
+    // The recorder observes a tape run without perturbing it, and its
+    // trace replays to the walker's outputs and statistics.
+    let tape = Tape::compile(&compiled.module, func).unwrap();
+    let mut recording = CamMachine::new(spec);
+    let (recorded, trace) = tape.run_traced(&mut recording, args).unwrap();
+    assert_outputs_match(&recorded, "recording run");
+    assert_eq!(oracle.stats, recording.stats(), "recording run stats");
+    let mut fresh = CamMachine::new(spec);
+    let replayed = trace.replay(&mut fresh).unwrap();
+    assert_outputs_match(&replayed, "replay");
+    assert_eq!(oracle.stats, fresh.stats(), "replay stats diverged");
+
     for backend in registry.all() {
         let name = backend.name();
         let plan = backend.compile(&compiled.module, func, spec).unwrap();
         let exec = plan.execute(args, &ExecOptions::sequential()).unwrap();
-        assert_eq!(oracle.outputs.len(), exec.outputs.len(), "{name}");
-        for (w, t) in oracle.outputs.iter().zip(&exec.outputs) {
-            assert_eq!(
-                w.snapshot_tensor().unwrap().data(),
-                t.snapshot_tensor().unwrap().data(),
-                "{name} output diverged"
-            );
-        }
+        assert_outputs_match(&exec.outputs, name);
         assert_eq!(oracle.stats, exec.stats, "{name} stats diverged");
 
-        if !backend.capabilities().supports_threads {
+        if !backend.supports_threads() {
             continue;
         }
         let sharded = plan
             .execute(args, &ExecOptions::sequential().with_threads(3))
             .unwrap();
-        for (w, s) in oracle.outputs.iter().zip(&sharded.outputs) {
-            assert_eq!(
-                w.snapshot_tensor().unwrap().data(),
-                s.snapshot_tensor().unwrap().data(),
-                "{name} sharded output diverged"
-            );
-        }
+        assert_outputs_match(&sharded.outputs, &format!("{name} sharded"));
         let (a, b) = (&exec.stats, &sharded.stats);
         assert_eq!(a.search_ops, b.search_ops, "{name}");
         assert_eq!(a.read_ops, b.read_ops, "{name}");
