@@ -91,7 +91,7 @@ pub fn register(r: &mut DialectRegistry) {
         )
         .operands(Arity::Exact(6))
         .results(Arity::Exact(0))
-        .verifier(|m, op| expect_handle_operand(m, op, 0, CamLevel::Subarray)),
+        .verifier(verify_merge_partial),
     );
     r.register(
         OpSpec::new(
@@ -165,6 +165,15 @@ fn verify_search(m: &Module, op: OpId) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+fn verify_merge_partial(m: &Module, op: OpId) -> Result<(), String> {
+    expect_handle_operand(m, op, 0, CamLevel::Subarray)?;
+    // The merge kernel addresses the accumulator as `[query, column]`.
+    match m.kind(m.value_type(m.op(op).operands[1])) {
+        TypeKind::MemRef { shape, .. } if shape.len() == 2 => Ok(()),
+        _ => Err("operand 1 (the accumulator) must be a rank-2 memref".to_string()),
+    }
 }
 
 fn verify_merge_level(m: &Module, op: OpId) -> Result<(), String> {
@@ -392,6 +401,41 @@ mod tests {
         b.op("cam.reduce", &[acc], &[out_ty, out_ty], vec![]);
         let e = verify_module(&m, &registry()).unwrap_err();
         assert!(e.message.contains("'k'"), "{e}");
+    }
+
+    #[test]
+    fn merge_partial_requires_a_rank_2_memref_accumulator() {
+        let build = |acc_shape: &[i64], acc_is_memref: bool| {
+            let mut m = Module::new();
+            let f32t = m.f32_ty();
+            let idx_ty = m.index_ty();
+            let sub_ty = m.cam_ty(CamLevel::Subarray);
+            let acc_ty = if acc_is_memref {
+                m.memref_ty(acc_shape, f32t)
+            } else {
+                m.tensor_ty(acc_shape, f32t)
+            };
+            let part_ty = m.memref_ty(&[4, 1], f32t);
+            let (_, entry) = build_func(
+                &mut m,
+                "f",
+                &[sub_ty, acc_ty, part_ty, part_ty, idx_ty, idx_ty],
+                &[],
+            );
+            let args = m.block(entry).args.clone();
+            let mut b = OpBuilder::at_end(&mut m, entry);
+            b.op("cam.merge_partial_subarray", &args, &[], vec![]);
+            verify_module(&m, &registry())
+        };
+        build(&[2, 4], true).unwrap();
+        for (shape, memref) in [
+            (&[4][..], true),
+            (&[2, 2, 2][..], true),
+            (&[2, 4][..], false),
+        ] {
+            let e = build(shape, memref).unwrap_err();
+            assert!(e.message.contains("rank-2 memref"), "{e}");
+        }
     }
 
     #[test]

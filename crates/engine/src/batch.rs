@@ -132,7 +132,7 @@ impl Tape {
         if threads <= 1 {
             return returned(vm.exec(machine, 0, usize::MAX)?);
         }
-        let Some(ql) = self.query_loop else {
+        let Some(ql) = self.query_loop() else {
             // No query loop to shard across: fall back to intra-query
             // sharding of the parallel subarray-group loops.
             vm.set_shard_threads(threads);
@@ -161,9 +161,8 @@ impl Tape {
         let snapshot: Arc<Vec<Frozen>> = Arc::new(vm.slots().iter().map(freeze).collect());
         let chunk = iters.len().div_ceil(shard_count);
         let chunks: Vec<Vec<i64>> = iters.chunks(chunk).map(<[i64]>::to_vec).collect();
-        let tape = Arc::new(self.clone());
         let shard_outs = run_shards(
-            &tape, machine, &snapshot, &chunks, ql, telemetry, retry, chaos,
+            self, machine, &snapshot, &chunks, ql, telemetry, retry, chaos,
         )?;
 
         // Phase 3: deterministic merge, in shard order.
@@ -207,7 +206,7 @@ fn run_one_shard(
     let lane = shard as u32 + 1;
     let start_ns = telemetry.now_ns();
     let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
-    let mut vm = TapeVm::with_slots(tape, slots);
+    let mut vm = TapeVm::with_slots(&tape.0, slots);
     vm.set_telemetry_lane(telemetry.clone(), lane);
     vm.exec_iterations(shard_machine, ql.enter, ql.next, ql.iv, chunk, false)?;
     if telemetry.enabled() {
@@ -249,7 +248,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[allow(clippy::too_many_arguments)]
 fn run_shards(
-    tape: &Arc<Tape>,
+    tape: &Tape,
     machine: &CamMachine,
     snapshot: &Arc<Vec<Frozen>>,
     chunks: &[Vec<i64>],
@@ -258,12 +257,12 @@ fn run_shards(
     retry: &RetryPolicy,
     chaos: Option<ShardChaos>,
 ) -> BResult<Vec<ShardOut>> {
-    // Launch one pooled job per shard; each job owns its data (Arc'd
+    // Launch one pooled job per shard; each job owns its data (shared
     // tape + snapshot, a machine clone, its chunk) so a panicking or
     // abandoned worker can never corrupt the caller's state.
     let launch = |shard: usize, attempt: u32| -> Receiver<Result<BResult<ShardOut>, String>> {
         let (tx, rx) = channel();
-        let tape = Arc::clone(tape);
+        let tape = tape.clone();
         let snapshot = Arc::clone(snapshot);
         let chunk = chunks[shard].clone();
         let mut shard_machine = machine.clone();

@@ -42,7 +42,7 @@
 use crate::error::EngineError;
 use crate::isa::{
     CmpPred, FloatBinOp, Inst, IntBinOp, PreConst, QueryLoop, ReduceInst, SearchInst, SliceOffset,
-    Slot,
+    Slot, SrcOp,
 };
 use c4cam_arch::tech::Level;
 use c4cam_arch::{MatchKind, Metric};
@@ -50,12 +50,57 @@ use c4cam_ir::{Attribute, BlockId, Module, OpId, TypeKind, ValueId};
 use c4cam_runtime::kernels::DYNAMIC_OFFSET;
 use c4cam_tensor::Tensor;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 type CResult<T> = Result<T, EngineError>;
 
 /// A compiled function: the flat instruction tape plus its metadata.
+///
+/// A tape is immutable once compiled, and cloning one is a
+/// reference-count bump: every run, shard worker and retry shares the
+/// same instructions.
 #[derive(Debug, Clone)]
-pub struct Tape {
+pub struct Tape(pub(crate) Arc<TapeData>);
+
+/// Why [`Tape::specialised`] left the query body as loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unspecialised {
+    /// No query loop was detected.
+    NoQueryLoop,
+    /// The query loop runs fewer than two constant trips: nothing to
+    /// amortise, and intra-query sharding needs the loops.
+    FewQueries,
+    /// A loop bound, branch condition or address in the query body is
+    /// not a compile-time constant.
+    NotConstant,
+    /// The query induction variable is used other than as the query
+    /// slice's row and the merge's row.
+    IvEscapes,
+    /// The body holds an instruction outside the canonical shape:
+    /// foldable scalars, constant loops and branches, `cam.merge_level`
+    /// and search → read → merge triples.
+    NonCanonical,
+    /// Unrolling exceeded the fixed interpretation or residual budget.
+    OverBudget,
+}
+
+impl std::fmt::Display for Unspecialised {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Unspecialised::NoQueryLoop => "no query loop",
+            Unspecialised::FewQueries => "fewer than two queries",
+            Unspecialised::NotConstant => "a bound, branch or address is not constant",
+            Unspecialised::IvEscapes => "the query index is used outside slice and merge rows",
+            Unspecialised::NonCanonical => "an instruction outside the canonical query body",
+            Unspecialised::OverBudget => "over the unrolling budget",
+        })
+    }
+}
+
+/// The contents of a [`Tape`]; what the passes, the verifier and the VM
+/// work on.
+#[derive(Debug, Clone)]
+pub(crate) struct TapeData {
     pub(crate) insts: Vec<Inst>,
     /// Per-instruction source op (for error attribution).
     pub(crate) src_ops: Vec<OpId>,
@@ -73,11 +118,15 @@ pub struct Tape {
     /// sharded across worker threads *within* one query (see
     /// [`Compiler`] docs for the conditions).
     pub(crate) shard_loops: Vec<usize>,
+    /// Why the query body is still loops (`None`: it is the straight
+    /// line [`crate::specialize`] left).
+    pub(crate) unspecialised: Option<Unspecialised>,
     pub(crate) func: String,
 }
 
 impl Tape {
-    /// Compile function `func` of `m` into a flat instruction tape.
+    /// Compile function `func` of `m` into a flat instruction tape, run
+    /// the tape passes over it and [`Tape::verify`] the result.
     ///
     /// # Errors
     /// Fails on unknown functions and on ops outside the CAM-ISA surface
@@ -88,40 +137,73 @@ impl Tape {
 
     /// Number of instructions on the tape.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.0.insts.len()
     }
 
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.0.insts.is_empty()
     }
 
     /// The shardable query loop, when one was detected.
     pub fn query_loop(&self) -> Option<QueryLoop> {
-        self.query_loop
+        self.0.query_loop
     }
 
     /// `LoopEnter` pcs of parallel subarray-group loops eligible for
     /// intra-query sharding.
     pub fn shard_loops(&self) -> &[usize] {
-        &self.shard_loops
+        &self.0.shard_loops
+    }
+
+    /// Whether the query body was partially evaluated into scope ops
+    /// and fused search instructions, or the reason it was left as the
+    /// loops the module spelled.
+    ///
+    /// # Errors
+    /// The reason, when the body was left as it was.
+    pub fn specialised(&self) -> Result<(), Unspecialised> {
+        self.0.unspecialised.map_or(Ok(()), Err)
     }
 
     /// Name of the compiled function.
     pub fn func_name(&self) -> &str {
-        &self.func
+        &self.0.func
     }
 
     /// Number of function arguments the tape expects.
     pub fn num_args(&self) -> usize {
-        self.arg_slots.len()
+        self.0.arg_slots.len()
+    }
+}
+
+impl TapeData {
+    /// Writers per slot: arguments, preloaded constants and every
+    /// instruction def. (A loop's back-edge rewrites its induction
+    /// variable too, but its `LoopEnter` already counts as that slot's
+    /// writer, which is all the single-writer tests need.)
+    pub(crate) fn writer_counts(&self) -> Vec<u32> {
+        let mut writers = vec![0u32; self.n_slots];
+        let fixed = self
+            .arg_slots
+            .iter()
+            .chain(self.preload.iter().map(|(s, _)| s));
+        fixed.for_each(|&s| writers[s as usize] += 1);
+        for inst in &self.insts {
+            inst_defs(inst, |s| writers[s as usize] += 1);
+        }
+        writers
     }
 
     pub(crate) fn attach(&self, pc: usize, e: EngineError) -> EngineError {
         match (self.src_ops.get(pc), self.src_names.get(pc)) {
-            (Some(&op), Some(&n)) => e.with_op(op, &self.op_names[n as usize]),
+            (Some(&op), Some(&n)) => self.attach_src((op, n), e),
             _ => e,
         }
+    }
+
+    pub(crate) fn attach_src(&self, (op, name): SrcOp, e: EngineError) -> EngineError {
+        e.with_op(op, &self.op_names[name as usize])
     }
 }
 
@@ -166,7 +248,100 @@ pub(crate) fn inst_defs(inst: &Inst, mut f: impl FnMut(Slot)) {
         | Inst::Search(_)
         | Inst::MergePartial { .. }
         | Inst::MergeLevel { .. }
-        | Inst::PhaseMarker { .. } => {}
+        | Inst::PhaseMarker { .. }
+        | Inst::ScopeEnter { .. }
+        | Inst::ScopeExit
+        | Inst::SearchMerge(_) => {}
+    }
+}
+
+/// Visit every slot an instruction reads.
+pub(crate) fn inst_uses(inst: &Inst, mut f: impl FnMut(Slot)) {
+    match inst {
+        Inst::ConstInt { .. }
+        | Inst::ConstFloat { .. }
+        | Inst::ConstBool { .. }
+        | Inst::ConstTensor { .. }
+        | Inst::Jump { .. }
+        | Inst::LoopNext { .. }
+        | Inst::AllocBuffer { .. }
+        | Inst::AllocBank { .. }
+        | Inst::MergeLevel { .. }
+        | Inst::PhaseMarker { .. }
+        | Inst::ScopeEnter { .. }
+        | Inst::ScopeExit => {}
+        Inst::Copy { src, .. }
+        | Inst::CastIntLike { src, .. }
+        | Inst::AllocCopy { src, .. }
+        | Inst::ToTensor { src, .. } => f(*src),
+        Inst::IntBin { lhs, rhs, .. }
+        | Inst::FloatBin { lhs, rhs, .. }
+        | Inst::IntCmp { lhs, rhs, .. } => {
+            f(*lhs);
+            f(*rhs);
+        }
+        Inst::IntBinImm { lhs, .. } | Inst::IntCmpImm { lhs, .. } => f(*lhs),
+        Inst::JumpIfNot { cond, .. } => f(*cond),
+        Inst::LoopEnter { lb, ub, step, .. } => {
+            f(*lb);
+            f(*ub);
+            f(*step);
+        }
+        Inst::Return { values } => values.iter().copied().for_each(f),
+        Inst::ExtractSlice { src, offsets, .. } => {
+            f(*src);
+            for o in offsets {
+                if let SliceOffset::Dynamic(s) = o {
+                    f(*s);
+                }
+            }
+        }
+        Inst::AllocMat { parent, .. }
+        | Inst::AllocArray { parent, .. }
+        | Inst::AllocSubarray { parent, .. } => f(*parent),
+        Inst::StoreHandle { table, pos, sub } => {
+            f(*table);
+            f(*pos);
+            f(*sub);
+        }
+        Inst::LoadHandle { table, pos, .. } => {
+            f(*table);
+            f(*pos);
+        }
+        Inst::WriteValue { sub, data, row_off } => {
+            f(*sub);
+            f(*data);
+            f(*row_off);
+        }
+        Inst::Search(s) => {
+            f(s.sub);
+            f(s.query);
+            if let Some((start, len)) = s.selective {
+                f(start);
+                f(len);
+            }
+        }
+        Inst::Read { sub, .. } => f(*sub),
+        Inst::MergePartial {
+            acc,
+            vals,
+            idx,
+            q,
+            offset,
+        } => {
+            f(*acc);
+            f(*vals);
+            f(*idx);
+            f(*q);
+            f(*offset);
+        }
+        Inst::Reduce(r) => f(r.acc),
+        Inst::SearchMerge(s) => {
+            f(s.table);
+            f(s.query);
+            f(s.row);
+            f(s.acc);
+        }
     }
 }
 
@@ -176,10 +351,9 @@ pub(crate) fn inst_defs(inst: &Inst, mut f: impl FnMut(Slot)) {
 /// machine's missing `last_result`; a read textually *before* it can
 /// do the same on the next trip of an enclosing loop.
 fn reads_confined_to_body(insts: &[Inst], enter: usize, next: usize) -> bool {
-    insts
-        .iter()
-        .enumerate()
-        .all(|(pc, i)| !matches!(i, Inst::Read { .. }) || (enter < pc && pc < next))
+    insts.iter().enumerate().all(|(pc, i)| {
+        !matches!(i, Inst::Read { .. } | Inst::SearchMerge(_)) || (enter < pc && pc < next)
+    })
 }
 
 /// What a block's terminating `scf.yield` should compile to.
@@ -242,7 +416,7 @@ impl<'m> Compiler<'m> {
     }
 
     fn finish(self) -> CResult<Tape> {
-        let mut tape = Tape {
+        let mut tape = TapeData {
             insts: self.insts,
             src_ops: self.src_ops,
             src_names: self.src_names,
@@ -252,11 +426,13 @@ impl<'m> Compiler<'m> {
             preload: Vec::new(),
             query_loop: self.query_loop,
             shard_loops: self.shard_loops,
+            unspecialised: None,
             func: self.func,
         };
-        // Peephole pass: fold constants into immediates and strip the
-        // dead `Const*` instructions (remaps all pcs, including the
-        // shard-loop candidates filtered below).
+        // Tape passes: fold constants into immediates, strip the dead
+        // `Const*` instructions, partially evaluate the query body
+        // (each remaps all pcs, including the shard-loop candidates
+        // filtered below).
         crate::opt::optimize(&mut tape);
         // A shard loop's searches run only on worker machine clones, so
         // the main machine's subarrays keep no `last_result` from it: a
@@ -274,6 +450,13 @@ impl<'m> Compiler<'m> {
                 reads_confined_to_body(&tape.insts, enter, exit - 1)
             })
             .collect();
+        // A tape outlives its compilation by every run of the plan: the
+        // passes edit these in place, so drop the slack they leave.
+        tape.insts.shrink_to_fit();
+        tape.src_ops.shrink_to_fit();
+        tape.src_names.shrink_to_fit();
+        let tape = Tape(Arc::new(tape));
+        tape.verify()?;
         Ok(tape)
     }
 
@@ -959,46 +1142,33 @@ impl<'m> Compiler<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c4cam_arch::{ArchSpec, Optimization};
+    use crate::testing::lowered_hdc;
     use c4cam_core::dialects::torch;
-    use c4cam_core::pipeline::C4camPipeline;
-
-    fn lowered_hdc() -> Module {
-        let mut m = Module::new();
-        torch::build_hdc_dot(&mut m, 2, 4, 64, 1);
-        let spec = ArchSpec::builder()
-            .subarray(16, 16)
-            .hierarchy(2, 2, 4)
-            .optimization(Optimization::Base)
-            .build()
-            .unwrap();
-        C4camPipeline::new(spec).compile(m).unwrap().module
-    }
 
     #[test]
     fn lowered_module_compiles_to_flat_tape() {
-        let m = lowered_hdc();
+        let m = lowered_hdc(1);
         let tape = Tape::compile(&m, "forward").unwrap();
         assert!(!tape.is_empty());
         assert_eq!(tape.num_args(), 2);
         assert!(tape.len() > 50, "nontrivial tape, got {}", tape.len());
         // Device ops survived as pre-resolved instructions.
-        assert!(tape.insts.iter().any(|i| matches!(i, Inst::Search(_))));
-        assert!(tape.insts.iter().any(|i| matches!(i, Inst::Reduce(_))));
-        assert!(tape
-            .insts
+        let insts = &tape.0.insts;
+        assert!(insts.iter().any(|i| matches!(i, Inst::Search(_))));
+        assert!(insts.iter().any(|i| matches!(i, Inst::Reduce(_))));
+        assert!(insts
             .iter()
             .any(|i| matches!(i, Inst::LoopEnter { parallel: true, .. })));
     }
 
     #[test]
     fn query_loop_is_detected_on_lowered_modules() {
-        let m = lowered_hdc();
+        let m = lowered_hdc(1);
         let tape = Tape::compile(&m, "forward").unwrap();
         let ql = tape.query_loop().expect("query loop detected");
         assert!(ql.enter < ql.next && ql.next + 1 == ql.exit);
         // The loop body must not contain setup instructions.
-        for inst in &tape.insts[ql.enter + 1..ql.next] {
+        for inst in &tape.0.insts[ql.enter + 1..ql.next] {
             assert!(
                 !matches!(inst, Inst::WriteValue { .. } | Inst::AllocBank { .. }),
                 "setup op inside query loop"
@@ -1008,20 +1178,20 @@ mod tests {
 
     #[test]
     fn shard_loops_are_detected_and_post_loop_reads_disqualify() {
-        let m = lowered_hdc();
+        let m = lowered_hdc(1);
         let tape = Tape::compile(&m, "forward").unwrap();
         assert!(
-            !tape.shard_loops.is_empty(),
+            !tape.shard_loops().is_empty(),
             "query-nest parallel loops must be shardable"
         );
-        for &enter in &tape.shard_loops {
-            let Inst::LoopEnter { exit, .. } = tape.insts[enter] else {
+        for &enter in tape.shard_loops() {
+            let Inst::LoopEnter { exit, .. } = tape.0.insts[enter] else {
                 panic!("shard candidate is not a LoopEnter");
             };
             // The safety invariant the filter enforces: the main
             // machine never searches inside a sharded loop, so every
             // read of the tape must live inside the candidate's body.
-            assert!(reads_confined_to_body(&tape.insts, enter, exit - 1));
+            assert!(reads_confined_to_body(&tape.0.insts, enter, exit - 1));
         }
         // The filter itself: reads outside the body — after the loop,
         // or before it (re-executed by an enclosing loop's next trip) —

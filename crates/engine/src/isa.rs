@@ -21,13 +21,26 @@
 //! metric, threshold and broadcast share are baked into
 //! [`SearchInst`] at compile time; `cam.read`/`cam.reduce` carry their
 //! declared result shapes; merge levels are parsed once.
+//!
+//! Three instructions exist only in a *specialised* query body — the
+//! straight-line residual the tape's third pass leaves when it
+//! partially evaluates the query nest: [`Inst::ScopeEnter`] /
+//! [`Inst::ScopeExit`] open and close the timing scopes the unrolled
+//! parallel loops would have, and [`Inst::SearchMerge`] is one
+//! search → read → merge triple with every address folded to a
+//! constant ([`SearchMergeInst`]).
 
 use c4cam_arch::tech::Level;
 use c4cam_arch::{MatchKind, Metric};
+use c4cam_ir::OpId;
 use c4cam_tensor::Tensor;
 
 /// Index of a value slot in the tape's register file.
 pub type Slot = u32;
+
+/// A source op as error attribution needs it: the op and the index of
+/// its name among the tape's interned op names.
+pub type SrcOp = (OpId, u16);
 
 /// Integer ALU operations (`arith.*i` on `index`/`iN` values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +70,34 @@ impl IntBinOp {
             self,
             IntBinOp::Add | IntBinOp::Mul | IntBinOp::MinU | IntBinOp::MaxU
         )
+    }
+
+    /// Evaluate the operation — the one definition the VM executes and
+    /// the specialisation pass folds with.
+    ///
+    /// # Errors
+    /// Division or remainder by zero.
+    #[inline]
+    pub fn eval(self, a: i64, b: i64) -> Result<i64, &'static str> {
+        Ok(match self {
+            IntBinOp::Add => a.wrapping_add(b),
+            IntBinOp::Sub => a.wrapping_sub(b),
+            IntBinOp::Mul => a.wrapping_mul(b),
+            IntBinOp::DivU => {
+                if b == 0 {
+                    return Err("division by zero in arith.divui");
+                }
+                ((a as u64) / (b as u64)) as i64
+            }
+            IntBinOp::RemU => {
+                if b == 0 {
+                    return Err("division by zero in arith.remui");
+                }
+                ((a as u64) % (b as u64)) as i64
+            }
+            IntBinOp::MinU => ((a as u64).min(b as u64)) as i64,
+            IntBinOp::MaxU => ((a as u64).max(b as u64)) as i64,
+        })
     }
 }
 
@@ -179,6 +220,50 @@ pub struct SearchInst {
     pub broadcast_share: Option<f64>,
     /// Selective-search row window `(start, len)` slots.
     pub selective: Option<(Slot, Slot)>,
+}
+
+/// One canonical `cam.search` → `cam.read` →
+/// `cam.merge_partial_subarray` triple of the query body with every
+/// address folded to a constant by the specialisation pass: what is left
+/// for run time is the handle-table load, the query row selected by
+/// the query loop's induction variable, and the accumulation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchMergeInst {
+    /// Handle-table buffer slot.
+    pub table: Slot,
+    /// Constant position of the subarray's handle in the table.
+    pub pos: usize,
+    /// Query tensor slot (rank 2, loop-invariant).
+    pub query: Slot,
+    /// Query-loop induction-variable slot: the query row searched and
+    /// the accumulator row merged into.
+    pub row: Slot,
+    /// Constant first column of the query window.
+    pub col: usize,
+    /// Query window width (columns).
+    pub width: usize,
+    /// Match scheme.
+    pub kind: MatchKind,
+    /// Distance metric.
+    pub metric: Metric,
+    /// Threshold-match radius, when the search declares one.
+    pub threshold: Option<f64>,
+    /// Broadcast-share fraction, when the search declares one.
+    pub broadcast_share: Option<f64>,
+    /// Constant selective-search row window `(start, len)`.
+    pub selective: Option<(usize, usize)>,
+    /// Declared shape of the `cam.read` results (bounds the merge).
+    pub shape: Vec<usize>,
+    /// Accumulator buffer slot.
+    pub acc: Slot,
+    /// Constant column offset of this subarray's partial scores.
+    pub offset: i64,
+    /// The `cam.read` the instruction absorbed. The tape's per-pc source
+    /// op is the `cam.search`; run-time errors of the read and merge
+    /// halves are attributed to their own ops, as on a looped body.
+    pub read_src: SrcOp,
+    /// The `cam.merge_partial_subarray` the instruction absorbed.
+    pub merge_src: SrcOp,
 }
 
 /// Pre-resolved `cam.reduce`: the final host-side top-k.
@@ -476,6 +561,19 @@ pub enum Inst {
     },
     /// `cam.reduce` with a pre-resolved [`ReduceInst`].
     Reduce(Box<ReduceInst>),
+    /// Open a timing scope where an unrolled [`Inst::LoopEnter`] /
+    /// [`Inst::LoopNext`] of an `scf.parallel` would have (emitted by
+    /// the specialisation pass).
+    ScopeEnter {
+        /// The loop's parallel scope (`true`) or one iteration's
+        /// sequential scope (`false`).
+        parallel: bool,
+    },
+    /// Close the innermost timing scope.
+    ScopeExit,
+    /// Fused search → read → merge with a pre-resolved
+    /// [`SearchMergeInst`].
+    SearchMerge(Box<SearchMergeInst>),
 }
 
 /// A scalar constant the tape optimizer stripped from the instruction
@@ -513,6 +611,14 @@ pub struct QueryLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instructions_stay_one_cache_line() {
+        // The fused search is boxed like `Search` and `Reduce`, so the
+        // three specialisation variants leave the dispatch stride where
+        // `ExtractSlice` put it.
+        assert_eq!(std::mem::size_of::<Inst>(), 64);
+    }
 
     #[test]
     fn cmp_predicates_cover_signed_and_unsigned() {

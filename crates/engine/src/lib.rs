@@ -31,6 +31,23 @@
 //! [`Trace::replay`] is the reference implementation that tests and the
 //! benchmark compare the VM against. It is not a third engine.
 //!
+//! ## The tape is the schedule
+//!
+//! [`Tape::compile`] runs three passes over the freshly compiled tape:
+//! constant operands fuse into immediates, single-writer constants are
+//! stripped into a preload table, and — because the mapped query nest's
+//! bounds, guards and index arithmetic are all fixed by the mapping —
+//! the body of the query loop is **partially evaluated** into a
+//! straight line of timing-scope ops and one fused search → read →
+//! merge instruction per subarray ([`isa::Inst::SearchMerge`]). Device
+//! call order and scope order are preserved by construction, so
+//! outputs, statistics and traces stay bit-identical to the walker; the
+//! pass is all-or-nothing, and [`Tape::specialised`] says whether it
+//! applied or why not ([`Unspecialised`]). Every compiled tape then
+//! passes [`Tape::verify`] (machine-parseable `TAPE_E…` codes), and
+//! `impl Display for Tape` is its stable disassembly (`c4cam compile
+//! --emit tape`).
+//!
 //! ## Example
 //!
 //! ```
@@ -62,16 +79,21 @@
 
 mod batch;
 mod compile;
+mod disasm;
 mod error;
 mod frozen;
 pub mod isa;
 mod opt;
 pub mod pool;
+mod specialize;
+#[cfg(test)]
+mod testing;
 pub mod trace;
+mod verify;
 mod vm;
 
 pub use c4cam_faults::{RetryPolicy, ShardChaos};
-pub use compile::Tape;
+pub use compile::{Tape, Unspecialised};
 pub use error::{EngineError, ShardPanic};
 pub use isa::{Inst, QueryLoop};
 pub use pool::pooled_workers;
@@ -293,15 +315,16 @@ mod tests {
     #[test]
     fn setup_loops_are_not_marked_shardable() {
         let mut m = Module::new();
-        torch::build_hdc_dot_with(&mut m, 2, 4, 64, 1, true);
+        torch::build_hdc_dot_with(&mut m, 1, 4, 64, 1, true);
         let s = spec(16, Optimization::Base);
         let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
         let tape = Tape::compile(&compiled.module, "forward").unwrap();
+        assert!(!tape.shard_loops().is_empty());
         for &enter in tape.shard_loops() {
-            let Inst::LoopEnter { exit, .. } = tape.insts[enter] else {
+            let Inst::LoopEnter { exit, .. } = tape.0.insts[enter] else {
                 panic!("shard loop pc {enter} is not a LoopEnter");
             };
-            let body = &tape.insts[enter + 1..exit - 1];
+            let body = &tape.0.insts[enter + 1..exit - 1];
             assert!(
                 !body
                     .iter()
@@ -613,5 +636,44 @@ mod tests {
             .unwrap_err();
         assert!(e.op.is_some(), "op context attached: {e}");
         assert!(e.op_name.is_some(), "{e}");
+    }
+
+    /// A merge that fails at run time is blamed on the
+    /// `cam.merge_partial_subarray`, whether its triple was fused into a
+    /// `SearchMerge` (2 queries) or left in the loops (1 query), and on
+    /// the op the walker blames.
+    #[test]
+    fn a_failing_merge_is_attributed_to_the_merge_op_fused_or_not() {
+        for nq in [1, 2] {
+            let mut m = crate::testing::lowered_hdc(nq as i64);
+            let func = m.lookup_symbol("forward").unwrap();
+            let merges: Vec<_> = m
+                .walk(func)
+                .into_iter()
+                .filter(|&op| m.op(op).name == "cam.merge_partial_subarray")
+                .collect();
+            assert!(!merges.is_empty());
+            for &merge in &merges {
+                // Far outside the accumulator's 4 columns.
+                let offset = c4cam_ir::builder::OpBuilder::before(&mut m, merge).const_index(1000);
+                m.set_operand(merge, 5, offset);
+            }
+            let (stored, queries) = hdc_inputs(nq, 4, 64);
+            let args = [Value::Tensor(queries), Value::Tensor(stored)];
+            let s = spec(16, Optimization::Base);
+
+            let tape = Tape::compile(&m, "forward").unwrap();
+            assert_eq!(tape.specialised().is_ok(), nq == 2);
+            let e = tape.run(&mut CamMachine::new(&s), &args).unwrap_err();
+            assert!(e.message.contains("outside accumulator width"), "{e}");
+            assert_eq!(e.op_name.as_deref(), Some("cam.merge_partial_subarray"));
+
+            let walk = Executor::with_machine(&m, &mut CamMachine::new(&s))
+                .run("forward", &args)
+                .unwrap_err();
+            assert_eq!(walk.message, e.message);
+            assert_eq!((walk.op, walk.op_name), (e.op, e.op_name));
+            assert!(merges.contains(&e.op.unwrap()));
+        }
     }
 }

@@ -1,12 +1,11 @@
-//! Tape peephole optimizer.
+//! Tape passes.
 //!
 //! Lowered cam-level modules re-materialize every scalar constant on
 //! every trip through the query nest: the address arithmetic of one
 //! search/read/merge triple is a chain of `ConstInt` → `IntBin` pairs,
-//! and profiling the packed-search workloads shows those two opcodes
-//! alone account for roughly two thirds of all executed instructions.
-//! Both passes here remove that tax without changing observable
-//! behavior (outputs, statistics, traces):
+//! and the whole nest — bounds, guards, index arithmetic — is fixed by
+//! the mapping at compile time. Three passes remove that tax without
+//! changing observable behavior (outputs, statistics, traces):
 //!
 //! 1. **Immediate fusion** — an `IntBin`/`IntCmp` whose operand slot is
 //!    written by exactly one `ConstInt` becomes `IntBinImm`/`IntCmpImm`
@@ -16,10 +15,15 @@
 //! 2. **Const stripping** — `ConstInt`/`ConstFloat`/`ConstBool`
 //!    instructions whose destination slot has no other writer are
 //!    removed from the tape entirely; [`crate::TapeVm::new`] preloads
-//!    their slots once from [`Tape::preload`] instead. All pc-valued
-//!    fields (jumps, loop brackets, the query loop, shard-loop
-//!    candidates) are remapped, and `src_ops`/`src_names` stay aligned
-//!    for error attribution.
+//!    their slots once from [`TapeData::preload`] instead.
+//! 3. **Query-body specialisation** ([`crate::specialize`]) — with the
+//!    constants known, the body of the query loop is partially
+//!    evaluated into a straight line of scope ops and fused searches.
+//!
+//! Passes 2 and 3 move instructions, so all pc-valued fields (jumps,
+//! loop brackets, the query loop, shard-loop candidates) are remapped
+//! by [`remap_pcs`], and `src_ops`/`src_names` stay aligned for error
+//! attribution.
 //!
 //! Safety hinges on the *single-writer* condition. Slots are not SSA:
 //! loop carries are rewritten by `Copy` on every `scf.yield`, loop
@@ -30,34 +34,43 @@
 //! executing the `Const*` in place: SSA dominance puts every read after
 //! the (unique) write, and the write always produces the same value.
 
-use crate::compile::{inst_defs, Tape};
+use crate::compile::TapeData;
 use crate::isa::{Inst, PreConst};
 
-/// Run both peephole passes over a freshly compiled tape.
-pub(crate) fn optimize(tape: &mut Tape) {
+/// Run the tape passes over a freshly compiled tape.
+pub(crate) fn optimize(tape: &mut TapeData) {
     let known = known_consts(tape);
     fuse_immediates(tape, &known);
     strip_consts(tape, &known);
+    tape.unspecialised = crate::specialize::specialize(tape).err();
+}
+
+/// Rewrite every pc-valued field of the tape through `map` (old pc →
+/// new pc), ahead of the instruction move that makes it true.
+pub(crate) fn remap_pcs(tape: &mut TapeData, map: impl Fn(usize) -> usize) {
+    for inst in &mut tape.insts {
+        match inst {
+            Inst::Jump { target } | Inst::JumpIfNot { target, .. } => *target = map(*target),
+            Inst::LoopEnter { exit, .. } => *exit = map(*exit),
+            Inst::LoopNext { enter } => *enter = map(*enter),
+            _ => {}
+        }
+    }
+    if let Some(ql) = &mut tape.query_loop {
+        ql.enter = map(ql.enter);
+        ql.next = map(ql.next);
+        ql.exit = map(ql.exit);
+    }
+    for enter in &mut tape.shard_loops {
+        *enter = map(*enter);
+    }
 }
 
 /// Per-slot constant value, for slots written by exactly one
 /// `ConstInt`/`ConstFloat`/`ConstBool` instruction (and nothing else —
 /// not an argument, loop carry, induction variable or any other def).
-fn known_consts(tape: &Tape) -> Vec<Option<PreConst>> {
-    let mut writers = vec![0u32; tape.n_slots];
-    for &s in &tape.arg_slots {
-        writers[s as usize] += 1;
-    }
-    for inst in &tape.insts {
-        inst_defs(inst, |s| writers[s as usize] += 1);
-        // The back-edge rewrites its loop's induction variable on every
-        // iteration — a def `inst_defs` does not attribute to LoopNext.
-        if let Inst::LoopNext { enter } = inst {
-            if let Inst::LoopEnter { iv, .. } = tape.insts[*enter] {
-                writers[iv as usize] += 1;
-            }
-        }
-    }
+fn known_consts(tape: &TapeData) -> Vec<Option<PreConst>> {
+    let writers = tape.writer_counts();
     let mut known = vec![None; tape.n_slots];
     for inst in &tape.insts {
         let (out, k) = match *inst {
@@ -91,7 +104,7 @@ fn int_imm(known: &[Option<PreConst>], slot: u32) -> Option<i64> {
 
 /// Rewrite `IntBin`/`IntCmp` with a known-constant operand into their
 /// immediate forms.
-fn fuse_immediates(tape: &mut Tape, known: &[Option<PreConst>]) {
+fn fuse_immediates(tape: &mut TapeData, known: &[Option<PreConst>]) {
     for inst in &mut tape.insts {
         match *inst {
             Inst::IntBin {
@@ -149,8 +162,8 @@ fn fuse_immediates(tape: &mut Tape, known: &[Option<PreConst>]) {
 }
 
 /// Remove known-constant `Const*` instructions from the tape, record
-/// their slots in [`Tape::preload`], and remap every pc-valued field.
-fn strip_consts(tape: &mut Tape, known: &[Option<PreConst>]) {
+/// their slots in [`TapeData::preload`], and remap every pc-valued field.
+fn strip_consts(tape: &mut TapeData, known: &[Option<PreConst>]) {
     let n = tape.insts.len();
     let mut removed = vec![false; n];
     let mut preload = Vec::new();
@@ -176,85 +189,48 @@ fn strip_consts(tape: &mut Tape, known: &[Option<PreConst>]) {
     for pc in 0..n {
         removed_before[pc + 1] = removed_before[pc] + usize::from(removed[pc]);
     }
-    let map = |pc: usize| pc - removed_before[pc];
-
-    let old_insts = std::mem::take(&mut tape.insts);
-    let old_src_ops = std::mem::take(&mut tape.src_ops);
-    let old_src_names = std::mem::take(&mut tape.src_names);
-    let kept = n - preload.len();
-    tape.insts.reserve_exact(kept);
-    tape.src_ops.reserve_exact(kept);
-    tape.src_names.reserve_exact(kept);
-    for (pc, ((mut inst, op), name)) in old_insts
-        .into_iter()
-        .zip(old_src_ops)
-        .zip(old_src_names)
-        .enumerate()
-    {
-        if removed[pc] {
-            continue;
-        }
-        match &mut inst {
-            Inst::Jump { target } | Inst::JumpIfNot { target, .. } => *target = map(*target),
-            Inst::LoopEnter { exit, .. } => *exit = map(*exit),
-            Inst::LoopNext { enter } => *enter = map(*enter),
-            _ => {}
-        }
-        tape.insts.push(inst);
-        tape.src_ops.push(op);
-        tape.src_names.push(name);
-    }
-    if let Some(ql) = &mut tape.query_loop {
-        ql.enter = map(ql.enter);
-        ql.next = map(ql.next);
-        ql.exit = map(ql.exit);
-    }
-    for enter in &mut tape.shard_loops {
-        *enter = map(*enter);
-    }
+    remap_pcs(tape, |pc| pc - removed_before[pc]);
+    retain_unflagged(&mut tape.insts, &removed);
+    retain_unflagged(&mut tape.src_ops, &removed);
+    retain_unflagged(&mut tape.src_names, &removed);
     tape.preload = preload;
+}
+
+/// Drop the elements of `v` whose position is flagged in `removed`.
+fn retain_unflagged<T>(v: &mut Vec<T>, removed: &[bool]) {
+    let mut flags = removed.iter();
+    v.retain(|_| !flags.next().expect("one flag per instruction"));
 }
 
 #[cfg(test)]
 mod tests {
     use crate::compile::Tape;
     use crate::isa::Inst;
-    use c4cam_arch::{ArchSpec, Optimization};
-    use c4cam_core::dialects::torch;
-    use c4cam_core::pipeline::C4camPipeline;
-    use c4cam_ir::Module;
+    use crate::testing::lowered_hdc;
 
+    /// One query: the query nest stays on the tape as loops.
     fn lowered_tape() -> Tape {
-        let mut m = Module::new();
-        torch::build_hdc_dot(&mut m, 2, 4, 64, 1);
-        let spec = ArchSpec::builder()
-            .subarray(16, 16)
-            .hierarchy(2, 2, 4)
-            .optimization(Optimization::Base)
-            .build()
-            .unwrap();
-        let m = C4camPipeline::new(spec).compile(m).unwrap().module;
-        Tape::compile(&m, "forward").unwrap()
+        Tape::compile(&lowered_hdc(1), "forward").unwrap()
     }
 
     #[test]
     fn scalar_consts_are_stripped_into_the_preload_table() {
         let tape = lowered_tape();
         assert!(
-            !tape.preload.is_empty(),
+            !tape.0.preload.is_empty(),
             "lowered modules carry scalar constants"
         );
         // Every scalar const was single-writer, so none survive on tape.
-        assert!(!tape.insts.iter().any(|i| matches!(
+        assert!(!tape.0.insts.iter().any(|i| matches!(
             i,
             Inst::ConstInt { .. } | Inst::ConstFloat { .. } | Inst::ConstBool { .. }
         )));
         // Preloaded slots are disjoint from argument slots and unique.
-        let mut slots: Vec<_> = tape.preload.iter().map(|&(s, _)| s).collect();
+        let mut slots: Vec<_> = tape.0.preload.iter().map(|&(s, _)| s).collect();
         slots.sort_unstable();
         slots.dedup();
-        assert_eq!(slots.len(), tape.preload.len(), "duplicate preload slot");
-        assert!(slots.iter().all(|s| !tape.arg_slots.contains(s)));
+        assert_eq!(slots.len(), tape.0.preload.len(), "duplicate preload slot");
+        assert!(slots.iter().all(|s| !tape.0.arg_slots.contains(s)));
     }
 
     #[test]
@@ -263,49 +239,57 @@ mod tests {
         // The query nest's address arithmetic (`iv * chunk + offset`)
         // must fold its constant operands.
         assert!(tape
+            .0
             .insts
             .iter()
             .any(|i| matches!(i, Inst::IntBinImm { .. })));
         assert!(tape
+            .0
             .insts
             .iter()
             .any(|i| matches!(i, Inst::IntCmpImm { .. })));
     }
 
+    /// Checked by hand, independently of `Tape::verify`: once after const
+    /// stripping alone (1 query) and once after the specialise splice
+    /// moved the tail of the tape as well (2 queries).
     #[test]
     fn control_flow_survives_pc_remapping() {
-        let tape = lowered_tape();
-        let n = tape.insts.len();
-        for (pc, inst) in tape.insts.iter().enumerate() {
-            match *inst {
-                Inst::Jump { target } | Inst::JumpIfNot { target, .. } => {
-                    assert!(target <= n, "jump at {pc} out of range: {target}");
+        for queries in [1, 2] {
+            let tape = Tape::compile(&lowered_hdc(queries), "forward").unwrap();
+            let n = tape.0.insts.len();
+            for (pc, inst) in tape.0.insts.iter().enumerate() {
+                match *inst {
+                    Inst::Jump { target } | Inst::JumpIfNot { target, .. } => {
+                        assert!(target <= n, "jump at {pc} out of range: {target}");
+                    }
+                    Inst::LoopEnter { exit, .. } => {
+                        // `exit` is one past the matching LoopNext.
+                        assert!(
+                            matches!(tape.0.insts[exit - 1], Inst::LoopNext { enter } if enter == pc),
+                            "loop bracket broken at {pc}"
+                        );
+                    }
+                    Inst::LoopNext { enter } => {
+                        assert!(
+                            matches!(tape.0.insts[enter], Inst::LoopEnter { .. }),
+                            "back-edge at {pc} targets a non-loop pc {enter}"
+                        );
+                    }
+                    _ => {}
                 }
-                Inst::LoopEnter { exit, .. } => {
-                    // `exit` is one past the matching LoopNext.
-                    assert!(
-                        matches!(tape.insts[exit - 1], Inst::LoopNext { enter } if enter == pc),
-                        "loop bracket broken at {pc}"
-                    );
-                }
-                Inst::LoopNext { enter } => {
-                    assert!(
-                        matches!(tape.insts[enter], Inst::LoopEnter { .. }),
-                        "back-edge at {pc} targets a non-loop pc {enter}"
-                    );
-                }
-                _ => {}
             }
-        }
-        let ql = tape.query_loop().expect("query loop survives remapping");
-        assert!(matches!(tape.insts[ql.enter], Inst::LoopEnter { .. }));
-        assert!(matches!(tape.insts[ql.next], Inst::LoopNext { .. }));
-        assert_eq!(ql.exit, ql.next + 1);
-        for &enter in tape.shard_loops() {
-            assert!(matches!(
-                tape.insts[enter],
-                Inst::LoopEnter { parallel: true, .. }
-            ));
+            let ql = tape.query_loop().expect("query loop survives remapping");
+            assert!(matches!(tape.0.insts[ql.enter], Inst::LoopEnter { .. }));
+            assert!(matches!(tape.0.insts[ql.next], Inst::LoopNext { .. }));
+            assert_eq!(ql.exit, ql.next + 1);
+            assert_eq!(tape.shard_loops().is_empty(), tape.specialised().is_ok());
+            for &enter in tape.shard_loops() {
+                assert!(matches!(
+                    tape.0.insts[enter],
+                    Inst::LoopEnter { parallel: true, .. }
+                ));
+            }
         }
     }
 }

@@ -25,9 +25,10 @@
 
 use crate::error::EngineError;
 use crate::isa::Slot;
+use crate::vm::search_spec;
 use c4cam_arch::tech::Level;
 use c4cam_arch::{MatchKind, Metric};
-use c4cam_camsim::{ArrayId, BankId, CamMachine, MatId, RowSelection, SearchSpec, SubarrayId};
+use c4cam_camsim::{ArrayId, BankId, CamMachine, MatId, SubarrayId};
 use c4cam_runtime::kernels::{merge_partial_rows, read_tensors, reduce_scores};
 use c4cam_runtime::Value;
 use c4cam_tensor::Tensor;
@@ -297,19 +298,7 @@ impl Trace {
                     share,
                     query,
                 } => {
-                    let mut spec = SearchSpec::new(*kind, *metric);
-                    if let Some((start, len)) = selection {
-                        spec = spec.with_selection(RowSelection::Window {
-                            start: *start,
-                            len: *len,
-                        });
-                    }
-                    if let Some(t) = threshold {
-                        spec = spec.with_threshold(*t);
-                    }
-                    if let Some(sh) = share {
-                        spec = spec.with_broadcast_share(*sh);
-                    }
+                    let spec = search_spec(*kind, *metric, *selection, *threshold, *share);
                     device
                         .search(sub_id(&subs, *sub)?, query, spec)
                         .map_err(|e| err(e.message))?;
@@ -497,5 +486,19 @@ mod tests {
             ops: vec![TraceOp::AllocBank],
         };
         assert!(t.replay(&mut m).is_err());
+        // A rank-1 accumulator (an index panic before the shared merge
+        // kernel checked the rank).
+        let mut ops = sample().ops;
+        let acc = ops
+            .iter_mut()
+            .find_map(|op| match op {
+                TraceOp::Buffer { shape, .. } => Some(shape),
+                _ => None,
+            })
+            .unwrap();
+        *acc = vec![2];
+        let mut m = c4cam_camsim::CamMachine::new(&c4cam_arch::ArchSpec::default());
+        let e = Trace { ops }.replay(&mut m).unwrap_err();
+        assert!(e.message.contains("rank-2 accumulator"), "{e}");
     }
 }

@@ -7,15 +7,16 @@
 //! order the tree-walking interpreter produces, so on the same machine
 //! the two engines yield bit-identical outputs *and* statistics.
 
-use crate::compile::Tape;
+use crate::compile::{Tape, TapeData};
 use crate::error::EngineError;
 use crate::frozen::{freeze, thaw, Frozen};
-use crate::isa::{FloatBinOp, Inst, IntBinOp, PreConst, SliceOffset, Slot};
+use crate::isa::{FloatBinOp, Inst, PreConst, SearchMergeInst, SliceOffset, Slot};
 use crate::trace::{Trace, TraceOp, TraceState};
+use c4cam_arch::{MatchKind, Metric};
 use c4cam_camsim::{CamMachine, ExecStats, RowSelection, SearchSpec, SubarrayId};
 use c4cam_runtime::kernels::{
-    merge_partial_rows, read_tensors, read_tensors_into, reduce_scores, search_query_view,
-    tensor_rows,
+    merge_partial_rows, merge_search_result, read_tensors, read_tensors_into, reduce_scores,
+    search_query_view, tensor_rows,
 };
 use c4cam_runtime::{Handle, Value};
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
@@ -46,29 +47,27 @@ fn copy_into_recycled(pool: &mut Vec<Tensor>, src: &Tensor) -> Tensor {
     }
 }
 
-/// Integer ALU semantics shared by [`Inst::IntBin`] and its fused
-/// immediate form [`Inst::IntBinImm`].
-#[inline]
-fn int_bin_eval(op: IntBinOp, a: i64, b: i64) -> VResult<i64> {
-    Ok(match op {
-        IntBinOp::Add => a.wrapping_add(b),
-        IntBinOp::Sub => a.wrapping_sub(b),
-        IntBinOp::Mul => a.wrapping_mul(b),
-        IntBinOp::DivU => {
-            if b == 0 {
-                return Err(err("division by zero in arith.divui"));
-            }
-            ((a as u64) / (b as u64)) as i64
-        }
-        IntBinOp::RemU => {
-            if b == 0 {
-                return Err(err("division by zero in arith.remui"));
-            }
-            ((a as u64) % (b as u64)) as i64
-        }
-        IntBinOp::MinU => ((a as u64).min(b as u64)) as i64,
-        IntBinOp::MaxU => ((a as u64).max(b as u64)) as i64,
-    })
+/// The device's [`SearchSpec`] for a search's pre-resolved parts — one
+/// definition for [`Inst::Search`], [`Inst::SearchMerge`] and
+/// [`Trace::replay`].
+pub(crate) fn search_spec(
+    kind: MatchKind,
+    metric: Metric,
+    selection: Option<(usize, usize)>,
+    threshold: Option<f64>,
+    share: Option<f64>,
+) -> SearchSpec {
+    let mut spec = SearchSpec::new(kind, metric);
+    if let Some((start, len)) = selection {
+        spec = spec.with_selection(RowSelection::Window { start, len });
+    }
+    if let Some(t) = threshold {
+        spec = spec.with_threshold(t);
+    }
+    if let Some(share) = share {
+        spec = spec.with_broadcast_share(share);
+    }
+    spec
 }
 
 /// An active counted loop.
@@ -125,9 +124,13 @@ pub(crate) struct MergeRecord {
 /// Executes a [`Tape`] against a slot file and a machine.
 #[derive(Debug)]
 pub struct TapeVm<'t> {
-    tape: &'t Tape,
+    tape: &'t TapeData,
     slots: Vec<Value>,
     frames: Vec<Frame>,
+    /// Zero-padded query row for a [`Inst::SearchMerge`] whose window
+    /// overruns the query tensor (the padded tail chunk); every other
+    /// fused search borrows its row in place.
+    query_scratch: Vec<f32>,
     /// Worker-thread fan-out for shardable `scf.parallel` loops
     /// (`0`/`1` = execute them sequentially).
     shard_threads: usize,
@@ -163,6 +166,7 @@ impl<'t> TapeVm<'t> {
     /// # Errors
     /// Fails on an argument-count mismatch.
     pub fn new(tape: &'t Tape, args: &[Value]) -> VResult<TapeVm<'t>> {
+        let tape = &*tape.0;
         if args.len() != tape.arg_slots.len() {
             return Err(err(format!(
                 "'{}' takes {} arguments, got {}",
@@ -185,28 +189,16 @@ impl<'t> TapeVm<'t> {
         for (&s, a) in tape.arg_slots.iter().zip(args) {
             slots[s as usize] = a.clone();
         }
-        Ok(TapeVm {
-            tape,
-            slots,
-            frames: Vec::new(),
-            shard_threads: 0,
-            shard_chaos: None,
-            merge_log: None,
-            merge_arena: Vec::new(),
-            trace: None,
-            telemetry: Telemetry::default(),
-            tl_on: false,
-            lane: 0,
-            op_seq: 0,
-        })
+        Ok(TapeVm::with_slots(tape, slots))
     }
 
     /// VM over an existing slot file (batched-shard reconstruction).
-    pub(crate) fn with_slots(tape: &'t Tape, slots: Vec<Value>) -> TapeVm<'t> {
+    pub(crate) fn with_slots(tape: &'t TapeData, slots: Vec<Value>) -> TapeVm<'t> {
         TapeVm {
             tape,
             slots,
             frames: Vec::new(),
+            query_scratch: Vec::new(),
             shard_threads: 0,
             shard_chaos: None,
             merge_log: None,
@@ -575,7 +567,7 @@ impl<'t> TapeVm<'t> {
     /// for host-side scalar/control ops, which are never recorded.
     fn device_op_name(inst: &Inst) -> Option<&'static str> {
         match inst {
-            Inst::Search(_) => Some("cam.search"),
+            Inst::Search(_) | Inst::SearchMerge(_) => Some("cam.search"),
             Inst::Read { .. } => Some("cam.read"),
             Inst::WriteValue { .. } => Some("cam.write"),
             Inst::MergePartial { .. } => Some("cam.merge_partial"),
@@ -667,7 +659,7 @@ impl<'t> TapeVm<'t> {
             } => {
                 let a = self.int(*lhs)?;
                 let b = self.int(*rhs)?;
-                let r = int_bin_eval(*op, a, b)?;
+                let r = op.eval(a, b).map_err(err)?;
                 let (out, v) = (*out, Self::int_like(*index, r));
                 self.set(out, v);
             }
@@ -679,7 +671,7 @@ impl<'t> TapeVm<'t> {
                 index,
             } => {
                 let a = self.int(*lhs)?;
-                let r = int_bin_eval(*op, a, *imm)?;
+                let r = op.eval(a, *imm).map_err(err)?;
                 let (out, v) = (*out, Self::int_like(*index, r));
                 self.set(out, v);
             }
@@ -954,20 +946,13 @@ impl<'t> TapeVm<'t> {
             }
             Inst::Search(s) => {
                 let sub = self.subarray(s.sub)?;
-                let mut spec = SearchSpec::new(s.kind, s.metric);
-                let mut selection = None;
-                if let Some((start, len)) = s.selective {
-                    let start = self.int(start)? as usize;
-                    let len = self.int(len)? as usize;
-                    selection = Some((start, len));
-                    spec = spec.with_selection(RowSelection::Window { start, len });
-                }
-                if let Some(t) = s.threshold {
-                    spec = spec.with_threshold(t);
-                }
-                if let Some(share) = s.broadcast_share {
-                    spec = spec.with_broadcast_share(share);
-                }
+                let selection = match s.selective {
+                    Some((start, len)) => {
+                        Some((self.int(start)? as usize, self.int(len)? as usize))
+                    }
+                    None => None,
+                };
+                let spec = search_spec(s.kind, s.metric, selection, s.threshold, s.broadcast_share);
                 let traced_query = {
                     let query = self.tensor_view(s.query)?;
                     let q = search_query_view(&query).map_err(err)?;
@@ -1129,8 +1114,124 @@ impl<'t> TapeVm<'t> {
                     tr.set_vid(is, vi);
                 }
             }
+            Inst::ScopeEnter { parallel } => {
+                if *parallel {
+                    machine.push_parallel();
+                    self.trace_push(|| TraceOp::PushParallel);
+                } else {
+                    machine.push_sequential();
+                    self.trace_push(|| TraceOp::PushSequential);
+                }
+            }
+            Inst::ScopeExit => {
+                machine.pop_scope();
+                self.trace_push(|| TraceOp::PopScope);
+            }
+            Inst::SearchMerge(s) => self.exec_search_merge(machine, s)?,
         }
         Ok(Step::Next)
+    }
+
+    /// One fused search → read → merge: the device calls, the trace
+    /// records and the accumulation of the three instructions it
+    /// replaces, in their order, without materializing the query slice
+    /// or the read buffers.
+    fn exec_search_merge(&mut self, machine: &mut CamMachine, s: &SearchMergeInst) -> VResult<()> {
+        let sub = {
+            let table = self.tensor_view(s.table)?;
+            let id = table
+                .data()
+                .get(s.pos)
+                .ok_or_else(|| err("handle table index out of bounds"))?;
+            SubarrayId(*id as usize)
+        };
+        let row = self.int(s.row)?;
+        let q = usize::try_from(row).map_err(|_| err("negative slice offset"))?;
+        let spec = search_spec(
+            s.kind,
+            s.metric,
+            s.selective,
+            s.threshold,
+            s.broadcast_share,
+        );
+        // Taken out so the query tensor can stay borrowed beside it (an
+        // error below just costs the next padded search its buffer).
+        let mut scratch = std::mem::take(&mut self.query_scratch);
+        let traced_query = {
+            let query = self.tensor_view(s.query)?;
+            let &[rows, cols] = query.shape() else {
+                return Err(err("extract_slice supports rank-2 tensors"));
+            };
+            let end = s.col.saturating_add(s.width);
+            let window = if q < rows && end <= cols {
+                &query.data()[q * cols + s.col..q * cols + end]
+            } else {
+                // `exec_extract_slice`'s clamp: copy what the tensor
+                // holds of the window, zeros beyond it.
+                scratch.clear();
+                scratch.resize(s.width, 0.0);
+                if q < rows && s.col < cols {
+                    let have = cols - s.col;
+                    scratch[..have].copy_from_slice(&query.data()[q * cols + s.col..][..have]);
+                }
+                &scratch[..]
+            };
+            machine
+                .search(sub, window, spec)
+                .map_err(|e| err(e.message))?;
+            self.trace.is_some().then(|| window.to_vec())
+        };
+        self.query_scratch = scratch;
+
+        let traced = match traced_query {
+            Some(query) => {
+                let tr = self.trace.as_mut().expect("tracing is on");
+                tr.push(TraceOp::Search {
+                    sub: sub.0,
+                    kind: s.kind,
+                    metric: s.metric,
+                    selection: s.selective,
+                    threshold: s.threshold,
+                    share: s.broadcast_share,
+                    query,
+                });
+                let (vals, idx) = (tr.fresh(), tr.fresh());
+                tr.push(TraceOp::Read {
+                    sub: sub.0,
+                    shape: s.shape.clone(),
+                    vals,
+                    idx,
+                });
+                // May materialize the accumulator as a literal, so it
+                // comes before the merge mutates it.
+                let acc = self.trace_operand(s.acc)?.expect("tracing is on");
+                Some((acc, vals, idx))
+            }
+            None => None,
+        };
+        // Each half's failures go to the op it came from, as on a
+        // looped body; everything above is the `cam.search`'s.
+        let result = machine
+            .read(sub)
+            .map_err(|e| self.tape.attach_src(s.read_src, err(e.message)))?;
+        let acc = self.slots[s.acc as usize]
+            .as_buffer()
+            .ok_or_else(|| err("merge expects an accumulator buffer"));
+        let declared = s.shape.iter().product();
+        acc.and_then(|acc| {
+            merge_search_result(&mut acc.borrow_mut(), result, declared, q, s.offset).map_err(err)
+        })
+        .map_err(|e| self.tape.attach_src(s.merge_src, e))?;
+        if let Some((acc, vals, idx)) = traced {
+            self.trace_push(|| TraceOp::MergePartial {
+                acc,
+                vals,
+                idx,
+                q,
+                offset: s.offset,
+            });
+        }
+        Ok(())
     }
 
     /// Clamped + zero-padded rank-2 window (walker-identical semantics).
@@ -1220,7 +1321,7 @@ impl Tape {
         args: &[Value],
     ) -> Result<(Vec<Value>, Trace), EngineError> {
         let mut vm = TapeVm::new(self, args)?;
-        vm.trace = Some(TraceState::new(self.n_slots));
+        vm.trace = Some(TraceState::new(self.0.n_slots));
         let values = returned(vm.exec(machine, 0, usize::MAX)?)?;
         let ops = vm.trace.take().expect("tracing state").ops;
         Ok((values, Trace { ops }))

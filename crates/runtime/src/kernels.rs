@@ -104,12 +104,48 @@ pub fn read_tensors_into(
     Ok(())
 }
 
+/// Row `q` of a merge accumulator — the checks both merge kernels
+/// share.
+///
+/// # Errors
+/// Fails unless `acc` is rank 2 and has a row `q`.
+fn accumulator_row(acc: &mut Tensor, q: usize) -> Result<&mut [f32], String> {
+    let (rows, cols) = match *acc.shape() {
+        [rows, cols] => (rows, cols),
+        ref shape => {
+            return Err(format!(
+                "merge expects a rank-2 accumulator, got shape {shape:?}"
+            ))
+        }
+    };
+    if q >= rows {
+        return Err("merge query index out of bounds".to_string());
+    }
+    Ok(&mut acc.data_mut()[q * cols..(q + 1) * cols])
+}
+
+/// Accumulate `val` into column `stored + offset` of accumulator row
+/// `row` (`cols` wide) — one element of a partial-score merge.
+#[inline]
+fn merge_one(row: &mut [f32], stored: f32, val: f32, offset: i64) -> Result<(), String> {
+    let cols = row.len();
+    let col = stored as i64 + offset;
+    if col < 0 || col as usize >= cols {
+        return Err(format!(
+            "merge writes column {col} outside accumulator width {cols}"
+        ));
+    }
+    row[col as usize] += val;
+    Ok(())
+}
+
 /// `cam.merge_partial_subarray`: scatter-accumulate one subarray's
 /// partial scores into row `q` of the accumulator, offsetting read-back
 /// row ids by `offset` columns. Negative stored ids (padding) skip.
 ///
 /// # Errors
-/// Fails when `q` or a target column is out of bounds.
+/// Fails on a non-rank-2 accumulator, on fewer indices than values, or
+/// when `q` or a target column is out of bounds.
 pub fn merge_partial_rows(
     acc: &mut Tensor,
     vals: &Tensor,
@@ -117,23 +153,46 @@ pub fn merge_partial_rows(
     q: usize,
     offset: i64,
 ) -> Result<(), String> {
-    let cols = acc.shape()[1];
-    if q >= acc.shape()[0] {
-        return Err("merge query index out of bounds".to_string());
+    let row = accumulator_row(acc, q)?;
+    if idx.len() < vals.len() {
+        return Err(format!(
+            "merge operands disagree: {} values vs {} indices",
+            vals.len(),
+            idx.len()
+        ));
     }
-    for j in 0..vals.len() {
-        let stored = idx.data()[j];
+    for (&stored, &val) in idx.data().iter().zip(vals.data()) {
         if stored < 0.0 {
             continue;
         }
-        let col = stored as i64 + offset;
-        if col < 0 || col as usize >= cols {
-            return Err(format!(
-                "merge writes column {col} outside accumulator width {cols}"
-            ));
-        }
-        let off = q * cols + col as usize;
-        acc.data_mut()[off] += vals.data()[j];
+        merge_one(row, stored, val, offset)?;
+    }
+    Ok(())
+}
+
+/// Fused `cam.read` + `cam.merge_partial_subarray`: accumulate a search
+/// result straight into row `q` of the accumulator, as if it had first
+/// been materialized by [`read_tensors_into`] into `declared`-element
+/// buffers (entries past `declared` are dropped; the `-1` padding a
+/// short result would get is skipped by the merge anyway) and then
+/// merged by [`merge_partial_rows`]. The tape VM's fused search
+/// instruction goes through this; `tests/engine_equivalence.rs` holds
+/// it equal to the two-step path.
+///
+/// # Errors
+/// [`merge_partial_rows`]'s accumulator-rank and bounds errors, at the
+/// same element.
+pub fn merge_search_result(
+    acc: &mut Tensor,
+    result: &SearchResult,
+    declared: usize,
+    q: usize,
+    offset: i64,
+) -> Result<(), String> {
+    let row = accumulator_row(acc, q)?;
+    for (&stored, &dist) in result.rows.iter().zip(&result.distances).take(declared) {
+        // Round-trip through `f32` exactly like the materialized read.
+        merge_one(row, stored as f32, dist as f32, offset)?;
     }
     Ok(())
 }
@@ -237,6 +296,36 @@ mod tests {
         );
         assert!(merge_partial_rows(&mut acc, &vals, &idx, 2, 0).is_err());
         assert!(merge_partial_rows(&mut acc, &vals, &idx, 0, 5).is_err());
+    }
+
+    #[test]
+    fn merging_into_a_non_rank_2_accumulator_is_an_error_not_a_panic() {
+        let vals = Tensor::from_slice(&[1.0]);
+        let idx = Tensor::from_slice(&[0.0]);
+        let r = SearchResult {
+            rows: vec![0],
+            distances: vec![1.0],
+            matched: vec![true],
+        };
+        for shape in [vec![4], vec![2, 2, 2]] {
+            let mut acc = Tensor::zeros(shape);
+            let e = merge_partial_rows(&mut acc, &vals, &idx, 0, 0).unwrap_err();
+            assert!(e.contains("rank-2 accumulator"), "{e}");
+            let fused = merge_search_result(&mut acc, &r, 1, 0, 0).unwrap_err();
+            assert_eq!(e, fused);
+        }
+    }
+
+    #[test]
+    fn fused_merge_truncates_to_the_declared_read_size() {
+        let r = SearchResult {
+            rows: vec![0, 1, 2],
+            distances: vec![1.0, 2.0, 4.0],
+            matched: vec![true; 3],
+        };
+        let mut acc = Tensor::zeros(vec![1, 4]);
+        merge_search_result(&mut acc, &r, 2, 0, 1).unwrap();
+        assert_eq!(acc.data(), &[0.0, 1.0, 2.0, 0.0]);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem};
 use c4cam_core::pipeline::{C4camPipeline, PipelineOptions, Target};
 use c4cam_datasets::{Dataset, DatasetFormat, DatasetTask, DatasetWorkload};
+use c4cam_engine::Tape;
 use c4cam_frontend::{parse_torchscript, FrontendConfig};
 use c4cam_hal::{BackendRegistry, ExecOptions};
 use c4cam_ir::print::print_module;
@@ -70,7 +71,7 @@ impl From<DriverError> for CliError {
     }
 }
 
-/// Which IR stage `compile` emits.
+/// Which stage `compile` emits: an IR snapshot, or the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmitStage {
     /// The torch-dialect entry IR (Fig. 4b).
@@ -83,6 +84,9 @@ pub enum EmitStage {
     Partitioned,
     /// The fully mapped cam form (Fig. 6) — default.
     Cam,
+    /// The disassembled tape compiled from the cam form: what the
+    /// `tape` engine executes, after its passes.
+    Tape,
 }
 
 impl FromStr for EmitStage {
@@ -95,10 +99,11 @@ impl FromStr for EmitStage {
             "cim-fused" => Ok(EmitStage::CimFused),
             "partitioned" => Ok(EmitStage::Partitioned),
             "cam" => Ok(EmitStage::Cam),
+            "tape" => Ok(EmitStage::Tape),
             _ => Err(ParseKeywordError::new(
                 "--emit stage",
                 s,
-                &["torch", "cim", "cim-fused", "partitioned", "cam"],
+                &["torch", "cim", "cim-fused", "partitioned", "cam", "tape"],
             )),
         }
     }
@@ -116,7 +121,7 @@ impl EmitStage {
             EmitStage::Cim => "torch-to-cim",
             EmitStage::CimFused => "cim-fuse-ops",
             EmitStage::Partitioned => "cim-partition",
-            EmitStage::Cam => "cam-map",
+            EmitStage::Cam | EmitStage::Tape => "cam-map",
         }
     }
 }
@@ -654,7 +659,12 @@ const FLAGS: [Flag; 49] = [
     flag("--source", "KERNEL.py", COMPILE | RUN, 0),
     flag("--input", "SHAPE", 0, COMPILE | RUN).repeated(),
     flag("--param", "name=SHAPE", 0, COMPILE | RUN).repeated(),
-    flag("--emit", "torch|cim|cim-fused|partitioned|cam", 0, COMPILE),
+    flag(
+        "--emit",
+        "torch|cim|cim-fused|partitioned|cam|tape",
+        0,
+        COMPILE,
+    ),
     flag("--canonicalize", "", 0, COMPILE | RUN),
     flag("--data", "FILE.csv", 0, RUN).repeated(),
     flag("--random-seed", "N", 0, RUN),
@@ -1153,9 +1163,10 @@ fn compile_module(
     Ok((lowered, spec))
 }
 
-/// Execute `compile`, returning the emitted IR text.
+/// Execute `compile`, returning the emitted IR (or tape) text.
 pub fn run_compile(args: &CompileArgs) -> Result<String, CliError> {
     let (lowered, spec) = compile_module(args)?;
+    let func = lowered.name.clone();
     let target = if args.emit == EmitStage::Partitioned {
         Target::HostLoops
     } else {
@@ -1170,6 +1181,10 @@ pub fn run_compile(args: &CompileArgs) -> Result<String, CliError> {
         })
         .compile(lowered.module)
         .map_err(cli_err)?;
+    if args.emit == EmitStage::Tape {
+        let tape = Tape::compile(&compiled.module, &func).map_err(cli_err)?;
+        return Ok(tape.to_string());
+    }
     let wanted = args.emit.snapshot_name();
     // Canonicalize runs last: when requested together with the final
     // stage, emit the canonicalized module instead of the snapshot.
@@ -1795,6 +1810,8 @@ mats_per_bank: 2
             (EmitStage::CimFused, "cim.similarity"),
             (EmitStage::Partitioned, "cim.similarity_scores"),
             (EmitStage::Cam, "cam.search"),
+            // Two inputs: the tape's query body is specialised.
+            (EmitStage::Tape, "search_merge"),
         ] {
             let args = CompileArgs {
                 arch: spec.clone(),
@@ -2178,7 +2195,7 @@ optimization: density
         assert_eq!(EmitStage::from_keyword("wasm"), None);
         assert_eq!(
             "wasm".parse::<EmitStage>().unwrap_err().to_string(),
-            "unknown --emit stage 'wasm' (expected torch|cim|cim-fused|partitioned|cam)"
+            "unknown --emit stage 'wasm' (expected torch|cim|cim-fused|partitioned|cam|tape)"
         );
         assert_eq!(OutputFormat::from_keyword("json"), Some(OutputFormat::Json));
         assert_eq!(

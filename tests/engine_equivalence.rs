@@ -5,17 +5,36 @@
 //! reproduce the outputs exactly when the query loop is sharded. The
 //! tape's recorder is held to the same contract: a `Tape::run_traced`
 //! recording replayed on a fresh machine equals the walker.
+//!
+//! The tape's query-body specialisation rides on the same contract: a
+//! grid over everything the mapping varies (optimisation, cell bits,
+//! subarray size, a padded tail chunk, one / two / seven queries) must
+//! hold it whether the body was flattened or left as loops; every
+//! shipped workload states whether it specialises; and the fused merge
+//! kernel is held equal to the read-then-merge pair it replaces.
 
 use c4cam::arch::{ArchSpec, Optimization};
+use c4cam::camsim::subarray::SearchResult;
 use c4cam::camsim::CamMachine;
 use c4cam::compiler::dialects::{cim, torch};
 use c4cam::compiler::pipeline::C4camPipeline;
-use c4cam::engine::Tape;
+use c4cam::datasets::{Dataset, DatasetTask, DatasetWorkload};
+use c4cam::driver::build_arch;
+use c4cam::engine::{Tape, Unspecialised};
 use c4cam::hal::{BackendRegistry, ExecOptions};
 use c4cam::ir::Module;
+use c4cam::runtime::kernels::{merge_partial_rows, merge_search_result, read_tensors_into};
 use c4cam::runtime::Value;
 use c4cam::tensor::Tensor;
+use c4cam::workloads::{DtreeWorkload, GpuComparisonWorkload, HdcWorkload, KnnWorkload, Workload};
 use proptest::prelude::*;
+
+const OPTIMIZATIONS: [Optimization; 4] = [
+    Optimization::Base,
+    Optimization::Power,
+    Optimization::Density,
+    Optimization::PowerDensity,
+];
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
@@ -28,9 +47,15 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 }
 
 fn random_binary(rows: usize, cols: usize, next: &mut impl FnMut() -> u64) -> Tensor {
+    random_levels(rows, cols, 1, next)
+}
+
+/// Random cell levels in `0..2^bits`.
+fn random_levels(rows: usize, cols: usize, bits: u32, next: &mut impl FnMut() -> u64) -> Tensor {
+    let mask = (1u64 << bits) - 1;
     Tensor::from_vec(
         vec![rows, cols],
-        (0..rows * cols).map(|_| (next() & 1) as f32).collect(),
+        (0..rows * cols).map(|_| (next() & mask) as f32).collect(),
     )
     .unwrap()
 }
@@ -38,7 +63,8 @@ fn random_binary(rows: usize, cols: usize, next: &mut impl FnMut() -> u64) -> Te
 /// Compile for `spec`, run the walker oracle, then every registered
 /// backend (sequential and, where supported, sharded) and a
 /// record-then-replay of the tape, and assert the equivalence contract.
-fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) {
+/// Returns the tape the recording ran.
+fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) -> Tape {
     let compiled = C4camPipeline::new(spec.clone()).compile(m).unwrap();
 
     let registry = BackendRegistry::global();
@@ -101,6 +127,143 @@ fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) {
                 <= 1e-6 * a.total_energy_fj().max(1.0),
             "{name}"
         );
+    }
+    tape
+}
+
+/// Every shipped workload, at two or more queries and at one, under
+/// all four optimisations: the query body specialises, or the tape
+/// says why not. A silent bail-out is a failure here, not a perf cliff.
+#[test]
+fn every_shipped_workload_specialises_or_says_why_not() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data/mini-mnist");
+    let dataset = Dataset::load(&fixture, None).expect("committed fixture");
+    let on_dataset = |task, queries| {
+        Box::new(DatasetWorkload::new(dataset.clone(), task, Some(queries)).unwrap())
+            as Box<dyn Workload>
+    };
+    let hdc = |queries| HdcWorkload {
+        classes: 4,
+        dims: 100,
+        queries,
+        flip_rate: 0.1,
+        seed: 1,
+    };
+    let knn = |queries| KnnWorkload {
+        patterns: 20,
+        dims: 100,
+        queries,
+        k: 3,
+        noise: 0.2,
+        seed: 1,
+    };
+    let one_query = Err(Unspecialised::FewQueries);
+    let table: Vec<(Box<dyn Workload>, Result<(), Unspecialised>)> = vec![
+        (Box::new(hdc(2)), Ok(())),
+        (Box::new(hdc(1)), one_query),
+        (Box::new(knn(3)), Ok(())),
+        (Box::new(knn(1)), one_query),
+        (Box::new(DtreeWorkload::new(8, 3, 3, 4, 1)), Ok(())),
+        (Box::new(DtreeWorkload::new(8, 3, 3, 1, 1)), one_query),
+        (Box::new(GpuComparisonWorkload::paper(2)), Ok(())),
+        (on_dataset(DatasetTask::Hdc, 2), Ok(())),
+        (on_dataset(DatasetTask::Knn, 2), Ok(())),
+        (on_dataset(DatasetTask::Hdc, 1), one_query),
+        (on_dataset(DatasetTask::Knn, 1), one_query),
+    ];
+    for (workload, want) in &table {
+        for opt in OPTIMIZATIONS {
+            let spec = build_arch((32, 32), (2, 2, 4), opt, 1).unwrap();
+            let built = workload.build_module(&spec);
+            let lowered = C4camPipeline::new(spec).compile(built.module).unwrap();
+            let tape = Tape::compile(&lowered.module, built.func).unwrap();
+            assert_eq!(
+                tape.specialised(),
+                *want,
+                "{} at {} queries under {opt:?}",
+                workload.name(),
+                workload.query_count()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn specialised_and_looped_tapes_agree_with_the_walker_over_the_mapping_grid(
+        knn in prop_oneof![Just(false), Just(true)],
+        opt in prop_oneof![
+            Just(Optimization::Base),
+            Just(Optimization::Power),
+            Just(Optimization::Density),
+            Just(Optimization::PowerDensity),
+        ],
+        bits in prop_oneof![Just(1u32), Just(2)],
+        n in prop_oneof![Just(16usize), Just(32), Just(64)],
+        full_chunks in 0usize..3,
+        tail in 1usize..16,
+        nq in prop_oneof![Just(1usize), Just(2), Just(7)],
+        rows in 3usize..40,
+        seed in 0u64..1000,
+    ) {
+        // Never a multiple of the columns: the last chunk's query
+        // window overruns the tensor and is zero-padded.
+        let dims = full_chunks * n + tail;
+        let mut next = xorshift(seed);
+        let stored = random_levels(rows, dims, bits, &mut next);
+        let queries = random_levels(nq, dims, bits, &mut next);
+        let mut m = Module::new();
+        let (func, args) = if knn {
+            cim::build_similarity_kernel(
+                &mut m, "knn", "eucl",
+                rows as i64, dims as i64, nq as i64, 2, false,
+            );
+            ("knn", [Value::Tensor(stored), Value::Tensor(queries)])
+        } else {
+            torch::build_hdc_dot_with(&mut m, nq as i64, rows as i64, dims as i64, 1, true);
+            ("forward", [Value::Tensor(queries), Value::Tensor(stored)])
+        };
+        let spec = build_arch((n, n), (2, 2, 4), opt, bits).unwrap();
+        let tape = check_engines(m, func, &spec, &args);
+        let want = if nq >= 2 { Ok(()) } else { Err(Unspecialised::FewQueries) };
+        prop_assert_eq!(tape.specialised(), want);
+    }
+
+    #[test]
+    fn fused_merge_equals_read_then_merge(
+        rows in proptest::collection::vec(0usize..48, 0..12),
+        declared in 0usize..16,
+        q in 0usize..4,
+        offset in -8i64..24,
+        cols in 1usize..48,
+        seed in 0u64..1000,
+    ) {
+        // Short reads (fewer rows than declared), truncated ones (more),
+        // out-of-range rows and columns: both paths must leave the same
+        // accumulator and the same verdict.
+        let mut next = xorshift(seed);
+        let result = SearchResult {
+            distances: rows.iter().map(|_| (next() % 1000) as f64 / 7.0).collect(),
+            matched: vec![false; rows.len()],
+            rows,
+        };
+        let acc = Tensor::from_vec(
+            vec![3, cols],
+            (0..3 * cols).map(|_| (next() % 100) as f32 / 3.0).collect(),
+        )
+        .unwrap();
+
+        let (mut two_step, mut fused) = (acc.clone(), acc);
+        let mut vals = Tensor::zeros(vec![declared]);
+        let mut idx = Tensor::zeros(vec![declared]);
+        read_tensors_into(&result, &mut vals, &mut idx).unwrap();
+        let want = merge_partial_rows(&mut two_step, &vals, &idx, q, offset);
+        let got = merge_search_result(&mut fused, &result, declared, q, offset);
+        prop_assert_eq!(got, want);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fused), bits(&two_step));
     }
 }
 
