@@ -11,9 +11,7 @@
 //!
 //! `knn` is the paper's Euclidean retrieval with MCAM-quantized
 //! features (the exact-integer accumulation path); `hdc` is the
-//! dot-metric classifier (the XOR/popcount path). `intra-sharded` runs
-//! the single-query kNN through the batch executor's intra-query
-//! sharding for a wall-clock reference on multi-core hosts.
+//! dot-metric classifier (the XOR/popcount path).
 
 use c4cam::arch::{ArchSpec, CamKind};
 use c4cam::camsim::{CamMachine, SearchPath};
@@ -155,35 +153,6 @@ fn search_micro(c: &mut Criterion) {
         });
     });
 
-    // --- Intra-query sharding: a single query fanned across workers ---
-    let mut m = Module::new();
-    cim::build_similarity_kernel(
-        &mut m,
-        "knn1",
-        "eucl",
-        PATTERNS as i64,
-        DIMS as i64,
-        1,
-        1,
-        false,
-    );
-    let knn1 = C4camPipeline::new(knn_spec.clone()).compile(m).unwrap();
-    let knn1_tape = Tape::compile(&knn1.module, "knn1").unwrap();
-    let (stored, queries) = knn_inputs();
-    let one_query = queries.slice2d(0, 0, 1, DIMS).unwrap();
-    let knn1_args = [Value::Tensor(stored), Value::Tensor(one_query)];
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(2);
-    g.bench_function(format!("knn-intra-sharded/1q/{threads}t"), |b| {
-        b.iter(|| {
-            let mut machine = CamMachine::new(&knn_spec);
-            knn1_tape
-                .run_batched(&mut machine, &knn1_args, threads)
-                .unwrap()
-        });
-    });
     g.finish();
 }
 

@@ -167,15 +167,11 @@ struct BankState {
 
 #[derive(Debug, Clone)]
 struct MatState {
-    #[allow(dead_code)]
-    bank: usize,
     arrays: Vec<usize>,
 }
 
 #[derive(Debug, Clone)]
 struct ArrayState {
-    #[allow(dead_code)]
-    mat: usize,
     subarrays: Vec<usize>,
 }
 
@@ -351,10 +347,7 @@ impl CamMachine {
                 bank.0, self.mats_per_bank
             )));
         }
-        self.mats.push(MatState {
-            bank: bank.0,
-            arrays: Vec::new(),
-        });
+        self.mats.push(MatState { arrays: Vec::new() });
         let id = self.mats.len() - 1;
         self.banks[bank.0].mats.push(id);
         self.stats.mats_allocated = self.mats.len();
@@ -377,7 +370,6 @@ impl CamMachine {
             )));
         }
         self.arrays.push(ArrayState {
-            mat: mat.0,
             subarrays: Vec::new(),
         });
         let id = self.arrays.len() - 1;

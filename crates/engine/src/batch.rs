@@ -25,23 +25,10 @@
 //! summation ordering in latency/energy totals; operation counts are
 //! exact.
 //!
-//! ## Intra-query sharding
-//!
-//! When the query loop cannot be sharded — no query loop was detected,
-//! or it has fewer than two iterations (single-query workloads: dtree
-//! classification, one-vector HDC classify) — the executor instead
-//! enables sharding *within* a query: the compiler marks the query
-//! nest's `scf.parallel` loops over independent subarray groups (see
-//! `compile`), and the VM fans their iterations across the same worker
-//! pool. Workers run on machine clones whose per-iteration latencies
-//! fold through a parallel timing scope exactly like the sequential
-//! interleaving (`max` is order-independent, so latency stays
-//! bit-identical); buffer accumulation is handled by a **merge
-//! replay**: workers log each `cam.merge_partial_subarray` and the main
-//! thread re-applies them in global iteration order, which keeps
-//! floating-point score accumulation — and therefore every output —
-//! bit-identical to the sequential run. Energy totals agree up to
-//! summation order, as with query-loop sharding.
+//! Threads shard queries and nothing else. A tape with no detected query
+//! loop, or whose loop has fewer than two iterations, has nothing to
+//! shard: it runs the sequential schedule whatever `threads` says, and
+//! outputs and statistics equal [`Tape::run`] exactly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
@@ -129,15 +116,9 @@ impl Tape {
     ) -> BResult<Vec<Value>> {
         let mut vm = TapeVm::new(self, args)?;
         vm.set_telemetry(telemetry.clone());
-        if threads <= 1 {
-            return returned(vm.exec(machine, 0, usize::MAX)?);
-        }
-        let Some(ql) = self.query_loop() else {
-            // No query loop to shard across: fall back to intra-query
-            // sharding of the parallel subarray-group loops.
-            vm.set_shard_threads(threads);
-            vm.set_shard_chaos(chaos);
-            return returned(vm.exec(machine, 0, usize::MAX)?);
+        let ql = match self.query_loop() {
+            Some(ql) if threads > 1 => ql,
+            _ => return returned(vm.exec(machine, 0, usize::MAX)?),
         };
         // Phase 1: setup.
         if vm.exec(machine, 0, ql.enter)?.is_some() {
@@ -149,10 +130,7 @@ impl Tape {
         }
         let iters: Vec<i64> = (lb..ub).step_by(step as usize).collect();
         if iters.len() < 2 {
-            // A single query cannot shard across iterations — shard the
-            // subarray-group loops inside it instead.
-            vm.set_shard_threads(threads);
-            vm.set_shard_chaos(chaos);
+            // Nothing to shard across: carry on sequentially.
             return returned(vm.exec(machine, ql.enter, usize::MAX)?);
         }
 
@@ -208,7 +186,7 @@ fn run_one_shard(
     let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
     let mut vm = TapeVm::with_slots(&tape.0, slots);
     vm.set_telemetry_lane(telemetry.clone(), lane);
-    vm.exec_iterations(shard_machine, ql.enter, ql.next, ql.iv, chunk, false)?;
+    vm.exec_iterations(shard_machine, ql.enter, ql.next, ql.iv, chunk)?;
     if telemetry.enabled() {
         let end_ns = telemetry.now_ns();
         telemetry.record_span(

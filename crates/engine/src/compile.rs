@@ -19,25 +19,6 @@
 //! * every `cam.merge_partial_subarray` in the body uses the loop's
 //!   induction variable as its query-row operand, so concurrent
 //!   iterations write disjoint accumulator rows.
-//!
-//! ## Shardable subarray-group loops (intra-query sharding)
-//!
-//! The query nest additionally contains `scf.parallel` loops over
-//! hierarchy units — independent subarray groups that a single query
-//! searches concurrently. The compiler marks such a loop shardable when
-//! its body:
-//!
-//! * performs at least one `cam.search`, one `cam.read` and one
-//!   `cam.merge_partial_subarray` (the canonical search→read→merge
-//!   group the mapping pass emits),
-//! * contains no allocation, programming (`cam.write_value` /
-//!   `cam.store_handle`), phase marking, `cam.reduce` or `func.return`,
-//! * merges only into accumulators defined *outside* the loop body.
-//!
-//! Merged accumulator elements are **shared** across iterations
-//! (column chunks of one row group accumulate into the same score), so
-//! the batch executor's workers log their merges and the main thread
-//! replays them in iteration order — see [`crate::TapeVm`].
 
 use crate::error::EngineError;
 use crate::isa::{
@@ -67,9 +48,6 @@ pub struct Tape(pub(crate) Arc<TapeData>);
 pub enum Unspecialised {
     /// No query loop was detected.
     NoQueryLoop,
-    /// The query loop runs fewer than two constant trips: nothing to
-    /// amortise, and intra-query sharding needs the loops.
-    FewQueries,
     /// A loop bound, branch condition or address in the query body is
     /// not a compile-time constant.
     NotConstant,
@@ -88,7 +66,6 @@ impl std::fmt::Display for Unspecialised {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Unspecialised::NoQueryLoop => "no query loop",
-            Unspecialised::FewQueries => "fewer than two queries",
             Unspecialised::NotConstant => "a bound, branch or address is not constant",
             Unspecialised::IvEscapes => "the query index is used outside slice and merge rows",
             Unspecialised::NonCanonical => "an instruction outside the canonical query body",
@@ -114,10 +91,6 @@ pub(crate) struct TapeData {
     /// stripped `Const*` instructions (see [`crate::opt`]).
     pub(crate) preload: Vec<(Slot, PreConst)>,
     pub(crate) query_loop: Option<QueryLoop>,
-    /// `LoopEnter` pcs of parallel loops whose iterations may be
-    /// sharded across worker threads *within* one query (see
-    /// [`Compiler`] docs for the conditions).
-    pub(crate) shard_loops: Vec<usize>,
     /// Why the query body is still loops (`None`: it is the straight
     /// line [`crate::specialize`] left).
     pub(crate) unspecialised: Option<Unspecialised>,
@@ -148,12 +121,6 @@ impl Tape {
     /// The shardable query loop, when one was detected.
     pub fn query_loop(&self) -> Option<QueryLoop> {
         self.0.query_loop
-    }
-
-    /// `LoopEnter` pcs of parallel subarray-group loops eligible for
-    /// intra-query sharding.
-    pub fn shard_loops(&self) -> &[usize] {
-        &self.0.shard_loops
     }
 
     /// Whether the query body was partially evaluated into scope ops
@@ -345,17 +312,6 @@ pub(crate) fn inst_uses(inst: &Inst, mut f: impl FnMut(Slot)) {
     }
 }
 
-/// Whether every `cam.read` of the tape sits inside the loop body
-/// `(enter, next)` — the safety condition for intra-query shard
-/// candidates. A read *after* the loop would observe the main
-/// machine's missing `last_result`; a read textually *before* it can
-/// do the same on the next trip of an enclosing loop.
-fn reads_confined_to_body(insts: &[Inst], enter: usize, next: usize) -> bool {
-    insts.iter().enumerate().all(|(pc, i)| {
-        !matches!(i, Inst::Read { .. } | Inst::SearchMerge(_)) || (enter < pc && pc < next)
-    })
-}
-
 /// What a block's terminating `scf.yield` should compile to.
 enum YieldAction {
     /// Top-level function body: `scf.yield` is illegal, `func.return`
@@ -379,7 +335,6 @@ struct Compiler<'m> {
     /// Control-flow nesting depth (loops + ifs) during compilation.
     depth: usize,
     query_loop: Option<QueryLoop>,
-    shard_loops: Vec<usize>,
     func: String,
 }
 
@@ -404,7 +359,6 @@ impl<'m> Compiler<'m> {
             arg_slots: Vec::new(),
             depth: 0,
             query_loop: None,
-            shard_loops: Vec::new(),
             func: func.to_string(),
         };
         for &arg in &m.block(entry).args {
@@ -425,31 +379,12 @@ impl<'m> Compiler<'m> {
             arg_slots: self.arg_slots,
             preload: Vec::new(),
             query_loop: self.query_loop,
-            shard_loops: self.shard_loops,
             unspecialised: None,
             func: self.func,
         };
         // Tape passes: fold constants into immediates, strip the dead
-        // `Const*` instructions, partially evaluate the query body
-        // (each remaps all pcs, including the shard-loop candidates
-        // filtered below).
+        // `Const*` instructions, partially evaluate the query body.
         crate::opt::optimize(&mut tape);
-        // A shard loop's searches run only on worker machine clones, so
-        // the main machine's subarrays keep no `last_result` from it: a
-        // `cam.read` anywhere outside the loop body — after it in pc
-        // order, or before it inside an enclosing loop that repeats —
-        // could observe that difference. Keep only candidates whose
-        // body contains every read of the tape.
-        let shard_loops = std::mem::take(&mut tape.shard_loops);
-        tape.shard_loops = shard_loops
-            .into_iter()
-            .filter(|&enter| {
-                let Inst::LoopEnter { exit, .. } = tape.insts[enter] else {
-                    return false;
-                };
-                reads_confined_to_body(&tape.insts, enter, exit - 1)
-            })
-            .collect();
         // A tape outlives its compilation by every run of the plan: the
         // passes edit these in place, so drop the slack they leave.
         tape.insts.shrink_to_fit();
@@ -907,11 +842,6 @@ impl<'m> Compiler<'m> {
             *e = exit;
         }
 
-        // Shardable subarray-group candidate: see module docs.
-        if parallel && Self::shardable_parallel_body(&self.insts[enter + 1..next]) {
-            self.shard_loops.push(enter);
-        }
-
         // Query-loop candidate: see module docs for the conditions.
         if !parallel && carries.is_empty() && outer_depth == 0 && self.query_loop.is_none() {
             let body_range = &self.insts[enter + 1..next];
@@ -942,53 +872,6 @@ impl<'m> Compiler<'m> {
             }
         }
         Ok(())
-    }
-
-    /// Whether a parallel loop body qualifies for intra-query sharding
-    /// (see the module docs for the conditions).
-    fn shardable_parallel_body(body: &[Inst]) -> bool {
-        let (mut search, mut read, mut merge) = (false, false, false);
-        for inst in body {
-            match inst {
-                Inst::Search(_) => search = true,
-                Inst::Read { .. } => {
-                    if !search {
-                        // A read before the body's first search would
-                        // observe a previous iteration's result —
-                        // iteration-order-dependent, so not shardable.
-                        return false;
-                    }
-                    read = true;
-                }
-                Inst::MergePartial { .. } => merge = true,
-                Inst::AllocBank { .. }
-                | Inst::AllocMat { .. }
-                | Inst::AllocArray { .. }
-                | Inst::AllocSubarray { .. }
-                | Inst::StoreHandle { .. }
-                | Inst::WriteValue { .. }
-                | Inst::PhaseMarker { .. }
-                | Inst::Reduce(_)
-                | Inst::Return { .. } => return false,
-                _ => {}
-            }
-        }
-        if !(search && read && merge) {
-            return false;
-        }
-        // Every merge must target an accumulator defined before the
-        // loop — merges into body-defined buffers would be lost by the
-        // replay protocol.
-        let mut defs = std::collections::HashSet::new();
-        for inst in body {
-            inst_defs(inst, |s| {
-                defs.insert(s);
-            });
-        }
-        body.iter().all(|inst| match inst {
-            Inst::MergePartial { acc, .. } => !defs.contains(acc),
-            _ => true,
-        })
     }
 
     fn compile_if(&mut self, op: OpId) -> CResult<()> {
@@ -1142,12 +1025,12 @@ impl<'m> Compiler<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::lowered_hdc;
+    use crate::testing::{looped_hdc, lowered_hdc};
     use c4cam_core::dialects::torch;
 
     #[test]
     fn lowered_module_compiles_to_flat_tape() {
-        let m = lowered_hdc(1);
+        let m = looped_hdc(1);
         let tape = Tape::compile(&m, "forward").unwrap();
         assert!(!tape.is_empty());
         assert_eq!(tape.num_args(), 2);
@@ -1174,44 +1057,6 @@ mod tests {
                 "setup op inside query loop"
             );
         }
-    }
-
-    #[test]
-    fn shard_loops_are_detected_and_post_loop_reads_disqualify() {
-        let m = lowered_hdc(1);
-        let tape = Tape::compile(&m, "forward").unwrap();
-        assert!(
-            !tape.shard_loops().is_empty(),
-            "query-nest parallel loops must be shardable"
-        );
-        for &enter in tape.shard_loops() {
-            let Inst::LoopEnter { exit, .. } = tape.0.insts[enter] else {
-                panic!("shard candidate is not a LoopEnter");
-            };
-            // The safety invariant the filter enforces: the main
-            // machine never searches inside a sharded loop, so every
-            // read of the tape must live inside the candidate's body.
-            assert!(reads_confined_to_body(&tape.0.insts, enter, exit - 1));
-        }
-        // The filter itself: reads outside the body — after the loop,
-        // or before it (re-executed by an enclosing loop's next trip) —
-        // disqualify.
-        assert!(reads_confined_to_body(&[], 0, 0));
-        let read = Inst::Read {
-            sub: 0,
-            shape: vec![4],
-            vals: 1,
-            idx: 2,
-        };
-        let merge = Inst::MergeLevel {
-            level: Level::Bank,
-            elems: 1,
-        };
-        let tape_insts = vec![merge.clone(), read.clone(), merge, read];
-        assert!(!reads_confined_to_body(&tape_insts, 0, 2)); // read at pc 3
-        assert!(!reads_confined_to_body(&tape_insts, 2, 4)); // read at pc 1
-        assert!(!reads_confined_to_body(&tape_insts, 1, 3)); // reads on both sides
-        assert!(reads_confined_to_body(&tape_insts, 0, 4)); // both reads inside
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! One line per instruction — `pc: opcode operands`, destination first,
 //! slots written `%n`, jump targets `-> pc` — then the tape's metadata:
-//! `preload`, `query_loop`, `shard_loops`, and whether the query body
-//! was specialised.
+//! `preload`, `query_loop`, and whether the query body was specialised.
 
 use crate::compile::Tape;
 use crate::isa::{Inst, PreConst, SliceOffset};
@@ -259,7 +258,6 @@ impl Display for Tape {
             )?,
             None => writeln!(f, "query_loop: none")?,
         }
-        writeln!(f, "shard_loops: {:?}", t.shard_loops)?;
         match t.unspecialised {
             None => writeln!(f, "specialised: yes"),
             Some(why) => writeln!(f, "specialised: no ({why})"),

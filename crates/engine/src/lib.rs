@@ -21,10 +21,12 @@
 //!   sequential query loop whose iterations are independent (they
 //!   scatter into disjoint accumulator rows keyed by the induction
 //!   variable); the batch executor runs contiguous iteration shards on
-//!   `std::thread` workers, each with its own machine clone, and merges
+//!   pooled worker threads, each with its own machine clone, and merges
 //!   buffers and per-shard [`ExecStats`](c4cam_camsim::ExecStats)
 //!   deterministically. Outputs stay bit-identical; latency/energy
 //!   totals agree with the sequential run up to float summation order.
+//!   Threads shard queries and nothing else: with no detected query
+//!   loop, or fewer than two iterations, this *is* [`Tape::run`].
 //!
 //! [`Tape::run_traced`] is `run` with an observer attached: it records
 //! a [`Trace`] of every device-relevant operation, and
@@ -84,7 +86,7 @@ mod error;
 mod frozen;
 pub mod isa;
 mod opt;
-pub mod pool;
+mod pool;
 mod specialize;
 #[cfg(test)]
 mod testing;
@@ -103,10 +105,12 @@ pub use vm::TapeVm;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{looped_hdc, lowered_hdc, query_nest};
     use c4cam_arch::{ArchSpec, Optimization};
     use c4cam_camsim::CamMachine;
     use c4cam_core::dialects::{cim, torch};
     use c4cam_core::pipeline::C4camPipeline;
+    use c4cam_ir::builder::OpBuilder;
     use c4cam_ir::Module;
     use c4cam_runtime::{Executor, Value};
     use c4cam_tensor::Tensor;
@@ -230,109 +234,94 @@ mod tests {
         }
     }
 
+    /// Threads shard queries and nothing else: a plan with one query,
+    /// or with no detected query loop, runs the sequential schedule
+    /// whatever `threads` says — outputs, statistics and phases equal.
     #[test]
-    fn single_query_workload_shards_within_the_query() {
-        // nq = 1: the query loop has one iteration, so run_batched must
-        // fan the parallel subarray-group loops across workers instead.
+    fn threads_never_change_a_plan_they_cannot_shard() {
+        let s = spec(16, Optimization::Base);
+        let compile = |m: Module| C4camPipeline::new(s.clone()).compile(m).unwrap().module;
+
         let mut m = Module::new();
         torch::build_hdc_dot_with(&mut m, 1, 6, 512, 1, true);
         let (stored, queries) = hdc_inputs(1, 6, 512);
-        let args = [Value::Tensor(queries), Value::Tensor(stored)];
-        let s = spec(16, Optimization::Base);
-        let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
-        let tape = Tape::compile(&compiled.module, "forward").unwrap();
-        assert!(
-            !tape.shard_loops().is_empty(),
-            "query nest parallel loops must be marked shardable"
+        let hdc = (
+            compile(m),
+            "forward",
+            [Value::Tensor(queries), Value::Tensor(stored)],
+            true,
         );
 
-        let mut seq_machine = CamMachine::new(&s);
-        let seq_out = tape.run(&mut seq_machine, &args).unwrap();
-        for threads in [2, 3, 8] {
-            let mut par_machine = CamMachine::new(&s);
-            let par_out = tape.run_batched(&mut par_machine, &args, threads).unwrap();
-            assert_outputs_equal(
-                &seq_out,
-                &par_out,
-                &format!("intra-query threads={threads}"),
-            );
-            let seq = seq_machine.stats();
-            let par = par_machine.stats();
-            assert_eq!(seq.search_ops, par.search_ops);
-            assert_eq!(seq.searched_words, par.searched_words);
-            assert_eq!(seq.read_ops, par.read_ops);
-            assert_eq!(seq.merge_ops, par.merge_ops);
-            // The parallel timing scope folds as max, which is
-            // order-independent — latency stays bit-identical.
-            assert_eq!(
-                seq.latency_ns.to_bits(),
-                par.latency_ns.to_bits(),
-                "latency diverged: {} vs {}",
-                seq.latency_ns,
-                par.latency_ns
-            );
-            assert!(
-                (seq.total_energy_fj() - par.total_energy_fj()).abs()
-                    <= 1e-6 * seq.total_energy_fj(),
-                "energy diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn single_query_knn_shards_within_the_query() {
-        // Euclidean single-query retrieval across multiple row groups
-        // and column chunks: the merges of different subarray groups
-        // accumulate into *shared* score elements, which exercises the
-        // merge-replay protocol.
+        // Euclidean retrieval across multiple row groups and column
+        // chunks: subarray groups accumulate into shared score elements.
         let mut m = Module::new();
         cim::build_similarity_kernel(&mut m, "knn", "eucl", 50, 96, 1, 2, false);
-        let mut stored = Vec::new();
-        for p in 0..50 {
-            for d in 0..96 {
-                stored.push(((d * 5 + p * 11) % 7) as f32 * 0.25);
-            }
-        }
+        let stored: Vec<f32> = (0..50 * 96)
+            .map(|i| (((i % 96) * 5 + (i / 96) * 11) % 7) as f32 * 0.25)
+            .collect();
         let stored = Tensor::from_vec(vec![50, 96], stored).unwrap();
         let queries = stored.slice2d(10, 0, 1, 96).unwrap();
-        let args = [Value::Tensor(stored), Value::Tensor(queries)];
-        let s = spec(16, Optimization::Base);
-        let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
-        let tape = Tape::compile(&compiled.module, "knn").unwrap();
-        assert!(!tape.shard_loops().is_empty());
-
-        let mut seq_machine = CamMachine::new(&s);
-        let seq_out = tape.run(&mut seq_machine, &args).unwrap();
-        let mut par_machine = CamMachine::new(&s);
-        let par_out = tape.run_batched(&mut par_machine, &args, 4).unwrap();
-        assert_outputs_equal(&seq_out, &par_out, "intra-query knn");
-        assert_eq!(
-            seq_machine.stats().latency_ns.to_bits(),
-            par_machine.stats().latency_ns.to_bits()
+        let knn = (
+            compile(m),
+            "knn",
+            [Value::Tensor(stored), Value::Tensor(queries)],
+            true,
         );
+
+        // Two queries, but a phase marker in the query body: the
+        // compiler detects no query loop.
+        let mut m = lowered_hdc(2);
+        let head = query_nest(&m, "forward").head;
+        OpBuilder::before(&mut m, head).op("cam.phase_marker", &[], &[], vec![]);
+        let (stored, queries) = hdc_inputs(2, 4, 64);
+        let args = [Value::Tensor(queries), Value::Tensor(stored)];
+        let no_loop = (m, "forward", args, false);
+
+        for (module, func, args, has_query_loop) in [hdc, knn, no_loop] {
+            let tape = Tape::compile(&module, func).unwrap();
+            assert_eq!(tape.query_loop().is_some(), has_query_loop, "{func}");
+            let mut seq_machine = CamMachine::new(&s);
+            let seq_out = tape.run(&mut seq_machine, &args).unwrap();
+            for threads in [2, 3, 8] {
+                let mut par_machine = CamMachine::new(&s);
+                let par_out = tape.run_batched(&mut par_machine, &args, threads).unwrap();
+                assert_outputs_equal(&seq_out, &par_out, &format!("{func} threads={threads}"));
+                assert_eq!(seq_machine.stats(), par_machine.stats(), "{func}");
+                assert_eq!(seq_machine.phases(), par_machine.phases(), "{func}");
+            }
+        }
     }
 
+    /// The schedule does not depend on the query loop's own bounds: a
+    /// trip count known only at run time specialises all the same, and
+    /// still shards.
     #[test]
-    fn setup_loops_are_not_marked_shardable() {
-        let mut m = Module::new();
-        torch::build_hdc_dot_with(&mut m, 1, 4, 64, 1, true);
+    fn a_run_time_query_bound_still_specialises() {
+        let mut m = lowered_hdc(3);
+        let query_loop = query_nest(&m, "forward").query_loop;
+        let mut b = OpBuilder::before(&mut m, query_loop);
+        let (one, two, ty) = (b.const_index(1), b.const_index(2), b.module().index_ty());
+        let sum = b.op("arith.addi", &[one, two], &[ty], vec![]);
+        let ub = m.result(sum, 0);
+        m.set_operand(query_loop, 1, ub);
+        let (stored, queries) = hdc_inputs(3, 4, 64);
+        let args = [Value::Tensor(queries), Value::Tensor(stored)];
         let s = spec(16, Optimization::Base);
-        let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
-        let tape = Tape::compile(&compiled.module, "forward").unwrap();
-        assert!(!tape.shard_loops().is_empty());
-        for &enter in tape.shard_loops() {
-            let Inst::LoopEnter { exit, .. } = tape.0.insts[enter] else {
-                panic!("shard loop pc {enter} is not a LoopEnter");
-            };
-            let body = &tape.0.insts[enter + 1..exit - 1];
-            assert!(
-                !body
-                    .iter()
-                    .any(|i| matches!(i, Inst::WriteValue { .. } | Inst::AllocSubarray { .. })),
-                "setup instructions inside a shardable loop"
-            );
-            assert!(body.iter().any(|i| matches!(i, Inst::Search(_))));
-        }
+
+        let tape = Tape::compile(&m, "forward").unwrap();
+        assert_eq!(tape.specialised(), Ok(()));
+        let mut walk_machine = CamMachine::new(&s);
+        let walk_out = Executor::with_machine(&m, &mut walk_machine)
+            .run("forward", &args)
+            .unwrap();
+        let mut tape_machine = CamMachine::new(&s);
+        let tape_out = tape.run(&mut tape_machine, &args).unwrap();
+        assert_outputs_equal(&walk_out, &tape_out, "run-time bound");
+        assert_eq!(walk_machine.stats(), tape_machine.stats());
+        let sharded = tape
+            .run_batched(&mut CamMachine::new(&s), &args, 2)
+            .unwrap();
+        assert_outputs_equal(&walk_out, &sharded, "run-time bound, sharded");
     }
 
     #[test]
@@ -440,43 +429,6 @@ mod tests {
         assert_eq!(panic.shard, 0);
         assert_eq!(panic.attempts, 3, "initial attempt + 2 retries");
         assert!(panic.payload.contains("chaos"), "{}", panic.payload);
-    }
-
-    #[test]
-    fn intra_query_shard_panic_degrades_to_sequential() {
-        use c4cam_telemetry::Telemetry;
-        // nq = 1 forces intra-query sharding; chaos panics one worker
-        // and the VM must redo the loop sequentially, bit-identically.
-        let mut m = Module::new();
-        torch::build_hdc_dot_with(&mut m, 1, 6, 512, 1, true);
-        let (stored, queries) = hdc_inputs(1, 6, 512);
-        let args = [Value::Tensor(queries), Value::Tensor(stored)];
-        let s = spec(16, Optimization::Base);
-        let compiled = C4camPipeline::new(s.clone()).compile(m).unwrap();
-        let tape = Tape::compile(&compiled.module, "forward").unwrap();
-
-        let mut seq_machine = CamMachine::new(&s);
-        let seq_out = tape.run(&mut seq_machine, &args).unwrap();
-        let mut par_machine = CamMachine::new(&s);
-        let out = tape
-            .run_batched_resilient(
-                &mut par_machine,
-                &args,
-                4,
-                &Telemetry::default(),
-                &RetryPolicy::default(),
-                Some(ShardChaos {
-                    shard: 0,
-                    fail_attempts: u32::MAX,
-                }),
-            )
-            .unwrap();
-        assert_outputs_equal(&seq_out, &out, "intra-query panic fallback");
-        assert_eq!(
-            seq_machine.stats().latency_ns.to_bits(),
-            par_machine.stats().latency_ns.to_bits(),
-            "sequential redo is bit-identical"
-        );
     }
 
     #[test]
@@ -640,12 +592,16 @@ mod tests {
 
     /// A merge that fails at run time is blamed on the
     /// `cam.merge_partial_subarray`, whether its triple was fused into a
-    /// `SearchMerge` (2 queries) or left in the loops (1 query), and on
-    /// the op the walker blames.
+    /// `SearchMerge` or left in the loops, and on the op the walker
+    /// blames.
     #[test]
     fn a_failing_merge_is_attributed_to_the_merge_op_fused_or_not() {
-        for nq in [1, 2] {
-            let mut m = crate::testing::lowered_hdc(nq as i64);
+        for looped in [false, true] {
+            let mut m = if looped {
+                looped_hdc(2)
+            } else {
+                lowered_hdc(2)
+            };
             let func = m.lookup_symbol("forward").unwrap();
             let merges: Vec<_> = m
                 .walk(func)
@@ -655,15 +611,15 @@ mod tests {
             assert!(!merges.is_empty());
             for &merge in &merges {
                 // Far outside the accumulator's 4 columns.
-                let offset = c4cam_ir::builder::OpBuilder::before(&mut m, merge).const_index(1000);
+                let offset = OpBuilder::before(&mut m, merge).const_index(1000);
                 m.set_operand(merge, 5, offset);
             }
-            let (stored, queries) = hdc_inputs(nq, 4, 64);
+            let (stored, queries) = hdc_inputs(2, 4, 64);
             let args = [Value::Tensor(queries), Value::Tensor(stored)];
             let s = spec(16, Optimization::Base);
 
             let tape = Tape::compile(&m, "forward").unwrap();
-            assert_eq!(tape.specialised().is_ok(), nq == 2);
+            assert_eq!(tape.specialised().is_ok(), !looped);
             let e = tape.run(&mut CamMachine::new(&s), &args).unwrap_err();
             assert!(e.message.contains("outside accumulator width"), "{e}");
             assert_eq!(e.op_name.as_deref(), Some("cam.merge_partial_subarray"));

@@ -21,9 +21,8 @@
 //!    evaluated into a straight line of scope ops and fused searches.
 //!
 //! Passes 2 and 3 move instructions, so all pc-valued fields (jumps,
-//! loop brackets, the query loop, shard-loop candidates) are remapped
-//! by [`remap_pcs`], and `src_ops`/`src_names` stay aligned for error
-//! attribution.
+//! loop brackets, the query loop) are remapped by [`remap_pcs`], and
+//! `src_ops`/`src_names` stay aligned for error attribution.
 //!
 //! Safety hinges on the *single-writer* condition. Slots are not SSA:
 //! loop carries are rewritten by `Copy` on every `scf.yield`, loop
@@ -60,9 +59,6 @@ pub(crate) fn remap_pcs(tape: &mut TapeData, map: impl Fn(usize) -> usize) {
         ql.enter = map(ql.enter);
         ql.next = map(ql.next);
         ql.exit = map(ql.exit);
-    }
-    for enter in &mut tape.shard_loops {
-        *enter = map(*enter);
     }
 }
 
@@ -206,11 +202,11 @@ fn retain_unflagged<T>(v: &mut Vec<T>, removed: &[bool]) {
 mod tests {
     use crate::compile::Tape;
     use crate::isa::Inst;
-    use crate::testing::lowered_hdc;
+    use crate::testing::{looped_hdc, lowered_hdc};
 
-    /// One query: the query nest stays on the tape as loops.
+    /// The query nest stays on the tape as loops.
     fn lowered_tape() -> Tape {
-        Tape::compile(&lowered_hdc(1), "forward").unwrap()
+        Tape::compile(&looped_hdc(2), "forward").unwrap()
     }
 
     #[test]
@@ -251,12 +247,12 @@ mod tests {
     }
 
     /// Checked by hand, independently of `Tape::verify`: once after const
-    /// stripping alone (1 query) and once after the specialise splice
-    /// moved the tail of the tape as well (2 queries).
+    /// stripping alone (looped) and once after the specialise splice
+    /// moved the tail of the tape as well.
     #[test]
     fn control_flow_survives_pc_remapping() {
-        for queries in [1, 2] {
-            let tape = Tape::compile(&lowered_hdc(queries), "forward").unwrap();
+        for module in [looped_hdc(2), lowered_hdc(2)] {
+            let tape = Tape::compile(&module, "forward").unwrap();
             let n = tape.0.insts.len();
             for (pc, inst) in tape.0.insts.iter().enumerate() {
                 match *inst {
@@ -283,13 +279,6 @@ mod tests {
             assert!(matches!(tape.0.insts[ql.enter], Inst::LoopEnter { .. }));
             assert!(matches!(tape.0.insts[ql.next], Inst::LoopNext { .. }));
             assert_eq!(ql.exit, ql.next + 1);
-            assert_eq!(tape.shard_loops().is_empty(), tape.specialised().is_ok());
-            for &enter in tape.shard_loops() {
-                assert!(matches!(
-                    tape.0.insts[enter],
-                    Inst::LoopEnter { parallel: true, .. }
-                ));
-            }
         }
     }
 }

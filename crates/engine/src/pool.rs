@@ -52,11 +52,11 @@ fn pool() -> &'static Pool {
 /// The comparison must be against the *pending* count, not "is anyone
 /// idle": two jobs submitted back to back can both observe the same
 /// lone idle worker, and if only one worker exists the second job
-/// waits until the first finishes. Short shard jobs would self-heal,
-/// but long-lived jobs (the resident server parks a connection handler
-/// per client) would strand the queued job indefinitely. Counting
-/// pending jobs errs toward spawning a worker that ends up parked —
-/// harmless — and never under-provisions.
+/// waits until the first finishes. Counting pending jobs errs toward
+/// spawning a worker that ends up parked — harmless — and never
+/// under-provisions below the cap. The pool runs shard jobs and nothing
+/// else: a job that blocks indefinitely holds one of [`MAX_WORKERS`]
+/// workers, and past the cap every later shard queues behind it.
 pub(crate) fn submit(job: Job) {
     let p = pool();
     let pending = p.pending.fetch_add(1, Ordering::AcqRel) + 1;
@@ -93,16 +93,6 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     }
 }
 
-/// Run an arbitrary job on the shared worker pool.
-///
-/// Public entry point for long-lived services (e.g. the resident
-/// server's connection handlers) that want to reuse the shard workers
-/// instead of spawning ad-hoc threads. A panicking job is contained by
-/// the worker loop and cannot take the pool down.
-pub fn spawn(job: impl FnOnce() + Send + 'static) {
-    submit(Box::new(job));
-}
-
 /// Number of pool workers spawned so far in this process — observable
 /// so tests can prove batched runs reuse threads instead of spawning
 /// per call.
@@ -118,18 +108,18 @@ mod tests {
     use std::time::Duration;
 
     /// Regression: jobs submitted while a worker *looks* idle must all
-    /// get workers even if every one of them blocks indefinitely. The
-    /// old `idle == 0` spawn heuristic let two quick submissions both
+    /// get workers even if every one of them blocks. The old
+    /// `idle == 0` spawn heuristic let two quick submissions both
     /// observe the same lone idle worker, stranding one job in the
-    /// queue — fatal for the server's parked connection handlers.
+    /// queue behind the other.
     #[test]
     fn concurrent_blocking_jobs_all_get_workers() {
         // Run a trivial job and give its worker time to park, so the
         // pool has a nonzero idle count when the blocking jobs arrive.
         let (warm_tx, warm_rx) = mpsc_channel();
-        spawn(move || {
+        submit(Box::new(move || {
             let _ = warm_tx.send(());
-        });
+        }));
         warm_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("warmup job ran");
@@ -141,7 +131,7 @@ mod tests {
         for _ in 0..N {
             let gate = Arc::clone(&gate);
             let done = done_tx.clone();
-            spawn(move || {
+            submit(Box::new(move || {
                 let (count, cv) = &*gate;
                 let mut n = count.lock().expect("gate lock");
                 *n += 1;
@@ -158,7 +148,7 @@ mod tests {
                     }
                 }
                 let _ = done.send(*n);
-            });
+            }));
         }
         for _ in 0..N {
             let seen = done_rx

@@ -29,12 +29,11 @@
 //!
 //! The pass is conservative and all-or-nothing: anything it cannot
 //! prove leaves the tape exactly as it was, with the reason recorded
-//! ([`Unspecialised`]). It does not run when no query loop was detected
-//! or the loop runs fewer than two trips — those tapes keep their loops
-//! because intra-query sharding needs them and there is nothing to
-//! amortise. Unrolling is bounded by two constants ([`MAX_STEPS`],
-//! [`MAX_RESIDUAL`]), not options: hostile bounds must neither hang nor
-//! balloon the compiler.
+//! ([`Unspecialised`]). The residual does not depend on the query
+//! loop's own bounds, which are never read: one query or a thousand get
+//! the same schedule. Unrolling is bounded by two constants
+//! ([`MAX_STEPS`], [`MAX_RESIDUAL`]), not options: hostile bounds must
+//! neither hang nor balloon the compiler.
 
 use crate::compile::{inst_defs, inst_uses, TapeData, Unspecialised};
 use crate::isa::{Inst, PreConst, QueryLoop, SearchMergeInst, SliceOffset, Slot, SrcOp};
@@ -401,9 +400,6 @@ pub(crate) fn specialize(tape: &mut TapeData) -> Result<(), Unspecialised> {
         pending: None,
         out: Vec::new(),
     };
-    if trip_count(&interp, ql)? < 2 {
-        return Err(Unspecialised::FewQueries);
-    }
     if !body_is_closed(&tape.insts, ql, &interp.body_defs) {
         return Err(Unspecialised::NonCanonical);
     }
@@ -428,8 +424,6 @@ pub(crate) fn specialize(tape: &mut TapeData) -> Result<(), Unspecialised> {
 
     // Splice the residual in place of the body.
     let (body_start, old_len, new_len) = (ql.enter + 1, ql.next - ql.enter - 1, residual.len());
-    tape.shard_loops
-        .retain(|&enter| enter <= ql.enter || enter >= ql.next);
     remap_pcs(tape, |pc| {
         if pc < ql.next {
             pc
@@ -445,18 +439,6 @@ pub(crate) fn specialize(tape: &mut TapeData) -> Result<(), Unspecialised> {
     tape.insts
         .splice(body, residual.into_iter().map(|(inst, _)| inst));
     Ok(())
-}
-
-/// Constant trip count of the query loop.
-fn trip_count(interp: &Interp<'_>, ql: QueryLoop) -> Fold<u64> {
-    let Inst::LoopEnter { lb, ub, step, .. } = interp.insts[ql.enter] else {
-        return Err(Unspecialised::NoQueryLoop);
-    };
-    let (lb, ub, step) = (interp.int(lb)?, interp.int(ub)?, interp.int(step)?);
-    if step <= 0 || lb >= ub {
-        return Ok(0);
-    }
-    Ok(ub.abs_diff(lb).div_ceil(step.unsigned_abs()))
 }
 
 /// Whether the rest of the tape is independent of how the body is
@@ -484,38 +466,15 @@ fn body_is_closed(insts: &[Inst], ql: QueryLoop, body_defs: &[bool]) -> bool {
 mod tests {
     use super::*;
     use crate::compile::Tape;
-    use crate::testing::lowered_hdc;
+    use crate::testing::{keep_query_loops, lowered_hdc, query_nest, QueryNest};
     use c4cam_core::dialects::scf;
     use c4cam_ir::builder::OpBuilder;
-    use c4cam_ir::{Module, OpId, ValueId};
-
-    /// Where a test may add ops to a mapped module.
-    struct QueryNest {
-        /// The query loop (insert before it for loop-invariant values).
-        query_loop: OpId,
-        /// First op of the loop's body (insert before it).
-        head: OpId,
-        /// The query induction variable.
-        iv: ValueId,
-    }
+    use c4cam_ir::{Module, OpId};
 
     /// A mapped HDC module at `queries` queries, edited by `edit`.
     fn lowered(queries: i64, edit: impl FnOnce(&mut Module, &QueryNest)) -> Module {
         let mut m = lowered_hdc(queries);
-        let func = m.lookup_symbol("forward").unwrap();
-        let entry = m.op(func).regions[0][0];
-        let query_loop = *m
-            .block(entry)
-            .ops
-            .iter()
-            .find(|&&op| m.op(op).name == "scf.for")
-            .expect("the query loop is the top-level scf.for");
-        let body = m.op(query_loop).regions[0][0];
-        let nest = QueryNest {
-            query_loop,
-            head: m.block(body).ops[0],
-            iv: m.block(body).args[0],
-        };
+        let nest = query_nest(&m, "forward");
         edit(&mut m, &nest);
         m
     }
@@ -538,27 +497,23 @@ mod tests {
     }
 
     #[test]
-    fn two_queries_flatten_the_body_and_one_keeps_its_loops() {
-        let flat = Tape::compile(&lowered(2, |_, _| {}), "forward").unwrap();
-        assert_eq!(flat.specialised(), Ok(()));
-        assert!(flat.shard_loops().is_empty());
-        // 4 classes x 64 dims on 16 x 16 subarrays: four column chunks.
-        let fused = body(&flat)
-            .iter()
-            .filter(|i| matches!(i, Inst::SearchMerge(_)));
-        assert_eq!(fused.count(), 4);
-        assert!(body(&flat).iter().all(|i| matches!(
-            i,
-            Inst::SearchMerge(_)
-                | Inst::ScopeEnter { .. }
-                | Inst::ScopeExit
-                | Inst::MergeLevel { .. }
-        )));
-
-        let looped = Tape::compile(&lowered(1, |_, _| {}), "forward").unwrap();
-        assert_eq!(looped.specialised(), Err(Unspecialised::FewQueries));
-        assert!(!looped.shard_loops().is_empty());
-        assert!(body(&looped).iter().any(|i| matches!(i, Inst::Search(_))));
+    fn any_query_count_flattens_the_body() {
+        for queries in [1, 2] {
+            let flat = Tape::compile(&lowered(queries, |_, _| {}), "forward").unwrap();
+            assert_eq!(flat.specialised(), Ok(()));
+            // 4 classes x 64 dims on 16 x 16 subarrays: four column chunks.
+            let fused = body(&flat)
+                .iter()
+                .filter(|i| matches!(i, Inst::SearchMerge(_)));
+            assert_eq!(fused.count(), 4);
+            assert!(body(&flat).iter().all(|i| matches!(
+                i,
+                Inst::SearchMerge(_)
+                    | Inst::ScopeEnter { .. }
+                    | Inst::ScopeExit
+                    | Inst::MergeLevel { .. }
+            )));
+        }
     }
 
     /// The module `edit` produces must compile to a tape left
@@ -593,10 +548,8 @@ mod tests {
     #[test]
     fn anything_unproven_leaves_the_loops() {
         // The query index feeding arithmetic.
-        assert_bails(Unspecialised::IvEscapes, |m, nest| {
-            let mut b = OpBuilder::before(m, nest.head);
-            let ty = b.module().index_ty();
-            b.op("arith.addi", &[nest.iv, nest.iv], &[ty], vec![]);
+        assert_bails(Unspecialised::IvEscapes, |m, _| {
+            keep_query_loops(m, "forward");
         });
         // A loop bound computed at run time, ahead of the query loop.
         assert_bails(Unspecialised::NotConstant, |m, nest| {

@@ -10,7 +10,7 @@
 //! | `TAPE_E002` | every jump target is a pc of the tape (or its end) |
 //! | `TAPE_E003` | `LoopEnter` / `LoopNext` brackets pair up |
 //! | `TAPE_E004` | the query loop's anchors name its own bracket |
-//! | `TAPE_E005` | shard-loop anchors point at parallel `LoopEnter`s |
+//! | `TAPE_E005` | retired (was the shard-loop anchors); never reused |
 //! | `TAPE_E006` | preloaded slots have no other writer |
 //! | `TAPE_E007` | scope ops sit, balanced, inside the query body |
 //! | `TAPE_E008` | fused searches sit inside the query body, keyed by its induction variable |
@@ -129,18 +129,6 @@ impl Tape {
         if scope_depth != 0 {
             return fail("E007", n, format!("{scope_depth} scopes left open"));
         }
-        for &enter in &t.shard_loops {
-            if !matches!(
-                t.insts.get(enter),
-                Some(Inst::LoopEnter { parallel: true, .. })
-            ) {
-                return fail(
-                    "E005",
-                    enter,
-                    "shard loop is not a parallel LoopEnter".into(),
-                );
-            }
-        }
         Ok(())
     }
 }
@@ -149,13 +137,18 @@ impl Tape {
 mod tests {
     use crate::compile::{Tape, TapeData};
     use crate::isa::{Inst, PreConst};
-    use crate::testing::lowered_hdc;
+    use crate::testing::{looped_hdc, lowered_hdc};
     use std::sync::Arc;
 
-    /// A verified tape: specialised at two queries, loops (and shard
-    /// loops) at one.
-    fn compiled(queries: i64) -> Tape {
-        Tape::compile(&lowered_hdc(queries), "forward").unwrap()
+    /// A verified two-query tape, its query body specialised or left as
+    /// loops.
+    fn compiled(looped: bool) -> Tape {
+        let module = if looped {
+            looped_hdc(2)
+        } else {
+            lowered_hdc(2)
+        };
+        Tape::compile(&module, "forward").unwrap()
     }
 
     fn pc_of(t: &TapeData, which: impl Fn(&Inst) -> bool) -> usize {
@@ -164,8 +157,8 @@ mod tests {
 
     /// Corrupt one field of a compiled tape; the verifier must answer
     /// with `code`.
-    fn assert_code(code: &str, queries: i64, corrupt: impl FnOnce(&mut TapeData)) {
-        let mut tape = compiled(queries);
+    fn assert_code(code: &str, looped: bool, corrupt: impl FnOnce(&mut TapeData)) {
+        let mut tape = compiled(looped);
         corrupt(Arc::make_mut(&mut tape.0));
         let e = tape.verify().expect_err(code);
         let (got, _) = e.message.split_once(": ").expect("code: message");
@@ -174,13 +167,13 @@ mod tests {
 
     #[test]
     fn compiled_tapes_verify() {
-        compiled(1).verify().unwrap();
-        compiled(2).verify().unwrap();
+        compiled(true).verify().unwrap();
+        compiled(false).verify().unwrap();
     }
 
     #[test]
     fn slot_indices_are_bounded() {
-        assert_code("TAPE_E001", 2, |t| {
+        assert_code("TAPE_E001", false, |t| {
             let n = t.n_slots as u32;
             let pc = pc_of(t, |i| matches!(i, Inst::AllocBuffer { .. }));
             let Inst::AllocBuffer { out, .. } = &mut t.insts[pc] else {
@@ -188,7 +181,7 @@ mod tests {
             };
             *out = n;
         });
-        assert_code("TAPE_E001", 2, |t| {
+        assert_code("TAPE_E001", false, |t| {
             let n = t.n_slots as u32;
             let pc = pc_of(t, |i| matches!(i, Inst::SearchMerge(_)));
             let Inst::SearchMerge(s) = &mut t.insts[pc] else {
@@ -196,13 +189,13 @@ mod tests {
             };
             s.acc = n;
         });
-        assert_code("TAPE_E001", 2, |t| t.arg_slots[0] = t.n_slots as u32);
-        assert_code("TAPE_E001", 2, |t| t.preload[0].0 = t.n_slots as u32);
+        assert_code("TAPE_E001", false, |t| t.arg_slots[0] = t.n_slots as u32);
+        assert_code("TAPE_E001", false, |t| t.preload[0].0 = t.n_slots as u32);
     }
 
     #[test]
     fn jump_targets_and_loop_brackets_are_checked() {
-        assert_code("TAPE_E002", 1, |t| {
+        assert_code("TAPE_E002", true, |t| {
             let (n, pc) = (
                 t.insts.len(),
                 pc_of(t, |i| matches!(i, Inst::JumpIfNot { .. })),
@@ -212,14 +205,14 @@ mod tests {
             };
             *target = n + 1;
         });
-        assert_code("TAPE_E003", 1, |t| {
+        assert_code("TAPE_E003", true, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::LoopEnter { .. }));
             let Inst::LoopEnter { exit, .. } = &mut t.insts[pc] else {
                 unreachable!()
             };
             *exit -= 1;
         });
-        assert_code("TAPE_E003", 1, |t| {
+        assert_code("TAPE_E003", true, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::LoopNext { .. }));
             let Inst::LoopNext { enter } = &mut t.insts[pc] else {
                 unreachable!()
@@ -229,23 +222,25 @@ mod tests {
     }
 
     #[test]
-    fn query_and_shard_loop_anchors_are_checked() {
-        assert_code("TAPE_E004", 2, |t| t.query_loop.as_mut().unwrap().iv += 1);
-        assert_code("TAPE_E004", 2, |t| {
+    fn query_loop_anchors_are_checked() {
+        assert_code("TAPE_E004", false, |t| {
+            t.query_loop.as_mut().unwrap().iv += 1
+        });
+        assert_code("TAPE_E004", false, |t| {
             t.query_loop.as_mut().unwrap().enter -= 1
         });
-        assert_code("TAPE_E004", 1, |t| t.query_loop.as_mut().unwrap().exit += 1);
-        assert_code("TAPE_E005", 1, |t| t.shard_loops[0] += 1);
-        assert_code("TAPE_E005", 1, |t| t.shard_loops.push(usize::MAX));
+        assert_code("TAPE_E004", true, |t| {
+            t.query_loop.as_mut().unwrap().exit += 1
+        });
     }
 
     #[test]
     fn preloaded_slots_are_single_writer() {
-        assert_code("TAPE_E006", 2, |t| t.preload.push(t.preload[0]));
-        assert_code("TAPE_E006", 2, |t| {
+        assert_code("TAPE_E006", false, |t| t.preload.push(t.preload[0]));
+        assert_code("TAPE_E006", false, |t| {
             t.preload.push((t.arg_slots[0], PreConst::Int(0)));
         });
-        assert_code("TAPE_E006", 2, |t| {
+        assert_code("TAPE_E006", false, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::AllocBuffer { .. }));
             let Inst::AllocBuffer { out, .. } = &mut t.insts[pc] else {
                 unreachable!()
@@ -257,26 +252,26 @@ mod tests {
     #[test]
     fn residual_ops_stay_balanced_inside_the_query_body() {
         let scope_exit = |t: &TapeData| pc_of(t, |i| matches!(i, Inst::ScopeExit));
-        assert_code("TAPE_E007", 2, |t| {
+        assert_code("TAPE_E007", false, |t| {
             let pc = scope_exit(t);
             t.insts[pc] = Inst::ScopeEnter { parallel: false };
         });
-        assert_code("TAPE_E007", 2, |t| {
+        assert_code("TAPE_E007", false, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::ScopeEnter { .. }));
             t.insts[pc] = Inst::ScopeExit;
         });
-        assert_code("TAPE_E007", 2, |t| {
+        assert_code("TAPE_E007", false, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::PhaseMarker { .. }));
             t.insts[pc] = Inst::ScopeExit;
         });
-        assert_code("TAPE_E008", 2, |t| {
+        assert_code("TAPE_E008", false, |t| {
             let pc = pc_of(t, |i| matches!(i, Inst::SearchMerge(_)));
             let Inst::SearchMerge(s) = &mut t.insts[pc] else {
                 unreachable!()
             };
             s.row = s.acc;
         });
-        assert_code("TAPE_E008", 2, |t| {
+        assert_code("TAPE_E008", false, |t| {
             let (from, to) = (
                 pc_of(t, |i| matches!(i, Inst::SearchMerge(_))),
                 pc_of(t, |i| matches!(i, Inst::PhaseMarker { .. })),

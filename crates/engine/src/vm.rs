@@ -9,11 +9,10 @@
 
 use crate::compile::{Tape, TapeData};
 use crate::error::EngineError;
-use crate::frozen::{freeze, thaw, Frozen};
 use crate::isa::{FloatBinOp, Inst, PreConst, SearchMergeInst, SliceOffset, Slot};
 use crate::trace::{Trace, TraceOp, TraceState};
 use c4cam_arch::{MatchKind, Metric};
-use c4cam_camsim::{CamMachine, ExecStats, RowSelection, SearchSpec, SubarrayId};
+use c4cam_camsim::{CamMachine, RowSelection, SearchSpec, SubarrayId};
 use c4cam_runtime::kernels::{
     merge_partial_rows, merge_search_result, read_tensors, read_tensors_into, reduce_scores,
     search_query_view, tensor_rows,
@@ -28,23 +27,6 @@ type VResult<T> = Result<T, EngineError>;
 
 fn err(message: impl Into<String>) -> EngineError {
     EngineError::new(message)
-}
-
-/// Upper bound on tensors parked in a VM's merge arena (a backstop
-/// against pathological shard logs, not a tuning knob: merge-record
-/// tensors are small per-subarray partials).
-const MERGE_ARENA_CAP: usize = 4096;
-
-/// Clone `src`, drawing the backing allocation from `pool` when a
-/// recycled tensor of the same shape is available.
-fn copy_into_recycled(pool: &mut Vec<Tensor>, src: &Tensor) -> Tensor {
-    match pool.pop() {
-        Some(mut t) if t.shape() == src.shape() => {
-            t.data_mut().copy_from_slice(src.data());
-            t
-        }
-        _ => src.clone(),
-    }
 }
 
 /// The device's [`SearchSpec`] for a search's pre-resolved parts — one
@@ -98,29 +80,6 @@ impl std::ops::Deref for TensorView<'_> {
     }
 }
 
-/// One recorded `cam.merge_partial_subarray` from a shard worker.
-///
-/// Intra-query sharding cannot merge worker buffer states back
-/// element-wise: iterations of a subarray-group loop accumulate (`+=`)
-/// into *shared* accumulator elements (one partial score per column
-/// chunk), and floating-point accumulation only reproduces the
-/// sequential result when it happens in the sequential order. Workers
-/// therefore log their merges and the main thread replays them in
-/// global iteration order — bit-identical by construction.
-#[derive(Debug)]
-pub(crate) struct MergeRecord {
-    /// Accumulator buffer slot (defined outside the sharded loop).
-    acc: Slot,
-    /// Target accumulator row.
-    q: usize,
-    /// Column offset of this subarray's partial scores.
-    offset: i64,
-    /// Partial values at merge time.
-    vals: Tensor,
-    /// Partial row ids at merge time.
-    idx: Tensor,
-}
-
 /// Executes a [`Tape`] against a slot file and a machine.
 #[derive(Debug)]
 pub struct TapeVm<'t> {
@@ -131,20 +90,6 @@ pub struct TapeVm<'t> {
     /// overruns the query tensor (the padded tail chunk); every other
     /// fused search borrows its row in place.
     query_scratch: Vec<f32>,
-    /// Worker-thread fan-out for shardable `scf.parallel` loops
-    /// (`0`/`1` = execute them sequentially).
-    shard_threads: usize,
-    /// Test-only fault injector: force a worker panic on the named
-    /// shard so the panic-isolation path is exercisable.
-    shard_chaos: Option<c4cam_faults::ShardChaos>,
-    /// When set (shard workers), `cam.merge_partial_subarray` logs its
-    /// operands here in addition to applying them locally.
-    merge_log: Option<Vec<MergeRecord>>,
-    /// Freelist of merge-record tensors. Shard workers draw their
-    /// [`MergeRecord`] copies from here; the main thread's replay
-    /// returns them, so repeated shard loops in one VM (one per query
-    /// under intra-query sharding) stop allocating once warm.
-    merge_arena: Vec<Tensor>,
     /// When set, device-relevant operations and their value dataflow
     /// are recorded for offline replay (see the [`crate::trace`]
     /// module).
@@ -199,28 +144,12 @@ impl<'t> TapeVm<'t> {
             slots,
             frames: Vec::new(),
             query_scratch: Vec::new(),
-            shard_threads: 0,
-            shard_chaos: None,
-            merge_log: None,
-            merge_arena: Vec::new(),
             trace: None,
             telemetry: Telemetry::default(),
             tl_on: false,
             lane: 0,
             op_seq: 0,
         }
-    }
-
-    /// Enable intra-query sharding: shardable `scf.parallel` loops with
-    /// at least two iterations fan out across `threads` workers.
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        self.shard_threads = threads;
-    }
-
-    /// Inject a forced panic into one intra-query shard worker (tests
-    /// the panic-isolated fallback to sequential execution).
-    pub fn set_shard_chaos(&mut self, chaos: Option<c4cam_faults::ShardChaos>) {
-        self.shard_chaos = chaos;
     }
 
     /// Attach a telemetry handle: sampled per-op spans (and per-shard
@@ -255,22 +184,6 @@ impl<'t> TapeVm<'t> {
     ) -> VResult<Option<Vec<Value>>> {
         let mut pc = from;
         while pc < self.tape.insts.len() && pc != stop {
-            // Cheap pre-filter: only a parallel LoopEnter can be a
-            // shard candidate, so non-loop instructions never pay the
-            // shard_loops scan.
-            if self.shard_threads > 1
-                && matches!(self.tape.insts[pc], Inst::LoopEnter { parallel: true, .. })
-                && self.tape.shard_loops.contains(&pc)
-            {
-                match self.exec_shard_loop(machine, pc) {
-                    Ok(Some(continue_at)) => {
-                        pc = continue_at;
-                        continue;
-                    }
-                    Ok(None) => {} // not worth sharding: sequential path
-                    Err(e) => return Err(self.tape.attach(pc, e)),
-                }
-            }
             let stepped = if self.tl_on {
                 self.step_timed(machine, pc)
             } else {
@@ -299,11 +212,8 @@ impl<'t> TapeVm<'t> {
         }
     }
 
-    /// Run the body of the (carry-free) loop at `enter` for the given
-    /// induction values — the shard side of batched execution. For a
-    /// parallel loop, each iteration is wrapped in a sequential timing
-    /// scope exactly like the in-line [`Inst::LoopEnter`] /
-    /// [`Inst::LoopNext`] pair would.
+    /// Run the body of the (carry-free, sequential) loop at `enter` for
+    /// the given induction values — the shard side of batched execution.
     ///
     /// # Errors
     /// Propagates body failures.
@@ -314,153 +224,14 @@ impl<'t> TapeVm<'t> {
         next: usize,
         iv_slot: Slot,
         ivs: &[i64],
-        parallel: bool,
     ) -> VResult<()> {
         for &iv in ivs {
             self.slots[iv_slot as usize] = Value::Index(iv);
-            if parallel {
-                machine.push_sequential();
-            }
-            let returned = self.exec(machine, enter + 1, next)?.is_some();
-            if parallel {
-                machine.pop_scope();
-            }
-            if returned {
+            if self.exec(machine, enter + 1, next)?.is_some() {
                 return Err(err("func.return inside a sharded loop"));
             }
         }
         Ok(())
-    }
-
-    /// Fan the iterations of the shardable parallel loop at `pc` across
-    /// the worker pool (see the `batch` module docs for the protocol).
-    /// Returns the continuation pc, or `None` when the loop is not
-    /// worth sharding (fewer than two iterations, or bounds the
-    /// sequential path must diagnose).
-    ///
-    /// # Errors
-    /// Propagates worker failures.
-    fn exec_shard_loop(&mut self, machine: &mut CamMachine, pc: usize) -> VResult<Option<usize>> {
-        let Inst::LoopEnter {
-            lb,
-            ub,
-            step,
-            iv,
-            exit,
-            parallel: true,
-        } = self.tape.insts[pc]
-        else {
-            return Ok(None);
-        };
-        let (lb, ub, step) = (self.int(lb)?, self.int(ub)?, self.int(step)?);
-        if step <= 0 {
-            return Ok(None); // the sequential path raises the error
-        }
-        let ivs: Vec<i64> = (lb..ub).step_by(step as usize).collect();
-        if ivs.len() < 2 {
-            return Ok(None);
-        }
-        let next = exit - 1;
-        let shard_count = self.shard_threads.min(ivs.len());
-        let snapshot: Vec<Frozen> = self.slots.iter().map(freeze).collect();
-        let chunk = ivs.len().div_ceil(shard_count);
-        let chunks: Vec<&[i64]> = ivs.chunks(chunk).collect();
-        // Seed each worker with a slice of the merge arena; replay
-        // returns the record tensors below, so repeated shard loops in
-        // this VM recycle instead of allocating.
-        let mut arena = std::mem::take(&mut self.merge_arena);
-        let per_shard = arena.len() / chunks.len();
-        let mut pools: Vec<Vec<Tensor>> = chunks
-            .iter()
-            .map(|_| arena.split_off(arena.len().saturating_sub(per_shard)))
-            .collect();
-        let tape = self.tape;
-        let telemetry = &self.telemetry;
-        let chaos = self.shard_chaos.take();
-        let outs: Option<Vec<(ExecStats, Vec<MergeRecord>)>> = std::thread::scope(|scope| {
-            let snapshot = &snapshot;
-            let handles: Vec<_> = chunks
-                .iter()
-                .zip(pools.drain(..))
-                .enumerate()
-                .map(|(shard, (&chunk, pool))| {
-                    let mut shard_machine = machine.clone();
-                    shard_machine.reset_stats();
-                    let telemetry = telemetry.clone();
-                    scope.spawn(move || -> VResult<(ExecStats, Vec<MergeRecord>)> {
-                        if let Some(c) = chaos {
-                            if c.shard == shard && c.fail_attempts > 0 {
-                                panic!("chaos: injected intra-query shard {shard} failure");
-                            }
-                        }
-                        let lane = shard as u32 + 1;
-                        let start_ns = telemetry.now_ns();
-                        let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
-                        let mut vm = TapeVm::with_slots(tape, slots);
-                        vm.set_telemetry_lane(telemetry.clone(), lane);
-                        vm.merge_log = Some(Vec::new());
-                        vm.merge_arena = pool;
-                        shard_machine.push_parallel();
-                        vm.exec_iterations(&mut shard_machine, pc, next, iv, chunk, true)?;
-                        shard_machine.pop_scope();
-                        if telemetry.enabled() {
-                            let end_ns = telemetry.now_ns();
-                            telemetry.record_span(
-                                format!("shard-{shard}"),
-                                cat::SHARD,
-                                lane,
-                                start_ns,
-                                end_ns.saturating_sub(start_ns),
-                                vec![("iterations", ArgValue::Int(chunk.len() as i64))],
-                            );
-                        }
-                        Ok((shard_machine.stats(), vm.merge_log.take().unwrap()))
-                    })
-                })
-                .collect();
-            // No worker state has been absorbed or merged yet, so a
-            // panicked worker is fully isolated: discard every shard
-            // and re-run the loop sequentially (`None`), which is
-            // bit-identical by construction.
-            let mut outs = Vec::with_capacity(handles.len());
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(out)) => outs.push(out),
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => return Ok(None),
-                }
-            }
-            Ok(Some(outs))
-        })?;
-        let Some(outs) = outs else {
-            return Ok(None);
-        };
-        // Deterministic absorption: the loop's parallel scope folds each
-        // shard's latency as max (bit-identical to the sequential fold);
-        // energy and op counters add in shard order.
-        machine.push_parallel();
-        for (stats, _) in &outs {
-            machine.absorb_delta(stats);
-        }
-        machine.pop_scope();
-        // Replay the merges in global iteration order (shard order ∘
-        // within-shard order) against the main slot file's buffers.
-        for (_, log) in outs {
-            for rec in log {
-                let acc = self.slots[rec.acc as usize]
-                    .as_buffer()
-                    .cloned()
-                    .ok_or_else(|| err("sharded merge target is not a buffer"))?;
-                let mut a = acc.borrow_mut();
-                merge_partial_rows(&mut a, &rec.vals, &rec.idx, rec.q, rec.offset).map_err(err)?;
-                drop(a);
-                arena.push(rec.vals);
-                arena.push(rec.idx);
-            }
-        }
-        arena.truncate(MERGE_ARENA_CAP);
-        self.merge_arena = arena;
-        Ok(Some(exit))
     }
 
     // ------------------------------------------------------------------
@@ -1036,25 +807,11 @@ impl<'t> TapeVm<'t> {
                     .as_buffer()
                     .cloned()
                     .ok_or_else(|| err("merge expects an accumulator buffer"))?;
-                let mut pool = std::mem::take(&mut self.merge_arena);
-                let record = {
+                {
                     let vals = self.tensor_view(*vals)?;
                     let idx = self.tensor_view(*idx)?;
-                    let mut a = acc.borrow_mut();
-                    merge_partial_rows(&mut a, &vals, &idx, q, offset).map_err(err)?;
-                    self.merge_log.is_some().then(|| MergeRecord {
-                        acc: acc_slot,
-                        q,
-                        offset,
-                        vals: copy_into_recycled(&mut pool, &vals),
-                        idx: copy_into_recycled(&mut pool, &idx),
-                    })
-                };
-                self.merge_arena = pool;
-                if let Some(record) = record {
-                    if let Some(log) = &mut self.merge_log {
-                        log.push(record);
-                    }
+                    merge_partial_rows(&mut acc.borrow_mut(), &vals, &idx, q, offset)
+                        .map_err(err)?;
                 }
                 if let Some((acc, vals, idx)) = traced {
                     self.trace_push(|| TraceOp::MergePartial {

@@ -85,8 +85,9 @@ enum Lowered {
     Val(ValueId),
     /// Compile-time integer.
     Int(i64),
-    /// Compile-time boolean.
-    Bool(bool),
+    /// Compile-time boolean (call lowering reads literal keyword
+    /// values straight from the AST, so no payload).
+    Bool,
     /// `None` literal.
     None,
 }
@@ -95,16 +96,6 @@ impl Lowered {
     fn val(&self) -> Option<ValueId> {
         match self {
             Lowered::Val(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Compile-time boolean payload (used by diagnostics and future
-    /// conditional lowering).
-    #[allow(dead_code)]
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Lowered::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -283,7 +274,7 @@ fn lower_expr(
     match e {
         Expr::Int(v) => Ok(Lowered::Int(*v)),
         Expr::Float(_) => Err(FrontendError::new(0, "float literals are not supported")),
-        Expr::Bool(b) => Ok(Lowered::Bool(*b)),
+        Expr::Bool(_) => Ok(Lowered::Bool),
         Expr::None => Ok(Lowered::None),
         Expr::Name(n) => env
             .get(n)

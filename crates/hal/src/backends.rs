@@ -97,8 +97,7 @@ impl Plan for WalkPlan {
 // tape
 // ---------------------------------------------------------------------
 
-/// The flat CAM-ISA tape engine with query-loop and intra-query
-/// sharding.
+/// The flat CAM-ISA tape engine; threads shard its query loop.
 pub struct TapeBackend;
 
 struct TapePlan {

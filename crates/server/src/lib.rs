@@ -38,7 +38,7 @@ pub use protocol::{
     classify_response, error_response, parse_request, ClassifyReply, Cmd, ErrorCode, KeyOverride,
     Request,
 };
-pub use serve::{serve, ServeConfig, ServeReport};
+pub use serve::{serve, ServeConfig, ServeReport, MAX_CONNECTIONS};
 
 /// Results of executing one batch of query-pool rows.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,14 +1,16 @@
 //! The resident TCP server: accept loop, connection handlers, and
 //! graceful shutdown.
 //!
-//! One dedicated thread runs the admission dispatcher; connection
-//! handlers run on the shared engine worker pool
-//! ([`c4cam_engine::pool`]), so steady-state serving spawns no
-//! per-connection OS threads. Shutdown is cooperative: a SIGTERM /
-//! SIGINT (ctrl-c) or a `{"cmd":"shutdown"}` request flips one flag;
-//! the accept loop stops admitting connections, the admission queue
-//! drains every in-flight batch, and [`serve`] returns a final
-//! [`ServeReport`] so the process can exit 0.
+//! One dedicated thread runs the admission dispatcher and each accepted
+//! connection gets its own OS thread (`c4cam-conn`), at most
+//! [`MAX_CONNECTIONS`] at once: a handler blocks on its socket for as
+//! long as the client stays, so it must not occupy a worker of the
+//! engine's shard pool, which batches need. A connection past the cap
+//! is answered one `overloaded` line and closed. Shutdown is
+//! cooperative: a SIGTERM / SIGINT (ctrl-c) or a `{"cmd":"shutdown"}`
+//! request flips one flag; the accept loop stops admitting connections,
+//! the admission queue drains every in-flight batch, and [`serve`]
+//! returns a final [`ServeReport`] so the process can exit 0.
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::cache::PlanCache;
@@ -20,7 +22,7 @@ use crate::PlanSource;
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,6 +126,10 @@ mod signals {
     }
 }
 
+/// Connections served at once; the next one is answered one
+/// `overloaded` error line and closed.
+pub const MAX_CONNECTIONS: usize = 256;
+
 struct Shared {
     admission: Admission,
     cache: PlanCache,
@@ -132,8 +138,23 @@ struct Shared {
     shutdown: AtomicBool,
     requests: AtomicU64,
     rejected: AtomicU64,
+    /// Live connection handlers (see [`ConnectionSlot`]).
+    connections: AtomicUsize,
+    /// The thread in [`serve`]'s accept loop, parked between polls: a
+    /// `shutdown` request unparks it instead of waiting the poll out.
+    acceptor: std::thread::Thread,
     started: Instant,
     default_key: PlanKey,
+}
+
+/// One of the [`MAX_CONNECTIONS`] slots, released on drop so a
+/// panicking handler frees it too.
+struct ConnectionSlot(Arc<Shared>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Run the resident server until shutdown; returns the final report.
@@ -170,6 +191,8 @@ pub fn serve(
         shutdown: AtomicBool::new(false),
         requests: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
+        connections: AtomicUsize::new(0),
+        acceptor: std::thread::current(),
         started: Instant::now(),
         default_key,
     });
@@ -202,13 +225,11 @@ pub fn serve(
                 // blocking reads.
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(&shared);
-                c4cam_engine::pool::spawn(move || handle_connection(stream, &shared));
+                spawn_connection(stream, &shared);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // Nothing to accept (or a transient failure): poll again in
+            // 5 ms, or as soon as a `shutdown` request unparks us.
+            Err(_) => std::thread::park_timeout(Duration::from_millis(5)),
         }
     }
 
@@ -229,15 +250,43 @@ pub fn serve(
     })
 }
 
+/// Serve `stream` on a thread of its own, or — at the connection cap,
+/// or when the thread cannot be spawned — refuse it.
+fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    let refuse = |mut stream: &TcpStream, detail: &str| {
+        shared.rejected.fetch_add(1, Ordering::SeqCst);
+        let line = error_response(0, ErrorCode::Overloaded, detail);
+        let _ = stream
+            .write_all(line.as_bytes())
+            .and_then(|()| stream.write_all(b"\n"));
+    };
+    // Only the accept loop takes slots, so check-then-add cannot overshoot.
+    if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+        return refuse(&stream, &format!("{MAX_CONNECTIONS} connections are open"));
+    }
+    shared.connections.fetch_add(1, Ordering::SeqCst);
+    let slot = ConnectionSlot(Arc::clone(shared));
+    // Shared, so a failed spawn (which drops the closure) can still be
+    // answered.
+    let stream = Arc::new(stream);
+    let theirs = Arc::clone(&stream);
+    // Detached: the handler ends when its peer closes, which shutdown
+    // must not wait for. A panic in it prints through the panic hook
+    // and unwinds `slot`.
+    let spawned = std::thread::Builder::new()
+        .name("c4cam-conn".into())
+        .spawn(move || handle_connection(&theirs, &slot.0));
+    if let Err(e) = spawned {
+        refuse(&stream, &format!("cannot spawn a connection thread: {e}"));
+    }
+}
+
 /// Longest request line accepted, newline excluded: bounds what one
 /// connection can make the server buffer.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let reject = |code, detail: &str| {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
@@ -294,6 +343,7 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
         Cmd::Stats => (stats_response(shared), false),
         Cmd::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
+            shared.acceptor.unpark();
             (
                 format!(
                     "{{\"id\":{},\"ok\":true,\"shutting_down\":true}}",

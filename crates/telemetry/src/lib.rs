@@ -67,7 +67,7 @@ pub mod cat {
     pub const BACKEND: &str = "backend";
     /// Per-op spans from the tape VM device-op loop.
     pub const OP: &str = "op";
-    /// Per-shard worker spans from batched / intra-query sharding.
+    /// Per-shard worker spans from batched (query-loop) sharding.
     pub const SHARD: &str = "shard";
     /// Per-grid-point spans from sweeps and accuracy scans.
     pub const GRID: &str = "grid";

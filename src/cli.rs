@@ -353,9 +353,9 @@ pub struct RunArgs {
     /// oracle) — a [`c4cam_hal::BackendRegistry`] key.
     pub engine: String,
     /// Worker threads for the tape engine (`1` = sequential). With more
-    /// than one thread the batch executor shards the query loop — or,
-    /// for single-query workloads, the subarray groups within a query —
-    /// across `std::thread` workers.
+    /// than one thread the batch executor shards the query loop across
+    /// pooled workers; a run of fewer than two queries is sequential at
+    /// any count.
     pub threads: usize,
     /// Report format.
     pub format: OutputFormat,

@@ -359,8 +359,8 @@ impl<'w> Experiment<'w> {
 
     /// Worker threads for backends with thread support (`1` =
     /// sequential). With more than one thread the batch executor shards
-    /// the query loop — or, for single-query workloads, the subarray
-    /// groups within a query — across `std::thread` workers.
+    /// the query loop across pooled workers; a plan of fewer than two
+    /// queries runs sequentially at any count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -9,9 +9,12 @@
 //! The tape's query-body specialisation rides on the same contract: a
 //! grid over everything the mapping varies (optimisation, cell bits,
 //! subarray size, a padded tail chunk, one / two / seven queries) must
-//! hold it whether the body was flattened or left as loops; every
-//! shipped workload states whether it specialises; and the fused merge
-//! kernel is held equal to the read-then-merge pair it replaces.
+//! hold it whether the body was flattened or — by an edit the pass
+//! cannot prove — left as loops; every shipped workload states whether
+//! it specialises; and the fused merge kernel is held equal to the
+//! read-then-merge pair it replaces.
+
+mod common;
 
 use c4cam::arch::{ArchSpec, Optimization};
 use c4cam::camsim::subarray::SearchResult;
@@ -60,12 +63,16 @@ fn random_levels(rows: usize, cols: usize, bits: u32, next: &mut impl FnMut() ->
     .unwrap()
 }
 
-/// Compile for `spec`, run the walker oracle, then every registered
-/// backend (sequential and, where supported, sharded) and a
-/// record-then-replay of the tape, and assert the equivalence contract.
-/// Returns the tape the recording ran.
-fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) -> Tape {
-    let compiled = C4camPipeline::new(spec.clone()).compile(m).unwrap();
+/// Compile for `spec` (keeping the query body as loops when `looped`),
+/// run the walker oracle, then every registered backend (sequential
+/// and, where supported, sharded) and a record-then-replay of the tape,
+/// and assert the equivalence contract. Returns the tape the recording
+/// ran.
+fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value], looped: bool) -> Tape {
+    let mut compiled = C4camPipeline::new(spec.clone()).compile(m).unwrap();
+    if looped {
+        common::keep_query_loops(&mut compiled.module, func);
+    }
 
     let registry = BackendRegistry::global();
     let oracle = registry
@@ -132,8 +139,8 @@ fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value]) -> Tape
 }
 
 /// Every shipped workload, at two or more queries and at one, under
-/// all four optimisations: the query body specialises, or the tape
-/// says why not. A silent bail-out is a failure here, not a perf cliff.
+/// all four optimisations: the query body specialises. A silent
+/// bail-out is a failure here, not a perf cliff.
 #[test]
 fn every_shipped_workload_specialises_or_says_why_not() {
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data/mini-mnist");
@@ -157,19 +164,19 @@ fn every_shipped_workload_specialises_or_says_why_not() {
         noise: 0.2,
         seed: 1,
     };
-    let one_query = Err(Unspecialised::FewQueries);
     let table: Vec<(Box<dyn Workload>, Result<(), Unspecialised>)> = vec![
         (Box::new(hdc(2)), Ok(())),
-        (Box::new(hdc(1)), one_query),
+        (Box::new(hdc(1)), Ok(())),
         (Box::new(knn(3)), Ok(())),
-        (Box::new(knn(1)), one_query),
+        (Box::new(knn(1)), Ok(())),
         (Box::new(DtreeWorkload::new(8, 3, 3, 4, 1)), Ok(())),
-        (Box::new(DtreeWorkload::new(8, 3, 3, 1, 1)), one_query),
+        (Box::new(DtreeWorkload::new(8, 3, 3, 1, 1)), Ok(())),
         (Box::new(GpuComparisonWorkload::paper(2)), Ok(())),
+        (Box::new(GpuComparisonWorkload::paper(1)), Ok(())),
         (on_dataset(DatasetTask::Hdc, 2), Ok(())),
         (on_dataset(DatasetTask::Knn, 2), Ok(())),
-        (on_dataset(DatasetTask::Hdc, 1), one_query),
-        (on_dataset(DatasetTask::Knn, 1), one_query),
+        (on_dataset(DatasetTask::Hdc, 1), Ok(())),
+        (on_dataset(DatasetTask::Knn, 1), Ok(())),
     ];
     for (workload, want) in &table {
         for opt in OPTIMIZATIONS {
@@ -205,6 +212,7 @@ proptest! {
         full_chunks in 0usize..3,
         tail in 1usize..16,
         nq in prop_oneof![Just(1usize), Just(2), Just(7)],
+        looped in prop_oneof![Just(false), Just(true)],
         rows in 3usize..40,
         seed in 0u64..1000,
     ) {
@@ -226,8 +234,8 @@ proptest! {
             ("forward", [Value::Tensor(queries), Value::Tensor(stored)])
         };
         let spec = build_arch((n, n), (2, 2, 4), opt, bits).unwrap();
-        let tape = check_engines(m, func, &spec, &args);
-        let want = if nq >= 2 { Ok(()) } else { Err(Unspecialised::FewQueries) };
+        let tape = check_engines(m, func, &spec, &args, looped);
+        let want = if looped { Err(Unspecialised::IvEscapes) } else { Ok(()) };
         prop_assert_eq!(tape.specialised(), want);
     }
 
@@ -297,7 +305,7 @@ proptest! {
             .optimization(opt)
             .build()
             .unwrap();
-        check_engines(m, "forward", &spec, &args);
+        check_engines(m, "forward", &spec, &args, false);
     }
 
     #[test]
@@ -324,6 +332,6 @@ proptest! {
             .hierarchy(2, 2, 4)
             .build()
             .unwrap();
-        check_engines(m, "knn", &spec, &args);
+        check_engines(m, "knn", &spec, &args, false);
     }
 }

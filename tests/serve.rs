@@ -11,7 +11,7 @@ use c4cam_server::json::Json;
 use c4cam_server::protocol::PlanKey;
 use c4cam_server::{
     loadgen, serve, Admission, AdmissionConfig, AdmitError, BatchSlice, LoadMode, LoadgenConfig,
-    PlanCache, PlanSource, ServeConfig, ServeReport,
+    PlanCache, PlanSource, ServeConfig, ServeReport, MAX_CONNECTIONS,
 };
 use c4cam_telemetry::{CollectingRecorder, Event, Telemetry};
 use std::io::{BufRead, BufReader, Write};
@@ -216,6 +216,12 @@ impl Client {
 }
 
 fn start_server(max_batch: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
+    start_server_on(source_with("tape", max_batch, Telemetry::disabled()))
+}
+
+fn start_server_on(
+    source: DatasetPlanSource,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
     let cfg = ServeConfig {
         admission: AdmissionConfig {
             max_linger: Duration::from_millis(2),
@@ -224,7 +230,6 @@ fn start_server(max_batch: usize) -> (std::net::SocketAddr, std::thread::JoinHan
         cache_capacity: 4,
         ..ServeConfig::default()
     };
-    let source = source_with("tape", max_batch, Telemetry::disabled());
     let (tx, rx) = channel();
     let handle = std::thread::spawn(move || {
         serve(&cfg, Arc::new(source), |addr| tx.send(addr).unwrap()).unwrap()
@@ -389,4 +394,58 @@ fn open_loop_loadgen_reports_latency_under_scheduled_arrivals() {
     let server = handle.join().unwrap();
     assert_eq!(server.requests, 16);
     assert_eq!(server.batched_rows, 32, "2 rows per request");
+}
+
+/// Connection handlers own their threads and the shard pool runs
+/// shards: a server full of idle connections refuses the next one with
+/// an answer, and keeps serving sharded batches on the ones it has.
+#[test]
+fn a_full_server_refuses_new_connections_and_keeps_serving_established_ones() {
+    let source = DatasetPlanSource::new(
+        mini_mnist::dataset(),
+        key("tape"),
+        4,
+        2,
+        Telemetry::disabled(),
+    );
+    let (addr, handle) = start_server_on(source);
+    let expected = reference_pool_classes(&mini_mnist::dataset(), &key("tape")).unwrap();
+    let mut established = Client::connect(addr);
+    // Connections are accepted in order, so these take every slot.
+    let mut idle: Vec<Client> = (1..MAX_CONNECTIONS)
+        .map(|_| Client::connect(addr))
+        .collect();
+
+    let mut refused = Client::connect(addr);
+    let mut line = String::new();
+    refused.reader.read_line(&mut line).unwrap();
+    let v = Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad refusal {line:?}: {e}"));
+    assert_eq!(v.get("error").and_then(Json::as_str), Some("overloaded"));
+    line.clear();
+    assert_eq!(refused.reader.read_line(&mut line).unwrap(), 0, "{line:?}");
+
+    let v = established.roundtrip(r#"{"id":1,"cmd":"classify","rows":[0,1,2]}"#);
+    let classes: Vec<usize> = v
+        .get("classes")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("{v:?}"))
+        .iter()
+        .map(|c| c.as_u64().unwrap() as usize)
+        .collect();
+    assert_eq!(classes, expected[0..3]);
+
+    // A closed peer frees its slot as soon as its handler sees the EOF.
+    drop(idle.pop());
+    let served = (0..500).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        let mut fresh = Client::connect(addr);
+        let mut reply = String::new();
+        let answered = fresh.writer.write_all(b"{\"cmd\":\"info\"}\n").is_ok()
+            && fresh.reader.read_line(&mut reply).is_ok();
+        answered && reply.contains("\"pool_size\"")
+    });
+    assert!(served, "no connection was admitted after a peer closed");
+
+    established.roundtrip(r#"{"cmd":"shutdown"}"#);
+    assert!(handle.join().unwrap().rejected >= 1);
 }

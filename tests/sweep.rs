@@ -8,6 +8,7 @@ use c4cam::driver::Experiment;
 use c4cam::sweep::SweepPlan;
 use c4cam::workloads::HdcWorkload;
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
+use c4cam_server::json::Json;
 
 fn small_hdc() -> HdcWorkload {
     HdcWorkload {
@@ -101,170 +102,22 @@ fn sweep_engines_and_threads_agree() {
     );
 }
 
-// ---------------------------------------------------------------------
-// A minimal JSON parser (no dependencies) so the CLI output is
-// genuinely parsed, not just grepped.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// Field `key` of a JSON object; a missing key fails the test.
+fn field<'j>(v: &'j Json, key: &str) -> &'j Json {
+    v.get(key)
+        .unwrap_or_else(|| panic!("missing key '{key}' in {v:?}"))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(fields) => {
-                &fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("missing key '{key}'"))
-                    .1
-            }
-            other => panic!("not an object: {other:?}"),
-        }
-    }
-
-    fn num(&self) -> f64 {
-        match self {
-            Json::Num(v) => *v,
-            other => panic!("not a number: {other:?}"),
-        }
-    }
-
-    fn str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("not a string: {other:?}"),
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            other => panic!("not an array: {other:?}"),
-        }
-    }
+fn num(v: &Json, key: &str) -> f64 {
+    field(v, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("'{key}' is not a number in {v:?}"))
 }
 
-fn parse_json(text: &str) -> Json {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&bytes, &mut pos);
-    skip_ws(&bytes, &mut pos);
-    assert_eq!(pos, bytes.len(), "trailing input after JSON value");
-    value
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) {
-    skip_ws(b, pos);
-    assert!(*pos < b.len() && b[*pos] == c, "expected '{c}' at {pos}");
-    *pos += 1;
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Json {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Json::Obj(fields);
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos) {
-                    Json::Str(s) => s,
-                    other => panic!("object key must be a string, got {other:?}"),
-                };
-                expect(b, pos, ':');
-                fields.push((key, parse_value(b, pos)));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Json::Obj(fields);
-                    }
-                    other => panic!("expected ',' or '}}', got {other:?}"),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Json::Arr(items);
-            }
-            loop {
-                items.push(parse_value(b, pos));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Json::Arr(items);
-                    }
-                    other => panic!("expected ',' or ']', got {other:?}"),
-                }
-            }
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut s = String::new();
-            while *pos < b.len() && b[*pos] != '"' {
-                if b[*pos] == '\\' {
-                    *pos += 1;
-                }
-                s.push(b[*pos]);
-                *pos += 1;
-            }
-            assert!(*pos < b.len(), "unterminated string");
-            *pos += 1;
-            Json::Str(s)
-        }
-        Some('t') => {
-            assert_eq!(b[*pos..*pos + 4].iter().collect::<String>(), "true");
-            *pos += 4;
-            Json::Bool(true)
-        }
-        Some('f') => {
-            assert_eq!(b[*pos..*pos + 5].iter().collect::<String>(), "false");
-            *pos += 5;
-            Json::Bool(false)
-        }
-        Some('n') => {
-            assert_eq!(b[*pos..*pos + 4].iter().collect::<String>(), "null");
-            *pos += 4;
-            Json::Null
-        }
-        _ => {
-            let start = *pos;
-            while *pos < b.len() && "+-0123456789.eE".contains(b[*pos]) {
-                *pos += 1;
-            }
-            let text: String = b[start..*pos].iter().collect();
-            Json::Num(
-                text.parse()
-                    .unwrap_or_else(|_| panic!("bad number '{text}'")),
-            )
-        }
-    }
+fn text<'j>(v: &'j Json, key: &str) -> &'j str {
+    field(v, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("'{key}' is not a string in {v:?}"))
 }
 
 #[test]
@@ -292,19 +145,20 @@ fn cli_sweep_json_parses_and_matches_individual_runs() {
     let command = parse_args(&args).unwrap();
     assert!(matches!(command, Command::Sweep(_)));
     let output = execute(&command).unwrap();
-    let json = parse_json(&output);
-    assert_eq!(json.get("workload").str(), "hdc");
-    let points = json.get("points").arr();
+    // Genuinely parsed, not just grepped.
+    let json = Json::parse(&output).expect("the sweep report is JSON");
+    assert_eq!(text(&json, "workload"), "hdc");
+    let points = field(&json, "points").as_arr().expect("points array");
     assert_eq!(points.len(), 4, "2 sizes x 2 opts");
 
     // The CLI's hdc workload at these overrides keeps the paper's
     // flip-rate/seed; mirror it exactly.
     let workload = small_hdc();
     for point in points {
-        let n = point.get("subarray_rows").num() as usize;
-        assert_eq!(point.get("subarray_cols").num() as usize, n);
-        let opt = Optimization::from_keyword(point.get("optimization").str()).unwrap();
-        let bits = point.get("bits_per_cell").num() as u32;
+        let n = num(point, "subarray_rows") as usize;
+        assert_eq!(num(point, "subarray_cols") as usize, n);
+        let opt = Optimization::from_keyword(text(point, "optimization")).unwrap();
+        let bits = num(point, "bits_per_cell") as u32;
         let individual = Experiment::new(&workload)
             .arch(grid_spec(n, opt, bits))
             .run()
@@ -312,28 +166,28 @@ fn cli_sweep_json_parses_and_matches_individual_runs() {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
         assert!(
             close(
-                point.get("latency_per_query_ns").num(),
+                num(point, "latency_per_query_ns"),
                 individual.latency_per_query_ns()
             ),
             "latency diverged at {n}x{n}/{opt:?}"
         );
         assert!(close(
-            point.get("energy_per_query_pj").num(),
+            num(point, "energy_per_query_pj"),
             individual.energy_per_query_pj()
         ));
-        assert!(close(point.get("accuracy").num(), individual.accuracy()));
+        assert!(close(num(point, "accuracy"), individual.accuracy()));
         assert_eq!(
-            point.get("physical_subarrays").num() as usize,
+            num(point, "physical_subarrays") as usize,
             individual.placement.physical_subarrays
         );
         // The embedded query-phase stats are the PR 2 JSON plumbing.
-        let stats = point.get("query_phase");
+        let stats = field(point, "query_phase");
         assert!(close(
-            stats.get("latency_ns").num(),
+            num(stats, "latency_ns"),
             individual.query_phase.latency_ns
         ));
         assert_eq!(
-            stats.get("search_ops").num() as u64,
+            num(stats, "search_ops") as u64,
             individual.query_phase.search_ops
         );
     }

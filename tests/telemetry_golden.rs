@@ -1,7 +1,7 @@
 //! Golden telemetry tests: the Chrome trace-event export for a
 //! deterministic mini-MNIST HDC run (manual clock, sequential tape
 //! backend) is pinned byte-exact against a committed fixture, and the
-//! emitted JSON is validated with a dependency-free parser.
+//! emitted JSON is validated with the server's strict parser.
 //!
 //! Regenerate the fixture after an intentional span-taxonomy or
 //! exporter-format change with:
@@ -16,6 +16,7 @@ use c4cam::driver::{build_arch, Experiment};
 use c4cam::telemetry::clock::ManualClock;
 use c4cam::telemetry::export::{chrome_trace, json_lines};
 use c4cam::telemetry::{cat, CollectingRecorder, Event, Phase, Telemetry};
+use c4cam_server::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -144,56 +145,41 @@ fn json_lines_export_matches_the_event_stream() {
     let text = json_lines(&events);
     assert_eq!(text.lines().count(), events.len());
     for line in text.lines() {
-        parse_json(line);
+        Json::parse(line).unwrap_or_else(|e| panic!("bad event line {line:?}: {e}"));
     }
     assert!(text.lines().any(|l| l.contains("\"name\":\"Execute\"")));
 }
 
 #[test]
 fn golden_chrome_trace_is_valid_perfetto_loadable_json() {
-    let golden = read_golden();
-    let root = parse_json(&golden);
-    let Json::Obj(fields) = &root else {
-        panic!("trace root must be an object")
-    };
+    let root = Json::parse(&read_golden()).expect("the golden trace is JSON");
     assert_eq!(
-        fields
-            .iter()
-            .find(|(k, _)| k == "displayTimeUnit")
-            .map(|(_, v)| v),
-        Some(&Json::Str("ms".to_string()))
+        root.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ms")
     );
-    let events = fields
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_arr)
         .expect("traceEvents array");
-    let Json::Arr(events) = events else {
-        panic!("traceEvents must be an array")
-    };
     assert!(!events.is_empty());
     let mut phase_names = Vec::new();
     for event in events {
-        let Json::Obj(e) = event else {
-            panic!("trace event must be an object")
-        };
-        let field = |key: &str| e.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let ph = match field("ph") {
-            Some(Json::Str(s)) => s.as_str(),
-            other => panic!("event without ph: {other:?}"),
-        };
+        assert!(
+            matches!(event, Json::Obj(_)),
+            "trace event must be an object"
+        );
+        let text = |key: &str| event.get(key).and_then(Json::as_str);
+        let ph = text("ph").unwrap_or_else(|| panic!("event without ph: {event:?}"));
         assert!(matches!(ph, "X" | "C" | "i"), "unexpected ph {ph}");
         assert!(
-            matches!(field("ts"), Some(Json::Num(_))),
+            matches!(event.get("ts"), Some(Json::Num(_))),
             "ts must be a number"
         );
-        assert_eq!(field("pid"), Some(&Json::Num(1.0)));
+        assert_eq!(event.get("pid"), Some(&Json::Num(1.0)));
         if ph == "X" {
-            assert!(matches!(field("dur"), Some(Json::Num(_))));
-            if field("cat") == Some(&Json::Str("phase".to_string())) {
-                if let Some(Json::Str(name)) = field("name") {
-                    phase_names.push(name.clone());
-                }
+            assert!(matches!(event.get("dur"), Some(Json::Num(_))));
+            if text("cat") == Some("phase") {
+                phase_names.extend(text("name"));
             }
         }
     }
@@ -202,136 +188,4 @@ fn golden_chrome_trace_is_valid_perfetto_loadable_json() {
         vec!["Parse", "Place", "Compile", "Execute"],
         "golden trace must carry all four pipeline phases"
     );
-}
-
-// ---------------------------------------------------------------------
-// Dependency-free JSON validation (mirrors tests/sweep.rs).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-fn parse_json(text: &str) -> Json {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&bytes, &mut pos);
-    skip_ws(&bytes, &mut pos);
-    assert_eq!(pos, bytes.len(), "trailing input after JSON value");
-    value
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) {
-    skip_ws(b, pos);
-    assert!(*pos < b.len() && b[*pos] == c, "expected '{c}' at {pos}");
-    *pos += 1;
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Json {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Json::Obj(fields);
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos) {
-                    Json::Str(s) => s,
-                    other => panic!("object key must be a string, got {other:?}"),
-                };
-                expect(b, pos, ':');
-                fields.push((key, parse_value(b, pos)));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Json::Obj(fields);
-                    }
-                    other => panic!("expected ',' or '}}', got {other:?}"),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Json::Arr(items);
-            }
-            loop {
-                items.push(parse_value(b, pos));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Json::Arr(items);
-                    }
-                    other => panic!("expected ',' or ']', got {other:?}"),
-                }
-            }
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut s = String::new();
-            while *pos < b.len() && b[*pos] != '"' {
-                if b[*pos] == '\\' {
-                    *pos += 1;
-                }
-                s.push(b[*pos]);
-                *pos += 1;
-            }
-            assert!(*pos < b.len(), "unterminated string");
-            *pos += 1;
-            Json::Str(s)
-        }
-        Some('t') => {
-            assert_eq!(b[*pos..*pos + 4].iter().collect::<String>(), "true");
-            *pos += 4;
-            Json::Bool(true)
-        }
-        Some('f') => {
-            assert_eq!(b[*pos..*pos + 5].iter().collect::<String>(), "false");
-            *pos += 5;
-            Json::Bool(false)
-        }
-        Some('n') => {
-            assert_eq!(b[*pos..*pos + 4].iter().collect::<String>(), "null");
-            *pos += 4;
-            Json::Null
-        }
-        _ => {
-            let start = *pos;
-            while *pos < b.len() && "+-0123456789.eE".contains(b[*pos]) {
-                *pos += 1;
-            }
-            assert!(*pos > start, "unexpected character at {pos}");
-            Json::Num(
-                b[start..*pos]
-                    .iter()
-                    .collect::<String>()
-                    .parse()
-                    .expect("number"),
-            )
-        }
-    }
 }
