@@ -1,12 +1,9 @@
 //! Ablations of the design choices docs/ARCHITECTURE.md calls out:
 //!
-//! 1. **Canonicalization** (Fig. 3's "generic optimizations"): effect of
-//!    DCE + constant folding + trivial-loop collapse on generated-code
-//!    size — and proof that it does not change results or modeled costs.
-//! 2. **Broadcast amortization** (selective search, paper \[27\]): energy
+//! 1. **Broadcast amortization** (selective search, paper \[27\]): energy
 //!    effect of sharing one query broadcast across the co-resident
 //!    batches of a density-packed subarray.
-//! 3. **Winner-take-all sensing window** (paper \[19\]): accuracy impact
+//! 2. **Winner-take-all sensing window** (paper \[19\]): accuracy impact
 //!    of the bounded-mismatch best-match circuit across window sizes.
 
 use c4cam::arch::Optimization;
@@ -20,41 +17,10 @@ fn hdc_experiment(workload: &HdcWorkload, n: usize, opt: Optimization) -> Experi
 
 fn main() {
     // ------------------------------------------------------------------
-    // 1. Canonicalization
+    // 1. Broadcast amortization under density packing
     // ------------------------------------------------------------------
-    section("Ablation 1: canonicalize pass (generated-code cleanup)");
+    section("Ablation 1: selective-search broadcast amortization");
     let workload = HdcWorkload::paper(16);
-    for n in [32usize, 256] {
-        let plain = hdc_experiment(&workload, n, Optimization::Base)
-            .run()
-            .expect("plain");
-        let canon = hdc_experiment(&workload, n, Optimization::Base)
-            .canonicalize(true)
-            .run()
-            .expect("canon");
-        println!(
-            "N={n:<4} results identical: {}   latency delta: {:+.3} ns   energy delta: {:+.3} pJ",
-            plain.predictions == canon.predictions,
-            canon.query_phase.latency_ns - plain.query_phase.latency_ns,
-            canon.query_phase.energy_pj() - plain.query_phase.energy_pj(),
-        );
-        assert_eq!(
-            plain.predictions, canon.predictions,
-            "canonicalize must not change results"
-        );
-        // Modeled hardware cost must be identical — the pass removes
-        // interpretation overhead, not device work.
-        assert!(
-            (plain.query_phase.latency_ns - canon.query_phase.latency_ns).abs() < 1e-6,
-            "canonicalize must preserve modeled latency"
-        );
-    }
-    println!("canonicalize: results and modeled costs preserved");
-
-    // ------------------------------------------------------------------
-    // 2. Broadcast amortization under density packing
-    // ------------------------------------------------------------------
-    section("Ablation 2: selective-search broadcast amortization");
     // With amortization (the shipped model), each of the `batches`
     // selective cycles pays 1/batches of the broadcast energy. The
     // un-amortized upper bound charges it fully — reconstructed here
@@ -83,9 +49,9 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 3. WTA window vs accuracy
+    // 2. WTA window vs accuracy
     // ------------------------------------------------------------------
-    section("Ablation 3: winner-take-all sensing window (paper [19])");
+    section("Ablation 2: winner-take-all sensing window (paper [19])");
     // Reference CPU accuracy at this noise level.
     let model = HdcModel::random(10, 8192, 1, 42);
     let (queries, labels) = model.queries(64, 0.1, 42);

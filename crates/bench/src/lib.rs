@@ -179,11 +179,6 @@ pub fn run_manual_hdc(spec: &ArchSpec, model: &HdcModel, queries: &Tensor) -> Ex
     manual.query_stats()
 }
 
-/// Format a ratio as `x.xx×`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 /// Print a section header for bench output.
 pub fn section(title: &str) {
     println!("\n{}", "=".repeat(72));

@@ -495,11 +495,6 @@ impl Subarray {
         self.cols
     }
 
-    /// Number of programmed (valid) rows.
-    pub fn valid_rows(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
-    }
-
     /// Bytes of heap this subarray owns for its contents — planes,
     /// per-row flags, side table; not result buffers or the fault map —
     /// by capacity: a count that repeats exactly for the same writes.

@@ -6,9 +6,8 @@
 //! (acquire/execute/release → cam allocation + write/search/read, with
 //! bufferization) and the `cam-map` hierarchy mapping. Both share the
 //! placement computation, so this implementation performs them as one
-//! transformation; [`lower_flat_single_subarray`] additionally provides
-//! the paper's "simple system" lowering (one bank/mat/array/subarray)
-//! for kernels that fit a single subarray.
+//! transformation. A kernel that fits a single subarray (the paper's
+//! "simple system") goes through the same nest with one-trip loops.
 //!
 //! ## Generated structure
 //!
@@ -568,108 +567,6 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
     Ok(())
 }
 
-/// The paper's flat "simple system" lowering (§III-D2): for kernels that
-/// fit one subarray, replace the triple with a bank/mat/array/subarray
-/// allocation chain plus write/search/read/merge/reduce — no loops.
-///
-/// # Errors
-/// Fails if the kernel does not fit a single subarray.
-pub fn lower_flat_single_subarray(
-    m: &mut Module,
-    spec: &ArchSpec,
-    k: &SimilarityKernel,
-) -> Result<(), String> {
-    let p = place(
-        spec,
-        &MappingProblem {
-            stored_rows: k.stored_rows,
-            feature_dims: k.feature_dims,
-            queries: k.queries,
-        },
-    )
-    .map_err(|e| e.message)?;
-    if p.physical_subarrays != 1 || k.queries != 1 {
-        return Err(format!(
-            "kernel needs {} subarrays / {} queries; flat lowering requires 1/1",
-            p.physical_subarrays, k.queries
-        ));
-    }
-    let metric = device_metric(&k.metric);
-    let nq = 1i64;
-    let mut b = OpBuilder::before(m, k.acquire);
-    let acc = memref::build_alloc_f32(&mut b, &[nq, p.padded_rows as i64]);
-    let c_rows = b.const_index(spec.rows_per_subarray as i64);
-    let c_cols = b.const_index(spec.cols_per_subarray as i64);
-    let bank = cam::build_alloc_bank(&mut b, c_rows, c_cols);
-    let mat = cam::build_alloc_child(&mut b, bank);
-    let array = cam::build_alloc_child(&mut b, mat);
-    let sub = cam::build_alloc_child(&mut b, array);
-    let c0 = b.const_index(0);
-    b.op("cam.write_value", &[sub, k.stored, c0], &[], vec![]);
-    cam::build_search(&mut b, sub, k.query, MatchKind::Best, metric, None);
-    let (vals, idx) = cam::build_read(&mut b, sub, spec.rows_per_subarray as i64);
-    b.op(
-        "cam.merge_partial_subarray",
-        &[sub, acc, vals, idx, c0, c0],
-        &[],
-        vec![("dir", "horizontal".into())],
-    );
-    let select_largest = if k.metric == "eucl" {
-        k.largest
-    } else {
-        !k.largest
-    };
-    let f32t = b.module().f32_ty();
-    let old_result_tys: Vec<c4cam_ir::Type> = b
-        .module_ref()
-        .op(k.execute)
-        .results
-        .iter()
-        .map(|&r| b.module_ref().value_type(r))
-        .collect();
-    let out_tys: Vec<c4cam_ir::Type> = (0..2usize)
-        .map(|i| {
-            let shape = k
-                .yield_select
-                .iter()
-                .position(|&s| s == i)
-                .and_then(|pos| {
-                    b.module_ref()
-                        .kind(old_result_tys[pos])
-                        .shape()
-                        .map(|s| s.to_vec())
-                })
-                .unwrap_or_else(|| vec![nq, k.k_static]);
-            b.module().memref_ty(&shape, f32t)
-        })
-        .collect();
-    let reduce = b.op(
-        "cam.reduce",
-        &[acc],
-        &out_tys,
-        vec![
-            ("k", Attribute::Int(k.k_static)),
-            ("n_valid", Attribute::Int(k.stored_rows as i64)),
-            ("select_largest", Attribute::Bool(select_largest)),
-            ("metric", k.metric.as_str().into()),
-        ],
-    );
-    let vals_buf = m.result(reduce, 0);
-    let idx_buf = m.result(reduce, 1);
-    let mut b = OpBuilder::before(m, k.acquire);
-    let vals_t = memref::build_to_tensor(&mut b, vals_buf);
-    let idx_t = memref::build_to_tensor(&mut b, idx_buf);
-    let new_results = [vals_t, idx_t];
-    let old_results = m.op(k.execute).results.clone();
-    for (i, &old) in old_results.iter().enumerate() {
-        m.replace_all_uses(old, new_results[k.yield_select[i]]);
-    }
-    m.erase_op(k.release);
-    m.erase_op(k.execute);
-    m.erase_op(k.acquire);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,34 +687,6 @@ mod tests {
             }
         }
         let _ = func;
-    }
-
-    #[test]
-    fn flat_lowering_handles_single_subarray_kernels() {
-        let mut m = Module::new();
-        let func = torch::build_hdc_dot(&mut m, 1, 10, 32, 1);
-        TorchToCimPass.run(&mut m).unwrap();
-        CimFusePass.run(&mut m).unwrap();
-        let kernels = find_similarity_kernels(&m);
-        assert_eq!(kernels.len(), 1);
-        lower_flat_single_subarray(&mut m, &spec(Optimization::Base), &kernels[0]).unwrap();
-        verify_module(&m, &standard_registry()).unwrap();
-        let ns = names(&m, func);
-        assert!(ns.contains(&"cam.alloc_bank".to_string()));
-        assert!(!ns.contains(&"scf.parallel".to_string()));
-        assert!(!ns.contains(&"scf.for".to_string()));
-    }
-
-    #[test]
-    fn flat_lowering_rejects_oversized_kernels() {
-        let mut m = Module::new();
-        let _ = torch::build_hdc_dot(&mut m, 1, 10, 8192, 1);
-        TorchToCimPass.run(&mut m).unwrap();
-        CimFusePass.run(&mut m).unwrap();
-        let kernels = find_similarity_kernels(&m);
-        let e =
-            lower_flat_single_subarray(&mut m, &spec(Optimization::Base), &kernels[0]).unwrap_err();
-        assert!(e.contains("flat lowering"), "{e}");
     }
 
     #[test]

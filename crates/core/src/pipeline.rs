@@ -14,7 +14,7 @@ use c4cam_ir::Module;
 use std::sync::Arc;
 
 use crate::dialects::standard_registry;
-use crate::passes::{CamMapPass, CanonicalizePass, CimFusePass, CimPartitionPass, TorchToCimPass};
+use crate::passes::{CamMapPass, CimFusePass, CimPartitionPass, TorchToCimPass};
 
 /// Which backend the pipeline lowers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,30 +26,15 @@ pub enum Target {
     HostLoops,
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
+/// Pipeline configuration; the default is the device target without
+/// snapshots.
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
-    /// Verify the module against the standard registry after every pass.
-    pub verify_each: bool,
     /// Record a textual IR snapshot after every stage (for `ir_tour` and
     /// FileCheck-style tests).
     pub keep_snapshots: bool,
     /// Lowering target.
     pub target: Target,
-    /// Run the `canonicalize` cleanup (DCE, constant folding, trivial
-    /// loop collapse) after lowering.
-    pub canonicalize: bool,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            verify_each: true,
-            keep_snapshots: false,
-            target: Target::CamDevice,
-            canonicalize: false,
-        }
-    }
 }
 
 /// Result of a pipeline run.
@@ -92,14 +77,10 @@ impl C4camPipeline {
 
     /// Names of the passes that will run, in order.
     pub fn pass_names(&self) -> Vec<&'static str> {
-        let mut names = match self.options.target {
+        match self.options.target {
             Target::CamDevice => vec!["torch-to-cim", "cim-fuse-ops", "cam-map"],
             Target::HostLoops => vec!["torch-to-cim", "cim-fuse-ops", "cim-partition"],
-        };
-        if self.options.canonicalize {
-            names.push("canonicalize");
         }
-        names
     }
 
     /// Compile a torch-level module.
@@ -115,7 +96,7 @@ impl C4camPipeline {
         verify_module(&module, &registry)
             .map_err(|e| PassError::new("input-verify", e.to_string()))?;
 
-        let mut passes: Vec<Box<dyn Pass>> = match self.options.target {
+        let passes: Vec<Box<dyn Pass>> = match self.options.target {
             Target::CamDevice => vec![
                 Box::new(TorchToCimPass),
                 Box::new(CimFusePass),
@@ -131,17 +112,12 @@ impl C4camPipeline {
                 }),
             ],
         };
-        if self.options.canonicalize {
-            passes.push(Box::new(CanonicalizePass));
-        }
 
         let mut timings = Vec::new();
         for pass in passes {
             let mut pm = PassManager::new();
             pm.add(pass);
-            if self.options.verify_each {
-                pm.verify_each(registry.clone());
-            }
+            pm.verify_each(registry.clone());
             pm.run(&mut module)?;
             timings.extend(pm.timings().iter().cloned());
             if self.options.keep_snapshots {
@@ -233,10 +209,22 @@ mod tests {
 
     #[test]
     fn pass_names_reflect_target() {
-        let p = C4camPipeline::new(spec());
-        assert_eq!(
-            p.pass_names(),
-            vec!["torch-to-cim", "cim-fuse-ops", "cam-map"]
-        );
+        // For both targets the passes that ran are exactly the ones
+        // `pass_names` lists: nothing optional runs beside them.
+        for (target, last) in [
+            (Target::CamDevice, "cam-map"),
+            (Target::HostLoops, "cim-partition"),
+        ] {
+            let p = C4camPipeline::new(spec()).with_options(PipelineOptions {
+                target,
+                ..PipelineOptions::default()
+            });
+            assert_eq!(p.pass_names(), vec!["torch-to-cim", "cim-fuse-ops", last]);
+            let mut m = Module::new();
+            torch::build_hdc_dot(&mut m, 2, 10, 1024, 1);
+            let compiled = p.compile(m).unwrap();
+            let ran: Vec<&str> = compiled.timings.iter().map(|t| t.name).collect();
+            assert_eq!(ran, p.pass_names(), "{target:?}");
+        }
     }
 }

@@ -133,11 +133,6 @@ impl Tape {
         self.0.unspecialised.map_or(Ok(()), Err)
     }
 
-    /// Name of the compiled function.
-    pub fn func_name(&self) -> &str {
-        &self.0.func
-    }
-
     /// Number of function arguments the tape expects.
     pub fn num_args(&self) -> usize {
         self.0.arg_slots.len()

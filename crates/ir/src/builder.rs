@@ -63,20 +63,9 @@ impl<'m> OpBuilder<'m> {
         self.m
     }
 
-    /// Current insertion block.
-    pub fn insertion_block(&self) -> BlockId {
-        self.block
-    }
-
     /// Current insertion position.
     pub fn insertion_pos(&self) -> usize {
         self.pos
-    }
-
-    /// Move the insertion point to the end of `block`.
-    pub fn set_insertion_point_to_end(&mut self, block: BlockId) {
-        self.pos = self.m.block(block).ops.len();
-        self.block = block;
     }
 
     /// Insert an already-created, detached op at the current position.

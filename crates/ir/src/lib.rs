@@ -9,7 +9,6 @@
 //! * an insertion-point [`builder::OpBuilder`],
 //! * a textual [`print`](mod@print)er and [`parse`]r (MLIR generic form, round-trips),
 //! * [`verify`]: structural + dialect-registered op verification,
-//! * [`rewrite`]: greedy pattern-rewrite driver,
 //! * [`pass`]: pass manager with per-pass timing and optional
 //!   verify-after-each.
 //!
@@ -45,7 +44,6 @@ pub mod module;
 pub mod parse;
 pub mod pass;
 pub mod print;
-pub mod rewrite;
 pub mod types;
 pub mod verify;
 

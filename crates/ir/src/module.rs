@@ -187,11 +187,6 @@ impl Module {
         self.intern_type(TypeKind::Integer { width: 1 })
     }
 
-    /// `i32` type.
-    pub fn i32_ty(&mut self) -> Type {
-        self.intern_type(TypeKind::Integer { width: 32 })
-    }
-
     /// `i64` type.
     pub fn i64_ty(&mut self) -> Type {
         self.intern_type(TypeKind::Integer { width: 64 })
@@ -200,11 +195,6 @@ impl Module {
     /// `f32` type.
     pub fn f32_ty(&mut self) -> Type {
         self.intern_type(TypeKind::Float { width: 32 })
-    }
-
-    /// `f64` type.
-    pub fn f64_ty(&mut self) -> Type {
-        self.intern_type(TypeKind::Float { width: 64 })
     }
 
     /// `index` type.
@@ -452,17 +442,6 @@ impl Module {
         block
     }
 
-    /// Append an extra argument to an existing block.
-    pub fn add_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
-        let index = self.block(block).args.len();
-        let v = self.alloc_value(ValueData {
-            ty,
-            def: ValueDef::BlockArg { block, index },
-        });
-        self.block_mut(block).args.push(v);
-        v
-    }
-
     // ---------------------------------------------------------------
     // Placement
     // ---------------------------------------------------------------
@@ -578,11 +557,6 @@ impl Module {
         uses
     }
 
-    /// Whether `v` has any uses.
-    pub fn has_uses(&self, v: ValueId) -> bool {
-        !self.uses_of(v).is_empty()
-    }
-
     // ---------------------------------------------------------------
     // Traversal
     // ---------------------------------------------------------------
@@ -626,21 +600,6 @@ impl Module {
         self.top_level_ops()
             .into_iter()
             .find(|&op| self.op(op).str_attr("sym_name") == Some(name))
-    }
-
-    /// The block transitively containing `op` at the top level, following
-    /// parent links until the module body.
-    pub fn ancestor_blocks(&self, op: OpId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        let mut current = self.op(op).parent;
-        while let Some(block) = current {
-            out.push(block);
-            current = self
-                .block(block)
-                .parent
-                .and_then(|(parent_op, _)| self.op(parent_op).parent);
-        }
-        out
     }
 
     /// Number of live operations (diagnostics / tests).

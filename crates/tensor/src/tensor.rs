@@ -107,11 +107,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Flat offset of a multi-dimensional index.
     ///
     /// # Errors

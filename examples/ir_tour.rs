@@ -50,7 +50,6 @@ def forward(self, input: Tensor) -> Tensor:
         .with_options(PipelineOptions {
             keep_snapshots: true,
             target: Target::HostLoops,
-            ..PipelineOptions::default()
         })
         .compile(lowered.module)?;
     if let Some((stage, text)) = host.snapshots.last() {

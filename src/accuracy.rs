@@ -144,31 +144,16 @@ pub fn evaluate(
     engine: &str,
     threads: usize,
 ) -> Result<AccuracyRow, DriverError> {
-    evaluate_with_telemetry(workload, spec, engine, threads, &Telemetry::default())
+    evaluate_faulty(workload, spec, engine, threads, None, &Telemetry::default())
 }
 
-/// [`evaluate`] with a telemetry handle: the experiment's phase/op
-/// spans are recorded under a `grid` span naming the evaluated
-/// configuration (`<task>/<bits>b/<engine>`).
-///
-/// # Errors
-/// Propagates the experiment's [`DriverError`] (config, place,
-/// compile, or exec stage).
-pub fn evaluate_with_telemetry(
-    workload: &DatasetWorkload,
-    spec: &ArchSpec,
-    engine: &str,
-    threads: usize,
-    telemetry: &Telemetry,
-) -> Result<AccuracyRow, DriverError> {
-    evaluate_faulty(workload, spec, engine, threads, None, telemetry)
-}
-
-/// [`evaluate_with_telemetry`] under seeded fault injection: `faults`
-/// (when present) configures the device fault model and resilience
-/// levers through [`Experiment::faults`], and the resulting row carries
-/// the fault rate/seed plus the injected-fault counters. `None` is
-/// byte-for-byte the fault-free evaluation.
+/// [`evaluate`] under seeded fault injection and with a telemetry
+/// handle: `faults` (when present) configures the device fault model
+/// and resilience levers through [`Experiment::faults`], and the
+/// resulting row carries the fault rate/seed plus the injected-fault
+/// counters; `None` is byte-for-byte the fault-free evaluation. The
+/// experiment's phase/op spans are recorded under a `grid` span naming
+/// the evaluated configuration (`<task>/<bits>b/<engine>`).
 ///
 /// # Errors
 /// Propagates the experiment's [`DriverError`] (config, place,

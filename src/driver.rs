@@ -32,7 +32,7 @@ use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem, Placement};
 use c4cam_core::pipeline::C4camPipeline;
-use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, RetryPolicy, SharedPlan};
+use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, SharedPlan};
 use c4cam_runtime::Value;
 use c4cam_telemetry::{log as tlog, ArgValue, Phase, Telemetry};
 use c4cam_tensor::Tensor;
@@ -229,12 +229,17 @@ impl RunOutcome {
     /// Extrapolate the query phase linearly to `n` queries (the
     /// simulator is deterministic and per-query costs are identical, so
     /// this is exact for latency/energy; power is scale-invariant).
+    /// Every per-query flow counter scales; setup-phase gauges (fault
+    /// cells, remapped rows, allocation counts) do not.
     pub fn scaled_query_phase(&self, n: usize) -> ExecStats {
         let f = n as f64 / self.queries.max(1) as f64;
+        let count = |c: u64| (c as f64 * f) as u64;
         let mut s = self.query_phase.clone();
-        s.search_ops = (s.search_ops as f64 * f) as u64;
-        s.read_ops = (s.read_ops as f64 * f) as u64;
-        s.merge_ops = (s.merge_ops as f64 * f) as u64;
+        s.search_ops = count(s.search_ops);
+        s.searched_words = count(s.searched_words);
+        s.read_ops = count(s.read_ops);
+        s.merge_ops = count(s.merge_ops);
+        s.fault_transients = count(s.fault_transients);
         s.cell_energy_fj *= f;
         s.periph_energy_fj *= f;
         s.merge_energy_fj *= f;
@@ -293,10 +298,8 @@ pub struct Experiment<'w> {
     backend: String,
     threads: usize,
     wta_window: Option<u32>,
-    canonicalize: bool,
     telemetry: Telemetry,
     faults: Option<FaultConfig>,
-    retry: RetryPolicy,
 }
 
 impl fmt::Debug for Experiment<'_> {
@@ -308,10 +311,8 @@ impl fmt::Debug for Experiment<'_> {
             .field("backend", &self.backend)
             .field("threads", &self.threads)
             .field("wta_window", &self.wta_window)
-            .field("canonicalize", &self.canonicalize)
             .field("telemetry", &self.telemetry)
             .field("faults", &self.faults)
-            .field("retry", &self.retry)
             .finish()
     }
 }
@@ -328,10 +329,8 @@ impl<'w> Experiment<'w> {
             backend: "tape".to_string(),
             threads: 1,
             wta_window: None,
-            canonicalize: false,
             telemetry: Telemetry::default(),
             faults: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -373,12 +372,6 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Run the canonicalize cleanup after lowering.
-    pub fn canonicalize(mut self, canonicalize: bool) -> Self {
-        self.canonicalize = canonicalize;
-        self
-    }
-
     /// Attach a telemetry handle: while its recorder is enabled, `run`
     /// records `Parse`/`Place`/`Compile`/`Execute` phase spans plus the
     /// backend's per-op and per-shard child spans and post-run
@@ -396,14 +389,6 @@ impl<'w> Experiment<'w> {
     /// count crosses the threshold are remapped onto the spares.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Retry policy for panicked or timed-out shard workers on threaded
-    /// backends (the default retries once, then falls back to
-    /// sequential execution).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -474,11 +459,17 @@ impl<'w> Experiment<'w> {
             )));
         }
         let nq = self.workload.query_count();
-        if nq == 0 {
-            return Err(DriverError::Config(format!(
-                "workload '{}' has no queries",
-                self.workload.name()
-            )));
+        for (what, n) in [
+            ("queries", nq),
+            ("stored rows", self.workload.stored_rows()),
+            ("dims", self.workload.dims()),
+        ] {
+            if n == 0 {
+                return Err(DriverError::Config(format!(
+                    "workload '{}' has no {what}",
+                    self.workload.name()
+                )));
+            }
         }
         tlog::debug(format_args!(
             "experiment: workload '{}' on backend '{}' ({} queries)",
@@ -519,10 +510,6 @@ impl<'w> Experiment<'w> {
             let mut span = self.telemetry.phase(Phase::Compile);
             span.arg("backend", ArgValue::Str(self.backend.clone()));
             let compiled = C4camPipeline::new(spec.clone())
-                .with_options(c4cam_core::pipeline::PipelineOptions {
-                    canonicalize: self.canonicalize,
-                    ..Default::default()
-                })
                 .compile(built.module)
                 .map_err(|e| DriverError::Compile(Box::new(e)))?;
             backend
@@ -541,7 +528,6 @@ impl<'w> Experiment<'w> {
             tech: self.tech.clone(),
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
-            retry: self.retry.clone(),
         })
     }
 }
@@ -568,7 +554,6 @@ pub struct CompiledExperiment {
     tech: Option<TechnologyModel>,
     telemetry: Telemetry,
     faults: Option<FaultConfig>,
-    retry: RetryPolicy,
 }
 
 impl fmt::Debug for CompiledExperiment {
@@ -597,12 +582,6 @@ impl CompiledExperiment {
     /// The placement chosen by the mapping pass.
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// The workload's own (quantized) query tensor, as compiled — the
-    /// rows [`CompiledExperiment::run`] executes.
-    pub fn compiled_queries(&self) -> &Tensor {
-        &self.inputs.queries
     }
 
     /// Swap the telemetry handle for subsequent executions (e.g. to
@@ -660,8 +639,7 @@ impl CompiledExperiment {
             tech: self.tech.clone(),
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
-            retry: self.retry.clone(),
-            chaos: None,
+            ..ExecOptions::default()
         };
         let execution = {
             let mut span = self.telemetry.phase(Phase::Execute);
@@ -959,6 +937,38 @@ mod tests {
         assert!((scaled.latency_ns - 2.0 * out.query_phase.latency_ns).abs() < 1e-6);
         // Power is invariant under scaling.
         assert!((scaled.power_w() - out.query_phase.power_w()).abs() < 1e-12);
+        // The flow counters extrapolate to exactly what 8 queries run.
+        let eight = Experiment::new(&HdcWorkload { queries: 8, ..hdc })
+            .arch(paper_arch(32, Optimization::Base, 1))
+            .run()
+            .unwrap();
+        assert_eq!(scaled.search_ops, eight.query_phase.search_ops);
+        assert_eq!(scaled.searched_words, eight.query_phase.searched_words);
+    }
+
+    #[test]
+    fn zero_sized_workloads_are_a_config_error() {
+        for (hdc, what) in [
+            (
+                HdcWorkload {
+                    classes: 0,
+                    ..small_hdc()
+                },
+                "stored rows",
+            ),
+            (
+                HdcWorkload {
+                    dims: 0,
+                    ..small_hdc()
+                },
+                "dims",
+            ),
+        ] {
+            let e = Experiment::new(&hdc).compile().unwrap_err();
+            assert!(matches!(e, DriverError::Config(_)), "{e}");
+            let expected = format!("'hdc' has no {what}");
+            assert!(e.to_string().contains(&expected), "{e}");
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@ fn snapshots(opt: Optimization, target: Target) -> Vec<(String, String)> {
         .with_options(PipelineOptions {
             keep_snapshots: true,
             target,
-            ..PipelineOptions::default()
         })
         .compile(m)
         .unwrap()
