@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use c4cam_telemetry::json::num_f64 as json_f64;
+use c4cam_telemetry::json;
 
 /// Accumulated costs of a simulated execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -145,40 +145,30 @@ impl ExecStats {
     /// Serialize as a JSON object (stable field names; no trailing
     /// newline) for `--format json` CLI output and scripted DSE sweeps.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"search_ops\":{},\"searched_words\":{},",
-                "\"write_ops\":{},\"read_ops\":{},\"merge_ops\":{},",
-                "\"cell_energy_fj\":{},\"periph_energy_fj\":{},\"merge_energy_fj\":{},",
-                "\"write_energy_fj\":{},\"static_energy_fj\":{},\"total_energy_fj\":{},",
-                "\"latency_ns\":{},\"power_w\":{},\"queries_per_second\":{},\"edp_nj_s\":{},",
-                "\"banks_allocated\":{},\"mats_allocated\":{},\"arrays_allocated\":{},",
-                "\"subarrays_allocated\":{},",
-                "\"fault_cells\":{},\"fault_transients\":{},\"rows_remapped\":{}}}"
-            ),
-            self.search_ops,
-            self.searched_words,
-            self.write_ops,
-            self.read_ops,
-            self.merge_ops,
-            json_f64(self.cell_energy_fj),
-            json_f64(self.periph_energy_fj),
-            json_f64(self.merge_energy_fj),
-            json_f64(self.write_energy_fj),
-            json_f64(self.static_energy_fj),
-            json_f64(self.total_energy_fj()),
-            json_f64(self.latency_ns),
-            json_f64(self.power_w()),
-            json_f64(self.queries_per_second()),
-            json_f64(self.edp_nj_s()),
-            self.banks_allocated,
-            self.mats_allocated,
-            self.arrays_allocated,
-            self.subarrays_allocated,
-            self.fault_cells,
-            self.fault_transients,
-            self.rows_remapped,
-        )
+        json::object(|o| {
+            o.put("search_ops", self.search_ops)
+                .put("searched_words", self.searched_words)
+                .put("write_ops", self.write_ops)
+                .put("read_ops", self.read_ops)
+                .put("merge_ops", self.merge_ops)
+                .put("cell_energy_fj", self.cell_energy_fj)
+                .put("periph_energy_fj", self.periph_energy_fj)
+                .put("merge_energy_fj", self.merge_energy_fj)
+                .put("write_energy_fj", self.write_energy_fj)
+                .put("static_energy_fj", self.static_energy_fj)
+                .put("total_energy_fj", self.total_energy_fj())
+                .put("latency_ns", self.latency_ns)
+                .put("power_w", self.power_w())
+                .put("queries_per_second", self.queries_per_second())
+                .put("edp_nj_s", self.edp_nj_s())
+                .put("banks_allocated", self.banks_allocated)
+                .put("mats_allocated", self.mats_allocated)
+                .put("arrays_allocated", self.arrays_allocated)
+                .put("subarrays_allocated", self.subarrays_allocated)
+                .put("fault_cells", self.fault_cells)
+                .put("fault_transients", self.fault_transients)
+                .put("rows_remapped", self.rows_remapped);
+        })
     }
 
     /// Merge another stats record into this one (sequential composition:

@@ -1,370 +1,5 @@
-//! A minimal recursive-descent JSON parser for the service protocol.
-//!
-//! The workspace already has JSON *writers*
-//! ([`c4cam_telemetry::json`]); the resident server additionally needs
-//! to *read* the one-line requests clients send. This parser covers
-//! the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers, booleans, null) with no dependencies, and is strict about
-//! trailing garbage so a malformed request line cannot be half
-//! accepted.
+//! The JSON value type and parser, under the path `c4cam_server::json`
+//! that `benchmark/` and the integration tests import; the code lives
+//! in [`c4cam_telemetry::json`].
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string literal (escapes resolved).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Key order is not preserved (protocol fields are
-    /// accessed by name, never by position).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Parse a complete JSON document; trailing non-whitespace is an
-    /// error.
-    ///
-    /// # Errors
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (`None` for non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if this is a
-    /// number with an exact integral value.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// JSON syntax error with a byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset in the input where the error was detected.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Lone surrogates degrade to the
-                            // replacement character; the protocol never
-                            // emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 3; // +1 below covers the 4th
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number '{text}'")))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_the_protocol_shapes() {
-        let v = Json::parse(r#"{"id":7,"cmd":"classify","rows":[0,1,2],"bits":2}"#).unwrap();
-        assert_eq!(v.get("id").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("cmd").unwrap().as_str(), Some("classify"));
-        let rows: Vec<u64> = v
-            .get("rows")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|r| r.as_u64().unwrap())
-            .collect();
-        assert_eq!(rows, [0, 1, 2]);
-        assert_eq!(v.get("bits").unwrap().as_u64(), Some(2));
-        assert!(v.get("missing").is_none());
-    }
-
-    #[test]
-    fn parses_scalars_nesting_and_escapes() {
-        assert_eq!(Json::parse("null").unwrap(), Json::Null);
-        assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(Json::parse("-1.5e2").unwrap(), Json::Num(-150.0));
-        assert_eq!(
-            Json::parse(r#""a\"b\\c\ndA""#).unwrap(),
-            Json::Str("a\"b\\c\ndA".to_string())
-        );
-        let v = Json::parse(r#"[{"a":[1,2]},{"b":{}}]"#).unwrap();
-        assert_eq!(v.as_arr().unwrap().len(), 2);
-        assert_eq!(Json::parse("  [ ]  ").unwrap(), Json::Arr(vec![]));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "tru",
-            "1 2",
-            "{\"a\" 1}",
-            "\"unterminated",
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
-        }
-        let e = Json::parse("[1,2,]").unwrap_err();
-        assert!(e.to_string().contains("byte"), "{e}");
-    }
-
-    #[test]
-    fn u64_accessor_rejects_fractions_and_negatives() {
-        assert_eq!(Json::parse("3.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("0").unwrap().as_u64(), Some(0));
-    }
-}
+pub use c4cam_telemetry::json::{Json, JsonError};

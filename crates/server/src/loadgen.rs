@@ -10,8 +10,7 @@
 //! queueing delay shows up in the latency tail instead of throttling
 //! the arrival process.
 
-use crate::json::Json;
-use c4cam_telemetry::json as jw;
+use c4cam_telemetry::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,40 +158,35 @@ impl LoadgenReport {
         )
     }
 
-    /// Serialize as a pretty-stable JSON document (`loadgen --out`).
+    /// Serialize as a JSON document with stable keys (`loadgen --out`).
     pub fn to_json(&self) -> String {
-        let agreement = match self.agreement {
-            Some(a) => jw::num_f64(a),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \"bench\": \"pr9_serve_loadgen\",\n  \"mode\": {},\n  \"requests\": {},\n  \
-             \"concurrency\": {},\n  \"rows_per_request\": {},\n  \"ok\": {},\n  \
-             \"overloaded\": {},\n  \"errors\": {},\n  \"wall_s\": {},\n  \"qps\": {},\n  \
-             \"rps\": {},\n  \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \
-             \"mean\": {}, \"max\": {}}},\n  \"agreement\": {},\n  \
-             \"batch\": {{\"mean_rows\": {}, \"max_requests\": {}}},\n  \
-             \"cache_hit_rate\": {}\n}}",
-            jw::string(&self.mode),
-            self.requests,
-            self.concurrency,
-            self.rows_per_request,
-            self.ok,
-            self.overloaded,
-            self.errors,
-            jw::num_f64(self.wall_s),
-            jw::num_f64(self.qps),
-            jw::num_f64(self.rps),
-            jw::num_f64(self.p50_us),
-            jw::num_f64(self.p90_us),
-            jw::num_f64(self.p99_us),
-            jw::num_f64(self.mean_us),
-            jw::num_f64(self.max_us),
-            agreement,
-            jw::num_f64(self.mean_batch_rows),
-            self.max_batch_requests,
-            jw::num_f64(self.cache_hit_rate),
-        )
+        json::object(|o| {
+            o.put("bench", "pr9_serve_loadgen")
+                .put("mode", &self.mode)
+                .put("requests", self.requests)
+                .put("concurrency", self.concurrency)
+                .put("rows_per_request", self.rows_per_request)
+                .put("ok", self.ok)
+                .put("overloaded", self.overloaded)
+                .put("errors", self.errors)
+                .put("wall_s", self.wall_s)
+                .put("qps", self.qps)
+                .put("rps", self.rps)
+                .object("latency_us", |o| {
+                    o.put("p50", self.p50_us)
+                        .put("p90", self.p90_us)
+                        .put("p99", self.p99_us)
+                        .put("mean", self.mean_us)
+                        .put("max", self.max_us);
+                })
+                // `null` when verification was off.
+                .put("agreement", self.agreement.unwrap_or(f64::NAN))
+                .object("batch", |o| {
+                    o.put("mean_rows", self.mean_batch_rows)
+                        .put("max_requests", self.max_batch_requests);
+                })
+                .put("cache_hit_rate", self.cache_hit_rate);
+        })
     }
 }
 
@@ -227,21 +221,30 @@ struct Tally {
     cache_hits: usize,
 }
 
+/// Send the argument-less command `cmd` on a fresh connection and
+/// return the stream its reply arrives on.
+fn send_command(addr: &str, cmd: &str) -> Result<BufReader<TcpStream>, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
+    let line = json::object(|o| {
+        o.put("cmd", cmd);
+    });
+    writer
+        .write_all(line.as_bytes())
+        .and_then(|()| writer.write_all(b"\n"))
+        .and_then(|()| writer.flush())
+        .map_err(|e| format!("send {cmd}: {e}"))?;
+    Ok(BufReader::new(stream))
+}
+
 /// Discover the server's query-pool size and batch capacity with an
 /// `info` request.
 ///
 /// # Errors
 /// Transport failures and malformed server responses.
 pub fn probe_info(addr: &str) -> Result<(usize, usize), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    writer
-        .write_all(b"{\"cmd\":\"info\"}\n")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send info: {e}"))?;
     let mut line = String::new();
-    reader
+    send_command(addr, "info")?
         .read_line(&mut line)
         .map_err(|e| format!("read info: {e}"))?;
     let v = Json::parse(line.trim()).map_err(|e| format!("info response: {e}"))?;
@@ -261,15 +264,8 @@ pub fn probe_info(addr: &str) -> Result<(usize, usize), String> {
 /// # Errors
 /// Transport failures.
 pub fn send_shutdown(addr: &str) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    writer
-        .write_all(b"{\"cmd\":\"shutdown\"}\n")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send shutdown: {e}"))?;
     let mut line = String::new();
-    let _ = reader.read_line(&mut line);
+    let _ = send_command(addr, "shutdown")?.read_line(&mut line);
     Ok(())
 }
 
@@ -330,12 +326,12 @@ pub fn loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                         let rows: Vec<usize> = (0..cfg.rows_per_request)
                             .map(|j| (i * cfg.rows_per_request + j) % cfg.pool_size)
                             .collect();
-                        let row_list: Vec<String> = rows.iter().map(usize::to_string).collect();
-                        let line = format!(
-                            "{{\"id\":{},\"cmd\":\"classify\",\"rows\":[{}]}}\n",
-                            i + 1,
-                            row_list.join(",")
-                        );
+                        let mut line = json::object(|o| {
+                            o.put("id", i + 1)
+                                .put("cmd", "classify")
+                                .put("rows", &rows[..]);
+                        });
+                        line.push('\n');
                         let t0 = Instant::now();
                         if writer
                             .write_all(line.as_bytes())

@@ -22,8 +22,7 @@
 //! stable `error` codes (`bad_request`, `overloaded`, `too_large`,
 //! `compile_failed`, `exec_failed`, `shutting_down`).
 
-use crate::json::Json;
-use c4cam_telemetry::json as jw;
+use c4cam_telemetry::json::{self, Json};
 use std::fmt;
 
 /// Identity of one compiled plan in the service cache: the workload
@@ -138,6 +137,36 @@ impl ErrorCode {
     }
 }
 
+/// Client text as it may be echoed in a response or kept in a plan
+/// key: at most 64 characters, then `…`. No valid command, task or
+/// backend name is that long, so a cut name stays an unknown one.
+fn bounded(text: &str) -> String {
+    match text.char_indices().nth(64) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text.to_string(),
+    }
+}
+
+/// A non-negative integer that fits `T`.
+fn int<T: TryFrom<u64>>(j: &Json) -> Option<T> {
+    j.as_u64().and_then(|n| T::try_from(n).ok())
+}
+
+/// The optional member `name` as `read` reads it; one that is present
+/// and unreadable is an error saying `what` it must be.
+fn field<T>(
+    v: &Json,
+    name: &str,
+    what: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(name)
+        .map(|j| read(j).ok_or_else(|| format!("'{name}' must be {what}")))
+        .transpose()
+}
+
+const INT: &str = "a non-negative integer in range";
+
 /// Parse one request line.
 ///
 /// # Errors
@@ -145,10 +174,7 @@ impl ErrorCode {
 /// unknown/ill-typed fields).
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let id = match v.get("id") {
-        None => 0,
-        Some(j) => j.as_u64().ok_or("'id' must be a non-negative integer")?,
-    };
+    let id = field(&v, "id", INT, int)?.unwrap_or(0);
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -164,42 +190,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             let rows: Vec<usize> = rows
                 .iter()
-                .map(|r| {
-                    r.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or("'rows' entries must be non-negative integers")
-                })
+                .map(|r| int(r).ok_or("'rows' entries must be non-negative integers"))
                 .collect::<Result<_, _>>()?;
             let key = KeyOverride {
-                task: match v.get("task") {
-                    None => None,
-                    Some(j) => Some(j.as_str().ok_or("'task' must be a string")?.to_string()),
-                },
-                bits: match v.get("bits") {
-                    None => None,
-                    Some(j) => {
-                        Some(j.as_u64().ok_or("'bits' must be a non-negative integer")? as u32)
-                    }
-                },
-                subarray: match v.get("subarray") {
-                    None => None,
-                    Some(j) => Some(
-                        j.as_u64()
-                            .ok_or("'subarray' must be a non-negative integer")?
-                            as usize,
-                    ),
-                },
-                backend: match v.get("backend") {
-                    None => None,
-                    Some(j) => Some(j.as_str().ok_or("'backend' must be a string")?.to_string()),
-                },
+                task: field(&v, "task", "a string", |j| j.as_str().map(bounded))?,
+                bits: field(&v, "bits", INT, int)?,
+                subarray: field(&v, "subarray", INT, int)?,
+                backend: field(&v, "backend", "a string", |j| j.as_str().map(bounded))?,
             };
             Cmd::Classify { rows, key }
         }
         "info" => Cmd::Info,
         "stats" => Cmd::Stats,
         "shutdown" => Cmd::Shutdown,
-        other => return Err(format!("unknown cmd '{other}'")),
+        other => return Err(format!("unknown cmd '{}'", bounded(other))),
     };
     Ok(Request { id, cmd })
 }
@@ -229,30 +233,28 @@ pub struct ClassifyReply {
 
 /// Serialize an `ok` classify response line (no trailing newline).
 pub fn classify_response(id: u64, r: &ClassifyReply) -> String {
-    let preds: Vec<String> = r.predictions.iter().map(usize::to_string).collect();
-    let classes: Vec<String> = r.classes.iter().map(usize::to_string).collect();
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"predictions\":[{}],\"classes\":[{}],\
-         \"cache_hit\":{},\"batch_rows\":{},\"batch_requests\":{},\
-         \"sim_latency_ns_per_query\":{},\"sim_energy_pj_per_query\":{},\"host_us\":{}}}",
-        preds.join(","),
-        classes.join(","),
-        r.cache_hit,
-        r.batch_rows,
-        r.batch_requests,
-        jw::num_f64(r.sim_latency_ns_per_query),
-        jw::num_f64(r.sim_energy_pj_per_query),
-        jw::num_f64(r.host_us),
-    )
+    json::object(|o| {
+        o.put("id", id)
+            .put("ok", true)
+            .put("predictions", &r.predictions[..])
+            .put("classes", &r.classes[..])
+            .put("cache_hit", r.cache_hit)
+            .put("batch_rows", r.batch_rows)
+            .put("batch_requests", r.batch_requests)
+            .put("sim_latency_ns_per_query", r.sim_latency_ns_per_query)
+            .put("sim_energy_pj_per_query", r.sim_energy_pj_per_query)
+            .put("host_us", r.host_us);
+    })
 }
 
 /// Serialize an error response line (no trailing newline).
 pub fn error_response(id: u64, code: ErrorCode, detail: &str) -> String {
-    format!(
-        "{{\"id\":{id},\"ok\":false,\"error\":{},\"detail\":{}}}",
-        jw::string(code.as_str()),
-        jw::string(detail)
-    )
+    json::object(|o| {
+        o.put("id", id)
+            .put("ok", false)
+            .put("error", code.as_str())
+            .put("detail", detail);
+    })
 }
 
 #[cfg(test)]
@@ -301,10 +303,39 @@ mod tests {
             (r#"{"cmd":"classify","rows":[]}"#, "non-empty"),
             (r#"{"cmd":"classify","rows":[-1]}"#, "non-negative"),
             (r#"{"cmd":"classify","rows":[0],"bits":"two"}"#, "'bits'"),
+            // 2^32 + 2 used to truncate to the default 2-bit plan.
+            (
+                r#"{"cmd":"classify","rows":[0],"bits":4294967298}"#,
+                "'bits'",
+            ),
+            (
+                r#"{"cmd":"classify","rows":[0],"subarray":18446744073709551616}"#,
+                "'subarray'",
+            ),
+            (r#"{"cmd":"classify","rows":[0],"task":7}"#, "'task'"),
+            (r#"{"cmd":"info","id":1e999}"#, "out of range"),
+            // What Python's `json.dumps` sends for U+1F600.
+            (r#"{"cmd":"\ud83d\ude00"}"#, "unknown cmd '😀'"),
         ] {
             let e = parse_request(line).unwrap_err();
             assert!(e.contains(needle), "{line}: {e}");
         }
+    }
+
+    #[test]
+    fn client_text_is_echoed_and_kept_bounded() {
+        let long = "é".repeat(400_000);
+        let e = parse_request(&format!(r#"{{"cmd":"{long}"}}"#)).unwrap_err();
+        assert_eq!(e, format!("unknown cmd '{}…'", "é".repeat(64)));
+        let line = format!(r#"{{"cmd":"classify","rows":[0],"task":"{long}","backend":"{long}"}}"#);
+        match parse_request(&line).unwrap().cmd {
+            Cmd::Classify { key, .. } => {
+                assert_eq!(key.task.unwrap().chars().count(), 65);
+                assert_eq!(key.backend.unwrap().chars().count(), 65);
+            }
+            other => panic!("wrong cmd: {other:?}"),
+        }
+        assert_eq!(bounded(&"x".repeat(64)), "x".repeat(64));
     }
 
     #[test]
@@ -328,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn responses_are_single_json_lines() {
+    fn each_response_is_one_line_of_json() {
         let reply = ClassifyReply {
             predictions: vec![3, 1],
             classes: vec![3, 1],

@@ -19,7 +19,7 @@ use crate::protocol::{
     Request,
 };
 use crate::PlanSource;
-use c4cam_telemetry::{cat, ArgValue, Telemetry};
+use c4cam_telemetry::{cat, json, ArgValue, Telemetry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -344,13 +344,12 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
         Cmd::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.acceptor.unpark();
-            (
-                format!(
-                    "{{\"id\":{},\"ok\":true,\"shutting_down\":true}}",
-                    request.id
-                ),
-                true,
-            )
+            let reply = json::object(|o| {
+                o.put("id", request.id)
+                    .put("ok", true)
+                    .put("shutting_down", true);
+            });
+            (reply, true)
         }
     }
 }
@@ -434,42 +433,34 @@ fn info_response(shared: &Shared) -> String {
         Ok((runner, _)) => (runner.capacity(), runner.pool_size()),
         Err(_) => (0, 0),
     };
-    let keys: Vec<String> = shared
-        .cache
-        .keys()
-        .iter()
-        .map(|k| c4cam_telemetry::json::string(&k.to_string()))
-        .collect();
-    format!(
-        "{{\"ok\":true,\"default_key\":{},\"capacity\":{},\"pool_size\":{},\
-         \"max_linger_ms\":{},\"queue_depth\":{},\"cached_plans\":{},\"cached_keys\":[{}]}}",
-        c4cam_telemetry::json::string(&shared.default_key.to_string()),
-        capacity,
-        pool_size,
-        c4cam_telemetry::json::num_f64(shared.admission.config().max_linger.as_secs_f64() * 1e3),
-        shared.admission.config().queue_depth,
-        shared.cache.len(),
-        keys.join(","),
-    )
+    let config = shared.admission.config();
+    let cached_keys: Vec<String> = shared.cache.keys().iter().map(PlanKey::to_string).collect();
+    json::object(|o| {
+        o.put("ok", true)
+            .put("default_key", shared.default_key.to_string())
+            .put("capacity", capacity)
+            .put("pool_size", pool_size)
+            .put("max_linger_ms", config.max_linger.as_secs_f64() * 1e3)
+            .put("queue_depth", config.queue_depth)
+            .put("cached_plans", shared.cache.len())
+            .put("cached_keys", &cached_keys[..]);
+    })
 }
 
 fn stats_response(shared: &Shared) -> String {
     let cache = shared.cache.stats();
     let (batches, batched_rows, max_batch_requests) = shared.admission.batch_stats();
-    let requests = shared.requests.load(Ordering::SeqCst);
-    format!(
-        "{{\"ok\":true,\"requests\":{},\"rejected\":{},\"pending\":{},\
-         \"batches\":{},\"batched_rows\":{},\"max_batch_requests\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"uptime_s\":{}}}",
-        requests,
-        shared.rejected.load(Ordering::SeqCst),
-        shared.admission.pending(),
-        batches,
-        batched_rows,
-        max_batch_requests,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        c4cam_telemetry::json::num_f64(shared.started.elapsed().as_secs_f64()),
-    )
+    json::object(|o| {
+        o.put("ok", true)
+            .put("requests", shared.requests.load(Ordering::SeqCst))
+            .put("rejected", shared.rejected.load(Ordering::SeqCst))
+            .put("pending", shared.admission.pending())
+            .put("batches", batches)
+            .put("batched_rows", batched_rows)
+            .put("max_batch_requests", max_batch_requests)
+            .put("cache_hits", cache.hits)
+            .put("cache_misses", cache.misses)
+            .put("cache_evictions", cache.evictions)
+            .put("uptime_s", shared.started.elapsed().as_secs_f64());
+    })
 }

@@ -1,32 +1,62 @@
-//! Exporters: Chrome trace-event JSON (loadable in Perfetto or
-//! `chrome://tracing`) and a JSON-lines event log for scripted
-//! consumers. Both are deterministic functions of the event list so
-//! golden tests can pin their output byte-exact.
+//! Exporter: Chrome trace-event JSON (loadable in Perfetto or
+//! `chrome://tracing`). It is a deterministic function of the event
+//! list so the golden test can pin its output byte-exact.
 
-use crate::json;
+use crate::json::{self, Object};
 use crate::{ArgValue, Event};
 
-fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::escape_into(out, k);
-        out.push_str("\":");
-        match v {
-            ArgValue::Int(n) => out.push_str(&n.to_string()),
-            ArgValue::Num(x) => out.push_str(&json::num_f64(*x)),
-            ArgValue::Str(s) => out.push_str(&json::string(s)),
-        }
-    }
-    out.push('}');
+/// Microseconds (Chrome trace unit) from nanoseconds.
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
 }
 
-/// Microseconds (Chrome trace unit) from nanoseconds.
-fn us(ns: u64) -> String {
-    json::num_f64(ns as f64 / 1000.0)
+fn write_event(o: &mut Object<'_>, ev: &Event) {
+    match ev {
+        Event::Span(s) => {
+            o.put("name", &s.name)
+                .put("cat", s.cat)
+                .put("ph", "X")
+                .put("pid", 1u32)
+                .put("tid", s.tid)
+                .put("ts", us(s.start_ns))
+                .put("dur", us(s.dur_ns));
+            if !s.args.is_empty() {
+                o.object("args", |a| {
+                    for (k, v) in &s.args {
+                        match v {
+                            ArgValue::Int(n) => a.put(k, n),
+                            ArgValue::Num(x) => a.put(k, x),
+                            ArgValue::Str(s) => a.put(k, s),
+                        };
+                    }
+                });
+            }
+        }
+        Event::Counter { name, t_ns, value } => {
+            o.put("name", name)
+                .put("ph", "C")
+                .put("pid", 1u32)
+                .put("tid", 0u32)
+                .put("ts", us(*t_ns))
+                .object("args", |a| {
+                    a.put(name, value);
+                });
+        }
+        Event::Instant {
+            name,
+            cat,
+            tid,
+            t_ns,
+        } => {
+            o.put("name", name)
+                .put("cat", cat)
+                .put("ph", "i")
+                .put("s", "t")
+                .put("pid", 1u32)
+                .put("tid", tid)
+                .put("ts", us(*t_ns));
+        }
+    }
 }
 
 /// Render events as a Chrome trace-event JSON document.
@@ -35,111 +65,16 @@ fn us(ns: u64) -> String {
 /// instants `"ph":"i"`. Timestamps are microseconds since the
 /// recorder's origin; lanes map to `tid` under a single `pid` 1.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        match ev {
-            Event::Span(s) => {
-                out.push_str("{\"name\":");
-                out.push_str(&json::string(&s.name));
-                out.push_str(",\"cat\":");
-                out.push_str(&json::string(s.cat));
-                out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
-                out.push_str(&s.tid.to_string());
-                out.push_str(",\"ts\":");
-                out.push_str(&us(s.start_ns));
-                out.push_str(",\"dur\":");
-                out.push_str(&us(s.dur_ns));
-                if !s.args.is_empty() {
-                    out.push_str(",\"args\":");
-                    write_args(&mut out, &s.args);
-                }
-                out.push('}');
+    let mut doc = json::object(|doc| {
+        doc.array_lines("traceEvents", |list| {
+            for ev in events {
+                list.object(|o| write_event(o, ev));
             }
-            Event::Counter { name, t_ns, value } => {
-                out.push_str("{\"name\":");
-                out.push_str(&json::string(name));
-                out.push_str(",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":");
-                out.push_str(&us(*t_ns));
-                out.push_str(",\"args\":{\"");
-                json::escape_into(&mut out, name);
-                out.push_str("\":");
-                out.push_str(&json::num_f64(*value));
-                out.push_str("}}");
-            }
-            Event::Instant {
-                name,
-                cat,
-                tid,
-                t_ns,
-            } => {
-                out.push_str("{\"name\":");
-                out.push_str(&json::string(name));
-                out.push_str(",\"cat\":");
-                out.push_str(&json::string(cat));
-                out.push_str(",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":");
-                out.push_str(&tid.to_string());
-                out.push_str(",\"ts\":");
-                out.push_str(&us(*t_ns));
-                out.push('}');
-            }
-        }
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
-/// Render events as one JSON object per line, nanosecond timestamps.
-pub fn json_lines(events: &[Event]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        match ev {
-            Event::Span(s) => {
-                out.push_str("{\"type\":\"span\",\"name\":");
-                out.push_str(&json::string(&s.name));
-                out.push_str(",\"cat\":");
-                out.push_str(&json::string(s.cat));
-                out.push_str(",\"tid\":");
-                out.push_str(&s.tid.to_string());
-                out.push_str(",\"start_ns\":");
-                out.push_str(&s.start_ns.to_string());
-                out.push_str(",\"dur_ns\":");
-                out.push_str(&s.dur_ns.to_string());
-                out.push_str(",\"args\":");
-                write_args(&mut out, &s.args);
-                out.push('}');
-            }
-            Event::Counter { name, t_ns, value } => {
-                out.push_str("{\"type\":\"counter\",\"name\":");
-                out.push_str(&json::string(name));
-                out.push_str(",\"t_ns\":");
-                out.push_str(&t_ns.to_string());
-                out.push_str(",\"value\":");
-                out.push_str(&json::num_f64(*value));
-                out.push('}');
-            }
-            Event::Instant {
-                name,
-                cat,
-                tid,
-                t_ns,
-            } => {
-                out.push_str("{\"type\":\"instant\",\"name\":");
-                out.push_str(&json::string(name));
-                out.push_str(",\"cat\":");
-                out.push_str(&json::string(cat));
-                out.push_str(",\"tid\":");
-                out.push_str(&tid.to_string());
-                out.push_str(",\"t_ns\":");
-                out.push_str(&t_ns.to_string());
-                out.push('}');
-            }
-        }
-        out.push('\n');
-    }
-    out
+        })
+        .put("displayTimeUnit", "ms");
+    });
+    doc.push('\n');
+    doc
 }
 
 #[cfg(test)]
@@ -181,20 +116,6 @@ mod tests {
         assert!(doc.contains("\"args\":{\"sim.latency_ns\":12.5}"));
         assert!(doc.contains("\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":3,\"ts\":5"));
         assert!(doc.trim_end().ends_with("],\"displayTimeUnit\":\"ms\"}"));
-    }
-
-    #[test]
-    fn json_lines_emits_one_object_per_event() {
-        let doc = json_lines(&sample_events());
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"type\":\"span\""));
-        assert!(lines[0].contains("\"start_ns\":1000,\"dur_ns\":2000"));
-        assert!(lines[1].starts_with("{\"type\":\"counter\""));
-        assert!(lines[2].starts_with("{\"type\":\"instant\""));
-        for line in lines {
-            assert!(line.ends_with('}'));
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use c4cam_arch::ArchSpec;
 use c4cam_camsim::ExecStats;
 use c4cam_datasets::{DatasetTask, DatasetWorkload};
 use c4cam_hal::FaultConfig;
+use c4cam_telemetry::json::{self, Field};
 use c4cam_telemetry::{cat, Telemetry};
 use c4cam_workloads::Workload;
 use std::fmt::Write as _;
@@ -215,12 +216,38 @@ pub struct AccuracyReport {
     pub rows: Vec<AccuracyRow>,
 }
 
-/// The exact CSV header row (greppable by CI). Fault columns were
-/// appended after the original energy column so positional consumers
-/// (`cut -d, -f12` on agreement) keep working.
-pub const CSV_HEADER: &str = "task,dataset,stored_rows,queries,dims,classes,bits_per_cell,\
-engine,threads,cam_accuracy,cpu_accuracy,agreement,latency_per_query_ns,energy_per_query_pj,\
-fault_rate,fault_seed,fault_cells,fault_transients,rows_remapped";
+/// One report column: its name and its value in a row.
+type Column = (&'static str, fn(&AccuracyRow) -> Field<'_>);
+
+/// The CSV/JSON report's columns, each listed once; the CSV header
+/// (greppable by CI) is their names. Fault columns were appended after
+/// the original energy column so positional consumers (`cut -d, -f12`
+/// on agreement) keep working.
+const COLUMNS: [Column; 19] = [
+    ("task", |r| Field::Str(&r.task)),
+    ("dataset", |r| Field::Str(&r.dataset)),
+    ("stored_rows", |r| Field::U64(r.stored_rows as u64)),
+    ("queries", |r| Field::U64(r.queries as u64)),
+    ("dims", |r| Field::U64(r.dims as u64)),
+    ("classes", |r| Field::U64(r.classes as u64)),
+    ("bits_per_cell", |r| Field::U64(r.bits_per_cell.into())),
+    ("engine", |r| Field::Str(&r.engine)),
+    ("threads", |r| Field::U64(r.threads as u64)),
+    ("cam_accuracy", |r| Field::F64(r.cam_accuracy)),
+    ("cpu_accuracy", |r| Field::F64(r.cpu_accuracy)),
+    ("agreement", |r| Field::F64(r.agreement)),
+    ("latency_per_query_ns", |r| {
+        Field::F64(r.latency_per_query_ns())
+    }),
+    ("energy_per_query_pj", |r| {
+        Field::F64(r.energy_per_query_pj())
+    }),
+    ("fault_rate", |r| Field::F64(r.fault_rate)),
+    ("fault_seed", |r| Field::U64(r.fault_seed)),
+    ("fault_cells", |r| Field::U64(r.fault_cells())),
+    ("fault_transients", |r| Field::U64(r.fault_transients())),
+    ("rows_remapped", |r| Field::U64(r.rows_remapped())),
+];
 
 impl AccuracyReport {
     /// Render as an aligned text table.
@@ -269,94 +296,31 @@ impl AccuracyReport {
         out
     }
 
-    /// Render as CSV with the stable [`CSV_HEADER`].
+    /// Render as CSV with the stable header of `COLUMNS`.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
-        out.push('\n');
+        let mut out = json::csv_line(COLUMNS.map(|(name, _)| Field::Str(name)));
         for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.task,
-                csv_field(&r.dataset),
-                r.stored_rows,
-                r.queries,
-                r.dims,
-                r.classes,
-                r.bits_per_cell,
-                r.engine,
-                r.threads,
-                json_f64(r.cam_accuracy),
-                json_f64(r.cpu_accuracy),
-                json_f64(r.agreement),
-                json_f64(r.latency_per_query_ns()),
-                json_f64(r.energy_per_query_pj()),
-                json_f64(r.fault_rate),
-                r.fault_seed,
-                r.fault_cells(),
-                r.fault_transients(),
-                r.rows_remapped()
-            );
+            out.push_str(&json::csv_line(COLUMNS.map(|(_, value)| value(r))));
         }
         out
     }
 
-    /// Render as JSON (each row embeds its query phase via
-    /// [`ExecStats::to_json`]).
+    /// Render as JSON (each row carries its `COLUMNS` and embeds its
+    /// query phase via [`ExecStats::to_json`]).
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "{{\"task\":\"{}\",\"dataset\":\"{}\",\"stored_rows\":{},",
-                        "\"queries\":{},\"dims\":{},\"classes\":{},\"bits_per_cell\":{},",
-                        "\"engine\":\"{}\",\"threads\":{},\"cam_accuracy\":{},",
-                        "\"cpu_accuracy\":{},\"agreement\":{},",
-                        "\"latency_per_query_ns\":{},\"energy_per_query_pj\":{},",
-                        "\"fault_rate\":{},\"fault_seed\":{},\"fault_cells\":{},",
-                        "\"fault_transients\":{},\"rows_remapped\":{},",
-                        "\"query_phase\":{}}}"
-                    ),
-                    r.task,
-                    json_escape(&r.dataset),
-                    r.stored_rows,
-                    r.queries,
-                    r.dims,
-                    r.classes,
-                    r.bits_per_cell,
-                    r.engine,
-                    r.threads,
-                    json_f64(r.cam_accuracy),
-                    json_f64(r.cpu_accuracy),
-                    json_f64(r.agreement),
-                    json_f64(r.latency_per_query_ns()),
-                    json_f64(r.energy_per_query_pj()),
-                    json_f64(r.fault_rate),
-                    r.fault_seed,
-                    r.fault_cells(),
-                    r.fault_transients(),
-                    r.rows_remapped(),
-                    r.query_phase().to_json()
-                )
-            })
-            .collect();
-        format!("{{\"rows\":[{}]}}", rows.join(","))
+        json::object(|doc| {
+            doc.array("rows", |rows| {
+                for r in &self.rows {
+                    rows.object(|o| {
+                        for (name, value) in COLUMNS {
+                            o.put(name, value(r));
+                        }
+                        o.raw("query_phase", &r.query_phase().to_json());
+                    });
+                }
+            });
+        })
     }
-}
-
-// The report serializers share the workspace-wide JSON policy
-// (`c4cam_telemetry::json`): one escaping implementation, non-finite
-// numbers degrade to `null`, matching [`ExecStats::to_json`].
-pub(crate) use c4cam_telemetry::json::escape as json_escape;
-use c4cam_telemetry::json::num_f64 as json_f64;
-
-/// Sanitize a string for a bare CSV field: the report's columns are
-/// positional (CI cuts on commas), so separator-bearing names are
-/// flattened rather than quoted.
-pub(crate) fn csv_field(s: &str) -> String {
-    s.replace([',', '"', '\n', '\r'], "_")
 }
 
 #[cfg(test)]
@@ -420,7 +384,12 @@ mod tests {
         assert!(table.contains("dataset-hdc"), "{table}");
         assert!(table.contains("cam acc"), "{table}");
         let csv = report.to_csv();
-        assert!(csv.starts_with(CSV_HEADER), "{csv}");
+        assert_eq!(
+            csv.lines().next().unwrap(),
+            "task,dataset,stored_rows,queries,dims,classes,bits_per_cell,engine,threads,\
+             cam_accuracy,cpu_accuracy,agreement,latency_per_query_ns,energy_per_query_pj,\
+             fault_rate,fault_seed,fault_cells,fault_transients,rows_remapped"
+        );
         assert_eq!(csv.lines().count(), 2, "{csv}");
         let row = csv.lines().nth(1).unwrap();
         assert!(
@@ -438,11 +407,19 @@ mod tests {
 
     #[test]
     fn report_strings_are_escaped() {
-        assert_eq!(json_escape("plain.csv"), "plain.csv");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\there"), "tab\\there");
-        assert_eq!(csv_field("a,b\"c\nd"), "a_b_c_d");
-        assert_eq!(csv_field("mini-mnist"), "mini-mnist");
+        let w = fixture(DatasetTask::Hdc, 4);
+        let spec = build_arch((32, 32), (4, 4, 8), Optimization::Base, 1).unwrap();
+        let mut row = evaluate(&w, &spec, "tape", 1).unwrap();
+        row.dataset = "a,b\"c\\d\te.csv".to_string();
+        let report = AccuracyReport { rows: vec![row] };
+        let json = report.to_json();
+        assert!(json.contains(r#""dataset":"a,b\"c\\d\te.csv","#), "{json}");
+        let csv = report.to_csv();
+        let cells = csv.lines().nth(1).unwrap();
+        assert!(
+            cells.starts_with("dataset-hdc,a_b_c\\d\te.csv,10,4,"),
+            "{cells}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use c4cam_core::pipeline::C4camPipeline;
 use c4cam_engine::Tape;
 use c4cam_ir::Module;
 use c4cam_runtime::Value;
-use c4cam_server::json::Json;
+use c4cam_telemetry::json::Json;
 use c4cam_tensor::Tensor;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};

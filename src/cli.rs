@@ -32,8 +32,8 @@ use c4cam_hal::{BackendRegistry, ExecOptions};
 use c4cam_runtime::Value;
 use c4cam_server::protocol::PlanKey;
 use c4cam_server::{AdmissionConfig, LoadMode, LoadgenConfig, ServeConfig};
-use c4cam_telemetry::export::{chrome_trace, json_lines};
-use c4cam_telemetry::json::num_f32 as json_f32;
+use c4cam_telemetry::export::chrome_trace;
+use c4cam_telemetry::json;
 use c4cam_telemetry::log::LogLevel;
 use c4cam_telemetry::metrics::MetricsReport;
 use c4cam_telemetry::{log as tlog, CollectingRecorder, Phase, Telemetry};
@@ -259,8 +259,7 @@ impl FromStr for MetricsMode {
 /// report was requested, so the default run pays nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryArgs {
-    /// Trace output path (`--trace-out`): Chrome trace-event JSON, or
-    /// JSON-lines when the path ends in `.jsonl`.
+    /// Trace output path (`--trace-out`): Chrome trace-event JSON.
     pub trace_out: Option<String>,
     /// Metrics report appended to the command output (`--metrics`).
     pub metrics: MetricsMode,
@@ -312,12 +311,7 @@ impl TelemetrySession {
         let events = recorder.events();
         let mut written = Ok(());
         if let Some(path) = &self.args.trace_out {
-            let text = if path.ends_with(".jsonl") {
-                json_lines(&events)
-            } else {
-                chrome_trace(&events)
-            };
-            written = std::fs::write(path, text)
+            written = std::fs::write(path, chrome_trace(&events))
                 .map(|()| tlog::summary(format_args!("wrote trace to {path}")))
                 .map_err(|e| cli_err(format!("cannot write trace file '{path}': {e}")));
         }
@@ -1095,7 +1089,7 @@ fn parse_tech(name: &str) -> Result<Option<TechnologyModel>, CliError> {
 
 /// What [`usage`] prints under the synopsis lines. A `  --flag: text`
 /// line gains the flag's placeholder and the commands that read it.
-const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails; a .jsonl extension selects JSON-lines instead\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
+const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
 
 /// Usage text, generated from the `FLAGS` table: one synopsis line per
 /// command form (required flags, then the optional ones in brackets),
@@ -1215,11 +1209,14 @@ impl RunReport {
                 out.push_str(&self.stats.to_string());
                 out
             }
-            OutputFormat::Json => format!(
-                "{{\"results\":[{}],\"stats\":{}}}",
-                self.outputs_json.join(","),
-                self.stats.to_json()
-            ),
+            OutputFormat::Json => json::object(|o| {
+                o.array("results", |results| {
+                    for output in &self.outputs_json {
+                        results.raw(output);
+                    }
+                })
+                .raw("stats", &self.stats.to_json());
+            }),
         }
     }
 }
@@ -1289,17 +1286,18 @@ pub fn run_run(args: &RunArgs, telemetry: &Telemetry) -> Result<RunReport, CliEr
         .collect();
     let outputs_json = out
         .iter()
-        .map(|v| match v.snapshot_tensor() {
-            Some(t) => format!(
-                "{{\"shape\":{:?},\"data\":[{}]}}",
-                t.shape(),
-                t.data()
-                    .iter()
-                    .map(|&x| json_f32(x))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-            None => format!("{{\"value\":\"{v}\"}}"),
+        .map(|v| {
+            json::object(|o| match v.snapshot_tensor() {
+                Some(t) => {
+                    // `Debug` of a `usize` slice is a JSON array, with
+                    // the `, ` spacing this output has always had.
+                    o.raw("shape", &format!("{:?}", t.shape()))
+                        .put("data", t.data());
+                }
+                None => {
+                    o.put("value", v.to_string());
+                }
+            })
         })
         .collect();
     Ok(RunReport {
@@ -1322,25 +1320,21 @@ pub fn run_place(args: &PlaceArgs) -> Result<String, CliError> {
     )
     .map_err(cli_err)?;
     if args.format == OutputFormat::Json {
-        return Ok(format!(
-            concat!(
-                "{{\"stored_rows\":{},\"dims\":{},\"queries\":{},\"placement\":{{",
-                "\"rows_used\":{},\"row_groups\":{},\"col_chunks\":{},",
-                "\"logical_tiles\":{},\"batches_per_subarray\":{},",
-                "\"physical_subarrays\":{},\"banks\":{},\"padded_rows\":{}}}}}"
-            ),
-            args.stored_rows,
-            args.dims,
-            args.queries,
-            p.rows_used,
-            p.row_groups,
-            p.col_chunks,
-            p.logical_tiles,
-            p.batches_per_subarray,
-            p.physical_subarrays,
-            p.banks,
-            p.padded_rows,
-        ));
+        return Ok(json::object(|o| {
+            o.put("stored_rows", args.stored_rows)
+                .put("dims", args.dims)
+                .put("queries", args.queries)
+                .object("placement", |o| {
+                    o.put("rows_used", p.rows_used)
+                        .put("row_groups", p.row_groups)
+                        .put("col_chunks", p.col_chunks)
+                        .put("logical_tiles", p.logical_tiles)
+                        .put("batches_per_subarray", p.batches_per_subarray)
+                        .put("physical_subarrays", p.physical_subarrays)
+                        .put("banks", p.banks)
+                        .put("padded_rows", p.padded_rows);
+                });
+        }));
     }
     Ok(format!(
         "placement for {} stored rows x {} dims ({} queries):\n\
@@ -1445,19 +1439,15 @@ pub fn run_dataset(args: &DatasetRunArgs, telemetry: &Telemetry) -> Result<Strin
             accuracy,
             outcome.total
         ),
-        OutputFormat::Json => format!(
-            concat!(
-                "{{\"dataset\":\"{}\",\"task\":\"{}\",\"stored_rows\":{},",
-                "\"dims\":{},\"queries\":{},\"accuracy\":{},\"stats\":{}}}"
-            ),
-            crate::accuracy::json_escape(workload.dataset().name()),
-            workload.name(),
-            workload.stored_rows(),
-            workload.dims(),
-            outcome.queries,
-            accuracy,
-            outcome.total.to_json()
-        ),
+        OutputFormat::Json => json::object(|o| {
+            o.put("dataset", workload.dataset().name())
+                .put("task", workload.name())
+                .put("stored_rows", workload.stored_rows())
+                .put("dims", workload.dims())
+                .put("queries", outcome.queries)
+                .put("accuracy", accuracy)
+                .raw("stats", &outcome.total.to_json());
+        }),
     })
 }
 
@@ -2428,7 +2418,7 @@ optimization: density
             telemetry: TelemetryArgs::default(),
         };
         let csv = run_accuracy(&args(SweepFormat::Csv), &Telemetry::default()).unwrap();
-        assert!(csv.starts_with(crate::accuracy::CSV_HEADER), "{csv}");
+        assert!(csv.starts_with("task,dataset,stored_rows,"), "{csv}");
         assert_eq!(csv.lines().count(), 3, "header + 2 bit widths: {csv}");
         for line in csv.lines().skip(1) {
             let fields: Vec<&str> = line.split(',').collect();
@@ -2679,12 +2669,12 @@ optimization: density
             "--dataset",
             "d",
             "--trace-out",
-            "t.jsonl",
+            "t.json",
         ]))
         .unwrap()
         {
             Command::Accuracy(a) => {
-                assert_eq!(a.telemetry.trace_out.as_deref(), Some("t.jsonl"));
+                assert_eq!(a.telemetry.trace_out.as_deref(), Some("t.json"));
                 assert_eq!(a.telemetry.metrics, MetricsMode::None);
             }
             other => panic!("expected accuracy, got {other:?}"),
@@ -2773,34 +2763,6 @@ optimization: density
             );
         }
         assert!(text.contains("\"cat\":\"op\""), "per-op spans: {text}");
-        std::fs::remove_file(&trace).ok();
-    }
-
-    #[test]
-    fn jsonl_trace_extension_selects_json_lines() {
-        let dir = std::env::temp_dir().join("c4cam-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("run-trace.jsonl");
-        let cmd = Command::RunDataset(DatasetRunArgs {
-            dataset: fixture_path(),
-            dataset_format: None,
-            task: DatasetTask::Hdc,
-            limit: Some(4),
-            arch: None,
-            engine: "tape".to_string(),
-            threads: 1,
-            format: OutputFormat::Text,
-            telemetry: TelemetryArgs {
-                trace_out: Some(trace.to_string_lossy().into_owned()),
-                metrics: MetricsMode::None,
-                log_level: None,
-            },
-        });
-        execute(&cmd).unwrap();
-        let text = std::fs::read_to_string(&trace).unwrap();
-        let first = text.lines().next().unwrap();
-        assert!(first.starts_with("{\"type\":\""), "{first}");
-        assert!(text.lines().any(|l| l.contains("\"name\":\"Execute\"")));
         std::fs::remove_file(&trace).ok();
     }
 
@@ -3343,7 +3305,7 @@ optimization: density
         assert!(e.message.contains("expected 128 values"), "{e}");
         assert!(!e.message.contains("phase breakdown"), "{e}");
         let text = std::fs::read_to_string(&trace).expect("the trace of a failed run");
-        let json = c4cam_server::json::Json::parse(&text).expect("a well-formed trace");
+        let json = json::Json::parse(&text).expect("a well-formed trace");
         let events = json.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let names: Vec<&str> = events
             .iter()

@@ -22,7 +22,7 @@ use crate::driver::{DriverError, Experiment, RunOutcome};
 use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, Optimization};
 use c4cam_hal::FaultConfig;
-use c4cam_telemetry::json::num_f64 as json_f64;
+use c4cam_telemetry::json::{self, Field};
 use c4cam_telemetry::{cat, Telemetry};
 use c4cam_workloads::Workload;
 use std::fmt;
@@ -81,7 +81,7 @@ impl fmt::Display for GridPoint {
         )?;
         // Fault-free points keep the historical coordinate format.
         if self.fault_rate > 0.0 {
-            write!(f, "/f{}", json_f64(self.fault_rate))?;
+            write!(f, "/f{}", json::num_f64(self.fault_rate))?;
         }
         Ok(())
     }
@@ -225,82 +225,76 @@ impl SweepOutcome {
         out
     }
 
-    /// Render as CSV (stable header; one row per selected point).
+    /// Render as CSV (stable header, the names of `COLUMNS`; one row
+    /// per selected point).
     pub fn to_csv(&self, pareto_only: bool) -> String {
-        let mut out = String::from(
-            "workload,subarray_rows,subarray_cols,optimization,technology,bits_per_cell,engine,\
-             physical_subarrays,banks,latency_per_query_ns,energy_per_query_pj,power_mw,\
-             area_cells,accuracy,pareto,fault_rate\n",
-        );
+        let mut out = json::csv_line(COLUMNS.map(|(name, _)| Field::Str(name)));
         for i in self.selected(pareto_only) {
-            let p = &self.points[i];
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                self.workload,
-                p.grid.subarray.0,
-                p.grid.subarray.1,
-                p.grid.optimization.keyword(),
-                p.grid.tech_name,
-                p.grid.bits_per_cell,
-                p.grid.engine,
-                p.outcome.placement.physical_subarrays,
-                p.outcome.placement.banks,
-                json_f64(p.latency_per_query_ns()),
-                json_f64(p.energy_per_query_pj()),
-                json_f64(p.power_mw()),
-                p.area_cells(),
-                json_f64(p.outcome.accuracy()),
-                self.is_pareto(i),
-                json_f64(p.grid.fault_rate)
-            ));
+            out.push_str(&json::csv_line(COLUMNS.map(|(_, value)| value(self, i))));
         }
         out
     }
 
-    /// Render as a JSON object (reuses the `--format json` stats
-    /// plumbing: each point embeds its query phase as
-    /// [`c4cam_camsim::ExecStats::to_json`]).
+    /// Render as a JSON object: each point carries its `COLUMNS`
+    /// after `workload` (which the document states once) and embeds
+    /// its query phase as [`c4cam_camsim::ExecStats::to_json`].
     pub fn to_json(&self, pareto_only: bool) -> String {
-        let points: Vec<String> = self
-            .selected(pareto_only)
-            .into_iter()
-            .map(|i| {
-                let p = &self.points[i];
-                format!(
-                    concat!(
-                        "{{\"subarray_rows\":{},\"subarray_cols\":{},",
-                        "\"optimization\":\"{}\",\"technology\":\"{}\",\"bits_per_cell\":{},",
-                        "\"engine\":\"{}\",\"physical_subarrays\":{},\"banks\":{},",
-                        "\"latency_per_query_ns\":{},\"energy_per_query_pj\":{},",
-                        "\"power_mw\":{},\"area_cells\":{},\"accuracy\":{},",
-                        "\"pareto\":{},\"fault_rate\":{},\"query_phase\":{}}}"
-                    ),
-                    p.grid.subarray.0,
-                    p.grid.subarray.1,
-                    p.grid.optimization.keyword(),
-                    p.grid.tech_name,
-                    p.grid.bits_per_cell,
-                    p.grid.engine,
-                    p.outcome.placement.physical_subarrays,
-                    p.outcome.placement.banks,
-                    json_f64(p.latency_per_query_ns()),
-                    json_f64(p.energy_per_query_pj()),
-                    json_f64(p.power_mw()),
-                    p.area_cells(),
-                    json_f64(p.outcome.accuracy()),
-                    self.is_pareto(i),
-                    json_f64(p.grid.fault_rate),
-                    p.outcome.query_phase.to_json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workload\":\"{}\",\"points\":[{}]}}",
-            self.workload,
-            points.join(",")
-        )
+        json::object(|doc| {
+            doc.put("workload", &self.workload)
+                .array("points", |points| {
+                    for i in self.selected(pareto_only) {
+                        points.object(|o| {
+                            for (name, value) in &COLUMNS[1..] {
+                                o.put(name, value(self, i));
+                            }
+                            o.raw("query_phase", &self.points[i].outcome.query_phase.to_json());
+                        });
+                    }
+                });
+        })
     }
 }
+
+/// One report column: its name and its value at point `i`.
+type Column = (&'static str, fn(&SweepOutcome, usize) -> Field<'_>);
+
+/// The CSV/JSON report's columns, each listed once.
+const COLUMNS: [Column; 16] = [
+    ("workload", |s, _| Field::Str(&s.workload)),
+    ("subarray_rows", |s, i| {
+        Field::U64(s.points[i].grid.subarray.0 as u64)
+    }),
+    ("subarray_cols", |s, i| {
+        Field::U64(s.points[i].grid.subarray.1 as u64)
+    }),
+    ("optimization", |s, i| {
+        Field::Str(s.points[i].grid.optimization.keyword())
+    }),
+    ("technology", |s, i| Field::Str(&s.points[i].grid.tech_name)),
+    ("bits_per_cell", |s, i| {
+        Field::U64(s.points[i].grid.bits_per_cell.into())
+    }),
+    ("engine", |s, i| Field::Str(&s.points[i].grid.engine)),
+    ("physical_subarrays", |s, i| {
+        Field::U64(s.points[i].outcome.placement.physical_subarrays as u64)
+    }),
+    ("banks", |s, i| {
+        Field::U64(s.points[i].outcome.placement.banks as u64)
+    }),
+    ("latency_per_query_ns", |s, i| {
+        Field::F64(s.points[i].latency_per_query_ns())
+    }),
+    ("energy_per_query_pj", |s, i| {
+        Field::F64(s.points[i].energy_per_query_pj())
+    }),
+    ("power_mw", |s, i| Field::F64(s.points[i].power_mw())),
+    ("area_cells", |s, i| Field::U64(s.points[i].area_cells())),
+    ("accuracy", |s, i| {
+        Field::F64(s.points[i].outcome.accuracy())
+    }),
+    ("pareto", |s, i| Field::Bool(s.is_pareto(i))),
+    ("fault_rate", |s, i| Field::F64(s.points[i].grid.fault_rate)),
+];
 
 /// Default square subarray sizes of the §IV-C grid (shared by
 /// [`SweepPlan::new`] and the `c4cam sweep` CLI defaults).

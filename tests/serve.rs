@@ -343,6 +343,66 @@ fn invalid_utf8_is_answered_bad_request_and_the_connection_keeps_serving() {
 }
 
 #[test]
+fn hostile_request_lines_are_answered_in_bounded_time_and_size_and_the_server_keeps_serving() {
+    let (addr, handle) = start_server(4);
+    let mut client = Client::connect(addr);
+    let long = "x".repeat(1_000_000);
+    let started = std::time::Instant::now();
+    for (line, code, needle) in [
+        // Overflowed the handler's stack and aborted the process.
+        ("[".repeat(10_000), "bad_request", "nesting deeper than 64"),
+        // Was truncated to 2 and served from the default plan.
+        (
+            r#"{"id":1,"cmd":"classify","rows":[0],"bits":4294967298}"#.to_string(),
+            "bad_request",
+            "'bits'",
+        ),
+        // Was read as infinity.
+        (
+            r#"{"id":1e999,"cmd":"info"}"#.to_string(),
+            "bad_request",
+            "out of range",
+        ),
+        // What Python's `json.dumps` sends for U+1F600; was two U+FFFD.
+        (
+            r#"{"cmd":"\ud83d\ude00"}"#.to_string(),
+            "bad_request",
+            "unknown cmd '😀'",
+        ),
+        // Took tens of seconds to scan and came back whole.
+        (format!(r#"{{"cmd":"{long}"}}"#), "bad_request", "xxx…'"),
+        (
+            format!(r#"{{"id":2,"cmd":"classify","rows":[0],"task":"{long}"}}"#),
+            "compile_failed",
+            "xxx…'",
+        ),
+    ] {
+        let reply = client.roundtrip(&line);
+        let shown = &line[..line.len().min(60)];
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some(code),
+            "{shown}"
+        );
+        let detail = reply.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains(needle), "{shown}: {detail}");
+        assert!(detail.len() < 200, "{shown}: {} bytes echoed", detail.len());
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        started.elapsed()
+    );
+
+    let mut fresh = Client::connect(addr);
+    let info = fresh.roundtrip(r#"{"cmd":"info"}"#);
+    assert_eq!(info.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(info.get("cached_plans").and_then(Json::as_u64), Some(1));
+    fresh.roundtrip(r#"{"cmd":"shutdown"}"#);
+    assert_eq!(handle.join().unwrap().rejected, 6);
+}
+
+#[test]
 fn loadgen_sustains_throughput_with_exact_agreement() {
     let (addr, handle) = start_server(8);
     let expected = reference_pool_classes(&mini_mnist::dataset(), &key("tape")).unwrap();

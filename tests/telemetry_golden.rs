@@ -14,7 +14,7 @@ use c4cam::arch::{ArchSpec, Optimization};
 use c4cam::datasets::{Dataset, DatasetTask, DatasetWorkload};
 use c4cam::driver::{build_arch, Experiment};
 use c4cam::telemetry::clock::ManualClock;
-use c4cam::telemetry::export::{chrome_trace, json_lines};
+use c4cam::telemetry::export::chrome_trace;
 use c4cam::telemetry::{cat, CollectingRecorder, Event, Phase, Telemetry};
 use c4cam_server::json::Json;
 use std::path::{Path, PathBuf};
@@ -137,17 +137,6 @@ fn recorded_events_cover_the_full_span_taxonomy() {
     ] {
         assert!(counters.contains(&name), "missing counter {name}");
     }
-}
-
-#[test]
-fn json_lines_export_matches_the_event_stream() {
-    let events = record_events();
-    let text = json_lines(&events);
-    assert_eq!(text.lines().count(), events.len());
-    for line in text.lines() {
-        Json::parse(line).unwrap_or_else(|e| panic!("bad event line {line:?}: {e}"));
-    }
-    assert!(text.lines().any(|l| l.contains("\"name\":\"Execute\"")));
 }
 
 #[test]
