@@ -1,7 +1,7 @@
 //! **Figure 8 (a, b, c)** — impact of subarray size and the C4CAM
 //! optimization configurations on energy, latency and power for HDC on
-//! MNIST-scale data (10 classes × 8192 dims, extrapolated to the 10k
-//! query test set).
+//! MNIST-scale data (10 classes × 8192 dims, the 10k-query test set
+//! priced exactly from each compiled schedule).
 //!
 //! Shape requirements from §IV-C1:
 //! * `cam-power` cuts power substantially (to ~0.2–0.6× of base) at the
@@ -18,7 +18,6 @@ use c4cam_bench::section;
 use std::collections::HashMap;
 
 fn main() {
-    let simulated = 16usize;
     let full = 10_000usize;
     let sizes = [16usize, 32, 64, 128, 256];
     let configs = [
@@ -28,15 +27,18 @@ fn main() {
         ("cam-density+power", Optimization::PowerDensity),
     ];
 
-    let workload = HdcWorkload::paper(simulated);
+    // Compiled once per point, never run: cost is a function of the
+    // schedule, and the schedule does not depend on the query count.
+    let workload = HdcWorkload::paper(1);
     let mut results: HashMap<(&str, usize), ExecStats> = HashMap::new();
     for (name, opt) in configs {
         for &n in &sizes {
-            let out = Experiment::new(&workload)
+            let compiled = Experiment::new(&workload)
                 .arch(paper_arch(n, opt, 1))
-                .run()
-                .expect("run");
-            results.insert((name, n), out.scaled_query_phase(full));
+                .compile()
+                .expect("compile");
+            let cost = compiled.cost(full).expect("the tape backend prices");
+            results.insert((name, n), cost.query_phase());
         }
     }
 

@@ -27,7 +27,6 @@ fn iso_arch(n: usize, opt: Optimization) -> ArchSpec {
 }
 
 fn main() {
-    let simulated = 16usize;
     let full = 10_000usize;
     let sizes = [16usize, 32, 64, 128, 256];
     let configs = [
@@ -36,15 +35,18 @@ fn main() {
         ("iso-density+power", Optimization::PowerDensity),
     ];
 
-    let workload = HdcWorkload::paper(simulated);
+    // Compiled once per point, never run: cost is a function of the
+    // schedule, and the schedule does not depend on the query count.
+    let workload = HdcWorkload::paper(1);
     let mut results: HashMap<(&str, usize), ExecStats> = HashMap::new();
     for (name, opt) in configs {
         for &n in &sizes {
-            let out = Experiment::new(&workload)
+            let compiled = Experiment::new(&workload)
                 .arch(iso_arch(n, opt))
-                .run()
-                .expect("run");
-            results.insert((name, n), out.scaled_query_phase(full));
+                .compile()
+                .expect("compile");
+            let cost = compiled.cost(full).expect("the tape backend prices");
+            results.insert((name, n), cost.query_phase());
         }
     }
 

@@ -18,13 +18,16 @@ fn main() {
     let spec = paper_arch(32, Optimization::Base, 1);
 
     // CAM side: the §IV-B comparison workload through the compiled
-    // pipeline, extrapolated to the full test set.
+    // pipeline, its schedule priced at the full test set.
     let workload = GpuComparisonWorkload::paper(simulated_queries);
-    let out = Experiment::new(&workload)
+    let compiled = Experiment::new(&workload)
         .arch(spec.clone())
-        .run()
-        .expect("cam run");
-    let cam = out.scaled_query_phase(full_queries);
+        .compile()
+        .expect("cam compile");
+    let cam = compiled
+        .cost(full_queries)
+        .expect("the tape backend prices")
+        .query_phase();
     let cam_latency_s = cam.latency_ns * 1e-9;
     let cam_energy_j = cam.total_energy_fj() * 1e-15;
 

@@ -25,7 +25,7 @@ fn main() {
     // features.
     let patterns = 5216usize;
     let dims = 4096usize;
-    let queries = 2usize;
+    let queries = 1usize;
     let sizes = [16usize, 32, 64, 128, 256];
 
     section(&format!(
@@ -50,13 +50,16 @@ fn main() {
         ("cam-power", Optimization::Power),
     ] {
         for &n in &sizes {
-            let out = Experiment::new(&workload)
+            // Priced from the compiled schedule; the 83k-subarray
+            // machine of the 16x16 row is never built.
+            let compiled = Experiment::new(&workload)
                 .arch(paper_arch(n, opt, 1))
-                .run()
-                .expect("knn run");
-            let per_query = out.scaled_query_phase(1);
+                .compile()
+                .expect("knn compile");
+            let cost = compiled.cost(1).expect("the tape backend prices");
+            let per_query = cost.query_phase();
             let edp = per_query.edp_nj_s();
-            let power = out.query_phase.power_w();
+            let power = per_query.power_w();
             println!(
                 "{:<12} {:>10} {:>14.4e} {:>14.3} {:>12.3} {:>10}",
                 name,
@@ -64,7 +67,7 @@ fn main() {
                 edp,
                 power,
                 per_query.latency_us(),
-                out.placement.banks
+                compiled.placement().banks
             );
             table.push((name, n, edp, power));
         }

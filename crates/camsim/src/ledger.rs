@@ -1,0 +1,517 @@
+//! The cost ledger: everything the simulator charges, and nothing it
+//! stores.
+//!
+//! Every cost of a run — write, search, read and merge charges, the
+//! timing-scope folds, static power, the allocation gauges — is a
+//! function of the geometry, the [`TechnologyModel`] and a handful of
+//! counts per operation (rows programmed, rows active, plane words
+//! streamed, votes), never of cell contents. [`CostLedger`] is that
+//! function. [`CamMachine`](crate::CamMachine) embeds one and calls it
+//! with the counts it reads off its subarrays; a static evaluator can
+//! drive one with counts it derives from a schedule alone
+//! (`c4cam_engine::Tape::price`). Both charge through the same code in
+//! the same order, so their `f64` folds agree to the bit, and each
+//! [`TechnologyModel`] charge function has exactly one call site.
+//!
+//! ## Timing scopes
+//!
+//! The compiler's `cam-map` pass encodes its mapping policy as a loop
+//! nest: `scf.parallel` loops over units that operate concurrently and
+//! `scf.for` loops over units activated one after another (e.g. the
+//! `cam-power` configuration serializes subarrays within an array). The
+//! runtime mirrors that structure onto the ledger with
+//! [`CostLedger::push_parallel`] / [`CostLedger::push_sequential`] /
+//! [`CostLedger::pop_scope`]: latency contributions inside a parallel
+//! scope fold as `max`, inside a sequential scope as `sum`. Energy always
+//! sums — concurrency changes time, not work.
+
+use crate::machine::{ArrayId, BankId, MatId, SearchSpec, SimError, SubarrayId};
+use crate::stats::ExecStats;
+use crate::subarray::RowSelection;
+use c4cam_arch::tech::{Level, TechnologyModel};
+use c4cam_arch::ArchSpec;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScopeKind {
+    Sequential,
+    Parallel,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Scope {
+    kind: ScopeKind,
+    elapsed_ns: f64,
+}
+
+impl ExecStats {
+    /// Fold a shard's cost delta into an accumulator that represents the
+    /// *sequential* composition of shards: operation counters and dynamic
+    /// energy add; `latency_ns` is handled by the caller (it must be
+    /// charged to a timing scope); static energy and allocation gauges
+    /// are derived quantities and are skipped.
+    fn add_dynamic(&mut self, delta: &ExecStats) {
+        self.search_ops += delta.search_ops;
+        self.searched_words += delta.searched_words;
+        self.write_ops += delta.write_ops;
+        self.read_ops += delta.read_ops;
+        self.merge_ops += delta.merge_ops;
+        self.fault_cells += delta.fault_cells;
+        self.fault_transients += delta.fault_transients;
+        self.cell_energy_fj += delta.cell_energy_fj;
+        self.periph_energy_fj += delta.periph_energy_fj;
+        self.merge_energy_fj += delta.merge_energy_fj;
+        self.write_energy_fj += delta.write_energy_fj;
+    }
+}
+
+/// Cost accounting of one simulated accelerator: the allocation tree
+/// (as child counts against the hierarchy budgets), the timing-scope
+/// stack, the running [`ExecStats`] and the recorded phase snapshots.
+#[derive(Debug, Clone)]
+pub struct CostLedger {
+    tech: TechnologyModel,
+    bits_per_cell: u32,
+    rows: usize,
+    cols: usize,
+    mats_per_bank: usize,
+    arrays_per_mat: usize,
+    subarrays_per_array: usize,
+    max_banks: Option<usize>,
+    /// Mats allocated in each bank.
+    banks: Vec<usize>,
+    /// Arrays allocated in each mat.
+    mats: Vec<usize>,
+    /// Subarrays allocated in each array.
+    arrays: Vec<usize>,
+    scopes: Vec<Scope>,
+    /// The machine adds the fault counters itself: fault sites and
+    /// transient hits are device state, not schedule.
+    pub(crate) stats: ExecStats,
+    phases: Vec<(String, ExecStats)>,
+}
+
+impl CostLedger {
+    /// An empty ledger for the given architecture and technology.
+    pub fn new(spec: &ArchSpec, tech: TechnologyModel) -> CostLedger {
+        CostLedger {
+            tech,
+            bits_per_cell: spec.bits_per_cell,
+            rows: spec.rows_per_subarray,
+            cols: spec.cols_per_subarray,
+            mats_per_bank: spec.mats_per_bank,
+            arrays_per_mat: spec.arrays_per_mat,
+            subarrays_per_array: spec.subarrays_per_array,
+            max_banks: spec.banks,
+            banks: Vec::new(),
+            mats: Vec::new(),
+            arrays: Vec::new(),
+            scopes: vec![Scope {
+                kind: ScopeKind::Sequential,
+                elapsed_ns: 0.0,
+            }],
+            stats: ExecStats::default(),
+            phases: Vec::new(),
+        }
+    }
+
+    /// The technology model in use.
+    pub fn tech(&self) -> &TechnologyModel {
+        &self.tech
+    }
+
+    /// Subarray geometry `(rows, cols)`.
+    pub fn geometry(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Bits stored per cell.
+    pub fn bits_per_cell(&self) -> u32 {
+        self.bits_per_cell
+    }
+
+    // ------------------------------------------------------------------
+    // Allocation
+    // ------------------------------------------------------------------
+
+    /// Allocate a bank.
+    ///
+    /// # Errors
+    /// Fails if a fixed bank budget is exhausted.
+    pub fn alloc_bank(&mut self) -> Result<BankId, SimError> {
+        if let Some(max) = self.max_banks {
+            if self.banks.len() >= max {
+                return Err(SimError::new(format!("bank budget ({max}) exhausted")));
+            }
+        }
+        self.banks.push(0);
+        self.stats.banks_allocated = self.banks.len();
+        Ok(BankId(self.banks.len() - 1))
+    }
+
+    /// Allocate a mat within `bank`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the bank's mat budget is full.
+    pub fn alloc_mat(&mut self, bank: BankId) -> Result<MatId, SimError> {
+        let held = self
+            .banks
+            .get_mut(bank.0)
+            .ok_or_else(|| SimError::new(format!("invalid bank handle {}", bank.0)))?;
+        if *held >= self.mats_per_bank {
+            return Err(SimError::new(format!(
+                "bank {} already has {} mats",
+                bank.0, self.mats_per_bank
+            )));
+        }
+        *held += 1;
+        self.mats.push(0);
+        self.stats.mats_allocated = self.mats.len();
+        Ok(MatId(self.mats.len() - 1))
+    }
+
+    /// Allocate an array within `mat`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the mat's array budget is full.
+    pub fn alloc_array(&mut self, mat: MatId) -> Result<ArrayId, SimError> {
+        let held = self
+            .mats
+            .get_mut(mat.0)
+            .ok_or_else(|| SimError::new(format!("invalid mat handle {}", mat.0)))?;
+        if *held >= self.arrays_per_mat {
+            return Err(SimError::new(format!(
+                "mat {} already has {} arrays",
+                mat.0, self.arrays_per_mat
+            )));
+        }
+        *held += 1;
+        self.arrays.push(0);
+        self.stats.arrays_allocated = self.arrays.len();
+        Ok(ArrayId(self.arrays.len() - 1))
+    }
+
+    /// Allocate a subarray within `array`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the array's subarray budget is
+    /// full.
+    pub fn alloc_subarray(&mut self, array: ArrayId) -> Result<SubarrayId, SimError> {
+        let held = self
+            .arrays
+            .get_mut(array.0)
+            .ok_or_else(|| SimError::new(format!("invalid array handle {}", array.0)))?;
+        if *held >= self.subarrays_per_array {
+            return Err(SimError::new(format!(
+                "array {} already has {} subarrays",
+                array.0, self.subarrays_per_array
+            )));
+        }
+        *held += 1;
+        self.stats.subarrays_allocated += 1;
+        Ok(SubarrayId(self.stats.subarrays_allocated - 1))
+    }
+
+    // ------------------------------------------------------------------
+    // Timing scopes
+    // ------------------------------------------------------------------
+
+    /// Open a parallel scope: nested latency folds as `max`.
+    pub fn push_parallel(&mut self) {
+        self.scopes.push(Scope {
+            kind: ScopeKind::Parallel,
+            elapsed_ns: 0.0,
+        });
+    }
+
+    /// Open a sequential scope: nested latency folds as `sum`.
+    pub fn push_sequential(&mut self) {
+        self.scopes.push(Scope {
+            kind: ScopeKind::Sequential,
+            elapsed_ns: 0.0,
+        });
+    }
+
+    /// Close the innermost scope, folding its elapsed time into the
+    /// parent.
+    ///
+    /// # Panics
+    /// Panics when called with only the root scope open (scope
+    /// mismatch — a runtime bug, not a data error).
+    pub fn pop_scope(&mut self) {
+        assert!(self.scopes.len() > 1, "pop_scope on root scope");
+        let child = self.scopes.pop().unwrap();
+        let parent = self.scopes.last_mut().unwrap();
+        match parent.kind {
+            ScopeKind::Sequential => parent.elapsed_ns += child.elapsed_ns,
+            ScopeKind::Parallel => parent.elapsed_ns = parent.elapsed_ns.max(child.elapsed_ns),
+        }
+    }
+
+    /// Depth of the scope stack (root = 1).
+    pub fn scope_depth(&self) -> usize {
+        self.scopes.len()
+    }
+
+    fn add_latency(&mut self, ns: f64) {
+        let scope = self.scopes.last_mut().unwrap();
+        match scope.kind {
+            ScopeKind::Sequential => scope.elapsed_ns += ns,
+            ScopeKind::Parallel => scope.elapsed_ns = scope.elapsed_ns.max(ns),
+        }
+    }
+
+    /// Latency observed so far, folding any open scopes (non-destructive
+    /// snapshot).
+    pub fn current_latency_ns(&self) -> f64 {
+        let mut acc = 0.0;
+        for scope in self.scopes.iter().rev() {
+            match scope.kind {
+                ScopeKind::Sequential => acc += scope.elapsed_ns,
+                ScopeKind::Parallel => acc = scope.elapsed_ns.max(acc),
+            }
+        }
+        acc
+    }
+
+    // ------------------------------------------------------------------
+    // Charges
+    // ------------------------------------------------------------------
+
+    /// Charge one write of `rows` rows into a subarray
+    /// (`cam.write_value`).
+    #[inline]
+    pub fn write(&mut self, rows: usize) {
+        self.stats.write_ops += 1;
+        self.stats.write_energy_fj +=
+            self.tech
+                .write_energy_fj(rows, self.cols, self.bits_per_cell);
+        let lat = self.tech.write_latency_ns(rows);
+        self.add_latency(lat);
+    }
+
+    /// Charge one subarray search (`cam.search`) that sensed
+    /// `active_rows` rows and streamed `words` plane words.
+    ///
+    /// k-modular voting (`votes`) replicates the search across k module
+    /// copies with a majority voter: dynamic search work scales by k
+    /// while latency stays that of one (parallel) search.
+    #[inline]
+    pub fn search(&mut self, active_rows: usize, words: u64, spec: &SearchSpec, votes: u64) {
+        let (rows, cols, bits) = (self.rows, self.cols, self.bits_per_cell);
+        self.stats.search_ops += votes;
+        self.stats.searched_words += words * votes;
+        self.stats.cell_energy_fj +=
+            self.tech.search_cell_energy_fj(active_rows, cols, bits) * votes as f64;
+        self.stats.periph_energy_fj +=
+            self.tech
+                .periph_energy_fj(active_rows.max(1), cols, bits, spec.broadcast_share)
+                * votes as f64;
+        let mut lat = self.tech.search_latency_ns(cols, bits)
+            + self.tech.sense_latency_ns(spec.kind, rows, cols);
+        if spec.selection != RowSelection::All {
+            lat += self.tech.selective_cycle_ns;
+        }
+        self.add_latency(lat);
+    }
+
+    /// Charge one result read-out (`cam.read`).
+    #[inline]
+    pub fn read(&mut self) {
+        self.stats.read_ops += 1;
+    }
+
+    /// Charge one partial-result merge at `level` over `elems` elements
+    /// (`cam.merge_partial_subarray` and the cim-level merges).
+    pub fn merge(&mut self, level: Level, elems: usize) {
+        self.stats.merge_ops += 1;
+        self.stats.merge_energy_fj += self.tech.merge_energy_fj(elems);
+        let lat = self.tech.merge_latency_ns(level);
+        self.add_latency(lat);
+    }
+
+    // ------------------------------------------------------------------
+    // Stats
+    // ------------------------------------------------------------------
+
+    /// Snapshot of the statistics, with latency folded from any open
+    /// scopes and static (leakage) energy derived from the provisioned
+    /// hardware and elapsed time.
+    pub fn stats(&self) -> ExecStats {
+        let mut s = self.stats.clone();
+        s.latency_ns = self.current_latency_ns();
+        s.static_energy_fj = self
+            .tech
+            .static_power_uw(s.banks_allocated, s.subarrays_allocated)
+            * s.latency_ns;
+        s
+    }
+
+    /// Fold the cost delta of work performed on a forked ledger back
+    /// into this one (sequential composition).
+    ///
+    /// Operation counters and dynamic energy add; `delta.latency_ns` is
+    /// charged to the *current timing scope* so it folds like any other
+    /// latency contribution. Static energy and allocation gauges are
+    /// skipped: static energy is re-derived from total latency at the
+    /// next [`CostLedger::stats`] snapshot, and forks share this
+    /// ledger's allocations.
+    pub fn absorb_delta(&mut self, delta: &ExecStats) {
+        self.stats.add_dynamic(delta);
+        self.add_latency(delta.latency_ns);
+    }
+
+    /// Reset cost counters (keep allocations) — used by harnesses to
+    /// exclude one-time setup (data loading) from per-query
+    /// measurements.
+    pub fn reset_stats(&mut self) {
+        self.stats = ExecStats {
+            banks_allocated: self.stats.banks_allocated,
+            mats_allocated: self.stats.mats_allocated,
+            arrays_allocated: self.stats.arrays_allocated,
+            subarrays_allocated: self.stats.subarrays_allocated,
+            // Alloc-time gauge, like the allocation counts.
+            rows_remapped: self.stats.rows_remapped,
+            ..ExecStats::default()
+        };
+        for s in self.scopes.iter_mut() {
+            s.elapsed_ns = 0.0;
+        }
+        self.phases.clear();
+    }
+
+    /// Record a named snapshot of the cumulative statistics (used by the
+    /// generated code's `cam.phase_marker` to separate the one-time
+    /// setup/program phase from the per-query phase).
+    pub fn mark_phase(&mut self, name: &str) {
+        let snapshot = self.stats();
+        self.phases.push((name.to_string(), snapshot));
+    }
+
+    /// All recorded phase snapshots, in order.
+    pub fn phases(&self) -> &[(String, ExecStats)] {
+        &self.phases
+    }
+
+    /// The snapshot recorded under `name`, if any.
+    pub fn phase(&self, name: &str) -> Option<&ExecStats> {
+        self.phases.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use c4cam_arch::{MatchKind, Metric};
+
+    fn ledger() -> CostLedger {
+        CostLedger::new(&ArchSpec::default(), TechnologyModel::fefet_45nm())
+    }
+
+    #[test]
+    fn allocation_respects_hierarchy_budgets() {
+        let spec = ArchSpec::builder()
+            .hierarchy(1, 1, 2)
+            .banks(1)
+            .build()
+            .unwrap();
+        let mut l = CostLedger::new(&spec, TechnologyModel::fefet_45nm());
+        let bank = l.alloc_bank().unwrap();
+        assert!(l.alloc_bank().is_err(), "bank budget is 1");
+        let mat = l.alloc_mat(bank).unwrap();
+        assert!(l.alloc_mat(bank).is_err(), "mats/bank is 1");
+        let array = l.alloc_array(mat).unwrap();
+        assert!(l.alloc_array(mat).is_err(), "arrays/mat is 1");
+        assert_eq!(l.alloc_subarray(array).unwrap(), SubarrayId(0));
+        assert_eq!(l.alloc_subarray(array).unwrap(), SubarrayId(1));
+        assert!(l.alloc_subarray(array).is_err(), "subarrays/array is 2");
+        let stats = l.stats();
+        assert_eq!(stats.banks_allocated, 1);
+        assert_eq!(stats.subarrays_allocated, 2);
+        assert!(l.alloc_mat(BankId(9)).is_err());
+        assert!(l.alloc_array(MatId(9)).is_err());
+        assert!(l.alloc_subarray(ArrayId(9)).is_err());
+    }
+
+    #[test]
+    fn nested_scopes_fold_correctly() {
+        let mut l = ledger();
+        // outer sequential { parallel { seq(3) ; seq(5) } ; 2 } = 5 + 2
+        l.push_parallel();
+        l.push_sequential();
+        l.add_latency(3.0);
+        l.pop_scope();
+        l.push_sequential();
+        l.add_latency(5.0);
+        l.pop_scope();
+        l.pop_scope();
+        l.add_latency(2.0);
+        assert!((l.current_latency_ns() - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn current_latency_snapshots_open_scopes() {
+        let mut l = ledger();
+        l.add_latency(1.0);
+        l.push_parallel();
+        l.push_sequential();
+        l.add_latency(4.0);
+        // open scopes: root-seq(1.0) > par(0) > seq(4.0) → 1 + max(4) = 5
+        assert!((l.current_latency_ns() - 5.0).abs() < 1e-12);
+        assert_eq!(l.scope_depth(), 3);
+    }
+
+    #[test]
+    fn merge_charges_level_latency() {
+        let mut l = ledger();
+        l.merge(Level::Array, 10);
+        l.merge(Level::Bank, 10);
+        let s = l.stats();
+        assert_eq!(s.merge_ops, 2);
+        let expected =
+            l.tech().merge_latency_ns(Level::Array) + l.tech().merge_latency_ns(Level::Bank);
+        assert!((s.latency_ns - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn charges_are_a_function_of_counts_and_votes() {
+        let spec = SearchSpec::new(MatchKind::Best, Metric::Hamming);
+        let charge = |active: usize, words: u64, votes: u64| {
+            let mut l = ledger();
+            l.search(active, words, &spec, votes);
+            l.stats()
+        };
+        let (one, three) = (charge(8, 16, 1), charge(8, 16, 3));
+        assert_eq!(three.search_ops, 3);
+        assert_eq!(three.searched_words, 48);
+        assert!(three.cell_energy_fj > 2.9 * one.cell_energy_fj);
+        assert_eq!(three.latency_ns.to_bits(), one.latency_ns.to_bits());
+        // An empty window still pays one row of periphery.
+        assert_eq!(
+            charge(0, 0, 1).periph_energy_fj.to_bits(),
+            charge(1, 0, 1).periph_energy_fj.to_bits()
+        );
+        let selective = spec.with_selection(RowSelection::Window { start: 0, len: 8 });
+        let mut l = ledger();
+        l.search(8, 16, &selective, 1);
+        assert!(
+            l.stats().latency_ns > one.latency_ns,
+            "selective adds a cycle"
+        );
+    }
+
+    #[test]
+    fn reset_stats_preserves_allocations_and_clears_phases() {
+        let mut l = ledger();
+        let bank = l.alloc_bank().unwrap();
+        l.alloc_mat(bank).unwrap();
+        l.merge(Level::Bank, 4);
+        l.mark_phase("setup-complete");
+        assert_eq!(l.phase("setup-complete").unwrap().merge_ops, 1);
+        l.reset_stats();
+        let s = l.stats();
+        assert_eq!(s.merge_ops, 0);
+        assert_eq!(s.latency_ns, 0.0);
+        assert_eq!((s.banks_allocated, s.mats_allocated), (1, 1));
+        assert!(l.phases().is_empty());
+    }
+}

@@ -7,7 +7,7 @@
 //! extended with "performance and energy estimation" and "fine-grain
 //! control of the hierarchy".
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`cell`]: TCAM/MCAM/ACAM cell match semantics (incl. don't-care),
 //! * [`subarray`]: an `R × C` array slice supporting exact / best /
@@ -18,11 +18,16 @@
 //!   programmed straight into; `XOR → AND → popcount` word kernels
 //!   search them, bit-identical to the retained per-cell oracle
 //!   ([`Subarray::search_naive`]), which decodes rows back to cells,
-//! * [`machine`]: the bank→mat→array→subarray hierarchy with allocation
-//!   bookkeeping, *timing scopes* (parallel = max, sequential = sum —
-//!   the compiler encodes its mapping policy as loop structure and the
-//!   machine measures it), and energy accounting through
-//!   [`c4cam_arch::tech::TechnologyModel`].
+//! * [`ledger`]: everything the simulator *charges* — allocation
+//!   against the bank→mat→array→subarray budgets, *timing scopes*
+//!   (parallel = max, sequential = sum — the compiler encodes its
+//!   mapping policy as loop structure and the ledger measures it), and
+//!   energy accounting through [`c4cam_arch::tech::TechnologyModel`] —
+//!   as a function of counts, never of contents, so a schedule can be
+//!   priced without a machine,
+//! * [`machine`]: the subarrays of one accelerator, functional dispatch
+//!   to them, and an embedded ledger charged with what each operation
+//!   read off its subarray.
 //!
 //! ## Example
 //!
@@ -49,12 +54,14 @@
 #![warn(missing_docs)]
 
 pub mod cell;
+pub mod ledger;
 pub mod machine;
 pub mod stats;
 pub mod subarray;
 
 pub use c4cam_faults::{CellFault, FaultConfig, FaultModel, Resilience, SubarrayFaults};
 pub use cell::CamCell;
+pub use ledger::CostLedger;
 pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };

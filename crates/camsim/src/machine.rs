@@ -1,18 +1,9 @@
-//! The hierarchical CAM machine: allocation bookkeeping, functional
-//! dispatch to subarrays, and cost accounting with timing scopes.
-//!
-//! ## Timing scopes
-//!
-//! The compiler's `cam-map` pass encodes its mapping policy as a loop
-//! nest: `scf.parallel` loops over units that operate concurrently and
-//! `scf.for` loops over units activated one after another (e.g. the
-//! `cam-power` configuration serializes subarrays within an array). The
-//! runtime mirrors that structure onto the machine with
-//! [`CamMachine::push_parallel`] / [`CamMachine::push_sequential`] /
-//! [`CamMachine::pop_scope`]: latency contributions inside a parallel
-//! scope fold as `max`, inside a sequential scope as `sum`. Energy always
-//! sums — concurrency changes time, not work.
+//! The hierarchical CAM machine: the subarrays' contents, functional
+//! dispatch to them, and an embedded [`CostLedger`] that every
+//! operation charges with the counts read off the subarray it touched
+//! (allocation bookkeeping, timing scopes and statistics live there).
 
+use crate::ledger::CostLedger;
 use crate::stats::ExecStats;
 use crate::subarray::{KernelTier, RowSelection, SearchResult, SearchScratch, Subarray};
 use c4cam_arch::tech::{Level, TechnologyModel};
@@ -127,54 +118,6 @@ impl SearchSpec {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScopeKind {
-    Sequential,
-    Parallel,
-}
-
-impl ExecStats {
-    /// Fold a shard's cost delta into an accumulator that represents the
-    /// *sequential* composition of shards: operation counters and dynamic
-    /// energy add; `latency_ns` is handled by the caller (it must be
-    /// charged to a timing scope); static energy and allocation gauges
-    /// are derived quantities and are skipped.
-    fn add_dynamic(&mut self, delta: &ExecStats) {
-        self.search_ops += delta.search_ops;
-        self.searched_words += delta.searched_words;
-        self.write_ops += delta.write_ops;
-        self.read_ops += delta.read_ops;
-        self.merge_ops += delta.merge_ops;
-        self.fault_cells += delta.fault_cells;
-        self.fault_transients += delta.fault_transients;
-        self.cell_energy_fj += delta.cell_energy_fj;
-        self.periph_energy_fj += delta.periph_energy_fj;
-        self.merge_energy_fj += delta.merge_energy_fj;
-        self.write_energy_fj += delta.write_energy_fj;
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Scope {
-    kind: ScopeKind,
-    elapsed_ns: f64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct BankState {
-    mats: Vec<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct MatState {
-    arrays: Vec<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct ArrayState {
-    subarrays: Vec<usize>,
-}
-
 /// The simulated CAM accelerator.
 ///
 /// `Clone` duplicates the full machine state — allocations, programmed
@@ -185,24 +128,11 @@ struct ArrayState {
 /// shards' cost deltas back with [`CamMachine::absorb_delta`].
 #[derive(Debug, Clone)]
 pub struct CamMachine {
-    tech: TechnologyModel,
-    bits_per_cell: u32,
-    rows: usize,
-    cols: usize,
-    mats_per_bank: usize,
-    arrays_per_mat: usize,
-    subarrays_per_array: usize,
-    max_banks: Option<usize>,
+    ledger: CostLedger,
     wta_window: Option<u32>,
     search_path: SearchPath,
     scratch: SearchScratch,
-    banks: Vec<BankState>,
-    mats: Vec<MatState>,
-    arrays: Vec<ArrayState>,
     subs: Vec<Subarray>,
-    scopes: Vec<Scope>,
-    stats: ExecStats,
-    phases: Vec<(String, ExecStats)>,
     /// Fault-injection configuration; installed on every subarray at
     /// allocation time (None = ideal device).
     faults: Option<FaultConfig>,
@@ -218,27 +148,11 @@ impl CamMachine {
     /// Build a machine with an explicit technology model.
     pub fn with_tech(spec: &ArchSpec, tech: TechnologyModel) -> CamMachine {
         CamMachine {
-            tech,
-            bits_per_cell: spec.bits_per_cell,
-            rows: spec.rows_per_subarray,
-            cols: spec.cols_per_subarray,
-            mats_per_bank: spec.mats_per_bank,
-            arrays_per_mat: spec.arrays_per_mat,
-            subarrays_per_array: spec.subarrays_per_array,
-            max_banks: spec.banks,
+            ledger: CostLedger::new(spec, tech),
             wta_window: None,
             search_path: SearchPath::default(),
             scratch: SearchScratch::default(),
-            banks: Vec::new(),
-            mats: Vec::new(),
-            arrays: Vec::new(),
             subs: Vec::new(),
-            scopes: vec![Scope {
-                kind: ScopeKind::Sequential,
-                elapsed_ns: 0.0,
-            }],
-            stats: ExecStats::default(),
-            phases: Vec::new(),
             faults: None,
         }
     }
@@ -252,13 +166,14 @@ impl CamMachine {
     /// configuration up automatically.
     pub fn set_faults(&mut self, faults: Option<FaultConfig>) {
         self.faults = faults;
-        self.stats.rows_remapped = 0;
+        let (rows, cols) = self.ledger.geometry();
+        self.ledger.stats.rows_remapped = 0;
         for (i, sub) in self.subs.iter_mut().enumerate() {
             let state = self
                 .faults
                 .as_ref()
-                .map(|cfg| Box::new(SubarrayFaults::generate(cfg, i, self.rows, self.cols)));
-            self.stats.rows_remapped += state.as_ref().map_or(0, |f| f.rows_remapped());
+                .map(|cfg| Box::new(SubarrayFaults::generate(cfg, i, rows, cols)));
+            self.ledger.stats.rows_remapped += state.as_ref().map_or(0, |f| f.rows_remapped());
             sub.set_faults(state);
         }
     }
@@ -302,7 +217,7 @@ impl CamMachine {
 
     /// Subarray geometry `(rows, cols)` of this machine.
     pub fn geometry(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        self.ledger.geometry()
     }
 
     /// Bytes of heap the allocated subarrays own for their contents
@@ -322,14 +237,7 @@ impl CamMachine {
     /// # Errors
     /// Fails if a fixed bank budget is exhausted.
     pub fn alloc_bank(&mut self) -> Result<BankId, SimError> {
-        if let Some(max) = self.max_banks {
-            if self.banks.len() >= max {
-                return Err(SimError::new(format!("bank budget ({max}) exhausted")));
-            }
-        }
-        self.banks.push(BankState::default());
-        self.stats.banks_allocated = self.banks.len();
-        Ok(BankId(self.banks.len() - 1))
+        self.ledger.alloc_bank()
     }
 
     /// Allocate a mat within `bank`.
@@ -337,21 +245,7 @@ impl CamMachine {
     /// # Errors
     /// Fails on an invalid handle or when the bank's mat budget is full.
     pub fn alloc_mat(&mut self, bank: BankId) -> Result<MatId, SimError> {
-        let b = self
-            .banks
-            .get(bank.0)
-            .ok_or_else(|| SimError::new(format!("invalid bank handle {}", bank.0)))?;
-        if b.mats.len() >= self.mats_per_bank {
-            return Err(SimError::new(format!(
-                "bank {} already has {} mats",
-                bank.0, self.mats_per_bank
-            )));
-        }
-        self.mats.push(MatState { arrays: Vec::new() });
-        let id = self.mats.len() - 1;
-        self.banks[bank.0].mats.push(id);
-        self.stats.mats_allocated = self.mats.len();
-        Ok(MatId(id))
+        self.ledger.alloc_mat(bank)
     }
 
     /// Allocate an array within `mat`.
@@ -359,23 +253,7 @@ impl CamMachine {
     /// # Errors
     /// Fails on an invalid handle or when the mat's array budget is full.
     pub fn alloc_array(&mut self, mat: MatId) -> Result<ArrayId, SimError> {
-        let m = self
-            .mats
-            .get(mat.0)
-            .ok_or_else(|| SimError::new(format!("invalid mat handle {}", mat.0)))?;
-        if m.arrays.len() >= self.arrays_per_mat {
-            return Err(SimError::new(format!(
-                "mat {} already has {} arrays",
-                mat.0, self.arrays_per_mat
-            )));
-        }
-        self.arrays.push(ArrayState {
-            subarrays: Vec::new(),
-        });
-        let id = self.arrays.len() - 1;
-        self.mats[mat.0].arrays.push(id);
-        self.stats.arrays_allocated = self.arrays.len();
-        Ok(ArrayId(id))
+        self.ledger.alloc_array(mat)
     }
 
     /// Allocate a subarray within `array`.
@@ -384,27 +262,16 @@ impl CamMachine {
     /// Fails on an invalid handle or when the array's subarray budget is
     /// full.
     pub fn alloc_subarray(&mut self, array: ArrayId) -> Result<SubarrayId, SimError> {
-        let a = self
-            .arrays
-            .get(array.0)
-            .ok_or_else(|| SimError::new(format!("invalid array handle {}", array.0)))?;
-        if a.subarrays.len() >= self.subarrays_per_array {
-            return Err(SimError::new(format!(
-                "array {} already has {} subarrays",
-                array.0, self.subarrays_per_array
-            )));
-        }
-        let mut sub = Subarray::new(self.rows, self.cols);
+        let id = self.ledger.alloc_subarray(array)?;
+        let (rows, cols) = self.ledger.geometry();
+        let mut sub = Subarray::new(rows, cols);
         if let Some(cfg) = &self.faults {
-            let state = SubarrayFaults::generate(cfg, self.subs.len(), self.rows, self.cols);
-            self.stats.rows_remapped += state.rows_remapped();
+            let state = SubarrayFaults::generate(cfg, id.0, rows, cols);
+            self.ledger.stats.rows_remapped += state.rows_remapped();
             sub.set_faults(Some(Box::new(state)));
         }
         self.subs.push(sub);
-        let id = self.subs.len() - 1;
-        self.arrays[array.0].subarrays.push(id);
-        self.stats.subarrays_allocated = self.subs.len();
-        Ok(SubarrayId(id))
+        Ok(id)
     }
 
     /// Allocate one full chain bank→mat→array→subarray (convenience for
@@ -432,23 +299,17 @@ impl CamMachine {
     }
 
     // ------------------------------------------------------------------
-    // Timing scopes
+    // Timing scopes (see [`CostLedger`])
     // ------------------------------------------------------------------
 
     /// Open a parallel scope: nested latency folds as `max`.
     pub fn push_parallel(&mut self) {
-        self.scopes.push(Scope {
-            kind: ScopeKind::Parallel,
-            elapsed_ns: 0.0,
-        });
+        self.ledger.push_parallel();
     }
 
     /// Open a sequential scope: nested latency folds as `sum`.
     pub fn push_sequential(&mut self) {
-        self.scopes.push(Scope {
-            kind: ScopeKind::Sequential,
-            elapsed_ns: 0.0,
-        });
+        self.ledger.push_sequential();
     }
 
     /// Close the innermost scope, folding its elapsed time into the
@@ -458,39 +319,18 @@ impl CamMachine {
     /// Panics when called with only the root scope open (scope
     /// mismatch — a runtime bug, not a data error).
     pub fn pop_scope(&mut self) {
-        assert!(self.scopes.len() > 1, "pop_scope on root scope");
-        let child = self.scopes.pop().unwrap();
-        let parent = self.scopes.last_mut().unwrap();
-        match parent.kind {
-            ScopeKind::Sequential => parent.elapsed_ns += child.elapsed_ns,
-            ScopeKind::Parallel => parent.elapsed_ns = parent.elapsed_ns.max(child.elapsed_ns),
-        }
+        self.ledger.pop_scope();
     }
 
     /// Depth of the scope stack (root = 1).
     pub fn scope_depth(&self) -> usize {
-        self.scopes.len()
-    }
-
-    fn add_latency(&mut self, ns: f64) {
-        let scope = self.scopes.last_mut().unwrap();
-        match scope.kind {
-            ScopeKind::Sequential => scope.elapsed_ns += ns,
-            ScopeKind::Parallel => scope.elapsed_ns = scope.elapsed_ns.max(ns),
-        }
+        self.ledger.scope_depth()
     }
 
     /// Latency observed so far, folding any open scopes (non-destructive
     /// snapshot).
     pub fn current_latency_ns(&self) -> f64 {
-        let mut acc = 0.0;
-        for scope in self.scopes.iter().rev() {
-            match scope.kind {
-                ScopeKind::Sequential => acc += scope.elapsed_ns,
-                ScopeKind::Parallel => acc = scope.elapsed_ns.max(acc),
-            }
-        }
-        acc
+        self.ledger.current_latency_ns()
     }
 
     // ------------------------------------------------------------------
@@ -507,19 +347,14 @@ impl CamMachine {
         row_offset: usize,
         data: &[Vec<f32>],
     ) -> Result<(), SimError> {
-        let bits = self.bits_per_cell;
+        let bits = self.ledger.bits_per_cell();
         let sub = self.sub_mut(id)?;
         let faults_before = sub.faults().map_or(0, |f| f.fault_cells());
         sub.write_rows(row_offset, data, bits)
             .map_err(SimError::new)?;
         let faults_after = sub.faults().map_or(0, |f| f.fault_cells());
-        self.stats.fault_cells += faults_after - faults_before;
-        let rows = data.len();
-        let cols = self.cols;
-        self.stats.write_ops += 1;
-        self.stats.write_energy_fj += self.tech.write_energy_fj(rows, cols, bits);
-        let lat = self.tech.write_latency_ns(rows);
-        self.add_latency(lat);
+        self.ledger.stats.fault_cells += faults_after - faults_before;
+        self.ledger.write(data.len());
         Ok(())
     }
 
@@ -536,13 +371,7 @@ impl CamMachine {
         self.sub_mut(id)?
             .write_cells(row_offset, data)
             .map_err(SimError::new)?;
-        let rows = data.len();
-        let cols = self.cols;
-        let bits = self.bits_per_cell;
-        self.stats.write_ops += 1;
-        self.stats.write_energy_fj += self.tech.write_energy_fj(rows, cols, bits);
-        let lat = self.tech.write_latency_ns(rows);
-        self.add_latency(lat);
+        self.ledger.write(data.len());
         Ok(())
     }
 
@@ -560,10 +389,6 @@ impl CamMachine {
         spec: SearchSpec,
     ) -> Result<&SearchResult, SimError> {
         let wta = self.wta_window;
-        let bits = self.bits_per_cell;
-        let rows = self.rows;
-        let cols = self.cols;
-        let selective = spec.selection != RowSelection::All;
         let path = self.search_path;
         let sub = self
             .subs
@@ -602,24 +427,8 @@ impl CamMachine {
                 sub.faults().map_or(1, |f| u64::from(f.vote())),
             )
         };
-        self.stats.fault_transients += transients_after - transients_before;
-        // k-modular voting replicates the search across k module copies
-        // with a majority voter: dynamic search work scales by k while
-        // latency stays that of one (parallel) search.
-        self.stats.search_ops += votes;
-        self.stats.searched_words += words * votes;
-        self.stats.cell_energy_fj +=
-            self.tech.search_cell_energy_fj(active_rows, cols, bits) * votes as f64;
-        self.stats.periph_energy_fj +=
-            self.tech
-                .periph_energy_fj(active_rows.max(1), cols, bits, spec.broadcast_share)
-                * votes as f64;
-        let mut lat = self.tech.search_latency_ns(cols, bits)
-            + self.tech.sense_latency_ns(spec.kind, rows, cols);
-        if selective {
-            lat += self.tech.selective_cycle_ns;
-        }
-        self.add_latency(lat);
+        self.ledger.stats.fault_transients += transients_after - transients_before;
+        self.ledger.search(active_rows, words, &spec, votes);
         Ok(self.subs[id.0]
             .last_result()
             .expect("search stored a result"))
@@ -634,7 +443,7 @@ impl CamMachine {
         if self.sub(id)?.last_result().is_none() {
             return Err(SimError::new("read before any search on this subarray"));
         }
-        self.stats.read_ops += 1;
+        self.ledger.read();
         Ok(self.subs[id.0]
             .last_result()
             .expect("presence checked above"))
@@ -643,10 +452,7 @@ impl CamMachine {
     /// Charge one partial-result merge at `level` over `elems` elements
     /// (`cam.merge_partial_subarray` and the cim-level merges).
     pub fn merge(&mut self, level: Level, elems: usize) {
-        self.stats.merge_ops += 1;
-        self.stats.merge_energy_fj += self.tech.merge_energy_fj(elems);
-        let lat = self.tech.merge_latency_ns(level);
-        self.add_latency(lat);
+        self.ledger.merge(level, elems);
     }
 
     // ------------------------------------------------------------------
@@ -657,75 +463,46 @@ impl CamMachine {
     /// scopes and static (leakage) energy derived from the provisioned
     /// hardware and elapsed time.
     pub fn stats(&self) -> ExecStats {
-        let mut s = self.stats.clone();
-        s.latency_ns = self.current_latency_ns();
-        s.static_energy_fj =
-            self.tech.static_power_uw(self.banks.len(), self.subs.len()) * s.latency_ns;
-        s
+        self.ledger.stats()
     }
 
     /// Fold the cost delta of work performed on a forked machine back
-    /// into this one (sequential composition).
-    ///
-    /// Operation counters and dynamic energy add; `delta.latency_ns` is
-    /// charged to the *current timing scope* so it folds like any other
-    /// latency contribution. Static energy and allocation gauges are
-    /// skipped: static energy is re-derived from total latency at the
-    /// next [`CamMachine::stats`] snapshot, and shard clones share this
-    /// machine's allocations.
+    /// into this one (sequential composition; see
+    /// [`CostLedger::absorb_delta`]).
     ///
     /// The intended fork protocol is `clone()` + [`CamMachine::reset_stats`]
     /// on the clone, so that the clone's final `stats()` *is* the delta.
     pub fn absorb_delta(&mut self, delta: &ExecStats) {
-        self.stats.add_dynamic(delta);
-        self.add_latency(delta.latency_ns);
+        self.ledger.absorb_delta(delta);
     }
 
     /// Reset cost counters (keep contents and allocations) — used by
     /// harnesses to exclude one-time setup (data loading) from per-query
     /// measurements.
     pub fn reset_stats(&mut self) {
-        let banks = self.stats.banks_allocated;
-        let mats = self.stats.mats_allocated;
-        let arrays = self.stats.arrays_allocated;
-        let subs = self.stats.subarrays_allocated;
-        let remapped = self.stats.rows_remapped;
-        self.stats = ExecStats {
-            banks_allocated: banks,
-            mats_allocated: mats,
-            arrays_allocated: arrays,
-            subarrays_allocated: subs,
-            // Alloc-time gauge, like the allocation counts.
-            rows_remapped: remapped,
-            ..ExecStats::default()
-        };
-        for s in self.scopes.iter_mut() {
-            s.elapsed_ns = 0.0;
-        }
-        self.phases.clear();
+        self.ledger.reset_stats();
     }
 
     /// The technology model in use.
     pub fn tech(&self) -> &TechnologyModel {
-        &self.tech
+        self.ledger.tech()
     }
 
     /// Record a named snapshot of the cumulative statistics (used by the
     /// generated code's `cam.phase_marker` to separate the one-time
     /// setup/program phase from the per-query phase).
     pub fn mark_phase(&mut self, name: &str) {
-        let snapshot = self.stats();
-        self.phases.push((name.to_string(), snapshot));
+        self.ledger.mark_phase(name);
     }
 
     /// All recorded phase snapshots, in order.
     pub fn phases(&self) -> &[(String, ExecStats)] {
-        &self.phases
+        self.ledger.phases()
     }
 
     /// The snapshot recorded under `name`, if any.
     pub fn phase(&self, name: &str) -> Option<&ExecStats> {
-        self.phases.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+        self.ledger.phase(name)
     }
 }
 
@@ -739,32 +516,8 @@ mod tests {
     }
 
     #[test]
-    fn allocation_respects_hierarchy_budgets() {
-        let spec = ArchSpec::builder()
-            .hierarchy(1, 1, 2)
-            .banks(1)
-            .build()
-            .unwrap();
-        let mut m = CamMachine::new(&spec);
-        let bank = m.alloc_bank().unwrap();
-        assert!(m.alloc_bank().is_err(), "bank budget is 1");
-        let mat = m.alloc_mat(bank).unwrap();
-        assert!(m.alloc_mat(bank).is_err(), "mats/bank is 1");
-        let array = m.alloc_array(mat).unwrap();
-        assert!(m.alloc_array(mat).is_err(), "arrays/mat is 1");
-        m.alloc_subarray(array).unwrap();
-        m.alloc_subarray(array).unwrap();
-        assert!(m.alloc_subarray(array).is_err(), "subarrays/array is 2");
-        let stats = m.stats();
-        assert_eq!(stats.banks_allocated, 1);
-        assert_eq!(stats.subarrays_allocated, 2);
-    }
-
-    #[test]
     fn invalid_handles_error() {
         let mut m = machine();
-        assert!(m.alloc_mat(BankId(9)).is_err());
-        assert!(m.alloc_array(MatId(9)).is_err());
         assert!(m.alloc_subarray(ArrayId(9)).is_err());
         assert!(m.write_rows(SubarrayId(9), 0, &[vec![0.0]]).is_err());
         assert!(m.read(SubarrayId(9)).is_err());
@@ -868,34 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_scopes_fold_correctly() {
-        let mut m = machine();
-        // outer sequential { parallel { seq(3) ; seq(5) } ; 2 } = 5 + 2
-        m.push_parallel();
-        m.push_sequential();
-        m.add_latency(3.0);
-        m.pop_scope();
-        m.push_sequential();
-        m.add_latency(5.0);
-        m.pop_scope();
-        m.pop_scope();
-        m.add_latency(2.0);
-        assert!((m.current_latency_ns() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn current_latency_snapshots_open_scopes() {
-        let mut m = machine();
-        m.add_latency(1.0);
-        m.push_parallel();
-        m.push_sequential();
-        m.add_latency(4.0);
-        // open scopes: root-seq(1.0) > par(0) > seq(4.0) → 1 + max(4) = 5
-        assert!((m.current_latency_ns() - 5.0).abs() < 1e-12);
-        assert_eq!(m.scope_depth(), 3);
-    }
-
-    #[test]
     fn selective_search_costs_less_energy_but_extra_cycle_latency() {
         let spec = ArchSpec::builder().subarray(32, 16).build().unwrap();
         let mut m = CamMachine::new(&spec);
@@ -916,18 +641,6 @@ mod tests {
             windowed.latency_ns > full.latency_ns,
             "selective adds a cycle"
         );
-    }
-
-    #[test]
-    fn merge_charges_level_latency() {
-        let mut m = machine();
-        m.merge(Level::Array, 10);
-        m.merge(Level::Bank, 10);
-        let s = m.stats();
-        assert_eq!(s.merge_ops, 2);
-        let expected =
-            m.tech().merge_latency_ns(Level::Array) + m.tech().merge_latency_ns(Level::Bank);
-        assert!((s.latency_ns - expected).abs() < 1e-12);
     }
 
     #[test]

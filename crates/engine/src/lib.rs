@@ -87,6 +87,7 @@ mod frozen;
 pub mod isa;
 mod opt;
 mod pool;
+mod price;
 mod specialize;
 #[cfg(test)]
 mod testing;
@@ -99,6 +100,7 @@ pub use compile::{Tape, Unspecialised};
 pub use error::{EngineError, ShardPanic};
 pub use isa::{Inst, QueryLoop};
 pub use pool::pooled_workers;
+pub use price::{Priced, Unpriced};
 pub use trace::{Trace, TraceOp};
 pub use vm::TapeVm;
 

@@ -466,10 +466,10 @@ fn body_is_closed(insts: &[Inst], ql: QueryLoop, body_defs: &[bool]) -> bool {
 mod tests {
     use super::*;
     use crate::compile::Tape;
-    use crate::testing::{keep_query_loops, lowered_hdc, query_nest, QueryNest};
+    use crate::testing::{empty_loop, keep_query_loops, lowered_hdc, query_nest, QueryNest};
     use c4cam_core::dialects::scf;
     use c4cam_ir::builder::OpBuilder;
-    use c4cam_ir::{Module, OpId};
+    use c4cam_ir::Module;
 
     /// A mapped HDC module at `queries` queries, edited by `edit`.
     fn lowered(queries: i64, edit: impl FnOnce(&mut Module, &QueryNest)) -> Module {
@@ -477,18 +477,6 @@ mod tests {
         let nest = query_nest(&m, "forward");
         edit(&mut m, &nest);
         m
-    }
-
-    /// An empty `scf.for` / `scf.parallel` of `trips` trips before `at`.
-    fn empty_loop(m: &mut Module, at: OpId, trips: i64, parallel: bool) {
-        let mut b = OpBuilder::before(m, at);
-        let (lb, ub, step) = (b.const_index(0), b.const_index(trips), b.const_index(1));
-        let (_, body, _) = if parallel {
-            scf::build_parallel(&mut b, lb, ub, step)
-        } else {
-            scf::build_for(&mut b, lb, ub, step)
-        };
-        scf::end_body(m, body, &[]);
     }
 
     fn body(tape: &Tape) -> &[Inst] {

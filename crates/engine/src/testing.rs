@@ -2,7 +2,7 @@
 //! passes and its verifier.
 
 use c4cam_arch::{ArchSpec, Optimization};
-use c4cam_core::dialects::torch;
+use c4cam_core::dialects::{scf, torch};
 use c4cam_core::pipeline::C4camPipeline;
 use c4cam_ir::builder::OpBuilder;
 use c4cam_ir::{Module, OpId, ValueId};
@@ -66,4 +66,16 @@ pub(crate) fn keep_query_loops(m: &mut Module, func: &str) {
     let mut b = OpBuilder::before(m, nest.head);
     let ty = b.module().index_ty();
     b.op("arith.addi", &[nest.iv, nest.iv], &[ty], vec![]);
+}
+
+/// An empty `scf.for` / `scf.parallel` of `trips` trips before `at`.
+pub(crate) fn empty_loop(m: &mut Module, at: OpId, trips: i64, parallel: bool) {
+    let mut b = OpBuilder::before(m, at);
+    let (lb, ub, step) = (b.const_index(0), b.const_index(trips), b.const_index(1));
+    let (_, body, _) = if parallel {
+        scf::build_parallel(&mut b, lb, ub, step)
+    } else {
+        scf::build_for(&mut b, lb, ub, step)
+    };
+    scf::end_body(m, body, &[]);
 }

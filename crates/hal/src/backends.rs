@@ -1,5 +1,6 @@
 //! The two standard backends: `walk`, `tape`.
 
+use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::ArchSpec;
 use c4cam_camsim::CamMachine;
 use c4cam_engine::Tape;
@@ -7,14 +8,16 @@ use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
 
-use crate::{Backend, ExecOptions, Execution, HalError, Plan};
+use crate::{Backend, ExecOptions, Execution, HalError, Plan, Priced, Unpriced};
+
+/// The technology the execution options charge.
+fn tech_for(opts: &ExecOptions) -> TechnologyModel {
+    opts.tech.clone().unwrap_or_default()
+}
 
 /// Build a [`CamMachine`] per the execution options.
 fn machine_for(spec: &ArchSpec, opts: &ExecOptions) -> CamMachine {
-    let mut machine = match &opts.tech {
-        Some(tech) => CamMachine::with_tech(spec, tech.clone()),
-        None => CamMachine::new(spec),
-    };
+    let mut machine = CamMachine::with_tech(spec, tech_for(opts));
     machine.set_wta_window(opts.wta_window);
     machine.set_faults(opts.faults.clone());
     machine
@@ -151,5 +154,18 @@ impl Plan for TapePlan {
             phases: machine.phases().to_vec(),
             heap_bytes: machine.heap_bytes(),
         })
+    }
+
+    fn price(
+        &self,
+        arg_shapes: &[&[usize]],
+        opts: &ExecOptions,
+        queries: usize,
+    ) -> Result<Priced, Unpriced> {
+        if opts.faults.is_some() {
+            return Err(Unpriced::Faults);
+        }
+        self.tape
+            .price(arg_shapes, &self.spec, &tech_for(opts), queries)
     }
 }

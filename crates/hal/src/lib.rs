@@ -9,6 +9,10 @@
 //!    returns an [`Execution`]: outputs, cumulative [`ExecStats`],
 //!    and phase snapshots.
 //!
+//! A plan whose backend keeps a static schedule can also
+//! [`Plan::price`] it: the statistics of an execution, from argument
+//! shapes alone.
+//!
 //! A backend says whether it shards across worker threads through
 //! [`Backend::supports_threads`]. Every backend charges the calibrated
 //! [`CamMachine`](c4cam_camsim::CamMachine) cost model, so all are
@@ -43,6 +47,7 @@ mod backends;
 mod registry;
 
 pub use backends::{TapeBackend, WalkBackend};
+pub use c4cam_engine::{Priced, Unpriced};
 pub use c4cam_faults::{FaultConfig, FaultModel, Resilience, RetryPolicy, ShardChaos};
 pub use registry::BackendRegistry;
 
@@ -255,6 +260,23 @@ pub trait Plan: Send + Sync {
     /// Fails on runtime errors (bad argument shapes, device budget
     /// exhaustion) or options the backend cannot honor.
     fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError>;
+
+    /// The statistics and phase snapshots [`Plan::execute`] would
+    /// report for arguments of `arg_shapes` with the query loop run
+    /// `queries` times, computed from the plan's schedule without
+    /// executing it — bit-identical to a sequential execution. The
+    /// default is a backend with no static schedule to price.
+    ///
+    /// # Errors
+    /// Why the plan cannot be priced under `opts`; execute it instead.
+    fn price(
+        &self,
+        _arg_shapes: &[&[usize]],
+        _opts: &ExecOptions,
+        _queries: usize,
+    ) -> Result<Priced, Unpriced> {
+        Err(Unpriced::NoSchedule)
+    }
 }
 
 #[cfg(test)]

@@ -89,7 +89,10 @@ pub trait Workload {
     /// Build the compiler-entry IR module for this workload.
     fn build_module(&self, spec: &ArchSpec) -> WorkloadModule;
 
-    /// Materialize the input tensors and ground-truth labels.
+    /// Materialize the input tensors and ground-truth labels. They may
+    /// depend on `spec` through `bits_per_cell` only — the level
+    /// alphabet — never on geometry or mapping: the sweep materialises
+    /// them once per cell width and shares them among its grid points.
     fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs;
 
     /// Ground-truth labels alone (defaults to materializing
@@ -147,7 +150,8 @@ pub struct HdcWorkload {
 
 impl HdcWorkload {
     /// The paper's HDC setting (MNIST-like, 8k dims, 10 classes) with a
-    /// reduced simulated query count (costs extrapolate exactly).
+    /// reduced simulated query count (the full test set is priced, not
+    /// run: `CompiledExperiment::cost`).
     pub fn paper(queries: usize) -> HdcWorkload {
         HdcWorkload {
             classes: 10,

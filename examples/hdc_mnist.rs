@@ -12,7 +12,7 @@ use c4cam::driver::{paper_arch, Experiment};
 use c4cam::workloads::HdcWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let queries = 64; // simulated; costs extrapolate linearly per query
+    let queries = 64; // simulated; the 10k-query figures are priced, not run
     println!("HDC on synthetic MNIST: 10 classes x 8192 dims, {queries} queries\n");
 
     let hdc = HdcWorkload::paper(queries);
@@ -20,7 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("cam-base ", Optimization::Base),
         ("cam-power", Optimization::Power),
     ] {
-        let out = Experiment::new(&hdc).arch(paper_arch(32, opt, 1)).run()?;
+        let compiled = Experiment::new(&hdc)
+            .arch(paper_arch(32, opt, 1))
+            .compile()?;
+        let out = compiled.run()?;
         println!(
             "{label}  subarrays={:4}  banks={}  accuracy={:5.1}%",
             out.placement.physical_subarrays,
@@ -33,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.energy_per_query_pj(),
             out.query_phase.power_mw()
         );
-        // Extrapolate to the full 10k-query MNIST test set.
-        let full = out.scaled_query_phase(10_000);
+        // The full 10k-query MNIST test set, priced from the schedule.
+        let full = compiled.cost(10_000)?.query_phase();
         println!(
             "          10k queries: {:.3} ms, {:.3} µJ, EDP {:.4} nJ·s\n",
             full.latency_ms(),

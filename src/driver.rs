@@ -32,13 +32,14 @@ use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem, Placement};
 use c4cam_core::pipeline::C4camPipeline;
-use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, SharedPlan};
+use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, Priced, SharedPlan, Unpriced};
 use c4cam_runtime::Value;
 use c4cam_telemetry::{log as tlog, ArgValue, Phase, Telemetry};
 use c4cam_tensor::Tensor;
 use c4cam_workloads::{accuracy, ArgOrder, Workload, WorkloadInputs};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error of parsing a keyword-valued option (`--engine`, `--emit`,
 /// `--format`, …): carries the offending input and the accepted
@@ -224,28 +225,6 @@ impl RunOutcome {
             return 0.0;
         }
         self.queries as f64 / (self.query_phase.latency_ns * 1e-9)
-    }
-
-    /// Extrapolate the query phase linearly to `n` queries (the
-    /// simulator is deterministic and per-query costs are identical, so
-    /// this is exact for latency/energy; power is scale-invariant).
-    /// Every per-query flow counter scales; setup-phase gauges (fault
-    /// cells, remapped rows, allocation counts) do not.
-    pub fn scaled_query_phase(&self, n: usize) -> ExecStats {
-        let f = n as f64 / self.queries.max(1) as f64;
-        let count = |c: u64| (c as f64 * f) as u64;
-        let mut s = self.query_phase.clone();
-        s.search_ops = count(s.search_ops);
-        s.searched_words = count(s.searched_words);
-        s.read_ops = count(s.read_ops);
-        s.merge_ops = count(s.merge_ops);
-        s.fault_transients = count(s.fault_transients);
-        s.cell_energy_fj *= f;
-        s.periph_energy_fj *= f;
-        s.merge_energy_fj *= f;
-        s.static_energy_fj *= f;
-        s.latency_ns *= f;
-        s
     }
 }
 
@@ -443,6 +422,16 @@ impl<'w> Experiment<'w> {
     /// [`DriverError::Config`] for invalid knob combinations (checked
     /// up front), otherwise the failing stage's error.
     pub fn compile(&self) -> Result<CompiledExperiment, DriverError> {
+        self.compile_with(|spec| Arc::new(self.workload.inputs(spec)))
+    }
+
+    /// [`Experiment::compile`] with the workload's inputs supplied by
+    /// `inputs` — the sweep hands every grid point of one cell width the
+    /// same materialised tensors instead of generating them per point.
+    pub(crate) fn compile_with(
+        &self,
+        inputs: impl FnOnce(&ArchSpec) -> Arc<WorkloadInputs>,
+    ) -> Result<CompiledExperiment, DriverError> {
         if self.threads == 0 {
             return Err(DriverError::Config(
                 "threads must be >= 1 (got 0)".to_string(),
@@ -488,10 +477,7 @@ impl<'w> Experiment<'w> {
             let mut span = self.telemetry.phase(Phase::Parse);
             span.arg("workload", ArgValue::Str(self.workload.name().to_string()));
             span.arg("queries", ArgValue::Int(nq as i64));
-            (
-                self.workload.build_module(&spec),
-                self.workload.inputs(&spec),
-            )
+            (self.workload.build_module(&spec), inputs(&spec))
         };
         let placement = {
             let _span = self.telemetry.phase(Phase::Place);
@@ -545,7 +531,7 @@ impl<'w> Experiment<'w> {
 pub struct CompiledExperiment {
     plan: SharedPlan,
     placement: Placement,
-    inputs: WorkloadInputs,
+    inputs: Arc<WorkloadInputs>,
     arg_order: ArgOrder,
     queries: usize,
     backend: String,
@@ -624,23 +610,63 @@ impl CompiledExperiment {
         self.execute(queries, Vec::new())
     }
 
-    fn execute(&self, queries: Tensor, labels: Vec<usize>) -> Result<RunOutcome, DriverError> {
-        let nq = self.queries;
-        let stored = self.inputs.stored.clone();
-        // The workload declares its kernel's argument order — no shape
-        // heuristics (those are ambiguous when queries == stored rows).
-        let args = match self.arg_order {
-            ArgOrder::QueriesThenStored => vec![Value::Tensor(queries), Value::Tensor(stored)],
-            ArgOrder::StoredThenQueries => vec![Value::Tensor(stored), Value::Tensor(queries)],
-        };
-        let opts = ExecOptions {
+    /// The statistics a sequential run of the compiled plan would
+    /// report if its query loop ran `queries` times — priced from the
+    /// schedule ([`c4cam_hal::Plan::price`]) without executing, exact at
+    /// any count: the per-query schedule does not depend on the loop
+    /// bound, so a plan compiled for 16 queries quotes the paper's
+    /// 10 000-query figures to the bit.
+    ///
+    /// # Errors
+    /// Why the plan cannot be priced: a backend with no static
+    /// schedule, an installed fault model, or a run that would fail.
+    pub fn cost(&self, queries: usize) -> Result<Priced, Unpriced> {
+        let (stored, qs) = (self.inputs.stored.shape(), self.inputs.queries.shape());
+        let [first, second] = self.in_arg_order(qs, stored);
+        self.plan
+            .price(&[first, second], &self.exec_options(), queries)
+    }
+
+    /// The outcome of a run of this plan that reports the statistics
+    /// `cost` and answered `predictions`.
+    pub(crate) fn outcome_at(&self, cost: &Priced, predictions: Vec<usize>) -> RunOutcome {
+        RunOutcome {
+            total: cost.total.clone(),
+            setup: cost.setup(),
+            query_phase: cost.query_phase(),
+            predictions,
+            labels: self.inputs.labels.clone(),
+            placement: self.placement,
+            queries: self.queries,
+        }
+    }
+
+    /// `queries` and `stored` in the order the workload declares for
+    /// its kernel's arguments — no shape heuristics (those are
+    /// ambiguous when queries == stored rows).
+    fn in_arg_order<T>(&self, queries: T, stored: T) -> [T; 2] {
+        match self.arg_order {
+            ArgOrder::QueriesThenStored => [queries, stored],
+            ArgOrder::StoredThenQueries => [stored, queries],
+        }
+    }
+
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
             threads: self.threads,
             wta_window: self.wta_window,
             tech: self.tech.clone(),
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
             ..ExecOptions::default()
-        };
+        }
+    }
+
+    fn execute(&self, queries: Tensor, labels: Vec<usize>) -> Result<RunOutcome, DriverError> {
+        let nq = self.queries;
+        let stored = self.inputs.stored.clone();
+        let args = self.in_arg_order(Value::Tensor(queries), Value::Tensor(stored));
+        let opts = self.exec_options();
         let execution = {
             let mut span = self.telemetry.phase(Phase::Execute);
             span.arg("backend", ArgValue::Str(self.backend.clone()));
@@ -918,32 +944,6 @@ mod tests {
         );
         // The original cause is still on the chain.
         assert!(wrapped.source().unwrap().source().is_some());
-    }
-
-    #[test]
-    fn scaled_query_phase_is_linear() {
-        let hdc = HdcWorkload {
-            classes: 4,
-            dims: 256,
-            queries: 4,
-            flip_rate: 0.0,
-            seed: 1,
-        };
-        let out = Experiment::new(&hdc)
-            .arch(paper_arch(32, Optimization::Base, 1))
-            .run()
-            .unwrap();
-        let scaled = out.scaled_query_phase(8);
-        assert!((scaled.latency_ns - 2.0 * out.query_phase.latency_ns).abs() < 1e-6);
-        // Power is invariant under scaling.
-        assert!((scaled.power_w() - out.query_phase.power_w()).abs() < 1e-12);
-        // The flow counters extrapolate to exactly what 8 queries run.
-        let eight = Experiment::new(&HdcWorkload { queries: 8, ..hdc })
-            .arch(paper_arch(32, Optimization::Base, 1))
-            .run()
-            .unwrap();
-        assert_eq!(scaled.search_ops, eight.query_phase.search_ops);
-        assert_eq!(scaled.searched_words, eight.query_phase.searched_words);
     }
 
     #[test]

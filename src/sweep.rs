@@ -24,8 +24,10 @@ use c4cam_arch::{ArchSpec, Optimization};
 use c4cam_hal::FaultConfig;
 use c4cam_telemetry::json::{self, Field};
 use c4cam_telemetry::{cat, Telemetry};
-use c4cam_workloads::Workload;
+use c4cam_workloads::{Workload, WorkloadInputs};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One coordinate of the sweep grid: everything that varies between
 /// grid points. The technology is carried by value (`None` = the
@@ -504,8 +506,19 @@ impl<'w> SweepPlan<'w> {
         Ok(grid)
     }
 
-    /// Run every grid point through the [`Experiment`] builder and
-    /// compute the Pareto frontier.
+    /// Compile every grid point through the [`Experiment`] builder,
+    /// cost it, and compute the Pareto frontier.
+    ///
+    /// Cost is a function of the schedule, so a fault-free point whose
+    /// plan can be priced ([`crate::driver::CompiledExperiment::cost`]) reports the
+    /// statistics its tape prices to — the sequential fold, whatever
+    /// [`SweepPlan::threads`] says — and is not executed. Its answers
+    /// depend on the workload and the cell width only (the device's
+    /// reductions are exact-integer sums, equal under any tiling), so
+    /// the workload's inputs are materialised and the device run once
+    /// per `bits_per_cell`: at the first fault-free point of that width,
+    /// which donates its predictions to the rest. Faulty points,
+    /// backends with no static schedule and unpriceable plans execute.
     ///
     /// # Errors
     /// [`DriverError::Config`] for empty grids or invalid thread
@@ -518,6 +531,7 @@ impl<'w> SweepPlan<'w> {
             ));
         }
         let grid = self.grid()?;
+        let mut by_width: BTreeMap<u32, Width> = BTreeMap::new();
         let mut points = Vec::with_capacity(grid.len());
         for gp in grid {
             let spec = gp.spec(self.hierarchy)?;
@@ -534,7 +548,10 @@ impl<'w> SweepPlan<'w> {
                     experiment.faults(FaultConfig::with_rate(gp.fault_rate, gp.fault_seed));
             }
             let span = self.telemetry.span(format!("{gp}"), cat::GRID);
-            let outcome = experiment.run().map_err(|e| e.at_grid_point(&gp))?;
+            let width = by_width.entry(gp.bits_per_cell).or_default();
+            let outcome = self
+                .run_point(&experiment, gp.fault_rate > 0.0, width)
+                .map_err(|e| e.at_grid_point(&gp))?;
             span.finish();
             points.push(SweepPoint { grid: gp, outcome });
         }
@@ -546,6 +563,46 @@ impl<'w> SweepPlan<'w> {
             pareto,
         })
     }
+
+    /// One grid point: compile, price if it can be, execute if it must.
+    fn run_point(
+        &self,
+        experiment: &Experiment<'_>,
+        faulty: bool,
+        width: &mut Width,
+    ) -> Result<RunOutcome, DriverError> {
+        let compiled = experiment.compile_with(|spec| {
+            let inputs = &mut width.inputs;
+            Arc::clone(inputs.get_or_insert_with(|| Arc::new(self.workload.inputs(spec))))
+        })?;
+        let cost = if faulty {
+            None
+        } else {
+            let _span = self.telemetry.span("price", cat::PHASE);
+            compiled.cost(compiled.query_count()).ok()
+        };
+        if let (Some(cost), Some(predictions)) = (&cost, &width.predictions) {
+            return Ok(compiled.outcome_at(cost, predictions.clone()));
+        }
+        let ran = compiled.run()?;
+        if !faulty && width.predictions.is_none() {
+            width.predictions = Some(ran.predictions.clone());
+        }
+        Ok(match &cost {
+            Some(cost) => compiled.outcome_at(cost, ran.predictions),
+            None => ran,
+        })
+    }
+}
+
+/// What the grid points of one cell width share.
+#[derive(Default)]
+struct Width {
+    /// The workload's inputs: `bits_per_cell` is the only field of the
+    /// architecture a [`Workload::inputs`] may read.
+    inputs: Option<Arc<WorkloadInputs>>,
+    /// The answers of the first fault-free point that executed.
+    predictions: Option<Vec<usize>>,
 }
 
 #[cfg(test)]

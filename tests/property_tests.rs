@@ -1,9 +1,12 @@
 //! Property-based tests (proptest) on the core invariants:
 //! printer/parser round-trips, simulator-vs-reference search semantics,
-//! partition/mapping equivalence, and cost-model monotonicity.
+//! partition/mapping equivalence, cost-model monotonicity, and the two
+//! facts the sweep's static costing rests on: answers do not depend on
+//! the mapping, and the ledger's charges order as the hardware's would.
 
+use c4cam::arch::tech::{Level, TechnologyModel};
 use c4cam::arch::{ArchSpec, MatchKind, Metric, Optimization};
-use c4cam::camsim::{CamMachine, RowSelection, SearchSpec};
+use c4cam::camsim::{CamMachine, CostLedger, RowSelection, SearchSpec};
 use c4cam::compiler::mapping::{place, MappingProblem};
 use c4cam::ir::builder::{build_func, OpBuilder};
 use c4cam::ir::parse::parse_module;
@@ -393,5 +396,180 @@ proptest! {
         let text = spec.to_text();
         let reparsed = c4cam::arch::parse_spec(&text).unwrap();
         prop_assert_eq!(spec, reparsed);
+    }
+}
+
+// ---------------------------------------------------------------------
+// What the sweep's static costing rests on
+// ---------------------------------------------------------------------
+
+/// Random level data at the architecture's cell width, as a dot
+/// (HDC-style) or Euclidean (kNN-style) top-1 retrieval. Few dims and a
+/// small alphabet make exact score ties the common case.
+struct Synthetic {
+    knn: bool,
+    rows: usize,
+    dims: usize,
+    queries: usize,
+    seed: u64,
+}
+
+impl c4cam::workloads::Workload for Synthetic {
+    fn name(&self) -> &'static str {
+        "synthetic"
+    }
+    fn query_count(&self) -> usize {
+        self.queries
+    }
+    fn stored_rows(&self) -> usize {
+        self.rows
+    }
+    fn dims(&self) -> usize {
+        self.dims
+    }
+    fn build_module(&self, _spec: &ArchSpec) -> c4cam::workloads::WorkloadModule {
+        use c4cam::compiler::dialects::{cim, torch};
+        use c4cam::workloads::{ArgOrder, WorkloadModule};
+        let (rows, dims, nq) = (self.rows as i64, self.dims as i64, self.queries as i64);
+        let mut module = Module::new();
+        if self.knn {
+            cim::build_similarity_kernel(&mut module, "knn", "eucl", rows, dims, nq, 1, false);
+            return WorkloadModule {
+                module,
+                func: "knn",
+                arg_order: ArgOrder::StoredThenQueries,
+            };
+        }
+        torch::build_hdc_dot_with(&mut module, nq, rows, dims, 1, true);
+        WorkloadModule {
+            module,
+            func: "forward",
+            arg_order: ArgOrder::QueriesThenStored,
+        }
+    }
+    fn inputs(&self, spec: &ArchSpec) -> c4cam::workloads::WorkloadInputs {
+        use c4cam::tensor::Tensor;
+        let mut state = self.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mask = (1u64 << spec.bits_per_cell) - 1;
+        let mut levels = |rows: usize| {
+            let data = (0..rows * self.dims).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state >> 11) & mask) as f32
+            });
+            Tensor::from_vec(vec![rows, self.dims], data.collect()).unwrap()
+        };
+        c4cam::workloads::WorkloadInputs {
+            stored: levels(self.rows),
+            queries: levels(self.queries),
+            labels: vec![0; self.queries],
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The device's reductions are exact-integer sums, so how the
+    /// mapping tiles them cannot change a score — nor, the accumulator
+    /// being in stored-row order under every mapping, which of two tied
+    /// rows wins. This is what lets one executed grid point answer for
+    /// every geometry and optimisation of its cell width.
+    #[test]
+    fn top_1_predictions_do_not_depend_on_the_mapping(
+        knn in any::<bool>(),
+        bits in 1u32..4,
+        rows in 2usize..40,
+        dims in prop_oneof![3usize..9, 20usize..90],
+        queries in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        use c4cam::driver::{build_arch, Experiment};
+        let workload = Synthetic { knn, rows, dims, queries, seed };
+        let mut reference: Option<Vec<usize>> = None;
+        for n in [16usize, 32, 64] {
+            for opt in [
+                Optimization::Base,
+                Optimization::Power,
+                Optimization::Density,
+                Optimization::PowerDensity,
+            ] {
+                let spec = build_arch((n, n), (2, 2, 4), opt, bits).unwrap();
+                let out = Experiment::new(&workload).arch(spec).run().unwrap();
+                let want = reference.get_or_insert_with(|| out.predictions.clone());
+                prop_assert_eq!(&out.predictions, want, "{}x{} {:?}", n, n, opt);
+            }
+        }
+    }
+
+    /// ROADMAP N4 on the ledger: a search never gets cheaper with more
+    /// active rows, wider subarrays or wider cells.
+    #[test]
+    fn search_energy_is_monotone_in_rows_columns_and_bits(
+        active in (0usize..256, 0usize..256),
+        cols in (1usize..512, 1usize..512),
+        bits in (1u32..5, 1u32..5),
+        share in 0.0f64..1.0,
+    ) {
+        let energy = |active: usize, cols: usize, bits: u32| {
+            let spec = ArchSpec::builder()
+                .subarray(256, cols)
+                .cam_kind(c4cam::arch::CamKind::Mcam)
+                .bits_per_cell(bits)
+                .build()
+                .unwrap();
+            let mut ledger = CostLedger::new(&spec, TechnologyModel::fefet_45nm());
+            let search = SearchSpec::new(MatchKind::Best, Metric::Hamming)
+                .with_broadcast_share(share);
+            ledger.search(active, 0, &search, 1);
+            ledger.stats().total_energy_fj()
+        };
+        let sorted = |(a, b): (_, _)| if a <= b { (a, b) } else { (b, a) };
+        let ((a_lo, a_hi), (c_lo, c_hi)) = (sorted(active), sorted(cols));
+        let (b_lo, b_hi) = if bits.0 <= bits.1 { bits } else { (bits.1, bits.0) };
+        prop_assert!(energy(a_lo, c_lo, b_lo) <= energy(a_hi, c_lo, b_lo));
+        prop_assert!(energy(a_lo, c_lo, b_lo) <= energy(a_lo, c_hi, b_lo));
+        prop_assert!(energy(a_lo, c_lo, b_lo) <= energy(a_lo, c_lo, b_hi));
+    }
+
+    /// Concurrency changes time, not work: the same charges under a
+    /// parallel scope are never slower than under a sequential one, and
+    /// cost the same energy to the bit.
+    #[test]
+    fn a_parallel_scope_is_never_slower_than_a_sequential_one(
+        charges in proptest::collection::vec((0u8..3, 0usize..64), 1..12),
+    ) {
+        let fold = |parallel: bool| {
+            let mut ledger = CostLedger::new(&ArchSpec::default(), TechnologyModel::fefet_45nm());
+            if parallel {
+                ledger.push_parallel();
+            } else {
+                ledger.push_sequential();
+            }
+            for &(kind, n) in &charges {
+                ledger.push_sequential();
+                match kind {
+                    0 => ledger.write(n),
+                    1 => ledger.search(
+                        n,
+                        n as u64,
+                        &SearchSpec::new(MatchKind::Best, Metric::Hamming),
+                        1,
+                    ),
+                    _ => ledger.merge(Level::Array, n),
+                }
+                ledger.pop_scope();
+            }
+            ledger.pop_scope();
+            ledger.stats()
+        };
+        let (par, seq) = (fold(true), fold(false));
+        prop_assert!(par.latency_ns <= seq.latency_ns);
+        let dynamic = |s: &c4cam::camsim::ExecStats| {
+            [s.cell_energy_fj, s.periph_energy_fj, s.merge_energy_fj, s.write_energy_fj]
+                .map(f64::to_bits)
+        };
+        prop_assert_eq!(dynamic(&par), dynamic(&seq));
     }
 }

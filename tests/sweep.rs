@@ -6,9 +6,11 @@
 use c4cam::cli::{execute, parse_args, Command};
 use c4cam::driver::Experiment;
 use c4cam::sweep::SweepPlan;
-use c4cam::workloads::HdcWorkload;
+use c4cam::telemetry::{cat, CollectingRecorder, Phase, Telemetry};
+use c4cam::workloads::{HdcWorkload, KnnWorkload, Workload, WorkloadInputs, WorkloadModule};
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_server::json::Json;
+use std::sync::Arc;
 
 fn small_hdc() -> HdcWorkload {
     HdcWorkload {
@@ -63,7 +65,15 @@ fn sweep_points_equal_individual_experiment_runs() {
             "stats diverged at {}",
             point.grid
         );
+        assert_eq!(point.outcome.setup, individual.setup, "{}", point.grid);
+        assert_eq!(
+            point.outcome.query_phase, individual.query_phase,
+            "{}",
+            point.grid
+        );
         assert_eq!(point.outcome.predictions, individual.predictions);
+        assert_eq!(point.outcome.labels, individual.labels);
+        assert_eq!(point.outcome.queries, individual.queries);
         assert_eq!(
             point.outcome.placement.physical_subarrays,
             individual.placement.physical_subarrays
@@ -100,6 +110,181 @@ fn sweep_engines_and_threads_agree() {
         base.points[0].outcome.total.search_ops,
         threaded.points[0].outcome.total.search_ops
     );
+}
+
+/// A simulated figure is a property of the design point, not of the
+/// host: every fault-free priceable point reports the sequential fold
+/// its tape prices to, so the thread count cannot move a bit of it.
+#[test]
+fn simulated_figures_do_not_depend_on_threads() {
+    let hdc = HdcWorkload {
+        queries: 16,
+        ..small_hdc()
+    };
+    let knn = KnnWorkload {
+        patterns: 24,
+        dims: 96,
+        queries: 16,
+        k: 1,
+        noise: 0.1,
+        seed: 3,
+    };
+    let workloads: [&dyn Workload; 2] = [&hdc, &knn];
+    for workload in workloads {
+        let sweep = |threads| {
+            SweepPlan::new(workload)
+                .square_subarrays([16, 32])
+                .bits([1, 2])
+                .threads(threads)
+                .run()
+                .unwrap()
+        };
+        let (one, two) = (sweep(1), sweep(2));
+        assert_eq!(one.points.len(), 16);
+        for (a, b) in one.points.iter().zip(&two.points) {
+            assert_eq!(a.outcome.total, b.outcome.total, "{}", a.grid);
+            assert_eq!(a.outcome.setup, b.outcome.setup, "{}", a.grid);
+            assert_eq!(a.outcome.query_phase, b.outcome.query_phase, "{}", a.grid);
+            assert_eq!(a.outcome.predictions, b.outcome.predictions, "{}", a.grid);
+        }
+        assert_eq!(one.to_json(false), two.to_json(false));
+    }
+}
+
+/// The device runs once per cell width: a 40-point two-width sweep
+/// records two `Execute` phases, and every point accounts for its
+/// pricing with one `price` span inside its grid span.
+#[test]
+fn a_two_width_sweep_executes_twice_and_prices_every_point() {
+    let workload = small_hdc();
+    let recorder = Arc::new(CollectingRecorder::new());
+    let outcome = SweepPlan::new(&workload)
+        .bits([1, 2])
+        .telemetry(Telemetry::new(Arc::clone(&recorder) as _))
+        .run()
+        .unwrap();
+    assert_eq!(outcome.points.len(), 40);
+    let events = recorder.events();
+    let spans = |name: &str, category: &str| -> Vec<(u64, u64)> {
+        let spans = events.iter().filter_map(|e| e.as_span());
+        spans
+            .filter(|s| s.cat == category && (name.is_empty() || s.name == name))
+            .map(|s| (s.start_ns, s.start_ns + s.dur_ns))
+            .collect()
+    };
+    assert_eq!(spans(Phase::Execute.name(), cat::PHASE).len(), 2);
+    assert_eq!(spans(Phase::Compile.name(), cat::PHASE).len(), 40);
+    let (grid, price) = (spans("", cat::GRID), spans("price", cat::PHASE));
+    assert_eq!((grid.len(), price.len()), (40, 40));
+    for ((start, end), (p_start, p_end)) in grid.iter().zip(&price) {
+        assert!(start <= p_start && p_end <= end, "price outside its point");
+    }
+    // The two that executed are the first point of each width.
+    let executed = spans("backend:tape", cat::BACKEND);
+    assert_eq!(executed.len(), 2);
+    for (ran, point) in executed.iter().zip(&grid[..2]) {
+        assert!(point.0 <= ran.0 && ran.1 <= point.1);
+    }
+}
+
+/// The sweep materialises a workload's inputs once per cell width:
+/// `bits_per_cell` is the only field of the architecture any shipped
+/// workload's inputs read.
+#[test]
+fn workload_inputs_depend_on_the_cell_width_only() {
+    use c4cam::datasets::{mini_mnist, DatasetTask, DatasetWorkload};
+    use c4cam::workloads::{DtreeWorkload, GpuComparisonWorkload};
+    let knn = KnnWorkload {
+        patterns: 24,
+        dims: 96,
+        queries: 3,
+        k: 1,
+        noise: 0.1,
+        seed: 3,
+    };
+    let on_dataset =
+        |task| DatasetWorkload::new(mini_mnist::dataset(), task, Some(3)).expect("fixture");
+    let workloads: [&dyn Workload; 6] = [
+        &small_hdc(),
+        &knn,
+        &DtreeWorkload::new(8, 3, 3, 4, 1),
+        &GpuComparisonWorkload::paper(2),
+        &on_dataset(DatasetTask::Hdc),
+        &on_dataset(DatasetTask::Knn),
+    ];
+    for workload in workloads {
+        for bits in [1, 2] {
+            let a = workload.inputs(&grid_spec(16, Optimization::Base, bits));
+            let mut other = grid_spec(256, Optimization::PowerDensity, bits);
+            (other.mats_per_bank, other.banks) = (2, Some(64));
+            let b = workload.inputs(&other);
+            assert_eq!(a.stored.shape(), b.stored.shape(), "{}", workload.name());
+            assert_eq!(a.stored.data(), b.stored.data(), "{}", workload.name());
+            assert_eq!(a.queries.data(), b.queries.data(), "{}", workload.name());
+            assert_eq!(a.labels, b.labels, "{}", workload.name());
+        }
+    }
+}
+
+/// A workload that hands over its stored rows flattened to rank 1:
+/// every stage up to execution accepts it, and the first slice of the
+/// programming nest fails.
+struct MisShaped(HdcWorkload);
+
+impl Workload for MisShaped {
+    fn name(&self) -> &'static str {
+        "mis-shaped"
+    }
+    fn query_count(&self) -> usize {
+        self.0.query_count()
+    }
+    fn stored_rows(&self) -> usize {
+        self.0.stored_rows()
+    }
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn build_module(&self, spec: &ArchSpec) -> WorkloadModule {
+        self.0.build_module(spec)
+    }
+    fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs {
+        let inputs = self.0.inputs(spec);
+        let flat = vec![inputs.stored.len()];
+        WorkloadInputs {
+            stored: inputs.stored.reshape(flat).unwrap(),
+            ..inputs
+        }
+    }
+}
+
+/// A schedule the evaluator declines is executed, so a sweep over it
+/// fails exactly as an individual run does: same stage, same cause.
+#[test]
+fn an_unpriceable_point_fails_as_its_individual_run_does() {
+    let workload = MisShaped(small_hdc());
+    let spec = grid_spec(16, Optimization::Base, 1);
+    let compiled = Experiment::new(&workload)
+        .arch(spec.clone())
+        .compile()
+        .unwrap();
+    let declined = compiled.cost(4).unwrap_err();
+    assert!(
+        declined.to_string().contains("the run would fail"),
+        "{declined}"
+    );
+    let individual = compiled.run().unwrap_err();
+    assert_eq!(individual.stage(), "exec");
+
+    let swept = SweepPlan::new(&workload)
+        .square_subarrays([16])
+        .optimizations([Optimization::Base])
+        .run()
+        .unwrap_err();
+    assert_eq!(swept.stage(), "exec");
+    let cause = individual.to_string();
+    let cause = cause.trim_start_matches("driver error [exec]: ");
+    assert!(swept.to_string().ends_with(cause), "{swept}\n{individual}");
+    assert!(swept.to_string().contains("grid point [16x16"), "{swept}");
 }
 
 /// Field `key` of a JSON object; a missing key fails the test.
@@ -276,4 +461,43 @@ fn cli_sweep_pareto_filter_returns_a_subset() {
         assert!(row.ends_with(",true,0"), "{row}");
         assert!(all.contains(row), "pareto row missing from full output");
     }
+}
+
+/// `c4cam sweep` with `flags`, as the binary prints it.
+fn cli_sweep(flags: &str) -> String {
+    let args: Vec<String> = std::iter::once("sweep")
+        .chain(flags.split_whitespace())
+        .map(str::to_string)
+        .collect();
+    let mut out = execute(&parse_args(&args).unwrap()).unwrap();
+    if !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out
+}
+
+/// The reports of a 24-point grid, byte for byte as the build before
+/// the static evaluator printed them at `--threads 1`.
+fn assert_reports_match_the_goldens(threads: usize) {
+    const GRID: &str =
+        "--subarrays 16,32,64 --opts base,power,density,power+density --bits 1,2 --queries 4";
+    let golden = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+        std::fs::read_to_string(path.join(name)).unwrap()
+    };
+    let run = |flags: &str| cli_sweep(&format!("{GRID} --threads {threads} {flags}"));
+    assert_eq!(run("--format json"), golden("sweep_hdc.json"));
+    assert_eq!(run("--format csv"), golden("sweep_hdc.csv"));
+    assert_eq!(run("--workload knn --format csv"), golden("sweep_knn.csv"));
+}
+
+#[test]
+fn sweep_reports_match_the_goldens() {
+    assert_reports_match_the_goldens(1);
+}
+
+/// ... and now at any thread count (171 fields differed before).
+#[test]
+fn sweep_reports_match_the_goldens_at_two_threads() {
+    assert_reports_match_the_goldens(2);
 }
