@@ -1,15 +1,17 @@
 //! Admission control: a bounded queue that coalesces concurrent
 //! requests into device batches.
 //!
-//! Requests for the same [`PlanKey`] arriving close together are
+//! Requests for the same [`PlanKey`] that are pending together are
 //! merged into one device execution (the compiled plan runs a fixed
 //! query capacity per call, so filling it amortizes the per-batch
-//! setup across requests). The dispatcher takes the oldest pending
-//! key and launches its batch when the batch is *full* (the next
-//! request would not fit) or the oldest request has lingered
-//! [`AdmissionConfig::max_linger`] — whichever comes first. The queue
-//! is bounded: submissions past [`AdmissionConfig::queue_depth`] are
-//! rejected immediately with [`AdmitError::Overloaded`] instead of
+//! setup across requests). The dispatcher waits for work, never for a
+//! clock: the moment it is idle and anything is pending it takes the
+//! key whose head request is oldest and launches as much of that queue
+//! as fits the plan's capacity. Batches therefore form from what
+//! queued while the previous batch executed — one request on an idle
+//! server runs alone and at once, a busy server fills its batches. The
+//! queue is bounded: submissions past [`AdmissionConfig::queue_depth`]
+//! are rejected immediately with [`AdmitError::Overloaded`] instead of
 //! hanging, so overload degrades into fast structured errors.
 //!
 //! Determinism contract: the query loop of a compiled plan computes
@@ -18,21 +20,19 @@
 //! regardless of batch size or arrival interleaving. The service
 //! test-suite pins this per backend.
 
-use crate::protocol::PlanKey;
+use crate::protocol::{bounded, PlanKey};
 use crate::BatchRunner;
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Batching and backpressure knobs.
+/// The backpressure knob.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Longest a request may wait for batch-mates before its batch
-    /// launches anyway.
-    pub max_linger: Duration,
     /// Maximum pending requests across all keys; submissions beyond
     /// this are rejected with [`AdmitError::Overloaded`].
     pub queue_depth: usize,
@@ -40,10 +40,7 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            max_linger: Duration::from_millis(2),
-            queue_depth: 256,
-        }
+        AdmissionConfig { queue_depth: 256 }
     }
 }
 
@@ -106,7 +103,8 @@ pub type BatchTicket = Receiver<Result<BatchSlice, String>>;
 
 struct Pending {
     rows: Vec<usize>,
-    enqueued: Instant,
+    /// Arrival number across all keys: the smaller, the older.
+    seq: u64,
     tx: Sender<Result<BatchSlice, String>>,
 }
 
@@ -118,8 +116,10 @@ struct KeyQueue {
 
 #[derive(Default)]
 struct State {
+    /// One queue per key with anything pending; never an empty one.
     queues: Vec<KeyQueue>,
     pending: usize,
+    submitted: u64,
     draining: bool,
     batches: u64,
     batched_rows: u64,
@@ -150,6 +150,14 @@ impl Admission {
         &self.cfg
     }
 
+    /// The state, whether or not a thread panicked while holding it:
+    /// it is queues and counters that every critical section below
+    /// leaves consistent at each step, and no plan code runs under the
+    /// lock, so a poisoned guard holds valid data.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueue one request for `key` on `runner`. Returns a ticket the
     /// caller blocks on for its slice of the coalesced batch.
     ///
@@ -170,7 +178,7 @@ impl Admission {
                 capacity,
             });
         }
-        let mut st = self.state.lock().expect("admission lock");
+        let mut st = self.lock();
         if st.draining {
             return Err(AdmitError::ShuttingDown);
         }
@@ -182,9 +190,10 @@ impl Admission {
         let (tx, rx) = channel();
         let pending = Pending {
             rows,
-            enqueued: Instant::now(),
+            seq: st.submitted,
             tx,
         };
+        st.submitted += 1;
         match st.queues.iter_mut().find(|kq| kq.key == *key) {
             Some(kq) => kq.q.push_back(pending),
             None => st.queues.push(KeyQueue {
@@ -202,20 +211,20 @@ impl Admission {
     /// Stop admitting work and wake the dispatcher so it drains the
     /// queue and returns.
     pub fn drain(&self) {
-        self.state.lock().expect("admission lock").draining = true;
+        self.lock().draining = true;
         self.work.notify_all();
     }
 
     /// Batching statistics so far:
     /// `(batches, coalesced rows, max requests in one batch)`.
     pub fn batch_stats(&self) -> (u64, u64, u64) {
-        let st = self.state.lock().expect("admission lock");
+        let st = self.lock();
         (st.batches, st.batched_rows, st.max_batch_requests)
     }
 
     /// Requests currently queued (for tests and the `stats` command).
     pub fn pending(&self) -> usize {
-        self.state.lock().expect("admission lock").pending
+        self.lock().pending
     }
 
     /// Run batches until [`Admission::drain`] is called and the queue
@@ -233,13 +242,12 @@ impl Admission {
     /// lets interleaving tests step the batcher deterministically).
     /// Returns whether a batch ran.
     pub fn dispatch_one(&self, telemetry: &Telemetry) -> bool {
-        let has_work = self.state.lock().expect("admission lock").pending > 0;
-        if !has_work {
+        if self.pending() == 0 {
             return false;
         }
         match self.next_batch() {
             Some(batch) => {
-                let n = self.state.lock().expect("admission lock").batches + 1;
+                let n = self.batch_stats().0 + 1;
                 self.execute(batch, n, telemetry);
                 true
             }
@@ -247,65 +255,49 @@ impl Admission {
         }
     }
 
-    /// Decide the next batch under the lock: the oldest-headed key's
-    /// coalescable prefix, once it is full or has lingered long enough.
-    /// Returns `None` when draining completes.
+    /// Wait until anything is pending, then take the next batch: the
+    /// oldest-headed key's coalescable prefix, whatever its size. The
+    /// caller is the dispatcher and it is idle, so launching now costs
+    /// no request anything; whoever arrives while this batch runs
+    /// forms the next one. Returns `None` when draining completes.
     fn next_batch(&self) -> Option<Batch> {
-        let mut st = self.state.lock().expect("admission lock");
+        let mut st = self.lock();
         loop {
-            if st.pending == 0 {
-                if st.draining {
-                    return None;
-                }
-                st = self.work.wait(st).expect("admission lock");
-                continue;
-            }
-            // The key whose head request has waited longest.
-            let ki = st
+            let oldest = st
                 .queues
                 .iter()
                 .enumerate()
-                .filter(|(_, kq)| !kq.q.is_empty())
-                .min_by_key(|(_, kq)| kq.q[0].enqueued)
-                .map(|(i, _)| i)
-                .expect("pending > 0 implies a non-empty queue");
-            let kq = &st.queues[ki];
+                .filter_map(|(i, kq)| Some((kq.q.front()?.seq, i)))
+                .min();
+            let Some((_, ki)) = oldest else {
+                if st.draining {
+                    return None;
+                }
+                st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let kq = &mut st.queues[ki];
             let capacity = kq.runner.capacity();
             let mut rows = 0usize;
-            let mut take = 0usize;
-            for p in &kq.q {
-                if rows + p.rows.len() > capacity {
-                    break;
-                }
-                rows += p.rows.len();
-                take += 1;
+            let take =
+                kq.q.iter()
+                    .take_while(|p| {
+                        rows += p.rows.len();
+                        rows <= capacity
+                    })
+                    .count();
+            let batch = Batch {
+                key: kq.key.clone(),
+                runner: Arc::clone(&kq.runner),
+                requests: kq.q.drain(..take).collect(),
+            };
+            if kq.q.is_empty() {
+                // Drop the empty per-key queue so an evicted or
+                // one-off key doesn't pin its runner forever.
+                st.queues.remove(ki);
             }
-            let full = rows == capacity || take < kq.q.len();
-            let deadline = kq.q[0].enqueued + self.cfg.max_linger;
-            let now = Instant::now();
-            if full || st.draining || now >= deadline {
-                let batch = {
-                    let kq = &mut st.queues[ki];
-                    let requests: Vec<Pending> = kq.q.drain(..take).collect();
-                    Batch {
-                        key: kq.key.clone(),
-                        runner: Arc::clone(&kq.runner),
-                        requests,
-                    }
-                };
-                st.pending -= take;
-                if st.queues[ki].q.is_empty() {
-                    // Drop the empty per-key queue so an evicted or
-                    // one-off key doesn't pin its runner forever.
-                    st.queues.remove(ki);
-                }
-                return Some(batch);
-            }
-            let (guard, _timeout) = self
-                .work
-                .wait_timeout(st, deadline - now)
-                .expect("admission lock");
-            st = guard;
+            st.pending -= take;
+            return Some(batch);
         }
     }
 
@@ -322,10 +314,17 @@ impl Admission {
         span.arg("requests", ArgValue::Int(n_requests as i64));
         span.arg("rows", ArgValue::Int(rows.len() as i64));
         span.arg("capacity", ArgValue::Int(batch.runner.capacity() as i64));
-        let result = batch.runner.run_rows(&rows);
+        // A panic in the plan must fail this batch, not the only
+        // dispatcher thread (every later request would wait on a thread
+        // that no longer exists). Resuming after it is sound: a runner
+        // is `&self` over immutable compiled-plan data and builds its
+        // working state per call, so an unwound call leaves nothing
+        // half-updated for the next one to observe.
+        let result = catch_unwind(AssertUnwindSafe(|| batch.runner.run_rows(&rows)))
+            .unwrap_or_else(|panic| Err(format!("plan panicked: {}", panic_text(&*panic))));
         drop(span);
         {
-            let mut st = self.state.lock().expect("admission lock");
+            let mut st = self.lock();
             st.batches += 1;
             st.batched_rows += rows.len() as u64;
             st.max_batch_requests = st.max_batch_requests.max(n_requests as u64);
@@ -358,6 +357,16 @@ impl Admission {
     }
 }
 
+/// A panic payload's message, cut like any other text echoed to a
+/// client.
+fn panic_text(panic: &(dyn Any + Send)) -> String {
+    let text = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+    bounded(text.unwrap_or("(no message)"))
+}
+
 struct Batch {
     key: PlanKey,
     runner: Arc<dyn BatchRunner>,
@@ -369,6 +378,7 @@ mod tests {
     use super::*;
     use crate::RowsOutcome;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     /// Predictions are `row * 10`, classes `row % 3` — enough structure
     /// to catch slicing bugs.
@@ -404,16 +414,48 @@ mod tests {
         }
     }
 
-    fn admission(linger_ms: u64, depth: usize) -> Admission {
-        Admission::new(AdmissionConfig {
-            max_linger: Duration::from_millis(linger_ms),
-            queue_depth: depth,
-        })
+    fn admission(depth: usize) -> Admission {
+        Admission::new(AdmissionConfig { queue_depth: depth })
     }
+
+    /// Every row predicted as itself.
+    fn echo(rows: &[usize]) -> RowsOutcome {
+        RowsOutcome {
+            predictions: rows.to_vec(),
+            classes: rows.to_vec(),
+            sim_latency_ns_per_query: 5.0,
+            sim_energy_pj_per_query: 2.0,
+        }
+    }
+
+    /// Blocks in `run_rows` until the test allows the batch through;
+    /// reports each batch's rows as it starts. Interleavings are forced
+    /// by these two channels, never by a sleep.
+    struct GatedRunner {
+        started: Mutex<Sender<Vec<usize>>>,
+        gate: Mutex<Receiver<()>>,
+    }
+
+    impl BatchRunner for GatedRunner {
+        fn capacity(&self) -> usize {
+            8
+        }
+        fn pool_size(&self) -> usize {
+            1000
+        }
+        fn run_rows(&self, rows: &[usize]) -> Result<RowsOutcome, String> {
+            self.started.lock().unwrap().send(rows.to_vec()).unwrap();
+            self.gate.lock().unwrap().recv().unwrap();
+            Ok(echo(rows))
+        }
+    }
+
+    /// A reply that does not come is a failure, not a hung test run.
+    const PATIENCE: Duration = Duration::from_secs(20);
 
     #[test]
     fn concurrent_submissions_coalesce_into_one_batch() {
-        let adm = admission(50, 16);
+        let adm = admission(16);
         let runner = Arc::new(StubRunner {
             capacity: 8,
             calls: AtomicUsize::new(0),
@@ -443,7 +485,7 @@ mod tests {
 
     #[test]
     fn batches_split_at_capacity() {
-        let adm = admission(50, 16);
+        let adm = admission(16);
         let runner = Arc::new(StubRunner {
             capacity: 4,
             calls: AtomicUsize::new(0),
@@ -470,7 +512,7 @@ mod tests {
 
     #[test]
     fn overloaded_and_too_large_reject_immediately() {
-        let adm = admission(50, 2);
+        let adm = admission(2);
         let runner = Arc::new(StubRunner {
             capacity: 4,
             calls: AtomicUsize::new(0),
@@ -504,7 +546,7 @@ mod tests {
 
     #[test]
     fn drain_stops_admission_and_ends_the_loop() {
-        let adm = Arc::new(admission(1, 16));
+        let adm = Arc::new(admission(16));
         let runner = Arc::new(StubRunner {
             capacity: 8,
             calls: AtomicUsize::new(0),
@@ -526,26 +568,74 @@ mod tests {
     }
 
     #[test]
-    fn linger_expiry_launches_a_partial_batch() {
-        let adm = Arc::new(admission(5, 16));
-        let runner = Arc::new(StubRunner {
-            capacity: 64,
-            calls: AtomicUsize::new(0),
+    fn an_idle_dispatcher_launches_at_once_and_batches_form_while_it_is_busy() {
+        let adm = Arc::new(admission(16));
+        let (started_tx, started) = channel();
+        let (gate, gate_rx) = channel();
+        let runner: Arc<dyn BatchRunner> = Arc::new(GatedRunner {
+            started: Mutex::new(started_tx),
+            gate: Mutex::new(gate_rx),
         });
-        let ticket = adm
-            .submit(&key(), Arc::clone(&runner) as Arc<dyn BatchRunner>, vec![3])
-            .unwrap();
-        // Far below capacity: only the linger deadline can launch it.
         let loop_adm = Arc::clone(&adm);
         let h = std::thread::spawn(move || loop_adm.dispatch_loop(&Telemetry::disabled()));
-        let s = ticket
-            .recv_timeout(Duration::from_secs(5))
-            .expect("linger must fire")
+
+        // Far below capacity and nothing else queued: A runs alone, now.
+        let a = adm.submit(&key(), Arc::clone(&runner), vec![1]).unwrap();
+        assert_eq!(started.recv_timeout(PATIENCE).unwrap(), [1]);
+        // B and C arrive while A holds the device: they are the next batch.
+        let b = adm.submit(&key(), Arc::clone(&runner), vec![2]).unwrap();
+        let c = adm.submit(&key(), Arc::clone(&runner), vec![3]).unwrap();
+        gate.send(()).unwrap();
+        assert_eq!(a.recv_timeout(PATIENCE).unwrap().unwrap().batch_requests, 1);
+        assert_eq!(started.recv_timeout(PATIENCE).unwrap(), [2, 3]);
+        // D queues behind the running [B, C]; drain must still answer it.
+        let d = adm.submit(&key(), Arc::clone(&runner), vec![4]).unwrap();
+        adm.drain();
+        gate.send(()).unwrap();
+        gate.send(()).unwrap();
+        let (b, c) = (
+            b.recv_timeout(PATIENCE).unwrap().unwrap(),
+            c.recv_timeout(PATIENCE).unwrap().unwrap(),
+        );
+        assert_eq!((b.predictions, c.predictions), (vec![2], vec![3]));
+        assert_eq!((b.batch_requests, c.batch_rows), (2, 2));
+        assert_eq!(d.recv_timeout(PATIENCE).unwrap().unwrap().predictions, [4]);
+        h.join().unwrap();
+        assert_eq!(adm.batch_stats(), (3, 4, 2));
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_its_requests_and_the_dispatcher_keeps_serving() {
+        struct PanicsOnRow13;
+        impl BatchRunner for PanicsOnRow13 {
+            fn capacity(&self) -> usize {
+                8
+            }
+            fn pool_size(&self) -> usize {
+                1000
+            }
+            fn run_rows(&self, rows: &[usize]) -> Result<RowsOutcome, String> {
+                assert!(!rows.contains(&13), "row 13 {}", "x".repeat(200));
+                Ok(echo(rows))
+            }
+        }
+        let adm = Arc::new(admission(16));
+        let runner: Arc<dyn BatchRunner> = Arc::new(PanicsOnRow13);
+        let loop_adm = Arc::clone(&adm);
+        let h = std::thread::spawn(move || loop_adm.dispatch_loop(&Telemetry::disabled()));
+        let bad = adm.submit(&key(), Arc::clone(&runner), vec![13]).unwrap();
+        let e = bad.recv_timeout(PATIENCE).unwrap().unwrap_err();
+        assert_eq!(e, format!("plan panicked: row 13 {}…", "x".repeat(57)));
+        // The same dispatcher answers the next request.
+        let good = adm.submit(&key(), Arc::clone(&runner), vec![7]).unwrap();
+        let s = good
+            .recv_timeout(PATIENCE)
+            .expect("the dispatcher survived the panic")
             .unwrap();
-        assert_eq!(s.predictions, [30]);
-        assert_eq!(s.batch_rows, 1);
+        assert_eq!(s.predictions, [7]);
         adm.drain();
         h.join().unwrap();
+        assert_eq!(adm.batch_stats().0, 2);
     }
 
     #[test]
@@ -562,7 +652,7 @@ mod tests {
                 Err("device on fire".into())
             }
         }
-        let adm = admission(50, 16);
+        let adm = admission(16);
         let runner: Arc<dyn BatchRunner> = Arc::new(FailingRunner);
         let t1 = adm.submit(&key(), Arc::clone(&runner), vec![0]).unwrap();
         let t2 = adm.submit(&key(), Arc::clone(&runner), vec![1]).unwrap();

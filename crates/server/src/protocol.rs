@@ -140,7 +140,7 @@ impl ErrorCode {
 /// Client text as it may be echoed in a response or kept in a plan
 /// key: at most 64 characters, then `…`. No valid command, task or
 /// backend name is that long, so a cut name stays an unknown one.
-fn bounded(text: &str) -> String {
+pub(crate) fn bounded(text: &str) -> String {
     match text.char_indices().nth(64) {
         Some((cut, _)) => format!("{}…", &text[..cut]),
         None => text.to_string(),

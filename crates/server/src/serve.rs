@@ -6,11 +6,14 @@
 //! [`MAX_CONNECTIONS`] at once: a handler blocks on its socket for as
 //! long as the client stays, so it must not occupy a worker of the
 //! engine's shard pool, which batches need. A connection past the cap
-//! is answered one `overloaded` line and closed. Shutdown is
-//! cooperative: a SIGTERM / SIGINT (ctrl-c) or a `{"cmd":"shutdown"}`
-//! request flips one flag; the accept loop stops admitting connections,
-//! the admission queue drains every in-flight batch, and [`serve`]
-//! returns a final [`ServeReport`] so the process can exit 0.
+//! is answered one `overloaded` line and closed. The accept loop
+//! blocks on the socket — a connection is accepted the moment it
+//! arrives, not at the next tick of a poll. Shutdown is cooperative: a
+//! SIGTERM / SIGINT (ctrl-c) or a `{"cmd":"shutdown"}` request flips
+//! one flag and wakes the loop (a byte down a pipe, a loopback
+//! connection); it stops admitting connections, the admission queue
+//! drains every in-flight batch, and [`serve`] returns a final
+//! [`ServeReport`] so the process can exit 0.
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::cache::PlanCache;
@@ -20,8 +23,8 @@ use crate::protocol::{
 };
 use crate::PlanSource;
 use c4cam_telemetry::{cat, json, ArgValue, Telemetry};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,30 +94,90 @@ impl ServeReport {
 
 #[cfg(unix)]
 mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::Once;
 
     static SIGNALLED: AtomicBool = AtomicBool::new(false);
+    /// Read and write end of the pipe the handler wakes the accept
+    /// loops through, `-1` until [`install`] and if `pipe` failed
+    /// (`poll` skips a negative descriptor and `write` refuses one, so
+    /// a signal then still ends a loop that `poll` sees interrupted).
+    /// A signal can run its handler on any thread and between a loop's
+    /// look at [`SIGNALLED`] and its `poll`; the byte, never read, keeps
+    /// every `poll` from then on returning at once.
+    static WAKE: [AtomicI32; 2] = [AtomicI32::new(-1), AtomicI32::new(-1)];
 
-    extern "C" fn handle(_sig: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
     }
+    const POLLIN: i16 = 1;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn pipe(fds: *mut i32) -> i32;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
     }
 
-    /// Route SIGINT (2) and SIGTERM (15) to a flag the accept loop
-    /// polls. Uses the libc `signal` symbol std already links; the
-    /// handler only does an atomic store, which is async-signal-safe.
-    pub fn install() {
-        unsafe {
-            signal(2, handle as *const () as usize);
-            signal(15, handle as *const () as usize);
+    extern "C" fn handle(_sig: i32) {
+        if !SIGNALLED.swap(true, Ordering::SeqCst) {
+            // SAFETY: `write` is async-signal-safe, the buffer is one
+            // live byte, and the descriptor is the pipe's or `-1`.
+            unsafe { write(WAKE[1].load(Ordering::SeqCst), [1u8].as_ptr(), 1) };
         }
+    }
+
+    /// Route SIGINT (2) and SIGTERM (15) to a flag and the wake pipe,
+    /// once per process. Uses the libc symbols std already links; the
+    /// handler does an atomic swap and at most one `write` ever, both
+    /// async-signal-safe.
+    pub fn install() {
+        static ONCE: Once = Once::new();
+        ONCE.call_once(|| {
+            let mut fds = [-1i32; 2];
+            // SAFETY: `pipe` writes two descriptors into the array it
+            // is given, or fails and leaves it alone.
+            if unsafe { pipe(fds.as_mut_ptr()) } == 0 {
+                WAKE[0].store(fds[0], Ordering::SeqCst);
+                WAKE[1].store(fds[1], Ordering::SeqCst);
+            }
+            // SAFETY: `handle` is an `extern "C" fn(i32)`, what
+            // `signal` expects, and the statics it touches are set.
+            unsafe {
+                signal(2, handle as *const () as usize);
+                signal(15, handle as *const () as usize);
+            }
+        });
     }
 
     pub fn signalled() -> bool {
         SIGNALLED.load(Ordering::SeqCst)
+    }
+
+    /// Block, with no timeout, until `listener` has a connection to
+    /// accept or a signal arrived. May also return early (`EINTR`); the
+    /// caller loops.
+    pub fn wait_for_connection(listener: &TcpListener) {
+        let watch = |fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let mut fds = [
+            watch(listener.as_raw_fd()),
+            watch(WAKE[0].load(Ordering::SeqCst)),
+        ];
+        // SAFETY: `fds` is a live array of the two `pollfd`s counted.
+        unsafe { poll(fds.as_mut_ptr(), 2, -1) };
     }
 }
 
@@ -124,6 +187,9 @@ mod signals {
     pub fn signalled() -> bool {
         false
     }
+    /// Nothing to wait on: without signals the listener stays in
+    /// blocking mode and `accept` itself waits.
+    pub fn wait_for_connection(_listener: &std::net::TcpListener) {}
 }
 
 /// Connections served at once; the next one is answered one
@@ -140,9 +206,9 @@ struct Shared {
     rejected: AtomicU64,
     /// Live connection handlers (see [`ConnectionSlot`]).
     connections: AtomicUsize,
-    /// The thread in [`serve`]'s accept loop, parked between polls: a
-    /// `shutdown` request unparks it instead of waiting the poll out.
-    acceptor: std::thread::Thread,
+    /// A loopback address of the listener: a `shutdown` request
+    /// connects to it to wake the accept loop.
+    wake_addr: SocketAddr,
     started: Instant,
     default_key: PlanKey,
 }
@@ -177,10 +243,20 @@ pub fn serve(
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
+    // After `wait_for_connection` says there is one, `accept` must
+    // still not block (the peer may have reset it meanwhile): a signal
+    // would find nobody waiting on the pipe.
     listener
-        .set_nonblocking(true)
+        .set_nonblocking(cfg!(unix))
         .map_err(|e| format!("set_nonblocking: {e}"))?;
     signals::install();
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let default_key = source.default_key();
     let shared = Arc::new(Shared {
@@ -192,7 +268,7 @@ pub fn serve(
         requests: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         connections: AtomicUsize::new(0),
-        acceptor: std::thread::current(),
+        wake_addr,
         started: Instant::now(),
         default_key,
     });
@@ -215,6 +291,7 @@ pub fn serve(
     on_ready(addr);
 
     loop {
+        signals::wait_for_connection(&listener);
         if shared.shutdown.load(Ordering::SeqCst) || signals::signalled() {
             break;
         }
@@ -227,9 +304,12 @@ pub fn serve(
                 let _ = stream.set_nodelay(true);
                 spawn_connection(stream, &shared);
             }
-            // Nothing to accept (or a transient failure): poll again in
-            // 5 ms, or as soon as a `shutdown` request unparks us.
-            Err(_) => std::thread::park_timeout(Duration::from_millis(5)),
+            // Woken by a signal, or the peer reset before we got here.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            // Out of descriptors, say: the connection stays queued and
+            // the wait above would return at once, so give the handlers
+            // a moment to close some instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 
@@ -301,55 +381,73 @@ fn handle_connection(stream: &TcpStream, shared: &Shared) {
             Ok(0) | Err(_) => break, // peer went away
             Ok(_) => {}
         }
-        let (response, close) = if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+        let (response, then) = if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
             // The rest of the line is unread: the stream cannot be
             // resynchronized, so answer and hang up.
             let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-            (reject(ErrorCode::TooLarge, &detail), true)
+            (reject(ErrorCode::TooLarge, &detail), Then::Close)
         } else {
             match std::str::from_utf8(&line).map(str::trim) {
                 Ok("") => continue,
                 Ok(text) => handle_line(text, shared),
-                Err(e) => (reject(ErrorCode::BadRequest, &e.to_string()), false),
+                Err(e) => (
+                    reject(ErrorCode::BadRequest, &e.to_string()),
+                    Then::Continue,
+                ),
             }
         };
-        if writer
+        let written = writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if close {
-            break;
+            .and_then(|()| writer.flush());
+        match then {
+            Then::Continue if written.is_ok() => {}
+            Then::Continue | Then::Close => break,
+            Then::ShutDown => {
+                // Only now that the reply is on the wire (or its peer
+                // is gone): this thread is detached, and `serve`
+                // returning lets the process exit underneath an
+                // unwritten one.
+                shared.shutdown.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(shared.wake_addr);
+                break;
+            }
         }
     }
 }
 
-/// Handle one request line; returns the response line and whether the
-/// connection should close.
-fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
+/// What a connection does once its response has been written.
+enum Then {
+    /// Read the next request line.
+    Continue,
+    /// Hang up.
+    Close,
+    /// Stop the server (flag, then wake the accept loop), and hang up.
+    ShutDown,
+}
+
+/// Handle one request line; returns the response line and what follows
+/// it.
+fn handle_line(line: &str, shared: &Shared) -> (String, Then) {
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(detail) => {
             shared.rejected.fetch_add(1, Ordering::SeqCst);
-            return (error_response(0, ErrorCode::BadRequest, &detail), false);
+            let response = error_response(0, ErrorCode::BadRequest, &detail);
+            return (response, Then::Continue);
         }
     };
     match request.cmd {
-        Cmd::Classify { .. } => (classify(&request, shared), false),
-        Cmd::Info => (info_response(shared), false),
-        Cmd::Stats => (stats_response(shared), false),
+        Cmd::Classify { .. } => (classify(&request, shared), Then::Continue),
+        Cmd::Info => (info_response(shared), Then::Continue),
+        Cmd::Stats => (stats_response(shared), Then::Continue),
         Cmd::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.acceptor.unpark();
             let reply = json::object(|o| {
                 o.put("id", request.id)
                     .put("ok", true)
                     .put("shutting_down", true);
             });
-            (reply, true)
+            (reply, Then::ShutDown)
         }
     }
 }
@@ -440,7 +538,6 @@ fn info_response(shared: &Shared) -> String {
             .put("default_key", shared.default_key.to_string())
             .put("capacity", capacity)
             .put("pool_size", pool_size)
-            .put("max_linger_ms", config.max_linger.as_secs_f64() * 1e3)
             .put("queue_depth", config.queue_depth)
             .put("cached_plans", shared.cache.len())
             .put("cached_keys", &cached_keys[..]);

@@ -441,8 +441,6 @@ pub struct ServeArgs {
     /// Maximum rows coalesced into one batch (the compiled capacity,
     /// clamped to the query-pool size).
     pub max_batch: usize,
-    /// Longest a request waits for batch-mates, milliseconds.
-    pub linger_ms: u64,
     /// Maximum queued requests before `overloaded` rejections.
     pub queue_depth: usize,
     /// Maximum compiled plans kept resident.
@@ -645,7 +643,7 @@ impl Flag {
 /// optional for)`. A flag is declared here and nowhere else:
 /// [`parse_args`] rejects it on every command form its row does not
 /// list, and [`usage`] prints each form's synopsis from the same rows.
-const FLAGS: [Flag; 48] = [
+const FLAGS: [Flag; 47] = [
     flag("--arch", "SPEC", COMPILE | RUN | PLACE, RUN_DATASET),
     flag("--source", "KERNEL.py", COMPILE | RUN, 0),
     flag("--input", "SHAPE", 0, COMPILE | RUN).repeated(),
@@ -697,7 +695,6 @@ const FLAGS: [Flag; 48] = [
     flag("--host", "H", 0, SERVE),
     flag("--port", "P", 0, SERVE),
     flag("--max-batch", "N", 0, SERVE),
-    flag("--linger-ms", "MS", 0, SERVE),
     flag("--queue-depth", "N", 0, SERVE),
     flag("--cache-cap", "N", 0, SERVE),
     flag("--addr", "HOST:PORT", LOADGEN, 0),
@@ -1034,7 +1031,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             host: g.owned("--host").unwrap_or_else(|| "127.0.0.1".to_string()),
             port: g.number("--port", |_| true, "0..=65535")?.unwrap_or(0),
             max_batch: g.positive("--max-batch")?.unwrap_or(16),
-            linger_ms: g.int("--linger-ms")?.unwrap_or(2),
             queue_depth: g.positive("--queue-depth")?.unwrap_or(256),
             cache_cap: g.positive("--cache-cap")?.unwrap_or(8),
             telemetry: g.telemetry()?,
@@ -1089,7 +1085,7 @@ fn parse_tech(name: &str) -> Result<Option<TechnologyModel>, CliError> {
 
 /// What [`usage`] prints under the synopsis lines. A `  --flag: text`
 /// line gains the flag's placeholder and the commands that read it.
-const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
+const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP; a request that finds the device idle runs at once and requests that arrive while a batch runs are coalesced into the next one (up to --max-batch rows; there is no linger timer); loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
 
 /// Usage text, generated from the `FLAGS` table: one synopsis line per
 /// command form (required flags, then the optional ones in brackets),
@@ -1519,7 +1515,6 @@ pub fn run_serve(args: &ServeArgs, telemetry: &Telemetry) -> Result<String, CliE
         host: args.host.clone(),
         port: args.port,
         admission: AdmissionConfig {
-            max_linger: std::time::Duration::from_millis(args.linger_ms),
             queue_depth: args.queue_depth,
         },
         cache_capacity: args.cache_cap,
@@ -3014,7 +3009,6 @@ optimization: density
                 assert_eq!(a.host, "127.0.0.1");
                 assert_eq!(a.port, 0);
                 assert_eq!(a.max_batch, 16);
-                assert_eq!(a.linger_ms, 2);
                 assert_eq!(a.queue_depth, 256);
                 assert_eq!(a.cache_cap, 8);
             }
@@ -3038,8 +3032,6 @@ optimization: density
             "9000",
             "--max-batch",
             "8",
-            "--linger-ms",
-            "5",
             "--queue-depth",
             "32",
             "--cache-cap",
@@ -3055,7 +3047,6 @@ optimization: density
                 assert_eq!(a.threads, 4);
                 assert_eq!(a.port, 9000);
                 assert_eq!(a.max_batch, 8);
-                assert_eq!(a.linger_ms, 5);
                 assert_eq!(a.queue_depth, 32);
                 assert_eq!(a.cache_cap, 2);
             }
@@ -3082,6 +3073,9 @@ optimization: density
             }
             assert!(parse_args(&args).is_err(), "{flags:?} should be rejected");
         }
+        // The retired linger knob is unknown like any other flag: no alias.
+        let e = parse_args(&strings(&["serve", "--dataset", "d", "--linger-ms", "2"])).unwrap_err();
+        assert!(e.message.starts_with("unknown flag '--linger-ms'"), "{e}");
     }
 
     #[test]

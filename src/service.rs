@@ -174,15 +174,15 @@ impl BatchRunner for DatasetRunner {
             .run_with_queries(queries)
             .map_err(|e| format!("execute: {e}"))?;
         let predictions: Vec<usize> = outcome.predictions[..rows.len()].to_vec();
-        let classes: Vec<usize> = predictions
+        let classes = predictions
             .iter()
             .map(|&p| {
-                self.row_classes
-                    .get(p)
-                    .copied()
-                    .expect("prediction within stored rows")
+                self.row_classes.get(p).copied().ok_or_else(|| {
+                    let stored = self.row_classes.len();
+                    format!("execute: predicted row {p} of {stored} stored rows")
+                })
             })
-            .collect();
+            .collect::<Result<Vec<usize>, String>>()?;
         Ok(RowsOutcome {
             predictions,
             classes,

@@ -35,6 +35,8 @@ fn usage_errors_exit_2_with_stderr_only() {
         vec!["run", "--arch", "a", "--source", "s", "--emit", "cim"],
         // A retired engine name is an unknown one.
         vec!["run", "--dataset", "d", "--engine", "trace"],
+        // So is the retired admission timer.
+        vec!["serve", "--dataset", "d", "--linger-ms", "2"],
     ] {
         let out = c4cam(&args);
         assert_eq!(

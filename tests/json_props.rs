@@ -731,7 +731,6 @@ fn info_stats_and_shutdown_replies_carry_their_keys_in_order() {
             "default_key",
             "capacity",
             "pool_size",
-            "max_linger_ms",
             "queue_depth",
             "cached_plans",
             "cached_keys"

@@ -79,10 +79,7 @@ fn coalesced_batches_match_sequential_per_request_for_every_backend() {
                     .iter()
                     .map(|rows| runner.run_rows(rows).unwrap())
                     .collect();
-                let admission = Admission::new(AdmissionConfig {
-                    max_linger: Duration::from_secs(1),
-                    queue_depth: 64,
-                });
+                let admission = Admission::new(AdmissionConfig { queue_depth: 64 });
                 let slices = run_coalesced(&admission, &source, backend, &requests);
                 for (i, (slice, seq)) in slices.iter().zip(&sequential).enumerate() {
                     assert_eq!(
@@ -111,10 +108,7 @@ fn bounded_queue_rejects_structurally_instead_of_hanging() {
     let source = source_with("tape", 4, Telemetry::disabled());
     let k = key("tape");
     let runner = source.compile(&k).unwrap();
-    let admission = Admission::new(AdmissionConfig {
-        max_linger: Duration::from_secs(1),
-        queue_depth: 2,
-    });
+    let admission = Admission::new(AdmissionConfig { queue_depth: 2 });
     let t1 = admission.submit(&k, Arc::clone(&runner), vec![0]).unwrap();
     let t2 = admission.submit(&k, Arc::clone(&runner), vec![1]).unwrap();
     // Third submission: immediate structured rejection, no blocking.
@@ -223,10 +217,7 @@ fn start_server_on(
     source: DatasetPlanSource,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
     let cfg = ServeConfig {
-        admission: AdmissionConfig {
-            max_linger: Duration::from_millis(2),
-            queue_depth: 256,
-        },
+        admission: AdmissionConfig { queue_depth: 256 },
         cache_capacity: 4,
         ..ServeConfig::default()
     };
@@ -508,4 +499,102 @@ fn a_full_server_refuses_new_connections_and_keeps_serving_established_ones() {
 
     established.roundtrip(r#"{"cmd":"shutdown"}"#);
     assert!(handle.join().unwrap().rejected >= 1);
+}
+
+/// A `c4cam serve` child on an ephemeral port, and the address it
+/// printed once it was listening.
+struct ServeChild {
+    child: std::process::Child,
+    stdout: BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+impl ServeChild {
+    fn spawn() -> ServeChild {
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/mini-mnist");
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_c4cam"))
+            .args(["serve", "--dataset", fixture, "--port", "0"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn c4cam serve");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("startup line: {line:?}"))
+            .to_string();
+        ServeChild {
+            child,
+            stdout,
+            addr,
+        }
+    }
+
+    /// Everything the child printed after its startup line and whether
+    /// it exited 0, or `None` if it is still running after `patience`
+    /// (it is killed then).
+    fn finish(self, patience: Duration) -> Option<(String, bool)> {
+        let ServeChild {
+            mut child,
+            mut stdout,
+            ..
+        } = self;
+        let (tx, rx) = channel();
+        let reader = std::thread::spawn(move || {
+            let mut rest = String::new();
+            let _ = std::io::Read::read_to_string(&mut stdout, &mut rest);
+            let _ = tx.send(rest);
+        });
+        let rest = rx.recv_timeout(patience).ok();
+        if rest.is_none() {
+            child.kill().unwrap();
+        }
+        let status = child.wait().unwrap();
+        reader.join().unwrap();
+        rest.map(|rest| (rest, status.success()))
+    }
+}
+
+/// The reply used to be written by a detached thread after `serve` had
+/// been told to return: a client in another process read an empty line
+/// in about half its tries.
+#[test]
+fn the_shutdown_reply_reaches_a_client_in_another_process_every_time() {
+    for id in 1..=20 {
+        let server = ServeChild::spawn();
+        let mut stream = TcpStream::connect(&server.addr).unwrap();
+        stream
+            .write_all(format!("{{\"id\":{id},\"cmd\":\"shutdown\"}}\n").as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            format!("{{\"id\":{id},\"ok\":true,\"shutting_down\":true}}\n"),
+            "cycle {id}"
+        );
+        let (report, ok) = server
+            .finish(Duration::from_secs(20))
+            .expect("the server exits after a shutdown request");
+        assert!(ok && report.starts_with("served 0 requests"), "{report:?}");
+    }
+}
+
+/// The accept loop blocks on the socket; a signal must still end it at
+/// once, with nobody connected to wake it.
+#[cfg(unix)]
+#[test]
+fn sigterm_ends_an_idle_server_with_its_report_within_a_second() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    let server = ServeChild::spawn();
+    // SAFETY: `kill` takes two integers; the pid is our own child's.
+    assert_eq!(unsafe { kill(server.child.id() as i32, 15) }, 0);
+    let (report, ok) = server
+        .finish(Duration::from_secs(1))
+        .expect("SIGTERM ends a server nobody is connected to");
+    assert!(ok && report.starts_with("served 0 requests"), "{report:?}");
 }
