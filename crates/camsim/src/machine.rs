@@ -121,8 +121,9 @@ impl SearchSpec {
 /// The simulated CAM accelerator.
 ///
 /// `Clone` duplicates the full machine state — allocations, programmed
-/// subarray contents (the match planes: 2.25 B per cell), scope stack,
-/// and statistics. The tape engine's
+/// subarray contents (the match planes and per-row flags: see
+/// [`CamMachine::heap_bytes`]), scope stack, and statistics. The tape
+/// engine's
 /// batched executor clones a machine per worker shard after the setup
 /// phase, runs independent query iterations on each clone, and folds the
 /// shards' cost deltas back with [`CamMachine::absorb_delta`].
@@ -221,9 +222,12 @@ impl CamMachine {
     }
 
     /// Bytes of heap the allocated subarrays own for their contents
-    /// ([`Subarray::heap_bytes`], summed): 2.25 B per cell of plane plus
-    /// 12 B per cell of any row that needs the side table. A count that
-    /// repeats exactly for the same allocation and write sequence.
+    /// ([`Subarray::heap_bytes`], summed): per subarray row, 1 B per
+    /// cell each of level and care plane, 16 B per 64 columns of bit
+    /// planes (together 2.25 B per cell when the width is a multiple of
+    /// 64) and 2 B of flags (valid, kind); plus 12 B per cell of any row
+    /// that needs the side table. A count that repeats exactly for the
+    /// same allocation and write sequence.
     pub fn heap_bytes(&self) -> usize {
         self.subs.iter().map(Subarray::heap_bytes).sum()
     }

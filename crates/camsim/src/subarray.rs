@@ -11,7 +11,9 @@
 //! integer level of every cell, `0`/`1` for TCAM bits), a `u8` **care
 //! plane** (`0` for don't-care cells and padding, which never
 //! mismatch), the same two packed 64 cells per `u64` word for rows of
-//! TCAM bits, and one classification (`RowKind`).
+//! TCAM bits, and one classification (`RowKind`). A multi-bit row has
+//! no use for those two words, so their first word each holds its
+//! record instead (`LevelsRecord`: care-prefix length and `Σ level²`).
 //!
 //! A `Binary` row holds only `Zero`/`One`/`DontCare` cells and a
 //! `Levels` row only `Multi`/`DontCare`, so (kind, level, care) names
@@ -26,7 +28,9 @@
 //! Binary rows search as `XOR → AND care → popcount` word folds,
 //! multi-bit rows over the level plane, `Other` rows through the
 //! per-cell walk. Euclidean distances accumulate as exact integers
-//! when the query is integral and in column order over per-column
+//! when the query is integral — a multi-bit row cared over exactly the
+//! query's columns as the expanded square `Σq² − 2·Σ level·q + Σ level²`,
+//! reading the level plane alone — and in column order over per-column
 //! squares otherwise, so packed results are **bit-identical** to the
 //! per-cell oracle [`Subarray::search_naive`], which decodes each row
 //! it walks and shares no arithmetic with the plane kernels.
@@ -240,6 +244,8 @@ pub struct SearchScratch {
     qint: Vec<i64>,
     /// `i16` copy of `qint` for the vectorizable small-magnitude path.
     qint16: Vec<i16>,
+    /// `Σq²` over `qint16` (the dense sweep's expanded square).
+    qsq: i64,
     /// Per-column squared distance to a stored `0` bit.
     sq0: Vec<f64>,
     /// Per-column squared distance to a stored `1` bit.
@@ -282,6 +288,25 @@ enum RowKind {
     Other,
 }
 
+/// What the dense sweep knows of a `Levels` row, fixed when the row is
+/// written. It lives in the first word of the row's two bit planes,
+/// which only binary rows otherwise use, so it costs no memory: a
+/// per-row vector for it, or a wider one in place of `kinds`, slows
+/// machine programming by 11–15 % through the allocator alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LevelsRecord {
+    /// `L` when the row's cared cells are exactly columns `0..L`;
+    /// [`LevelsRecord::NO_PREFIX`] when don't-care cells break them up.
+    care_len: u64,
+    /// `Σ level²` over the stored levels (after faults).
+    level_sq: u64,
+}
+
+impl LevelsRecord {
+    /// `care_len` of a row the dense sweep never expands.
+    const NO_PREFIX: u64 = u64::MAX;
+}
+
 /// Upper bound on `|q|` for the exact-integer Euclidean path.
 const INT_QUERY_BOUND: f64 = 1_048_576.0; // 2^20
 
@@ -322,6 +347,24 @@ fn euclid_int_small_body(lv: &[u8], care: &[u8], q: &[i16]) -> u64 {
     acc
 }
 
+/// `Σ level·q` over the level plane alone — the cross term of the dense
+/// sweep's expanded square. With `|q| ≤ 1024` a product is at most
+/// `255 · 1024` in magnitude, so a 1024-cell block sums in `i32`; the
+/// `i16 × i16 → i32` shape is what the wider tiers fold as
+/// multiply-adds.
+#[inline(always)]
+fn dot_levels_small_body(lv: &[u8], q: &[i16]) -> i64 {
+    let mut acc = 0i64;
+    for (lvb, qb) in lv.chunks(1024).zip(q.chunks(1024)) {
+        let mut s = 0i32;
+        for (&l, &qv) in lvb.iter().zip(qb) {
+            s += i32::from(i16::from(l)) * i32::from(qv);
+        }
+        acc += i64::from(s);
+    }
+    acc
+}
+
 /// Branchless level-plane mismatch count (byte compares).
 #[inline(always)]
 fn mismatch_levels_body(lv: &[u8], care: &[u8], qlvl8: &[u8], qvalid: &[u8]) -> u64 {
@@ -355,29 +398,40 @@ fn mismatch_binary_body(bits: &[u64], care: &[u64], qbits: &[u64], qlen: usize) 
 /// `value != 0`, multi-bit cells the rounded value clamped to the level
 /// range, columns past the row's end are don't-care padding. `faults`
 /// (the state, and the logical row being programmed) perturbs the
-/// programmed levels before they are stored.
+/// programmed levels before they are stored. Returns `Σ level²` over
+/// the stored levels of a multi-bit row (`0` for 1-bit rows).
 fn encode_row(
     row: &[f32],
     bits_per_cell: u32,
     faults: Option<(&mut SubarrayFaults, usize)>,
     levels: &mut [u8],
     care: &mut [u8],
-) {
+) -> u64 {
     let (programmed, padding) = levels.split_at_mut(row.len());
     // Top level of the cell alphabet — what a stuck-at-one cell stores.
     let top = ((1u32 << bits_per_cell.clamp(1, 8)) - 1) as u8;
-    for (l, &v) in programmed.iter_mut().zip(row) {
-        *l = match bits_per_cell {
-            0 | 1 => u8::from(v != 0.0),
-            _ => v.round().clamp(0.0, f32::from(top)) as u8,
-        };
+    let square = |l: &u8| u64::from(*l) * u64::from(*l);
+    let mut level_sq = 0u64;
+    if bits_per_cell <= 1 {
+        for (l, &v) in programmed.iter_mut().zip(row) {
+            *l = u8::from(v != 0.0);
+        }
+    } else {
+        for (l, &v) in programmed.iter_mut().zip(row) {
+            *l = v.round().clamp(0.0, f32::from(top)) as u8;
+            level_sq += square(l);
+        }
     }
     if let Some((f, r)) = faults {
         f.program_row(r, programmed, top);
+        if bits_per_cell > 1 {
+            level_sq = programmed.iter().map(square).sum();
+        }
     }
     padding.fill(0);
     care[..row.len()].fill(1);
     care[row.len()..].fill(0);
+    level_sq
 }
 
 /// Pack up to 64 `0`/`1` bytes into one plane word, bit `i` = byte `i`.
@@ -420,7 +474,9 @@ pub struct Subarray {
     /// `u64` words per packed plane row.
     words_per_row: usize,
     /// Value (`One` = 1) and care bit planes of [`RowKind::Binary`]
-    /// rows, 64 cells per word; unspecified for rows of other kinds.
+    /// rows, 64 cells per word. A [`RowKind::Levels`] row keeps its
+    /// [`LevelsRecord`] in its first word of each (`Σ level²` in `bits`,
+    /// `L` in `care`); unspecified for `Other` rows.
     bits: Vec<u64>,
     care: Vec<u64>,
     /// Byte care plane (`1`/`0` per cell) of binary and multi-bit rows,
@@ -560,7 +616,7 @@ impl Subarray {
         let cols = self.cols;
         for (i, row) in data.iter().enumerate() {
             let r = row_offset + i;
-            encode_row(
+            let level_sq = encode_row(
                 row,
                 bits_per_cell,
                 self.faults.as_deref_mut().map(|f| (f, r)),
@@ -568,7 +624,11 @@ impl Subarray {
                 &mut self.care_bytes[r * cols..(r + 1) * cols],
             );
             // An empty row is all padding: don't-care cells only.
-            self.commit_packed_row(r, bits_per_cell > 1 && !row.is_empty());
+            let record = (bits_per_cell > 1 && !row.is_empty()).then_some(LevelsRecord {
+                care_len: row.len() as u64,
+                level_sq,
+            });
+            self.commit_packed_row(r, record);
         }
         Ok(())
     }
@@ -589,18 +649,31 @@ impl Subarray {
             levels.fill(0);
             care.fill(0);
             let (mut binary, mut multi, mut range) = (false, false, false);
-            for ((l, cb), cell) in levels.iter_mut().zip(care.iter_mut()).zip(row) {
-                let (flag, level, cared) = match *cell {
+            // The record of a `Levels` row: cared cells, one past the
+            // last of them, and `Σ level²`.
+            let (mut cared, mut care_end, mut level_sq) = (0usize, 0usize, 0u64);
+            for (c, ((l, cb), cell)) in levels.iter_mut().zip(care.iter_mut()).zip(row).enumerate()
+            {
+                let (flag, level, cared_bit) = match *cell {
                     CamCell::Zero => (&mut binary, 0, 1),
                     CamCell::One => (&mut binary, 1, 1),
                     CamCell::Multi(v) => (&mut multi, v, 1),
                     CamCell::Range(..) => (&mut range, 0, 0),
                     CamCell::DontCare => continue,
                 };
-                (*flag, *l, *cb) = (true, level, cared);
+                (*flag, *l, *cb) = (true, level, cared_bit);
+                cared += usize::from(cared_bit);
+                care_end = c + 1;
+                level_sq += u64::from(level) * u64::from(level);
             }
             if !(range || (binary && multi)) {
-                self.commit_packed_row(r, multi);
+                let care_len = if cared == care_end {
+                    care_end as u64
+                } else {
+                    LevelsRecord::NO_PREFIX
+                };
+                let record = multi.then_some(LevelsRecord { care_len, level_sq });
+                self.commit_packed_row(r, record);
                 continue;
             }
             // The planes cannot name these cells: keep them as they are.
@@ -615,24 +688,38 @@ impl Subarray {
     }
 
     /// Finish programming row `r` from its freshly written byte planes:
-    /// classify it, release a side-table slot it no longer needs, and
-    /// pack the bit planes of a binary row a `u64` word at a time.
-    fn commit_packed_row(&mut self, r: usize, multi: bool) {
+    /// classify it (a `Levels` row when it has a `record`), release a
+    /// side-table slot it no longer needs, and fill its bit-plane words
+    /// — a binary row's cells packed a `u64` word at a time, a `Levels`
+    /// row's record.
+    fn commit_packed_row(&mut self, r: usize, record: Option<LevelsRecord>) {
         if self.kinds[r] == RowKind::Other {
             let at = self.other_offset(r);
             self.other_cells.drain(at..at + self.cols);
             self.other_cells.shrink_to_fit(); // the last one out frees it
         }
-        if multi {
+        let (cols, wpr) = (self.cols, self.words_per_row);
+        if let Some(record) = record {
             self.set_kind(r, RowKind::Levels);
+            // A `Levels` row has a cell, so `cols ≥ 1` and a word each.
+            self.bits[r * wpr] = record.level_sq;
+            self.care[r * wpr] = record.care_len;
             return;
         }
         self.set_kind(r, RowKind::Binary);
-        let (cols, wpr) = (self.cols, self.words_per_row);
         for w in 0..wpr {
             let cells = r * cols + w * 64..r * cols + cols.min(w * 64 + 64);
             self.bits[r * wpr + w] = pack_word(&self.levels[cells.clone()]);
             self.care[r * wpr + w] = pack_word(&self.care_bytes[cells]);
+        }
+    }
+
+    /// The record of `Levels` row `r` (meaningless for other kinds).
+    fn levels_record(&self, r: usize) -> LevelsRecord {
+        let w = r * self.words_per_row;
+        LevelsRecord {
+            care_len: self.care[w],
+            level_sq: self.bits[w],
         }
     }
 
@@ -780,8 +867,56 @@ impl Subarray {
         }
     }
 
+    /// Whether `sw` can take [`Subarray::sweep_dense`]: exact-integer
+    /// small-magnitude Euclidean over the full window of a subarray whose
+    /// rows are all valid and packed, with no transient draw to make.
+    fn dense_sweep_applies(&self, sw: &Sweep) -> bool {
+        sw.int_mode
+            && sw.qh.is_none()
+            && sw.scratch.qint16.len() == sw.query.len()
+            && sw.window == (0..self.rows)
+            && self.kind_mix[RowKind::Binary as usize] + self.kind_mix[RowKind::Levels as usize]
+                == self.rows
+    }
+
+    /// The dense sweep: every row participates, so `rows` is `0..R` and
+    /// distances land by index. A `Levels` row cared over exactly the
+    /// query's columns expands its square —
+    /// `Σq² − 2·Σ level·q + Σ level²`, exact in integers and so
+    /// bit-identical to the care-masked fold — reading the level plane
+    /// alone; every other row takes [`Subarray::euclid_int`]. The integer
+    /// minimum rides along, so `Best` needs no second fold. The work
+    /// count is the generic sweep's.
+    #[inline(always)]
+    fn sweep_dense(&self, sw: Sweep) -> (u64, Option<f64>) {
+        let (qlen, cols, scratch) = (sw.query.len(), self.cols, sw.scratch);
+        let mut min = u64::MAX;
+        sw.result.rows.extend(0..self.rows);
+        sw.result.distances.resize(self.rows, 0.0);
+        // A plain loop, not `extend(map(..))`: a closure handed to the
+        // out-of-line `extend` would lose this tier's target features.
+        let rows = self.kinds.iter().zip(&mut sw.result.distances);
+        for (r, (&kind, d)) in rows.enumerate() {
+            let record = (kind == RowKind::Levels).then(|| self.levels_record(r));
+            let dist = if let Some(rec) = record.filter(|rec| rec.care_len == qlen as u64) {
+                let lv = &self.levels[r * cols..r * cols + qlen];
+                let cross = dot_levels_small_body(lv, &scratch.qint16);
+                (scratch.qsq - 2 * cross + rec.level_sq as i64) as u64
+            } else {
+                self.euclid_int(r, qlen, &scratch.qint, &scratch.qint16)
+            };
+            min = min.min(dist);
+            *d = dist as f64;
+        }
+        let words = self.kind_mix[RowKind::Binary as usize] * qlen.div_ceil(64)
+            + self.kind_mix[RowKind::Levels as usize] * qlen.div_ceil(8);
+        (words as u64, (self.rows > 0).then_some(min as f64))
+    }
+
     /// One whole-window row sweep: distances, the WTA clamp, transient
-    /// fault penalties, work accounting and the result pushes.
+    /// fault penalties, work accounting and the result pushes. Returns
+    /// the plane words visited and, when the sweep already knows it,
+    /// the minimum distance.
     ///
     /// The body is wrapped per kernel tier (`sweep_rows_avx2` /
     /// `sweep_rows_avx512` below), so the tier is dispatched **once per
@@ -791,7 +926,10 @@ impl Subarray {
     /// wider features: Rust emits no fast-math flags, so LLVM cannot
     /// contract or reassociate the float sums.
     #[inline(always)]
-    fn sweep_rows_body(&self, sw: Sweep) -> u64 {
+    fn sweep_rows_body(&self, sw: Sweep) -> (u64, Option<f64>) {
+        if self.dense_sweep_applies(&sw) {
+            return self.sweep_dense(sw);
+        }
         let (query, metric, scratch) = (sw.query, sw.metric, sw.scratch);
         let qlen = query.len();
         let mut words = 0u64;
@@ -860,23 +998,23 @@ impl Subarray {
             sw.result.rows.push(r);
             sw.result.distances.push(dist);
         }
-        words
+        (words, None)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn sweep_rows_avx2(&self, sweep: Sweep) -> u64 {
+    unsafe fn sweep_rows_avx2(&self, sweep: Sweep) -> (u64, Option<f64>) {
         self.sweep_rows_body(sweep)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq")]
-    unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> u64 {
+    unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> (u64, Option<f64>) {
         self.sweep_rows_body(sweep)
     }
 
     /// Dispatch the row sweep once on the resolved kernel tier.
-    fn sweep_rows(&self, tier: KernelTier, sweep: Sweep) -> u64 {
+    fn sweep_rows(&self, tier: KernelTier, sweep: Sweep) -> (u64, Option<f64>) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier resolution verified the target features at startup.
         match tier {
@@ -965,12 +1103,15 @@ impl Subarray {
                     scratch.qint.clear();
                     let mut integral = true;
                     let mut maxq = 0i64;
-                    for &q in query {
-                        integral &= q.fract() == 0.0 && q.abs() <= INT_QUERY_BOUND as f32;
+                    scratch.qint.extend(query.iter().map(|&q| {
+                        // Inside the bound the `i64` round trip is
+                        // `q.fract() == 0.0` (NaN and −0.0 included)
+                        // without a libm `truncf` per column.
                         let v = q as i64;
+                        integral &= q.abs() <= INT_QUERY_BOUND as f32 && v as f32 == q;
                         maxq = maxq.max(v.abs());
-                        scratch.qint.push(v);
-                    }
+                        v
+                    }));
                     // The u64 accumulator and the final f64 convert
                     // are exact only below 2^53.
                     let maxd = maxq + 255;
@@ -978,9 +1119,12 @@ impl Subarray {
                         integral && (qlen as f64) * (maxd as f64) * (maxd as f64) < 2f64.powi(53);
                     scratch.qint16.clear();
                     if int_mode && maxq <= 1024 {
-                        scratch
-                            .qint16
-                            .extend(scratch.qint.iter().map(|&q| q as i16));
+                        let mut qsq = 0i64;
+                        scratch.qint16.extend(scratch.qint.iter().map(|&q| {
+                            qsq += q * q;
+                            q as i16
+                        }));
+                        scratch.qsq = qsq;
                     }
                     if !int_mode && has_binary {
                         scratch.sq0.clear();
@@ -1017,8 +1161,8 @@ impl Subarray {
             scratch,
             result: &mut result,
         };
-        let words = self.sweep_rows(tier, sweep);
-        Self::flag_matches(&mut result, kind, threshold);
+        let (words, min) = self.sweep_rows(tier, sweep);
+        Self::flag_matches(&mut result, kind, threshold, min);
         self.faults = faults;
         self.last_words = words;
         self.last_result = Some(result);
@@ -1070,21 +1214,23 @@ impl Subarray {
             result.rows.push(r);
             result.distances.push(dist);
         }
-        Self::flag_matches(&mut result, kind, threshold);
+        Self::flag_matches(&mut result, kind, threshold, None);
         self.faults = faults;
         self.last_words = result.rows.len() as u64 * query.len() as u64;
         self.last_result = Some(result);
         Ok(self.last_result.as_ref().unwrap())
     }
 
-    /// Fill `result.matched` from the distances under `kind`.
-    fn flag_matches(result: &mut SearchResult, kind: MatchKind, threshold: f64) {
+    /// Fill `result.matched` from the distances under `kind`; `min` is
+    /// the minimum distance when the sweep already knows it.
+    fn flag_matches(result: &mut SearchResult, kind: MatchKind, threshold: f64, min: Option<f64>) {
         let (distances, matched) = (&result.distances, &mut result.matched);
         match kind {
             MatchKind::Exact => matched.extend(distances.iter().map(|&d| d == 0.0)),
             MatchKind::Threshold => matched.extend(distances.iter().map(|&d| d <= threshold)),
             MatchKind::Best => {
-                let min = distances.iter().cloned().fold(f64::INFINITY, f64::min);
+                let min =
+                    min.unwrap_or_else(|| distances.iter().cloned().fold(f64::INFINITY, f64::min));
                 matched.extend(distances.iter().map(|&d| d == min));
             }
         }
@@ -1806,5 +1952,50 @@ mod tests {
         // level-plane row at ceil(70/8)=9 words + one fallback row at
         // 70 cells.
         assert_eq!(s.last_searched_words(), 2 * 2 + 9 + 70);
+    }
+
+    #[test]
+    fn the_dense_sweep_reads_the_levels_record_and_only_the_full_window_takes_it() {
+        // Row 1 is narrower than the query; rows 0, 2, 3 are cared over
+        // exactly its columns and so expand their squares.
+        let mut s = Subarray::new(4, 8);
+        let data: Vec<Vec<f32>> = (0..4)
+            .map(|r| {
+                (0..8 - usize::from(r == 1))
+                    .map(|c| ((r + c) % 4) as f32)
+                    .collect()
+            })
+            .collect();
+        s.write_rows(0, &data, 2).unwrap();
+        assert_eq!(s.levels_record(1).care_len, 7);
+        let record = s.levels_record(2);
+        // Levels 2, 3, 0, 1, twice.
+        assert_eq!((record.care_len, record.level_sq), (8, 2 * (4 + 9 + 1)));
+        let q = [1.0f32; 8];
+        let search = |s: &mut Subarray, selection| {
+            let spec = (MatchKind::Best, Metric::Euclidean);
+            let r = s.search(&q, spec.0, spec.1, selection, 0.0, None, &mut scratch());
+            r.unwrap().distances.clone()
+        };
+        let honest = search(&mut s, RowSelection::All);
+        assert_eq!(honest, vec![12.0, 11.0, 12.0, 12.0]);
+
+        // Skewing a record moves exactly the rows that expand: the
+        // dense sweep ran, and read nothing else of them.
+        for r in [1, 2] {
+            s.bits[r * s.words_per_row] += 1; // the record's `Σ level²`
+        }
+        assert_eq!(
+            search(&mut s, RowSelection::All),
+            vec![12.0, 11.0, 13.0, 12.0]
+        );
+        // A window short of the array, or a transient draw to make,
+        // takes the generic sweep, which never reads the record.
+        let window = RowSelection::Window { start: 0, len: 3 };
+        assert_eq!(search(&mut s, window), honest[..3]);
+        let mut cfg = c4cam_faults::FaultConfig::with_rate(0.0, 1);
+        cfg.model.transient = 1e-12;
+        s.set_faults(Some(Box::new(SubarrayFaults::generate(&cfg, 0, 4, 8))));
+        assert_eq!(search(&mut s, RowSelection::All), honest);
     }
 }

@@ -179,6 +179,13 @@ pub fn merge_partial_rows(
 /// instruction goes through this; `tests/engine_equivalence.rs` holds
 /// it equal to the two-step path.
 ///
+/// `result.rows` must strictly ascend, as every search reports them.
+/// When the merged prefix is rows `0..n` (a last row of `n - 1` pins
+/// the rest) with ids below `2²⁴` (so the `f32` round trip is exact)
+/// and `offset..offset + n` fits the accumulator row, it lands with one
+/// bounds check and a plain `+=` over the slice; otherwise element by
+/// element.
+///
 /// # Errors
 /// [`merge_partial_rows`]'s accumulator-rank and bounds errors, at the
 /// same element.
@@ -190,6 +197,18 @@ pub fn merge_search_result(
     offset: i64,
 ) -> Result<(), String> {
     let row = accumulator_row(acc, q)?;
+    let n = result.rows.len().min(result.distances.len()).min(declared);
+    if n > 0 && n < 1 << 24 && result.rows[n - 1] == n - 1 {
+        let span = usize::try_from(offset)
+            .ok()
+            .and_then(|o| row.get_mut(o..o.checked_add(n)?));
+        if let Some(span) = span {
+            for (a, &dist) in span.iter_mut().zip(&result.distances[..n]) {
+                *a += dist as f32;
+            }
+            return Ok(());
+        }
+    }
     for (&stored, &dist) in result.rows.iter().zip(&result.distances).take(declared) {
         // Round-trip through `f32` exactly like the materialized read.
         merge_one(row, stored as f32, dist as f32, offset)?;
@@ -202,6 +221,11 @@ pub fn merge_search_result(
 ///
 /// `device` selects the device-score convention (negated overlap counts
 /// for dot/cos; values are mapped back to positive magnitudes).
+///
+/// Ties break by column index, so on a row without NaN the comparator
+/// is a strict total order: there the `k < n` best are selected
+/// (`select_nth_unstable_by`) and only they are sorted — the full
+/// sort's first `k`, found without ordering the rest.
 ///
 /// # Errors
 /// Fails on non-rank-2 accumulators or `k` exceeding the valid columns.
@@ -220,16 +244,24 @@ pub fn reduce_scores(
     let n = n_valid.min(cols);
     let mut vals = Vec::with_capacity(nq * k);
     let mut idx = Vec::with_capacity(nq * k);
+    let mut order: Vec<usize> = Vec::with_capacity(n);
     for i in 0..nq {
         let row = &acc.data()[i * cols..i * cols + n];
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
+        let by_score = |&a: &usize, &b: &usize| {
             let cmp = row[a]
                 .partial_cmp(&row[b])
                 .unwrap_or(std::cmp::Ordering::Equal);
             let cmp = if largest { cmp.reverse() } else { cmp };
             cmp.then(a.cmp(&b))
-        });
+        };
+        order.clear();
+        order.extend(0..n);
+        if 0 < k && k < n && !row.iter().any(|v| v.is_nan()) {
+            order.select_nth_unstable_by(k - 1, by_score);
+            order[..k].sort_by(by_score);
+        } else {
+            order.sort_by(by_score);
+        }
         for &j in order.iter().take(k) {
             let raw = row[j] as f64;
             let v = match (metric, device) {

@@ -4,12 +4,21 @@
 //! [`Subarray::search`] must be **bit-identical** to the retained
 //! per-cell oracle [`Subarray::search_naive`] — row sets, match flags,
 //! and the raw `f64` bits of every distance.
+//!
+//! The full-array cases hold the dense sweep (every row programmed, the
+//! whole window, exact-integer Euclidean) to the oracle and to the
+//! generic sweep, which the same rows searched as two windows take.
 
 use c4cam::arch::{MatchKind, Metric};
-use c4cam::camsim::{CamCell, KernelTier, RowSelection, SearchScratch, Subarray};
+use c4cam::camsim::{
+    CamCell, FaultConfig, FaultModel, KernelTier, Resilience, RowSelection, SearchScratch,
+    Subarray, SubarrayFaults,
+};
 use proptest::prelude::*;
 
 const COLS: usize = 70; // crosses a u64 plane-word boundary
+/// Rows of the full-array cases.
+const FULL_ROWS: usize = 12;
 
 /// Every kernel tier this host can run, plus `None` for the default
 /// (auto-detected) dispatch path. Tiers above the host's capability
@@ -63,6 +72,53 @@ fn assert_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind, metric: Me
                 }
             }
         }
+    }
+}
+
+/// Search every row of `s` through the full window (the dense sweep,
+/// when it applies) and hold it bit for bit to the oracle — rows, match
+/// flags, distances — and to the generic sweep the same rows take as two
+/// windows: distances and `searched_words`.
+fn assert_full_array_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind, metric: Metric) {
+    let all = RowSelection::All;
+    let naive = s
+        .search_naive(q, kind, metric, all, 2.0, None)
+        .unwrap()
+        .clone();
+    assert_eq!(naive.rows, (0..s.rows()).collect::<Vec<_>>(), "every row");
+    let half = s.rows() / 2;
+    let halves = [
+        RowSelection::Window {
+            start: 0,
+            len: half,
+        },
+        RowSelection::Window {
+            start: half,
+            len: usize::MAX,
+        },
+    ];
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for tier in supported_tiers() {
+        let mut scratch = SearchScratch::default();
+        scratch.set_kernel_tier(tier).unwrap();
+        let (mut generic, mut generic_words) = (Vec::new(), 0);
+        for selection in halves {
+            let part = s
+                .search(q, kind, metric, selection, 2.0, None, &mut scratch)
+                .unwrap();
+            generic.extend(bits(&part.distances));
+            generic_words += s.last_searched_words();
+        }
+        let full = s
+            .search(q, kind, metric, all, 2.0, None, &mut scratch)
+            .unwrap()
+            .clone();
+        let at = format!("{kind:?}/{metric:?}/tier={tier:?}/q={q:?}");
+        assert_eq!(naive.rows, full.rows, "{at}");
+        assert_eq!(naive.matched, full.matched, "{at}");
+        assert_eq!(bits(&naive.distances), bits(&full.distances), "{at}");
+        assert_eq!(generic, bits(&full.distances), "{at}");
+        assert_eq!(generic_words, s.last_searched_words(), "{at}");
     }
 }
 
@@ -196,6 +252,65 @@ proptest! {
                         prop_assert_eq!(a.to_bits(), b.to_bits());
                     }
                 }
+            }
+        }
+    }
+
+    /// Every row programmed: 2-bit rows narrower than the query, as wide
+    /// as it (the expanded square), wider, and through `write_cells`
+    /// with and without a don't-care hole, among 1-bit rows; small and
+    /// past-`i16` integral queries; fault-free, stuck-at and drift
+    /// faults (the sweep stays dense: `Σ level²` must be the faulted
+    /// one), and transient faults (it must fall back).
+    #[test]
+    fn full_array_dense_sweep_equals_naive_and_generic(
+        qlen in 1usize..COLS + 1,
+        shapes in proptest::collection::vec(0u8..7, FULL_ROWS),
+        levels in proptest::collection::vec(0u8..4, FULL_ROWS * COLS),
+        qint in proptest::collection::vec(-3i16..7, COLS),
+        big in 0u8..4,
+        faults in 0u8..3,
+    ) {
+        let mut s = Subarray::new(FULL_ROWS, COLS);
+        if faults > 0 {
+            let model = FaultModel {
+                seed: 11,
+                stuck_at_zero: 0.05,
+                stuck_at_one: 0.05,
+                drift: 0.1,
+                transient: if faults == 2 { 0.2 } else { 0.0 },
+            };
+            let cfg = FaultConfig { model, resilience: Resilience::default() };
+            s.set_faults(Some(Box::new(SubarrayFaults::generate(&cfg, 0, FULL_ROWS, COLS))));
+        }
+        for (r, &shape) in shapes.iter().enumerate() {
+            let stored = &levels[r * COLS..(r + 1) * COLS];
+            let width = match shape {
+                0 => qlen - 1,
+                3 => (qlen + 1).min(COLS),
+                _ => qlen,
+            };
+            let row: Vec<f32> = stored[..width].iter().map(|&v| f32::from(v)).collect();
+            match shape {
+                4 => s.write_rows(r, &[row], 1).unwrap(),
+                5 | 6 => {
+                    let mut cells: Vec<CamCell> =
+                        stored[..width].iter().map(|&v| CamCell::Multi(v)).collect();
+                    if shape == 6 {
+                        cells[width / 2] = CamCell::DontCare;
+                    }
+                    s.write_cells(r, &[cells]).unwrap();
+                }
+                _ => s.write_rows(r, &[row], 2).unwrap(),
+            }
+        }
+        let mut q: Vec<f32> = qint[..qlen].iter().map(|&v| f32::from(v)).collect();
+        if big == 0 {
+            q[0] = 2000.0; // exact-integer, but past the small-magnitude fold
+        }
+        for kind in kinds() {
+            for metric in metrics() {
+                assert_full_array_bit_identical(&mut s, &q, kind, metric);
             }
         }
     }
