@@ -24,6 +24,18 @@
 //! [`CostLedger::pop_scope`]: latency contributions inside a parallel
 //! scope fold as `max`, inside a sequential scope as `sum`. Energy always
 //! sums — concurrency changes time, not work.
+//!
+//! ## One trip, replayed
+//!
+//! A query trip whose schedule repeats makes the same charges every
+//! time. [`CostLedger::record_trip`] / [`CostLedger::finish_trip`]
+//! capture one trip's charges as the `f64` additions the ledger made
+//! ([`TripCharges`]), and [`CostLedger::replay_trip`] makes them again
+//! in the same order, so every fold rounds exactly as it would have.
+//! A scope opened and closed inside the trip starts from `0.0` each
+//! time, so it is kept as the one value it folded into the scope the
+//! trip runs in; a trip that leaves its scopes unbalanced is not
+//! replayable.
 
 use crate::machine::{ArrayId, BankId, MatId, SearchSpec, SimError, SubarrayId};
 use crate::stats::ExecStats;
@@ -41,6 +53,62 @@ enum ScopeKind {
 struct Scope {
     kind: ScopeKind,
     elapsed_ns: f64,
+}
+
+impl Scope {
+    /// Fold `ns` of latency into this scope: `sum` or `max` by kind.
+    fn fold(&mut self, ns: f64) {
+        match self.kind {
+            ScopeKind::Sequential => self.elapsed_ns += ns,
+            ScopeKind::Parallel => self.elapsed_ns = self.elapsed_ns.max(ns),
+        }
+    }
+}
+
+/// The energy fields charges add to, in [`TripCharges::energy`] order.
+#[derive(Debug, Clone, Copy)]
+enum Energy {
+    Cell,
+    Periph,
+    Merge,
+    Write,
+}
+
+/// The charges of one query trip, as [`CostLedger::finish_trip`]
+/// recorded them: the operation counts, each energy field's additions in
+/// order, and the latency folds into the scope the trip runs in.
+#[derive(Debug, Clone, Default)]
+pub struct TripCharges {
+    /// `search_ops`, `searched_words`, `write_ops`, `read_ops`,
+    /// `merge_ops` — integers, so one sum per trip is exact.
+    counts: [u64; 5],
+    /// Cell, periphery, merge and write energy additions.
+    energy: [Vec<f64>; 4],
+    /// A charge's latency, or a scope opened and closed in the trip.
+    folds: Vec<f64>,
+}
+
+/// A trip being recorded.
+#[derive(Debug, Clone)]
+struct Recording {
+    /// The operation counts when the trip began.
+    start: [u64; 5],
+    trip: TripCharges,
+    /// Where in `trip.folds` the latency of each scope the trip opened
+    /// and has not yet closed begins.
+    open: Vec<usize>,
+    /// Cleared by anything a replay would not reproduce.
+    replayable: bool,
+}
+
+fn counts(s: &ExecStats) -> [u64; 5] {
+    [
+        s.search_ops,
+        s.searched_words,
+        s.write_ops,
+        s.read_ops,
+        s.merge_ops,
+    ]
 }
 
 impl ExecStats {
@@ -88,6 +156,7 @@ pub struct CostLedger {
     /// transient hits are device state, not schedule.
     pub(crate) stats: ExecStats,
     phases: Vec<(String, ExecStats)>,
+    recording: Option<Box<Recording>>,
 }
 
 impl CostLedger {
@@ -111,6 +180,7 @@ impl CostLedger {
             }],
             stats: ExecStats::default(),
             phases: Vec::new(),
+            recording: None,
         }
     }
 
@@ -138,6 +208,7 @@ impl CostLedger {
     /// # Errors
     /// Fails if a fixed bank budget is exhausted.
     pub fn alloc_bank(&mut self) -> Result<BankId, SimError> {
+        self.unreplayable();
         if let Some(max) = self.max_banks {
             if self.banks.len() >= max {
                 return Err(SimError::new(format!("bank budget ({max}) exhausted")));
@@ -153,6 +224,7 @@ impl CostLedger {
     /// # Errors
     /// Fails on an invalid handle or when the bank's mat budget is full.
     pub fn alloc_mat(&mut self, bank: BankId) -> Result<MatId, SimError> {
+        self.unreplayable();
         let held = self
             .banks
             .get_mut(bank.0)
@@ -174,6 +246,7 @@ impl CostLedger {
     /// # Errors
     /// Fails on an invalid handle or when the mat's array budget is full.
     pub fn alloc_array(&mut self, mat: MatId) -> Result<ArrayId, SimError> {
+        self.unreplayable();
         let held = self
             .mats
             .get_mut(mat.0)
@@ -196,6 +269,7 @@ impl CostLedger {
     /// Fails on an invalid handle or when the array's subarray budget is
     /// full.
     pub fn alloc_subarray(&mut self, array: ArrayId) -> Result<SubarrayId, SimError> {
+        self.unreplayable();
         let held = self
             .arrays
             .get_mut(array.0)
@@ -217,18 +291,22 @@ impl CostLedger {
 
     /// Open a parallel scope: nested latency folds as `max`.
     pub fn push_parallel(&mut self) {
-        self.scopes.push(Scope {
-            kind: ScopeKind::Parallel,
-            elapsed_ns: 0.0,
-        });
+        self.push(ScopeKind::Parallel);
     }
 
     /// Open a sequential scope: nested latency folds as `sum`.
     pub fn push_sequential(&mut self) {
+        self.push(ScopeKind::Sequential);
+    }
+
+    fn push(&mut self, kind: ScopeKind) {
         self.scopes.push(Scope {
-            kind: ScopeKind::Sequential,
+            kind,
             elapsed_ns: 0.0,
         });
+        if let Some(rec) = &mut self.recording {
+            rec.open.push(rec.trip.folds.len());
+        }
     }
 
     /// Close the innermost scope, folding its elapsed time into the
@@ -240,10 +318,17 @@ impl CostLedger {
     pub fn pop_scope(&mut self) {
         assert!(self.scopes.len() > 1, "pop_scope on root scope");
         let child = self.scopes.pop().unwrap();
-        let parent = self.scopes.last_mut().unwrap();
-        match parent.kind {
-            ScopeKind::Sequential => parent.elapsed_ns += child.elapsed_ns,
-            ScopeKind::Parallel => parent.elapsed_ns = parent.elapsed_ns.max(child.elapsed_ns),
+        self.scopes.last_mut().unwrap().fold(child.elapsed_ns);
+        if let Some(rec) = &mut self.recording {
+            match rec.open.pop() {
+                // Opened in this trip: from 0.0, so the same value on
+                // every trip — one fold into the parent.
+                Some(at) => {
+                    rec.trip.folds.truncate(at);
+                    rec.trip.folds.push(child.elapsed_ns);
+                }
+                None => rec.replayable = false,
+            }
         }
     }
 
@@ -253,10 +338,91 @@ impl CostLedger {
     }
 
     fn add_latency(&mut self, ns: f64) {
+        self.scopes.last_mut().unwrap().fold(ns);
+        if let Some(rec) = &mut self.recording {
+            rec.trip.folds.push(ns);
+        }
+    }
+
+    fn add_energy(&mut self, field: Energy, fj: f64) {
+        let total = match field {
+            Energy::Cell => &mut self.stats.cell_energy_fj,
+            Energy::Periph => &mut self.stats.periph_energy_fj,
+            Energy::Merge => &mut self.stats.merge_energy_fj,
+            Energy::Write => &mut self.stats.write_energy_fj,
+        };
+        *total += fj;
+        if let Some(rec) = &mut self.recording {
+            rec.trip.energy[field as usize].push(fj);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Trip recording
+    // ------------------------------------------------------------------
+
+    /// Start recording the charges of one query trip (see the module
+    /// docs); [`CostLedger::finish_trip`] ends it.
+    pub fn record_trip(&mut self) {
+        self.recording = Some(Box::new(Recording {
+            start: counts(&self.stats),
+            trip: TripCharges::default(),
+            open: Vec::new(),
+            replayable: true,
+        }));
+    }
+
+    /// Stop recording: the trip's charges, or `None` when nothing was
+    /// being recorded or the trip did what a replay cannot repeat — an
+    /// allocation, a phase marker, a folded delta, a reset, or a scope
+    /// it closed without opening or opened without closing.
+    pub fn finish_trip(&mut self) -> Option<TripCharges> {
+        let rec = self.recording.take();
+        let rec = rec.filter(|rec| rec.replayable && rec.open.is_empty())?;
+        let mut trip = rec.trip;
+        let now = counts(&self.stats);
+        for ((n, now), start) in trip.counts.iter_mut().zip(now).zip(rec.start) {
+            *n = now - start;
+        }
+        Some(trip)
+    }
+
+    /// Make a recorded trip's charges again, each energy field's and the
+    /// latency folds in the order they were first made.
+    pub fn replay_trip(&mut self, trip: &TripCharges) {
+        let s = &mut self.stats;
+        for (total, n) in [
+            &mut s.search_ops,
+            &mut s.searched_words,
+            &mut s.write_ops,
+            &mut s.read_ops,
+            &mut s.merge_ops,
+        ]
+        .into_iter()
+        .zip(trip.counts)
+        {
+            *total += n;
+        }
+        let [cell, periph, merge, write] = &trip.energy;
+        for (total, adds) in [
+            (&mut s.cell_energy_fj, cell),
+            (&mut s.periph_energy_fj, periph),
+            (&mut s.merge_energy_fj, merge),
+            (&mut s.write_energy_fj, write),
+        ] {
+            for &fj in adds {
+                *total += fj;
+            }
+        }
         let scope = self.scopes.last_mut().unwrap();
-        match scope.kind {
-            ScopeKind::Sequential => scope.elapsed_ns += ns,
-            ScopeKind::Parallel => scope.elapsed_ns = scope.elapsed_ns.max(ns),
+        for &ns in &trip.folds {
+            scope.fold(ns);
+        }
+    }
+
+    fn unreplayable(&mut self) {
+        if let Some(rec) = &mut self.recording {
+            rec.replayable = false;
         }
     }
 
@@ -282,9 +448,10 @@ impl CostLedger {
     #[inline]
     pub fn write(&mut self, rows: usize) {
         self.stats.write_ops += 1;
-        self.stats.write_energy_fj +=
-            self.tech
-                .write_energy_fj(rows, self.cols, self.bits_per_cell);
+        let energy = self
+            .tech
+            .write_energy_fj(rows, self.cols, self.bits_per_cell);
+        self.add_energy(Energy::Write, energy);
         let lat = self.tech.write_latency_ns(rows);
         self.add_latency(lat);
     }
@@ -300,12 +467,13 @@ impl CostLedger {
         let (rows, cols, bits) = (self.rows, self.cols, self.bits_per_cell);
         self.stats.search_ops += votes;
         self.stats.searched_words += words * votes;
-        self.stats.cell_energy_fj +=
-            self.tech.search_cell_energy_fj(active_rows, cols, bits) * votes as f64;
-        self.stats.periph_energy_fj +=
+        let cell = self.tech.search_cell_energy_fj(active_rows, cols, bits) * votes as f64;
+        self.add_energy(Energy::Cell, cell);
+        let periph =
             self.tech
                 .periph_energy_fj(active_rows.max(1), cols, bits, spec.broadcast_share)
                 * votes as f64;
+        self.add_energy(Energy::Periph, periph);
         let mut lat = self.tech.search_latency_ns(cols, bits)
             + self.tech.sense_latency_ns(spec.kind, rows, cols);
         if spec.selection != RowSelection::All {
@@ -324,7 +492,8 @@ impl CostLedger {
     /// (`cam.merge_partial_subarray` and the cim-level merges).
     pub fn merge(&mut self, level: Level, elems: usize) {
         self.stats.merge_ops += 1;
-        self.stats.merge_energy_fj += self.tech.merge_energy_fj(elems);
+        let energy = self.tech.merge_energy_fj(elems);
+        self.add_energy(Energy::Merge, energy);
         let lat = self.tech.merge_latency_ns(level);
         self.add_latency(lat);
     }
@@ -356,6 +525,7 @@ impl CostLedger {
     /// next [`CostLedger::stats`] snapshot, and forks share this
     /// ledger's allocations.
     pub fn absorb_delta(&mut self, delta: &ExecStats) {
+        self.unreplayable();
         self.stats.add_dynamic(delta);
         self.add_latency(delta.latency_ns);
     }
@@ -364,6 +534,7 @@ impl CostLedger {
     /// exclude one-time setup (data loading) from per-query
     /// measurements.
     pub fn reset_stats(&mut self) {
+        self.unreplayable();
         self.stats = ExecStats {
             banks_allocated: self.stats.banks_allocated,
             mats_allocated: self.stats.mats_allocated,
@@ -383,6 +554,7 @@ impl CostLedger {
     /// generated code's `cam.phase_marker` to separate the one-time
     /// setup/program phase from the per-query phase).
     pub fn mark_phase(&mut self, name: &str) {
+        self.unreplayable();
         let snapshot = self.stats();
         self.phases.push((name.to_string(), snapshot));
     }
@@ -497,6 +669,67 @@ mod tests {
             l.stats().latency_ns > one.latency_ns,
             "selective adds a cycle"
         );
+    }
+
+    /// A trip replayed folds exactly as walking it again — its scopes
+    /// nested in parallel and sequential ones, and the trip itself run
+    /// inside a parallel scope.
+    #[test]
+    fn a_replayed_trip_folds_as_the_trip_did() {
+        let spec = SearchSpec::new(MatchKind::Best, Metric::Hamming);
+        let trip = |l: &mut CostLedger| {
+            l.push_parallel();
+            for active in [3, 5] {
+                l.push_sequential();
+                l.search(active, 2, &spec, 1);
+                l.merge(Level::Array, 3);
+                l.pop_scope();
+            }
+            l.pop_scope();
+            l.merge(Level::Bank, 4);
+            l.write(2);
+            l.read();
+        };
+        let mut walked = ledger();
+        walked.merge(Level::Mat, 2);
+        walked.push_parallel();
+        let mut replayed = walked.clone();
+        for _ in 0..7 {
+            trip(&mut walked);
+        }
+        replayed.record_trip();
+        trip(&mut replayed);
+        let charges = replayed.finish_trip().expect("a replayable trip");
+        for _ in 1..7 {
+            replayed.replay_trip(&charges);
+        }
+        for l in [&mut walked, &mut replayed] {
+            l.pop_scope();
+        }
+        let bits = |s: ExecStats| (format!("{s:?}"), s.latency_ns.to_bits());
+        assert_eq!(bits(replayed.stats()), bits(walked.stats()));
+        assert_eq!(walked.stats().search_ops, 14);
+    }
+
+    #[test]
+    fn a_trip_a_replay_cannot_repeat_is_not_recorded() {
+        let mut l = ledger();
+        l.record_trip();
+        l.merge(Level::Bank, 4);
+        assert!(l.finish_trip().is_some());
+        assert!(l.finish_trip().is_none(), "nothing is being recorded");
+        let unbalanced: [fn(&mut CostLedger); 4] = [
+            |l| l.mark_phase("mid-trip"),
+            |l| drop(l.alloc_bank()),
+            |l| l.push_sequential(),
+            |l| l.pop_scope(),
+        ];
+        for act in unbalanced {
+            l.push_parallel();
+            l.record_trip();
+            act(&mut l);
+            assert!(l.finish_trip().is_none());
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   priced without a machine,
 //! * [`machine`]: the subarrays of one accelerator, functional dispatch
 //!   to them, and an embedded ledger charged with what each operation
-//!   read off its subarray.
+//!   read off its subarray — or, on a machine built
+//!   [`CamMachine::functional`], charged with nothing but allocation,
+//!   for runs whose cost was priced from their schedule.
 //!
 //! ## Example
 //!
@@ -61,7 +63,7 @@ pub mod subarray;
 
 pub use c4cam_faults::{CellFault, FaultConfig, FaultModel, Resilience, SubarrayFaults};
 pub use cell::CamCell;
-pub use ledger::CostLedger;
+pub use ledger::{CostLedger, TripCharges};
 pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };

@@ -2,6 +2,8 @@
 //! dispatch to them, and an embedded [`CostLedger`] that every
 //! operation charges with the counts read off the subarray it touched
 //! (allocation bookkeeping, timing scopes and statistics live there).
+//! A [`CamMachine::functional`] machine keeps only the allocation
+//! bookkeeping: its runs are priced from their schedule instead.
 
 use crate::ledger::CostLedger;
 use crate::stats::ExecStats;
@@ -71,6 +73,10 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
+fn invalid_handle(id: SubarrayId) -> SimError {
+    SimError::new(format!("invalid subarray handle {}", id.0))
+}
+
 /// Parameters of one search operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchSpec {
@@ -125,11 +131,16 @@ impl SearchSpec {
 /// [`CamMachine::heap_bytes`]), scope stack, and statistics. The tape
 /// engine's
 /// batched executor clones a machine per worker shard after the setup
-/// phase, runs independent query iterations on each clone, and folds the
-/// shards' cost deltas back with [`CamMachine::absorb_delta`].
+/// phase and runs independent query iterations on each clone. A charging
+/// machine folds the shards' cost deltas back with
+/// [`CamMachine::absorb_delta`] — equal to a sequential run up to float
+/// summation order; a functional machine has no costs to fold.
 #[derive(Debug, Clone)]
 pub struct CamMachine {
     ledger: CostLedger,
+    /// Whether operations charge the ledger (`false`: a
+    /// [`CamMachine::functional`] machine).
+    charging: bool,
     wta_window: Option<u32>,
     search_path: SearchPath,
     scratch: SearchScratch,
@@ -150,12 +161,32 @@ impl CamMachine {
     pub fn with_tech(spec: &ArchSpec, tech: TechnologyModel) -> CamMachine {
         CamMachine {
             ledger: CostLedger::new(spec, tech),
+            charging: true,
             wta_window: None,
             search_path: SearchPath::default(),
             scratch: SearchScratch::default(),
             subs: Vec::new(),
             faults: None,
         }
+    }
+
+    /// A machine that computes matches and charges nothing, for a run
+    /// whose statistics come from its schedule (`Tape::price`).
+    /// Allocation still checks every hierarchy budget; searches, writes,
+    /// reads, merges, timing scopes and phase markers cost nothing, so
+    /// [`CamMachine::stats`] holds the allocation gauges alone and
+    /// [`CamMachine::phases`] stays empty.
+    pub fn functional(spec: &ArchSpec) -> CamMachine {
+        CamMachine {
+            charging: false,
+            ..CamMachine::new(spec)
+        }
+    }
+
+    /// Whether operations charge this machine's ledger (`false` for a
+    /// [`CamMachine::functional`] machine).
+    pub fn charges(&self) -> bool {
+        self.charging
     }
 
     /// Install (or clear) a fault-injection configuration.
@@ -291,15 +322,7 @@ impl CamMachine {
     }
 
     fn sub_mut(&mut self, id: SubarrayId) -> Result<&mut Subarray, SimError> {
-        self.subs
-            .get_mut(id.0)
-            .ok_or_else(|| SimError::new(format!("invalid subarray handle {}", id.0)))
-    }
-
-    fn sub(&self, id: SubarrayId) -> Result<&Subarray, SimError> {
-        self.subs
-            .get(id.0)
-            .ok_or_else(|| SimError::new(format!("invalid subarray handle {}", id.0)))
+        self.subs.get_mut(id.0).ok_or_else(|| invalid_handle(id))
     }
 
     // ------------------------------------------------------------------
@@ -308,22 +331,28 @@ impl CamMachine {
 
     /// Open a parallel scope: nested latency folds as `max`.
     pub fn push_parallel(&mut self) {
-        self.ledger.push_parallel();
+        if self.charging {
+            self.ledger.push_parallel();
+        }
     }
 
     /// Open a sequential scope: nested latency folds as `sum`.
     pub fn push_sequential(&mut self) {
-        self.ledger.push_sequential();
+        if self.charging {
+            self.ledger.push_sequential();
+        }
     }
 
     /// Close the innermost scope, folding its elapsed time into the
     /// parent.
     ///
     /// # Panics
-    /// Panics when called with only the root scope open (scope
-    /// mismatch — a runtime bug, not a data error).
+    /// Panics when a charging machine has only the root scope open
+    /// (scope mismatch — a runtime bug, not a data error).
     pub fn pop_scope(&mut self) {
-        self.ledger.pop_scope();
+        if self.charging {
+            self.ledger.pop_scope();
+        }
     }
 
     /// Depth of the scope stack (root = 1).
@@ -357,8 +386,10 @@ impl CamMachine {
         sub.write_rows(row_offset, data, bits)
             .map_err(SimError::new)?;
         let faults_after = sub.faults().map_or(0, |f| f.fault_cells());
-        self.ledger.stats.fault_cells += faults_after - faults_before;
-        self.ledger.write(data.len());
+        if self.charging {
+            self.ledger.stats.fault_cells += faults_after - faults_before;
+            self.ledger.write(data.len());
+        }
         Ok(())
     }
 
@@ -375,14 +406,16 @@ impl CamMachine {
         self.sub_mut(id)?
             .write_cells(row_offset, data)
             .map_err(SimError::new)?;
-        self.ledger.write(data.len());
+        if self.charging {
+            self.ledger.write(data.len());
+        }
         Ok(())
     }
 
     /// Search one subarray (`cam.search`) and return a borrowed view of
     /// the functional result (no per-search allocation; the result
-    /// buffers live in the subarray and are reused). Costs are charged
-    /// to the current timing scope.
+    /// buffers live in the subarray and are reused). A charging machine
+    /// charges the costs to the current timing scope.
     ///
     /// # Errors
     /// Fails on invalid handles or if the query exceeds the geometry.
@@ -394,10 +427,7 @@ impl CamMachine {
     ) -> Result<&SearchResult, SimError> {
         let wta = self.wta_window;
         let path = self.search_path;
-        let sub = self
-            .subs
-            .get_mut(id.0)
-            .ok_or_else(|| SimError::new(format!("invalid subarray handle {}", id.0)))?;
+        let sub = self.subs.get_mut(id.0).ok_or_else(|| invalid_handle(id))?;
         let transients_before = sub.faults().map_or(0, |f| f.fault_transients());
         match path {
             SearchPath::Packed => sub
@@ -422,20 +452,16 @@ impl CamMachine {
                 )
                 .map_err(SimError::new)?,
         };
-        let (active_rows, words, transients_after, votes) = {
-            let sub = &self.subs[id.0];
-            (
-                sub.last_result().map_or(0, |r| r.rows.len()),
-                sub.last_searched_words(),
-                sub.faults().map_or(0, |f| f.fault_transients()),
-                sub.faults().map_or(1, |f| u64::from(f.vote())),
-            )
-        };
-        self.ledger.stats.fault_transients += transients_after - transients_before;
-        self.ledger.search(active_rows, words, &spec, votes);
-        Ok(self.subs[id.0]
-            .last_result()
-            .expect("search stored a result"))
+        let sub = &self.subs[id.0];
+        if self.charging {
+            let active_rows = sub.last_result().map_or(0, |r| r.rows.len());
+            let transients_after = sub.faults().map_or(0, |f| f.fault_transients());
+            let votes = sub.faults().map_or(1, |f| u64::from(f.vote()));
+            self.ledger.stats.fault_transients += transients_after - transients_before;
+            self.ledger
+                .search(active_rows, sub.last_searched_words(), &spec, votes);
+        }
+        Ok(sub.last_result().expect("search stored a result"))
     }
 
     /// Read back the latest search result (`cam.read`) as a borrowed
@@ -444,19 +470,22 @@ impl CamMachine {
     /// # Errors
     /// Fails if no search was performed on this subarray yet.
     pub fn read(&mut self, id: SubarrayId) -> Result<&SearchResult, SimError> {
-        if self.sub(id)?.last_result().is_none() {
-            return Err(SimError::new("read before any search on this subarray"));
-        }
-        self.ledger.read();
-        Ok(self.subs[id.0]
+        let result = self.subs.get(id.0).ok_or_else(|| invalid_handle(id))?;
+        let result = result
             .last_result()
-            .expect("presence checked above"))
+            .ok_or_else(|| SimError::new("read before any search on this subarray"))?;
+        if self.charging {
+            self.ledger.read();
+        }
+        Ok(result)
     }
 
     /// Charge one partial-result merge at `level` over `elems` elements
     /// (`cam.merge_partial_subarray` and the cim-level merges).
     pub fn merge(&mut self, level: Level, elems: usize) {
-        self.ledger.merge(level, elems);
+        if self.charging {
+            self.ledger.merge(level, elems);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -496,7 +525,9 @@ impl CamMachine {
     /// generated code's `cam.phase_marker` to separate the one-time
     /// setup/program phase from the per-query phase).
     pub fn mark_phase(&mut self, name: &str) {
-        self.ledger.mark_phase(name);
+        if self.charging {
+            self.ledger.mark_phase(name);
+        }
     }
 
     /// All recorded phase snapshots, in order.
@@ -582,6 +613,42 @@ mod tests {
         // The work metric differs: 1 plane word vs 3 walked cells.
         assert_eq!(ps.searched_words, 2);
         assert_eq!(ns.searched_words, 6);
+    }
+
+    #[test]
+    fn a_functional_machine_matches_alike_and_charges_only_allocation() {
+        let spec = ArchSpec::builder()
+            .hierarchy(1, 1, 1)
+            .banks(1)
+            .build()
+            .unwrap();
+        let run = |mut m: CamMachine| {
+            let sub = m.alloc_chain().unwrap();
+            assert!(m.alloc_bank().is_err(), "the bank budget still holds");
+            m.write_rows(sub, 0, &[vec![1.0, 0.0, 1.0], vec![0.0, 1.0, 0.0]])
+                .unwrap();
+            m.mark_phase("setup-complete");
+            m.push_parallel();
+            let spec = SearchSpec::new(MatchKind::Best, Metric::Hamming);
+            let found = m.search(sub, &[1.0, 1.0, 1.0], spec).unwrap().clone();
+            assert_eq!(m.read(sub).unwrap(), &found);
+            m.pop_scope();
+            m.merge(Level::Bank, 2);
+            (found, m.stats(), m.phases().len())
+        };
+        let (charged, charged_stats, phases) = run(CamMachine::new(&spec));
+        let (found, stats, no_phases) = run(CamMachine::functional(&spec));
+        assert_eq!(found, charged);
+        assert!(charged_stats.search_ops == 1 && phases == 1);
+        let allocated = ExecStats {
+            banks_allocated: 1,
+            mats_allocated: 1,
+            arrays_allocated: 1,
+            subarrays_allocated: 1,
+            ..ExecStats::default()
+        };
+        assert_eq!((stats, no_phases), (allocated, 0));
+        assert!(!CamMachine::functional(&spec).charges() && machine().charges());
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub enum KernelTier {
     Scalar,
     /// AVX2 + POPCNT auto-vectorized variants.
     Avx2,
-    /// AVX-512 (F/BW/VL + VPOPCNTDQ) variants.
+    /// AVX-512 (F/BW/VL + VPOPCNTDQ, and POPCNT for scalar words)
+    /// variants.
     Avx512,
 }
 
@@ -99,6 +100,7 @@ fn detect_best_tier() -> KernelTier {
             && std::arch::is_x86_feature_detected!("avx512bw")
             && std::arch::is_x86_feature_detected!("avx512vl")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            && std::arch::is_x86_feature_detected!("popcnt")
         {
             return KernelTier::Avx512;
         }
@@ -913,6 +915,63 @@ impl Subarray {
         (words as u64, (self.rows > 0).then_some(min as f64))
     }
 
+    /// Whether `sw` can take [`Subarray::sweep_binary`]: Hamming or Dot
+    /// over the full window of a subarray whose programmed rows are all
+    /// [`RowKind::Binary`], with no transient draw to make.
+    fn binary_sweep_applies(&self, sw: &Sweep) -> bool {
+        matches!(sw.metric, Metric::Hamming | Metric::Dot)
+            && sw.qh.is_none()
+            && sw.window == (0..self.rows)
+            && self.kind_mix[RowKind::Levels as usize] + self.kind_mix[RowKind::Other as usize] == 0
+    }
+
+    /// The binary sweep: one tight `XOR → AND care → popcount` loop over
+    /// the programmed rows, the WTA clamp taken on the integer mismatch
+    /// count (exact, so bit-identical to clamping its `f64`), and the
+    /// minimum carried along, so `Best` needs no second fold. Distances
+    /// grow with the mismatch count under both metrics, so the least
+    /// count gives the least distance. The work count is the generic
+    /// sweep's.
+    #[inline(always)]
+    fn sweep_binary(&self, sw: Sweep) -> (u64, Option<f64>) {
+        let qlen = sw.query.len();
+        let (words, wpr) = (qlen.div_ceil(64), self.words_per_row);
+        let dot = sw.metric == Metric::Dot;
+        let clamp = match sw.wta {
+            Some(window) if !dot => u64::from(window),
+            _ => u64::MAX,
+        };
+        let distance = |m: u64| {
+            if dot {
+                -((qlen as u64 - m) as f64)
+            } else {
+                m as f64
+            }
+        };
+        let n = self.kind_mix[RowKind::Binary as usize];
+        if n == 0 {
+            return (0, None); // the query was not packed
+        }
+        let qbits = &sw.scratch.qbits[..words];
+        sw.result.rows.reserve(n);
+        sw.result.distances.reserve(n);
+        let mut min = u64::MAX;
+        // A plain loop, as in `sweep_dense`: the body must stay inside
+        // this tier's target features.
+        for r in 0..self.rows {
+            if !self.valid[r] {
+                continue;
+            }
+            let at = r * wpr..r * wpr + words;
+            let m = mismatch_binary_body(&self.bits[at.clone()], &self.care[at], qbits, qlen);
+            let m = m.min(clamp);
+            min = min.min(m);
+            sw.result.rows.push(r);
+            sw.result.distances.push(distance(m));
+        }
+        ((n * words) as u64, Some(distance(min)))
+    }
+
     /// One whole-window row sweep: distances, the WTA clamp, transient
     /// fault penalties, work accounting and the result pushes. Returns
     /// the plane words visited and, when the sweep already knows it,
@@ -929,6 +988,9 @@ impl Subarray {
     fn sweep_rows_body(&self, sw: Sweep) -> (u64, Option<f64>) {
         if self.dense_sweep_applies(&sw) {
             return self.sweep_dense(sw);
+        }
+        if self.binary_sweep_applies(&sw) {
+            return self.sweep_binary(sw);
         }
         let (query, metric, scratch) = (sw.query, sw.metric, sw.scratch);
         let qlen = query.len();
@@ -1008,7 +1070,7 @@ impl Subarray {
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt")]
     unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> (u64, Option<f64>) {
         self.sweep_rows_body(sweep)
     }

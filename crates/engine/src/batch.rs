@@ -13,15 +13,19 @@
 //! 3. Merge, in shard order: every changed buffer element is copied back
 //!    (iterations write disjoint accumulator rows — guaranteed by the
 //!    compiler's query-loop conditions — so this reproduces the
-//!    sequential result bit-for-bit), and each shard's cost delta is
-//!    folded into the caller's machine with
+//!    sequential result bit-for-bit), and on a charging machine each
+//!    shard's cost delta is folded into the caller's machine with
 //!    [`CamMachine::absorb_delta`].
 //! 4. Run the rest of the tape (final reduce + return) on the caller's
 //!    machine.
 //!
-//! Outputs are bit-identical to the sequential engines. Statistics are
-//! deterministic (merge order is shard order, independent of thread
-//! scheduling) and equal to the sequential run up to floating-point
+//! Outputs are bit-identical to the sequential engines. On a
+//! [`CamMachine::functional`] machine — the fault-free, untraced runs
+//! the HAL prices from their schedule — there are no statistics to
+//! merge, and the reported ones are the sequential run's exactly. A
+//! charging machine (faults or telemetry) reports deterministic
+//! statistics (merge order is shard order, independent of thread
+//! scheduling), equal to the sequential run up to floating-point
 //! summation ordering in latency/energy totals; operation counts are
 //! exact.
 //!
@@ -143,9 +147,12 @@ impl Tape {
             self, machine, &snapshot, &chunks, ql, telemetry, retry, chaos,
         )?;
 
-        // Phase 3: deterministic merge, in shard order.
+        // Phase 3: deterministic merge, in shard order. A functional
+        // machine's cost comes from the schedule: it has none to fold.
         for out in &shard_outs {
-            machine.absorb_delta(&out.stats);
+            if machine.charges() {
+                machine.absorb_delta(&out.stats);
+            }
             for &(slot, ref tensor) in &out.buffers {
                 let Frozen::Buffer(base) = &snapshot[slot] else {
                     // The slot was (re)defined inside the loop body; its

@@ -22,11 +22,16 @@
 //!   scatter into disjoint accumulator rows keyed by the induction
 //!   variable); the batch executor runs contiguous iteration shards on
 //!   pooled worker threads, each with its own machine clone, and merges
-//!   buffers and per-shard [`ExecStats`](c4cam_camsim::ExecStats)
-//!   deterministically. Outputs stay bit-identical; latency/energy
-//!   totals agree with the sequential run up to float summation order.
-//!   Threads shard queries and nothing else: with no detected query
-//!   loop, or fewer than two iterations, this *is* [`Tape::run`].
+//!   buffers deterministically. Outputs stay bit-identical. On a
+//!   charging machine the per-shard
+//!   [`ExecStats`](c4cam_camsim::ExecStats) are merged too, and
+//!   latency/energy totals agree with the sequential run up to float
+//!   summation order. (The HAL's `tape` backend runs fault-free,
+//!   untraced executions on a functional machine and reports
+//!   [`Tape::price_as_written`] — the sequential run's statistics to the
+//!   bit, at any thread count.) Threads shard
+//!   queries and nothing else: with no detected query loop, or fewer
+//!   than two iterations, this *is* [`Tape::run`].
 //!
 //! [`Tape::run_traced`] is `run` with an observer attached: it records
 //! a [`Trace`] of every device-relevant operation, and

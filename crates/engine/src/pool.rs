@@ -10,12 +10,14 @@
 //! Jobs are opaque `FnOnce` closures that own all their data; results
 //! travel back on per-job channels owned by the submitter. A job that
 //! panics is contained by the worker loop (the submitter's channel
-//! simply drops), so one poisoned shard cannot take the pool down.
+//! simply drops), so one poisoned shard cannot take the pool down; and a
+//! job the pool cannot take — no thread can be spawned for it — runs on
+//! the submitting thread instead of panicking it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -63,22 +65,41 @@ pub(crate) fn submit(job: Job) {
     if p.idle.load(Ordering::Acquire) < pending && p.spawned.load(Ordering::Acquire) < MAX_WORKERS {
         p.spawned.fetch_add(1, Ordering::AcqRel);
         let rx = Arc::clone(&p.rx);
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("c4cam-shard-worker".into())
-            .spawn(move || worker_loop(&rx))
-            .expect("spawn shard worker");
+            .spawn(move || worker_loop(&rx));
+        if spawned.is_err() {
+            // No thread to be had (the process is out of them): the
+            // caller runs its own job rather than queue it behind
+            // workers that may not exist.
+            p.spawned.fetch_sub(1, Ordering::AcqRel);
+            return run_here(job);
+        }
     }
-    p.tx.lock()
-        .expect("worker pool sender lock")
-        .send(job)
-        .expect("worker pool receiver outlives the process");
+    // Both locks guard a single channel call, which cannot panic, so a
+    // poisoned lock still guards a sound channel.
+    let sent =
+        p.tx.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .send(job);
+    // The receiver lives in the same static as the sender: a send cannot
+    // fail, and if it did the job would still run.
+    if let Err(SendError(job)) = sent {
+        run_here(job);
+    }
+}
+
+/// Run a job that never reached the queue on the submitting thread.
+fn run_here(job: Job) {
+    pool().pending.fetch_sub(1, Ordering::AcqRel);
+    drop(catch_unwind(AssertUnwindSafe(job)));
 }
 
 fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     loop {
         let p = pool();
         p.idle.fetch_add(1, Ordering::AcqRel);
-        let job = rx.lock().expect("worker pool receiver lock").recv();
+        let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         p.idle.fetch_sub(1, Ordering::AcqRel);
         match job {
             // Shard jobs catch their own panics; this outer guard keeps

@@ -11,11 +11,16 @@
 //! subarray is a *row census* (which rows are programmed, and whether as
 //! bit-plane or level-plane rows — exactly `Subarray::write_rows`' rule)
 //! from which a search's active rows and streamed plane words follow.
-//! It walks the setup nest once and the query body once per query,
-//! driving the same [`CostLedger`] the machine embeds, with the same
-//! calls in the same order — so every `f64` fold rounds as it does in
-//! simulation, and the result is bit-identical to the statistics a run
-//! would report. No plane is allocated and no tensor data is read.
+//! It walks the setup nest once, driving the same [`CostLedger`] the
+//! machine embeds, with the same calls in the same order — so every
+//! `f64` fold rounds as it does in simulation, and the result is
+//! bit-identical to the statistics a run would report. No plane is
+//! allocated and no tensor data is read.
+//!
+//! A specialised query body is one straight line, the same schedule on
+//! every trip, so the evaluator walks it once: it records trip 0's
+//! ledger charges ([`TripCharges`]) and replays them for every later
+//! trip, in order. A body left as loops is walked trip by trip.
 //!
 //! What is priced is the device: allocation, programming, searches,
 //! reads, periphery merges, timing scopes, phase markers. Host-side data
@@ -34,7 +39,7 @@ use crate::vm::search_spec;
 use c4cam_arch::tech::{Level, TechnologyModel};
 use c4cam_arch::ArchSpec;
 use c4cam_camsim::{
-    ArrayId, BankId, CostLedger, ExecStats, MatId, RowSelection, SearchSpec, SimError,
+    ArrayId, BankId, CostLedger, ExecStats, MatId, RowSelection, SearchSpec, SimError, TripCharges,
 };
 use std::fmt;
 
@@ -236,8 +241,9 @@ struct Evaluator<'t> {
     bufs: Vec<Buf>,
     subs: Vec<Census>,
     frames: Vec<Frame>,
-    /// Trip count of the query loop.
-    queries: usize,
+    /// Trip count of the query loop; `None` runs the bound the tape
+    /// spells.
+    queries: Option<usize>,
 }
 
 impl Evaluator<'_> {
@@ -427,14 +433,16 @@ impl Evaluator<'_> {
                 }
                 // The query loop runs `queries` trips whatever bound
                 // the tape spells: its body does not depend on it.
-                let ub = if tape.query_loop.is_some_and(|ql| ql.enter == pc) {
-                    i64::try_from(self.queries)
+                let queries = self
+                    .queries
+                    .filter(|_| tape.query_loop.is_some_and(|ql| ql.enter == pc));
+                let ub = match queries {
+                    Some(n) => i64::try_from(n)
                         .ok()
                         .and_then(|n| n.checked_mul(step))
                         .and_then(|span| lb.checked_add(span))
-                        .ok_or(Unpriced::Unresolved("a query count that overflows"))?
-                } else {
-                    self.int(*ub)?
+                        .ok_or(Unpriced::Unresolved("a query count that overflows"))?,
+                    None => self.int(*ub)?,
                 };
                 if *parallel {
                     self.ledger.push_parallel();
@@ -627,6 +635,18 @@ impl Evaluator<'_> {
         }
         Ok(Some(pc + 1))
     }
+
+    /// Every trip after the first: the query loop's back-edge at `next`,
+    /// then `trip`'s charges again, until the loop exits; the pc after
+    /// it.
+    fn replay_trips(&mut self, next: usize, trip: &TripCharges) -> Eval<usize> {
+        loop {
+            match self.step(next)? {
+                Some(pc) if pc == next + 1 => return Ok(pc),
+                _ => self.ledger.replay_trip(trip),
+            }
+        }
+    }
 }
 
 impl Tape {
@@ -648,6 +668,30 @@ impl Tape {
         spec: &ArchSpec,
         tech: &TechnologyModel,
         queries: usize,
+    ) -> Result<Priced, Unpriced> {
+        self.evaluate(arg_shapes, spec, tech, Some(queries))
+    }
+
+    /// [`Tape::price`] of the run the tape spells: the query loop runs
+    /// the trips its own bound gives, exactly as [`Tape::run`] would.
+    ///
+    /// # Errors
+    /// The reason the tape cannot be priced; the caller executes it.
+    pub fn price_as_written(
+        &self,
+        arg_shapes: &[&[usize]],
+        spec: &ArchSpec,
+        tech: &TechnologyModel,
+    ) -> Result<Priced, Unpriced> {
+        self.evaluate(arg_shapes, spec, tech, None)
+    }
+
+    fn evaluate(
+        &self,
+        arg_shapes: &[&[usize]],
+        spec: &ArchSpec,
+        tech: &TechnologyModel,
+        queries: Option<usize>,
     ) -> Result<Priced, Unpriced> {
         let tape = &*self.0;
         if arg_shapes.len() != tape.arg_slots.len() {
@@ -680,15 +724,34 @@ impl Tape {
             queries,
         };
         let trip_end = tape.query_loop.map(|ql| ql.next);
+        // The trip that starts when the query loop is entered is
+        // recorded, if the body is the specialiser's straight line.
+        let first_trip = tape
+            .query_loop
+            .filter(|_| tape.unspecialised.is_none())
+            .map(|ql| (ql.enter, ql.enter + 1));
         let (mut pc, mut steps) = (0, 0);
         while steps < MAX_STEPS {
             if pc >= tape.insts.len() {
                 return rejected("function body ended without func.return");
             }
             // Each trip of the query loop gets its own budget.
-            steps = if Some(pc) == trip_end { 0 } else { steps + 1 };
+            if Some(pc) == trip_end {
+                steps = 0;
+                if let Some(trip) = eval.ledger.finish_trip() {
+                    pc = eval.replay_trips(pc, &trip)?;
+                    continue;
+                }
+            } else {
+                steps += 1;
+            }
             match eval.step(pc)? {
-                Some(next) => pc = next,
+                Some(next) => {
+                    if first_trip == Some((pc, next)) {
+                        eval.ledger.record_trip();
+                    }
+                    pc = next;
+                }
                 None => {
                     return Ok(Priced {
                         total: eval.ledger.stats(),

@@ -306,7 +306,7 @@ impl<'t> TapeVm<'t> {
     /// as a literal record when the value was host-computed. `None`
     /// when not tracing.
     fn trace_operand(&mut self, s: Slot) -> VResult<Option<u32>> {
-        let Some(tr) = &self.trace else {
+        let Some(tr) = &mut self.trace else {
             return Ok(None);
         };
         if let Some(v) = tr.vid(s) {
@@ -315,7 +315,6 @@ impl<'t> TapeVm<'t> {
         let data = self.slots[s as usize]
             .snapshot_tensor()
             .ok_or_else(|| err("cannot trace a non-tensor operand"))?;
-        let tr = self.trace.as_mut().expect("checked above");
         let out = tr.fresh();
         tr.push(TraceOp::Literal { data, out });
         tr.set_vid(s, out);
@@ -560,12 +559,13 @@ impl<'t> TapeVm<'t> {
                 }
             }
             Inst::Return { values } => {
-                if self.trace.is_some() {
-                    let mut vids = Vec::with_capacity(values.len());
-                    for &s in values.iter() {
-                        vids.push(self.trace_operand(s)?.expect("tracing is on"));
-                    }
-                    self.trace_push(|| TraceOp::Return { values: vids });
+                // `None` when not tracing.
+                let vids: Option<Vec<u32>> = values
+                    .iter()
+                    .map(|&s| self.trace_operand(s))
+                    .collect::<VResult<_>>()?;
+                if let Some(values) = vids {
+                    self.trace_push(|| TraceOp::Return { values });
                 }
                 let out = values
                     .iter()
@@ -614,8 +614,7 @@ impl<'t> TapeVm<'t> {
                 let out = *out;
                 let traced = self.trace.is_some().then(|| t.clone());
                 self.set(out, Value::buffer_from(t));
-                if let Some(data) = traced {
-                    let tr = self.trace.as_mut().expect("tracing is on");
+                if let (Some(data), Some(tr)) = (traced, &mut self.trace) {
                     let vid = tr.fresh();
                     tr.push(TraceOp::Literal { data, out: vid });
                     tr.set_vid(out, vid);
@@ -628,8 +627,7 @@ impl<'t> TapeVm<'t> {
                 let (src, out) = (*src, *out);
                 let traced = self.trace.is_some().then(|| t.clone());
                 self.set(out, Value::Tensor(t));
-                if let Some(data) = traced {
-                    let tr = self.trace.as_mut().expect("tracing is on");
+                if let (Some(data), Some(tr)) = (traced, &mut self.trace) {
                     let vid = tr.fresh();
                     match tr.vid(src) {
                         Some(sv) => tr.push(TraceOp::Snapshot { src: sv, out: vid }),
@@ -792,16 +790,16 @@ impl<'t> TapeVm<'t> {
                 let acc_slot = *acc;
                 let q = self.int(*q)? as usize;
                 let offset = self.int(*offset)?;
-                let traced = if self.trace.is_some() {
-                    // Resolve (materializing host-computed operands)
-                    // *before* the merge mutates the accumulator.
-                    Some((
-                        self.trace_operand(acc_slot)?.expect("tracing is on"),
-                        self.trace_operand(*vals)?.expect("tracing is on"),
-                        self.trace_operand(*idx)?.expect("tracing is on"),
-                    ))
-                } else {
-                    None
+                // Resolve (materializing host-computed operands) *before*
+                // the merge mutates the accumulator; `None` when not
+                // tracing.
+                let traced = match (
+                    self.trace_operand(acc_slot)?,
+                    self.trace_operand(*vals)?,
+                    self.trace_operand(*idx)?,
+                ) {
+                    (Some(acc), Some(vals), Some(idx)) => Some((acc, vals, idx)),
+                    _ => None,
                 };
                 let acc = self.slots[acc_slot as usize]
                     .as_buffer()
@@ -853,8 +851,7 @@ impl<'t> TapeVm<'t> {
                 let (vs, is) = (r.vals, r.idx);
                 self.set(vs, Value::buffer_from(vals));
                 self.set(is, Value::buffer_from(idx));
-                if let Some(acc) = acc_vid {
-                    let tr = self.trace.as_mut().expect("tracing is on");
+                if let (Some(acc), Some(tr)) = (acc_vid, &mut self.trace) {
                     let (vv, vi) = (tr.fresh(), tr.fresh());
                     tr.push(TraceOp::Reduce {
                         acc,
@@ -940,9 +937,8 @@ impl<'t> TapeVm<'t> {
         };
         self.query_scratch = scratch;
 
-        let traced = match traced_query {
-            Some(query) => {
-                let tr = self.trace.as_mut().expect("tracing is on");
+        let traced = match (traced_query, &mut self.trace) {
+            (Some(query), Some(tr)) => {
                 tr.push(TraceOp::Search {
                     sub: sub.0,
                     kind: s.kind,
@@ -961,10 +957,9 @@ impl<'t> TapeVm<'t> {
                 });
                 // May materialize the accumulator as a literal, so it
                 // comes before the merge mutates it.
-                let acc = self.trace_operand(s.acc)?.expect("tracing is on");
-                Some((acc, vals, idx))
+                self.trace_operand(s.acc)?.map(|acc| (acc, vals, idx))
             }
-            None => None,
+            _ => None,
         };
         // Each half's failures go to the op it came from, as on a
         // looped body; everything above is the `cam.search`'s.
@@ -1080,7 +1075,8 @@ impl Tape {
         let mut vm = TapeVm::new(self, args)?;
         vm.trace = Some(TraceState::new(self.0.n_slots));
         let values = returned(vm.exec(machine, 0, usize::MAX)?)?;
-        let ops = vm.trace.take().expect("tracing state").ops;
+        // Set above, and nothing in `exec` takes it.
+        let ops = vm.trace.map_or_else(Vec::new, |tr| tr.ops);
         Ok((values, Trace { ops }))
     }
 }

@@ -7,6 +7,8 @@ use c4cam_engine::Tape;
 use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
+use c4cam_tensor::Tensor;
+use std::sync::{Mutex, PoisonError};
 
 use crate::{Backend, ExecOptions, Execution, HalError, Plan, Priced, Unpriced};
 
@@ -106,6 +108,17 @@ pub struct TapeBackend;
 struct TapePlan {
     tape: Tape,
     spec: ArchSpec,
+    /// The last price [`TapePlan::priced`] worked out. A resident plan
+    /// runs one batch shape over and over, and pricing a small batch
+    /// costs about a tenth of running it.
+    last_price: Mutex<Option<PriceMemo>>,
+}
+
+/// A price and what it depends on besides the plan itself.
+struct PriceMemo {
+    shapes: Vec<Vec<usize>>,
+    tech: TechnologyModel,
+    priced: Option<Priced>,
 }
 
 impl Backend for TapeBackend {
@@ -130,15 +143,70 @@ impl Backend for TapeBackend {
         Ok(Box::new(TapePlan {
             tape: Tape::compile(module, func)?,
             spec: spec.clone(),
+            last_price: Mutex::new(None),
         }))
     }
 }
 
+impl TapePlan {
+    /// The cost of running `args` as the tape spells it, when the
+    /// schedule fixes it: no fault model (fault sites and transient hits
+    /// are device state) and no telemetry (its per-op spans read the
+    /// device's running totals).
+    fn priced(&self, args: &[Value], opts: &ExecOptions) -> Option<Priced> {
+        if opts.faults.is_some() || opts.telemetry.enabled() {
+            return None;
+        }
+        let shapes = args
+            .iter()
+            .map(|a| a.as_tensor().map(Tensor::shape))
+            .collect::<Option<Vec<_>>>()?;
+        let tech = tech_for(opts);
+        // A memo's lock guards a clone or a store, neither of which
+        // leaves it half-written.
+        let memo = || {
+            self.last_price
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(last) = memo().as_ref() {
+            if last.tech == tech
+                && last
+                    .shapes
+                    .iter()
+                    .map(Vec::as_slice)
+                    .eq(shapes.iter().copied())
+            {
+                return last.priced.clone();
+            }
+        }
+        let priced = self.tape.price_as_written(&shapes, &self.spec, &tech).ok();
+        *memo() = Some(PriceMemo {
+            shapes: shapes.iter().map(|s| s.to_vec()).collect(),
+            tech,
+            priced: priced.clone(),
+        });
+        priced
+    }
+}
+
 impl Plan for TapePlan {
+    /// A run whose cost the schedule fixes ([`TapePlan::priced`]) runs
+    /// on a [`CamMachine::functional`] device and reports the priced
+    /// statistics, at any thread count; any other run charges the
+    /// device as it goes.
     fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError> {
         let mut span = opts.telemetry.span("backend:tape", cat::BACKEND);
         span.arg("threads", ArgValue::Int(opts.threads.max(1) as i64));
-        let mut machine = machine_for(&self.spec, opts);
+        let priced = self.priced(args, opts);
+        let mut machine = match priced {
+            Some(_) => {
+                let mut functional = CamMachine::functional(&self.spec);
+                functional.set_wta_window(opts.wta_window);
+                functional
+            }
+            None => machine_for(&self.spec, opts),
+        };
         let outputs = self.tape.run_batched_resilient(
             &mut machine,
             args,
@@ -148,10 +216,14 @@ impl Plan for TapePlan {
             opts.chaos,
         )?;
         span.finish();
+        let (stats, phases) = match priced {
+            Some(p) => (p.total, p.phases),
+            None => (machine.stats(), machine.phases().to_vec()),
+        };
         Ok(Execution {
             outputs,
-            stats: machine.stats(),
-            phases: machine.phases().to_vec(),
+            stats,
+            phases,
             heap_bytes: machine.heap_bytes(),
         })
     }

@@ -14,9 +14,13 @@
 //! shapes alone.
 //!
 //! A backend says whether it shards across worker threads through
-//! [`Backend::supports_threads`]. Every backend charges the calibrated
+//! [`Backend::supports_threads`]. Every backend reports the calibrated
 //! [`CamMachine`](c4cam_camsim::CamMachine) cost model, so all are
 //! bit-identical to the walker oracle in outputs **and** statistics.
+//! The `tape` backend takes a fault-free, untraced execution's
+//! statistics from its schedule ([`Plan::price`]) and runs it on a
+//! functional machine that charges nothing; a run with faults or live
+//! telemetry charges the machine as it goes.
 //!
 //! The standard registry ([`BackendRegistry::standard`]) ships two
 //! backends:
@@ -392,6 +396,10 @@ mod tests {
             if backend.supports_threads() {
                 let run = plan.execute(&args, &threaded).unwrap();
                 assert_outputs_equal(&run.outputs, &oracle.outputs, backend.name());
+                // A fault-free run reports its schedule's cost: the
+                // sequential figures, whatever the thread count.
+                assert_eq!(run.stats, oracle.stats, "{}", backend.name());
+                assert_eq!(run.phases, oracle.phases, "{}", backend.name());
             } else {
                 let err = plan.execute(&args, &threaded).unwrap_err();
                 assert!(
@@ -478,6 +486,39 @@ mod tests {
             let b = plan.execute(&args, &ExecOptions::sequential()).unwrap();
             assert_outputs_equal(&a.outputs, &b.outputs, backend.name());
             assert_eq!(a.stats, b.stats, "{} rerun stats", backend.name());
+        }
+    }
+
+    /// The tape plan keeps its last price: alternating technologies and
+    /// argument shapes on one plan must still report each run's own
+    /// statistics — the walker's.
+    #[test]
+    fn a_plan_reports_each_runs_own_price_whatever_ran_before() {
+        let mut m = Module::new();
+        torch::build_hdc_dot_with(&mut m, 2, 4, 64, 1, true);
+        let s = spec(16, Optimization::Base);
+        let module = C4camPipeline::new(s.clone()).compile(m).unwrap().module;
+        let reg = BackendRegistry::global();
+        let plan = |name| reg.get(name).unwrap().compile(&module, "forward", &s);
+        let (tape, walk) = (plan("tape").unwrap(), plan("walk").unwrap());
+        let (stored, queries) = hdc_inputs(2, 4, 64);
+        let short = queries.slice2d(0, 0, 1, 64).unwrap();
+        let runs = [
+            (TechnologyModel::fefet_45nm(), &queries),
+            (TechnologyModel::cmos_tcam_16nm(), &queries),
+            (TechnologyModel::cmos_tcam_16nm(), &short),
+            (TechnologyModel::fefet_45nm(), &queries),
+        ];
+        for (tech, queries) in runs {
+            let args = [
+                Value::Tensor(queries.clone()),
+                Value::Tensor(stored.clone()),
+            ];
+            let opts = ExecOptions::sequential().with_tech(tech);
+            let want = walk.execute(&args, &opts).unwrap();
+            let got = tape.execute(&args, &opts).unwrap();
+            assert_eq!(got.stats, want.stats, "{:?}", queries.shape());
+            assert_eq!(got.phases, want.phases);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::protocol::PlanKey;
 use crate::{BatchRunner, PlanSource};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Cache statistics (monotonic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,11 +48,11 @@ struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        if let Ok(mut inner) = self.cache.inner.lock() {
-            if let Some(pos) = inner.in_flight.iter().position(|k| k == self.key) {
-                inner.in_flight.swap_remove(pos);
-            }
+        let mut inner = self.cache.lock();
+        if let Some(pos) = inner.in_flight.iter().position(|k| k == self.key) {
+            inner.in_flight.swap_remove(pos);
         }
+        drop(inner);
         self.cache.done.notify_all();
     }
 }
@@ -91,6 +91,14 @@ impl PlanCache {
         }
     }
 
+    /// The cache's state. No section holding the lock runs the compile
+    /// or anything else that can panic short of the allocator, and each
+    /// leaves the state whole, so a lock a panicking thread poisoned
+    /// still guards a sound cache.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch the plan for `key`, compiling through `source` on a miss.
     /// Returns the runner and whether it was a cache hit.
     ///
@@ -109,7 +117,7 @@ impl PlanCache {
         key: &PlanKey,
         source: &dyn PlanSource,
     ) -> Result<(Arc<dyn BatchRunner>, bool), String> {
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = self.lock();
         loop {
             if let Some(pos) = inner.entries.iter().position(|(k, _)| k == key) {
                 let entry = inner.entries.remove(pos);
@@ -119,7 +127,10 @@ impl PlanCache {
                 return Ok((runner, true));
             }
             if inner.in_flight.iter().any(|k| k == key) {
-                inner = self.done.wait(inner).expect("plan cache lock");
+                inner = self
+                    .done
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             inner.in_flight.push(key.clone());
@@ -130,7 +141,7 @@ impl PlanCache {
         let compiled = source.compile(key);
         release_compile_scratch();
         let runner = compiled?;
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = self.lock();
         inner.entries.push((key.clone(), Arc::clone(&runner)));
         inner.stats.misses += 1;
         if inner.entries.len() > self.capacity {
@@ -142,23 +153,17 @@ impl PlanCache {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().expect("plan cache lock").stats
+        self.lock().stats
     }
 
     /// The cached keys, least recently used first.
     pub fn keys(&self) -> Vec<PlanKey> {
-        self.inner
-            .lock()
-            .expect("plan cache lock")
-            .entries
-            .iter()
-            .map(|(k, _)| k.clone())
-            .collect()
+        self.lock().entries.iter().map(|(k, _)| k.clone()).collect()
     }
 
     /// Number of plans currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").entries.len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.

@@ -6,7 +6,8 @@
 //! [`MAX_CONNECTIONS`] at once: a handler blocks on its socket for as
 //! long as the client stays, so it must not occupy a worker of the
 //! engine's shard pool, which batches need. A connection past the cap
-//! is answered one `overloaded` line and closed. The accept loop
+//! is answered one `overloaded` line and closed, and one that sends
+//! nothing for [`ServeConfig::idle_timeout`] is closed. The accept loop
 //! blocks on the socket — a connection is accepted the moment it
 //! arrives, not at the next tick of a poll. Shutdown is cooperative: a
 //! SIGTERM / SIGINT (ctrl-c) or a `{"cmd":"shutdown"}` request flips
@@ -43,6 +44,11 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Telemetry handle shared by compilation, batches, and requests.
     pub telemetry: Telemetry,
+    /// How long a connection may go without sending a byte before it
+    /// is closed and its [`MAX_CONNECTIONS`] slot freed (default 60 s;
+    /// `None` waits forever). A peer that trickles bytes more often
+    /// than this keeps its slot.
+    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -53,6 +59,7 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             cache_capacity: 8,
             telemetry: Telemetry::disabled(),
+            idle_timeout: Some(Duration::from_secs(60)),
         }
     }
 }
@@ -299,9 +306,12 @@ pub fn serve(
             Ok((stream, _peer)) => {
                 // Accepted sockets can inherit the listener's
                 // non-blocking mode on some platforms; handlers use
-                // blocking reads.
+                // blocking reads, which fail once the peer has been
+                // silent for the idle timeout (a zero one is refused
+                // and waits forever, as `None` does).
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(cfg.idle_timeout);
                 spawn_connection(stream, &shared);
             }
             // Woken by a signal, or the peer reset before we got here.
@@ -378,7 +388,8 @@ fn handle_connection(stream: &TcpStream, shared: &Shared) {
         // One byte past the cap tells an over-long line from a full one.
         let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
         match capped.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => break, // peer went away
+            // The peer went away, or was silent past the idle timeout.
+            Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
         let (response, then) = if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {

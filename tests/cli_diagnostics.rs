@@ -112,6 +112,70 @@ fn successful_runs_exit_0_with_stdout_only() {
     assert!(String::from_utf8_lossy(&help.stdout).contains("usage:"));
 }
 
+fn stdout_of(args: &[&str]) -> String {
+    let out = c4cam(args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 report")
+}
+
+/// Threads shard queries and nothing else: every simulated figure a
+/// fault-free run prints is the same at any thread count, to the byte.
+#[test]
+fn simulated_figures_do_not_depend_on_the_thread_count() {
+    let dataset = fixture_path();
+    let run = |threads: &str| {
+        stdout_of(&[
+            "run",
+            "--dataset",
+            &dataset,
+            "--workload",
+            "knn",
+            "--format",
+            "json",
+            "--threads",
+            threads,
+        ])
+    };
+    let one = run("1");
+    assert!(one.contains("\"latency_ns\":"), "{one}");
+    for threads in ["2", "4"] {
+        assert_eq!(run(threads), one, "run --threads {threads}");
+    }
+
+    // `accuracy` names its thread count in a column; every other
+    // column must agree.
+    let accuracy = |threads: &str| {
+        let csv = stdout_of(&[
+            "accuracy",
+            "--dataset",
+            &dataset,
+            "--format",
+            "csv",
+            "--threads",
+            threads,
+        ]);
+        let threads_col = csv
+            .lines()
+            .next()
+            .and_then(|header| header.split(',').position(|c| c == "threads"))
+            .expect("a threads column");
+        let rows = csv.lines().map(|line| {
+            let mut cells: Vec<&str> = line.split(',').collect();
+            cells.remove(threads_col);
+            cells.join(",")
+        });
+        rows.collect::<Vec<_>>()
+    };
+    let one = accuracy("1");
+    assert!(one.len() > 1, "{one:?}");
+    assert_eq!(accuracy("2"), one);
+}
+
 #[test]
 fn fault_injection_smoke_run_parses_and_reports() {
     // The CI smoke command: a seeded fault-rate accuracy run whose CSV

@@ -120,20 +120,10 @@ fn check_engines(m: Module, func: &str, spec: &ArchSpec, args: &[Value], looped:
             .execute(args, &ExecOptions::sequential().with_threads(3))
             .unwrap();
         assert_outputs_match(&sharded.outputs, &format!("{name} sharded"));
-        let (a, b) = (&exec.stats, &sharded.stats);
-        assert_eq!(a.search_ops, b.search_ops, "{name}");
-        assert_eq!(a.read_ops, b.read_ops, "{name}");
-        assert_eq!(a.merge_ops, b.merge_ops, "{name}");
-        assert_eq!(a.write_ops, b.write_ops, "{name}");
-        assert!(
-            (a.latency_ns - b.latency_ns).abs() <= 1e-6 * a.latency_ns.max(1.0),
-            "{name}"
-        );
-        assert!(
-            (a.total_energy_fj() - b.total_energy_fj()).abs()
-                <= 1e-6 * a.total_energy_fj().max(1.0),
-            "{name}"
-        );
+        // A fault-free execution reports its priced schedule: the
+        // sequential figures, whatever the thread count.
+        assert_eq!(exec.stats, sharded.stats, "{name} sharded stats");
+        assert_eq!(exec.phases, sharded.phases, "{name} sharded phases");
     }
     tape
 }

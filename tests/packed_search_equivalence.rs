@@ -76,16 +76,31 @@ fn assert_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind, metric: Me
 }
 
 /// Search every row of `s` through the full window (the dense sweep,
-/// when it applies) and hold it bit for bit to the oracle — rows, match
-/// flags, distances — and to the generic sweep the same rows take as two
-/// windows: distances and `searched_words`.
+/// when it applies) and hold it to the oracle and the generic sweep
+/// ([`assert_full_window_bit_identical`]).
 fn assert_full_array_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind, metric: Metric) {
+    let every_row: Vec<usize> = (0..s.rows()).collect();
+    let naive = s.search_naive(q, kind, metric, RowSelection::All, 2.0, None);
+    assert_eq!(naive.unwrap().rows, every_row, "every row");
+    assert_full_window_bit_identical(s, q, kind, metric, None);
+}
+
+/// Search `s` through the full window (a specialised sweep, when one
+/// applies) and hold it bit for bit to the oracle — rows, match flags,
+/// distances — and to the generic sweep the same rows take as two
+/// windows: rows, distances and `searched_words`.
+fn assert_full_window_bit_identical(
+    s: &mut Subarray,
+    q: &[f32],
+    kind: MatchKind,
+    metric: Metric,
+    wta: Option<u32>,
+) {
     let all = RowSelection::All;
     let naive = s
-        .search_naive(q, kind, metric, all, 2.0, None)
+        .search_naive(q, kind, metric, all, 2.0, wta)
         .unwrap()
         .clone();
-    assert_eq!(naive.rows, (0..s.rows()).collect::<Vec<_>>(), "every row");
     let half = s.rows() / 2;
     let halves = [
         RowSelection::Window {
@@ -101,24 +116,51 @@ fn assert_full_array_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind,
     for tier in supported_tiers() {
         let mut scratch = SearchScratch::default();
         scratch.set_kernel_tier(tier).unwrap();
-        let (mut generic, mut generic_words) = (Vec::new(), 0);
+        let (mut generic_rows, mut generic, mut generic_words) =
+            (Vec::<usize>::new(), Vec::new(), 0);
         for selection in halves {
             let part = s
-                .search(q, kind, metric, selection, 2.0, None, &mut scratch)
+                .search(q, kind, metric, selection, 2.0, wta, &mut scratch)
                 .unwrap();
+            generic_rows.extend(&part.rows);
             generic.extend(bits(&part.distances));
             generic_words += s.last_searched_words();
         }
         let full = s
-            .search(q, kind, metric, all, 2.0, None, &mut scratch)
+            .search(q, kind, metric, all, 2.0, wta, &mut scratch)
             .unwrap()
             .clone();
-        let at = format!("{kind:?}/{metric:?}/tier={tier:?}/q={q:?}");
+        let at = format!("{kind:?}/{metric:?}/wta={wta:?}/tier={tier:?}/q={q:?}");
         assert_eq!(naive.rows, full.rows, "{at}");
         assert_eq!(naive.matched, full.matched, "{at}");
         assert_eq!(bits(&naive.distances), bits(&full.distances), "{at}");
+        assert_eq!(generic_rows, full.rows, "{at}");
         assert_eq!(generic, bits(&full.distances), "{at}");
         assert_eq!(generic_words, s.last_searched_words(), "{at}");
+    }
+}
+
+/// Columns of the all-binary cases: the widest query spans three plane
+/// words.
+const BIN_COLS: usize = 150;
+
+/// How row `r` of an all-binary case is programmed: left unprogrammed
+/// (a hole), as a full-width or a ragged (don't-care-padded) 1-bit row,
+/// or through `write_cells` with a don't-care cell.
+fn program_binary_row(s: &mut Subarray, r: usize, shape: u8, bits: &[u8]) {
+    let cells = |w: usize| bits[..w].iter().map(|&b| f32::from(b)).collect::<Vec<_>>();
+    match shape {
+        0 => {}
+        1 => s.write_rows(r, &[cells(BIN_COLS)], 1).unwrap(),
+        2 => s.write_rows(r, &[cells(1 + r * 37 % BIN_COLS)], 1).unwrap(),
+        _ => {
+            let mut row: Vec<CamCell> = bits
+                .iter()
+                .map(|&b| if b == 1 { CamCell::One } else { CamCell::Zero })
+                .collect();
+            row[r * 11 % BIN_COLS] = CamCell::DontCare;
+            s.write_cells(r, &[row]).unwrap();
+        }
     }
 }
 
@@ -311,6 +353,55 @@ proptest! {
         for kind in kinds() {
             for metric in metrics() {
                 assert_full_array_bit_identical(&mut s, &q, kind, metric);
+            }
+        }
+    }
+
+    /// Every programmed row binary, holes allowed: full-width, ragged
+    /// and don't-care rows; queries shorter than a plane word, exactly
+    /// one, and wider; Hamming with and without a WTA window, and Dot.
+    /// The binary sweep takes these, stuck-at faults included; a
+    /// transient draw, a multi-bit row or a side-table row must send
+    /// the search back to the generic sweep. Either way the result is
+    /// the oracle's and the generic sweep's, bit for bit.
+    #[test]
+    fn full_window_binary_sweep_equals_naive_and_generic(
+        short in 1usize..64,
+        wide in 65usize..BIN_COLS + 1,
+        shapes in proptest::collection::vec(0u8..4, FULL_ROWS),
+        bits in proptest::collection::vec(0u8..2, FULL_ROWS * BIN_COLS),
+        qcells in proptest::collection::vec(0u8..4, BIN_COLS),
+        window in 1u32..6,
+        case in 0u8..5,
+    ) {
+        let mut s = Subarray::new(FULL_ROWS, BIN_COLS);
+        if case == 1 || case == 2 {
+            let model = FaultModel {
+                seed: 5,
+                stuck_at_zero: 0.05,
+                stuck_at_one: 0.05,
+                drift: 0.0,
+                transient: if case == 2 { 0.2 } else { 0.0 },
+            };
+            let cfg = FaultConfig { model, resilience: Resilience::default() };
+            s.set_faults(Some(Box::new(SubarrayFaults::generate(&cfg, 0, FULL_ROWS, BIN_COLS))));
+        }
+        for (r, &shape) in shapes.iter().enumerate() {
+            program_binary_row(&mut s, r, shape, &bits[r * BIN_COLS..(r + 1) * BIN_COLS]);
+        }
+        match case {
+            3 => s.write_rows(FULL_ROWS / 2, &[vec![2.0, 0.0, 3.0]], 2).unwrap(),
+            4 => s.write_cells(FULL_ROWS / 2, &[vec![CamCell::Range(-0.5, 1.5)]]).unwrap(),
+            _ => {}
+        }
+        let q: Vec<f32> = qcells.iter().map(|&c| [0.0, 1.0, -0.0, 0.5][usize::from(c)]).collect();
+        for qlen in [short, 64, wide] {
+            for kind in kinds() {
+                for metric in [Metric::Hamming, Metric::Dot] {
+                    for wta in [None, Some(window)] {
+                        assert_full_window_bit_identical(&mut s, &q[..qlen], kind, metric, wta);
+                    }
+                }
             }
         }
     }

@@ -216,9 +216,17 @@ fn start_server(max_batch: usize) -> (std::net::SocketAddr, std::thread::JoinHan
 fn start_server_on(
     source: DatasetPlanSource,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
+    start_server_idling(source, ServeConfig::default().idle_timeout)
+}
+
+fn start_server_idling(
+    source: DatasetPlanSource,
+    idle_timeout: Option<Duration>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
     let cfg = ServeConfig {
         admission: AdmissionConfig { queue_depth: 256 },
         cache_capacity: 4,
+        idle_timeout,
         ..ServeConfig::default()
     };
     let (tx, rx) = channel();
@@ -487,18 +495,62 @@ fn a_full_server_refuses_new_connections_and_keeps_serving_established_ones() {
 
     // A closed peer frees its slot as soon as its handler sees the EOF.
     drop(idle.pop());
-    let served = (0..500).any(|_| {
+    assert!(
+        admits_a_connection(addr),
+        "no connection was admitted after a peer closed"
+    );
+
+    established.roundtrip(r#"{"cmd":"shutdown"}"#);
+    assert!(handle.join().unwrap().rejected >= 1);
+}
+
+/// Whether a fresh connection is served within five seconds of retries
+/// (a slot frees when its handler thread ends, just after the peer sees
+/// the close).
+fn admits_a_connection(addr: std::net::SocketAddr) -> bool {
+    (0..500).any(|_| {
         std::thread::sleep(Duration::from_millis(10));
         let mut fresh = Client::connect(addr);
         let mut reply = String::new();
         let answered = fresh.writer.write_all(b"{\"cmd\":\"info\"}\n").is_ok()
             && fresh.reader.read_line(&mut reply).is_ok();
         answered && reply.contains("\"pool_size\"")
-    });
-    assert!(served, "no connection was admitted after a peer closed");
+    })
+}
 
-    established.roundtrip(r#"{"cmd":"shutdown"}"#);
-    assert!(handle.join().unwrap().rejected >= 1);
+/// A client that connects and sends nothing is hung up on once the idle
+/// timeout has passed, and its slot is freed: a server whose every slot
+/// such clients took admits connections again.
+#[test]
+fn silent_connections_are_closed_after_the_idle_timeout_and_free_their_slots() {
+    let timeout = Duration::from_millis(300);
+    let source = source_with("tape", 4, Telemetry::disabled());
+    let (addr, handle) = start_server_idling(source, Some(timeout));
+    let connected = std::time::Instant::now();
+    let mut silent: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| Client::connect(addr))
+        .collect();
+    for client in &mut silent {
+        let mut line = String::new();
+        let read = client.reader.read_line(&mut line);
+        assert_eq!(
+            read.unwrap(),
+            0,
+            "expected the server's close, got {line:?}"
+        );
+    }
+    let waited = connected.elapsed();
+    assert!(
+        waited >= timeout,
+        "closed after {waited:?}, before the timeout"
+    );
+    assert!(
+        admits_a_connection(addr),
+        "no connection was admitted after the silent ones were closed"
+    );
+    let mut client = Client::connect(addr);
+    client.roundtrip(r#"{"cmd":"shutdown"}"#);
+    handle.join().unwrap();
 }
 
 /// A `c4cam serve` child on an ephemeral port, and the address it

@@ -12,11 +12,14 @@ mod common;
 use c4cam::arch::tech::TechnologyModel;
 use c4cam::arch::{ArchSpec, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats};
+use c4cam::compiler::dialects::scf;
 use c4cam::compiler::pipeline::C4camPipeline;
 use c4cam::datasets::{mini_mnist, DatasetTask, DatasetWorkload};
 use c4cam::driver::{build_arch, Experiment};
 use c4cam::engine::{Priced, Tape, Unpriced, Unspecialised};
 use c4cam::hal::{BackendRegistry, ExecOptions, FaultConfig};
+use c4cam::ir::builder::OpBuilder;
+use c4cam::ir::Module;
 use c4cam::runtime::Value;
 use c4cam::workloads::{ArgOrder, DtreeWorkload, HdcWorkload, KnnWorkload, Workload};
 
@@ -41,24 +44,32 @@ const GEOMETRIES: [Geometry; 5] = [
 ];
 
 fn workloads() -> Vec<Box<dyn Workload>> {
+    workloads_at([3, 3, 3, 2])
+}
+
+/// One workload of each shipped kind — HDC, kNN, decision tree and the
+/// mini-MNIST HDC dataset — running `queries[i]` queries (the dataset's
+/// query pool holds 64).
+fn workloads_at(queries: [usize; 4]) -> Vec<Box<dyn Workload>> {
+    let dataset = mini_mnist::dataset();
     vec![
         Box::new(HdcWorkload {
             classes: 5,
             dims: 200,
-            queries: 3,
+            queries: queries[0],
             flip_rate: 0.1,
             seed: 3,
         }),
         Box::new(KnnWorkload {
             patterns: 40,
             dims: 70,
-            queries: 3,
+            queries: queries[1],
             k: 2,
             noise: 0.2,
             seed: 5,
         }),
-        Box::new(DtreeWorkload::new(9, 3, 4, 3, 7)),
-        Box::new(DatasetWorkload::new(mini_mnist::dataset(), DatasetTask::Hdc, Some(2)).unwrap()),
+        Box::new(DtreeWorkload::new(9, 3, 4, queries[2], 7)),
+        Box::new(DatasetWorkload::new(dataset, DatasetTask::Hdc, Some(queries[3])).unwrap()),
     ]
 }
 
@@ -103,20 +114,33 @@ fn assert_same_bits(got: &ExecStats, want: &ExecStats, what: &str) {
 /// `workload` lowered for `spec`: its tape (left as loops when
 /// `looped`), its arguments and their shapes.
 fn lowered(workload: &dyn Workload, spec: &ArchSpec, looped: bool) -> (Tape, Vec<Value>) {
-    let built = workload.build_module(spec);
-    let mut compiled = C4camPipeline::new(spec.clone())
-        .compile(built.module)
-        .unwrap();
-    if looped {
-        common::keep_query_loops(&mut compiled.module, built.func);
-    }
-    let tape = Tape::compile(&compiled.module, built.func).unwrap();
+    let (tape, args) = if looped {
+        edited(workload, spec, common::keep_query_loops)
+    } else {
+        edited(workload, spec, |_, _| {})
+    };
     let want = if looped {
         Err(Unspecialised::IvEscapes)
     } else {
         Ok(())
     };
     assert_eq!(tape.specialised(), want, "{}", workload.name());
+    (tape, args)
+}
+
+/// `workload` lowered for `spec` with `edit(module, func)` applied to
+/// the mapped module: its tape and arguments.
+fn edited(
+    workload: &dyn Workload,
+    spec: &ArchSpec,
+    edit: impl FnOnce(&mut Module, &str),
+) -> (Tape, Vec<Value>) {
+    let built = workload.build_module(spec);
+    let mut compiled = C4camPipeline::new(spec.clone())
+        .compile(built.module)
+        .unwrap();
+    edit(&mut compiled.module, built.func);
+    let tape = Tape::compile(&compiled.module, built.func).unwrap();
     let inputs = workload.inputs(spec);
     let (stored, queries) = (Value::Tensor(inputs.stored), Value::Tensor(inputs.queries));
     let args = match built.arg_order {
@@ -136,6 +160,18 @@ fn price(tape: &Tape, args: &[Value], spec: &ArchSpec, queries: usize) -> Result
     tape.price(&shapes(args), spec, &tech, queries)
 }
 
+/// Every field of two pricings or runs, phases included, to the bit.
+fn assert_same_run(got: &Priced, stats: &ExecStats, phases: &[(String, ExecStats)], what: &str) {
+    assert_same_bits(&got.total, stats, what);
+    assert_eq!(got.phases.len(), phases.len(), "{what}");
+    for ((pn, ps), (mn, ms)) in got.phases.iter().zip(phases) {
+        assert_eq!(pn, mn, "{what}");
+        assert_same_bits(ps, ms, &format!("{what}: phase {pn}"));
+    }
+}
+
+/// Simulation, the price at the workload's query count and the price
+/// of the trips the tape spells agree on every field.
 #[test]
 fn static_cost_equals_simulation_to_the_bit_over_the_grid() {
     let mut points = 0;
@@ -154,13 +190,13 @@ fn static_cost_equals_simulation_to_the_bit_over_the_grid() {
                         tape.run(&mut machine, &args).unwrap();
                         let priced = price(&tape, &args, &spec, workload.query_count())
                             .unwrap_or_else(|why| panic!("{what}: unpriced: {why}"));
-
-                        assert_same_bits(&priced.total, &machine.stats(), &what);
-                        assert_eq!(priced.phases.len(), machine.phases().len(), "{what}");
-                        for ((pn, ps), (mn, ms)) in priced.phases.iter().zip(machine.phases()) {
-                            assert_eq!(pn, mn, "{what}");
-                            assert_same_bits(ps, ms, &format!("{what}: phase {pn}"));
-                        }
+                        assert_same_run(&priced, &machine.stats(), machine.phases(), &what);
+                        // The trip count the tape spells is the run's.
+                        let tech = TechnologyModel::fefet_45nm();
+                        let as_written = tape
+                            .price_as_written(&shapes(&args), &spec, &tech)
+                            .unwrap_or_else(|why| panic!("{what}: unpriced as written: {why}"));
+                        assert_same_run(&as_written, &machine.stats(), machine.phases(), &what);
                         let setup = machine.phase("setup-complete").expect("setup marker");
                         assert_same_bits(&priced.setup(), setup, &what);
                         let query_phase = machine.stats().delta(setup);
@@ -173,6 +209,123 @@ fn static_cost_equals_simulation_to_the_bit_over_the_grid() {
         }
     }
     assert_eq!(points, 4 * 3 * 4 * 5 * 2);
+}
+
+/// Trip counts the one-trip replay is held to simulation at. A debug
+/// build simulates 1024 queries in ~0.1–0.3 s, so that count runs on
+/// one geometry per workload × cell width × optimisation, a different
+/// one for each in turn (48 points, every geometry among them).
+const TRIPS: [usize; 5] = [1, 2, 3, 17, 1024];
+
+/// A specialised body is priced by walking one trip and replaying its
+/// charges. At every trip count, on every specialised grid point (see
+/// [`TRIPS`] for 1024), that equals to the bit the simulation of the
+/// same workload compiled for that many queries — except mini-MNIST
+/// past its 64-query pool, held to the walk the evaluator makes of the
+/// body left as loops instead.
+#[test]
+fn one_trip_replayed_equals_simulation_at_every_trip_count() {
+    let points = std::thread::scope(|scope| {
+        let kinds: Vec<_> = (0..4)
+            .map(|kind| scope.spawn(move || replay_equals_simulation(kind)))
+            .collect();
+        kinds.into_iter().map(|k| k.join().unwrap()).sum::<usize>()
+    });
+    assert_eq!(points, 4 * 3 * 4 * (5 * (TRIPS.len() - 1) + 1));
+}
+
+/// [`one_trip_replayed_equals_simulation_at_every_trip_count`] for the
+/// `kind`-th workload (one thread each); the points it checked.
+fn replay_equals_simulation(kind: usize) -> usize {
+    let workload = workloads().swap_remove(kind);
+    let simulated: Vec<_> = TRIPS
+        .iter()
+        .map(|&n| workloads_at([n; 4]).swap_remove(kind))
+        .collect();
+    let (mut points, mut turn) = (0, 0);
+    for bits in [1, 2, 4] {
+        for opt in OPTIMIZATIONS {
+            turn += 1;
+            for (g, (subarray, hierarchy)) in GEOMETRIES.into_iter().enumerate() {
+                let spec = build_arch(subarray, hierarchy, opt, bits).unwrap();
+                let (tape, args) = lowered(workload.as_ref(), &spec, false);
+                for (&trips, simulated) in TRIPS.iter().zip(&simulated) {
+                    if trips == 1024 && g != turn % GEOMETRIES.len() {
+                        continue;
+                    }
+                    let what = format!(
+                        "{} {bits}b {opt:?} {subarray:?} {hierarchy:?} at {trips}",
+                        workload.name()
+                    );
+                    let replayed = price(&tape, &args, &spec, trips).unwrap();
+                    if simulated.query_count() == trips {
+                        let (tape, args) = lowered(simulated.as_ref(), &spec, false);
+                        let mut machine = CamMachine::new(&spec);
+                        tape.run(&mut machine, &args).unwrap();
+                        assert_same_run(&replayed, &machine.stats(), machine.phases(), &what);
+                    } else {
+                        let (looped, args) = lowered(workload.as_ref(), &spec, true);
+                        let walked = price(&looped, &args, &spec, trips).unwrap();
+                        assert_same_run(&replayed, &walked.total, &walked.phases, &what);
+                    }
+                    points += 1;
+                }
+            }
+        }
+    }
+    points
+}
+
+/// A body left as loops is walked trip by trip, never replayed: here
+/// query `q` also makes `q` bank merges (a loop bounded by the query
+/// index, which keeps the specialiser out), so no two trips charge
+/// alike, and the price still equals the run at every trip count.
+#[test]
+fn a_body_left_as_loops_is_walked_trip_by_trip() {
+    let spec = build_arch((32, 32), (4, 4, 8), Optimization::Power, 1).unwrap();
+    for trips in [1, 2, 3, 17] {
+        let hdc = HdcWorkload {
+            classes: 5,
+            dims: 200,
+            queries: trips,
+            flip_rate: 0.1,
+            seed: 3,
+        };
+        let (tape, args) = edited(&hdc, &spec, merges_per_query_index);
+        assert_eq!(tape.specialised(), Err(Unspecialised::IvEscapes));
+        let mut machine = CamMachine::new(&spec);
+        tape.run(&mut machine, &args).unwrap();
+        let walked = price(&tape, &args, &spec, trips).unwrap();
+        let what = format!("{trips} trips");
+        assert_same_run(&walked, &machine.stats(), machine.phases(), &what);
+        let plain = price(&lowered(&hdc, &spec, false).0, &args, &spec, trips).unwrap();
+        let extra = (trips * (trips - 1) / 2) as u64;
+        assert_eq!(
+            walked.total.merge_ops,
+            plain.total.merge_ops + extra,
+            "{what}"
+        );
+    }
+}
+
+/// At the head of `func`'s query body, a loop of as many `cam.merge_level`
+/// trips as the query index.
+fn merges_per_query_index(m: &mut Module, func: &str) {
+    let func = m.lookup_symbol(func).expect("function");
+    let entry = m.op(func).regions[0][0];
+    let query_loop = *m
+        .block(entry)
+        .ops
+        .iter()
+        .find(|&&op| m.op(op).name == "scf.for")
+        .expect("the query loop is the top-level scf.for");
+    let body = m.op(query_loop).regions[0][0];
+    let (head, iv) = (m.block(body).ops[0], m.block(body).args[0]);
+    let mut b = OpBuilder::before(m, head);
+    let (lb, step) = (b.const_index(0), b.const_index(1));
+    let (_, merges, _) = scf::build_for(&mut b, lb, iv, step);
+    OpBuilder::at_end(m, merges).op("cam.merge_level", &[], &[], vec![("level", "bank".into())]);
+    scf::end_body(m, merges, &[]);
 }
 
 /// The trip count is a parameter of the price, not of the tape: a tape
