@@ -287,6 +287,12 @@ impl Default for ArchSpec {
 }
 
 impl ArchSpec {
+    /// Most cells one subarray may hold: 2²⁰ (1024 × 1024), 16× the
+    /// paper's largest 256 × 256. The simulator allocates a subarray's
+    /// planes whole, so a larger geometry is refused at validation rather
+    /// than as gigabytes of zero pages at the first executed point.
+    pub const MAX_CELLS_PER_SUBARRAY: usize = 1 << 20;
+
     /// Start building a spec from the defaults.
     pub fn builder() -> ArchSpecBuilder {
         ArchSpecBuilder {
@@ -328,11 +334,23 @@ impl ArchSpec {
     /// Validate internal consistency.
     ///
     /// # Errors
-    /// Fails on zero-sized dimensions or unsupported cell widths.
+    /// Fails on zero-sized dimensions, subarrays of more than
+    /// [`ArchSpec::MAX_CELLS_PER_SUBARRAY`] cells, or unsupported cell
+    /// widths.
     pub fn validate(&self) -> Result<(), SpecError> {
         let err = |message: String| Err(SpecError { message });
-        if self.rows_per_subarray == 0 || self.cols_per_subarray == 0 {
+        let (rows, cols) = (self.rows_per_subarray, self.cols_per_subarray);
+        if rows == 0 || cols == 0 {
             return err("subarray dimensions must be nonzero".into());
+        }
+        if rows
+            .checked_mul(cols)
+            .is_none_or(|n| n > Self::MAX_CELLS_PER_SUBARRAY)
+        {
+            return err(format!(
+                "a {rows}x{cols} subarray exceeds the bound of {} cells per subarray (1024x1024)",
+                Self::MAX_CELLS_PER_SUBARRAY
+            ));
         }
         if self.subarrays_per_array == 0 || self.arrays_per_mat == 0 || self.mats_per_bank == 0 {
             return err("hierarchy fan-outs must be nonzero".into());
@@ -487,6 +505,19 @@ mod tests {
             .build()
             .is_err());
         assert!(ArchSpec::builder().hierarchy(0, 4, 8).build().is_err());
+    }
+
+    #[test]
+    fn subarray_cells_are_bounded() {
+        assert!(ArchSpec::builder().subarray(1024, 1024).build().is_ok());
+        assert!(ArchSpec::builder().subarray(1, 1 << 20).build().is_ok());
+        for (rows, cols) in [(1025, 1024), (100_000, 100_000), (usize::MAX, 2)] {
+            let e = ArchSpec::builder()
+                .subarray(rows, cols)
+                .build()
+                .unwrap_err();
+            assert!(e.message.contains("1048576 cells"), "{e}");
+        }
     }
 
     #[test]

@@ -242,9 +242,11 @@ pub struct SearchScratch {
     /// 1 where the rounded query level is exactly representable in the
     /// stored `u8` range.
     qvalid: Vec<u8>,
-    /// Integral query values (exact-integer Euclidean accumulation).
+    /// Integral query values past `|q| ≤ 1024` (exact-integer Euclidean
+    /// accumulation, scalar).
     qint: Vec<i64>,
-    /// `i16` copy of `qint` for the vectorizable small-magnitude path.
+    /// Integral query values when every `|q| ≤ 1024`, for the
+    /// vectorizable small-magnitude path.
     qint16: Vec<i16>,
     /// `Σq²` over `qint16` (the dense sweep's expanded square).
     qsq: i64,
@@ -312,6 +314,10 @@ impl LevelsRecord {
 /// Upper bound on `|q|` for the exact-integer Euclidean path.
 const INT_QUERY_BOUND: f64 = 1_048_576.0; // 2^20
 
+/// `1.5 · 2²³`: adding it to an `f32` of magnitude below `2²²` leaves
+/// the value rounded to the nearest integer, in the low mantissa bits.
+const ROUND_TO_INT: f32 = 12_582_912.0;
+
 // ---------------------------------------------------------------------
 // Integer row kernels
 //
@@ -365,6 +371,139 @@ fn dot_levels_small_body(lv: &[u8], q: &[i16]) -> i64 {
         acc += i64::from(s);
     }
     acc
+}
+
+/// Rows the AVX-512 dense block kernel folds at once.
+const BLOCK_ROWS: usize = 16;
+
+/// The dense sweep's cross terms for one block of [`BLOCK_ROWS`] rows,
+/// each cared over exactly the query's columns, and its epilogue:
+/// `Σq² − 2·Σ level·q + Σ level²` per row into `out` as `f64`, returning
+/// the block's least distance.
+///
+/// The per-row fold ([`dot_levels_small_body`]) pays a loop set-up and a
+/// horizontal reduction per row — on a 128-cell row, for two vector
+/// iterations. Here each 32-cell chunk of the query is loaded once and
+/// multiply-added into sixteen row accumulators, and one transposing
+/// shuffle tree reduces all sixteen into one vector of row sums. LLVM
+/// does not find this shape from the per-row body, so it is written in
+/// intrinsics; the scalar and AVX2 tiers keep the per-row body and are
+/// its reference. Each 1024-cell block sums in `i32`: a row's block sum
+/// is at most 1024 products of `255 · 1024`, below 2³¹. Integer sums are
+/// exact in any order, so the result is bit-identical to the per-row
+/// fold. Only the `avx512` tier may call it: its features are what
+/// makes the call sound.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn euclid_dense_block(
+    levels: &[u8],
+    cols: usize,
+    q: &[i16],
+    qsq: i64,
+    level_sq: &[u64; BLOCK_ROWS],
+    out: &mut [f64],
+) -> u64 {
+    use std::arch::x86_64::*;
+    let qlen = q.len();
+    // Every pointer below stays inside these bounds: row `i` reads
+    // `i·cols + c` for `c < qlen ≤ cols`, and the ragged tail is masked.
+    assert!(qlen <= cols && levels.len() == BLOCK_ROWS * cols && out.len() == BLOCK_ROWS);
+    let (lp, qp) = (levels.as_ptr(), q.as_ptr());
+    // Row sums in `i64`, rows 0..8 and 8..16.
+    let mut cross = [_mm512_setzero_si512(); 2];
+    for start in (0..qlen).step_by(1024) {
+        let end = qlen.min(start + 1024);
+        let mut acc = [_mm512_setzero_si512(); BLOCK_ROWS];
+        // `Σ level·q` of one 32-cell chunk, widened, into a row's lanes.
+        let madd = |a: &mut __m512i, lv: __m256i, qv: __m512i| {
+            *a = _mm512_add_epi32(*a, _mm512_madd_epi16(_mm512_cvtepu8_epi16(lv), qv));
+        };
+        let mut c = start;
+        while c + 32 <= end {
+            // SAFETY: tier resolution verified the AVX-512 features, and
+            // the bounds asserted above cover `c..c + 32` of the query
+            // and of every row.
+            let qv = unsafe { _mm512_loadu_si512(qp.add(c).cast()) };
+            for (i, a) in acc.iter_mut().enumerate() {
+                // SAFETY: as for the query chunk.
+                let lv = unsafe { _mm256_loadu_si256(lp.add(i * cols + c).cast()) };
+                madd(a, lv, qv);
+            }
+            c += 32;
+        }
+        if c < end {
+            let mask = u32::MAX >> (32 - (end - c));
+            // SAFETY: tier resolution verified the AVX-512 features, and
+            // the bounds asserted above cover `c..end` of the query and
+            // of every row; masked-off lanes are not read.
+            let qv = unsafe { _mm512_maskz_loadu_epi16(mask, qp.add(c)) };
+            for (i, a) in acc.iter_mut().enumerate() {
+                // SAFETY: as for the query chunk.
+                let lv = unsafe { _mm256_maskz_loadu_epi8(mask, lp.add(i * cols + c).cast()) };
+                madd(a, lv, qv);
+            }
+        }
+        // Transposing reduction, 16 → 8 → 4 → 2 → 1 vectors. First the
+        // 128-bit lanes of row pairs: each row's partials fill one half.
+        let mut half = [_mm512_setzero_si512(); 8];
+        for (h, pair) in half.iter_mut().zip(acc.chunks_exact(2)) {
+            let (a, b) = (pair[0], pair[1]);
+            *h = _mm512_add_epi32(
+                _mm512_shuffle_i32x4::<0x44>(a, b),
+                _mm512_shuffle_i32x4::<0xEE>(a, b),
+            );
+        }
+        // Then halves of row quads: lane `j` of `quad[k]` is row `4k + j`.
+        let mut quad = [_mm512_setzero_si512(); 4];
+        for (qd, pair) in quad.iter_mut().zip(half.chunks_exact(2)) {
+            let (a, b) = (pair[0], pair[1]);
+            *qd = _mm512_add_epi32(
+                _mm512_shuffle_i32x4::<0x88>(a, b),
+                _mm512_shuffle_i32x4::<0xDD>(a, b),
+            );
+        }
+        // Within lane `j`: rows `j` and `j + 4`, then `j + 8` and `j + 12`.
+        let fold =
+            |a, b| _mm512_add_epi32(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b));
+        let (lo, hi) = (
+            _mm512_castsi512_ps(fold(quad[0], quad[1])),
+            _mm512_castsi512_ps(fold(quad[2], quad[3])),
+        );
+        // Lane `j` now holds rows `j`, `j + 4`, `j + 8`, `j + 12`.
+        let sums = _mm512_add_epi32(
+            _mm512_castps_si512(_mm512_shuffle_ps::<0x88>(lo, hi)),
+            _mm512_castps_si512(_mm512_shuffle_ps::<0xDD>(lo, hi)),
+        );
+        let row_order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+        let sums = _mm512_permutexvar_epi32(row_order, sums);
+        cross[0] = _mm512_add_epi64(
+            cross[0],
+            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(sums)),
+        );
+        cross[1] = _mm512_add_epi64(
+            cross[1],
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(sums)),
+        );
+    }
+    let mut least = _mm512_set1_epi64(-1);
+    for (h, &x) in cross.iter().enumerate() {
+        // SAFETY: tier resolution verified the AVX-512 features; the
+        // records are 16 words and `out` was asserted 16 long.
+        let sq = unsafe { _mm512_loadu_si512(level_sq.as_ptr().add(8 * h).cast()) };
+        let d = _mm512_add_epi64(
+            _mm512_sub_epi64(_mm512_set1_epi64(qsq), _mm512_slli_epi64::<1>(x)),
+            sq,
+        );
+        least = _mm512_min_epu64(least, d);
+        // `u64 → f64` without AVX-512DQ: both 32-bit halves convert
+        // exactly, and so does their sum below 2⁵³ (the packing guard).
+        let hi = _mm512_cvtepu32_pd(_mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(d)));
+        let lo = _mm512_cvtepu32_pd(_mm512_cvtepi64_epi32(d));
+        let d = _mm512_add_pd(_mm512_mul_pd(hi, _mm512_set1_pd(4_294_967_296.0)), lo);
+        // SAFETY: as for the records.
+        unsafe { _mm512_storeu_pd(out.as_mut_ptr().add(8 * h), d) };
+    }
+    _mm512_reduce_min_epu64(least)
 }
 
 /// Branchless level-plane mismatch count (byte compares).
@@ -881,34 +1020,74 @@ impl Subarray {
                 == self.rows
     }
 
-    /// The dense sweep: every row participates, so `rows` is `0..R` and
-    /// distances land by index. A `Levels` row cared over exactly the
-    /// query's columns expands its square —
-    /// `Σq² − 2·Σ level·q + Σ level²`, exact in integers and so
-    /// bit-identical to the care-masked fold — reading the level plane
-    /// alone; every other row takes [`Subarray::euclid_int`]. The integer
-    /// minimum rides along, so `Best` needs no second fold. The work
-    /// count is the generic sweep's.
+    /// Row `r`'s record when the dense sweep expands its square: a
+    /// `Levels` row cared over exactly the query's `qlen` columns.
     #[inline(always)]
-    fn sweep_dense(&self, sw: Sweep) -> (u64, Option<f64>) {
+    fn expanding_record(&self, r: usize, qlen: usize) -> Option<LevelsRecord> {
+        let record = (self.kinds[r] == RowKind::Levels).then(|| self.levels_record(r));
+        record.filter(|rec| rec.care_len == qlen as u64)
+    }
+
+    /// One row of the dense sweep: an expanding row computes
+    /// `Σq² − 2·Σ level·q + Σ level²`, exact in integers and so
+    /// bit-identical to the care-masked fold, reading the level plane
+    /// alone; any other row takes [`Subarray::euclid_int`].
+    #[inline(always)]
+    fn dense_row(&self, r: usize, qlen: usize, scratch: &SearchScratch) -> u64 {
+        if let Some(rec) = self.expanding_record(r, qlen) {
+            let lv = &self.levels[r * self.cols..r * self.cols + qlen];
+            let cross = dot_levels_small_body(lv, &scratch.qint16);
+            (scratch.qsq - 2 * cross + rec.level_sq as i64) as u64
+        } else {
+            self.euclid_int(r, qlen, &scratch.qint, &scratch.qint16)
+        }
+    }
+
+    /// `Σ level²` of the [`BLOCK_ROWS`] rows from `r0` when every one of
+    /// them expands its square.
+    #[inline(always)]
+    fn block_level_sq(&self, r0: usize, qlen: usize) -> Option<[u64; BLOCK_ROWS]> {
+        let mut level_sq = [0u64; BLOCK_ROWS];
+        for (i, sq) in level_sq.iter_mut().enumerate() {
+            *sq = self.expanding_record(r0 + i, qlen)?.level_sq;
+        }
+        Some(level_sq)
+    }
+
+    /// The dense sweep: every row participates, so `rows` is `0..R` and
+    /// distances land by index, [`Subarray::dense_row`] by row. On the
+    /// AVX-512 tier a block of [`BLOCK_ROWS`] rows that all expand their
+    /// squares takes [`euclid_dense_block`] instead. The integer minimum
+    /// rides along, so `Best` needs no second fold. The work count is the
+    /// generic sweep's.
+    #[inline(always)]
+    fn sweep_dense(&self, sw: Sweep, tier: KernelTier) -> (u64, Option<f64>) {
         let (qlen, cols, scratch) = (sw.query.len(), self.cols, sw.scratch);
         let mut min = u64::MAX;
         sw.result.rows.extend(0..self.rows);
         sw.result.distances.resize(self.rows, 0.0);
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
         // A plain loop, not `extend(map(..))`: a closure handed to the
         // out-of-line `extend` would lose this tier's target features.
-        let rows = self.kinds.iter().zip(&mut sw.result.distances);
-        for (r, (&kind, d)) in rows.enumerate() {
-            let record = (kind == RowKind::Levels).then(|| self.levels_record(r));
-            let dist = if let Some(rec) = record.filter(|rec| rec.care_len == qlen as u64) {
-                let lv = &self.levels[r * cols..r * cols + qlen];
-                let cross = dot_levels_small_body(lv, &scratch.qint16);
-                (scratch.qsq - 2 * cross + rec.level_sq as i64) as u64
-            } else {
-                self.euclid_int(r, qlen, &scratch.qint, &scratch.qint16)
-            };
-            min = min.min(dist);
-            *d = dist as f64;
+        for (b, out) in sw.result.distances.chunks_mut(BLOCK_ROWS).enumerate() {
+            let r0 = b * BLOCK_ROWS;
+            #[cfg(target_arch = "x86_64")]
+            if tier == KernelTier::Avx512 && out.len() == BLOCK_ROWS {
+                if let Some(level_sq) = self.block_level_sq(r0, qlen) {
+                    let lv = &self.levels[r0 * cols..(r0 + BLOCK_ROWS) * cols];
+                    let (q, qsq) = (&scratch.qint16, scratch.qsq);
+                    // SAFETY: tier resolution verified the AVX-512
+                    // features; the kernel asserts its slice bounds.
+                    min = min.min(unsafe { euclid_dense_block(lv, cols, q, qsq, &level_sq, out) });
+                    continue;
+                }
+            }
+            for (i, d) in out.iter_mut().enumerate() {
+                let dist = self.dense_row(r0 + i, qlen, scratch);
+                min = min.min(dist);
+                *d = dist as f64;
+            }
         }
         let words = self.kind_mix[RowKind::Binary as usize] * qlen.div_ceil(64)
             + self.kind_mix[RowKind::Levels as usize] * qlen.div_ceil(8);
@@ -985,9 +1164,9 @@ impl Subarray {
     /// wider features: Rust emits no fast-math flags, so LLVM cannot
     /// contract or reassociate the float sums.
     #[inline(always)]
-    fn sweep_rows_body(&self, sw: Sweep) -> (u64, Option<f64>) {
+    fn sweep_rows_body(&self, sw: Sweep, tier: KernelTier) -> (u64, Option<f64>) {
         if self.dense_sweep_applies(&sw) {
-            return self.sweep_dense(sw);
+            return self.sweep_dense(sw, tier);
         }
         if self.binary_sweep_applies(&sw) {
             return self.sweep_binary(sw);
@@ -1066,13 +1245,13 @@ impl Subarray {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
     unsafe fn sweep_rows_avx2(&self, sweep: Sweep) -> (u64, Option<f64>) {
-        self.sweep_rows_body(sweep)
+        self.sweep_rows_body(sweep, KernelTier::Avx2)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt")]
     unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> (u64, Option<f64>) {
-        self.sweep_rows_body(sweep)
+        self.sweep_rows_body(sweep, KernelTier::Avx512)
     }
 
     /// Dispatch the row sweep once on the resolved kernel tier.
@@ -1084,9 +1263,7 @@ impl Subarray {
             KernelTier::Avx2 => return unsafe { self.sweep_rows_avx2(sweep) },
             KernelTier::Scalar => {}
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = tier;
-        self.sweep_rows_body(sweep)
+        self.sweep_rows_body(sweep, tier)
     }
 
     /// Search all selected valid rows against `query` using the packed
@@ -1159,34 +1336,40 @@ impl Subarray {
             }
             Metric::Euclidean => {
                 if has_binary || has_levels {
-                    // One pass: integrality check, `i64` convert and the
-                    // magnitude bound together (the packing runs per
-                    // search, so passes over the query are not free).
-                    scratch.qint.clear();
-                    let mut integral = true;
-                    let mut maxq = 0i64;
-                    scratch.qint.extend(query.iter().map(|&q| {
-                        // Inside the bound the `i64` round trip is
-                        // `q.fract() == 0.0` (NaN and −0.0 included)
-                        // without a libm `truncf` per column.
-                        let v = q as i64;
-                        integral &= q.abs() <= INT_QUERY_BOUND as f32 && v as f32 == q;
-                        maxq = maxq.max(v.abs());
-                        v
-                    }));
+                    // The packing runs per search, so its passes are
+                    // written to vectorize on the SSE2 baseline: no
+                    // branches and no saturating float → int casts. Inside
+                    // the bound, `q + ROUND_TO_INT − ROUND_TO_INT` is `q`
+                    // rounded to an integer, so the round trip is
+                    // `q.fract() == 0.0` (NaN and −0.0 included); and the
+                    // bits of `|q|` order as its values do.
+                    let (mut fractional, mut max_bits) = (0u32, 0u32);
+                    for &q in query {
+                        let a = q.abs();
+                        let integral = (a <= INT_QUERY_BOUND as f32)
+                            & ((q + ROUND_TO_INT) - ROUND_TO_INT == q);
+                        fractional |= u32::from(!integral);
+                        max_bits = max_bits.max(a.to_bits());
+                    }
+                    let maxq = f32::from_bits(max_bits);
                     // The u64 accumulator and the final f64 convert
                     // are exact only below 2^53.
-                    let maxd = maxq + 255;
-                    int_mode =
-                        integral && (qlen as f64) * (maxd as f64) * (maxd as f64) < 2f64.powi(53);
+                    let maxd = f64::from(maxq) + 255.0;
+                    int_mode = fractional == 0 && (qlen as f64) * maxd * maxd < 2f64.powi(53);
+                    scratch.qint.clear();
                     scratch.qint16.clear();
-                    if int_mode && maxq <= 1024 {
-                        let mut qsq = 0i64;
-                        scratch.qint16.extend(scratch.qint.iter().map(|&q| {
-                            qsq += q * q;
-                            q as i16
-                        }));
-                        scratch.qsq = qsq;
+                    if int_mode && maxq <= 1024.0 {
+                        // The low 16 bits of `q + ROUND_TO_INT` are `q`.
+                        let q16 = query.iter().map(|&q| (q + ROUND_TO_INT).to_bits() as i16);
+                        scratch.qint16.extend(q16);
+                        // A 1024-cell block of squares sums in `i32`.
+                        let square = |&q: &i16| i32::from(q) * i32::from(q);
+                        let blocks = scratch.qint16.chunks(1024);
+                        scratch.qsq = blocks
+                            .map(|b| i64::from(b.iter().map(square).sum::<i32>()))
+                            .sum();
+                    } else if int_mode {
+                        scratch.qint.extend(query.iter().map(|&q| q as i64));
                     }
                     if !int_mode && has_binary {
                         scratch.sq0.clear();
@@ -2059,5 +2242,77 @@ mod tests {
         cfg.model.transient = 1e-12;
         s.set_faults(Some(Box::new(SubarrayFaults::generate(&cfg, 0, 4, 8))));
         assert_eq!(search(&mut s, RowSelection::All), honest);
+    }
+
+    #[test]
+    fn euclidean_packing_matches_the_oracle_at_its_edges() {
+        // Each query puts one edge value among small integers: the
+        // integrality test, the `|q| ≤ 1024` fold bound and the 2²⁰
+        // exact-integer bound are decided by it alone.
+        let mut s = Subarray::new(17, 6);
+        let rows: Vec<Vec<f32>> = (0..17)
+            .map(|r| (0..6).map(|c| ((r + c) % 4) as f32).collect())
+            .collect();
+        s.write_rows(0, &rows, 2).unwrap();
+        let bound = INT_QUERY_BOUND as f32;
+        for edge in [
+            -0.0,
+            0.5,
+            -1.5,
+            1024.0,
+            -1024.0,
+            1025.0,
+            -1025.0,
+            bound,
+            -bound,
+            bound + 1.0,
+            bound - 0.5,
+            1e7,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            let q = [1.0, edge, 3.0, 0.0, 2.0, 1.0];
+            let spec = (MatchKind::Best, Metric::Euclidean, RowSelection::All);
+            let naive = s.search_naive(&q, spec.0, spec.1, spec.2, 0.0, None);
+            let naive = naive.unwrap().clone();
+            for tier in [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx512] {
+                if tier > KernelTier::detect() {
+                    continue;
+                }
+                let mut sc = scratch();
+                sc.set_kernel_tier(Some(tier)).unwrap();
+                let got = s
+                    .search(&q, spec.0, spec.1, spec.2, 0.0, None, &mut sc)
+                    .unwrap();
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got.distances),
+                    bits(&naive.distances),
+                    "{edge}/{tier:?}"
+                );
+                assert_eq!(got.matched, naive.matched, "{edge}/{tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_width_block_takes_the_dense_sweep_without_a_record() {
+        // Sixteen empty rows: binary, with no plane words to hold a
+        // record, so the block check must not read one.
+        let mut s = Subarray::new(16, 0);
+        s.write_rows(0, &vec![Vec::new(); 16], 2).unwrap();
+        let spec = (MatchKind::Best, Metric::Euclidean, RowSelection::All);
+        let naive = s.search_naive(&[], spec.0, spec.1, spec.2, 0.0, None);
+        let naive = naive.unwrap().clone();
+        for tier in [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx512] {
+            if tier > KernelTier::detect() {
+                continue;
+            }
+            let mut sc = scratch();
+            sc.set_kernel_tier(Some(tier)).unwrap();
+            let got = s.search(&[], spec.0, spec.1, spec.2, 0.0, None, &mut sc);
+            assert_eq!(got.unwrap(), &naive, "{tier:?}");
+        }
     }
 }

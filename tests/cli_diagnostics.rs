@@ -83,6 +83,30 @@ fn execution_failures_exit_1_with_stderr_only() {
     }
 }
 
+/// A geometry past `ArchSpec::MAX_CELLS_PER_SUBARRAY` is a config error
+/// naming the bound, not a 100 000 × 100 000 subarray's planes of zero
+/// pages at the sweep's one executed point.
+#[test]
+fn an_oversized_subarray_is_refused_at_validation() {
+    let out = c4cam(&[
+        "sweep",
+        "--subarrays",
+        "100000",
+        "--opts",
+        "base",
+        "--queries",
+        "2",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.starts_with("error: driver error [config]")
+            && stderr.contains("exceeds the bound of 1048576 cells per subarray"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn successful_runs_exit_0_with_stdout_only() {
     let dataset = fixture_path();

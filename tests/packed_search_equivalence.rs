@@ -75,6 +75,24 @@ fn assert_bit_identical(s: &mut Subarray, q: &[f32], kind: MatchKind, metric: Me
     }
 }
 
+/// Wider than any query of these cases by more than one 32-cell chunk.
+const PRIMED_WIDTH: usize = 2200;
+
+/// A scratch on `tier` that has already packed a wider query of nonzero
+/// integers: a kernel that reads past the current query's width meets
+/// stale nonzero lanes rather than zeros.
+fn primed_scratch(tier: Option<KernelTier>) -> SearchScratch {
+    let mut scratch = SearchScratch::default();
+    scratch.set_kernel_tier(tier).unwrap();
+    let mut wide = Subarray::new(1, PRIMED_WIDTH);
+    wide.write_rows(0, &[vec![1.0; PRIMED_WIDTH]], 2).unwrap();
+    let q = [3.0f32; PRIMED_WIDTH];
+    let (kind, metric) = (MatchKind::Best, Metric::Euclidean);
+    wide.search(&q, kind, metric, RowSelection::All, 0.0, None, &mut scratch)
+        .unwrap();
+    scratch
+}
+
 /// Search every row of `s` through the full window (the dense sweep,
 /// when it applies) and hold it to the oracle and the generic sweep
 /// ([`assert_full_window_bit_identical`]).
@@ -114,8 +132,7 @@ fn assert_full_window_bit_identical(
     ];
     let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for tier in supported_tiers() {
-        let mut scratch = SearchScratch::default();
-        scratch.set_kernel_tier(tier).unwrap();
+        let mut scratch = primed_scratch(tier);
         let (mut generic_rows, mut generic, mut generic_words) =
             (Vec::<usize>::new(), Vec::new(), 0);
         for selection in halves {
@@ -162,6 +179,113 @@ fn program_binary_row(s: &mut Subarray, r: usize, shape: u8, bits: &[u8]) {
             s.write_cells(r, &[row]).unwrap();
         }
     }
+}
+
+/// How the row at a block boundary departs from its full-width run.
+#[derive(Debug, Clone, Copy)]
+enum Boundary {
+    /// A full-width 2- or 8-bit row like the rest.
+    Run,
+    /// `write_cells` over the query's width: the block still expands.
+    Cells,
+    /// `write_cells` with a don't-care hole: no care prefix.
+    Hole,
+    /// One cell short of the query.
+    Short,
+    /// One cell wider than the query.
+    Wide,
+    /// A 1-bit row.
+    Binary,
+}
+
+const BOUNDARIES: [Boundary; 6] = [
+    Boundary::Run,
+    Boundary::Cells,
+    Boundary::Hole,
+    Boundary::Short,
+    Boundary::Wide,
+    Boundary::Binary,
+];
+
+/// Deterministic draws for the block cases.
+fn next(seed: &mut u64) -> u64 {
+    *seed = seed
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    *seed >> 33
+}
+
+/// A `rows × (qlen + 1)` subarray of full-width rows in 16-row runs,
+/// one row of each run — its first or its last — perturbed as
+/// [`BOUNDARIES`] cycles. Stored levels are nonzero, so a perturbed row
+/// admitted to the block kernel moves its distance. `faults`: 0 none,
+/// 1 stuck-at and drift, 2 those plus transients.
+fn block_case(rows: usize, qlen: usize, case: usize, faults: u8) -> Subarray {
+    let cols = qlen + 1;
+    let mut s = Subarray::new(rows, cols);
+    if faults > 0 {
+        let model = FaultModel {
+            seed: 3 + case as u64,
+            stuck_at_zero: 0.02,
+            stuck_at_one: 0.02,
+            drift: 0.1,
+            transient: if faults == 2 { 0.2 } else { 0.0 },
+        };
+        let cfg = FaultConfig {
+            model,
+            resilience: Resilience::default(),
+        };
+        s.set_faults(Some(Box::new(SubarrayFaults::generate(
+            &cfg, 0, rows, cols,
+        ))));
+    }
+    let bits = [2, 8][case % 2];
+    let top = (1u64 << bits) - 1;
+    let mut seed = case as u64;
+    for r in 0..rows {
+        let stored: Vec<u8> = (0..cols)
+            .map(|_| (1 + next(&mut seed) % top) as u8)
+            .collect();
+        let block = r / 16;
+        let shape = if r % 16 == [0, 15][(block + case) % 2] {
+            BOUNDARIES[(block + case) % BOUNDARIES.len()]
+        } else {
+            Boundary::Run
+        };
+        let width = match shape {
+            Boundary::Short => qlen - 1,
+            Boundary::Wide => qlen + 1,
+            _ => qlen,
+        };
+        let row: Vec<f32> = stored[..width].iter().map(|&v| f32::from(v)).collect();
+        match shape {
+            Boundary::Cells | Boundary::Hole => {
+                let mut cells: Vec<CamCell> =
+                    stored[..width].iter().map(|&v| CamCell::Multi(v)).collect();
+                if matches!(shape, Boundary::Hole) {
+                    cells[width / 2] = CamCell::DontCare;
+                }
+                s.write_cells(r, &[cells]).unwrap();
+            }
+            Boundary::Binary => s.write_rows(r, &[row], 1).unwrap(),
+            _ => s.write_rows(r, &[row], bits).unwrap(),
+        }
+    }
+    s
+}
+
+/// A nonzero integral query, at the `i16` fold's magnitude bound in
+/// places; `past_fold` puts one value beyond it.
+fn block_query(qlen: usize, case: usize, past_fold: bool) -> Vec<f32> {
+    let values = [-1024.0, -3.0, -1.0, 1.0, 2.0, 5.0, 1024.0];
+    let mut seed = 99 + case as u64;
+    let mut q: Vec<f32> = (0..qlen)
+        .map(|_| values[next(&mut seed) as usize % values.len()])
+        .collect();
+    if past_fold {
+        q[0] = 2000.0;
+    }
+    q
 }
 
 fn kinds() -> [MatchKind; 3] {
@@ -403,6 +527,46 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Full arrays of 16-row runs: one block, two blocks and a ragged tail,
+/// and eight blocks (the kNN geometry); query widths with and without a
+/// ragged 32-cell tail, across one to three 1024-cell blocks, with a
+/// subarray one column wider than the query (a read past the query's
+/// width lands in the next row). Each width runs fault-free or under
+/// stuck-at and drift faults (the sweep stays dense: `Σ level²` must be
+/// the faulted one), then under transient faults or with a query past
+/// the `i16` fold (it must fall back). On an AVX-512 host the dense
+/// sweep takes the block kernel for every block whose rows all expand
+/// their squares, and the per-row fold for the rest.
+#[test]
+fn dense_blocks_equal_naive_and_generic() {
+    println!("dense block cases on tiers {:?}", supported_tiers());
+    let qlens = [1, 31, 32, 33, 70, 128, 1023, 1024, 1025, 2100];
+    let mut case = 0;
+    for rows in [16, 37, 128] {
+        for qlen in qlens {
+            let odd = case % 2 == 1;
+            let other = if odd {
+                MatchKind::Exact
+            } else {
+                MatchKind::Threshold
+            };
+            // (faults, past the fold): one dense run, one fallback.
+            let runs = match odd {
+                false => [(0, false), (2, false)],
+                true => [(1, false), (0, true)],
+            };
+            for (faults, past_fold) in runs {
+                let mut s = block_case(rows, qlen, case, faults);
+                let q = block_query(qlen, case, past_fold);
+                for kind in [MatchKind::Best, other] {
+                    assert_full_array_bit_identical(&mut s, &q, kind, Metric::Euclidean);
+                }
+            }
+            case += 1;
         }
     }
 }
