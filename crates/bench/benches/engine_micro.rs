@@ -14,6 +14,7 @@ use c4cam::compiler::pipeline::C4camPipeline;
 use c4cam::engine::Tape;
 use c4cam::ir::Module;
 use c4cam::runtime::{Executor, Value};
+use c4cam::telemetry::Telemetry;
 use c4cam::tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -93,7 +94,8 @@ fn engine_micro(c: &mut Criterion) {
     g.bench_function(format!("tape-sharded/{QUERIES}q/{threads}t"), |b| {
         b.iter(|| {
             let mut machine = CamMachine::new(&spec);
-            tape.run_batched(&mut machine, &args, threads).unwrap()
+            tape.run_batched(&mut machine, &args, threads, &Telemetry::default())
+                .unwrap()
         });
     });
     g.bench_function("tape-compile", |b| {

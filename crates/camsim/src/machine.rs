@@ -864,7 +864,6 @@ mod tests {
     fn spare_rows_remap_and_report_through_stats() {
         let mut cfg = FaultConfig::with_rate(0.02, 3);
         cfg.resilience.spare_rows = 8;
-        cfg.resilience.stuck_threshold = 1;
         let mut m = machine();
         m.set_faults(Some(cfg));
         m.alloc_chain().unwrap();

@@ -35,17 +35,16 @@
 //! outputs and statistics equal [`Tape::run`] exactly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use crate::compile::Tape;
-use crate::error::{EngineError, ShardPanic};
+use crate::error::EngineError;
 use crate::frozen::{freeze, thaw, Frozen};
 use crate::isa::QueryLoop;
 use crate::pool;
 use crate::vm::{returned, TapeVm};
 use c4cam_camsim::{CamMachine, ExecStats};
-use c4cam_faults::{RetryPolicy, ShardChaos};
 use c4cam_runtime::Value;
 use c4cam_telemetry::{cat, ArgValue, Telemetry};
 
@@ -67,56 +66,21 @@ impl Tape {
     /// detected, `threads <= 1`, or the loop has fewer than two
     /// iterations.
     ///
-    /// # Errors
-    /// Propagates compile-surface and runtime failures; a panicking
-    /// worker surfaces as an error.
-    pub fn run_batched(
-        &self,
-        machine: &mut CamMachine,
-        args: &[Value],
-        threads: usize,
-    ) -> BResult<Vec<Value>> {
-        self.run_batched_resilient(
-            machine,
-            args,
-            threads,
-            &Telemetry::default(),
-            &RetryPolicy::default(),
-            None,
-        )
-    }
-
-    /// [`Tape::run_batched`] with a telemetry handle, an explicit
-    /// [`RetryPolicy`] for panicked or timed-out shard workers, and an
-    /// optional [`ShardChaos`] fault injector for testing the retry
-    /// path end to end.
-    ///
     /// While the recorder is enabled, the main lane records sampled
     /// per-op `cat::OP` spans and each worker shard records a
     /// `cat::SHARD` span on lane `1 + shard`. Outputs and device
     /// statistics are unaffected.
     ///
-    /// A worker that panics (or exceeds `retry.attempt_timeout`) is
-    /// retried up to `retry.max_retries` times on a fresh machine
-    /// clone; when retries are exhausted the shard runs sequentially on
-    /// the calling thread if `retry.fallback_sequential`, otherwise the
-    /// run fails with a structured [`ShardPanic`] on the error. Real
-    /// execution errors (bad shapes, device budget) propagate
-    /// immediately without retry. Outputs remain bit-identical to the
-    /// sequential run on every successful path.
-    ///
     /// # Errors
-    /// Propagates compile-surface and runtime failures; a shard that
-    /// exhausts its retries without a sequential fallback surfaces as
-    /// an [`EngineError`] carrying a [`ShardPanic`].
-    pub fn run_batched_resilient(
+    /// Propagates compile-surface and runtime failures. A shard whose
+    /// worker panics fails the run with an error naming the shard and
+    /// carrying the panic payload; nothing is retried.
+    pub fn run_batched(
         &self,
         machine: &mut CamMachine,
         args: &[Value],
         threads: usize,
         telemetry: &Telemetry,
-        retry: &RetryPolicy,
-        chaos: Option<ShardChaos>,
     ) -> BResult<Vec<Value>> {
         let mut vm = TapeVm::new(self, args)?;
         vm.set_telemetry(telemetry.clone());
@@ -143,9 +107,7 @@ impl Tape {
         let snapshot: Arc<Vec<Frozen>> = Arc::new(vm.slots().iter().map(freeze).collect());
         let chunk = iters.len().div_ceil(shard_count);
         let chunks: Vec<Vec<i64>> = iters.chunks(chunk).map(<[i64]>::to_vec).collect();
-        let shard_outs = run_shards(
-            self, machine, &snapshot, &chunks, ql, telemetry, retry, chaos,
-        )?;
+        let shard_outs = run_shards(self, machine, &snapshot, chunks, ql, telemetry)?;
 
         // Phase 3: deterministic merge, in shard order. A functional
         // machine's cost comes from the schedule: it has none to fold.
@@ -188,6 +150,10 @@ fn run_one_shard(
     telemetry: &Telemetry,
     shard: usize,
 ) -> BResult<ShardOut> {
+    #[cfg(test)]
+    if shard == 1 && panic_hook::panics_in_shard_one(tape) {
+        panic!("injected failure");
+    }
     let lane = shard as u32 + 1;
     let start_ns = telemetry.now_ns();
     let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
@@ -231,99 +197,98 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Launch one pooled job per shard and receive from each once. Each
+/// job owns its data (shared tape + snapshot, a machine clone, its
+/// chunk), so a panicking worker can never corrupt the caller's state:
+/// its panic becomes the run's error.
 fn run_shards(
     tape: &Tape,
     machine: &CamMachine,
     snapshot: &Arc<Vec<Frozen>>,
-    chunks: &[Vec<i64>],
+    chunks: Vec<Vec<i64>>,
     ql: QueryLoop,
     telemetry: &Telemetry,
-    retry: &RetryPolicy,
-    chaos: Option<ShardChaos>,
 ) -> BResult<Vec<ShardOut>> {
-    // Launch one pooled job per shard; each job owns its data (shared
-    // tape + snapshot, a machine clone, its chunk) so a panicking or
-    // abandoned worker can never corrupt the caller's state.
-    let launch = |shard: usize, attempt: u32| -> Receiver<Result<BResult<ShardOut>, String>> {
-        let (tx, rx) = channel();
-        let tape = tape.clone();
-        let snapshot = Arc::clone(snapshot);
-        let chunk = chunks[shard].clone();
-        let mut shard_machine = machine.clone();
-        shard_machine.reset_stats();
-        let telemetry = telemetry.clone();
-        pool::submit(Box::new(move || {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(c) = chaos {
-                    if c.shard == shard && attempt < c.fail_attempts {
-                        panic!("chaos: injected shard {shard} failure (attempt {attempt})");
-                    }
-                }
-                run_one_shard(
-                    &tape,
-                    &mut shard_machine,
-                    &snapshot,
-                    &chunk,
-                    ql,
-                    &telemetry,
-                    shard,
-                )
-            }))
-            .map_err(|p| panic_message(p.as_ref()));
-            // The submitter may have timed out and dropped the receiver.
-            let _ = tx.send(out);
-        }));
-        rx
-    };
+    let receivers: Vec<_> = chunks
+        .into_iter()
+        .enumerate()
+        .map(|(shard, chunk)| {
+            let (tx, rx) = channel();
+            let tape = tape.clone();
+            let snapshot = Arc::clone(snapshot);
+            let mut shard_machine = machine.clone();
+            shard_machine.reset_stats();
+            let telemetry = telemetry.clone();
+            pool::submit(Box::new(move || {
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    run_one_shard(
+                        &tape,
+                        &mut shard_machine,
+                        &snapshot,
+                        &chunk,
+                        ql,
+                        &telemetry,
+                        shard,
+                    )
+                }));
+                // The submitter drops its receivers once a shard fails.
+                let _ = tx.send(out.map_err(|p| panic_message(p.as_ref())));
+            }));
+            rx
+        })
+        .collect();
+    receivers
+        .into_iter()
+        .enumerate()
+        .map(|(shard, rx)| match rx.recv() {
+            Ok(Ok(out)) => out,
+            Ok(Err(payload)) => Err(EngineError::new(format!(
+                "shard {shard} panicked: {payload}"
+            ))),
+            Err(_) => Err(EngineError::new(format!(
+                "shard {shard} worker died without reporting"
+            ))),
+        })
+        .collect()
+}
 
-    let first: Vec<Receiver<_>> = (0..chunks.len()).map(|s| launch(s, 0)).collect();
-    let mut outs = Vec::with_capacity(chunks.len());
-    for (shard, mut rx) in first.into_iter().enumerate() {
-        let mut attempt = 0u32;
-        let out = loop {
-            let received = match retry.attempt_timeout {
-                Some(t) => rx
-                    .recv_timeout(t)
-                    .map_err(|_| format!("shard {shard} exceeded its {t:?} attempt timeout")),
-                None => rx
-                    .recv()
-                    .map_err(|_| format!("shard {shard} worker died without reporting")),
-            };
-            match received.and_then(|r| r) {
-                // A real execution error is deterministic: retrying
-                // cannot help, so it propagates immediately.
-                Ok(Ok(out)) => break out,
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    if attempt < retry.max_retries {
-                        attempt += 1;
-                        rx = launch(shard, attempt);
-                    } else if retry.fallback_sequential {
-                        // Degraded mode: run the shard on the calling
-                        // thread (no chaos — it models crashy workers).
-                        let mut shard_machine = machine.clone();
-                        shard_machine.reset_stats();
-                        break run_one_shard(
-                            tape,
-                            &mut shard_machine,
-                            snapshot,
-                            &chunks[shard],
-                            ql,
-                            telemetry,
-                            shard,
-                        )?;
-                    } else {
-                        return Err(EngineError::from_shard_panic(ShardPanic {
-                            shard,
-                            attempts: attempt + 1,
-                            payload,
-                        }));
-                    }
-                }
-            }
-        };
-        outs.push(out);
+#[cfg(test)]
+pub(crate) mod panic_hook {
+    use super::Tape;
+    use std::sync::{Arc, Mutex, PoisonError};
+
+    /// Tapes, by the address of their shared data, whose shard 1
+    /// panics on every batched run.
+    static PANICKING: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+    fn key(tape: &Tape) -> usize {
+        Arc::as_ptr(&tape.0) as usize
     }
-    Ok(outs)
+
+    fn panicking() -> std::sync::MutexGuard<'static, Vec<usize>> {
+        PANICKING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// While alive, shard 1 of every batched run of one tape panics.
+    /// Other tapes, and so tests running at the same time, are
+    /// unaffected. Drop it before the tape, so that no later tape
+    /// reuses the address.
+    pub(crate) struct PanicInShardOne(usize);
+
+    impl PanicInShardOne {
+        pub(crate) fn new(tape: &Tape) -> PanicInShardOne {
+            panicking().push(key(tape));
+            PanicInShardOne(key(tape))
+        }
+    }
+
+    impl Drop for PanicInShardOne {
+        fn drop(&mut self) {
+            panicking().retain(|&k| k != self.0);
+        }
+    }
+
+    pub(super) fn panics_in_shard_one(tape: &Tape) -> bool {
+        panicking().contains(&key(tape))
+    }
 }

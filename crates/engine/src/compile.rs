@@ -38,8 +38,8 @@ type CResult<T> = Result<T, EngineError>;
 /// A compiled function: the flat instruction tape plus its metadata.
 ///
 /// A tape is immutable once compiled, and cloning one is a
-/// reference-count bump: every run, shard worker and retry shares the
-/// same instructions.
+/// reference-count bump: every run and shard worker shares the same
+/// instructions.
 #[derive(Debug, Clone)]
 pub struct Tape(pub(crate) Arc<TapeData>);
 

@@ -4,40 +4,12 @@ use c4cam_ir::OpId;
 use std::error::Error;
 use std::fmt;
 
-/// Structured description of a shard worker that could not complete:
-/// it panicked (or timed out) on every permitted attempt and the retry
-/// policy forbade a sequential fallback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPanic {
-    /// Zero-based shard index that failed.
-    pub shard: usize,
-    /// How many attempts were made (initial run + retries).
-    pub attempts: u32,
-    /// The panic payload (or timeout description) of the last attempt.
-    pub payload: String,
-}
-
-impl fmt::Display for ShardPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard {} failed after {} attempt{}: {}",
-            self.shard,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.payload
-        )
-    }
-}
-
 /// Tape compilation or execution failure.
 ///
 /// Like [`c4cam_runtime::ExecError`], the error carries the failing
 /// op's [`OpId`] and name whenever the failure can be traced to one IR
 /// operation, so diagnostics point at the module instead of being
-/// message-only strings. Failures of the resilient batched executor
-/// additionally carry a [`ShardPanic`] describing which worker died and
-/// how many attempts were made.
+/// message-only strings.
 #[derive(Debug, Clone)]
 pub struct EngineError {
     /// Description of the failure.
@@ -46,9 +18,6 @@ pub struct EngineError {
     pub op: Option<OpId>,
     /// Name of the failing operation (e.g. `"cam.search"`), when known.
     pub op_name: Option<String>,
-    /// Structured shard-failure detail, when the failure was a worker
-    /// panic or timeout in batched execution.
-    pub shard_panic: Option<ShardPanic>,
 }
 
 impl EngineError {
@@ -57,16 +26,6 @@ impl EngineError {
             message: message.into(),
             op: None,
             op_name: None,
-            shard_panic: None,
-        }
-    }
-
-    pub(crate) fn from_shard_panic(panic: ShardPanic) -> EngineError {
-        EngineError {
-            message: panic.to_string(),
-            op: None,
-            op_name: None,
-            shard_panic: Some(panic),
         }
     }
 
@@ -102,7 +61,16 @@ mod tests {
     fn display_includes_op_context_when_present() {
         let e = EngineError::new("boom");
         assert_eq!(e.to_string(), "engine error: boom");
-        let m = c4cam_ir::Module::new();
-        let _ = m; // OpId construction goes through a module in practice
+
+        let mut m = c4cam_ir::Module::new();
+        let _ = m.create_op("cam.alloc", &[], &[], vec![], 0);
+        let inner = m.create_op("cam.search", &[], &[], vec![], 0);
+        let outer = m.create_op("cam.merge", &[], &[], vec![], 0);
+        let e = e.with_op(inner, "cam.search").with_op(outer, "cam.merge");
+        assert_eq!(
+            e.to_string(),
+            "engine error: boom (in 'cam.search' at op 1)",
+            "the innermost op wins"
+        );
     }
 }

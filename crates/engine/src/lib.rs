@@ -100,11 +100,9 @@ pub mod trace;
 mod verify;
 mod vm;
 
-pub use c4cam_faults::{RetryPolicy, ShardChaos};
 pub use compile::{Tape, Unspecialised};
-pub use error::{EngineError, ShardPanic};
+pub use error::EngineError;
 pub use isa::{Inst, QueryLoop};
-pub use pool::pooled_workers;
 pub use price::{Priced, Unpriced};
 pub use trace::{Trace, TraceOp};
 pub use vm::TapeVm;
@@ -120,6 +118,7 @@ mod tests {
     use c4cam_ir::builder::OpBuilder;
     use c4cam_ir::Module;
     use c4cam_runtime::{Executor, Value};
+    use c4cam_telemetry::Telemetry;
     use c4cam_tensor::Tensor;
 
     fn spec(n: usize, opt: Optimization) -> ArchSpec {
@@ -219,7 +218,9 @@ mod tests {
         let seq_out = tape.run(&mut seq_machine, &args).unwrap();
         for threads in [2, 3, 8] {
             let mut par_machine = CamMachine::new(&s);
-            let par_out = tape.run_batched(&mut par_machine, &args, threads).unwrap();
+            let par_out = tape
+                .run_batched(&mut par_machine, &args, threads, &Telemetry::default())
+                .unwrap();
             assert_outputs_equal(&seq_out, &par_out, &format!("threads={threads}"));
             let seq = seq_machine.stats();
             let par = par_machine.stats();
@@ -291,7 +292,9 @@ mod tests {
             let seq_out = tape.run(&mut seq_machine, &args).unwrap();
             for threads in [2, 3, 8] {
                 let mut par_machine = CamMachine::new(&s);
-                let par_out = tape.run_batched(&mut par_machine, &args, threads).unwrap();
+                let par_out = tape
+                    .run_batched(&mut par_machine, &args, threads, &Telemetry::default())
+                    .unwrap();
                 assert_outputs_equal(&seq_out, &par_out, &format!("{func} threads={threads}"));
                 assert_eq!(seq_machine.stats(), par_machine.stats(), "{func}");
                 assert_eq!(seq_machine.phases(), par_machine.phases(), "{func}");
@@ -326,7 +329,7 @@ mod tests {
         assert_outputs_equal(&walk_out, &tape_out, "run-time bound");
         assert_eq!(walk_machine.stats(), tape_machine.stats());
         let sharded = tape
-            .run_batched(&mut CamMachine::new(&s), &args, 2)
+            .run_batched(&mut CamMachine::new(&s), &args, 2, &Telemetry::default())
             .unwrap();
         assert_outputs_equal(&walk_out, &sharded, "run-time bound, sharded");
     }
@@ -344,7 +347,9 @@ mod tests {
         let mut a = CamMachine::new(&s);
         let out_a = tape.run(&mut a, &args).unwrap();
         let mut b = CamMachine::new(&s);
-        let out_b = tape.run_batched(&mut b, &args, 1).unwrap();
+        let out_b = tape
+            .run_batched(&mut b, &args, 1, &Telemetry::default())
+            .unwrap();
         assert_outputs_equal(&out_a, &out_b, "threads=1");
         assert_eq!(a.stats(), b.stats());
     }
@@ -368,74 +373,24 @@ mod tests {
     }
 
     #[test]
-    fn panicked_shard_workers_retry_and_recover() {
-        use c4cam_telemetry::Telemetry;
+    fn a_panicking_shard_fails_the_run_and_the_pool_survives() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let (tape, args, s) = knn_tape_and_args();
-        let mut seq_machine = CamMachine::new(&s);
-        let seq_out = tape.run(&mut seq_machine, &args).unwrap();
+        let seq_out = tape.run(&mut CamMachine::new(&s), &args).unwrap();
+        let batched =
+            || tape.run_batched(&mut CamMachine::new(&s), &args, 4, &Telemetry::default());
 
-        // One injected panic, one retry permitted: the retried worker
-        // succeeds and the run is bit-identical to sequential.
-        let chaos = ShardChaos {
-            shard: 1,
-            fail_attempts: 1,
-        };
-        let mut m1 = CamMachine::new(&s);
-        let out = tape
-            .run_batched_resilient(
-                &mut m1,
-                &args,
-                4,
-                &Telemetry::default(),
-                &RetryPolicy::default(),
-                Some(chaos),
-            )
-            .unwrap();
-        assert_outputs_equal(&seq_out, &out, "retry recovers");
-        assert_eq!(seq_machine.stats().search_ops, m1.stats().search_ops);
+        let hook = batch::panic_hook::PanicInShardOne::new(&tape);
+        let run = catch_unwind(AssertUnwindSafe(batched)).expect("no panic escapes to the caller");
+        let err = run.expect_err("a panicking shard fails the run");
+        assert!(
+            err.message.contains("shard 1 panicked: injected failure"),
+            "{err}"
+        );
+        drop(hook);
 
-        // Panics outlasting every retry degrade to a sequential
-        // fallback on the calling thread — still bit-identical.
-        let stubborn = ShardChaos {
-            shard: 0,
-            fail_attempts: u32::MAX,
-        };
-        let mut m2 = CamMachine::new(&s);
-        let out = tape
-            .run_batched_resilient(
-                &mut m2,
-                &args,
-                4,
-                &Telemetry::default(),
-                &RetryPolicy::default(),
-                Some(stubborn),
-            )
-            .unwrap();
-        assert_outputs_equal(&seq_out, &out, "sequential fallback");
-
-        // With the fallback disabled, the failure surfaces as a
-        // structured ShardPanic instead of a bare message.
-        let no_fallback = RetryPolicy {
-            max_retries: 2,
-            attempt_timeout: None,
-            fallback_sequential: false,
-        };
-        let mut m3 = CamMachine::new(&s);
-        let err = tape
-            .run_batched_resilient(
-                &mut m3,
-                &args,
-                4,
-                &Telemetry::default(),
-                &no_fallback,
-                Some(stubborn),
-            )
-            .unwrap_err();
-        assert!(err.message.contains("shard 0"), "{err}");
-        let panic = err.shard_panic.expect("structured shard panic");
-        assert_eq!(panic.shard, 0);
-        assert_eq!(panic.attempts, 3, "initial attempt + 2 retries");
-        assert!(panic.payload.contains("chaos"), "{}", panic.payload);
+        let out = batched().expect("the pool survives a shard panic");
+        assert_outputs_equal(&seq_out, &out, "after a shard panic");
     }
 
     #[test]
@@ -444,14 +399,16 @@ mod tests {
         // Warm the pool with one batched run, then prove later runs
         // reuse the parked workers instead of spawning per batch.
         let mut m0 = CamMachine::new(&s);
-        tape.run_batched(&mut m0, &args, 4).unwrap();
-        let warm = pooled_workers();
+        tape.run_batched(&mut m0, &args, 4, &Telemetry::default())
+            .unwrap();
+        let warm = pool::pooled_workers();
         assert!(warm >= 1, "batched run must use the pool");
         for _ in 0..5 {
             let mut m = CamMachine::new(&s);
-            tape.run_batched(&mut m, &args, 4).unwrap();
+            tape.run_batched(&mut m, &args, 4, &Telemetry::default())
+                .unwrap();
         }
-        let after = pooled_workers();
+        let after = pool::pooled_workers();
         // Concurrent tests share the pool, so allow some slack — but 5
         // runs x 4 shards would need 20 fresh threads without reuse.
         assert!(

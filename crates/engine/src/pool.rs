@@ -117,7 +117,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
 /// Number of pool workers spawned so far in this process — observable
 /// so tests can prove batched runs reuse threads instead of spawning
 /// per call.
-pub fn pooled_workers() -> usize {
+#[cfg(test)]
+pub(crate) fn pooled_workers() -> usize {
     pool().spawned.load(Ordering::Acquire)
 }
 

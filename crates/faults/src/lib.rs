@@ -1,4 +1,4 @@
-//! Deterministic device-fault models and host-side resilience policies.
+//! Deterministic device-fault models and device-side resilience.
 //!
 //! FeFET/ReRAM CAM cells are physically unreliable: cells get stuck,
 //! multi-bit levels drift across sensing margins, and individual
@@ -23,22 +23,16 @@
 //!
 //! ## Resilience
 //!
-//! Two device-side mechanisms ([`Resilience`]) and one host-side policy
-//! ([`RetryPolicy`]) ride along:
+//! Two device-side mechanisms ([`Resilience`]) ride along:
 //!
 //! * **spare-row remapping** — placement reserves `spare_rows` physical
-//!   rows per subarray; logical rows whose stuck-cell count reaches
-//!   `stuck_threshold` are remapped onto a clean(er) spare. Data stays
-//!   logically indexed — remapping swaps *which physical fault sites
-//!   apply*, exactly as a row-redundancy fuse map would.
+//!   rows per subarray; a logical row with any stuck cell is remapped
+//!   onto a spare with none. Data stays logically indexed — remapping
+//!   swaps *which physical fault sites apply*, exactly as a
+//!   row-redundancy fuse map would.
 //! * **k-modular voting** — each search is logically issued `vote`
 //!   times and a row's transient flip only lands if a majority of
 //!   attempts draw it. Dynamic search cost scales by `vote`.
-//! * **shard retry** — worker panics/timeouts in the batched executor
-//!   are retried and can degrade to sequential execution; see
-//!   [`RetryPolicy`] and [`ShardChaos`].
-
-use std::time::Duration;
 
 /// Probability that a physical cell (or a search row) is faulty, per
 /// fault class. All probabilities are clamped to `[0, 1]` at draw time.
@@ -103,9 +97,6 @@ pub struct Resilience {
     /// Physical spare rows reserved per subarray (placement sees
     /// `rows - spare_rows` usable rows).
     pub spare_rows: usize,
-    /// A logical row is remapped onto a spare once its stuck-cell count
-    /// reaches this threshold.
-    pub stuck_threshold: usize,
     /// k-modular redundant-search voting factor (`1` = no voting).
     pub vote: usize,
 }
@@ -114,7 +105,6 @@ impl Default for Resilience {
     fn default() -> Resilience {
         Resilience {
             spare_rows: 0,
-            stuck_threshold: 1,
             vote: 1,
         }
     }
@@ -255,9 +245,9 @@ impl SubarrayFaults {
     /// `data_rows × cols` usable cells (plus the config's spare rows).
     ///
     /// Remapping happens eagerly: fault sites are static, so a logical
-    /// row crossing the stuck threshold is known before any write.
-    /// Spares are assigned in physical order, skipping spares that are
-    /// themselves at or above the threshold.
+    /// row with a stuck cell is known before any write. Spares are
+    /// assigned in physical order, skipping spares that have a stuck
+    /// cell themselves.
     pub fn generate(cfg: &FaultConfig, sub_index: usize, data_rows: usize, cols: usize) -> Self {
         let m = &cfg.model;
         let spare_rows = cfg.resilience.spare_rows;
@@ -298,16 +288,15 @@ impl SubarrayFaults {
             }
         }
 
-        // Remap logical rows at/above the stuck threshold onto spares.
-        let threshold = cfg.resilience.stuck_threshold.max(1) as u32;
+        // Remap logical rows with a stuck cell onto stuck-free spares.
         let mut effective_phys: Vec<u32> = (0..data_rows as u32).collect();
         let mut rows_remapped = 0u64;
         let mut next_spare = data_rows;
         for row in 0..data_rows {
-            if stuck_per_row[row] < threshold {
+            if stuck_per_row[row] == 0 {
                 continue;
             }
-            while next_spare < phys_rows && stuck_per_row[next_spare] >= threshold {
+            while next_spare < phys_rows && stuck_per_row[next_spare] > 0 {
                 next_spare += 1;
             }
             if next_spare >= phys_rows {
@@ -440,40 +429,6 @@ impl SubarrayFaults {
     }
 }
 
-/// Host-side retry policy for panicking or wedged shard workers in the
-/// batched executor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first failure (`0` = fail fast).
-    pub max_retries: u32,
-    /// Per-attempt wall-clock timeout; `None` waits indefinitely.
-    pub attempt_timeout: Option<Duration>,
-    /// After retries are exhausted, re-run the failed shard
-    /// sequentially on the calling thread instead of erroring out.
-    pub fallback_sequential: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 1,
-            attempt_timeout: None,
-            fallback_sequential: true,
-        }
-    }
-}
-
-/// Deterministic chaos injection for testing the retry path: shard
-/// `shard` panics on its first `fail_attempts` attempts, then runs
-/// normally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardChaos {
-    /// Which shard misbehaves.
-    pub shard: usize,
-    /// How many leading attempts panic before the shard succeeds.
-    pub fail_attempts: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,16 +536,15 @@ mod tests {
         // the spares themselves stay mostly clean.
         let mut c = cfg(0.04, 11);
         c.resilience.spare_rows = 4;
-        c.resilience.stuck_threshold = 1;
         let f = SubarrayFaults::generate(&c, 0, 16, 16);
         assert!(f.rows_remapped() > 0, "expected remaps at 2% stuck rate");
         assert!(f.rows_remapped() <= 4);
-        // Every remapped row points at a spare below the threshold.
+        // Every remapped row points at a stuck-free spare.
         for row in 0..16 {
             let phys = f.effective_phys[row] as usize;
             if phys != row {
                 assert!(phys >= 16, "remap target must be a spare row");
-                assert!(f.stuck_in_phys_row(phys) < 1, "spare must be clean");
+                assert_eq!(f.stuck_in_phys_row(phys), 0, "spare must be clean");
             }
         }
     }
@@ -670,13 +624,5 @@ mod tests {
         assert!(FaultModel::with_rate(0.0, 3).is_zero());
         assert_eq!(FaultModel::with_rate(7.0, 0).transient, 1.0);
         assert!(FaultModel::none(9).is_zero());
-    }
-
-    #[test]
-    fn retry_policy_defaults_are_resilient() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_retries, 1);
-        assert!(p.attempt_timeout.is_none());
-        assert!(p.fallback_sequential);
     }
 }

@@ -207,14 +207,9 @@ impl Plan for TapePlan {
             }
             None => machine_for(&self.spec, opts),
         };
-        let outputs = self.tape.run_batched_resilient(
-            &mut machine,
-            args,
-            opts.threads.max(1),
-            &opts.telemetry,
-            &opts.retry,
-            opts.chaos,
-        )?;
+        let outputs =
+            self.tape
+                .run_batched(&mut machine, args, opts.threads.max(1), &opts.telemetry)?;
         span.finish();
         let (stats, phases) = match priced {
             Some(p) => (p.total, p.phases),

@@ -52,7 +52,7 @@ mod registry;
 
 pub use backends::{TapeBackend, WalkBackend};
 pub use c4cam_engine::{Priced, Unpriced};
-pub use c4cam_faults::{FaultConfig, FaultModel, Resilience, RetryPolicy, ShardChaos};
+pub use c4cam_faults::{FaultConfig, FaultModel, Resilience};
 pub use registry::BackendRegistry;
 
 /// HAL-level failure: compilation of a plan, execution, or a request a
@@ -107,12 +107,6 @@ pub struct ExecOptions {
     /// default) runs the ideal device, bit-identical to today's
     /// behavior.
     pub faults: Option<FaultConfig>,
-    /// Retry policy for panicked or timed-out shard workers on
-    /// threaded backends.
-    pub retry: RetryPolicy,
-    /// Test-only chaos hook: force a shard worker to panic for its
-    /// first N attempts so the retry path is exercisable end to end.
-    pub chaos: Option<ShardChaos>,
 }
 
 impl ExecOptions {
@@ -153,20 +147,6 @@ impl ExecOptions {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultConfig) -> ExecOptions {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Set the shard-worker retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ExecOptions {
-        self.retry = retry;
-        self
-    }
-
-    /// Inject a forced shard panic (testing the resilience path).
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ShardChaos) -> ExecOptions {
-        self.chaos = Some(chaos);
         self
     }
 }
@@ -433,21 +413,11 @@ mod tests {
             .with_threads(4)
             .with_wta_window(Some(7))
             .with_tech(TechnologyModel::default())
-            .with_faults(FaultConfig::with_rate(0.01, 7))
-            .with_retry(RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            })
-            .with_chaos(ShardChaos {
-                shard: 0,
-                fail_attempts: 1,
-            });
+            .with_faults(FaultConfig::with_rate(0.01, 7));
         assert_eq!(opts.threads, 4);
         assert_eq!(opts.wta_window, Some(7));
         assert!(opts.tech.is_some());
         assert!(opts.faults.is_some());
-        assert_eq!(opts.retry.max_retries, 2);
-        assert_eq!(opts.chaos.unwrap().fail_attempts, 1);
     }
 
     #[test]

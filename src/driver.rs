@@ -658,7 +658,6 @@ impl CompiledExperiment {
             tech: self.tech.clone(),
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
-            ..ExecOptions::default()
         }
     }
 

@@ -221,7 +221,7 @@ fn sharded_runs_record_worker_lane_spans_without_perturbing_outputs() {
 
 #[test]
 fn fault_rate_zero_is_bit_identical_to_the_oracle_on_every_backend() {
-    // The resilient-execution acceptance bar: installing the fault
+    // The fault-injection acceptance bar: installing the fault
     // hooks at rate 0 must not perturb a single output bit or a
     // single stats field, on any registered backend.
     let registry = BackendRegistry::global();

@@ -16,6 +16,7 @@ use c4cam::compiler::pipeline::{C4camPipeline, PipelineOptions, Target};
 use c4cam::engine::Tape;
 use c4cam::ir::Module;
 use c4cam::runtime::{Executor, Value};
+use c4cam::telemetry::Telemetry;
 use c4cam::tensor::Tensor;
 
 /// Run the lowered device module on the walker (oracle), the sequential
@@ -52,7 +53,9 @@ fn assert_engines_agree(
     );
 
     let mut shard_machine = CamMachine::new(spec);
-    let shard_out = tape.run_batched(&mut shard_machine, args, 4).unwrap();
+    let shard_out = tape
+        .run_batched(&mut shard_machine, args, 4, &Telemetry::default())
+        .unwrap();
     for (i, (w, s)) in walk_out.iter().zip(&shard_out).enumerate() {
         assert_eq!(
             w.snapshot_tensor().unwrap().data(),
