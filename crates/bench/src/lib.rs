@@ -1,13 +1,17 @@
 //! Shared helpers for the C4CAM benchmark harness: the hand-optimized
 //! "manual" baseline mapping (the comparison target of the paper's
-//! Fig. 7 validation) and table formatting.
+//! Fig. 7 validation), the computation of Fig. 8 with its asserted
+//! trends (shared with `tests/paper_figures.rs`), and table formatting.
 
 use c4cam::arch::tech::Level;
-use c4cam::arch::{ArchSpec, MatchKind, Metric};
+use c4cam::arch::{ArchSpec, MatchKind, Metric, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats, SearchSpec, SubarrayId};
 use c4cam::compiler::mapping::{place, MappingProblem, Placement};
+use c4cam::sweep::{SweepOutcome, SweepPlan, DEFAULT_SUBARRAY_SIZES};
 use c4cam::tensor::Tensor;
-use c4cam::workloads::HdcModel;
+use c4cam::workloads::{HdcModel, HdcWorkload};
+use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
 /// A hand-written HDC mapping, mirroring the hand-optimized design of
 /// \[22\] that the paper validates against: chunks of the class
@@ -177,6 +181,205 @@ pub fn run_manual_hdc(spec: &ArchSpec, model: &HdcModel, queries: &Tensor) -> Ex
         manual.query(queries.row(q).expect("query"));
     }
     manual.query_stats()
+}
+
+/// One reproduced trend: a measured ratio and the band it must fall in.
+#[derive(Debug, Clone)]
+pub struct Trend {
+    /// What the ratio compares.
+    pub what: String,
+    /// The reproduction's value.
+    pub measured: f64,
+    /// The accepted band.
+    pub band: (Bound<f64>, Bound<f64>),
+    /// The paper's figure, where it gives one (empty for an ordering).
+    pub paper: &'static str,
+}
+
+impl Trend {
+    fn new(what: String, measured: f64, band: (Bound<f64>, Bound<f64>)) -> Trend {
+        Trend {
+            what,
+            measured,
+            band,
+            paper: "",
+        }
+    }
+
+    fn paper(mut self, paper: &'static str) -> Trend {
+        self.paper = paper;
+        self
+    }
+
+    /// Whether the measured value lies in the band.
+    pub fn holds(&self) -> bool {
+        self.band.contains(&self.measured)
+    }
+}
+
+impl fmt::Display for Trend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lo = match self.band.0 {
+            Bound::Included(x) => format!("[{x}"),
+            Bound::Excluded(x) => format!("({x}"),
+            Bound::Unbounded => "(-inf".to_string(),
+        };
+        let hi = match self.band.1 {
+            Bound::Included(x) => format!("{x}]"),
+            Bound::Excluded(x) => format!("{x})"),
+            Bound::Unbounded => "inf)".to_string(),
+        };
+        write!(f, "{:<46} {:>8.3} in {lo}, {hi}", self.what, self.measured)?;
+        if !self.paper.is_empty() {
+            write!(f, "  (paper: {})", self.paper)?;
+        }
+        Ok(())
+    }
+}
+
+/// Fig. 8's optimisation configurations, with the figure's names.
+pub const FIG8_CONFIGS: [(&str, Optimization); 4] = [
+    ("cam-base", Optimization::Base),
+    ("cam-power", Optimization::Power),
+    ("cam-density", Optimization::Density),
+    ("cam-density+power", Optimization::PowerDensity),
+];
+
+/// **Figure 8 (a, b, c)**: HDC at MNIST scale (10 classes × 8192
+/// dims, 1 bit per cell) on square `N × N` subarrays, `N` = 16…256,
+/// under the four optimisation configurations — one [`SweepPlan`] pass
+/// over a single query. The query phase prices one query trip and
+/// replays it, so per-query figures, and every ratio of them, are those
+/// of the paper's 10 000-query test set.
+pub struct Fig8 {
+    outcome: SweepOutcome,
+}
+
+impl Fig8 {
+    /// Compile and price the grid.
+    ///
+    /// # Panics
+    /// Panics if a grid point fails (the grid is known-good).
+    pub fn compute() -> Fig8 {
+        let workload = HdcWorkload::paper(1);
+        let outcome = SweepPlan::new(&workload)
+            .square_subarrays(DEFAULT_SUBARRAY_SIZES)
+            .optimizations(FIG8_CONFIGS.map(|(_, opt)| opt))
+            .run()
+            .expect("Figure 8's grid compiles and prices");
+        Fig8 { outcome }
+    }
+
+    /// Query-phase statistics of one query under `opt` on `n × n`
+    /// subarrays.
+    ///
+    /// # Panics
+    /// Panics if the point is not on the grid.
+    pub fn query(&self, opt: Optimization, n: usize) -> &ExecStats {
+        let point = self
+            .outcome
+            .points
+            .iter()
+            .find(|p| p.grid.optimization == opt && p.grid.subarray == (n, n));
+        &point.expect("a point of the grid").outcome.query_phase
+    }
+
+    /// `metric` under `opt` over `metric` under cam-base, at `n × n`.
+    pub fn ratio(&self, opt: Optimization, n: usize, metric: fn(&ExecStats) -> f64) -> f64 {
+        metric(self.query(opt, n)) / metric(self.query(Optimization::Base, n))
+    }
+
+    /// The §IV-C1 trends, each with its band (the bench's, unchanged)
+    /// and, where the paper gives one, the paper's figure.
+    pub fn trends(&self) -> Vec<Trend> {
+        use Bound::{Excluded, Included, Unbounded};
+        use Optimization::{Density, Power, PowerDensity};
+        let (latency, energy, power) = (
+            ExecStats::latency_ms as fn(&ExecStats) -> f64,
+            ExecStats::energy_uj as fn(&ExecStats) -> f64,
+            ExecStats::power_mw as fn(&ExecStats) -> f64,
+        );
+        let below = (Unbounded, Excluded(1.0));
+        let above = (Excluded(1.0), Unbounded);
+        let mut trends = Vec::new();
+        for n in DEFAULT_SUBARRAY_SIZES {
+            let at = |what: &str| format!("{what}, {n}x{n}");
+            trends.extend([
+                Trend::new(
+                    at("cam-power power / base"),
+                    self.ratio(Power, n, power),
+                    below,
+                ),
+                Trend::new(
+                    at("cam-power latency / base"),
+                    self.ratio(Power, n, latency),
+                    above,
+                ),
+                // Energy roughly preserved ("overall energy consumption
+                // remains the same"); the static-power term makes
+                // cam-power pay a little extra at large N.
+                Trend::new(
+                    at("cam-power energy / base"),
+                    self.ratio(Power, n, energy),
+                    (Included(0.7), Excluded(1.8)),
+                ),
+                Trend::new(
+                    at("power+density power / cam-power"),
+                    power(self.query(PowerDensity, n)) / power(self.query(Power, n)),
+                    (Unbounded, Included(1.05)),
+                ),
+                Trend::new(
+                    at("power+density power / base"),
+                    self.ratio(PowerDensity, n, power),
+                    below,
+                ),
+                Trend::new(
+                    at("cam-density latency / base"),
+                    self.ratio(Density, n, latency),
+                    (Included(1.0), Unbounded),
+                ),
+            ]);
+        }
+        let penalty = |n| self.ratio(Power, n, latency);
+        trends.extend([
+            // 3.97 here.
+            Trend::new(
+                "cam-power latency / base, 32x32".to_string(),
+                penalty(32),
+                (Included(1.5), Excluded(4.5)),
+            )
+            .paper("2x"),
+            // 6.56 here.
+            Trend::new(
+                "cam-power latency / base, 256x256".to_string(),
+                penalty(256),
+                (Included(3.0), Excluded(8.0)),
+            )
+            .paper("4.86x"),
+            Trend::new(
+                "cam-power latency penalty, 256 over 32".to_string(),
+                penalty(256) / penalty(32),
+                above,
+            )
+            .paper("grows with N"),
+            // 20.75 here.
+            Trend::new(
+                "cam-density latency / base, 256x256".to_string(),
+                self.ratio(Density, 256, latency),
+                (Included(10.0), Excluded(40.0)),
+            )
+            .paper("~23x"),
+        ]);
+        for (n, band, paper) in [
+            (32, below, "below base"),
+            (64, below, "below base"),
+            (256, above, "above base"),
+        ] {
+            let what = format!("cam-density energy / base, {n}x{n}");
+            trends.push(Trend::new(what, self.ratio(Density, n, energy), band).paper(paper));
+        }
+        trends
+    }
 }
 
 /// Print a section header for bench output.

@@ -1,9 +1,11 @@
 //! Dialect definitions: op specs, builder helpers and verifiers.
 //!
 //! Each submodule registers its ops into a [`DialectRegistry`];
-//! [`standard_registry`] assembles the full C4CAM configuration.
+//! [`standard_registry`] assembles the full C4CAM configuration, and
+//! [`shared_registry`] hands out one process-wide copy of it.
 
 use c4cam_ir::verify::DialectRegistry;
+use std::sync::{Arc, LazyLock};
 
 pub mod arith;
 pub mod cam;
@@ -26,6 +28,15 @@ pub fn standard_registry() -> DialectRegistry {
     cim::register(&mut r);
     cam::register(&mut r);
     r
+}
+
+static SHARED: LazyLock<Arc<DialectRegistry>> = LazyLock::new(|| Arc::new(standard_registry()));
+
+/// The [`standard_registry`], built once per process: every pipeline
+/// run verifies against this copy. Callers that need to modify a
+/// registry build their own with [`standard_registry`].
+pub fn shared_registry() -> Arc<DialectRegistry> {
+    Arc::clone(&SHARED)
 }
 
 #[cfg(test)]
@@ -55,5 +66,12 @@ mod tests {
             assert!(r.spec(op).is_some(), "missing op spec: {op}");
         }
         assert!(r.len() > 40, "expected a rich op set, got {}", r.len());
+    }
+
+    #[test]
+    fn the_shared_registry_is_built_once_and_is_the_standard_one() {
+        let (a, b) = (shared_registry(), shared_registry());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.op_names(), standard_registry().op_names());
     }
 }

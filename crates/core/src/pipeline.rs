@@ -5,15 +5,22 @@
 //! `cam` dialect (device path, default) or to the partitioned `cim`
 //! form (host/loops path — the paper's "lower to loops, and optimize"
 //! branch, which our host interpreter executes directly).
+//!
+//! The pass list splits at the `cim-fused` seam. The prefix
+//! (`torch-to-cim`, `cim-fuse-ops`) reads nothing of the architecture;
+//! the suffix (`cam-map` or `cim-partition`) is where the spec enters.
+//! [`C4camPipeline::compile`] runs one after the other, and a caller that
+//! targets many specs with one module — a design-space sweep — runs
+//! [`C4camPipeline::lower_prefix`] once and [`C4camPipeline::lower_suffix`]
+//! per spec on clones of its result.
 
 use c4cam_arch::ArchSpec;
 use c4cam_ir::pass::{Pass, PassError, PassManager, PassTiming};
 use c4cam_ir::print::print_module;
 use c4cam_ir::verify::verify_module;
 use c4cam_ir::Module;
-use std::sync::Arc;
 
-use crate::dialects::standard_registry;
+use crate::dialects::shared_registry;
 use crate::passes::{CamMapPass, CimFusePass, CimPartitionPass, TorchToCimPass};
 
 /// Which backend the pipeline lowers to.
@@ -37,8 +44,8 @@ pub struct PipelineOptions {
     pub target: Target,
 }
 
-/// Result of a pipeline run.
-#[derive(Debug)]
+/// Result of a pipeline run (or of its prefix alone).
+#[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// The lowered module.
     pub module: Module,
@@ -77,60 +84,87 @@ impl C4camPipeline {
 
     /// Names of the passes that will run, in order.
     pub fn pass_names(&self) -> Vec<&'static str> {
+        let mut passes = prefix_passes();
+        passes.push(self.suffix_pass());
+        passes.iter().map(|p| p.name()).collect()
+    }
+
+    /// The per-spec pass that follows the prefix.
+    fn suffix_pass(&self) -> Box<dyn Pass> {
+        let spec = self.spec.clone();
         match self.options.target {
-            Target::CamDevice => vec!["torch-to-cim", "cim-fuse-ops", "cam-map"],
-            Target::HostLoops => vec!["torch-to-cim", "cim-fuse-ops", "cim-partition"],
+            Target::CamDevice => Box::new(CamMapPass { spec }),
+            Target::HostLoops => Box::new(CimPartitionPass { spec }),
         }
     }
 
-    /// Compile a torch-level module.
+    /// Compile a torch-level module: [`C4camPipeline::lower_prefix`],
+    /// then [`C4camPipeline::lower_suffix`].
     ///
     /// # Errors
     /// Propagates the first pass or verification failure.
-    pub fn compile(&self, mut module: Module) -> Result<CompiledKernel, PassError> {
-        let registry = Arc::new(standard_registry());
-        let mut snapshots = Vec::new();
-        if self.options.keep_snapshots {
-            snapshots.push(("torch".to_string(), print_module(&module)));
-        }
-        verify_module(&module, &registry)
-            .map_err(|e| PassError::new("input-verify", e.to_string()))?;
+    pub fn compile(&self, module: Module) -> Result<CompiledKernel, PassError> {
+        self.lower_suffix(self.lower_prefix(module)?)
+    }
 
-        let passes: Vec<Box<dyn Pass>> = match self.options.target {
-            Target::CamDevice => vec![
-                Box::new(TorchToCimPass),
-                Box::new(CimFusePass),
-                Box::new(CamMapPass {
-                    spec: self.spec.clone(),
-                }),
-            ],
-            Target::HostLoops => vec![
-                Box::new(TorchToCimPass),
-                Box::new(CimFusePass),
-                Box::new(CimPartitionPass {
-                    spec: self.spec.clone(),
-                }),
-            ],
+    /// Verify a torch-level module and lower it to the `cim-fused` seam
+    /// (`torch-to-cim`, `cim-fuse-ops`, each verified). Nothing here
+    /// reads the spec, so the result serves every architecture.
+    ///
+    /// # Errors
+    /// Propagates the first pass or verification failure.
+    pub fn lower_prefix(&self, module: Module) -> Result<CompiledKernel, PassError> {
+        let mut kernel = CompiledKernel {
+            module,
+            snapshots: Vec::new(),
+            timings: Vec::new(),
         };
+        if self.options.keep_snapshots {
+            let torch = print_module(&kernel.module);
+            kernel.snapshots.push(("torch".to_string(), torch));
+        }
+        verify_module(&kernel.module, &shared_registry())
+            .map_err(|e| PassError::new("input-verify", e.to_string()))?;
+        self.run_passes(&mut kernel, prefix_passes())?;
+        Ok(kernel)
+    }
 
-        let mut timings = Vec::new();
+    /// Finish a kernel [`C4camPipeline::lower_prefix`] produced: the
+    /// target's per-spec pass (`cam-map` or `cim-partition`), verified.
+    ///
+    /// # Errors
+    /// Propagates the pass or verification failure.
+    pub fn lower_suffix(&self, mut kernel: CompiledKernel) -> Result<CompiledKernel, PassError> {
+        self.run_passes(&mut kernel, vec![self.suffix_pass()])?;
+        Ok(kernel)
+    }
+
+    /// Run `passes` in order, verifying after each, and append their
+    /// timings (and snapshots, if kept) to `kernel`.
+    fn run_passes(
+        &self,
+        kernel: &mut CompiledKernel,
+        passes: Vec<Box<dyn Pass>>,
+    ) -> Result<(), PassError> {
         for pass in passes {
             let mut pm = PassManager::new();
             pm.add(pass);
-            pm.verify_each(registry.clone());
-            pm.run(&mut module)?;
-            timings.extend(pm.timings().iter().cloned());
+            pm.verify_each(shared_registry());
+            pm.run(&mut kernel.module)?;
+            kernel.timings.extend(pm.timings().iter().cloned());
             if self.options.keep_snapshots {
-                let name = timings.last().map(|t| t.name).unwrap_or("?");
-                snapshots.push((name.to_string(), print_module(&module)));
+                let name = kernel.timings.last().map(|t| t.name).unwrap_or("?");
+                let text = print_module(&kernel.module);
+                kernel.snapshots.push((name.to_string(), text));
             }
         }
-        Ok(CompiledKernel {
-            module,
-            snapshots,
-            timings,
-        })
+        Ok(())
     }
+}
+
+/// The geometry-free passes, in order.
+fn prefix_passes() -> Vec<Box<dyn Pass>> {
+    vec![Box::new(TorchToCimPass), Box::new(CimFusePass)]
 }
 
 #[cfg(test)]
@@ -193,6 +227,27 @@ mod tests {
         // Fig. 6: the mapped snapshot shows the hierarchy loops.
         assert!(compiled.snapshots[3].1.contains("cam.alloc_bank"));
         assert!(compiled.snapshots[3].1.contains("scf.parallel"));
+    }
+
+    #[test]
+    fn one_prefix_serves_every_spec() {
+        let mut m = Module::new();
+        torch::build_hdc_dot(&mut m, 2, 10, 1024, 1);
+        let fused = C4camPipeline::new(spec()).lower_prefix(m.clone()).unwrap();
+        let ran: Vec<&str> = fused.timings.iter().map(|t| t.name).collect();
+        assert_eq!(ran, vec!["torch-to-cim", "cim-fuse-ops"]);
+        for (n, opt) in [(16, Optimization::Power), (64, Optimization::Density)] {
+            let other = ArchSpec::builder()
+                .subarray(n, n)
+                .optimization(opt)
+                .build()
+                .unwrap();
+            let pipeline = C4camPipeline::new(other);
+            let split = pipeline.lower_suffix(fused.clone()).unwrap();
+            let whole = pipeline.compile(m.clone()).unwrap();
+            assert_eq!(print_module(&split.module), print_module(&whole.module));
+            assert_eq!(split.timings.len(), 3);
+        }
     }
 
     #[test]

@@ -86,7 +86,11 @@ pub trait Workload {
     /// Feature dimensionality of stored and query rows.
     fn dims(&self) -> usize;
 
-    /// Build the compiler-entry IR module for this workload.
+    /// Build the compiler-entry IR module for this workload. It may
+    /// depend on `spec` through `bits_per_cell` only, like
+    /// [`Workload::inputs`]: the sweep builds it, and lowers it through
+    /// the pipeline's geometry-free prefix, once per cell width and
+    /// shares the result among its grid points.
     fn build_module(&self, spec: &ArchSpec) -> WorkloadModule;
 
     /// Materialize the input tensors and ground-truth labels. They may

@@ -31,12 +31,12 @@ use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem, Placement};
-use c4cam_core::pipeline::C4camPipeline;
+use c4cam_core::pipeline::{C4camPipeline, CompiledKernel};
 use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, Priced, SharedPlan, Unpriced};
 use c4cam_runtime::Value;
 use c4cam_telemetry::{log as tlog, ArgValue, Phase, Telemetry};
 use c4cam_tensor::Tensor;
-use c4cam_workloads::{accuracy, ArgOrder, Workload, WorkloadInputs};
+use c4cam_workloads::{accuracy, ArgOrder, Workload, WorkloadInputs, WorkloadModule};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -422,15 +422,35 @@ impl<'w> Experiment<'w> {
     /// [`DriverError::Config`] for invalid knob combinations (checked
     /// up front), otherwise the failing stage's error.
     pub fn compile(&self) -> Result<CompiledExperiment, DriverError> {
-        self.compile_with(|spec| Arc::new(self.workload.inputs(spec)))
+        self.compile_from(|spec| {
+            let mut span = self.telemetry.phase(Phase::Parse);
+            span.arg("workload", ArgValue::Str(self.workload.name().to_string()));
+            span.arg("queries", ArgValue::Int(self.workload.query_count() as i64));
+            let built = self.workload.build_module(spec);
+            Ok((Front::Built(built), Arc::new(self.workload.inputs(spec))))
+        })
     }
 
-    /// [`Experiment::compile`] with the workload's inputs supplied by
-    /// `inputs` — the sweep hands every grid point of one cell width the
-    /// same materialised tensors instead of generating them per point.
-    pub(crate) fn compile_with(
+    /// [`Experiment::compile`] from what the grid points of one cell
+    /// width share: once the knobs are checked, `shared` is asked, with
+    /// the spec this point compiles for, for the module lowered to the
+    /// `cim-fused` seam and the workload's inputs. Each point then pays
+    /// placement, the per-spec pass and the backend plan only.
+    pub(crate) fn compile_shared(
         &self,
-        inputs: impl FnOnce(&ArchSpec) -> Arc<WorkloadInputs>,
+        shared: impl FnOnce(&ArchSpec) -> Result<(Fused, Arc<WorkloadInputs>), DriverError>,
+    ) -> Result<CompiledExperiment, DriverError> {
+        self.compile_from(|spec| {
+            let (fused, inputs) = shared(spec)?;
+            Ok((Front::Fused(fused), inputs))
+        })
+    }
+
+    /// Check the knobs, take the module and inputs from `front`, place,
+    /// then lower the rest of the way and compile the backend's plan.
+    fn compile_from(
+        &self,
+        front: impl FnOnce(&ArchSpec) -> Result<(Front, Arc<WorkloadInputs>), DriverError>,
     ) -> Result<CompiledExperiment, DriverError> {
         if self.threads == 0 {
             return Err(DriverError::Config(
@@ -470,15 +490,10 @@ impl<'w> Experiment<'w> {
         // the spec derated by the spare-row reserve: spares are real
         // physical rows, but no data row maps onto them.
         let spec = self.effective_spec()?;
-        // Parse: workload → module plus input materialisation (pure
-        // functions of workload × spec, so hoisting them ahead of
-        // placement keeps the phase spans chronological).
-        let (built, inputs) = {
-            let mut span = self.telemetry.phase(Phase::Parse);
-            span.arg("workload", ArgValue::Str(self.workload.name().to_string()));
-            span.arg("queries", ArgValue::Int(nq as i64));
-            (self.workload.build_module(&spec), inputs(&spec))
-        };
+        // Module and input materialisation are pure functions of
+        // workload × spec, so taking them ahead of placement keeps the
+        // phase spans chronological.
+        let (front, inputs) = front(&spec)?;
         let placement = {
             let _span = self.telemetry.phase(Phase::Place);
             place(
@@ -492,21 +507,26 @@ impl<'w> Experiment<'w> {
             .map_err(|e| DriverError::Place(Box::new(e)))?
         };
         // Compile: pipeline lowering, then the backend's plan.
-        let plan = {
+        let (plan, arg_order) = {
             let mut span = self.telemetry.phase(Phase::Compile);
             span.arg("backend", ArgValue::Str(self.backend.clone()));
+            let fused = match front {
+                Front::Built(built) => Fused::lower(built, &spec)?,
+                Front::Fused(fused) => fused,
+            };
             let compiled = C4camPipeline::new(spec.clone())
-                .compile(built.module)
+                .lower_suffix(fused.kernel)
                 .map_err(|e| DriverError::Compile(Box::new(e)))?;
-            backend
-                .compile_shared(&compiled.module, built.func, &spec)
-                .map_err(|e| DriverError::Compile(Box::new(e)))?
+            let plan = backend
+                .compile_shared(&compiled.module, fused.func, &spec)
+                .map_err(|e| DriverError::Compile(Box::new(e)))?;
+            (plan, fused.arg_order)
         };
         Ok(CompiledExperiment {
             plan,
             placement,
             inputs,
-            arg_order: built.arg_order,
+            arg_order,
             queries: nq,
             backend: self.backend.clone(),
             threads: self.threads,
@@ -516,6 +536,41 @@ impl<'w> Experiment<'w> {
             faults: self.faults.clone(),
         })
     }
+}
+
+/// A workload's module lowered through the pipeline's geometry-free
+/// prefix, with what the backend needs to call its entry function.
+#[derive(Clone)]
+pub(crate) struct Fused {
+    kernel: CompiledKernel,
+    func: &'static str,
+    arg_order: ArgOrder,
+}
+
+impl Fused {
+    /// Lower `built` through [`C4camPipeline::lower_prefix`].
+    ///
+    /// # Errors
+    /// [`DriverError::Compile`] if the module fails verification or a
+    /// prefix pass.
+    pub(crate) fn lower(built: WorkloadModule, spec: &ArchSpec) -> Result<Fused, DriverError> {
+        let kernel = C4camPipeline::new(spec.clone())
+            .lower_prefix(built.module)
+            .map_err(|e| DriverError::Compile(Box::new(e)))?;
+        Ok(Fused {
+            kernel,
+            func: built.func,
+            arg_order: built.arg_order,
+        })
+    }
+}
+
+/// How far the module has come when the Compile phase opens.
+enum Front {
+    /// As the workload built it.
+    Built(WorkloadModule),
+    /// Already through the prefix.
+    Fused(Fused),
 }
 
 /// A compiled, placed, ready-to-execute experiment: the product of
@@ -583,7 +638,18 @@ impl CompiledExperiment {
     /// # Errors
     /// [`DriverError::Exec`] on simulator failure.
     pub fn run(&self) -> Result<RunOutcome, DriverError> {
-        self.execute(self.inputs.queries.clone(), self.inputs.labels.clone())
+        self.execute(
+            self.inputs.queries.clone(),
+            self.inputs.labels.clone(),
+            None,
+        )
+    }
+
+    /// [`CompiledExperiment::run`], its Execute span naming the sweep
+    /// grid `point` it ran (a `point` argument).
+    pub(crate) fn run_at(&self, point: &dyn fmt::Display) -> Result<RunOutcome, DriverError> {
+        let (queries, labels) = (self.inputs.queries.clone(), self.inputs.labels.clone());
+        self.execute(queries, labels, Some(point))
     }
 
     /// Execute the compiled plan against caller-supplied query rows
@@ -607,7 +673,7 @@ impl CompiledExperiment {
                 expected
             )));
         }
-        self.execute(queries, Vec::new())
+        self.execute(queries, Vec::new(), None)
     }
 
     /// The statistics a sequential run of the compiled plan would
@@ -661,7 +727,12 @@ impl CompiledExperiment {
         }
     }
 
-    fn execute(&self, queries: Tensor, labels: Vec<usize>) -> Result<RunOutcome, DriverError> {
+    fn execute(
+        &self,
+        queries: Tensor,
+        labels: Vec<usize>,
+        point: Option<&dyn fmt::Display>,
+    ) -> Result<RunOutcome, DriverError> {
         let nq = self.queries;
         let stored = self.inputs.stored.clone();
         let args = self.in_arg_order(Value::Tensor(queries), Value::Tensor(stored));
@@ -670,6 +741,9 @@ impl CompiledExperiment {
             let mut span = self.telemetry.phase(Phase::Execute);
             span.arg("backend", ArgValue::Str(self.backend.clone()));
             span.arg("threads", ArgValue::Int(self.threads as i64));
+            if let Some(point) = point {
+                span.arg("point", ArgValue::Str(point.to_string()));
+            }
             self.plan
                 .execute(&args, &opts)
                 .map_err(|e| DriverError::Exec(Box::new(e)))?

@@ -18,7 +18,7 @@
 //! The `c4cam sweep` subcommand and the `design_space_exploration`
 //! example are both thin wrappers over this module.
 
-use crate::driver::{DriverError, Experiment, RunOutcome};
+use crate::driver::{CompiledExperiment, DriverError, Experiment, Fused, RunOutcome};
 use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, Optimization};
 use c4cam_hal::FaultConfig;
@@ -509,16 +509,27 @@ impl<'w> SweepPlan<'w> {
     /// Compile every grid point through the [`Experiment`] builder,
     /// cost it, and compute the Pareto frontier.
     ///
+    /// The workload's module and inputs depend on the architecture
+    /// through `bits_per_cell` only ([`Workload::build_module`],
+    /// [`Workload::inputs`]), and so does the pipeline's prefix up to
+    /// the `cim-fused` seam. So all three run once per cell width, in
+    /// one `prefix` span (category `phase`); each point compiles from a
+    /// clone of the fused module.
+    ///
     /// Cost is a function of the schedule, so a fault-free point whose
     /// plan can be priced ([`crate::driver::CompiledExperiment::cost`]) reports the
     /// statistics its tape prices to — the sequential fold, whatever
     /// [`SweepPlan::threads`] says — and is not executed. Its answers
     /// depend on the workload and the cell width only (the device's
     /// reductions are exact-integer sums, equal under any tiling), so
-    /// the workload's inputs are materialised and the device run once
-    /// per `bits_per_cell`: at the first fault-free point of that width,
-    /// which donates its predictions to the rest. Faulty points,
-    /// backends with no static schedule and unpriceable plans execute.
+    /// after the grid the device runs once per `bits_per_cell`, on the
+    /// priced point that provisions the fewest cells
+    /// ([`SweepPoint::area_cells`]; ties to fewer physical subarrays,
+    /// then to grid order): the cheapest machine to program gives the
+    /// same answers as the costliest. It is skipped when a fault-free
+    /// point that had to execute anyway (a `walk` point) already
+    /// answered. Faulty points, backends with no static schedule and
+    /// unpriceable plans execute in place.
     ///
     /// # Errors
     /// [`DriverError::Config`] for empty grids or invalid thread
@@ -532,7 +543,7 @@ impl<'w> SweepPlan<'w> {
         }
         let grid = self.grid()?;
         let mut by_width: BTreeMap<u32, Width> = BTreeMap::new();
-        let mut points = Vec::with_capacity(grid.len());
+        let mut points: Vec<SweepPoint> = Vec::with_capacity(grid.len());
         for gp in grid {
             let spec = gp.spec(self.hierarchy)?;
             let mut experiment = Experiment::new(self.workload)
@@ -549,11 +560,31 @@ impl<'w> SweepPlan<'w> {
             }
             let span = self.telemetry.span(format!("{gp}"), cat::GRID);
             let width = by_width.entry(gp.bits_per_cell).or_default();
-            let outcome = self
+            let (outcome, priced) = self
                 .run_point(&experiment, gp.fault_rate > 0.0, width)
                 .map_err(|e| e.at_grid_point(&gp))?;
             span.finish();
-            points.push(SweepPoint { grid: gp, outcome });
+            let point = SweepPoint { grid: gp, outcome };
+            if let Some(compiled) = priced {
+                width.wait(points.len(), &point, compiled);
+            }
+            points.push(point);
+        }
+        for width in by_width.into_values() {
+            let Some((_, donor, compiled)) = width.donor else {
+                continue;
+            };
+            let predictions = match width.predictions {
+                Some(predictions) => predictions,
+                None => {
+                    let grid = &points[donor].grid;
+                    let ran = compiled.run_at(grid).map_err(|e| e.at_grid_point(grid))?;
+                    ran.predictions
+                }
+            };
+            for i in width.waiting {
+                points[i].outcome.predictions = predictions.clone();
+            }
         }
         let objectives: Vec<[f64; 3]> = points.iter().map(SweepPoint::objectives).collect();
         let pareto = pareto_indices(&objectives);
@@ -564,45 +595,70 @@ impl<'w> SweepPlan<'w> {
         })
     }
 
-    /// One grid point: compile, price if it can be, execute if it must.
+    /// One grid point: compile from its width's fused module, price if
+    /// it can be, execute if it must. A priced point comes back with
+    /// no predictions and with its plan, for the width's execution.
     fn run_point(
         &self,
         experiment: &Experiment<'_>,
         faulty: bool,
         width: &mut Width,
-    ) -> Result<RunOutcome, DriverError> {
-        let compiled = experiment.compile_with(|spec| {
-            let inputs = &mut width.inputs;
-            Arc::clone(inputs.get_or_insert_with(|| Arc::new(self.workload.inputs(spec))))
+    ) -> Result<(RunOutcome, Option<CompiledExperiment>), DriverError> {
+        let compiled = experiment.compile_shared(|spec| {
+            let (fused, inputs) = match &width.shared {
+                Some(shared) => shared,
+                None => {
+                    let _span = self.telemetry.span("prefix", cat::PHASE);
+                    let fused = Fused::lower(self.workload.build_module(spec), spec)?;
+                    let inputs = Arc::new(self.workload.inputs(spec));
+                    width.shared.insert((fused, inputs))
+                }
+            };
+            Ok((fused.clone(), Arc::clone(inputs)))
         })?;
-        let cost = if faulty {
-            None
-        } else {
+        if !faulty {
             let _span = self.telemetry.span("price", cat::PHASE);
-            compiled.cost(compiled.query_count()).ok()
-        };
-        if let (Some(cost), Some(predictions)) = (&cost, &width.predictions) {
-            return Ok(compiled.outcome_at(cost, predictions.clone()));
+            if let Ok(cost) = compiled.cost(compiled.query_count()) {
+                return Ok((compiled.outcome_at(&cost, Vec::new()), Some(compiled)));
+            }
         }
         let ran = compiled.run()?;
         if !faulty && width.predictions.is_none() {
             width.predictions = Some(ran.predictions.clone());
         }
-        Ok(match &cost {
-            Some(cost) => compiled.outcome_at(cost, ran.predictions),
-            None => ran,
-        })
+        Ok((ran, None))
     }
 }
 
 /// What the grid points of one cell width share.
 #[derive(Default)]
 struct Width {
-    /// The workload's inputs: `bits_per_cell` is the only field of the
-    /// architecture a [`Workload::inputs`] may read.
-    inputs: Option<Arc<WorkloadInputs>>,
+    /// The workload's module lowered to the `cim-fused` seam, and its
+    /// inputs: `bits_per_cell` is the only field of the architecture
+    /// [`Workload::build_module`] and [`Workload::inputs`] may read.
+    shared: Option<(Fused, Arc<WorkloadInputs>)>,
     /// The answers of the first fault-free point that executed.
     predictions: Option<Vec<usize>>,
+    /// Priced points waiting for answers, by index.
+    waiting: Vec<usize>,
+    /// The waiting point with the fewest `(cells, physical subarrays)`,
+    /// earliest first, and its plan: the one that executes.
+    donor: Option<((u64, usize), usize, CompiledExperiment)>,
+}
+
+impl Width {
+    /// Queue priced point `index` for answers; it becomes the donor if
+    /// its machine is smaller than the current donor's.
+    fn wait(&mut self, index: usize, point: &SweepPoint, compiled: CompiledExperiment) {
+        self.waiting.push(index);
+        let size = (
+            point.area_cells(),
+            point.outcome.placement.physical_subarrays,
+        );
+        if self.donor.as_ref().is_none_or(|(best, ..)| size < *best) {
+            self.donor = Some((size, index, compiled));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,11 @@
 //! `harness = false` bench.
 
 use c4cam::arch::Optimization;
+use c4cam::camsim::ExecStats;
 use c4cam::compiler::mapping::{place, MappingProblem};
-use c4cam::driver::paper_arch;
+use c4cam::driver::{paper_arch, Experiment};
+use c4cam::workloads::HdcWorkload;
+use c4cam_bench::Fig8;
 
 /// **Table I**: subarrays used to implement HDC (10 classes × 8192
 /// dims) on square `N × N` subarrays, with the standard placement
@@ -34,5 +37,53 @@ fn table1_subarray_counts_are_the_papers() {
             })
             .collect();
         assert_eq!(counts, paper, "Table I, {opt}");
+    }
+}
+
+/// **Figure 8**: the §IV-C1 trends of energy, latency and power over
+/// subarray size and optimisation, each within the band the
+/// `fig8_dse` bench asserts, computed by the function it prints from.
+/// Measured against the paper:
+/// - cam-power's latency penalty: 3.97× at 32×32 (paper 2×) and 6.56×
+///   at 256×256 (paper 4.86×);
+/// - cam-density's latency blow-up at 256×256: 20.75× (paper ≈ 23×);
+/// - cam-density's energy: below base at 32 and 64, above it at 256.
+#[test]
+fn fig8_trends_are_the_papers() {
+    let fig8 = Fig8::compute();
+    let failed: Vec<String> = fig8
+        .trends()
+        .iter()
+        .filter(|t| !t.holds())
+        .map(ToString::to_string)
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+    let penalty = |n| fig8.ratio(Optimization::Power, n, ExecStats::latency_ms);
+    let blowup = fig8.ratio(Optimization::Density, 256, ExecStats::latency_ms);
+    let rounded = |x: f64| (x * 100.0).round() / 100.0;
+    assert_eq!(
+        [penalty(32), penalty(256), blowup].map(rounded),
+        [3.97, 6.56, 20.75]
+    );
+}
+
+/// Fig. 8 prices one query because the query phase is one trip
+/// replayed: the paper's 10 000 queries scale it, ratio for ratio.
+#[test]
+fn fig8_per_query_figures_scale_to_the_test_set() {
+    let fig8 = Fig8::compute();
+    let hdc = HdcWorkload::paper(1);
+    for (opt, n) in [(Optimization::Base, 256), (Optimization::Power, 256)] {
+        let compiled = Experiment::new(&hdc)
+            .arch(paper_arch(n, opt, 1))
+            .compile()
+            .unwrap();
+        let full = compiled.cost(10_000).unwrap().query_phase();
+        let one = fig8.query(opt, n);
+        for metric in [ExecStats::latency_ms, ExecStats::energy_uj] {
+            let scaled = metric(one) * 10_000.0;
+            let close = (metric(&full) - scaled).abs() <= 1e-9 * scaled;
+            assert!(close, "{opt:?} {n}: {} vs {scaled}", metric(&full));
+        }
     }
 }

@@ -5,11 +5,14 @@
 
 use c4cam::cli::{execute, parse_args, Command};
 use c4cam::driver::Experiment;
-use c4cam::sweep::SweepPlan;
-use c4cam::telemetry::{cat, CollectingRecorder, Phase, Telemetry};
+use c4cam::hal::FaultConfig;
+use c4cam::ir::print::print_module;
+use c4cam::sweep::{SweepOutcome, SweepPlan};
+use c4cam::telemetry::{cat, ArgValue, CollectingRecorder, Phase, Span, Telemetry};
 use c4cam::workloads::{HdcWorkload, KnnWorkload, Workload, WorkloadInputs, WorkloadModule};
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_server::json::Json;
+use std::cell::Cell;
 use std::sync::Arc;
 
 fn small_hdc() -> HdcWorkload {
@@ -151,47 +154,137 @@ fn simulated_figures_do_not_depend_on_threads() {
     }
 }
 
-/// The device runs once per cell width: a 40-point two-width sweep
-/// records two `Execute` phases, and every point accounts for its
-/// pricing with one `price` span inside its grid span.
-#[test]
-fn a_two_width_sweep_executes_twice_and_prices_every_point() {
-    let workload = small_hdc();
+/// A workload that counts the modules and inputs it builds.
+struct Counted {
+    inner: HdcWorkload,
+    modules: Cell<usize>,
+    inputs: Cell<usize>,
+}
+
+impl Workload for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn query_count(&self) -> usize {
+        self.inner.query_count()
+    }
+    fn stored_rows(&self) -> usize {
+        self.inner.stored_rows()
+    }
+    fn dims(&self) -> usize {
+        self.inner.dims()
+    }
+    fn build_module(&self, spec: &ArchSpec) -> WorkloadModule {
+        self.modules.set(self.modules.get() + 1);
+        self.inner.build_module(spec)
+    }
+    fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs {
+        self.inputs.set(self.inputs.get() + 1);
+        self.inner.inputs(spec)
+    }
+}
+
+/// The §IV-C default grid at both cell widths (40 points), traced.
+fn traced_two_width_sweep(workload: &dyn Workload) -> (SweepOutcome, Vec<Span>) {
     let recorder = Arc::new(CollectingRecorder::new());
-    let outcome = SweepPlan::new(&workload)
+    let outcome = SweepPlan::new(workload)
         .bits([1, 2])
         .telemetry(Telemetry::new(Arc::clone(&recorder) as _))
         .run()
         .unwrap();
     assert_eq!(outcome.points.len(), 40);
     let events = recorder.events();
-    let spans = |name: &str, category: &str| -> Vec<(u64, u64)> {
-        let spans = events.iter().filter_map(|e| e.as_span());
-        spans
-            .filter(|s| s.cat == category && (name.is_empty() || s.name == name))
-            .map(|s| (s.start_ns, s.start_ns + s.dur_ns))
-            .collect()
+    let spans = events.iter().filter_map(|e| e.as_span().cloned());
+    (outcome, spans.collect())
+}
+
+/// Spans of `category`, named `name` (any name if empty).
+fn spans_of<'s>(spans: &'s [Span], name: &str, category: &str) -> Vec<&'s Span> {
+    let wanted = |s: &&Span| s.cat == category && (name.is_empty() || s.name == name);
+    spans.iter().filter(wanted).collect()
+}
+
+/// Module, inputs and the pipeline's geometry-free prefix are built
+/// once per cell width; every point still compiles its own plan.
+#[test]
+fn a_two_width_sweep_builds_and_lowers_each_module_once() {
+    let workload = Counted {
+        inner: small_hdc(),
+        modules: Cell::new(0),
+        inputs: Cell::new(0),
     };
-    assert_eq!(spans(Phase::Execute.name(), cat::PHASE).len(), 2);
-    assert_eq!(spans(Phase::Compile.name(), cat::PHASE).len(), 40);
-    let (grid, price) = (spans("", cat::GRID), spans("price", cat::PHASE));
+    let (_, spans) = traced_two_width_sweep(&workload);
+    assert_eq!((workload.modules.get(), workload.inputs.get()), (2, 2));
+    assert_eq!(spans_of(&spans, "prefix", cat::PHASE).len(), 2);
+    let compiles = spans_of(&spans, Phase::Compile.name(), cat::PHASE);
+    assert_eq!(compiles.len(), 40);
+}
+
+/// The device runs once per cell width, after the grid, on that
+/// width's point with the fewest provisioned cells, and every point
+/// accounts for its pricing with one `price` span inside its grid span.
+#[test]
+fn a_two_width_sweep_executes_twice_and_prices_every_point() {
+    let (outcome, spans) = traced_two_width_sweep(&small_hdc());
+    let (grid, price) = (
+        spans_of(&spans, "", cat::GRID),
+        spans_of(&spans, "price", cat::PHASE),
+    );
     assert_eq!((grid.len(), price.len()), (40, 40));
-    for ((start, end), (p_start, p_end)) in grid.iter().zip(&price) {
-        assert!(start <= p_start && p_end <= end, "price outside its point");
+    let end = |s: &Span| s.start_ns + s.dur_ns;
+    for (point, p) in grid.iter().zip(&price) {
+        assert!(point.start_ns <= p.start_ns && end(p) <= end(point));
     }
-    // The two that executed are the first point of each width.
-    let executed = spans("backend:tape", cat::BACKEND);
+    let executed = spans_of(&spans, Phase::Execute.name(), cat::PHASE);
     assert_eq!(executed.len(), 2);
-    for (ran, point) in executed.iter().zip(&grid[..2]) {
-        assert!(point.0 <= ran.0 && ran.1 <= point.1);
+    for (bits, run) in [1, 2].into_iter().zip(executed) {
+        let fewest = (0..outcome.points.len())
+            .filter(|&i| outcome.points[i].grid.bits_per_cell == bits)
+            .min_by_key(|&i| {
+                let p = &outcome.points[i];
+                (p.area_cells(), p.outcome.placement.physical_subarrays, i)
+            })
+            .unwrap();
+        let point = outcome.points[fewest].grid.to_string();
+        assert!(run.args.contains(&("point", ArgValue::Str(point.clone()))));
+        assert!(
+            end(grid.last().unwrap()) <= run.start_ns,
+            "{point} ran in the grid"
+        );
     }
 }
 
-/// The sweep materialises a workload's inputs once per cell width:
-/// `bits_per_cell` is the only field of the architecture any shipped
-/// workload's inputs read.
+/// Tape and walk points, faulty and fault-free, at both widths: every
+/// point, priced, executed or answered by another, equals its own run.
 #[test]
-fn workload_inputs_depend_on_the_cell_width_only() {
+fn a_mixed_sweep_equals_individual_runs_point_by_point() {
+    let workload = small_hdc();
+    let outcome = SweepPlan::new(&workload)
+        .square_subarrays([16, 32])
+        .optimizations([Optimization::Base, Optimization::Density])
+        .bits([1, 2])
+        .backends(["tape", "walk"])
+        .fault_rates([0.0, 0.05])
+        .fault_seed(5)
+        .run()
+        .unwrap();
+    assert_eq!(outcome.points.len(), 32);
+    for point in &outcome.points {
+        let gp = &point.grid;
+        let mut experiment = Experiment::new(&workload)
+            .arch(grid_spec(gp.subarray.0, gp.optimization, gp.bits_per_cell))
+            .backend(gp.engine.clone());
+        if gp.fault_rate > 0.0 {
+            experiment = experiment.faults(FaultConfig::with_rate(gp.fault_rate, gp.fault_seed));
+        }
+        let individual = experiment.run().unwrap();
+        assert_eq!(point.outcome.predictions, individual.predictions, "{gp}");
+        assert_eq!(point.outcome.total, individual.total, "{gp}");
+    }
+}
+
+/// Every shipped workload kind, small: the ones a sweep may run.
+fn shipped_workloads() -> Vec<Box<dyn Workload>> {
     use c4cam::datasets::{mini_mnist, DatasetTask, DatasetWorkload};
     use c4cam::workloads::{DtreeWorkload, GpuComparisonWorkload};
     let knn = KnnWorkload {
@@ -204,24 +297,50 @@ fn workload_inputs_depend_on_the_cell_width_only() {
     };
     let on_dataset =
         |task| DatasetWorkload::new(mini_mnist::dataset(), task, Some(3)).expect("fixture");
-    let workloads: [&dyn Workload; 6] = [
-        &small_hdc(),
-        &knn,
-        &DtreeWorkload::new(8, 3, 3, 4, 1),
-        &GpuComparisonWorkload::paper(2),
-        &on_dataset(DatasetTask::Hdc),
-        &on_dataset(DatasetTask::Knn),
-    ];
-    for workload in workloads {
+    vec![
+        Box::new(small_hdc()),
+        Box::new(knn),
+        Box::new(DtreeWorkload::new(8, 3, 3, 4, 1)),
+        Box::new(GpuComparisonWorkload::paper(2)),
+        Box::new(on_dataset(DatasetTask::Hdc)),
+        Box::new(on_dataset(DatasetTask::Knn)),
+    ]
+}
+
+/// Two architectures of cell width `bits` that share nothing else:
+/// geometry, optimisation and hierarchy all differ.
+fn far_apart_specs(bits: u32) -> [ArchSpec; 2] {
+    let mut other = grid_spec(256, Optimization::PowerDensity, bits);
+    (other.mats_per_bank, other.banks) = (2, Some(64));
+    [grid_spec(16, Optimization::Base, bits), other]
+}
+
+/// The sweep materialises a workload's inputs once per cell width:
+/// `bits_per_cell` is the only field of the architecture any shipped
+/// workload's inputs read.
+#[test]
+fn workload_inputs_depend_on_the_cell_width_only() {
+    for workload in shipped_workloads() {
         for bits in [1, 2] {
-            let a = workload.inputs(&grid_spec(16, Optimization::Base, bits));
-            let mut other = grid_spec(256, Optimization::PowerDensity, bits);
-            (other.mats_per_bank, other.banks) = (2, Some(64));
-            let b = workload.inputs(&other);
+            let [a, b] = far_apart_specs(bits).map(|spec| workload.inputs(&spec));
             assert_eq!(a.stored.shape(), b.stored.shape(), "{}", workload.name());
             assert_eq!(a.stored.data(), b.stored.data(), "{}", workload.name());
             assert_eq!(a.queries.data(), b.queries.data(), "{}", workload.name());
             assert_eq!(a.labels, b.labels, "{}", workload.name());
+        }
+    }
+}
+
+/// ... and builds and lowers its module once per cell width: no shipped
+/// workload's module reads more of the architecture than
+/// `bits_per_cell`.
+#[test]
+fn workload_modules_depend_on_the_cell_width_only() {
+    for workload in shipped_workloads() {
+        for bits in [1, 2] {
+            let [a, b] = far_apart_specs(bits).map(|spec| workload.build_module(&spec));
+            assert_eq!(print_module(&a.module), print_module(&b.module));
+            assert_eq!((a.func, a.arg_order), (b.func, b.arg_order));
         }
     }
 }
