@@ -8,37 +8,24 @@
 //! This bench re-runs the identical HDC application on two CAM
 //! technologies — the paper's 2FeFET CAM @45 nm and a CMOS TCAM
 //! @16 nm — across subarray sizes, with zero application changes.
-//! Expected shape: CMOS is faster per query; FeFET is substantially
-//! more energy-efficient (the NVM advantage §II-B describes).
+//! Expected shape (asserted here and in `tests/paper_figures.rs`, both
+//! through [`TechDse::trends`]): CMOS is faster per query; FeFET is
+//! substantially more energy-efficient (the NVM advantage §II-B
+//! describes); the answers are identical.
 
-use c4cam::arch::tech::TechnologyModel;
-use c4cam::arch::Optimization;
-use c4cam::driver::{paper_arch, Experiment};
-use c4cam::workloads::HdcWorkload;
-use c4cam_bench::section;
+use c4cam_bench::{section, TechDse, TECH_DSE_SIZES};
 
 fn main() {
-    let queries = 16usize;
-    let sizes = [16usize, 32, 64, 128];
-    let technologies = [
-        ("FeFET-45nm", TechnologyModel::fefet_45nm()),
-        ("CMOS-16nm", TechnologyModel::cmos_tcam_16nm()),
-    ];
+    let study = TechDse::compute();
 
     section("Technology DSE: same HDC application, two CAM technologies");
     println!(
         "{:<12} {:>6} {:>14} {:>14} {:>12}",
         "technology", "N", "lat/query ns", "E/query pJ", "power mW"
     );
-    let workload = HdcWorkload::paper(queries);
-    let mut results = std::collections::HashMap::new();
-    for (name, tech) in &technologies {
-        for &n in &sizes {
-            let out = Experiment::new(&workload)
-                .arch(paper_arch(n, Optimization::Base, 1))
-                .tech(tech.clone())
-                .run()
-                .expect("run");
+    for (name, _) in TechDse::technologies() {
+        for n in TECH_DSE_SIZES {
+            let out = study.point(name, n);
             println!(
                 "{:<12} {:>6} {:>14.3} {:>14.2} {:>12.3}",
                 name,
@@ -47,28 +34,18 @@ fn main() {
                 out.energy_per_query_pj(),
                 out.query_phase.power_mw()
             );
-            results.insert((*name, n), out);
         }
         println!();
     }
 
-    for &n in &sizes {
-        let fefet = &results[&("FeFET-45nm", n)];
-        let cmos = &results[&("CMOS-16nm", n)];
-        assert_eq!(
-            fefet.predictions, cmos.predictions,
-            "technology must not change functional results (N={n})"
-        );
-        assert!(
-            cmos.latency_per_query_ns() < fefet.latency_per_query_ns(),
-            "CMOS must be faster (N={n})"
-        );
-        assert!(
-            cmos.energy_per_query_pj() > fefet.energy_per_query_pj() * 1.5,
-            "FeFET must be substantially more energy-efficient (N={n})"
-        );
+    section("Shape checks (abstract, §I)");
+    let trends = study.trends();
+    for trend in &trends {
+        println!("{} {trend}", if trend.holds() { "ok  " } else { "FAIL" });
     }
+    let failed = trends.iter().filter(|t| !t.holds()).count();
+    assert_eq!(failed, 0, "{failed} shape checks failed");
     println!(
-        "shape checks passed: CMOS faster, FeFET >1.5x more energy-efficient, results identical"
+        "\nshape checks passed: CMOS faster, FeFET >1.5x more energy-efficient, results identical"
     );
 }

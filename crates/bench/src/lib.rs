@@ -1,12 +1,14 @@
 //! Shared helpers for the C4CAM benchmark harness: the hand-optimized
 //! "manual" baseline mapping (the comparison target of the paper's
-//! Fig. 7 validation), the computation of Fig. 8 with its asserted
-//! trends (shared with `tests/paper_figures.rs`), and table formatting.
+//! Fig. 7 validation), the computations of Fig. 8 and of the technology
+//! study with their asserted trends (shared with
+//! `tests/paper_figures.rs`), and table formatting.
 
-use c4cam::arch::tech::Level;
+use c4cam::arch::tech::{Level, TechnologyModel};
 use c4cam::arch::{ArchSpec, MatchKind, Metric, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats, SearchSpec, SubarrayId};
 use c4cam::compiler::mapping::{place, MappingProblem, Placement};
+use c4cam::driver::RunOutcome;
 use c4cam::sweep::{SweepOutcome, SweepPlan, DEFAULT_SUBARRAY_SIZES};
 use c4cam::tensor::Tensor;
 use c4cam::workloads::{HdcModel, HdcWorkload};
@@ -377,6 +379,99 @@ impl Fig8 {
         ] {
             let what = format!("cam-density energy / base, {n}x{n}");
             trends.push(Trend::new(what, self.ratio(Density, n, energy), band).paper(paper));
+        }
+        trends
+    }
+}
+
+/// The technology study's subarray sizes.
+pub const TECH_DSE_SIZES: [usize; 4] = [16, 32, 64, 128];
+
+/// **Technology retargetability** (paper abstract and §I): the same
+/// HDC application (10 classes × 8192 dims, 16 queries, cam-base,
+/// 1 bit per cell) on the paper's 2FeFET CAM at 45 nm and a CMOS TCAM
+/// at 16 nm, over [`TECH_DSE_SIZES`] — one [`SweepPlan`] pass, in which
+/// each size compiles one plan and both technologies run it.
+pub struct TechDse {
+    outcome: SweepOutcome,
+}
+
+impl TechDse {
+    /// The two technologies, with the names the study reports.
+    pub fn technologies() -> [(&'static str, TechnologyModel); 2] {
+        [
+            ("FeFET-45nm", TechnologyModel::fefet_45nm()),
+            ("CMOS-16nm", TechnologyModel::cmos_tcam_16nm()),
+        ]
+    }
+
+    /// Compile and price the grid.
+    ///
+    /// # Panics
+    /// Panics if a grid point fails (the grid is known-good).
+    pub fn compute() -> TechDse {
+        let workload = HdcWorkload::paper(16);
+        let technologies =
+            TechDse::technologies().map(|(name, tech)| (name.to_string(), Some(tech)));
+        let outcome = SweepPlan::new(&workload)
+            .square_subarrays(TECH_DSE_SIZES)
+            .optimizations([Optimization::Base])
+            .technologies(technologies)
+            .run()
+            .expect("the technology study's grid compiles and prices");
+        TechDse { outcome }
+    }
+
+    /// The run of technology `tech` (a name of
+    /// [`TechDse::technologies`]) on `n × n` subarrays.
+    ///
+    /// # Panics
+    /// Panics if the point is not on the grid.
+    pub fn point(&self, tech: &str, n: usize) -> &RunOutcome {
+        let point = self
+            .outcome
+            .points
+            .iter()
+            .find(|p| p.grid.tech_name == tech && p.grid.subarray == (n, n));
+        &point.expect("a point of the grid").outcome
+    }
+
+    /// `metric` on CMOS over `metric` on FeFET, at `n × n`.
+    pub fn cmos_over_fefet(&self, n: usize, metric: fn(&RunOutcome) -> f64) -> f64 {
+        metric(self.point("CMOS-16nm", n)) / metric(self.point("FeFET-45nm", n))
+    }
+
+    /// The abstract's claim at every size, each with its band: the
+    /// technology changes no answer, CMOS is faster per query, FeFET
+    /// more than 1.5× more energy-efficient.
+    pub fn trends(&self) -> Vec<Trend> {
+        use Bound::{Excluded, Included, Unbounded};
+        let mut trends = Vec::new();
+        for n in TECH_DSE_SIZES {
+            let at = |what: &str| format!("{what}, {n}x{n}");
+            let agreement = self
+                .point("CMOS-16nm", n)
+                .prediction_agreement(&self.point("FeFET-45nm", n).predictions);
+            trends.extend([
+                Trend::new(
+                    at("CMOS / FeFET prediction agreement"),
+                    agreement,
+                    (Included(1.0), Included(1.0)),
+                )
+                .paper("same application, same answers"),
+                Trend::new(
+                    at("CMOS / FeFET latency per query"),
+                    self.cmos_over_fefet(n, RunOutcome::latency_per_query_ns),
+                    (Unbounded, Excluded(1.0)),
+                )
+                .paper("CMOS faster"),
+                Trend::new(
+                    at("CMOS / FeFET energy per query"),
+                    self.cmos_over_fefet(n, RunOutcome::energy_per_query_pj),
+                    (Excluded(1.5), Unbounded),
+                )
+                .paper("FeFET more energy-efficient"),
+            ]);
         }
         trends
     }

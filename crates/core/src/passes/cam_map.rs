@@ -40,9 +40,9 @@ use c4cam_ir::{Attribute, BlockId, Module, ValueId};
 
 use crate::dialects::tensor_ops::{build_extract_slice_2d, OffsetSpec};
 use crate::dialects::{cam, memref, scf};
-use crate::mapping::{place, MappingProblem, Placement};
+use crate::mapping::{place, MappingProblem};
 use crate::passes::cim_partition::{find_similarity_kernels, SimilarityKernel};
-use c4cam_arch::{ArchSpec, MatchKind, Metric};
+use c4cam_arch::{ArchSpec, MatchKind, Metric, SpecError};
 
 /// The combined `cim-to-cam` / `cam-map` pass.
 #[derive(Debug)]
@@ -65,7 +65,9 @@ impl Pass for CamMapPass {
             ));
         }
         for k in kernels {
-            map_kernel(m, &self.spec, &k).map_err(|e| PassError::new(self.name(), e))?;
+            let key = map_key(&self.spec, &k.problem())
+                .map_err(|e| PassError::new(self.name(), e.message))?;
+            map_kernel(m, &key, &k).map_err(|e| PassError::new(self.name(), e))?;
         }
         Ok(())
     }
@@ -133,8 +135,13 @@ fn finish_block(m: &mut Module, block: BlockId) {
     scf::end_body(m, block, &[]);
 }
 
-/// Parameters shared by the setup and query nests.
-struct NestParams {
+/// Everything `cam-map` reads of the architecture to map one kernel:
+/// the placement's tile arithmetic and the hierarchy's fan-outs and
+/// loop kinds. The pass maps from this key and the kernel alone, so two
+/// specs with equal keys map a module to byte-identical IR — whatever
+/// else (cell width, CAM kind, technology) they differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MapKey {
     banks: i64,
     mats: i64,
     arrays: i64,
@@ -146,6 +153,8 @@ struct NestParams {
     rows_used: i64,
     cols: i64,
     rows: i64,
+    /// Accumulator width: the placement's padded stored rows.
+    padded_rows: i64,
     /// Loop kind per hierarchy level (bank, mat, array, subarray):
     /// `true` = concurrent (`scf.parallel`). Derived from the spec's
     /// per-level access modes (§III-B) and the optimization target
@@ -155,43 +164,47 @@ struct NestParams {
     selective: bool,
 }
 
-impl NestParams {
-    fn new(spec: &ArchSpec, p: &Placement) -> NestParams {
-        use c4cam_arch::AccessMode;
-        let par = |mode: AccessMode| mode == AccessMode::Parallel;
-        let mut parallel_levels = [
-            par(spec.access.bank),
-            par(spec.access.mat),
-            par(spec.access.array),
-            par(spec.access.subarray),
-        ];
-        if spec.optimization.limits_power() {
-            // cam-power: at most one subarray active per array at a time.
-            parallel_levels[3] = false;
-        }
-        NestParams {
-            banks: p.banks as i64,
-            mats: spec.mats_per_bank as i64,
-            arrays: spec.arrays_per_mat as i64,
-            subs: spec.subarrays_per_array as i64,
-            batches: p.batches_per_subarray as i64,
-            logical: p.logical_tiles as i64,
-            physical: p.physical_subarrays as i64,
-            col_chunks: p.col_chunks as i64,
-            rows_used: p.rows_used as i64,
-            cols: spec.cols_per_subarray as i64,
-            rows: spec.rows_per_subarray as i64,
-            parallel_levels,
-            selective: p.batches_per_subarray > 1,
-        }
+/// The [`MapKey`] of placing `problem` on `spec`.
+///
+/// # Errors
+/// The placement's failure ([`place`]).
+pub fn map_key(spec: &ArchSpec, problem: &MappingProblem) -> Result<MapKey, SpecError> {
+    use c4cam_arch::AccessMode;
+    let p = place(spec, problem)?;
+    let par = |mode: AccessMode| mode == AccessMode::Parallel;
+    let mut parallel_levels = [
+        par(spec.access.bank),
+        par(spec.access.mat),
+        par(spec.access.array),
+        par(spec.access.subarray),
+    ];
+    if spec.optimization.limits_power() {
+        // cam-power: at most one subarray active per array at a time.
+        parallel_levels[3] = false;
     }
+    Ok(MapKey {
+        banks: p.banks as i64,
+        mats: spec.mats_per_bank as i64,
+        arrays: spec.arrays_per_mat as i64,
+        subs: spec.subarrays_per_array as i64,
+        batches: p.batches_per_subarray as i64,
+        logical: p.logical_tiles as i64,
+        physical: p.physical_subarrays as i64,
+        col_chunks: p.col_chunks as i64,
+        rows_used: p.rows_used as i64,
+        cols: spec.cols_per_subarray as i64,
+        rows: spec.rows_per_subarray as i64,
+        padded_rows: p.padded_rows as i64,
+        parallel_levels,
+        selective: p.batches_per_subarray > 1,
+    })
 }
 
 /// Build a loop of the configured kind for hierarchy `level`
 /// (0 = bank … 3 = subarray).
 fn build_level_loop(
     b: &mut OpBuilder<'_>,
-    np: &NestParams,
+    np: &MapKey,
     level: usize,
     lb: ValueId,
     ub: ValueId,
@@ -215,7 +228,7 @@ struct Nest {
     level_bodies: [BlockId; 3],
 }
 
-fn open_nest(m: &mut Module, block: BlockId, ctx: &mut Ctx, np: &NestParams) -> Nest {
+fn open_nest(m: &mut Module, block: BlockId, ctx: &mut Ctx, np: &MapKey) -> Nest {
     let mut b = OpBuilder::at_end(m, block);
     let c0 = ctx.cidx(&mut b, 0);
     let c1 = ctx.cidx(&mut b, 1);
@@ -249,7 +262,7 @@ fn open_nest(m: &mut Module, block: BlockId, ctx: &mut Ctx, np: &NestParams) -> 
 
 /// Linearized physical subarray index
 /// `((bank*mats + mat)*arrays + array)*subs + sub`.
-fn linear_subarray(b: &mut OpBuilder<'_>, np: &NestParams, ivs: &[ValueId; 4]) -> ValueId {
+fn linear_subarray(b: &mut OpBuilder<'_>, np: &MapKey, ivs: &[ValueId; 4]) -> ValueId {
     let cm = b.const_index(np.mats);
     let ca = b.const_index(np.arrays);
     let cs = b.const_index(np.subs);
@@ -265,7 +278,7 @@ fn linear_subarray(b: &mut OpBuilder<'_>, np: &NestParams, ivs: &[ValueId; 4]) -
 /// `(row_off, col_off, write_row)` index values.
 fn tile_coords(
     b: &mut OpBuilder<'_>,
-    np: &NestParams,
+    np: &MapKey,
     l: ValueId,
     batch: ValueId,
 ) -> (ValueId, ValueId, ValueId) {
@@ -280,14 +293,7 @@ fn tile_coords(
     (row_off, col_off, write_row)
 }
 
-fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(), String> {
-    let problem = MappingProblem {
-        stored_rows: k.stored_rows,
-        feature_dims: k.feature_dims,
-        queries: k.queries,
-    };
-    let p = place(spec, &problem).map_err(|e| e.message)?;
-    let np = NestParams::new(spec, &p);
+fn map_kernel(m: &mut Module, np: &MapKey, k: &SimilarityKernel) -> Result<(), String> {
     let metric = device_metric(&k.metric);
     let nq = k.queries as i64;
     let mut ctx = Ctx::new();
@@ -297,7 +303,7 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
     // ------------------------------------------------------------------
     let mut b = OpBuilder::before(m, k.acquire);
     let handles = memref::build_alloc_f32(&mut b, &[np.physical]);
-    let acc = memref::build_alloc_f32(&mut b, &[nq, p.padded_rows as i64]);
+    let acc = memref::build_alloc_f32(&mut b, &[nq, np.padded_rows]);
 
     // ------------------------------------------------------------------
     // Setup nest: allocate + program.
@@ -323,31 +329,31 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
     let c0 = ctx.cidx(&mut b, 0);
     let c1 = ctx.cidx(&mut b, 1);
     let cb = ctx.cidx(&mut b, np.banks);
-    let (_, bank_body, bank_iv) = build_level_loop(&mut b, &np, 0, c0, cb, c1);
+    let (_, bank_body, bank_iv) = build_level_loop(&mut b, np, 0, c0, cb, c1);
     let mut bb = OpBuilder::at_end(m, bank_body);
     let bank = cam::build_alloc_bank(&mut bb, c_rows, c_cols_geom);
     let cm = bb.const_index(np.mats);
     let c0x = bb.const_index(0);
     let c1x = bb.const_index(1);
-    let (_, mat_body, mat_iv) = build_level_loop(&mut bb, &np, 1, c0x, cm, c1x);
+    let (_, mat_body, mat_iv) = build_level_loop(&mut bb, np, 1, c0x, cm, c1x);
     let mut bb = OpBuilder::at_end(m, mat_body);
     let mat = cam::build_alloc_child(&mut bb, bank);
     let ca = bb.const_index(np.arrays);
     let c0y = bb.const_index(0);
     let c1y = bb.const_index(1);
-    let (_, array_body, array_iv) = build_level_loop(&mut bb, &np, 2, c0y, ca, c1y);
+    let (_, array_body, array_iv) = build_level_loop(&mut bb, np, 2, c0y, ca, c1y);
     let mut bb = OpBuilder::at_end(m, array_body);
     let array = cam::build_alloc_child(&mut bb, mat);
     let cs = bb.const_index(np.subs);
     let c0z = bb.const_index(0);
     let c1z = bb.const_index(1);
-    let (_, sub_body, sub_iv) = build_level_loop(&mut bb, &np, 3, c0z, cs, c1z);
+    let (_, sub_body, sub_iv) = build_level_loop(&mut bb, np, 3, c0z, cs, c1z);
 
     // Innermost setup body.
     {
         let mut bi = OpBuilder::at_end(m, sub_body);
         let ivs = [bank_iv, mat_iv, array_iv, sub_iv];
-        let lin = linear_subarray(&mut bi, &np, &ivs);
+        let lin = linear_subarray(&mut bi, np, &ivs);
         let c_phys = bi.const_index(np.physical);
         let guard = begin_if_ult(&mut bi, lin, c_phys);
         {
@@ -368,7 +374,7 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
                 let lguard = begin_if_ult(&mut bt, l, c_logical);
                 {
                     let mut bl = OpBuilder::at_end(m, lguard);
-                    let (row_off, col_off, write_row) = tile_coords(&mut bl, &np, l, batch_iv);
+                    let (row_off, col_off, write_row) = tile_coords(&mut bl, np, l, batch_iv);
                     let data = build_extract_slice_2d(
                         &mut bl,
                         k.stored,
@@ -403,10 +409,10 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
     let cnq = b.const_index(nq);
     let (_, q_body, q_iv) = scf::build_for(&mut b, c0q, cnq, c1q);
     {
-        let nest = open_nest(m, q_body, &mut Ctx::new(), &np);
+        let nest = open_nest(m, q_body, &mut Ctx::new(), np);
         {
             let mut bi = OpBuilder::at_end(m, nest.innermost);
-            let lin = linear_subarray(&mut bi, &np, &nest.ivs);
+            let lin = linear_subarray(&mut bi, np, &nest.ivs);
             let c_phys = bi.const_index(np.physical);
             let guard = begin_if_ult(&mut bi, lin, c_phys);
             {
@@ -427,7 +433,7 @@ fn map_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(
                     let lguard = begin_if_ult(&mut bt, l, c_logical);
                     {
                         let mut bl = OpBuilder::at_end(m, lguard);
-                        let (row_off, col_off, write_row) = tile_coords(&mut bl, &np, l, batch_iv);
+                        let (row_off, col_off, write_row) = tile_coords(&mut bl, np, l, batch_iv);
                         let qslice = build_extract_slice_2d(
                             &mut bl,
                             k.query,
@@ -727,5 +733,71 @@ mod tests {
         .run(&mut m)
         .unwrap_err();
         assert!(e.message.contains("cim-fuse-ops"), "{e}");
+    }
+
+    /// A [`MapKey`] is all `cam-map` reads of a spec: over a grid of
+    /// geometries, optimisations, cell widths and hierarchies, any two
+    /// specs with equal keys lower the same fused module to the same
+    /// text, byte for byte.
+    #[test]
+    fn equal_map_keys_map_identically() {
+        use crate::pipeline::C4camPipeline;
+        use c4cam_arch::CamKind;
+        use c4cam_ir::print::print_module;
+        use std::collections::HashMap;
+
+        let mut m = Module::new();
+        torch::build_hdc_dot(&mut m, 4, 10, 8192, 1);
+        let fused = C4camPipeline::new(spec(Optimization::Base))
+            .lower_prefix(m)
+            .unwrap();
+        let kernels = find_similarity_kernels(&fused.module);
+        assert_eq!(kernels.len(), 1);
+        let problem = kernels[0].problem();
+        let mut mapped: HashMap<MapKey, (String, String)> = HashMap::new();
+        let mut specs = 0;
+        for n in [16, 32, 64, 128, 256] {
+            for opt in [
+                Optimization::Base,
+                Optimization::Power,
+                Optimization::Density,
+                Optimization::PowerDensity,
+            ] {
+                for bits in [1, 2] {
+                    for (mats, arrays, subs) in [(4, 4, 8), (2, 2, 4)] {
+                        let s = ArchSpec::builder()
+                            .subarray(n, n)
+                            .hierarchy(mats, arrays, subs)
+                            .cam_kind(if bits > 1 {
+                                CamKind::Mcam
+                            } else {
+                                CamKind::Tcam
+                            })
+                            .bits_per_cell(bits)
+                            .optimization(opt)
+                            .build()
+                            .unwrap();
+                        let text = print_module(
+                            &C4camPipeline::new(s.clone())
+                                .lower_suffix(fused.clone())
+                                .unwrap()
+                                .module,
+                        );
+                        let at = format!("{n}x{n}/{opt}/{bits}b/{mats}x{arrays}x{subs}");
+                        specs += 1;
+                        let key = map_key(&s, &problem).unwrap();
+                        match mapped.get(&key) {
+                            Some((first, want)) => assert!(text == *want, "{at} != {first}"),
+                            None => {
+                                mapped.insert(key, (at, text));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(specs, 80);
+        // Cell widths always share, so at most half the specs map anew.
+        assert!(mapped.len() <= specs / 2, "{} keys", mapped.len());
     }
 }

@@ -80,6 +80,17 @@ pub struct SimilarityKernel {
     pub queries: usize,
 }
 
+impl SimilarityKernel {
+    /// The placement problem this kernel poses.
+    pub fn problem(&self) -> MappingProblem {
+        MappingProblem {
+            stored_rows: self.stored_rows,
+            feature_dims: self.feature_dims,
+            queries: self.queries,
+        }
+    }
+}
+
 /// Locate all fused `cim.similarity` kernels in the module.
 pub fn find_similarity_kernels(m: &Module) -> Vec<SimilarityKernel> {
     let mut out = Vec::new();
@@ -174,12 +185,7 @@ pub fn find_similarity_kernels(m: &Module) -> Vec<SimilarityKernel> {
 }
 
 fn partition_kernel(m: &mut Module, spec: &ArchSpec, k: &SimilarityKernel) -> Result<(), String> {
-    let problem = MappingProblem {
-        stored_rows: k.stored_rows,
-        feature_dims: k.feature_dims,
-        queries: k.queries,
-    };
-    let p = place(spec, &problem).map_err(|e| e.message)?;
+    let p = place(spec, &k.problem()).map_err(|e| e.message)?;
     if p.logical_tiles <= 1 {
         // Fits one subarray: no partitioning required (paper only tiles
         // when operand sizes exceed the array).

@@ -8,7 +8,7 @@ use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
 use c4cam_tensor::Tensor;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::{Backend, ExecOptions, Execution, HalError, Plan, Priced, Unpriced};
 
@@ -46,7 +46,7 @@ fn reject_threads(name: &str, opts: &ExecOptions) -> Result<(), HalError> {
 pub struct WalkBackend;
 
 struct WalkPlan {
-    module: Module,
+    module: Arc<Module>,
     func: String,
     spec: ArchSpec,
 }
@@ -71,7 +71,7 @@ impl Backend for WalkBackend {
         spec: &ArchSpec,
     ) -> Result<Box<dyn Plan>, HalError> {
         Ok(Box::new(WalkPlan {
-            module: module.clone(),
+            module: Arc::new(module.clone()),
             func: func.to_string(),
             spec: spec.clone(),
         }))
@@ -79,6 +79,14 @@ impl Backend for WalkBackend {
 }
 
 impl Plan for WalkPlan {
+    fn retarget(&self, spec: &ArchSpec) -> Box<dyn Plan> {
+        Box::new(WalkPlan {
+            module: Arc::clone(&self.module),
+            func: self.func.clone(),
+            spec: spec.clone(),
+        })
+    }
+
     fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError> {
         reject_threads("walk", opts)?;
         // The tree-walking interpreter has no per-op hook surface; the
@@ -191,6 +199,16 @@ impl TapePlan {
 }
 
 impl Plan for TapePlan {
+    /// The tape is shared; the price memo starts empty, since a price
+    /// depends on the spec.
+    fn retarget(&self, spec: &ArchSpec) -> Box<dyn Plan> {
+        Box::new(TapePlan {
+            tape: self.tape.clone(),
+            spec: spec.clone(),
+            last_price: Mutex::new(None),
+        })
+    }
+
     /// A run whose cost the schedule fixes ([`TapePlan::priced`]) runs
     /// on a [`CamMachine::functional`] device and reports the priced
     /// statistics, at any thread count; any other run charges the

@@ -245,6 +245,12 @@ pub trait Plan: Send + Sync {
     /// exhaustion) or options the backend cannot honor.
     fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError>;
 
+    /// The same schedule, run on a machine of `spec`: what
+    /// [`Backend::compile`] would return for `spec` from a module that
+    /// lowers for it exactly as it did for this plan's spec. The
+    /// compiled artifact is shared, not rebuilt.
+    fn retarget(&self, spec: &ArchSpec) -> Box<dyn Plan>;
+
     /// The statistics and phase snapshots [`Plan::execute`] would
     /// report for arguments of `arg_shapes` with the query loop run
     /// `queries` times, computed from the plan's schedule without
@@ -489,6 +495,53 @@ mod tests {
             let got = tape.execute(&args, &opts).unwrap();
             assert_eq!(got.stats, want.stats, "{:?}", queries.shape());
             assert_eq!(got.phases, want.phases);
+        }
+    }
+
+    /// A plan retargeted to a spec its module maps identically for runs
+    /// and prices as a plan compiled for that spec: same outputs, same
+    /// statistics, and not the statistics of the spec it came from.
+    #[test]
+    fn a_retargeted_plan_runs_as_one_compiled_for_its_spec() {
+        let mut m = Module::new();
+        torch::build_hdc_dot_with(&mut m, 3, 5, 200, 1, true);
+        let from = spec(16, Optimization::Base);
+        let to = ArchSpec::builder()
+            .subarray(16, 16)
+            .hierarchy(2, 2, 4)
+            .cam_kind(c4cam_arch::CamKind::Mcam)
+            .bits_per_cell(2)
+            .build()
+            .unwrap();
+        let lower = |s: &ArchSpec| C4camPipeline::new(s.clone()).compile(m.clone()).unwrap();
+        let (module, again) = (lower(&from).module, lower(&to).module);
+        assert_eq!(
+            c4cam_ir::print::print_module(&module),
+            c4cam_ir::print::print_module(&again)
+        );
+        let (stored, queries) = hdc_inputs(3, 5, 200);
+        let args = [Value::Tensor(queries), Value::Tensor(stored)];
+        let shapes: [&[usize]; 2] = [&[3, 200], &[5, 200]];
+        let opts = ExecOptions::sequential().with_tech(TechnologyModel::cmos_tcam_16nm());
+        for backend in BackendRegistry::global().all() {
+            let original = backend.compile(&module, "forward", &from).unwrap();
+            let retargeted = original.retarget(&to);
+            let direct = backend.compile(&again, "forward", &to).unwrap();
+            let (got, want) = (
+                retargeted.execute(&args, &opts).unwrap(),
+                direct.execute(&args, &opts).unwrap(),
+            );
+            assert_outputs_equal(&got.outputs, &want.outputs, backend.name());
+            assert_eq!(got.stats, want.stats, "{}", backend.name());
+            assert_eq!(got.phases, want.phases, "{}", backend.name());
+            let old = original.execute(&args, &opts).unwrap();
+            assert_ne!(old.stats, want.stats, "{}", backend.name());
+            assert_eq!(
+                retargeted.price(&shapes, &opts, 3).ok().map(|p| p.total),
+                direct.price(&shapes, &opts, 3).ok().map(|p| p.total),
+                "{}",
+                backend.name()
+            );
         }
     }
 

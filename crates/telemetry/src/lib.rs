@@ -63,6 +63,10 @@ impl fmt::Display for Phase {
 pub mod cat {
     /// Top-level pipeline phase spans (`Parse`/`Place`/`Compile`/`Execute`).
     pub const PHASE: &str = "phase";
+    /// Stages nested inside a phase (`cam-map` and the backend's plan
+    /// compile inside `Compile`): kept apart from [`PHASE`] so the
+    /// phase breakdown never counts a nanosecond twice.
+    pub const STAGE: &str = "stage";
     /// Backend-level plan execution spans.
     pub const BACKEND: &str = "backend";
     /// Per-op spans from the tape VM device-op loop.

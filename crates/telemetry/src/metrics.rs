@@ -78,12 +78,25 @@ pub struct ShardRow {
     pub busy_ns: f64,
 }
 
+/// Aggregated row for one stage name (`cat::STAGE` span name).
+#[derive(Debug, Clone)]
+pub struct StageRow {
+    /// Stage name, e.g. `cam-map`.
+    pub name: String,
+    /// Number of recorded spans.
+    pub count: u64,
+    /// Total host time, ns.
+    pub ns: f64,
+}
+
 /// Everything the `--metrics` renderer needs, derived from an event list.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsReport {
     /// Phase name → total host time, ns (in [`Phase::ALL`] order, then
     /// any non-standard phase names in first-seen order).
     pub phases: Vec<(String, f64)>,
+    /// Stages inside the phases, in first-seen order.
+    pub stages: Vec<StageRow>,
     /// Per-op-kind aggregation, sorted by host time descending.
     pub ops: Vec<OpRow>,
     /// Per-shard-lane aggregation, sorted by lane.
@@ -110,6 +123,7 @@ impl MetricsReport {
         let mut phase_order: Vec<String> =
             Phase::ALL.iter().map(|p| p.name().to_string()).collect();
         let mut phase_ns: BTreeMap<String, f64> = BTreeMap::new();
+        let mut stages: Vec<StageRow> = Vec::new();
         let mut ops: BTreeMap<String, OpRow> = BTreeMap::new();
         let mut shards: BTreeMap<u32, ShardRow> = BTreeMap::new();
         let mut shard_min = f64::INFINITY;
@@ -123,6 +137,21 @@ impl MetricsReport {
                         phase_order.push(s.name.clone());
                     }
                     *phase_ns.entry(s.name.clone()).or_insert(0.0) += s.dur_ns as f64;
+                }
+                Event::Span(s) if s.cat == cat::STAGE => {
+                    let row = match stages.iter().position(|r| r.name == s.name) {
+                        Some(i) => &mut stages[i],
+                        None => {
+                            stages.push(StageRow {
+                                name: s.name.clone(),
+                                count: 0,
+                                ns: 0.0,
+                            });
+                            stages.last_mut().expect("just pushed")
+                        }
+                    };
+                    row.count += 1;
+                    row.ns += s.dur_ns as f64;
                 }
                 Event::Span(s) if s.cat == cat::OP => {
                     let row = ops.entry(s.name.clone()).or_insert_with(|| OpRow {
@@ -169,6 +198,7 @@ impl MetricsReport {
         });
         MetricsReport {
             phases,
+            stages,
             ops,
             shards: shards.into_values().collect(),
             shard_window_ns: if shard_max > shard_min {
@@ -192,6 +222,18 @@ impl MetricsReport {
         for (name, ns) in &self.phases {
             let share = if total > 0.0 { 100.0 * ns / total } else { 0.0 };
             let _ = writeln!(out, "  {name:<10} {:>12.3} ms {share:>6.1}%", ns / 1e6);
+        }
+        if !self.stages.is_empty() {
+            out.push_str("stages inside phases:\n");
+            for row in &self.stages {
+                let _ = writeln!(
+                    out,
+                    "  {:<10} {:>12.3} ms {:>6}x",
+                    row.name,
+                    row.ns / 1e6,
+                    row.count
+                );
+            }
         }
         if !self.ops.is_empty() {
             let _ = writeln!(out, "top ops by host time (of {} kinds):", self.ops.len());
@@ -301,6 +343,28 @@ mod tests {
         let names: Vec<&str> = r.phases.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["Parse", "Place", "Compile", "Execute"]);
         assert_eq!(r.phases[3].1, 100.0);
+    }
+
+    #[test]
+    fn stages_count_apart_from_the_phase_breakdown() {
+        let events = vec![
+            span("Compile", cat::PHASE, 0, 0, 100, vec![]),
+            span("cam-map", cat::STAGE, 0, 10, 30, vec![]),
+            span("tape", cat::STAGE, 0, 40, 50, vec![]),
+            span("Compile", cat::PHASE, 0, 200, 10, vec![]),
+            span("Compile", cat::PHASE, 0, 300, 100, vec![]),
+            span("cam-map", cat::STAGE, 0, 310, 20, vec![]),
+        ];
+        let r = MetricsReport::from_events(&events);
+        assert_eq!(r.phases, vec![("Compile".to_string(), 210.0)]);
+        let stages: Vec<(&str, u64, f64)> = r
+            .stages
+            .iter()
+            .map(|s| (s.name.as_str(), s.count, s.ns))
+            .collect();
+        assert_eq!(stages, [("cam-map", 2, 50.0), ("tape", 1, 50.0)]);
+        let text = r.render_summary(3);
+        assert!(text.contains("stages inside phases:"), "{text}");
     }
 
     #[test]

@@ -31,10 +31,12 @@ use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_camsim::ExecStats;
 use c4cam_core::mapping::{place, MappingProblem, Placement};
+use c4cam_core::passes::cim_partition::find_similarity_kernels;
 use c4cam_core::pipeline::{C4camPipeline, CompiledKernel};
-use c4cam_hal::{BackendRegistry, ExecOptions, FaultConfig, Priced, SharedPlan, Unpriced};
+use c4cam_hal::{Backend, BackendRegistry, ExecOptions, FaultConfig, Priced, SharedPlan, Unpriced};
+use c4cam_ir::print::print_module;
 use c4cam_runtime::Value;
-use c4cam_telemetry::{log as tlog, ArgValue, Phase, Telemetry};
+use c4cam_telemetry::{cat, log as tlog, ArgValue, Phase, Telemetry};
 use c4cam_tensor::Tensor;
 use c4cam_workloads::{accuracy, ArgOrder, Workload, WorkloadInputs, WorkloadModule};
 use std::error::Error;
@@ -382,7 +384,7 @@ impl<'w> Experiment<'w> {
     ///
     /// # Errors
     /// [`DriverError::Config`] when the reserve leaves no data rows.
-    fn effective_spec(&self) -> Result<ArchSpec, DriverError> {
+    pub(crate) fn effective_spec(&self) -> Result<ArchSpec, DriverError> {
         let mut spec = self.spec.clone();
         if let Some(cfg) = &self.faults {
             let spare = cfg.resilience.spare_rows;
@@ -396,6 +398,15 @@ impl<'w> Experiment<'w> {
             spec.rows_per_subarray -= spare;
         }
         Ok(spec)
+    }
+
+    /// The placement problem the workload poses.
+    pub(crate) fn problem(&self) -> MappingProblem {
+        MappingProblem {
+            stored_rows: self.workload.stored_rows(),
+            feature_dims: self.workload.dims(),
+            queries: self.workload.query_count(),
+        }
     }
 
     /// Compile, place, and execute on a fresh machine; collect
@@ -431,24 +442,12 @@ impl<'w> Experiment<'w> {
         })
     }
 
-    /// [`Experiment::compile`] from what the grid points of one cell
-    /// width share: once the knobs are checked, `shared` is asked, with
-    /// the spec this point compiles for, for the module lowered to the
-    /// `cim-fused` seam and the workload's inputs. Each point then pays
-    /// placement, the per-spec pass and the backend plan only.
-    pub(crate) fn compile_shared(
-        &self,
-        shared: impl FnOnce(&ArchSpec) -> Result<(Fused, Arc<WorkloadInputs>), DriverError>,
-    ) -> Result<CompiledExperiment, DriverError> {
-        self.compile_from(|spec| {
-            let (fused, inputs) = shared(spec)?;
-            Ok((Front::Fused(fused), inputs))
-        })
-    }
-
-    /// Check the knobs, take the module and inputs from `front`, place,
-    /// then lower the rest of the way and compile the backend's plan.
-    fn compile_from(
+    /// Check the knobs, take the module and inputs from `front` (asked
+    /// with the spec this point compiles for), place, then lower the
+    /// rest of the way and compile the backend's plan — unless `front`
+    /// already hands over the plan. A design-space sweep compiles its
+    /// points this way from what they share.
+    pub(crate) fn compile_from(
         &self,
         front: impl FnOnce(&ArchSpec) -> Result<(Front, Arc<WorkloadInputs>), DriverError>,
     ) -> Result<CompiledExperiment, DriverError> {
@@ -496,31 +495,22 @@ impl<'w> Experiment<'w> {
         let (front, inputs) = front(&spec)?;
         let placement = {
             let _span = self.telemetry.phase(Phase::Place);
-            place(
-                &spec,
-                &MappingProblem {
-                    stored_rows: self.workload.stored_rows(),
-                    feature_dims: self.workload.dims(),
-                    queries: nq,
-                },
-            )
-            .map_err(|e| DriverError::Place(Box::new(e)))?
+            place(&spec, &self.problem()).map_err(|e| DriverError::Place(Box::new(e)))?
         };
         // Compile: pipeline lowering, then the backend's plan.
         let (plan, arg_order) = {
             let mut span = self.telemetry.phase(Phase::Compile);
             span.arg("backend", ArgValue::Str(self.backend.clone()));
-            let fused = match front {
-                Front::Built(built) => Fused::lower(built, &spec)?,
-                Front::Fused(fused) => fused,
+            let (planned, how) = match front {
+                Front::Planned(plan, arg_order) => ((plan, arg_order), "shared"),
+                Front::Built(built) => {
+                    let fused = Fused::lower(built, &spec)?;
+                    (self.plan(backend, fused, &spec)?, "compiled")
+                }
+                Front::Fused(fused) => (self.plan(backend, fused, &spec)?, "compiled"),
             };
-            let compiled = C4camPipeline::new(spec.clone())
-                .lower_suffix(fused.kernel)
-                .map_err(|e| DriverError::Compile(Box::new(e)))?;
-            let plan = backend
-                .compile_shared(&compiled.module, fused.func, &spec)
-                .map_err(|e| DriverError::Compile(Box::new(e)))?;
-            (plan, fused.arg_order)
+            span.arg("plan", ArgValue::Str(how.to_string()));
+            planned
         };
         Ok(CompiledExperiment {
             plan,
@@ -535,6 +525,27 @@ impl<'w> Experiment<'w> {
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
         })
+    }
+
+    /// Lower `fused` through the per-spec pass and compile `backend`'s
+    /// plan from it, each in its own stage span.
+    fn plan(
+        &self,
+        backend: &dyn Backend,
+        fused: Fused,
+        spec: &ArchSpec,
+    ) -> Result<(SharedPlan, ArgOrder), DriverError> {
+        let compiled = {
+            let _span = self.telemetry.span("cam-map", cat::STAGE);
+            C4camPipeline::new(spec.clone())
+                .lower_suffix(fused.kernel)
+                .map_err(|e| DriverError::Compile(Box::new(e)))?
+        };
+        let _span = self.telemetry.span(backend.name(), cat::STAGE);
+        let plan = backend
+            .compile_shared(&compiled.module, fused.func, spec)
+            .map_err(|e| DriverError::Compile(Box::new(e)))?;
+        Ok((plan, fused.arg_order))
     }
 }
 
@@ -563,14 +574,36 @@ impl Fused {
             arg_order: built.arg_order,
         })
     }
+
+    /// How the backend calls the module's entry function.
+    pub(crate) fn arg_order(&self) -> ArgOrder {
+        self.arg_order
+    }
+
+    /// Everything a plan compiled from this module reads of it: its
+    /// text, entry function and argument order. Equal identities with
+    /// equal [`c4cam_core::passes::cam_map::MapKey`]s lower to the same
+    /// plan.
+    pub(crate) fn identity(&self) -> (String, &'static str, ArgOrder) {
+        (print_module(&self.kernel.module), self.func, self.arg_order)
+    }
+
+    /// Whether `cam-map` places `problem` for every kernel it will map
+    /// here, so that the key of `problem` is all it reads of a spec.
+    pub(crate) fn maps_only(&self, problem: &MappingProblem) -> bool {
+        let kernels = find_similarity_kernels(&self.kernel.module);
+        !kernels.is_empty() && kernels.iter().all(|k| k.problem() == *problem)
+    }
 }
 
 /// How far the module has come when the Compile phase opens.
-enum Front {
+pub(crate) enum Front {
     /// As the workload built it.
     Built(WorkloadModule),
     /// Already through the prefix.
     Fused(Fused),
+    /// Already a plan for this point's spec, and how to call it.
+    Planned(SharedPlan, ArgOrder),
 }
 
 /// A compiled, placed, ready-to-execute experiment: the product of
@@ -623,6 +656,11 @@ impl CompiledExperiment {
     /// The placement chosen by the mapping pass.
     pub fn placement(&self) -> &Placement {
         &self.placement
+    }
+
+    /// The compiled plan.
+    pub(crate) fn plan(&self) -> &SharedPlan {
+        &self.plan
     }
 
     /// Swap the telemetry handle for subsequent executions (e.g. to

@@ -18,14 +18,15 @@
 //! The `c4cam sweep` subcommand and the `design_space_exploration`
 //! example are both thin wrappers over this module.
 
-use crate::driver::{CompiledExperiment, DriverError, Experiment, Fused, RunOutcome};
+use crate::driver::{CompiledExperiment, DriverError, Experiment, Front, Fused, RunOutcome};
 use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::{ArchSpec, Optimization};
-use c4cam_hal::FaultConfig;
+use c4cam_core::passes::cam_map::{map_key, MapKey};
+use c4cam_hal::{FaultConfig, SharedPlan};
 use c4cam_telemetry::json::{self, Field};
 use c4cam_telemetry::{cat, Telemetry};
-use c4cam_workloads::{Workload, WorkloadInputs};
-use std::collections::BTreeMap;
+use c4cam_workloads::{ArgOrder, Workload, WorkloadInputs};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -516,6 +517,17 @@ impl<'w> SweepPlan<'w> {
     /// one `prefix` span (category `phase`); each point compiles from a
     /// clone of the fused module.
     ///
+    /// What the rest of the pipeline reads of a spec is its
+    /// [`MapKey`]: `cam-map` reads nothing else, and the backend's plan
+    /// reads only the mapped module. So a plan is compiled once per
+    /// engine, map key and fused module (widths whose fused modules
+    /// print the same share), and every later point with the same
+    /// three takes it [retargeted](c4cam_hal::Plan::retarget) to its
+    /// own spec; its `Compile` span says `plan: shared`. A plan is
+    /// released after the last point of its key. A point whose key
+    /// cannot be computed (its placement fails) compiles on its own and
+    /// fails as an individual run does.
+    ///
     /// Cost is a function of the schedule, so a fault-free point whose
     /// plan can be priced ([`crate::driver::CompiledExperiment::cost`]) reports the
     /// statistics its tape prices to — the sequential fold, whatever
@@ -542,26 +554,26 @@ impl<'w> SweepPlan<'w> {
             ));
         }
         let grid = self.grid()?;
+        let experiments: Vec<_> = grid.iter().map(|gp| self.experiment(gp)).collect();
+        let keys: Vec<Option<PlanKey>> = grid
+            .iter()
+            .zip(&experiments)
+            .map(|(gp, experiment)| {
+                let experiment = experiment.as_ref().ok()?;
+                let spec = experiment.effective_spec().ok()?;
+                let key = map_key(&spec, &experiment.problem()).ok()?;
+                Some((gp.engine.clone(), key))
+            })
+            .collect();
+        let mut plans = SharedPlans::for_uses(keys.iter().flatten());
         let mut by_width: BTreeMap<u32, Width> = BTreeMap::new();
         let mut points: Vec<SweepPoint> = Vec::with_capacity(grid.len());
-        for gp in grid {
-            let spec = gp.spec(self.hierarchy)?;
-            let mut experiment = Experiment::new(self.workload)
-                .arch(spec)
-                .backend(gp.engine.clone())
-                .threads(self.threads)
-                .telemetry(self.telemetry.clone());
-            if let Some(tech) = &gp.tech {
-                experiment = experiment.tech(tech.clone());
-            }
-            if gp.fault_rate > 0.0 {
-                experiment =
-                    experiment.faults(FaultConfig::with_rate(gp.fault_rate, gp.fault_seed));
-            }
+        for ((gp, experiment), key) in grid.into_iter().zip(experiments).zip(keys) {
+            let experiment = experiment?;
             let span = self.telemetry.span(format!("{gp}"), cat::GRID);
             let width = by_width.entry(gp.bits_per_cell).or_default();
             let (outcome, priced) = self
-                .run_point(&experiment, gp.fault_rate > 0.0, width)
+                .run_point(&experiment, gp.fault_rate > 0.0, width, key, &mut plans)
                 .map_err(|e| e.at_grid_point(&gp))?;
             span.finish();
             let point = SweepPoint { grid: gp, outcome };
@@ -595,27 +607,63 @@ impl<'w> SweepPlan<'w> {
         })
     }
 
-    /// One grid point: compile from its width's fused module, price if
-    /// it can be, execute if it must. A priced point comes back with
-    /// no predictions and with its plan, for the width's execution.
+    /// The experiment of grid point `gp`.
+    fn experiment(&self, gp: &GridPoint) -> Result<Experiment<'w>, DriverError> {
+        let mut experiment = Experiment::new(self.workload)
+            .arch(gp.spec(self.hierarchy)?)
+            .backend(gp.engine.clone())
+            .threads(self.threads)
+            .telemetry(self.telemetry.clone());
+        if let Some(tech) = &gp.tech {
+            experiment = experiment.tech(tech.clone());
+        }
+        if gp.fault_rate > 0.0 {
+            experiment = experiment.faults(FaultConfig::with_rate(gp.fault_rate, gp.fault_seed));
+        }
+        Ok(experiment)
+    }
+
+    /// One grid point: compile from its width's fused module, or take
+    /// the plan of an earlier point with the same `key`; price if it
+    /// can be, execute if it must. A priced point comes back with no
+    /// predictions and with its plan, for the width's execution.
     fn run_point(
         &self,
         experiment: &Experiment<'_>,
         faulty: bool,
         width: &mut Width,
+        key: Option<PlanKey>,
+        plans: &mut SharedPlans,
     ) -> Result<(RunOutcome, Option<CompiledExperiment>), DriverError> {
-        let compiled = experiment.compile_shared(|spec| {
-            let (fused, inputs) = match &width.shared {
+        // The fused module this point compiles a plan from, if it may
+        // share that plan.
+        let mut compiled_from = None;
+        let compiled = experiment.compile_from(|spec| {
+            let (fused, inputs, module) = match &width.shared {
                 Some(shared) => shared,
                 None => {
                     let _span = self.telemetry.span("prefix", cat::PHASE);
                     let fused = Fused::lower(self.workload.build_module(spec), spec)?;
                     let inputs = Arc::new(self.workload.inputs(spec));
-                    width.shared.insert((fused, inputs))
+                    let module = fused
+                        .maps_only(&experiment.problem())
+                        .then(|| plans.module_index(fused.identity()));
+                    width.shared.insert((fused, inputs, module))
                 }
             };
-            Ok((fused.clone(), Arc::clone(inputs)))
+            let held = key.as_ref().zip(*module);
+            let front = match held.and_then(|(key, module)| plans.get(key, module)) {
+                Some(plan) => Front::Planned(Arc::from(plan.retarget(spec)), fused.arg_order()),
+                None => {
+                    compiled_from = *module;
+                    Front::Fused(fused.clone())
+                }
+            };
+            Ok((front, Arc::clone(inputs)))
         })?;
+        if let Some(key) = &key {
+            plans.used(key, compiled_from.map(|module| (module, compiled.plan())));
+        }
         if !faulty {
             let _span = self.telemetry.span("price", cat::PHASE);
             if let Ok(cost) = compiled.cost(compiled.query_count()) {
@@ -630,13 +678,79 @@ impl<'w> SweepPlan<'w> {
     }
 }
 
+/// A point's engine and the [`MapKey`] of its spec: with the fused
+/// module, all its plan depends on.
+type PlanKey = (String, MapKey);
+
+/// Plans compiled by earlier grid points for later ones.
+struct SharedPlans {
+    /// Per key: the uses still to come, and the plans compiled under
+    /// it, by the index of the fused module they were lowered from.
+    held: HashMap<PlanKey, (usize, Vec<(usize, SharedPlan)>)>,
+    /// The distinct fused-module identities seen
+    /// ([`Fused::identity`]).
+    modules: Vec<(String, &'static str, ArgOrder)>,
+}
+
+impl SharedPlans {
+    /// A store expecting one use per key in `keys`.
+    fn for_uses<'k>(keys: impl Iterator<Item = &'k PlanKey>) -> SharedPlans {
+        let mut held: HashMap<PlanKey, (usize, Vec<(usize, SharedPlan)>)> = HashMap::new();
+        for key in keys {
+            held.entry(key.clone()).or_default().0 += 1;
+        }
+        SharedPlans {
+            held,
+            modules: Vec::new(),
+        }
+    }
+
+    /// The index of the fused module `identity`, registered if new.
+    fn module_index(&mut self, identity: (String, &'static str, ArgOrder)) -> usize {
+        match self.modules.iter().position(|m| *m == identity) {
+            Some(i) => i,
+            None => {
+                self.modules.push(identity);
+                self.modules.len() - 1
+            }
+        }
+    }
+
+    /// The plan held for `key` and fused module `module`.
+    fn get(&self, key: &PlanKey, module: usize) -> Option<&SharedPlan> {
+        let (_, plans) = self.held.get(key)?;
+        plans
+            .iter()
+            .find(|(m, _)| *m == module)
+            .map(|(_, plan)| plan)
+    }
+
+    /// Count one use of `key`, keeping `compiled` — the plan a point
+    /// compiled from fused module `.0` — for later uses. After the
+    /// key's last use, every plan under it is released.
+    fn used(&mut self, key: &PlanKey, compiled: Option<(usize, &SharedPlan)>) {
+        let Some((left, plans)) = self.held.get_mut(key) else {
+            return;
+        };
+        *left -= 1;
+        if *left == 0 {
+            self.held.remove(key);
+        } else if let Some((module, plan)) = compiled {
+            plans.push((module, Arc::clone(plan)));
+        }
+    }
+}
+
 /// What the grid points of one cell width share.
 #[derive(Default)]
 struct Width {
     /// The workload's module lowered to the `cim-fused` seam, and its
     /// inputs: `bits_per_cell` is the only field of the architecture
     /// [`Workload::build_module`] and [`Workload::inputs`] may read.
-    shared: Option<(Fused, Arc<WorkloadInputs>)>,
+    /// With them, the fused module's index in [`SharedPlans`] when
+    /// its plans may be shared: when `cam-map` places nothing but the
+    /// workload's own problem in it.
+    shared: Option<(Fused, Arc<WorkloadInputs>, Option<usize>)>,
     /// The answers of the first fault-free point that executed.
     predictions: Option<Vec<usize>>,
     /// Priced points waiting for answers, by index.

@@ -8,9 +8,9 @@
 use c4cam::arch::Optimization;
 use c4cam::camsim::ExecStats;
 use c4cam::compiler::mapping::{place, MappingProblem};
-use c4cam::driver::{paper_arch, Experiment};
+use c4cam::driver::{paper_arch, Experiment, RunOutcome};
 use c4cam::workloads::HdcWorkload;
-use c4cam_bench::Fig8;
+use c4cam_bench::{Fig8, TechDse, TECH_DSE_SIZES};
 
 /// **Table I**: subarrays used to implement HDC (10 classes × 8192
 /// dims) on square `N × N` subarrays, with the standard placement
@@ -86,4 +86,37 @@ fn fig8_per_query_figures_scale_to_the_test_set() {
             assert!(close, "{opt:?} {n}: {} vs {scaled}", metric(&full));
         }
     }
+}
+
+/// **Technology retargetability** (abstract): "CAM arrays exhibit
+/// varying latencies and power profiles" by technology, and the
+/// framework shows what that does to one application. The identical
+/// HDC program on a CMOS TCAM at 16 nm and the paper's 2FeFET CAM at
+/// 45 nm, through the calls the `technology_dse` bench prints from.
+/// Measured, CMOS over FeFET at 16, 32, 64 and 128:
+/// - the same answers (the abstract: the application does not change);
+/// - latency per query 0.61, 0.58, 0.54, 0.51 (the abstract: CMOS is
+///   faster);
+/// - energy per query 1.93, 2.14, 2.32, 2.43 (the abstract: FeFET is
+///   more energy-efficient; asserted above 1.5).
+#[test]
+fn technology_study_trends_are_the_abstracts() {
+    let study = TechDse::compute();
+    let failed: Vec<String> = study
+        .trends()
+        .iter()
+        .filter(|t| !t.holds())
+        .map(ToString::to_string)
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+    let rounded = |x: f64| (x * 100.0).round() / 100.0;
+    let ratios = |metric| TECH_DSE_SIZES.map(|n| rounded(study.cmos_over_fefet(n, metric)));
+    assert_eq!(
+        ratios(RunOutcome::latency_per_query_ns),
+        [0.61, 0.58, 0.54, 0.51]
+    );
+    assert_eq!(
+        ratios(RunOutcome::energy_per_query_pj),
+        [1.93, 2.14, 2.32, 2.43]
+    );
 }

@@ -4,8 +4,11 @@
 //! parse and carry the same numbers.
 
 use c4cam::cli::{execute, parse_args, Command};
+use c4cam::compiler::mapping::MappingProblem;
+use c4cam::compiler::passes::cam_map::{map_key, MapKey};
 use c4cam::driver::Experiment;
 use c4cam::hal::FaultConfig;
+use c4cam::ir::builder::OpBuilder;
 use c4cam::ir::print::print_module;
 use c4cam::sweep::{SweepOutcome, SweepPlan};
 use c4cam::telemetry::{cat, ArgValue, CollectingRecorder, Phase, Span, Telemetry};
@@ -13,6 +16,7 @@ use c4cam::workloads::{HdcWorkload, KnnWorkload, Workload, WorkloadInputs, Workl
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_server::json::Json;
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn small_hdc() -> HdcWorkload {
@@ -205,7 +209,8 @@ fn spans_of<'s>(spans: &'s [Span], name: &str, category: &str) -> Vec<&'s Span> 
 }
 
 /// Module, inputs and the pipeline's geometry-free prefix are built
-/// once per cell width; every point still compiles its own plan.
+/// once per cell width; every point still opens its own Compile phase,
+/// though most take a plan an earlier point compiled.
 #[test]
 fn a_two_width_sweep_builds_and_lowers_each_module_once() {
     let workload = Counted {
@@ -218,6 +223,123 @@ fn a_two_width_sweep_builds_and_lowers_each_module_once() {
     assert_eq!(spans_of(&spans, "prefix", cat::PHASE).len(), 2);
     let compiles = spans_of(&spans, Phase::Compile.name(), cat::PHASE);
     assert_eq!(compiles.len(), 40);
+}
+
+/// The [`MapKey`]s of `workload` over the §IV-C default grid at both
+/// cell widths, with each point's cell width.
+fn grid_keys(workload: &dyn Workload) -> Vec<(u32, MapKey)> {
+    let problem = MappingProblem {
+        stored_rows: workload.stored_rows(),
+        feature_dims: workload.dims(),
+        queries: workload.query_count(),
+    };
+    let mut keys = Vec::new();
+    for opt in [
+        Optimization::Base,
+        Optimization::Power,
+        Optimization::Density,
+        Optimization::PowerDensity,
+    ] {
+        for n in [16, 32, 64, 128, 256] {
+            for bits in [1, 2] {
+                keys.push((bits, map_key(&grid_spec(n, opt, bits), &problem).unwrap()));
+            }
+        }
+    }
+    keys
+}
+
+/// How many of `spans` carry the string argument `key: value`.
+fn with_arg(spans: &[&Span], key: &str, value: &str) -> usize {
+    let value = ArgValue::Str(value.to_string());
+    let has = |s: &&&Span| s.args.iter().any(|(k, v)| *k == key && *v == value);
+    spans.iter().filter(has).count()
+}
+
+/// `cam-map` never reads the cell width, the CAM kind or the
+/// technology, and at 16×16 one 10-row tile fills a subarray, so
+/// density maps as base does: the paper's 40-point grid lowers and
+/// compiles 18 plans, one per distinct engine and map key, and the
+/// other 22 points take one of them.
+#[test]
+fn a_paper_sweep_compiles_one_plan_per_map_key() {
+    let workload = HdcWorkload::paper(4);
+    let (_, spans) = traced_two_width_sweep(&workload);
+    let distinct: HashSet<MapKey> = grid_keys(&workload).into_iter().map(|(_, k)| k).collect();
+    assert_eq!(distinct.len(), 18);
+    let compiles = spans_of(&spans, Phase::Compile.name(), cat::PHASE);
+    assert_eq!(compiles.len(), 40);
+    assert_eq!(with_arg(&compiles, "plan", "compiled"), distinct.len());
+    assert_eq!(with_arg(&compiles, "plan", "shared"), 40 - distinct.len());
+    assert_eq!(
+        spans_of(&spans, "cam-map", cat::STAGE).len(),
+        distinct.len()
+    );
+    assert_eq!(spans_of(&spans, "tape", cat::STAGE).len(), distinct.len());
+}
+
+/// An HDC workload whose 2-bit module carries one extra, unused
+/// constant: its two cell widths no longer lower to the same text.
+struct WidthMarked(HdcWorkload);
+
+impl Workload for WidthMarked {
+    fn name(&self) -> &'static str {
+        "width-marked"
+    }
+    fn query_count(&self) -> usize {
+        self.0.query_count()
+    }
+    fn stored_rows(&self) -> usize {
+        self.0.stored_rows()
+    }
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn build_module(&self, spec: &ArchSpec) -> WorkloadModule {
+        let mut built = self.0.build_module(spec);
+        if spec.bits_per_cell > 1 {
+            let m = &mut built.module;
+            let func = m.lookup_symbol(built.func).expect("entry function");
+            let entry = m.op(func).regions[0][0];
+            let first = m.block(entry).ops[0];
+            OpBuilder::before(m, first).const_index(7);
+        }
+        built
+    }
+    fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs {
+        self.0.inputs(spec)
+    }
+}
+
+/// Widths share plans only when their fused modules print the same:
+/// a workload whose module reads the cell width compiles once per width
+/// and map key, and every point still equals its own run.
+#[test]
+fn widths_whose_modules_differ_compile_their_own_plans() {
+    let workload = WidthMarked(small_hdc());
+    let (outcome, spans) = traced_two_width_sweep(&workload);
+    let [one, two] = [1, 2].map(|bits| {
+        let built = workload.build_module(&grid_spec(16, Optimization::Base, bits));
+        print_module(&built.module)
+    });
+    assert_ne!(one, two);
+    let per_width: HashSet<(u32, MapKey)> = grid_keys(&workload).into_iter().collect();
+    let keys: HashSet<MapKey> = per_width.iter().map(|&(_, k)| k).collect();
+    assert!(per_width.len() > keys.len());
+    assert_eq!(
+        spans_of(&spans, "cam-map", cat::STAGE).len(),
+        per_width.len()
+    );
+    assert_eq!(spans_of(&spans, "tape", cat::STAGE).len(), per_width.len());
+    for point in &outcome.points {
+        let gp = &point.grid;
+        let individual = Experiment::new(&workload)
+            .arch(grid_spec(gp.subarray.0, gp.optimization, gp.bits_per_cell))
+            .run()
+            .unwrap();
+        assert_eq!(point.outcome.predictions, individual.predictions, "{gp}");
+        assert_eq!(point.outcome.total, individual.total, "{gp}");
+    }
 }
 
 /// The device runs once per cell width, after the grid, on that
@@ -608,6 +730,14 @@ fn assert_reports_match_the_goldens(threads: usize) {
     assert_eq!(run("--format json"), golden("sweep_hdc.json"));
     assert_eq!(run("--format csv"), golden("sweep_hdc.csv"));
     assert_eq!(run("--workload knn --format csv"), golden("sweep_knn.csv"));
+    // Technologies and cell widths at geometries where density maps as
+    // base does: the axes a shared plan crosses.
+    let tech = "--subarrays 16,64 --opts base,density --techs default,fefet-45nm,cmos-16nm \
+                --bits 1,2 --queries 4 --format csv";
+    assert_eq!(
+        cli_sweep(&format!("{tech} --threads {threads}")),
+        golden("sweep_tech.csv")
+    );
 }
 
 #[test]
