@@ -1,14 +1,14 @@
 //! Shared helpers for the C4CAM benchmark harness: the hand-optimized
 //! "manual" baseline mapping (the comparison target of the paper's
-//! Fig. 7 validation), the computations of Fig. 8 and of the technology
-//! study with their asserted trends (shared with
+//! Fig. 7 validation), the computations of Figs. 8 and 9 and of the
+//! technology study with their asserted trends (shared with
 //! `tests/paper_figures.rs`), and table formatting.
 
 use c4cam::arch::tech::{Level, TechnologyModel};
-use c4cam::arch::{ArchSpec, MatchKind, Metric, Optimization};
+use c4cam::arch::{ArchSpec, CamKind, MatchKind, Metric, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats, SearchSpec, SubarrayId};
 use c4cam::compiler::mapping::{place, MappingProblem, Placement};
-use c4cam::driver::RunOutcome;
+use c4cam::driver::{Experiment, RunOutcome};
 use c4cam::sweep::{SweepOutcome, SweepPlan, DEFAULT_SUBARRAY_SIZES};
 use c4cam::tensor::Tensor;
 use c4cam::workloads::{HdcModel, HdcWorkload};
@@ -472,6 +472,115 @@ impl TechDse {
                 )
                 .paper("FeFET more energy-efficient"),
             ]);
+        }
+        trends
+    }
+}
+
+/// Fig. 9's configurations, with the figure's names.
+pub const FIG9_CONFIGS: [(&str, Optimization); 3] = [
+    ("iso-base", Optimization::Base),
+    ("iso-density", Optimization::Density),
+    ("iso-density+power", Optimization::PowerDensity),
+];
+
+/// The paper's test-set size, over which Fig. 9 reports latency.
+pub const FIG9_QUERIES: usize = 10_000;
+
+/// **Figure 9 (a, b)**, iso-capacity (§IV-C2): every array holds 2^16
+/// TCAM cells whatever its subarray size, `N × N` for `N` = 16…256 (256
+/// subarrays of 16 × 16 per array down to one of 256 × 256), under 4
+/// mats per bank and 4 arrays per mat. HDC at MNIST scale (10 classes
+/// × 8192 dims), each point compiled once and priced at the 10 000-query
+/// test set, never run.
+pub struct Fig9Iso {
+    /// The query phase of each `(optimisation, N)`.
+    points: Vec<((Optimization, usize), ExecStats)>,
+}
+
+impl Fig9Iso {
+    /// The iso-capacity architecture of `n × n` subarrays under `opt`.
+    ///
+    /// # Panics
+    /// Panics if `n × n` does not divide 2^16.
+    pub fn arch(n: usize, opt: Optimization) -> ArchSpec {
+        ArchSpec::builder()
+            .subarray(n, n)
+            .hierarchy(4, 4, (1usize << 16) / (n * n))
+            .cam_kind(CamKind::Tcam)
+            .optimization(opt)
+            .build()
+            .expect("an iso-capacity spec")
+    }
+
+    /// Compile and price every point.
+    ///
+    /// # Panics
+    /// Panics if a point fails (the grid is known-good).
+    pub fn compute() -> Fig9Iso {
+        let workload = HdcWorkload::paper(1);
+        let mut points = Vec::new();
+        for (_, opt) in FIG9_CONFIGS {
+            for n in DEFAULT_SUBARRAY_SIZES {
+                let compiled = Experiment::new(&workload)
+                    .arch(Fig9Iso::arch(n, opt))
+                    .compile()
+                    .expect("an iso-capacity point compiles");
+                let cost = compiled
+                    .cost(FIG9_QUERIES)
+                    .expect("the tape backend prices");
+                points.push(((opt, n), cost.query_phase()));
+            }
+        }
+        Fig9Iso { points }
+    }
+
+    /// Query-phase statistics of the 10 000 queries under `opt` on
+    /// `n × n` subarrays.
+    ///
+    /// # Panics
+    /// Panics if the point is not on the grid.
+    pub fn query_phase(&self, opt: Optimization, n: usize) -> &ExecStats {
+        let point = self.points.iter().find(|(at, _)| *at == (opt, n));
+        &point.expect("a point of the grid").1
+    }
+
+    /// The §IV-C2 trends, each with its band (the bench's) and, where
+    /// the paper gives one, the paper's figure.
+    pub fn trends(&self) -> Vec<Trend> {
+        use Bound::{Excluded, Included, Unbounded};
+        use Optimization::{Base, PowerDensity};
+        let base = |n, metric: fn(&ExecStats) -> f64| metric(self.query_phase(Base, n));
+        let energy: Vec<f64> = DEFAULT_SUBARRAY_SIZES
+            .iter()
+            .map(|&n| base(n, ExecStats::energy_uj))
+            .collect();
+        let spread = energy.iter().copied().fold(f64::MIN, f64::max)
+            / energy.iter().copied().fold(f64::MAX, f64::min);
+        let mut trends = vec![
+            Trend::new(
+                "iso-base energy, max / min over N".to_string(),
+                spread,
+                (Unbounded, Excluded(2.2)),
+            )
+            .paper("nearly constant"),
+            Trend::new(
+                "iso-base latency, 256x256 / 16x16".to_string(),
+                base(256, ExecStats::latency_ms) / base(16, ExecStats::latency_ms),
+                (Included(1.5), Excluded(6.0)),
+            )
+            .paper("~2.6x (58 -> 150 us)"),
+        ];
+        for n in [16, 32, 64] {
+            let power = self.query_phase(PowerDensity, n).power_mw() / base(n, ExecStats::power_mw);
+            trends.push(
+                Trend::new(
+                    format!("iso-density+power power / iso-base, {n}x{n}"),
+                    power,
+                    (Unbounded, Excluded(0.8)),
+                )
+                .paper("density cuts power"),
+            );
         }
         trends
     }

@@ -11,7 +11,10 @@
 //! drive one with counts it derives from a schedule alone
 //! (`c4cam_engine::Tape::price`). Both charge through the same code in
 //! the same order, so their `f64` folds agree to the bit, and each
-//! [`TechnologyModel`] charge function has exactly one call site.
+//! [`TechnologyModel`] charge function has exactly one call site. The
+//! ledger allocates through an [`Allocations`] over the spec's [`Floorplan`],
+//! which a walk of a schedule uses on its own: the walk decides which
+//! allocations succeed, the charge what they cost.
 //!
 //! ## Timing scopes
 //!
@@ -132,25 +135,158 @@ impl ExecStats {
     }
 }
 
-/// Cost accounting of one simulated accelerator: the allocation tree
-/// (as child counts against the hierarchy budgets), the timing-scope
-/// stack, the running [`ExecStats`] and the recorded phase snapshots.
+/// The part of an architecture a schedule depends on: the subarray
+/// geometry and the hierarchy budgets — not the cell width, the
+/// technology or the optimisation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Floorplan {
+    /// Rows per subarray.
+    pub rows: usize,
+    /// Columns per subarray.
+    pub cols: usize,
+    /// Mats one bank holds.
+    pub mats_per_bank: usize,
+    /// Arrays one mat holds.
+    pub arrays_per_mat: usize,
+    /// Subarrays one array holds.
+    pub subarrays_per_array: usize,
+    /// The bank budget; `None` allocates banks on demand.
+    pub banks: Option<usize>,
+}
+
+impl Floorplan {
+    /// The floorplan of `spec`.
+    pub fn of(spec: &ArchSpec) -> Floorplan {
+        Floorplan {
+            rows: spec.rows_per_subarray,
+            cols: spec.cols_per_subarray,
+            mats_per_bank: spec.mats_per_bank,
+            arrays_per_mat: spec.arrays_per_mat,
+            subarrays_per_array: spec.subarrays_per_array,
+            banks: spec.banks,
+        }
+    }
+}
+
+/// The allocation tree of one accelerator, as child counts against a
+/// [`Floorplan`]'s budgets: what [`CostLedger`] allocates through, and
+/// all a walk of a schedule needs to know which allocations succeed.
 #[derive(Debug, Clone)]
-pub struct CostLedger {
-    tech: TechnologyModel,
-    bits_per_cell: u32,
-    rows: usize,
-    cols: usize,
-    mats_per_bank: usize,
-    arrays_per_mat: usize,
-    subarrays_per_array: usize,
-    max_banks: Option<usize>,
+pub struct Allocations {
+    plan: Floorplan,
     /// Mats allocated in each bank.
     banks: Vec<usize>,
     /// Arrays allocated in each mat.
     mats: Vec<usize>,
     /// Subarrays allocated in each array.
     arrays: Vec<usize>,
+    subarrays: usize,
+}
+
+impl Allocations {
+    /// Nothing allocated on `plan`.
+    pub fn new(plan: Floorplan) -> Allocations {
+        Allocations {
+            plan,
+            banks: Vec::new(),
+            mats: Vec::new(),
+            arrays: Vec::new(),
+            subarrays: 0,
+        }
+    }
+
+    /// The floorplan allocated against.
+    pub fn floorplan(&self) -> &Floorplan {
+        &self.plan
+    }
+
+    /// Allocate a bank.
+    ///
+    /// # Errors
+    /// Fails if a fixed bank budget is exhausted.
+    pub fn bank(&mut self) -> Result<BankId, SimError> {
+        if let Some(max) = self.plan.banks {
+            if self.banks.len() >= max {
+                return Err(SimError::new(format!("bank budget ({max}) exhausted")));
+            }
+        }
+        self.banks.push(0);
+        Ok(BankId(self.banks.len() - 1))
+    }
+
+    /// Allocate a mat within `bank`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the bank's mat budget is full.
+    pub fn mat(&mut self, bank: BankId) -> Result<MatId, SimError> {
+        let held = self
+            .banks
+            .get_mut(bank.0)
+            .ok_or_else(|| SimError::new(format!("invalid bank handle {}", bank.0)))?;
+        if *held >= self.plan.mats_per_bank {
+            return Err(SimError::new(format!(
+                "bank {} already has {} mats",
+                bank.0, self.plan.mats_per_bank
+            )));
+        }
+        *held += 1;
+        self.mats.push(0);
+        Ok(MatId(self.mats.len() - 1))
+    }
+
+    /// Allocate an array within `mat`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the mat's array budget is full.
+    pub fn array(&mut self, mat: MatId) -> Result<ArrayId, SimError> {
+        let held = self
+            .mats
+            .get_mut(mat.0)
+            .ok_or_else(|| SimError::new(format!("invalid mat handle {}", mat.0)))?;
+        if *held >= self.plan.arrays_per_mat {
+            return Err(SimError::new(format!(
+                "mat {} already has {} arrays",
+                mat.0, self.plan.arrays_per_mat
+            )));
+        }
+        *held += 1;
+        self.arrays.push(0);
+        Ok(ArrayId(self.arrays.len() - 1))
+    }
+
+    /// Allocate a subarray within `array`.
+    ///
+    /// # Errors
+    /// Fails on an invalid handle or when the array's subarray budget is
+    /// full.
+    pub fn subarray(&mut self, array: ArrayId) -> Result<SubarrayId, SimError> {
+        let held = self
+            .arrays
+            .get_mut(array.0)
+            .ok_or_else(|| SimError::new(format!("invalid array handle {}", array.0)))?;
+        if *held >= self.plan.subarrays_per_array {
+            return Err(SimError::new(format!(
+                "array {} already has {} subarrays",
+                array.0, self.plan.subarrays_per_array
+            )));
+        }
+        *held += 1;
+        self.subarrays += 1;
+        Ok(SubarrayId(self.subarrays - 1))
+    }
+}
+
+/// Cost accounting of one simulated accelerator: the allocation tree,
+/// the timing-scope stack, the running [`ExecStats`] and the recorded
+/// phase snapshots.
+#[derive(Debug, Clone)]
+pub struct CostLedger {
+    tech: TechnologyModel,
+    bits_per_cell: u32,
+    /// One search cycle's latency: a function of the geometry and the
+    /// cell width alone, so worked out once.
+    search_ns: f64,
+    alloc: Allocations,
     scopes: Vec<Scope>,
     /// The machine adds the fault counters itself: fault sites and
     /// transient hits are device state, not schedule.
@@ -163,17 +299,10 @@ impl CostLedger {
     /// An empty ledger for the given architecture and technology.
     pub fn new(spec: &ArchSpec, tech: TechnologyModel) -> CostLedger {
         CostLedger {
+            search_ns: tech.search_latency_ns(spec.cols_per_subarray, spec.bits_per_cell),
             tech,
             bits_per_cell: spec.bits_per_cell,
-            rows: spec.rows_per_subarray,
-            cols: spec.cols_per_subarray,
-            mats_per_bank: spec.mats_per_bank,
-            arrays_per_mat: spec.arrays_per_mat,
-            subarrays_per_array: spec.subarrays_per_array,
-            max_banks: spec.banks,
-            banks: Vec::new(),
-            mats: Vec::new(),
-            arrays: Vec::new(),
+            alloc: Allocations::new(Floorplan::of(spec)),
             scopes: vec![Scope {
                 kind: ScopeKind::Sequential,
                 elapsed_ns: 0.0,
@@ -191,7 +320,7 @@ impl CostLedger {
 
     /// Subarray geometry `(rows, cols)`.
     pub fn geometry(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.alloc.plan.rows, self.alloc.plan.cols)
     }
 
     /// Bits stored per cell.
@@ -203,86 +332,49 @@ impl CostLedger {
     // Allocation
     // ------------------------------------------------------------------
 
-    /// Allocate a bank.
+    /// Allocate a bank ([`Allocations::bank`]).
     ///
     /// # Errors
     /// Fails if a fixed bank budget is exhausted.
     pub fn alloc_bank(&mut self) -> Result<BankId, SimError> {
         self.unreplayable();
-        if let Some(max) = self.max_banks {
-            if self.banks.len() >= max {
-                return Err(SimError::new(format!("bank budget ({max}) exhausted")));
-            }
-        }
-        self.banks.push(0);
-        self.stats.banks_allocated = self.banks.len();
-        Ok(BankId(self.banks.len() - 1))
+        let id = self.alloc.bank()?;
+        self.stats.banks_allocated = self.alloc.banks.len();
+        Ok(id)
     }
 
-    /// Allocate a mat within `bank`.
+    /// Allocate a mat within `bank` ([`Allocations::mat`]).
     ///
     /// # Errors
     /// Fails on an invalid handle or when the bank's mat budget is full.
     pub fn alloc_mat(&mut self, bank: BankId) -> Result<MatId, SimError> {
         self.unreplayable();
-        let held = self
-            .banks
-            .get_mut(bank.0)
-            .ok_or_else(|| SimError::new(format!("invalid bank handle {}", bank.0)))?;
-        if *held >= self.mats_per_bank {
-            return Err(SimError::new(format!(
-                "bank {} already has {} mats",
-                bank.0, self.mats_per_bank
-            )));
-        }
-        *held += 1;
-        self.mats.push(0);
-        self.stats.mats_allocated = self.mats.len();
-        Ok(MatId(self.mats.len() - 1))
+        let id = self.alloc.mat(bank)?;
+        self.stats.mats_allocated = self.alloc.mats.len();
+        Ok(id)
     }
 
-    /// Allocate an array within `mat`.
+    /// Allocate an array within `mat` ([`Allocations::array`]).
     ///
     /// # Errors
     /// Fails on an invalid handle or when the mat's array budget is full.
     pub fn alloc_array(&mut self, mat: MatId) -> Result<ArrayId, SimError> {
         self.unreplayable();
-        let held = self
-            .mats
-            .get_mut(mat.0)
-            .ok_or_else(|| SimError::new(format!("invalid mat handle {}", mat.0)))?;
-        if *held >= self.arrays_per_mat {
-            return Err(SimError::new(format!(
-                "mat {} already has {} arrays",
-                mat.0, self.arrays_per_mat
-            )));
-        }
-        *held += 1;
-        self.arrays.push(0);
-        self.stats.arrays_allocated = self.arrays.len();
-        Ok(ArrayId(self.arrays.len() - 1))
+        let id = self.alloc.array(mat)?;
+        self.stats.arrays_allocated = self.alloc.arrays.len();
+        Ok(id)
     }
 
-    /// Allocate a subarray within `array`.
+    /// Allocate a subarray within `array` ([`Allocations::subarray`]).
     ///
     /// # Errors
     /// Fails on an invalid handle or when the array's subarray budget is
     /// full.
     pub fn alloc_subarray(&mut self, array: ArrayId) -> Result<SubarrayId, SimError> {
         self.unreplayable();
-        let held = self
-            .arrays
-            .get_mut(array.0)
-            .ok_or_else(|| SimError::new(format!("invalid array handle {}", array.0)))?;
-        if *held >= self.subarrays_per_array {
-            return Err(SimError::new(format!(
-                "array {} already has {} subarrays",
-                array.0, self.subarrays_per_array
-            )));
-        }
-        *held += 1;
-        self.stats.subarrays_allocated += 1;
-        Ok(SubarrayId(self.stats.subarrays_allocated - 1))
+        let id = self.alloc.subarray(array)?;
+        self.stats.subarrays_allocated = self.alloc.subarrays;
+        Ok(id)
     }
 
     // ------------------------------------------------------------------
@@ -450,7 +542,7 @@ impl CostLedger {
         self.stats.write_ops += 1;
         let energy = self
             .tech
-            .write_energy_fj(rows, self.cols, self.bits_per_cell);
+            .write_energy_fj(rows, self.alloc.plan.cols, self.bits_per_cell);
         self.add_energy(Energy::Write, energy);
         let lat = self.tech.write_latency_ns(rows);
         self.add_latency(lat);
@@ -464,7 +556,8 @@ impl CostLedger {
     /// while latency stays that of one (parallel) search.
     #[inline]
     pub fn search(&mut self, active_rows: usize, words: u64, spec: &SearchSpec, votes: u64) {
-        let (rows, cols, bits) = (self.rows, self.cols, self.bits_per_cell);
+        let Floorplan { rows, cols, .. } = self.alloc.plan;
+        let bits = self.bits_per_cell;
         self.stats.search_ops += votes;
         self.stats.searched_words += words * votes;
         let cell = self.tech.search_cell_energy_fj(active_rows, cols, bits) * votes as f64;
@@ -474,8 +567,7 @@ impl CostLedger {
                 .periph_energy_fj(active_rows.max(1), cols, bits, spec.broadcast_share)
                 * votes as f64;
         self.add_energy(Energy::Periph, periph);
-        let mut lat = self.tech.search_latency_ns(cols, bits)
-            + self.tech.sense_latency_ns(spec.kind, rows, cols);
+        let mut lat = self.search_ns + self.tech.sense_latency_ns(spec.kind, rows, cols);
         if spec.selection != RowSelection::All {
             lat += self.tech.selective_cycle_ns;
         }

@@ -63,7 +63,7 @@ pub mod subarray;
 
 pub use c4cam_faults::{CellFault, FaultConfig, FaultModel, Resilience, SubarrayFaults};
 pub use cell::CamCell;
-pub use ledger::{CostLedger, TripCharges};
+pub use ledger::{Allocations, CostLedger, Floorplan, TripCharges};
 pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };

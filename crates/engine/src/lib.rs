@@ -103,7 +103,7 @@ mod vm;
 pub use compile::{Tape, Unspecialised};
 pub use error::EngineError;
 pub use isa::{Inst, QueryLoop};
-pub use price::{Priced, Unpriced};
+pub use price::{Priced, Schedule, Unpriced};
 pub use trace::{Trace, TraceOp};
 pub use vm::TapeVm;
 

@@ -2,11 +2,11 @@
 
 use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::ArchSpec;
-use c4cam_camsim::CamMachine;
-use c4cam_engine::Tape;
+use c4cam_camsim::{CamMachine, Floorplan};
+use c4cam_engine::{Schedule, Tape};
 use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
-use c4cam_telemetry::{cat, ArgValue};
+use c4cam_telemetry::{cat, ArgValue, Telemetry};
 use c4cam_tensor::Tensor;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -114,7 +114,7 @@ impl Plan for WalkPlan {
 pub struct TapeBackend;
 
 struct TapePlan {
-    tape: Tape,
+    compiled: Arc<Compiled>,
     spec: ArchSpec,
     /// The last price [`TapePlan::priced`] worked out. A resident plan
     /// runs one batch shape over and over, and pricing a small batch
@@ -127,6 +127,68 @@ struct PriceMemo {
     shapes: Vec<Vec<usize>>,
     tech: TechnologyModel,
     priced: Option<Priced>,
+}
+
+/// A compiled tape and the last schedule walked from it: what every
+/// plan [retargeted](Plan::retarget) from one compile shares, so the
+/// points of a sweep that share a plan share one walk.
+struct Compiled {
+    tape: Tape,
+    schedule: Mutex<Option<ScheduleMemo>>,
+}
+
+/// A walk of the tape and what it depends on besides the query count:
+/// the argument shapes and the floorplan.
+struct ScheduleMemo {
+    shapes: Vec<Vec<usize>>,
+    floorplan: Floorplan,
+    schedule: Arc<Schedule>,
+}
+
+impl Compiled {
+    /// The price of a run of `queries` query-loop trips (`None`: as the
+    /// tape spells) on `spec` and `tech`: a charge of the memoised
+    /// schedule when it answers, else of a new walk (a `schedule` span),
+    /// which replaces it.
+    fn price(
+        &self,
+        shapes: &[&[usize]],
+        spec: &ArchSpec,
+        tech: &TechnologyModel,
+        queries: Option<usize>,
+        telemetry: &Telemetry,
+    ) -> Result<Priced, Unpriced> {
+        let floorplan = Floorplan::of(spec);
+        // The lock guards a clone or a store, neither of which leaves
+        // the memo half-written.
+        let memo = || self.schedule.lock().unwrap_or_else(PoisonError::into_inner);
+        let held = memo().as_ref().and_then(|m| {
+            let same = m.floorplan == floorplan
+                && m.shapes
+                    .iter()
+                    .map(Vec::as_slice)
+                    .eq(shapes.iter().copied());
+            let trips = m.schedule.trips(queries).filter(|_| same)?;
+            Some((Arc::clone(&m.schedule), trips))
+        });
+        let (schedule, trips) = match held {
+            Some(held) => held,
+            None => {
+                let schedule = {
+                    let _span = telemetry.span("schedule", cat::STAGE);
+                    Arc::new(self.tape.schedule(shapes, spec, queries)?)
+                };
+                *memo() = Some(ScheduleMemo {
+                    shapes: shapes.iter().map(|s| s.to_vec()).collect(),
+                    floorplan,
+                    schedule: Arc::clone(&schedule),
+                });
+                let trips = schedule.trips(queries);
+                (schedule, trips.expect("a schedule answers its own walk"))
+            }
+        };
+        schedule.charge(spec, tech, trips)
+    }
 }
 
 impl Backend for TapeBackend {
@@ -149,7 +211,10 @@ impl Backend for TapeBackend {
         spec: &ArchSpec,
     ) -> Result<Box<dyn Plan>, HalError> {
         Ok(Box::new(TapePlan {
-            tape: Tape::compile(module, func)?,
+            compiled: Arc::new(Compiled {
+                tape: Tape::compile(module, func)?,
+                schedule: Mutex::new(None),
+            }),
             spec: spec.clone(),
             last_price: Mutex::new(None),
         }))
@@ -188,7 +253,10 @@ impl TapePlan {
                 return last.priced.clone();
             }
         }
-        let priced = self.tape.price_as_written(&shapes, &self.spec, &tech).ok();
+        let priced = self
+            .compiled
+            .price(&shapes, &self.spec, &tech, None, &opts.telemetry)
+            .ok();
         *memo() = Some(PriceMemo {
             shapes: shapes.iter().map(|s| s.to_vec()).collect(),
             tech,
@@ -199,11 +267,11 @@ impl TapePlan {
 }
 
 impl Plan for TapePlan {
-    /// The tape is shared; the price memo starts empty, since a price
-    /// depends on the spec.
+    /// The tape and its schedule memo are shared (a schedule depends on
+    /// the spec's floorplan only); the price memo starts empty.
     fn retarget(&self, spec: &ArchSpec) -> Box<dyn Plan> {
         Box::new(TapePlan {
-            tape: self.tape.clone(),
+            compiled: Arc::clone(&self.compiled),
             spec: spec.clone(),
             last_price: Mutex::new(None),
         })
@@ -225,9 +293,12 @@ impl Plan for TapePlan {
             }
             None => machine_for(&self.spec, opts),
         };
-        let outputs =
-            self.tape
-                .run_batched(&mut machine, args, opts.threads.max(1), &opts.telemetry)?;
+        let outputs = self.compiled.tape.run_batched(
+            &mut machine,
+            args,
+            opts.threads.max(1),
+            &opts.telemetry,
+        )?;
         span.finish();
         let (stats, phases) = match priced {
             Some(p) => (p.total, p.phases),
@@ -250,7 +321,12 @@ impl Plan for TapePlan {
         if opts.faults.is_some() {
             return Err(Unpriced::Faults);
         }
-        self.tape
-            .price(arg_shapes, &self.spec, &tech_for(opts), queries)
+        self.compiled.price(
+            arg_shapes,
+            &self.spec,
+            &tech_for(opts),
+            Some(queries),
+            &opts.telemetry,
+        )
     }
 }

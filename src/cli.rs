@@ -569,15 +569,30 @@ pub struct PlaceArgs {
     pub format: OutputFormat,
 }
 
-/// Parse a shape literal like `10x8192`.
+/// Elements one `--input` or `--param` shape may hold: 2^26, 256 MiB
+/// of `f32` — room for the paper's largest kNN training set (5 216 ×
+/// 4 096), and far below a size that exhausts memory or time.
+pub const MAX_SHAPE_ELEMENTS: i64 = 1 << 26;
+
+/// Parse a shape literal like `10x8192`: positive dimensions whose
+/// product is at most [`MAX_SHAPE_ELEMENTS`].
 pub fn parse_shape(text: &str) -> Result<Vec<i64>, CliError> {
     let dims: Result<Vec<i64>, _> = text.split('x').map(str::parse).collect();
-    match dims {
-        Ok(d) if !d.is_empty() && d.iter().all(|&x| x > 0) => Ok(d),
-        _ => Err(cli_err(format!(
-            "invalid shape '{text}' (expected e.g. 10x8192)"
-        ))),
+    let dims = match dims {
+        Ok(d) if !d.is_empty() && d.iter().all(|&x| x > 0) => d,
+        _ => {
+            return Err(cli_err(format!(
+                "invalid shape '{text}' (expected e.g. 10x8192)"
+            )))
+        }
+    };
+    let elements = dims.iter().try_fold(1i64, |n, &d| n.checked_mul(d));
+    if elements.is_none_or(|n| n > MAX_SHAPE_ELEMENTS) {
+        return Err(cli_err(format!(
+            "shape '{text}' holds more than {MAX_SHAPE_ELEMENTS} elements"
+        )));
     }
+    Ok(dims)
 }
 
 /// The command forms, in synopsis order; form `i` owns bit `1 << i` of
@@ -1730,6 +1745,15 @@ mats_per_bank: 2
         assert!(parse_shape("3x").is_err());
         assert!(parse_shape("0x4").is_err());
         assert!(parse_shape("axb").is_err());
+        assert_eq!(parse_shape("8192x8192").unwrap(), vec![8192, 8192]);
+        for past in [
+            "8193x8192",
+            "4611686018427387904x64",
+            "2x2x4611686018427387904",
+        ] {
+            let err = parse_shape(past).unwrap_err();
+            assert!(err.message.contains("more than 67108864 elements"), "{err}");
+        }
     }
 
     #[test]

@@ -83,6 +83,40 @@ fn execution_failures_exit_1_with_stderr_only() {
     }
 }
 
+/// A `run --source` shape whose element count overflows, or passes
+/// `MAX_SHAPE_ELEMENTS`, is a bad value: refused while parsing, before
+/// any tensor, placement or tape is built — not an abort, a panic or a
+/// run that does not end.
+#[test]
+fn oversized_source_shapes_are_refused_while_parsing() {
+    let arch = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/arch_asplos.txt");
+    let source = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/knn_topk.py");
+    let huge = "4611686018427387904";
+    for (param, input) in [
+        (format!("weight={huge}x64"), "4x64".to_string()),
+        (format!("weight=10x{huge}"), format!("4x{huge}")),
+        ("weight=10x64".to_string(), format!("{huge}x64")),
+    ] {
+        let start = std::time::Instant::now();
+        let args = [
+            "run", "--arch", arch, "--source", source, "--param", &param, "--input", &input,
+        ];
+        let out = c4cam(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            stderr.starts_with("error: shape '") && stderr.contains("more than 67108864 elements"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            start.elapsed().as_secs() < 10,
+            "{args:?}: {:?}",
+            start.elapsed()
+        );
+    }
+}
+
 /// A geometry past `ArchSpec::MAX_CELLS_PER_SUBARRAY` is a config error
 /// naming the bound, not a 100 000 × 100 000 subarray's planes of zero
 /// pages at the sweep's one executed point.

@@ -10,7 +10,7 @@ use c4cam::camsim::ExecStats;
 use c4cam::compiler::mapping::{place, MappingProblem};
 use c4cam::driver::{paper_arch, Experiment, RunOutcome};
 use c4cam::workloads::HdcWorkload;
-use c4cam_bench::{Fig8, TechDse, TECH_DSE_SIZES};
+use c4cam_bench::{Fig8, Fig9Iso, TechDse, TECH_DSE_SIZES};
 
 /// **Table I**: subarrays used to implement HDC (10 classes × 8192
 /// dims) on square `N × N` subarrays, with the standard placement
@@ -86,6 +86,34 @@ fn fig8_per_query_figures_scale_to_the_test_set() {
             assert!(close, "{opt:?} {n}: {} vs {scaled}", metric(&full));
         }
     }
+}
+
+/// **Figure 9**: the §IV-C2 iso-capacity trends, each within the band
+/// the `fig9_iso` bench asserts, computed by the function it prints
+/// from. Measured against the paper:
+/// - iso-base latency of the 10 000 queries rises from 45.8 µs at 16×16
+///   through 54.3, 69.4 and 96.6 to 148.8 µs at 256×256 (paper: 58 →
+///   150 µs), 3.25× (paper ≈ 2.6×; band [1.5, 6));
+/// - iso-base energy, max over min across N: 1.75 (paper: nearly
+///   constant; band below 2.2);
+/// - iso-density+power power over iso-base: 0.027, 0.030 and 0.045 at
+///   16, 32 and 64 (paper: density cuts power significantly; band below
+///   0.8).
+#[test]
+fn fig9_iso_trends_are_the_papers() {
+    let fig9 = Fig9Iso::compute();
+    let failed: Vec<String> = fig9
+        .trends()
+        .iter()
+        .filter(|t| !t.holds())
+        .map(ToString::to_string)
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+    let us = |n| (fig9.query_phase(Optimization::Base, n).latency_ms() * 1e4).round() / 10.0;
+    assert_eq!(
+        [16, 32, 64, 128, 256].map(us),
+        [45.8, 54.3, 69.4, 96.6, 148.8]
+    );
 }
 
 /// **Technology retargetability** (abstract): "CAM arrays exhibit

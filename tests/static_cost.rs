@@ -13,6 +13,8 @@ use c4cam::arch::tech::TechnologyModel;
 use c4cam::arch::{ArchSpec, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats};
 use c4cam::compiler::dialects::scf;
+use c4cam::compiler::mapping::MappingProblem;
+use c4cam::compiler::passes::cam_map::map_key;
 use c4cam::compiler::pipeline::C4camPipeline;
 use c4cam::datasets::{mini_mnist, DatasetTask, DatasetWorkload};
 use c4cam::driver::{build_arch, Experiment};
@@ -209,6 +211,76 @@ fn static_cost_equals_simulation_to_the_bit_over_the_grid() {
         }
     }
     assert_eq!(points, 4 * 3 * 4 * 5 * 2);
+}
+
+/// One schedule, many specs: a walk reads nothing of a spec but its
+/// floorplan, so the schedule walked under one spec, charged for any
+/// spec that shares its `MapKey` — another cell width, technology or
+/// optimisation — is `Tape::price` of that spec's own tape, to the bit,
+/// at the workload's query count and at another; and it answers the
+/// run as written with the count the tape spells.
+#[test]
+fn one_schedule_charges_every_spec_of_its_map_key() {
+    let techs = [
+        TechnologyModel::default(),
+        TechnologyModel::fefet_45nm(),
+        TechnologyModel::cmos_tcam_16nm(),
+    ];
+    let (mut charged, mut across) = (0, [0; 2]);
+    for workload in workloads() {
+        let n = workload.query_count();
+        let problem = MappingProblem {
+            stored_rows: workload.stored_rows(),
+            feature_dims: workload.dims(),
+            queries: n,
+        };
+        for (subarray, hierarchy) in GEOMETRIES {
+            let specs: Vec<ArchSpec> = [1, 2]
+                .into_iter()
+                .flat_map(|bits| {
+                    OPTIMIZATIONS.map(|opt| build_arch(subarray, hierarchy, opt, bits).unwrap())
+                })
+                .collect();
+            let keys: Vec<_> = specs
+                .iter()
+                .map(|s| map_key(s, &problem).unwrap())
+                .collect();
+            let tapes: Vec<_> = specs
+                .iter()
+                .map(|spec| lowered(workload.as_ref(), spec, false))
+                .collect();
+            for ((walked, key), (tape, args)) in specs.iter().zip(&keys).zip(&tapes) {
+                let schedule = tape.schedule(&shapes(args), walked, Some(n)).unwrap();
+                assert_eq!(schedule.trips(None), Some(n), "{}", workload.name());
+                let others = specs.iter().zip(&keys).zip(&tapes);
+                for ((spec, _), (own, own_args)) in others.filter(|((_, k), _)| *k == key) {
+                    assert_eq!(shapes(args), shapes(own_args));
+                    for tech in &techs {
+                        for trips in [n, 2 * n + 1] {
+                            let what = format!(
+                                "{} {subarray:?} {hierarchy:?}: walked {}b {:?}, \
+                                 charged {}b {:?} {} at {trips}",
+                                workload.name(),
+                                walked.bits_per_cell,
+                                walked.optimization,
+                                spec.bits_per_cell,
+                                spec.optimization,
+                                tech.name
+                            );
+                            let got = schedule.charge(spec, tech, trips).unwrap();
+                            let want = own.price(&shapes(own_args), spec, tech, trips).unwrap();
+                            assert_same_run(&got, &want.total, &want.phases, &what);
+                            charged += 1;
+                        }
+                    }
+                    across[0] += usize::from(spec.bits_per_cell != walked.bits_per_cell);
+                    across[1] += usize::from(spec.optimization != walked.optimization);
+                }
+            }
+        }
+    }
+    assert!(charged > 4 * 5 * 8 * 6, "{charged}");
+    assert!(across.iter().all(|&n| n > 0), "{across:?}");
 }
 
 /// Trip counts the one-trip replay is held to simulation at. A debug

@@ -278,6 +278,32 @@ fn a_paper_sweep_compiles_one_plan_per_map_key() {
     assert_eq!(spans_of(&spans, "tape", cat::STAGE).len(), distinct.len());
 }
 
+/// A schedule is walked once per compiled plan: the paper's 40-point
+/// grid prices 40 points from 18 walks, one inside the `price` span of
+/// each point that compiled its plan, and the points that take a plan
+/// retargeted charge the walk it memoised. The two donor runs, traced,
+/// charge the device and walk nothing.
+#[test]
+fn a_paper_sweep_walks_one_schedule_per_plan() {
+    let (_, spans) = traced_two_width_sweep(&HdcWorkload::paper(4));
+    let price = spans_of(&spans, "price", cat::PHASE);
+    let schedules = spans_of(&spans, "schedule", cat::STAGE);
+    assert_eq!(price.len(), 40);
+    assert_eq!(schedules.len(), 18);
+    assert_eq!(schedules.len(), spans_of(&spans, "tape", cat::STAGE).len());
+    let end = |s: &Span| s.start_ns + s.dur_ns;
+    let inside =
+        |outer: &Span, inner: &Span| outer.start_ns <= inner.start_ns && end(inner) <= end(outer);
+    for walk in &schedules {
+        assert!(price.iter().any(|p| inside(p, walk)));
+    }
+    let executed = spans_of(&spans, Phase::Execute.name(), cat::PHASE);
+    assert_eq!(executed.len(), 2);
+    for run in executed {
+        assert!(!schedules.iter().any(|walk| inside(run, walk)));
+    }
+}
+
 /// An HDC workload whose 2-bit module carries one extra, unused
 /// constant: its two cell widths no longer lower to the same text.
 struct WidthMarked(HdcWorkload);
