@@ -1,17 +1,17 @@
 //! Shared helpers for the C4CAM benchmark harness: the hand-optimized
 //! "manual" baseline mapping (the comparison target of the paper's
-//! Fig. 7 validation), the computations of Figs. 8 and 9 and of the
-//! technology study with their asserted trends (shared with
-//! `tests/paper_figures.rs`), and table formatting.
+//! Fig. 7 validation), the computations of Figs. 8 and 9, of the
+//! technology study and of the §IV-B GPU comparison with their asserted
+//! trends (shared with `tests/paper_figures.rs`), and table formatting.
 
 use c4cam::arch::tech::{Level, TechnologyModel};
 use c4cam::arch::{ArchSpec, CamKind, MatchKind, Metric, Optimization};
 use c4cam::camsim::{CamMachine, ExecStats, SearchSpec, SubarrayId};
 use c4cam::compiler::mapping::{place, MappingProblem, Placement};
-use c4cam::driver::{Experiment, RunOutcome};
+use c4cam::driver::{paper_arch, Experiment, RunOutcome};
 use c4cam::sweep::{SweepOutcome, SweepPlan, DEFAULT_SUBARRAY_SIZES};
 use c4cam::tensor::Tensor;
-use c4cam::workloads::{HdcModel, HdcWorkload};
+use c4cam::workloads::{GpuComparisonWorkload, HdcModel, HdcWorkload};
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 
@@ -484,7 +484,8 @@ pub const FIG9_CONFIGS: [(&str, Optimization); 3] = [
     ("iso-density+power", Optimization::PowerDensity),
 ];
 
-/// The paper's test-set size, over which Fig. 9 reports latency.
+/// The paper's test-set size (MNIST's 10 000 images), over which Fig. 9
+/// and the GPU comparison report.
 pub const FIG9_QUERIES: usize = 10_000;
 
 /// **Figure 9 (a, b)**, iso-capacity (§IV-C2): every array holds 2^16
@@ -583,6 +584,92 @@ impl Fig9Iso {
             );
         }
         trends
+    }
+}
+
+/// **§IV-B GPU comparison**: end-to-end HDC at MNIST scale (10 classes
+/// × 8192 dims, 32 × 32 subarrays, 1 bit per cell) on the CAM system
+/// against the analytic RTX-6000-class GPU model, over the 10 000-query
+/// test set. The compiled program is priced from its schedule; the
+/// hand-optimized design ([`ManualHdc`]) runs 32 queries and is scaled
+/// to the test set, for the paper's cross-check against it.
+pub struct GpuComparison {
+    /// The GPU model's name.
+    pub gpu: String,
+    /// The compiled program against the GPU.
+    pub compiled: c4cam::workloads::gpu::GpuComparison,
+    /// The hand-optimized design's latency against the GPU, at the
+    /// compiled program's energy.
+    pub manual: c4cam::workloads::gpu::GpuComparison,
+}
+
+impl GpuComparison {
+    /// Price the compiled program and run the hand-optimized design.
+    ///
+    /// # Panics
+    /// Panics if the paper's HDC setting fails to compile or price.
+    pub fn compute() -> GpuComparison {
+        let simulated = 32;
+        let spec = paper_arch(32, Optimization::Base, 1);
+        let workload = GpuComparisonWorkload::paper(simulated);
+        let cam = Experiment::new(&workload)
+            .arch(spec.clone())
+            .compile()
+            .expect("cam compile")
+            .cost(FIG9_QUERIES)
+            .expect("the tape backend prices")
+            .query_phase();
+        let (latency_s, energy_j) = (cam.latency_ns * 1e-9, cam.total_energy_fj() * 1e-15);
+        let model = HdcModel::random(10, 8192, 1, 42);
+        let (queries, _) = model.queries(simulated, 0.1, 42);
+        let manual = run_manual_hdc(&spec, &model, &queries);
+        let manual_latency_s = manual.latency_ns / simulated as f64 * FIG9_QUERIES as f64 * 1e-9;
+        GpuComparison {
+            gpu: workload.gpu.name.clone(),
+            compiled: workload.comparison(FIG9_QUERIES, latency_s, energy_j),
+            manual: workload.comparison(FIG9_QUERIES, manual_latency_s, energy_j),
+        }
+    }
+
+    /// How far the compiled program's execution-time improvement lies
+    /// from the hand-optimized design's, in percent.
+    pub fn deviation_from_manual_pct(&self) -> f64 {
+        let manual = self.manual.latency_improvement();
+        100.0 * (self.compiled.latency_improvement() - manual).abs() / manual
+    }
+
+    /// The §IV-B trends, each with its band (the bench's) and the
+    /// paper's figure.
+    pub fn trends(&self) -> Vec<Trend> {
+        use Bound::{Excluded, Included, Unbounded};
+        let time = self.compiled.latency_improvement();
+        let energy = self.compiled.energy_improvement();
+        vec![
+            Trend::new(
+                "execution-time improvement over the GPU".to_string(),
+                time,
+                (Excluded(40.0), Unbounded),
+            )
+            .paper("48x"),
+            Trend::new(
+                "energy improvement over the GPU".to_string(),
+                energy,
+                (Excluded(40.0), Unbounded),
+            )
+            .paper("46.8x"),
+            Trend::new(
+                "energy improvement / execution-time improvement".to_string(),
+                energy / time,
+                (Included(0.8), Excluded(1.2)),
+            )
+            .paper("energy tracks time"),
+            Trend::new(
+                "deviation from the manual design, %".to_string(),
+                self.deviation_from_manual_pct(),
+                (Included(0.0), Included(5.0)),
+            )
+            .paper("within 5%"),
+        ]
     }
 }
 

@@ -1,5 +1,6 @@
 //! The `c4cam` command-line compiler driver. `c4cam help` prints every
-//! command's synopsis (generated from the flag table in `c4cam::cli`).
+//! command's synopsis and `c4cam <command> --help` prints one command's
+//! (both generated from the flag table in `c4cam::cli`).
 //!
 //! Reports go to stdout; diagnostics go to stderr. The exit code
 //! distinguishes usage errors (2: unknown commands or flags, a flag the

@@ -148,6 +148,8 @@ pub enum Command {
     BenchGate(BenchGateArgs),
     /// Print the usage text (also `--help` / `-h`).
     Help,
+    /// Print one command's synopsis (`c4cam <command> --help`).
+    CommandHelp(&'static str),
 }
 
 /// Arguments of `c4cam compile`.
@@ -901,6 +903,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     if matches!(word.as_str(), "help" | "--help" | "-h") {
         return Ok(Command::Help);
     }
+    if rest.iter().any(|t| matches!(t.as_str(), "--help" | "-h")) {
+        return COMMANDS
+            .iter()
+            .map(|label| command_word(label))
+            .find(|command| command == word)
+            .map(Command::CommandHelp)
+            .ok_or_else(|| cli_err(format!("unknown command '{word}'\n{}", usage())));
+    }
     let mut flags = Vec::new();
     let mut tokens = rest.iter();
     while let Some(token) = tokens.next() {
@@ -1102,23 +1112,45 @@ fn parse_tech(name: &str) -> Result<Option<TechnologyModel>, CliError> {
 /// line gains the flag's placeholder and the commands that read it.
 const NOTES: &str = "  c4cam help\n\nA flag that is not on a command's line is a usage error for that command (exit code 2).\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP; a request that finds the device idle runs at once and requests that arrive while a batch runs are coalesced into the next one (up to --max-batch rows; there is no linger timer); loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection:\n  --fault-rate: seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed: seed of the deterministic fault-site hash streams\n  --spare-rows: spare rows per subarray for stuck-row remapping\n  --vote: k-modular redundant-search voting\n\ntelemetry:\n  --trace-out: write a Chrome trace-event JSON (load in Perfetto / chrome://tracing), also when the run fails\n  --metrics: append a per-phase/per-op metrics report to the output\n  --log-level: stderr diagnostics (alias for the C4CAM_LOG environment variable)";
 
+/// The command word of a [`COMMANDS`] label (`run` for `run --dataset`).
+fn command_word(label: &'static str) -> &'static str {
+    label.split(' ').next().unwrap_or(label)
+}
+
+/// A flag and its value placeholder, as the usage text shows them.
+fn flag_synopsis(row: &Flag) -> String {
+    format!("{} {}", row.name, row.value).trim_end().to_string()
+}
+
+/// The synopsis of command form `i`: its required flags, then the
+/// optional ones in brackets.
+fn synopsis(i: usize) -> String {
+    let mut text = format!("c4cam {}", command_word(COMMANDS[i]));
+    for row in FLAGS.iter().filter(|row| row.required & (1 << i) != 0) {
+        text += &format!(" {}", flag_synopsis(row));
+    }
+    let optional = |row: &&Flag| row.commands & !row.required & (1 << i) != 0;
+    for row in FLAGS.iter().filter(optional) {
+        let more = if row.repeats { "..." } else { "" };
+        text += &format!(" [{}]{more}", flag_synopsis(row));
+    }
+    text
+}
+
+/// `text` with the `--engine` placeholder spelled as the registry's
+/// backend names.
+fn with_engines(text: String) -> String {
+    let engines = BackendRegistry::global().names().join("|");
+    text.replace(row("--engine").value, &engines)
+}
+
 /// Usage text, generated from the `FLAGS` table: one synopsis line per
 /// command form (required flags, then the optional ones in brackets),
 /// then `NOTES`. The `--engine` alternatives are the registry's names.
 pub fn usage() -> String {
-    let word = |label: &'static str| label.split(' ').next().unwrap_or(label);
-    let synopsis = |row: &Flag| format!("{} {}", row.name, row.value).trim_end().to_string();
     let mut text = String::from("usage:");
-    for (i, label) in COMMANDS.iter().enumerate() {
-        text += &format!("\n  c4cam {}", word(label));
-        for row in FLAGS.iter().filter(|row| row.required & (1 << i) != 0) {
-            text += &format!(" {}", synopsis(row));
-        }
-        let optional = |row: &&Flag| row.commands & !row.required & (1 << i) != 0;
-        for row in FLAGS.iter().filter(optional) {
-            let more = if row.repeats { "..." } else { "" };
-            text += &format!(" [{}]{more}", synopsis(row));
-        }
+    for i in 0..COMMANDS.len() {
+        text += &format!("\n  {}", synopsis(i));
     }
     for line in NOTES.lines() {
         let note = line.split_once(": ").filter(|_| line.starts_with("  --"));
@@ -1129,14 +1161,26 @@ pub fn usage() -> String {
         let row = row(name.trim_start());
         let mut readers: Vec<&str> = Vec::new();
         for (i, label) in COMMANDS.iter().enumerate() {
-            if row.commands & (1 << i) != 0 && !readers.contains(&word(label)) {
-                readers.push(word(label));
+            if row.commands & (1 << i) != 0 && !readers.contains(&command_word(label)) {
+                readers.push(command_word(label));
             }
         }
-        text += &format!("\n  {:<30} {what} ({})", synopsis(row), readers.join("/"));
+        let flag = flag_synopsis(row);
+        text += &format!("\n  {flag:<30} {what} ({})", readers.join("/"));
     }
-    let engines = BackendRegistry::global().names().join("|");
-    text.replace(row("--engine").value, &engines)
+    with_engines(text)
+}
+
+/// What `c4cam <command> --help` prints: the synopsis of each of the
+/// command's forms.
+fn command_usage(command: &str) -> String {
+    let mut text = String::from("usage:");
+    for (i, label) in COMMANDS.iter().enumerate() {
+        if command_word(label) == command {
+            text += &format!("\n  {}", synopsis(i));
+        }
+    }
+    with_engines(text)
 }
 
 fn load_arch(path: &str) -> Result<ArchSpec, CliError> {
@@ -1700,6 +1744,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Loadgen(args) => run_loadgen(args),
         Command::BenchGate(args) => run_bench_gate(args).map_err(cli_err),
         Command::Help => Ok(usage()),
+        Command::CommandHelp(command) => Ok(command_usage(command)),
     }
 }
 

@@ -535,13 +535,17 @@ impl<'w> SweepPlan<'w> {
     /// depend on the workload and the cell width only (the device's
     /// reductions are exact-integer sums, equal under any tiling), so
     /// after the grid the device runs once per `bits_per_cell`, on the
-    /// priced point that provisions the fewest cells
-    /// ([`SweepPoint::area_cells`]; ties to fewer physical subarrays,
-    /// then to grid order): the cheapest machine to program gives the
-    /// same answers as the costliest. It is skipped when a fault-free
-    /// point that had to execute anyway (a `walk` point) already
-    /// answered. Faulty points, backends with no static schedule and
-    /// unpriceable plans execute in place.
+    /// priced point whose run searches least (fewest `search_ops`; ties
+    /// to fewer provisioned cells, [`SweepPoint::area_cells`], then to
+    /// fewer physical subarrays, then to grid order): a run's host time
+    /// goes mostly to its searches and then to provisioning its cells,
+    /// and the cheapest run gives the same answers as the costliest.
+    /// The answers are the device's, not the golden model's: a `dot`
+    /// kernel ranks by symbol matches on the device, which can order
+    /// rows differently from the dot product. The run is skipped when a
+    /// fault-free point that had to execute anyway (a `walk` point)
+    /// already answered. Faulty points, backends with no static schedule
+    /// and unpriceable plans execute in place.
     ///
     /// # Errors
     /// [`DriverError::Config`] for empty grids or invalid thread
@@ -755,17 +759,18 @@ struct Width {
     predictions: Option<Vec<usize>>,
     /// Priced points waiting for answers, by index.
     waiting: Vec<usize>,
-    /// The waiting point with the fewest `(cells, physical subarrays)`,
-    /// earliest first, and its plan: the one that executes.
-    donor: Option<((u64, usize), usize, CompiledExperiment)>,
+    /// The waiting point with the fewest `(searches, cells, physical
+    /// subarrays)`, earliest first, and its plan: the one that executes.
+    donor: Option<((u64, u64, usize), usize, CompiledExperiment)>,
 }
 
 impl Width {
     /// Queue priced point `index` for answers; it becomes the donor if
-    /// its machine is smaller than the current donor's.
+    /// its run is cheaper than the current donor's.
     fn wait(&mut self, index: usize, point: &SweepPoint, compiled: CompiledExperiment) {
         self.waiting.push(index);
         let size = (
+            point.outcome.total.search_ops,
             point.area_cells(),
             point.outcome.placement.physical_subarrays,
         );

@@ -170,6 +170,43 @@ fn successful_runs_exit_0_with_stdout_only() {
     assert!(String::from_utf8_lossy(&help.stdout).contains("usage:"));
 }
 
+/// `c4cam <command> --help` prints that command's synopsis, one line
+/// per form, and exits 0; `--help` after an unknown command, and any
+/// flag a command does not read, are still usage errors.
+#[test]
+fn every_command_prints_its_own_synopsis_on_help() {
+    for (command, forms) in [
+        ("compile", 1),
+        ("run", 2),
+        ("place", 1),
+        ("sweep", 1),
+        ("accuracy", 1),
+        ("serve", 1),
+        ("loadgen", 1),
+        ("bench-gate", 1),
+    ] {
+        for help in ["--help", "-h"] {
+            let out = c4cam(&[command, help]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{command} {help}: {stderr}");
+            assert!(out.stderr.is_empty(), "{command} {help}: {stderr}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let mut lines = stdout.lines();
+            assert_eq!(lines.next(), Some("usage:"), "{stdout}");
+            let synopses: Vec<&str> = lines.filter(|l| !l.is_empty()).collect();
+            assert_eq!(synopses.len(), forms, "{stdout}");
+            let prefix = format!("  c4cam {command} ");
+            assert!(synopses.iter().all(|l| l.starts_with(&prefix)), "{stdout}");
+        }
+        let out = c4cam(&[command, "--bogus"]);
+        assert_eq!(out.status.code(), Some(2), "{command} --bogus");
+        assert!(out.stdout.is_empty(), "{command} --bogus wrote to stdout");
+    }
+    let out = c4cam(&["frobnicate", "--help"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown command"));
+}
+
 fn stdout_of(args: &[&str]) -> String {
     let out = c4cam(args);
     assert_eq!(

@@ -369,8 +369,9 @@ fn widths_whose_modules_differ_compile_their_own_plans() {
 }
 
 /// The device runs once per cell width, after the grid, on that
-/// width's point with the fewest provisioned cells, and every point
-/// accounts for its pricing with one `price` span inside its grid span.
+/// width's point whose run searches least (then provisions the fewest
+/// cells), and every point accounts for its pricing with one `price`
+/// span inside its grid span.
 #[test]
 fn a_two_width_sweep_executes_twice_and_prices_every_point() {
     let (outcome, spans) = traced_two_width_sweep(&small_hdc());
@@ -390,7 +391,9 @@ fn a_two_width_sweep_executes_twice_and_prices_every_point() {
             .filter(|&i| outcome.points[i].grid.bits_per_cell == bits)
             .min_by_key(|&i| {
                 let p = &outcome.points[i];
-                (p.area_cells(), p.outcome.placement.physical_subarrays, i)
+                let placement = &p.outcome.placement;
+                let searches = p.outcome.total.search_ops;
+                (searches, p.area_cells(), placement.physical_subarrays, i)
             })
             .unwrap();
         let point = outcome.points[fewest].grid.to_string();
@@ -453,6 +456,118 @@ fn shipped_workloads() -> Vec<Box<dyn Workload>> {
         Box::new(on_dataset(DatasetTask::Hdc)),
         Box::new(on_dataset(DatasetTask::Knn)),
     ]
+}
+
+/// A workload whose stored rows come in identical pairs: row `2i + 1`
+/// repeats row `2i`. Every query's best match is then tied with its
+/// twin, and the lower index, always an even one, must win.
+struct Twinned(Box<dyn Workload>);
+
+impl Workload for Twinned {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn query_count(&self) -> usize {
+        self.0.query_count()
+    }
+    fn stored_rows(&self) -> usize {
+        self.0.stored_rows()
+    }
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn build_module(&self, spec: &ArchSpec) -> WorkloadModule {
+        self.0.build_module(spec)
+    }
+    fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs {
+        let mut inputs = self.0.inputs(spec);
+        let dims = inputs.stored.shape()[1];
+        for pair in inputs.stored.data_mut().chunks_exact_mut(2 * dims) {
+            let (first, second) = pair.split_at_mut(dims);
+            second.copy_from_slice(first);
+        }
+        inputs
+    }
+}
+
+/// A sweep answers what the device answers, ties included. Every
+/// shipped workload, as shipped and with twinned rows, is swept at
+/// cell widths 1, 2 and 4 on both engines: its `tape` points are priced
+/// and take one device run's answers per width, its `walk` points
+/// execute, and every point equals its own executed run.
+#[test]
+fn a_sweep_answers_as_the_device_does_ties_included() {
+    let twinned = shipped_workloads()
+        .into_iter()
+        .map(|w| (Box::new(Twinned(w)) as Box<dyn Workload>, true));
+    let plain = shipped_workloads().into_iter().map(|w| (w, false));
+    for (workload, twinned) in plain.chain(twinned) {
+        let name = workload.name();
+        let outcome = SweepPlan::new(workload.as_ref())
+            .square_subarrays([16, 32])
+            .optimizations([Optimization::Base, Optimization::Density])
+            .bits([1, 2, 4])
+            .backends(["tape", "walk"])
+            .run()
+            .unwrap();
+        for pair in outcome.points.chunks(2) {
+            let [tape, walk] = pair else {
+                panic!("{name}: the backend axis is innermost")
+            };
+            assert_eq!((&*tape.grid.engine, &*walk.grid.engine), ("tape", "walk"));
+            let answers = &tape.outcome.predictions;
+            assert_eq!(answers, &walk.outcome.predictions, "{name} {}", tape.grid);
+            if twinned {
+                assert!(answers.iter().all(|i| i % 2 == 0), "{name}: {answers:?}");
+            }
+        }
+        for point in &outcome.points {
+            let gp = &point.grid;
+            let individual = Experiment::new(workload.as_ref())
+                .arch(grid_spec(gp.subarray.0, gp.optimization, gp.bits_per_cell))
+                .backend(gp.engine.clone())
+                .run()
+                .unwrap();
+            assert_eq!(
+                point.outcome.predictions, individual.predictions,
+                "{name} {gp}"
+            );
+            assert_eq!(point.outcome.total, individual.total, "{name} {gp}");
+        }
+    }
+}
+
+/// Why a sweep's answers come from a device run and not from the
+/// golden model: the device ranks a `dot` kernel by symbol matches, the
+/// golden model by the dot product, and at more than one bit per cell
+/// the two can disagree. On twinned 2-bit HDC rows, query 3 is nearer
+/// row 0 by dot product and row 2 by matching symbols.
+#[test]
+fn the_golden_model_does_not_answer_for_a_dot_kernels_device() {
+    use c4cam::compiler::pipeline::C4camPipeline;
+    use c4cam::runtime::{Executor, Value};
+    let workload = Twinned(Box::new(small_hdc()));
+    let spec = grid_spec(16, Optimization::Base, 2);
+    let built = workload.build_module(&spec);
+    let fused = C4camPipeline::new(spec.clone())
+        .lower_prefix(built.module)
+        .unwrap();
+    let inputs = workload.inputs(&spec);
+    let args = [
+        Value::Tensor(inputs.queries.clone()),
+        Value::Tensor(inputs.stored.clone()),
+    ];
+    let outputs = Executor::new(&fused.module).run(built.func, &args).unwrap();
+    let golden: Vec<usize> = outputs[1]
+        .as_tensor()
+        .unwrap()
+        .data()
+        .iter()
+        .map(|&i| i as usize)
+        .collect();
+    let device = Experiment::new(&workload).arch(spec).run().unwrap();
+    assert_eq!(golden, [0, 0, 2, 0]);
+    assert_eq!(device.predictions, [0, 0, 2, 2]);
 }
 
 /// Two architectures of cell width `bits` that share nothing else:
