@@ -1,8 +1,9 @@
 //! Shared helpers for the C4CAM benchmark harness: the hand-optimized
 //! "manual" baseline mapping (the comparison target of the paper's
-//! Fig. 7 validation), the computations of Figs. 8 and 9, of the
-//! technology study and of the §IV-B GPU comparison with their asserted
-//! trends (shared with `tests/paper_figures.rs`), and table formatting.
+//! Fig. 7 validation), the computations of Figs. 8 and 9, of Table II,
+//! of the technology study and of the §IV-B GPU comparison with their
+//! asserted trends (shared with `tests/paper_figures.rs`), and table
+//! formatting.
 
 use c4cam::arch::tech::{Level, TechnologyModel};
 use c4cam::arch::{ArchSpec, CamKind, MatchKind, Metric, Optimization};
@@ -11,7 +12,7 @@ use c4cam::compiler::mapping::{place, MappingProblem, Placement};
 use c4cam::driver::{paper_arch, Experiment, RunOutcome};
 use c4cam::sweep::{SweepOutcome, SweepPlan, DEFAULT_SUBARRAY_SIZES};
 use c4cam::tensor::Tensor;
-use c4cam::workloads::{GpuComparisonWorkload, HdcModel, HdcWorkload};
+use c4cam::workloads::{GpuComparisonWorkload, HdcModel, HdcWorkload, KnnWorkload};
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 
@@ -196,6 +197,9 @@ pub struct Trend {
     pub band: (Bound<f64>, Bound<f64>),
     /// The paper's figure, where it gives one (empty for an ordering).
     pub paper: &'static str,
+    /// Why the reproduction deviates from the paper here, for a trend
+    /// that is expected to fail (`None`: it must hold).
+    pub deviation: Option<&'static str>,
 }
 
 impl Trend {
@@ -205,6 +209,7 @@ impl Trend {
             measured,
             band,
             paper: "",
+            deviation: None,
         }
     }
 
@@ -213,9 +218,20 @@ impl Trend {
         self
     }
 
+    fn deviates(mut self, reason: &'static str) -> Trend {
+        self.deviation = Some(reason);
+        self
+    }
+
     /// Whether the measured value lies in the band.
     pub fn holds(&self) -> bool {
         self.band.contains(&self.measured)
+    }
+
+    /// Whether the trend behaves as recorded: it holds, or it fails as
+    /// a known deviation.
+    pub fn as_expected(&self) -> bool {
+        self.holds() != self.deviation.is_some()
     }
 }
 
@@ -234,6 +250,9 @@ impl fmt::Display for Trend {
         write!(f, "{:<46} {:>8.3} in {lo}, {hi}", self.what, self.measured)?;
         if !self.paper.is_empty() {
             write!(f, "  (paper: {})", self.paper)?;
+        }
+        if let Some(reason) = self.deviation {
+            write!(f, "  [known deviation: {reason}]")?;
         }
         Ok(())
     }
@@ -670,6 +689,165 @@ impl GpuComparison {
             )
             .paper("within 5%"),
         ]
+    }
+}
+
+/// Table II's configurations, with the table's names.
+pub const TABLE2_CONFIGS: [(&str, Optimization); 2] = [
+    ("cam-based", Optimization::Base),
+    ("cam-power", Optimization::Power),
+];
+
+/// **Table II**: kNN on the Pneumonia geometry (5216 stored patterns ×
+/// 4096 features, one query, 1 bit per cell) on square `N × N`
+/// subarrays, `N` = 16…256, for cam-based and cam-power — one
+/// [`SweepPlan`] pass, priced from the compiled schedules (the
+/// 83k-subarray machine of the 16×16 row is never built).
+pub struct Table2Knn {
+    outcome: SweepOutcome,
+}
+
+impl Table2Knn {
+    /// Compile and price the grid.
+    ///
+    /// # Panics
+    /// Panics if a grid point fails (the grid is known-good).
+    pub fn compute() -> Table2Knn {
+        let workload = KnnWorkload::paper(1);
+        let outcome = SweepPlan::new(&workload)
+            .square_subarrays(DEFAULT_SUBARRAY_SIZES)
+            .optimizations(TABLE2_CONFIGS.map(|(_, opt)| opt))
+            .run()
+            .expect("Table II's grid compiles and prices");
+        Table2Knn { outcome }
+    }
+
+    /// The point of `opt` on `n × n` subarrays.
+    ///
+    /// # Panics
+    /// Panics if the point is not on the grid.
+    pub fn point(&self, opt: Optimization, n: usize) -> &RunOutcome {
+        let point = self
+            .outcome
+            .points
+            .iter()
+            .find(|p| p.grid.optimization == opt && p.grid.subarray == (n, n));
+        &point.expect("a point of the grid").outcome
+    }
+
+    /// Power of one query under `opt` on `n × n` subarrays, W.
+    pub fn power_w(&self, opt: Optimization, n: usize) -> f64 {
+        self.point(opt, n).query_phase.power_w()
+    }
+
+    /// EDP of one query under `opt` on `n × n` subarrays, nJ·s.
+    pub fn edp_nj_s(&self, opt: Optimization, n: usize) -> f64 {
+        self.point(opt, n).query_phase.edp_nj_s()
+    }
+
+    /// The Table II trends: those that hold, each with the bench's
+    /// band, and the known deviations from the paper's figures, each
+    /// expected to fail with its reason.
+    pub fn trends(&self) -> Vec<Trend> {
+        use Bound::{Excluded, Included, Unbounded};
+        use Optimization::{Base, Power};
+        let below = (Unbounded, Excluded(1.0));
+        let above = (Excluded(1.0), Unbounded);
+        let sizes = DEFAULT_SUBARRAY_SIZES;
+        let mut trends = Vec::new();
+        for (name, opt) in TABLE2_CONFIGS {
+            for w in [16, 32, 64].windows(2) {
+                trends.push(Trend::new(
+                    format!("{name} EDP, {0}x{0} / {1}x{1}", w[1], w[0]),
+                    self.edp_nj_s(opt, w[1]) / self.edp_nj_s(opt, w[0]),
+                    below,
+                ));
+            }
+            trends.push(Trend::new(
+                format!("{name} EDP, 16x16 / 128x128"),
+                self.edp_nj_s(opt, 16) / self.edp_nj_s(opt, 128),
+                (Excluded(4.0), Unbounded),
+            ));
+        }
+        for n in sizes {
+            trends.extend([
+                Trend::new(
+                    format!("cam-power power / cam-based, {n}x{n}"),
+                    self.power_w(Power, n) / self.power_w(Base, n),
+                    below,
+                ),
+                Trend::new(
+                    format!("cam-power EDP / cam-based, {n}x{n}"),
+                    self.edp_nj_s(Power, n) / self.edp_nj_s(Base, n),
+                    above,
+                ),
+            ]);
+        }
+        for w in sizes.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            trends.push(
+                Trend::new(
+                    format!("cam-power power, {b}x{b} / {a}x{a}"),
+                    self.power_w(Power, b) / self.power_w(Power, a),
+                    below,
+                )
+                .paper("falls 25.23 -> 0.19 W"),
+            );
+        }
+        // Watts-scale: the dataset needs ~650 banks at 16x16, where HDC
+        // draws milliwatts on the same technology.
+        trends.push(Trend::new(
+            "cam-based power, 16x16, W".to_string(),
+            self.power_w(Base, 16),
+            (Excluded(0.5), Unbounded),
+        ));
+        let edp = sizes.map(|n| self.edp_nj_s(Base, n));
+        let fold = |f: fn(f64, f64) -> f64, init| edp.iter().copied().fold(init, f);
+        let rises = sizes
+            .windows(2)
+            .map(|w| self.power_w(Base, w[1]) / self.power_w(Base, w[0]));
+        let within_1_5x = (Included(1.0 / 1.5), Included(1.5));
+        trends.extend([
+            // 126 here, 16x16 over 128x128.
+            Trend::new(
+                "cam-based EDP, max / min over N".to_string(),
+                fold(f64::max, 0.0) / fold(f64::min, f64::INFINITY),
+                (Included(7.5), Included(30.0)),
+            )
+            .paper("~15x")
+            .deviates(
+                "latency and energy per query both fall with N and EDP multiplies the two \
+                 falls; the cause is not yet attributed to a call class",
+            ),
+            // 1.80 here, 32x32 to 64x64.
+            Trend::new(
+                "cam-based power, largest rise to the next N".to_string(),
+                rises.fold(0.0, f64::max),
+                below,
+            )
+            .paper("falls 44 -> 0.86 W")
+            .deviates(
+                "power is energy over latency, and per-query latency collapses faster than \
+                 energy as subarrays grow",
+            ),
+            // 1.44 W here.
+            Trend::new(
+                "cam-based power, 16x16, over the paper's".to_string(),
+                self.power_w(Base, 16) / 44.0,
+                within_1_5x,
+            )
+            .paper("44 W")
+            .deviates("the technology model is not calibrated to the paper's absolute watts"),
+            // 0.37 W here.
+            Trend::new(
+                "cam-power power, 256x256, over the paper's".to_string(),
+                self.power_w(Power, 256) / 0.19,
+                within_1_5x,
+            )
+            .paper("0.19 W")
+            .deviates("the technology model is not calibrated to the paper's absolute watts"),
+        ]);
+        trends
     }
 }
 

@@ -380,10 +380,24 @@ impl CamMachine {
         row_offset: usize,
         data: &[Vec<f32>],
     ) -> Result<(), SimError> {
+        self.write_row_views(id, row_offset, data)
+    }
+
+    /// [`CamMachine::write_rows`] from rows of any borrowed form, such
+    /// as slices of a tensor's storage.
+    ///
+    /// # Errors
+    /// As [`CamMachine::write_rows`].
+    pub fn write_row_views<R: AsRef<[f32]>>(
+        &mut self,
+        id: SubarrayId,
+        row_offset: usize,
+        data: &[R],
+    ) -> Result<(), SimError> {
         let bits = self.ledger.bits_per_cell();
         let sub = self.sub_mut(id)?;
         let faults_before = sub.faults().map_or(0, |f| f.fault_cells());
-        sub.write_rows(row_offset, data, bits)
+        sub.write_row_views(row_offset, data, bits)
             .map_err(SimError::new)?;
         let faults_after = sub.faults().map_or(0, |f| f.fault_cells());
         if self.charging {

@@ -715,15 +715,15 @@ impl Subarray {
 
     /// Reject a write whose rows don't fit or are wider than the
     /// subarray, before anything is programmed.
-    fn check_write<T>(&self, row_offset: usize, data: &[Vec<T>]) -> Result<(), String> {
+    fn check_write<T, R: AsRef<[T]>>(&self, row_offset: usize, data: &[R]) -> Result<(), String> {
         let (n, rows, cols) = (data.len(), self.rows, self.cols);
         if row_offset + n > rows {
             return Err(format!(
                 "write of {n} rows at offset {row_offset} exceeds {rows} rows"
             ));
         }
-        if let Some(i) = data.iter().position(|row| row.len() > cols) {
-            let (r, width) = (row_offset + i, data[i].len());
+        if let Some(i) = data.iter().position(|row| row.as_ref().len() > cols) {
+            let (r, width) = (row_offset + i, data[i].as_ref().len());
             return Err(format!(
                 "row {r} has {width} elements but subarray has {cols} columns"
             ));
@@ -753,10 +753,24 @@ impl Subarray {
         data: &[Vec<f32>],
         bits_per_cell: u32,
     ) -> Result<(), String> {
+        self.write_row_views(row_offset, data, bits_per_cell)
+    }
+
+    /// [`Subarray::write_rows`] from rows of any borrowed form — slices
+    /// of a tensor's storage program without a per-row copy.
+    ///
+    /// # Errors
+    /// As [`Subarray::write_rows`].
+    pub fn write_row_views<R: AsRef<[f32]>>(
+        &mut self,
+        row_offset: usize,
+        data: &[R],
+        bits_per_cell: u32,
+    ) -> Result<(), String> {
         self.check_write(row_offset, data)?;
         let cols = self.cols;
         for (i, row) in data.iter().enumerate() {
-            let r = row_offset + i;
+            let (r, row) = (row_offset + i, row.as_ref());
             let level_sq = encode_row(
                 row,
                 bits_per_cell,

@@ -2,9 +2,10 @@
 //!
 //! Runtime [`Value`]s hold buffers as `Rc<RefCell<Tensor>>`, which
 //! cannot cross threads. A [`Frozen`] value is the same payload with
-//! buffers flattened to owned tensors; worker shards thaw a snapshot
-//! into a private slot file (each buffer becomes a fresh, unshared
-//! `Rc`), run, and freeze again for the merge step.
+//! buffers flattened to tensors (sharing their storage, which copies
+//! on write); worker shards thaw a snapshot into a private slot file
+//! (each buffer becomes a fresh, unshared `Rc`), run, and freeze again
+//! for the merge step.
 
 use c4cam_runtime::{Handle, Value};
 use c4cam_tensor::Tensor;

@@ -581,9 +581,10 @@ impl<'t> TapeVm<'t> {
             } => {
                 let (src, sizes, out) = (*src, *sizes, *out);
                 // Steady-state loop iterations overwrite the previous
-                // slice's tensor in place instead of allocating (slot
-                // tensors are uniquely owned — clones are deep). Never
-                // while tracing: the trace wants fresh value ids.
+                // slice's tensor in place instead of allocating (a
+                // slice's storage is its own unless something cloned
+                // it, and then the write copies). Never while tracing:
+                // the trace wants fresh value ids.
                 let recycled = if self.trace.is_none() && src != out {
                     match std::mem::replace(&mut self.slots[out as usize], Value::Int(0)) {
                         Value::Tensor(t) if t.shape() == sizes => Some(t),
@@ -700,18 +701,23 @@ impl<'t> TapeVm<'t> {
             Inst::WriteValue { sub, data, row_off } => {
                 let sub = self.subarray(*sub)?;
                 let row_off = self.int(*row_off)? as usize;
-                let rows = {
+                let traced = {
                     let data = self.tensor_view(*data)?;
-                    tensor_rows(&data).map_err(err)?
+                    let rows = tensor_rows(&data);
+                    machine
+                        .write_row_views(sub, row_off, &rows)
+                        .map_err(|e| err(e.message))?;
+                    self.trace
+                        .is_some()
+                        .then(|| rows.iter().map(|r| r.to_vec()).collect())
                 };
-                machine
-                    .write_rows(sub, row_off, &rows)
-                    .map_err(|e| err(e.message))?;
-                self.trace_push(|| TraceOp::Write {
-                    sub: sub.0,
-                    row_off,
-                    rows,
-                });
+                if let Some(rows) = traced {
+                    self.trace_push(|| TraceOp::Write {
+                        sub: sub.0,
+                        row_off,
+                        rows,
+                    });
+                }
             }
             Inst::Search(s) => {
                 let sub = self.subarray(s.sub)?;

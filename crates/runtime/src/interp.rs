@@ -544,13 +544,10 @@ impl<'a> Executor<'a> {
             }
             "cam.write_value" => {
                 let sub = self.get_subarray(env, self.m.operand(op, 0))?;
-                let rows = {
-                    let data = self.tensor_view(env, self.m.operand(op, 1))?;
-                    tensor_rows(&data).map_err(ExecError::new)?
-                };
+                let data = self.tensor_view(env, self.m.operand(op, 1))?;
                 let row_off = self.get_int(env, self.m.operand(op, 2))? as usize;
                 self.machine()?
-                    .write_rows(sub, row_off, &rows)
+                    .write_row_views(sub, row_off, &tensor_rows(&data))
                     .map_err(sim_err)?;
             }
             "cam.search" => self.exec_cam_search(op, env)?,

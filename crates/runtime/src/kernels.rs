@@ -13,6 +13,7 @@ use c4cam_tensor::Tensor;
 pub const DYNAMIC_OFFSET: i64 = i64::MIN;
 
 /// View `t` as rank 2, flattening rank-1 tensors into a single row.
+/// The view shares `t`'s storage; nothing is copied.
 pub fn as_rank2(t: &Tensor) -> Tensor {
     if t.rank() == 2 {
         t.clone()
@@ -22,17 +23,16 @@ pub fn as_rank2(t: &Tensor) -> Tensor {
     }
 }
 
-/// Split a (rank-1 or rank-2) tensor into row vectors for
-/// `cam.write_value`.
-///
-/// # Errors
-/// Propagates row-extraction failures from the tensor layer.
-pub fn tensor_rows(t: &Tensor) -> Result<Vec<Vec<f32>>, String> {
-    let t2 = as_rank2(t);
-    let rows = t2.shape()[0];
-    (0..rows)
-        .map(|r| t2.row(r).map(|s| s.to_vec()).map_err(|e| e.message))
-        .collect()
+/// Borrow the rows of a tensor for `cam.write_value`: a rank-2
+/// tensor's rows, any other tensor as one row (as [`as_rank2`] views
+/// it).
+pub fn tensor_rows(t: &Tensor) -> Vec<&[f32]> {
+    match *t.shape() {
+        [rows, cols] => (0..rows)
+            .map(|r| &t.data()[r * cols..(r + 1) * cols])
+            .collect(),
+        _ => vec![t.data()],
+    }
 }
 
 /// Borrow a query operand for `cam.search` without copying: row 0 of a
@@ -285,6 +285,20 @@ pub fn reduce_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rank2_views_and_rows_borrow_the_tensor() {
+        let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
+        assert!(as_rank2(&t).shares_storage(&t));
+        let v = Tensor::from_slice(&[7., 8.]);
+        let flat = as_rank2(&v);
+        assert_eq!(flat.shape(), &[1, 2]);
+        assert!(flat.shares_storage(&v));
+        let rows = tensor_rows(&t);
+        assert_eq!(rows, [&[1., 2., 3.][..], &[4., 5., 6.]]);
+        assert!(std::ptr::eq(rows[1], &t.data()[3..]));
+        assert_eq!(tensor_rows(&v), [&[7., 8.][..]]);
+    }
 
     #[test]
     fn read_tensors_pad_with_infinity_and_negative_ids() {

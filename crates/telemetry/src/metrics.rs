@@ -1,7 +1,7 @@
 //! Aggregation of recorded events into per-run metrics: phase
 //! breakdown, per-op-kind time/energy attribution with latency
-//! percentiles, and shard utilization — rendered as the `--metrics`
-//! summary tables.
+//! percentiles, shard utilization and the host-memory census —
+//! rendered as the `--metrics` summary tables.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -87,6 +87,23 @@ pub struct StageRow {
     pub count: u64,
     /// Total host time, ns.
     pub ns: f64,
+}
+
+/// Counters that attribute host memory to an owner (bytes): the run's
+/// input tensors and the device's planes. The census sets them beside
+/// [`PEAK_RSS_COUNTER`] and reports the rest as unattributed.
+pub const HOST_MEMORY_OWNERS: [&str; 2] = ["host.input_bytes", "sim.heap_bytes"];
+
+/// Counter carrying the process's peak resident set (`VmHWM`), bytes.
+pub const PEAK_RSS_COUNTER: &str = "host.vm_hwm_bytes";
+
+/// Peak resident set of this process (`VmHWM`), bytes; `None` where
+/// `/proc/self/status` does not say.
+pub fn peak_rss_bytes() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024.0)
 }
 
 /// Everything the `--metrics` renderer needs, derived from an event list.
@@ -304,7 +321,32 @@ impl MetricsReport {
                 let _ = writeln!(out, "  {name:<24} {value}");
             }
         }
+        self.render_host_memory(&mut out);
         out
+    }
+
+    fn counter(&self, name: &str) -> Option<f64> {
+        self.counters
+            .iter()
+            .find_map(|(n, v)| (n == name).then_some(*v))
+    }
+
+    /// The host-memory census, when the run recorded its peak resident
+    /// set: each owner's bytes, then what no owner accounts for.
+    fn render_host_memory(&self, out: &mut String) {
+        let Some(peak) = self.counter(PEAK_RSS_COUNTER) else {
+            return;
+        };
+        out.push_str("host memory (bytes):\n");
+        let mut attributed = 0.0;
+        for name in HOST_MEMORY_OWNERS {
+            if let Some(bytes) = self.counter(name) {
+                attributed += bytes;
+                let _ = writeln!(out, "  {name:<24} {bytes:>14}");
+            }
+        }
+        let _ = writeln!(out, "  {:<24} {:>14}", "unattributed", peak - attributed);
+        let _ = writeln!(out, "  {:<24} {peak:>14}", "VmHWM");
     }
 }
 
@@ -440,6 +482,38 @@ mod tests {
         assert!(text.contains("phase breakdown:"), "{text}");
         assert!(text.contains("Parse"), "{text}");
         assert!(text.contains("cam.search"), "{text}");
+    }
+
+    #[test]
+    fn host_memory_census_reports_what_no_owner_accounts_for() {
+        let counter = |name, value| Event::Counter {
+            name,
+            t_ns: 1,
+            value,
+        };
+        let bare = MetricsReport::from_events(&[counter("sim.heap_bytes", 10.0)]);
+        assert!(!bare.render_full(5).contains("host memory"));
+        let r = MetricsReport::from_events(&[
+            counter("sim.heap_bytes", 10.0),
+            counter("host.input_bytes", 64.0),
+            counter(PEAK_RSS_COUNTER, 1000.0),
+        ]);
+        let text = r.render_full(5);
+        let census = &text[text.find("host memory (bytes):").expect("census")..];
+        let rows: Vec<Vec<&str>> = census
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["host.input_bytes", "64"],
+                ["sim.heap_bytes", "10"],
+                ["unattributed", "926"],
+                ["VmHWM", "1000"]
+            ]
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error type for all fallible tensor operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +28,14 @@ impl fmt::Display for TensorError {
 impl Error for TensorError {}
 
 /// A dense, row-major `f32` tensor of arbitrary rank.
+///
+/// Storage is shared and copy-on-write: `clone` shares the elements in
+/// O(1), and the first write through `data_mut` or `set` to a shared
+/// tensor copies them for the writer alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -39,7 +44,7 @@ impl Tensor {
         let n = shape.iter().product();
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: Arc::new(vec![0.0; n]),
         }
     }
 
@@ -48,7 +53,7 @@ impl Tensor {
         let n = shape.iter().product();
         Tensor {
             shape,
-            data: vec![value; n],
+            data: Arc::new(vec![value; n]),
         }
     }
 
@@ -66,14 +71,17 @@ impl Tensor {
                 data.len()
             )));
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor {
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// Rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Tensor {
         Tensor {
             shape: vec![data.len()],
-            data: data.to_vec(),
+            data: Arc::new(data.to_vec()),
         }
     }
 
@@ -102,9 +110,16 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutably borrow the flat row-major data.
+    /// Mutably borrow the flat row-major data, copying it first if the
+    /// storage is shared with another tensor.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// Whether `self` and `other` read the same storage (a clone that
+    /// neither side has written since).
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Flat offset of a multi-dimensional index.
@@ -145,7 +160,7 @@ impl Tensor {
     /// Fails on rank mismatch or out-of-bounds coordinates.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
         let off = self.offset(index)?;
-        self.data[off] = value;
+        self.data_mut()[off] = value;
         Ok(())
     }
 
@@ -223,6 +238,21 @@ mod tests {
         assert!(t.row(2).is_err());
         let v = Tensor::from_slice(&[1., 2.]);
         assert!(v.row(0).is_err());
+    }
+
+    #[test]
+    fn clones_share_storage_until_written() {
+        let a = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]).unwrap();
+        let mut b = a.clone();
+        assert!(b.shares_storage(&a));
+        b.data_mut()[0] = 9.0;
+        assert!(!b.shares_storage(&a));
+        assert_eq!(a.data(), &[1., 2., 3., 4.]);
+        assert_eq!(b.data(), &[9., 2., 3., 4.]);
+        let mut c = a.clone();
+        c.set(&[1, 1], 0.0).unwrap();
+        assert!(!c.shares_storage(&a));
+        assert_eq!(a.get(&[1, 1]).unwrap(), 4.0);
     }
 
     #[test]

@@ -102,6 +102,37 @@ impl KnnDataset {
         dist.into_iter().take(k).map(|(_, i)| i).collect()
     }
 
+    /// The nearest training pattern of every query: the top-1 of
+    /// [`KnnDataset::nearest_cpu`], computed as a popcount over
+    /// bit-packed rows. On 0/1 features the squared Euclidean distance
+    /// is the Hamming distance, an integer, so the answer is exact and
+    /// ties still go to the lowest index.
+    ///
+    /// # Panics
+    /// Panics if a feature is not 0 or 1, or there are no training
+    /// patterns.
+    pub fn nearest_labels(&self) -> Vec<usize> {
+        let train = BitRows::pack(&self.train).expect("kNN training features are 0 or 1");
+        let queries = BitRows::pack(&self.queries).expect("kNN query features are 0 or 1");
+        queries
+            .rows()
+            .map(|q| {
+                train
+                    .rows()
+                    .map(|r| {
+                        q.iter()
+                            .zip(r)
+                            .map(|(a, b)| (a ^ b).count_ones())
+                            .sum::<u32>()
+                    })
+                    .enumerate()
+                    .min_by_key(|&(_, d)| d)
+                    .map(|(i, _)| i)
+                    .expect("no training patterns")
+            })
+            .collect()
+    }
+
     /// Majority-vote classification of query `q` among its `k` nearest.
     pub fn classify_cpu(&self, q: usize, k: usize) -> usize {
         let mut votes = vec![0usize; self.classes];
@@ -121,6 +152,39 @@ impl KnnDataset {
         (0..self.queries.shape()[0])
             .map(|q| self.classify_cpu(q, k))
             .collect()
+    }
+}
+
+/// The rows of a 0/1 rank-2 tensor, 64 features to a word.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    /// `None` when a value is neither 0 nor 1.
+    fn pack(t: &Tensor) -> Option<BitRows> {
+        let dims = t.shape()[1];
+        let words = dims.div_ceil(64);
+        let mut bits = Vec::with_capacity(t.shape()[0] * words);
+        for row in t.data().chunks_exact(dims.max(1)) {
+            for chunk in row.chunks(64) {
+                let mut word = 0u64;
+                for (j, &v) in chunk.iter().enumerate() {
+                    match v {
+                        0.0 => {}
+                        1.0 => word |= 1 << j,
+                        _ => return None,
+                    }
+                }
+                bits.push(word);
+            }
+        }
+        Some(BitRows { words, bits })
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        self.bits.chunks_exact(self.words.max(1))
     }
 }
 
@@ -151,6 +215,14 @@ mod tests {
         assert_eq!(nn.len(), 7);
         // First neighbour should share the query's class on clean data.
         assert_eq!(d.train_labels[nn[0]], d.query_labels[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 or 1")]
+    fn packed_labels_reject_non_binary_features() {
+        let mut d = KnnDataset::synthetic(4, 8, 2, 1, 0.1, 1);
+        d.train.data_mut()[3] = 0.5;
+        d.nearest_labels();
     }
 
     #[test]

@@ -64,6 +64,20 @@ pub struct WorkloadInputs {
     pub labels: Vec<usize>,
 }
 
+impl WorkloadInputs {
+    /// Host bytes the stored and query tensors hold, a storage the two
+    /// share counted once.
+    pub fn input_bytes(&self) -> usize {
+        let bytes = |t: &Tensor| std::mem::size_of_val(t.data());
+        let queries = if self.queries.shares_storage(&self.stored) {
+            0
+        } else {
+            bytes(&self.queries)
+        };
+        bytes(&self.stored) + queries
+    }
+}
+
 /// An experiment workload: the application side of a driver run.
 ///
 /// The architecture is a *parameter* of every data-producing method
@@ -299,11 +313,8 @@ impl Workload for KnnWorkload {
 
     fn inputs(&self, _spec: &ArchSpec) -> WorkloadInputs {
         let data = self.dataset();
-        // Ground truth: nearest stored pattern per query (top-1 of the
-        // CPU reference).
-        let labels = (0..self.queries)
-            .map(|q| data.nearest_cpu(q, 1)[0])
-            .collect();
+        // Ground truth: nearest stored pattern per query.
+        let labels = data.nearest_labels();
         WorkloadInputs {
             stored: data.train,
             queries: data.queries,
@@ -545,12 +556,33 @@ mod tests {
     }
 
     #[test]
+    fn input_bytes_count_each_storage_once() {
+        let stored = Tensor::zeros(vec![3, 4]);
+        let mut inputs = WorkloadInputs {
+            queries: Tensor::zeros(vec![2, 4]),
+            stored: stored.clone(),
+            labels: Vec::new(),
+        };
+        assert_eq!(inputs.input_bytes(), 4 * (12 + 8));
+        inputs.queries = stored;
+        assert_eq!(inputs.input_bytes(), 4 * 12);
+    }
+
+    #[test]
     fn hdc_module_entry_is_forward() {
         let w = HdcWorkload::paper(4);
         let m = w.build_module(&spec(1));
         assert_eq!(m.func, "forward");
         assert_eq!(m.arg_order, ArgOrder::QueriesThenStored);
         assert!(m.module.lookup_symbol("forward").is_some());
+    }
+
+    /// `inputs(..).labels` is the CPU reference's top-1, query by query.
+    fn assert_labels_are_cpu_nearest(w: &KnnWorkload) {
+        let inputs = w.inputs(&spec(1));
+        let data = w.dataset();
+        let want: Vec<usize> = (0..w.queries).map(|q| data.nearest_cpu(q, 1)[0]).collect();
+        assert_eq!(inputs.labels, want, "{w:?}");
     }
 
     #[test]
@@ -566,13 +598,32 @@ mod tests {
         let inputs = w.inputs(&spec(1));
         assert_eq!(inputs.stored.shape(), &[32, 48]);
         assert_eq!(inputs.queries.shape(), &[5, 48]);
-        let data = w.dataset();
-        for (q, &label) in inputs.labels.iter().enumerate() {
-            assert_eq!(label, data.nearest_cpu(q, 1)[0]);
+        // 65 and 129 features leave one bit in the last packed word; few
+        // features over many patterns force distance ties.
+        for (patterns, dims, seed) in [
+            (32, 48, 3),
+            (40, 65, 1),
+            (64, 7, 2),
+            (96, 129, 5),
+            (50, 3, 9),
+        ] {
+            assert_labels_are_cpu_nearest(&KnnWorkload {
+                patterns,
+                dims,
+                queries: 9,
+                k: 1,
+                noise: 0.3,
+                seed,
+            });
         }
         let m = w.build_module(&spec(1));
         assert_eq!(m.func, "knn");
         assert_eq!(m.arg_order, ArgOrder::StoredThenQueries);
+    }
+
+    #[test]
+    fn knn_labels_are_cpu_nearest_at_paper_scale() {
+        assert_labels_are_cpu_nearest(&KnnWorkload::paper(3));
     }
 
     #[test]

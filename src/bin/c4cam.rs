@@ -10,6 +10,7 @@
 //! scripts can tell a typo from a real failure.
 
 use c4cam::cli;
+use std::io::{self, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,7 +22,18 @@ fn main() {
         }
     };
     match cli::execute(&command) {
-        Ok(output) => println!("{output}"),
+        Ok(output) => {
+            let mut stdout = io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                // A reader that stops early (`c4cam help | head -1`)
+                // ends the report, not the command.
+                Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing the report: {e}");
+                    std::process::exit(1);
+                }
+                _ => {}
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

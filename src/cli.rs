@@ -35,7 +35,7 @@ use c4cam_server::{AdmissionConfig, LoadMode, LoadgenConfig, ServeConfig};
 use c4cam_telemetry::export::chrome_trace;
 use c4cam_telemetry::json;
 use c4cam_telemetry::log::LogLevel;
-use c4cam_telemetry::metrics::MetricsReport;
+use c4cam_telemetry::metrics::{peak_rss_bytes, MetricsReport, PEAK_RSS_COUNTER};
 use c4cam_telemetry::{log as tlog, CollectingRecorder, Phase, Telemetry};
 use c4cam_tensor::Tensor;
 use c4cam_workloads::{DtreeWorkload, GpuComparisonWorkload, HdcWorkload, KnnWorkload, Workload};
@@ -1475,12 +1475,21 @@ pub fn run_dataset(args: &DatasetRunArgs, telemetry: &Telemetry) -> Result<Strin
         Some(path) => load_arch(path)?,
         None => ArchSpec::default(),
     };
-    let outcome = Experiment::new(&workload)
+    let compiled = Experiment::new(&workload)
         .arch(spec)
         .backend(args.engine.as_str())
         .threads(args.threads)
         .telemetry(telemetry.clone())
-        .run()?;
+        .compile()?;
+    let outcome = compiled.run()?;
+    if telemetry.enabled() {
+        // The host-memory census (`--metrics full`): owners' bytes
+        // beside the peak resident set they are part of.
+        telemetry.counter("host.input_bytes", compiled.input_bytes() as f64);
+        if let Some(peak) = peak_rss_bytes() {
+            telemetry.counter(PEAK_RSS_COUNTER, peak);
+        }
+    }
     let accuracy = workload.class_accuracy(&outcome.predictions);
     Ok(match args.format {
         OutputFormat::Text => format!(
@@ -1582,8 +1591,8 @@ pub fn run_serve(args: &ServeArgs, telemetry: &Telemetry) -> Result<String, CliE
     };
     let report = c4cam_server::serve(&cfg, Arc::new(source), |bound| {
         use std::io::Write as _;
-        println!("listening on {bound}");
-        let _ = std::io::stdout().flush();
+        let mut stdout = std::io::stdout().lock();
+        let _ = writeln!(stdout, "listening on {bound}").and_then(|()| stdout.flush());
     })
     .map_err(cli_err)?;
     Ok(report.summary())

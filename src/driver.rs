@@ -671,6 +671,12 @@ impl CompiledExperiment {
         self
     }
 
+    /// Host bytes of the workload's input tensors, each distinct
+    /// storage once ([`WorkloadInputs::input_bytes`]).
+    pub fn input_bytes(&self) -> usize {
+        self.inputs.input_bytes()
+    }
+
     /// Execute the compiled plan against the workload's own inputs.
     ///
     /// # Errors

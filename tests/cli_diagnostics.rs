@@ -207,6 +207,83 @@ fn every_command_prints_its_own_synopsis_on_help() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown command"));
 }
 
+/// A reader that closes before the report is written (`c4cam help |
+/// head -0`) ends the report quietly: exit 0, nothing on stderr.
+#[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    let dataset = fixture_path();
+    let sweep = [
+        "sweep",
+        "--dataset",
+        &dataset,
+        "--limit",
+        "4",
+        "--subarrays",
+        "32",
+        "--opts",
+        "base",
+        "--format",
+        "csv",
+    ];
+    for args in [&["help"][..], &sweep] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_c4cam"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn c4cam");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(out.stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+/// `--metrics full` attributes host memory: the input tensors' bytes
+/// (4 per stored and query element), the planes, and what neither
+/// accounts for of the peak resident set.
+#[test]
+fn full_metrics_attribute_host_memory_to_the_inputs() {
+    let dataset = fixture_path();
+    let report = stdout_of(&[
+        "run",
+        "--dataset",
+        &dataset,
+        "--workload",
+        "knn",
+        "--metrics",
+        "full",
+    ]);
+    // "dataset mini-mnist (dataset-knn): 192 stored rows x 64 dims, 64 queries"
+    let sizes: Vec<usize> = report
+        .lines()
+        .next()
+        .and_then(|l| l.split_once("): "))
+        .map(|(_, tail)| {
+            tail.split(|c: char| !c.is_ascii_digit())
+                .filter_map(|w| w.parse().ok())
+                .collect()
+        })
+        .expect("a size line");
+    let [stored, dims, queries] = sizes[..] else {
+        panic!("{report}");
+    };
+    let census = &report[report.find("host memory (bytes):").expect(&report)..];
+    let row = |name: &str| -> f64 {
+        census
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {name} row in {census}"))
+    };
+    assert_eq!(
+        row("host.input_bytes"),
+        (4 * (stored + queries) * dims) as f64
+    );
+    let attributed = row("host.input_bytes") + row("sim.heap_bytes");
+    assert_eq!(row("unattributed"), row("VmHWM") - attributed);
+}
+
 fn stdout_of(args: &[&str]) -> String {
     let out = c4cam(args);
     assert_eq!(
