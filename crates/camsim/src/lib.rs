@@ -68,4 +68,7 @@ pub use machine::{
     ArrayId, BankId, CamMachine, MatId, SearchPath, SearchSpec, SimError, SubarrayId,
 };
 pub use stats::ExecStats;
-pub use subarray::{resolve_tier, KernelTier, RowSelection, SearchResult, SearchScratch, Subarray};
+pub use subarray::{
+    resolve_tier, KernelTier, MergeInto, QueryWindows, RowSelection, SearchResult, SearchScratch,
+    Subarray,
+};

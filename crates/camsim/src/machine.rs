@@ -7,7 +7,9 @@
 
 use crate::ledger::CostLedger;
 use crate::stats::ExecStats;
-use crate::subarray::{KernelTier, RowSelection, SearchResult, SearchScratch, Subarray};
+use crate::subarray::{
+    KernelTier, MergeInto, QueryWindows, RowSelection, SearchResult, SearchScratch, Subarray,
+};
 use c4cam_arch::tech::{Level, TechnologyModel};
 use c4cam_arch::{ArchSpec, MatchKind, Metric};
 use c4cam_faults::{FaultConfig, SubarrayFaults};
@@ -476,6 +478,42 @@ impl CamMachine {
                 .search(active_rows, sub.last_searched_words(), &spec, votes);
         }
         Ok(sub.last_result().expect("search stored a result"))
+    }
+
+    /// Search subarray `id` once per query row of `rows` and add each
+    /// query's distances straight into its accumulator row
+    /// ([`Subarray::search_merge_block`]): `cam.search`, `cam.read` and
+    /// `cam.merge_partial_subarray` for a block of queries in one call.
+    ///
+    /// Only a functional machine on the packed path serves a block. A
+    /// charging machine's `f64` cost totals depend on the order its
+    /// searches are charged in, so its searches go one at a time. Returns
+    /// `false`, having written nothing, when the block is not served
+    /// here; the caller then takes the per-query calls, which report
+    /// any failure.
+    pub fn search_merge_block(
+        &mut self,
+        id: SubarrayId,
+        spec: SearchSpec,
+        queries: &QueryWindows,
+        rows: &[usize],
+        into: MergeInto,
+    ) -> bool {
+        if self.charging || self.search_path != SearchPath::Packed {
+            return false;
+        }
+        let Some(sub) = self.subs.get_mut(id.0) else {
+            return false;
+        };
+        sub.search_merge_block(
+            queries,
+            rows,
+            spec.metric,
+            spec.selection,
+            self.wta_window,
+            into,
+            &mut self.scratch,
+        )
     }
 
     /// Read back the latest search result (`cam.read`) as a borrowed

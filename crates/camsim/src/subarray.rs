@@ -330,7 +330,7 @@ const ROUND_TO_INT: f32 = 12_582_912.0;
 //
 // The tier is resolved once per search (`env_tier`, a cached load) and
 // dispatched once per search at the whole row-sweep level
-// (`Subarray::sweep_rows`): the `#[target_feature]` wrappers wrap the
+// (`Subarray::on_tier`): the `#[target_feature]` wrappers wrap the
 // entire row loop, so these bodies inline into it and rows of a few
 // plane words pay no per-row call or dispatch overhead.
 // ---------------------------------------------------------------------
@@ -592,8 +592,214 @@ fn pack_word(bytes: &[u8]) -> u64 {
     word
 }
 
+/// Pack `query` into `scratch` for rows of the kinds `(binary,
+/// levels)` under `metric`, once per search. Returns whether a
+/// Euclidean search accumulates in exact integers.
+#[inline(always)]
+fn pack_query(
+    query: &[f32],
+    metric: Metric,
+    (has_binary, has_levels): (bool, bool),
+    scratch: &mut SearchScratch,
+) -> bool {
+    let qlen = query.len();
+    let mut int_mode = false;
+    match metric {
+        Metric::Hamming | Metric::Dot => {
+            if has_binary {
+                // Eight columns per multiply, as the planes are packed.
+                scratch.qbits.clear();
+                let mut bytes = [0u8; 64];
+                for chunk in query.chunks(64) {
+                    for (b, &q) in bytes.iter_mut().zip(chunk) {
+                        *b = u8::from(q != 0.0);
+                    }
+                    scratch.qbits.push(pack_word(&bytes[..chunk.len()]));
+                }
+            }
+            if has_levels {
+                scratch.qlvl8.clear();
+                scratch.qvalid.clear();
+                for &q in query {
+                    // Exactly the naive `Multi` comparison: the
+                    // rounded query as i64 (NaN → 0, ±inf saturate)
+                    // equals a stored u8 level iff it is in range.
+                    let l = q.round() as i64;
+                    scratch.qlvl8.push(l.clamp(0, 255) as u8);
+                    scratch.qvalid.push(u8::from((0..=255).contains(&l)));
+                }
+            }
+        }
+        Metric::Euclidean => {
+            if has_binary || has_levels {
+                // The packing runs per search, so its passes are
+                // written to vectorize on the SSE2 baseline: no
+                // branches and no saturating float → int casts. Inside
+                // the bound, `q + ROUND_TO_INT − ROUND_TO_INT` is `q`
+                // rounded to an integer, so the round trip is
+                // `q.fract() == 0.0` (NaN and −0.0 included); and the
+                // bits of `|q|` order as its values do.
+                let (mut fractional, mut max_bits) = (0u32, 0u32);
+                for &q in query {
+                    let a = q.abs();
+                    let integral =
+                        (a <= INT_QUERY_BOUND as f32) & ((q + ROUND_TO_INT) - ROUND_TO_INT == q);
+                    fractional |= u32::from(!integral);
+                    max_bits = max_bits.max(a.to_bits());
+                }
+                let maxq = f32::from_bits(max_bits);
+                // The u64 accumulator and the final f64 convert
+                // are exact only below 2^53.
+                let maxd = f64::from(maxq) + 255.0;
+                int_mode = fractional == 0 && (qlen as f64) * maxd * maxd < 2f64.powi(53);
+                scratch.qint.clear();
+                scratch.qint16.clear();
+                if int_mode && maxq <= 1024.0 {
+                    // The low 16 bits of `q + ROUND_TO_INT` are `q`.
+                    let q16 = query.iter().map(|&q| (q + ROUND_TO_INT).to_bits() as i16);
+                    scratch.qint16.extend(q16);
+                    // A 1024-cell block of squares sums in `i32`.
+                    let square = |&q: &i16| i32::from(q) * i32::from(q);
+                    let blocks = scratch.qint16.chunks(1024);
+                    scratch.qsq = blocks
+                        .map(|b| i64::from(b.iter().map(square).sum::<i32>()))
+                        .sum();
+                } else if int_mode {
+                    scratch.qint.extend(query.iter().map(|&q| q as i64));
+                }
+                if !int_mode && has_binary {
+                    scratch.sq0.clear();
+                    scratch.sq1.clear();
+                    for &q in query {
+                        let d = f64::from(q);
+                        scratch.sq0.push(d * d);
+                        let d = f64::from(q) - 1.0;
+                        scratch.sq1.push(d * d);
+                    }
+                }
+            }
+        }
+    }
+    int_mode
+}
+
+/// Where a row sweep puts each participating row's distance: a
+/// [`SearchResult`] (one search), or one query's accumulator row (a
+/// block search). The sweep bodies are written once, over this.
+trait RowSink {
+    /// One past the last row this sink keeps: a sweep may stop there.
+    fn end(&self) -> usize;
+    /// Room for `rows` more distances.
+    fn reserve(&mut self, rows: usize);
+    /// Row `r` participated at distance `dist`; rows arrive ascending.
+    fn put(&mut self, r: usize, dist: f64);
+}
+
+impl RowSink for SearchResult {
+    fn end(&self) -> usize {
+        usize::MAX
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.rows.reserve(rows);
+        self.distances.reserve(rows);
+    }
+
+    #[inline(always)]
+    fn put(&mut self, r: usize, dist: f64) {
+        self.rows.push(r);
+        self.distances.push(dist);
+    }
+}
+
+/// One query's accumulator row in a block search: a participating row
+/// `r` up to `last` (the last of the merged rows) adds its distance,
+/// rounded to `f32` as the read-back does, at column `r + offset`.
+/// The block checked every such column against the row beforehand.
+struct MergeRow<'a> {
+    row: &'a mut [f32],
+    offset: isize,
+    last: usize,
+}
+
+impl RowSink for MergeRow<'_> {
+    #[inline(always)]
+    fn end(&self) -> usize {
+        self.last + 1
+    }
+
+    fn reserve(&mut self, _rows: usize) {}
+
+    #[inline(always)]
+    fn put(&mut self, r: usize, dist: f64) {
+        if r <= self.last {
+            self.row[(r as isize + self.offset) as usize] += dist as f32;
+        }
+    }
+}
+
+/// The queries of a block search: query `q`'s window is columns
+/// `col..col + width` of row `q` of a row-major `rows × cols` tensor,
+/// zero-filled where it runs past the tensor (the padded tail chunk of
+/// a query that does not divide into windows).
+#[derive(Debug, Clone, Copy)]
+pub struct QueryWindows<'a> {
+    /// The query tensor's elements, row-major.
+    pub data: &'a [f32],
+    /// Rows of the query tensor.
+    pub rows: usize,
+    /// Columns of the query tensor.
+    pub cols: usize,
+    /// First column of every window.
+    pub col: usize,
+    /// Columns per window.
+    pub width: usize,
+}
+
+impl<'a> QueryWindows<'a> {
+    /// Query `q`'s window: borrowed in place when the tensor holds all
+    /// of it, else copied into `pad` with zeros beyond the tensor.
+    #[inline]
+    pub fn window<'s>(&self, q: usize, pad: &'s mut Vec<f32>) -> &'s [f32]
+    where
+        'a: 's,
+    {
+        let end = self.col.saturating_add(self.width);
+        if q < self.rows && end <= self.cols {
+            let start = q * self.cols;
+            return &self.data[start + self.col..start + end];
+        }
+        pad.clear();
+        pad.resize(self.width, 0.0);
+        if q < self.rows && self.col < self.cols {
+            let have = self.cols - self.col;
+            pad[..have].copy_from_slice(&self.data[q * self.cols + self.col..][..have]);
+        }
+        pad
+    }
+}
+
+/// The accumulator of a block search: `rows × cols`, row-major. Query
+/// `q`'s distances are added into row `q` as `cam.read` followed by
+/// `cam.merge_partial_subarray` would add them: the first `declared`
+/// participating rows, row `r` at column `r + offset`.
+#[derive(Debug)]
+pub struct MergeInto<'a> {
+    /// The accumulator's elements, row-major.
+    pub acc: &'a mut [f32],
+    /// Rows of the accumulator.
+    pub rows: usize,
+    /// Columns of the accumulator.
+    pub cols: usize,
+    /// Column of stored row 0.
+    pub offset: i64,
+    /// Elements the read declares: rows past the first `declared` are
+    /// not merged.
+    pub declared: usize,
+}
+
 /// Everything one row sweep works on besides the subarray itself.
-struct Sweep<'a> {
+struct Sweep<'a, S: RowSink> {
     window: std::ops::Range<usize>,
     query: &'a [f32],
     metric: Metric,
@@ -603,7 +809,71 @@ struct Sweep<'a> {
     qh: Option<u64>,
     faults: &'a mut Option<Box<SubarrayFaults>>,
     scratch: &'a SearchScratch,
-    result: &'a mut SearchResult,
+    out: &'a mut S,
+}
+
+/// Work dispatched once on a kernel tier: its `run` inlines into that
+/// tier's `#[target_feature]` wrapper (`Subarray::on_tier`), so the
+/// small row kernels inline into it too and pay no per-row call.
+trait TierJob {
+    type Out;
+    fn run(self, sub: &Subarray, tier: KernelTier) -> Self::Out;
+}
+
+impl<S: RowSink> TierJob for Sweep<'_, S> {
+    type Out = (u64, Option<f64>);
+
+    #[inline(always)]
+    fn run(self, sub: &Subarray, tier: KernelTier) -> Self::Out {
+        sub.sweep_rows_body(self, tier)
+    }
+}
+
+/// A block search's sweeps, all on one tier dispatch: each query is
+/// packed and swept straight into its accumulator row.
+struct BlockSweep<'a> {
+    queries: &'a QueryWindows<'a>,
+    rows: &'a [usize],
+    window: std::ops::Range<usize>,
+    /// The window's row kinds, `(binary, levels)`.
+    kinds: (bool, bool),
+    metric: Metric,
+    wta: Option<u32>,
+    /// The last merged row.
+    last: usize,
+    into: MergeInto<'a>,
+    scratch: &'a mut SearchScratch,
+}
+
+impl TierJob for BlockSweep<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, sub: &Subarray, tier: KernelTier) {
+        let (cols, offset) = (self.into.cols, self.into.offset as isize);
+        let (mut pad, mut faults) = (Vec::new(), None);
+        for &q in self.rows {
+            let query = self.queries.window(q, &mut pad);
+            let int_mode = pack_query(query, self.metric, self.kinds, self.scratch);
+            let mut sink = MergeRow {
+                row: &mut self.into.acc[q * cols..(q + 1) * cols],
+                offset,
+                last: self.last,
+            };
+            let sweep = Sweep {
+                window: self.window.clone(),
+                query,
+                metric: self.metric,
+                int_mode,
+                wta: self.wta,
+                qh: None,
+                faults: &mut faults,
+                scratch: self.scratch,
+                out: &mut sink,
+            };
+            sub.sweep_rows_body(sweep, tier);
+        }
+    }
 }
 
 /// A single `rows × cols` CAM subarray.
@@ -1025,7 +1295,7 @@ impl Subarray {
     /// Whether `sw` can take [`Subarray::sweep_dense`]: exact-integer
     /// small-magnitude Euclidean over the full window of a subarray whose
     /// rows are all valid and packed, with no transient draw to make.
-    fn dense_sweep_applies(&self, sw: &Sweep) -> bool {
+    fn dense_sweep_applies<S: RowSink>(&self, sw: &Sweep<S>) -> bool {
         sw.int_mode
             && sw.qh.is_none()
             && sw.scratch.qint16.len() == sw.query.len()
@@ -1068,39 +1338,44 @@ impl Subarray {
         Some(level_sq)
     }
 
-    /// The dense sweep: every row participates, so `rows` is `0..R` and
-    /// distances land by index, [`Subarray::dense_row`] by row. On the
-    /// AVX-512 tier a block of [`BLOCK_ROWS`] rows that all expand their
-    /// squares takes [`euclid_dense_block`] instead. The integer minimum
-    /// rides along, so `Best` needs no second fold. The work count is the
-    /// generic sweep's.
+    /// The dense sweep: every row participates, in blocks of
+    /// [`BLOCK_ROWS`], [`Subarray::dense_row`] by row. On the AVX-512
+    /// tier a whole block of rows that all expand their squares takes
+    /// [`euclid_dense_block`] instead. The integer minimum rides along,
+    /// so `Best` needs no second fold. The work count is the generic
+    /// sweep's.
     #[inline(always)]
-    fn sweep_dense(&self, sw: Sweep, tier: KernelTier) -> (u64, Option<f64>) {
+    fn sweep_dense<S: RowSink>(&self, sw: Sweep<S>, tier: KernelTier) -> (u64, Option<f64>) {
         let (qlen, cols, scratch) = (sw.query.len(), self.cols, sw.scratch);
         let mut min = u64::MAX;
-        sw.result.rows.extend(0..self.rows);
-        sw.result.distances.resize(self.rows, 0.0);
+        sw.out.reserve(self.rows);
         #[cfg(not(target_arch = "x86_64"))]
         let _ = tier;
-        // A plain loop, not `extend(map(..))`: a closure handed to the
+        // Plain loops, not `extend(map(..))`: a closure handed to the
         // out-of-line `extend` would lose this tier's target features.
-        for (b, out) in sw.result.distances.chunks_mut(BLOCK_ROWS).enumerate() {
-            let r0 = b * BLOCK_ROWS;
+        let end = self.rows.min(sw.out.end());
+        for r0 in (0..end).step_by(BLOCK_ROWS) {
             #[cfg(target_arch = "x86_64")]
-            if tier == KernelTier::Avx512 && out.len() == BLOCK_ROWS {
+            if tier == KernelTier::Avx512 && r0 + BLOCK_ROWS <= self.rows {
                 if let Some(level_sq) = self.block_level_sq(r0, qlen) {
                     let lv = &self.levels[r0 * cols..(r0 + BLOCK_ROWS) * cols];
                     let (q, qsq) = (&scratch.qint16, scratch.qsq);
+                    let mut out = [0.0; BLOCK_ROWS];
                     // SAFETY: tier resolution verified the AVX-512
                     // features; the kernel asserts its slice bounds.
-                    min = min.min(unsafe { euclid_dense_block(lv, cols, q, qsq, &level_sq, out) });
+                    let least =
+                        unsafe { euclid_dense_block(lv, cols, q, qsq, &level_sq, &mut out) };
+                    min = min.min(least);
+                    for (i, &d) in out.iter().enumerate() {
+                        sw.out.put(r0 + i, d);
+                    }
                     continue;
                 }
             }
-            for (i, d) in out.iter_mut().enumerate() {
-                let dist = self.dense_row(r0 + i, qlen, scratch);
+            for r in r0..end.min(r0 + BLOCK_ROWS) {
+                let dist = self.dense_row(r, qlen, scratch);
                 min = min.min(dist);
-                *d = dist as f64;
+                sw.out.put(r, dist as f64);
             }
         }
         let words = self.kind_mix[RowKind::Binary as usize] * qlen.div_ceil(64)
@@ -1111,7 +1386,7 @@ impl Subarray {
     /// Whether `sw` can take [`Subarray::sweep_binary`]: Hamming or Dot
     /// over the full window of a subarray whose programmed rows are all
     /// [`RowKind::Binary`], with no transient draw to make.
-    fn binary_sweep_applies(&self, sw: &Sweep) -> bool {
+    fn binary_sweep_applies<S: RowSink>(&self, sw: &Sweep<S>) -> bool {
         matches!(sw.metric, Metric::Hamming | Metric::Dot)
             && sw.qh.is_none()
             && sw.window == (0..self.rows)
@@ -1126,7 +1401,7 @@ impl Subarray {
     /// count gives the least distance. The work count is the generic
     /// sweep's.
     #[inline(always)]
-    fn sweep_binary(&self, sw: Sweep) -> (u64, Option<f64>) {
+    fn sweep_binary<S: RowSink>(&self, sw: Sweep<S>) -> (u64, Option<f64>) {
         let qlen = sw.query.len();
         let (words, wpr) = (qlen.div_ceil(64), self.words_per_row);
         let dot = sw.metric == Metric::Dot;
@@ -1134,11 +1409,12 @@ impl Subarray {
             Some(window) if !dot => u64::from(window),
             _ => u64::MAX,
         };
+        // Counts are at most `qlen`, so the signed conversion is exact.
         let distance = |m: u64| {
             if dot {
-                -((qlen as u64 - m) as f64)
+                -((qlen as u64 - m) as i64 as f64)
             } else {
-                m as f64
+                m as i64 as f64
             }
         };
         let n = self.kind_mix[RowKind::Binary as usize];
@@ -1146,39 +1422,46 @@ impl Subarray {
             return (0, None); // the query was not packed
         }
         let qbits = &sw.scratch.qbits[..words];
-        sw.result.rows.reserve(n);
-        sw.result.distances.reserve(n);
+        sw.out.reserve(n);
         let mut min = u64::MAX;
-        // A plain loop, as in `sweep_dense`: the body must stay inside
-        // this tier's target features.
-        for r in 0..self.rows {
+        // A plain loop with the row fold spelled out in it, as in
+        // `sweep_dense`: a closure would be compiled without this tier's
+        // target features, and called per row.
+        let end = self.rows.min(sw.out.end());
+        for r in 0..end {
             if !self.valid[r] {
                 continue;
             }
-            let at = r * wpr..r * wpr + words;
-            let m = mismatch_binary_body(&self.bits[at.clone()], &self.care[at], qbits, qlen);
+            let m = if let [q] = *qbits {
+                // One word per row: the common narrow subarray.
+                let mask = u64::MAX >> (64 - qlen);
+                u64::from(((self.bits[r * wpr] ^ q) & self.care[r * wpr] & mask).count_ones())
+            } else {
+                let at = r * wpr..r * wpr + words;
+                mismatch_binary_body(&self.bits[at.clone()], &self.care[at], qbits, qlen)
+            };
             let m = m.min(clamp);
             min = min.min(m);
-            sw.result.rows.push(r);
-            sw.result.distances.push(distance(m));
+            sw.out.put(r, distance(m));
         }
         ((n * words) as u64, Some(distance(min)))
     }
 
     /// One whole-window row sweep: distances, the WTA clamp, transient
-    /// fault penalties, work accounting and the result pushes. Returns
+    /// fault penalties, work accounting and the sink's puts. Returns
     /// the plane words visited and, when the sweep already knows it,
-    /// the minimum distance.
+    /// the minimum distance. A sweep may stop at the sink's end, and
+    /// then both describe the rows it swept only.
     ///
-    /// The body is wrapped per kernel tier (`sweep_rows_avx2` /
-    /// `sweep_rows_avx512` below), so the tier is dispatched **once per
-    /// search** and the tiny per-row kernels inline straight into the
+    /// The body is wrapped per kernel tier (`on_avx2` / `on_avx512`
+    /// below), so the tier is dispatched **once per search**, or once
+    /// per block of them, and the tiny per-row kernels inline straight into the
     /// loop — rows of one to four plane words pay no per-row call or
     /// dispatch overhead. The `f64` fallbacks stay bit-identical under
     /// wider features: Rust emits no fast-math flags, so LLVM cannot
     /// contract or reassociate the float sums.
     #[inline(always)]
-    fn sweep_rows_body(&self, sw: Sweep, tier: KernelTier) -> (u64, Option<f64>) {
+    fn sweep_rows_body<S: RowSink>(&self, sw: Sweep<S>, tier: KernelTier) -> (u64, Option<f64>) {
         if self.dense_sweep_applies(&sw) {
             return self.sweep_dense(sw, tier);
         }
@@ -1193,7 +1476,7 @@ impl Subarray {
             0 => 0,
             _ => self.other_offset(sw.window.start),
         };
-        for r in sw.window {
+        for r in sw.window.start..sw.window.end.min(sw.out.end()) {
             if !self.valid[r] {
                 continue;
             }
@@ -1250,34 +1533,47 @@ impl Subarray {
                 RowKind::Levels => qlen.div_ceil(8) as u64,
                 RowKind::Other => qlen as u64,
             };
-            sw.result.rows.push(r);
-            sw.result.distances.push(dist);
+            sw.out.put(r, dist);
         }
         (words, None)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn sweep_rows_avx2(&self, sweep: Sweep) -> (u64, Option<f64>) {
-        self.sweep_rows_body(sweep, KernelTier::Avx2)
+    unsafe fn on_avx2<J: TierJob>(&self, job: J) -> J::Out {
+        job.run(self, KernelTier::Avx2)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt")]
-    unsafe fn sweep_rows_avx512(&self, sweep: Sweep) -> (u64, Option<f64>) {
-        self.sweep_rows_body(sweep, KernelTier::Avx512)
+    unsafe fn on_avx512<J: TierJob>(&self, job: J) -> J::Out {
+        job.run(self, KernelTier::Avx512)
     }
 
-    /// Dispatch the row sweep once on the resolved kernel tier.
-    fn sweep_rows(&self, tier: KernelTier, sweep: Sweep) -> (u64, Option<f64>) {
+    /// Dispatch `job` once on the resolved kernel tier.
+    fn on_tier<J: TierJob>(&self, tier: KernelTier, job: J) -> J::Out {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier resolution verified the target features at startup.
         match tier {
-            KernelTier::Avx512 => return unsafe { self.sweep_rows_avx512(sweep) },
-            KernelTier::Avx2 => return unsafe { self.sweep_rows_avx2(sweep) },
+            KernelTier::Avx512 => return unsafe { self.on_avx512(job) },
+            KernelTier::Avx2 => return unsafe { self.on_avx2(job) },
             KernelTier::Scalar => {}
         }
-        self.sweep_rows_body(sweep, tier)
+        job.run(self, tier)
+    }
+
+    /// Whether the valid rows of `window` hold binary and multi-bit
+    /// rows: what a query must be packed for. A full window reads the
+    /// write-time kind counts; a selective one scans its row range.
+    fn window_kinds(&self, window: &std::ops::Range<usize>) -> (bool, bool) {
+        if *window == (0..self.rows) {
+            let any = |kind| self.kind_mix[kind as usize] > 0;
+            return (any(RowKind::Binary), any(RowKind::Levels));
+        }
+        let kinds = window.clone().filter(|&r| self.valid[r]);
+        let kinds = kinds.map(|r| self.kinds[r]);
+        let has = |kind| kinds.clone().any(|k| k == kind);
+        (has(RowKind::Binary), has(RowKind::Levels))
     }
 
     /// Search all selected valid rows against `query` using the packed
@@ -1310,94 +1606,8 @@ impl Subarray {
             Some(t) => t,
             None => env_tier().clone()?,
         };
-        let qlen = query.len();
         let window = selection.range(self.rows);
-        // Full-window searches (the common case) read the write-time
-        // kind counts; selective windows still scan their row range.
-        let (has_binary, has_levels) = if window == (0..self.rows) {
-            let any = |kind| self.kind_mix[kind as usize] > 0;
-            (any(RowKind::Binary), any(RowKind::Levels))
-        } else {
-            let kinds = window.clone().filter(|&r| self.valid[r]);
-            let kinds = kinds.map(|r| self.kinds[r]);
-            let has = |kind| kinds.clone().any(|k| k == kind);
-            (has(RowKind::Binary), has(RowKind::Levels))
-        };
-
-        // Pack the query once, per what the selected rows need.
-        let mut int_mode = false;
-        match metric {
-            Metric::Hamming | Metric::Dot => {
-                if has_binary {
-                    scratch.qbits.clear();
-                    scratch.qbits.resize(qlen.div_ceil(64), 0);
-                    for (c, &q) in query.iter().enumerate() {
-                        scratch.qbits[c / 64] |= u64::from(q != 0.0) << (c % 64);
-                    }
-                }
-                if has_levels {
-                    scratch.qlvl8.clear();
-                    scratch.qvalid.clear();
-                    for &q in query {
-                        // Exactly the naive `Multi` comparison: the
-                        // rounded query as i64 (NaN → 0, ±inf saturate)
-                        // equals a stored u8 level iff it is in range.
-                        let l = q.round() as i64;
-                        scratch.qlvl8.push(l.clamp(0, 255) as u8);
-                        scratch.qvalid.push(u8::from((0..=255).contains(&l)));
-                    }
-                }
-            }
-            Metric::Euclidean => {
-                if has_binary || has_levels {
-                    // The packing runs per search, so its passes are
-                    // written to vectorize on the SSE2 baseline: no
-                    // branches and no saturating float → int casts. Inside
-                    // the bound, `q + ROUND_TO_INT − ROUND_TO_INT` is `q`
-                    // rounded to an integer, so the round trip is
-                    // `q.fract() == 0.0` (NaN and −0.0 included); and the
-                    // bits of `|q|` order as its values do.
-                    let (mut fractional, mut max_bits) = (0u32, 0u32);
-                    for &q in query {
-                        let a = q.abs();
-                        let integral = (a <= INT_QUERY_BOUND as f32)
-                            & ((q + ROUND_TO_INT) - ROUND_TO_INT == q);
-                        fractional |= u32::from(!integral);
-                        max_bits = max_bits.max(a.to_bits());
-                    }
-                    let maxq = f32::from_bits(max_bits);
-                    // The u64 accumulator and the final f64 convert
-                    // are exact only below 2^53.
-                    let maxd = f64::from(maxq) + 255.0;
-                    int_mode = fractional == 0 && (qlen as f64) * maxd * maxd < 2f64.powi(53);
-                    scratch.qint.clear();
-                    scratch.qint16.clear();
-                    if int_mode && maxq <= 1024.0 {
-                        // The low 16 bits of `q + ROUND_TO_INT` are `q`.
-                        let q16 = query.iter().map(|&q| (q + ROUND_TO_INT).to_bits() as i16);
-                        scratch.qint16.extend(q16);
-                        // A 1024-cell block of squares sums in `i32`.
-                        let square = |&q: &i16| i32::from(q) * i32::from(q);
-                        let blocks = scratch.qint16.chunks(1024);
-                        scratch.qsq = blocks
-                            .map(|b| i64::from(b.iter().map(square).sum::<i32>()))
-                            .sum();
-                    } else if int_mode {
-                        scratch.qint.extend(query.iter().map(|&q| q as i64));
-                    }
-                    if !int_mode && has_binary {
-                        scratch.sq0.clear();
-                        scratch.sq1.clear();
-                        for &q in query {
-                            let d = f64::from(q);
-                            scratch.sq0.push(d * d);
-                            let d = f64::from(q) - 1.0;
-                            scratch.sq1.push(d * d);
-                        }
-                    }
-                }
-            }
-        }
+        let int_mode = pack_query(query, metric, self.window_kinds(&window), scratch);
 
         // Transient faults key on the query's own bit pattern, so the
         // packed path, the naive oracle and the SIMD backend all draw
@@ -1418,14 +1628,82 @@ impl Subarray {
             qh,
             faults: &mut faults,
             scratch,
-            result: &mut result,
+            out: &mut result,
         };
-        let (words, min) = self.sweep_rows(tier, sweep);
+        let (words, min) = self.on_tier(tier, sweep);
         Self::flag_matches(&mut result, kind, threshold, min);
         self.faults = faults;
         self.last_words = words;
         self.last_result = Some(result);
         Ok(self.last_result.as_ref().unwrap())
+    }
+
+    /// Search once per query of `rows` and add each query's distances
+    /// into its accumulator row, as [`Subarray::search`] followed by
+    /// `cam.read` and `cam.merge_partial_subarray` would: the first
+    /// `into.declared` participating rows, row `r` at column
+    /// `r + into.offset` of accumulator row `q`, each distance rounded
+    /// to `f32`. Every query sweeps the same rows, so the merged rows,
+    /// and the columns they land on, are found and checked once for the
+    /// block; each query is then packed and swept straight into its
+    /// row, with no search result in between. The match kind, which
+    /// the merge never reads, is not an input.
+    ///
+    /// Serves nothing and returns `false` — before writing anything —
+    /// when a per-query search or merge would fail or could differ: a
+    /// window wider than the subarray, a query row outside the
+    /// accumulator, a merged column outside it, or installed faults
+    /// (transient draws are per search). The caller then takes the
+    /// per-query path, which reports the failure. Leaves the last
+    /// search result and work count as they were.
+    #[allow(clippy::too_many_arguments)]
+    pub fn search_merge_block(
+        &mut self,
+        queries: &QueryWindows,
+        rows: &[usize],
+        metric: Metric,
+        selection: RowSelection,
+        wta_window: Option<u32>,
+        into: MergeInto,
+        scratch: &mut SearchScratch,
+    ) -> bool {
+        let Some(tier) = scratch.tier.or_else(|| env_tier().as_ref().ok().copied()) else {
+            return false;
+        };
+        if queries.width > self.cols || self.faults.is_some() {
+            return false;
+        }
+        let shaped = into.rows.checked_mul(into.cols) == Some(into.acc.len());
+        if !shaped || rows.iter().any(|&q| q >= into.rows) {
+            return false;
+        }
+        let window = selection.range(self.rows);
+        let mut merged = window
+            .clone()
+            .filter(|&r| self.valid[r])
+            .take(into.declared);
+        let Some(first) = merged.next() else {
+            return true; // nothing to merge
+        };
+        let last = merged.last().unwrap_or(first);
+        let column = |r: usize| (r as i64).checked_add(into.offset);
+        let fits = |c: Option<i64>| c.is_some_and(|c| 0 <= c && (c as u64) < into.cols as u64);
+        if !fits(column(first)) || !fits(column(last)) {
+            return false;
+        }
+        let block = BlockSweep {
+            queries,
+            rows,
+            kinds: self.window_kinds(&window),
+            window,
+            metric,
+            wta: wta_window,
+            last,
+            into,
+            scratch,
+        };
+        self.on_tier(tier, block);
+        true
     }
 
     /// The original per-cell search: decodes each selected row back

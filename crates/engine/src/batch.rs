@@ -31,8 +31,17 @@
 //!
 //! Threads shard queries and nothing else. A tape with no detected query
 //! loop, or whose loop has fewer than two iterations, has nothing to
-//! shard: it runs the sequential schedule whatever `threads` says, and
-//! outputs and statistics equal [`Tape::run`] exactly.
+//! shard: it runs on this thread whatever `threads` says, and outputs
+//! (and a charging machine's statistics) equal [`Tape::run`] exactly.
+//!
+//! ## Query order
+//!
+//! On a functional machine with telemetry off, a tape whose query body
+//! [`Tape::blocked`] allows runs the body in blocked order — each
+//! instruction once over every query of the run, or of the shard —
+//! instead of once per query (`TapeVm::exec_blocked`). A charging
+//! machine keeps the per-query order, as do [`Tape::run`] and
+//! [`Tape::run_traced`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::channel;
@@ -62,9 +71,10 @@ impl Tape {
     /// Execute the tape with the query loop sharded across `threads`
     /// worker threads (see the module docs for the protocol).
     ///
-    /// Falls back to the sequential [`Tape::run`] when no query loop was
-    /// detected, `threads <= 1`, or the loop has fewer than two
-    /// iterations.
+    /// Runs on this thread, as [`Tape::run`] does, when no query loop
+    /// was detected, `threads <= 1`, or the loop has fewer than two
+    /// iterations; in blocked order (module docs) when the machine and
+    /// the tape allow it.
     ///
     /// While the recorder is enabled, the main lane records sampled
     /// per-op `cat::OP` spans and each worker shard records a
@@ -84,8 +94,9 @@ impl Tape {
     ) -> BResult<Vec<Value>> {
         let mut vm = TapeVm::new(self, args)?;
         vm.set_telemetry(telemetry.clone());
+        let blocked = self.runs_blocked(machine, telemetry);
         let ql = match self.query_loop() {
-            Some(ql) if threads > 1 => ql,
+            Some(ql) if threads > 1 || blocked => ql,
             _ => return returned(vm.exec(machine, 0, usize::MAX)?),
         };
         // Phase 1: setup.
@@ -97,9 +108,13 @@ impl Tape {
             return Err(EngineError::new("loop step must be positive"));
         }
         let iters: Vec<i64> = (lb..ub).step_by(step as usize).collect();
-        if iters.len() < 2 {
-            // Nothing to shard across: carry on sequentially.
-            return returned(vm.exec(machine, ql.enter, usize::MAX)?);
+        if threads <= 1 || iters.len() < 2 {
+            // Nothing to shard across: carry on on this thread.
+            if !blocked {
+                return returned(vm.exec(machine, ql.enter, usize::MAX)?);
+            }
+            vm.exec_blocked(machine, ql, &iters)?;
+            return returned(vm.exec(machine, ql.exit, usize::MAX)?);
         }
 
         // Phase 2: fork and run shards on the pooled workers.
@@ -139,6 +154,19 @@ impl Tape {
     }
 }
 
+impl Tape {
+    /// Where the query order is chosen. A device that charges nothing,
+    /// with no telemetry (and `run_batched` never traces), takes the
+    /// blocked order when the tape allows it: each body instruction
+    /// over all queries, with the per-query order's outputs bit for
+    /// bit. A charging device keeps the per-query order, as do
+    /// `Tape::run`, traces and the `walk` oracle: its `f64` latency and
+    /// energy sums depend on the order searches are charged in.
+    fn runs_blocked(&self, machine: &CamMachine, telemetry: &Telemetry) -> bool {
+        self.blocked().is_ok() && !machine.charges() && !telemetry.enabled()
+    }
+}
+
 /// One shard's iterations, exactly as the scoped-thread version ran
 /// them: thaw the snapshot, execute the chunk, collect buffers + stats.
 fn run_one_shard(
@@ -159,7 +187,11 @@ fn run_one_shard(
     let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
     let mut vm = TapeVm::with_slots(&tape.0, slots);
     vm.set_telemetry_lane(telemetry.clone(), lane);
-    vm.exec_iterations(shard_machine, ql.enter, ql.next, ql.iv, chunk)?;
+    if tape.runs_blocked(shard_machine, telemetry) {
+        vm.exec_blocked(shard_machine, ql, chunk)?;
+    } else {
+        vm.exec_iterations(shard_machine, ql.enter, ql.next, ql.iv, chunk)?;
+    }
     if telemetry.enabled() {
         let end_ns = telemetry.now_ns();
         telemetry.record_span(

@@ -74,6 +74,35 @@ impl std::fmt::Display for Unspecialised {
     }
 }
 
+/// Why [`Tape::blocked`] keeps a run's query loop in per-query order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unblocked {
+    /// The query body was left as loops, or there is no query loop
+    /// ([`Tape::specialised`] says why).
+    Unspecialised,
+    /// The body holds an instruction other than timing scopes,
+    /// level merges and fused searches.
+    NonCanonical,
+    /// A fused search's row is not the query index.
+    RowNotQueryIndex,
+    /// An accumulator slot is also a search's query or handle table,
+    /// so a merge could change what a later search reads.
+    Aliased,
+}
+
+impl std::fmt::Display for Unblocked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Unblocked::Unspecialised => "the query body is not specialised",
+            Unblocked::NonCanonical => {
+                "an instruction other than scopes, level merges and fused searches"
+            }
+            Unblocked::RowNotQueryIndex => "a fused search row other than the query index",
+            Unblocked::Aliased => "an accumulator is also a query or handle table",
+        })
+    }
+}
+
 /// The contents of a [`Tape`]; what the passes, the verifier and the VM
 /// work on.
 #[derive(Debug, Clone)]
@@ -131,6 +160,41 @@ impl Tape {
     /// The reason, when the body was left as it was.
     pub fn specialised(&self) -> Result<(), Unspecialised> {
         self.0.unspecialised.map_or(Ok(()), Err)
+    }
+
+    /// Whether a run may take the query loop in blocked order: each
+    /// body instruction once, over every query, instead of the whole
+    /// body once per query (see `Tape::run_batched`). That needs a
+    /// specialised body of timing scopes, level merges and fused
+    /// searches whose row is the query index and whose accumulators are
+    /// nothing a search reads. Then the only instructions with an effect
+    /// on a device that charges nothing are the fused searches, and each
+    /// touches its query's accumulator row alone. This is the static
+    /// half of the condition; the run-time half is a non-charging
+    /// device, no trace and no telemetry.
+    ///
+    /// # Errors
+    /// The reason, when the body must run query by query.
+    pub fn blocked(&self) -> Result<(), Unblocked> {
+        let t = &*self.0;
+        let Some(ql) = t.query_loop.filter(|_| t.unspecialised.is_none()) else {
+            return Err(Unblocked::Unspecialised);
+        };
+        let body = &t.insts[ql.enter + 1..ql.next];
+        let mut searches = Vec::new();
+        for inst in body {
+            match inst {
+                Inst::ScopeEnter { .. } | Inst::ScopeExit | Inst::MergeLevel { .. } => {}
+                Inst::SearchMerge(s) if s.row == ql.iv => searches.push(s),
+                Inst::SearchMerge(_) => return Err(Unblocked::RowNotQueryIndex),
+                _ => return Err(Unblocked::NonCanonical),
+            }
+        }
+        let read = |slot| searches.iter().any(|s| s.query == slot || s.table == slot);
+        if searches.iter().any(|s| read(s.acc)) {
+            return Err(Unblocked::Aliased);
+        }
+        Ok(())
     }
 
     /// Number of function arguments the tape expects.

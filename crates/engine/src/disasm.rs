@@ -4,7 +4,8 @@
 //!
 //! One line per instruction — `pc: opcode operands`, destination first,
 //! slots written `%n`, jump targets `-> pc` — then the tape's metadata:
-//! `preload`, `query_loop`, and whether the query body was specialised.
+//! `preload`, `query_loop`, whether the query body was specialised, and
+//! whether a run may take it in blocked order.
 
 use crate::compile::Tape;
 use crate::isa::{Inst, PreConst, SliceOffset};
@@ -259,8 +260,12 @@ impl Display for Tape {
             None => writeln!(f, "query_loop: none")?,
         }
         match t.unspecialised {
-            None => writeln!(f, "specialised: yes"),
-            Some(why) => writeln!(f, "specialised: no ({why})"),
+            None => writeln!(f, "specialised: yes")?,
+            Some(why) => writeln!(f, "specialised: no ({why})")?,
+        }
+        match self.blocked() {
+            Ok(()) => writeln!(f, "blocked: yes"),
+            Err(why) => writeln!(f, "blocked: no ({why})"),
         }
     }
 }

@@ -31,7 +31,12 @@
 //!   [`Tape::price_as_written`] — the sequential run's statistics to the
 //!   bit, at any thread count.) Threads shard
 //!   queries and nothing else: with no detected query loop, or fewer
-//!   than two iterations, this *is* [`Tape::run`].
+//!   than two iterations, this runs on one thread. On such a
+//!   functional machine a specialised query body runs in blocked
+//!   order ([`Tape::blocked`]): each fused search once over all of the
+//!   run's queries, one device call per subarray. Every accumulator
+//!   element receives its additions in the same order, so outputs stay
+//!   bit-identical; charging runs keep the per-query order.
 //!
 //! [`Tape::run_traced`] is `run` with an observer attached: it records
 //! a [`Trace`] of every device-relevant operation, and
@@ -100,7 +105,7 @@ pub mod trace;
 mod verify;
 mod vm;
 
-pub use compile::{Tape, Unspecialised};
+pub use compile::{Tape, Unblocked, Unspecialised};
 pub use error::EngineError;
 pub use isa::{Inst, QueryLoop};
 pub use price::{Priced, Schedule, Unpriced};
@@ -557,7 +562,8 @@ mod tests {
     /// A merge that fails at run time is blamed on the
     /// `cam.merge_partial_subarray`, whether its triple was fused into a
     /// `SearchMerge` or left in the loops, and on the op the walker
-    /// blames.
+    /// blames; and in the blocked order (a functional machine, at one
+    /// and two threads) on the same op with the same message.
     #[test]
     fn a_failing_merge_is_attributed_to_the_merge_op_fused_or_not() {
         for looped in [false, true] {
@@ -592,8 +598,18 @@ mod tests {
                 .run("forward", &args)
                 .unwrap_err();
             assert_eq!(walk.message, e.message);
-            assert_eq!((walk.op, walk.op_name), (e.op, e.op_name));
+            assert_eq!((&walk.op, &walk.op_name), (&e.op, &e.op_name));
             assert!(merges.contains(&e.op.unwrap()));
+
+            for threads in [1, 2] {
+                let tl = Telemetry::default();
+                let mut functional = CamMachine::functional(&s);
+                let blocked = tape
+                    .run_batched(&mut functional, &args, threads, &tl)
+                    .unwrap_err();
+                assert_eq!(blocked.message, e.message, "{threads} threads");
+                assert_eq!((blocked.op, blocked.op_name), (e.op, e.op_name.clone()));
+            }
         }
     }
 }

@@ -32,7 +32,6 @@ use c4cam_camsim::{ArrayId, BankId, CamMachine, MatId, SubarrayId};
 use c4cam_runtime::kernels::{merge_partial_rows, read_tensors, reduce_scores};
 use c4cam_runtime::Value;
 use c4cam_tensor::Tensor;
-use std::collections::HashMap;
 
 fn err(message: impl Into<String>) -> EngineError {
     EngineError::new(message)
@@ -222,6 +221,73 @@ impl TraceState {
     }
 }
 
+/// A replay's values, indexed by value id. The recorder numbers values
+/// densely from 0, and no op defines more than two, so a trace of `n`
+/// ops names ids below `2n`: the table grows to the largest id defined,
+/// and an id past that bound (only a hand-built trace has one) is an
+/// error rather than an allocation of its size.
+struct Values {
+    table: Vec<Option<Tensor>>,
+    bound: usize,
+}
+
+impl Values {
+    fn new(ops: usize) -> Values {
+        Values {
+            table: Vec::new(),
+            bound: ops.saturating_mul(2),
+        }
+    }
+
+    fn get(&self, v: u32) -> Result<&Tensor, EngineError> {
+        self.table
+            .get(v as usize)
+            .and_then(Option::as_ref)
+            .ok_or_else(|| err(format!("trace references undefined value %{v}")))
+    }
+
+    fn insert(&mut self, v: u32, t: Tensor) -> Result<(), EngineError> {
+        let i = v as usize;
+        if i >= self.bound {
+            return Err(err(format!(
+                "trace defines value %{v}, past the {} its ops can name",
+                self.bound
+            )));
+        }
+        if i >= self.table.len() {
+            self.table.resize_with(i + 1, || None);
+        }
+        self.table[i] = Some(t);
+        Ok(())
+    }
+
+    /// `cam.merge_partial_subarray` of `vals`/`idx` into `acc`, in
+    /// place and without copying the operands. An operand that is the
+    /// accumulator itself is read as it was before the merge.
+    fn merge(
+        &mut self,
+        acc: u32,
+        vals: u32,
+        idx: u32,
+        q: usize,
+        offset: i64,
+    ) -> Result<(), EngineError> {
+        self.get(vals)?;
+        self.get(idx)?;
+        self.get(acc)?;
+        let mut a = self.table[acc as usize].take().expect("defined above");
+        // Shares the storage; the merge's first write then copies it.
+        let before = (vals == acc || idx == acc).then(|| a.clone());
+        let operand = |v: u32| match &before {
+            Some(t) if v == acc => t,
+            _ => self.table[v as usize].as_ref().expect("defined above"),
+        };
+        let merged = merge_partial_rows(&mut a, operand(vals), operand(idx), q, offset);
+        self.table[acc as usize] = Some(a);
+        merged.map_err(err)
+    }
+}
+
 impl Trace {
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
@@ -244,14 +310,9 @@ impl Trace {
         let mut mats: Vec<MatId> = Vec::new();
         let mut arrays: Vec<ArrayId> = Vec::new();
         let mut subs: Vec<SubarrayId> = Vec::new();
-        let mut store: HashMap<u32, Tensor> = HashMap::new();
+        let mut store = Values::new(self.ops.len());
         let mut out: Option<Vec<Value>> = None;
 
-        fn get(store: &HashMap<u32, Tensor>, v: u32) -> Result<&Tensor, EngineError> {
-            store
-                .get(&v)
-                .ok_or_else(|| err(format!("trace references undefined value %{v}")))
-        }
         fn sub_id(subs: &[SubarrayId], sub: usize) -> Result<SubarrayId, EngineError> {
             subs.get(sub)
                 .copied()
@@ -313,18 +374,18 @@ impl Trace {
                         .read(sub_id(&subs, *sub)?)
                         .map_err(|e| err(e.message))?;
                     let (v, i) = read_tensors(result, shape).map_err(err)?;
-                    store.insert(*vals, v);
-                    store.insert(*idx, i);
+                    store.insert(*vals, v)?;
+                    store.insert(*idx, i)?;
                 }
                 TraceOp::Buffer { shape, out } => {
-                    store.insert(*out, Tensor::zeros(shape.clone()));
+                    store.insert(*out, Tensor::zeros(shape.clone()))?;
                 }
                 TraceOp::Literal { data, out } => {
-                    store.insert(*out, data.clone());
+                    store.insert(*out, data.clone())?;
                 }
                 TraceOp::Snapshot { src, out } => {
-                    let t = get(&store, *src)?.clone();
-                    store.insert(*out, t);
+                    let t = store.get(*src)?.clone();
+                    store.insert(*out, t)?;
                 }
                 TraceOp::MergePartial {
                     acc,
@@ -333,12 +394,7 @@ impl Trace {
                     q,
                     offset,
                 } => {
-                    let vals = get(&store, *vals)?.clone();
-                    let idx = get(&store, *idx)?.clone();
-                    let a = store
-                        .get_mut(acc)
-                        .ok_or_else(|| err(format!("trace references undefined value %{acc}")))?;
-                    merge_partial_rows(a, &vals, &idx, *q, *offset).map_err(err)?;
+                    store.merge(*acc, *vals, *idx, *q, *offset)?;
                 }
                 TraceOp::MergeLevel { level, elems } => device.merge(*level, *elems),
                 TraceOp::Phase { name } => device.mark_phase(name),
@@ -356,18 +412,18 @@ impl Trace {
                     vals,
                     idx,
                 } => {
-                    let a = get(&store, *acc)?;
+                    let a = store.get(*acc)?;
                     let (v, i) =
                         reduce_scores(a, *k, *n_valid, *largest, metric, true).map_err(err)?;
                     let v = v.reshape(vals_shape.clone()).map_err(|e| err(e.message))?;
                     let i = i.reshape(idx_shape.clone()).map_err(|e| err(e.message))?;
-                    store.insert(*vals, v);
-                    store.insert(*idx, i);
+                    store.insert(*vals, v)?;
+                    store.insert(*idx, i)?;
                 }
                 TraceOp::Return { values } => {
                     let mut vs = Vec::with_capacity(values.len());
                     for v in values {
-                        vs.push(Value::Tensor(get(&store, *v)?.clone()));
+                        vs.push(Value::Tensor(store.get(*v)?.clone()));
                     }
                     out = Some(vs);
                 }
@@ -461,6 +517,66 @@ mod tests {
         assert_eq!(stats.read_ops, 1);
         assert_eq!(stats.merge_ops, 1);
         assert_eq!(m.phase("setup-complete").unwrap().search_ops, 1);
+    }
+
+    fn literal(data: &[f32], out: u32) -> TraceOp {
+        let data = Tensor::from_vec(vec![1, data.len()], data.to_vec()).unwrap();
+        TraceOp::Literal { data, out }
+    }
+
+    fn replayed(ops: Vec<TraceOp>) -> Result<Vec<f32>, EngineError> {
+        let mut m = c4cam_camsim::CamMachine::new(&c4cam_arch::ArchSpec::default());
+        let out = Trace { ops }.replay(&mut m)?;
+        Ok(out[0].snapshot_tensor().unwrap().data().to_vec())
+    }
+
+    #[test]
+    fn a_merge_reads_an_aliased_operand_as_it_was_before_the_merge() {
+        let merge = |acc, vals, idx| TraceOp::MergePartial {
+            acc,
+            vals,
+            idx,
+            q: 0,
+            offset: 0,
+        };
+        // The accumulator is its own values: `[1, 2]` scattered to
+        // columns 1 and 0 gives `[1 + 2, 2 + 1]`, not `[1 + 3, 3]`.
+        let ops = vec![
+            literal(&[1.0, 2.0], 0),
+            literal(&[1.0, 0.0], 1),
+            merge(0, 0, 1),
+            TraceOp::Return { values: vec![0] },
+        ];
+        assert_eq!(replayed(ops).unwrap(), [3.0, 3.0]);
+        // ... or its own indices: `[1, 0]` sends 5 to column 1 and 7 to
+        // column 0, although the first add made index 1 read 5.
+        let ops = vec![
+            literal(&[1.0, 0.0], 0),
+            literal(&[5.0, 7.0], 1),
+            merge(0, 1, 0),
+            TraceOp::Return { values: vec![0] },
+        ];
+        assert_eq!(replayed(ops).unwrap(), [8.0, 5.0]);
+    }
+
+    #[test]
+    fn a_value_id_past_what_the_ops_can_name_is_an_error_not_an_allocation() {
+        let ops = vec![
+            TraceOp::Buffer {
+                shape: vec![1, 2],
+                out: u32::MAX,
+            },
+            TraceOp::Return {
+                values: vec![u32::MAX],
+            },
+        ];
+        let e = replayed(ops).unwrap_err();
+        assert!(e.message.contains("defines value %4294967295"), "{e}");
+        let ops = vec![TraceOp::Return {
+            values: vec![u32::MAX],
+        }];
+        let e = replayed(ops).unwrap_err();
+        assert!(e.message.contains("undefined value %4294967295"), "{e}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 
 use crate::compile::{Tape, TapeData};
 use crate::error::EngineError;
-use crate::isa::{FloatBinOp, Inst, PreConst, SearchMergeInst, SliceOffset, Slot};
+use crate::isa::{FloatBinOp, Inst, PreConst, QueryLoop, SearchMergeInst, SliceOffset, Slot};
 use crate::trace::{Trace, TraceOp, TraceState};
 use c4cam_arch::{MatchKind, Metric};
-use c4cam_camsim::{CamMachine, RowSelection, SearchSpec, SubarrayId};
+use c4cam_camsim::{CamMachine, MergeInto, QueryWindows, RowSelection, SearchSpec, SubarrayId};
 use c4cam_runtime::kernels::{
     merge_partial_rows, merge_search_result, read_tensors, read_tensors_into, reduce_scores,
     search_query_view, tensor_rows,
@@ -232,6 +232,102 @@ impl<'t> TapeVm<'t> {
             }
         }
         Ok(())
+    }
+
+    /// Run the query body at `ql` for the given induction values in
+    /// blocked order: each instruction once, over all of them (see
+    /// [`Tape::blocked`], which the caller checked, and which leaves
+    /// fused searches as the only instructions with an effect here).
+    /// The caller guarantees a device that charges nothing, no trace
+    /// and no telemetry: timing scopes and level merges would only
+    /// charge, so they are skipped. Each accumulator element still
+    /// receives its additions in instruction order, so outputs equal
+    /// the per-query order's bit for bit.
+    ///
+    /// # Errors
+    /// The first failure in blocked order, with op context attached.
+    pub(crate) fn exec_blocked(
+        &mut self,
+        machine: &mut CamMachine,
+        ql: QueryLoop,
+        ivs: &[i64],
+    ) -> VResult<()> {
+        debug_assert!(!machine.charges() && self.trace.is_none() && !self.tl_on);
+        // `None`: a negative query index, which the per-query path reports.
+        let mut rows = Vec::with_capacity(ivs.len());
+        rows.extend(ivs.iter().map_while(|&iv| usize::try_from(iv).ok()));
+        let rows = (rows.len() == ivs.len()).then_some(rows);
+        let tape = self.tape;
+        for pc in ql.enter + 1..ql.next {
+            let Inst::SearchMerge(s) = &tape.insts[pc] else {
+                continue;
+            };
+            let served = rows
+                .as_deref()
+                .is_some_and(|rows| self.search_merge_block(machine, s, rows));
+            if served {
+                continue;
+            }
+            for &iv in ivs {
+                self.slots[ql.iv as usize] = Value::Index(iv);
+                self.exec_search_merge(machine, s)
+                    .map_err(|e| tape.attach(pc, e))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One fused search over every query of `rows` in one device call
+    /// ([`CamMachine::search_merge_block`]). `false`, with nothing
+    /// written, when the operands or the device rule that out; the
+    /// queries then take [`TapeVm::exec_search_merge`] one by one.
+    fn search_merge_block(
+        &self,
+        machine: &mut CamMachine,
+        s: &SearchMergeInst,
+        rows: &[usize],
+    ) -> bool {
+        let Ok(sub) = self.search_merge_sub(s) else {
+            return false;
+        };
+        let Ok(query) = self.tensor_view(s.query) else {
+            return false;
+        };
+        let &[q_rows, q_cols] = query.shape() else {
+            return false;
+        };
+        // A query that is the accumulator itself stays per-query.
+        let acc = self.slots[s.acc as usize]
+            .as_buffer()
+            .map(|b| b.try_borrow_mut());
+        let Some(Ok(mut acc)) = acc else {
+            return false;
+        };
+        let &[acc_rows, acc_cols] = acc.shape() else {
+            return false;
+        };
+        let queries = QueryWindows {
+            data: query.data(),
+            rows: q_rows,
+            cols: q_cols,
+            col: s.col,
+            width: s.width,
+        };
+        let into = MergeInto {
+            acc: acc.data_mut(),
+            rows: acc_rows,
+            cols: acc_cols,
+            offset: s.offset,
+            declared: s.shape.iter().product(),
+        };
+        let spec = search_spec(
+            s.kind,
+            s.metric,
+            s.selective,
+            s.threshold,
+            s.broadcast_share,
+        );
+        machine.search_merge_block(sub, spec, &queries, rows, into)
     }
 
     // ------------------------------------------------------------------
@@ -897,14 +993,7 @@ impl<'t> TapeVm<'t> {
     /// replaces, in their order, without materializing the query slice
     /// or the read buffers.
     fn exec_search_merge(&mut self, machine: &mut CamMachine, s: &SearchMergeInst) -> VResult<()> {
-        let sub = {
-            let table = self.tensor_view(s.table)?;
-            let id = table
-                .data()
-                .get(s.pos)
-                .ok_or_else(|| err("handle table index out of bounds"))?;
-            SubarrayId(*id as usize)
-        };
+        let sub = self.search_merge_sub(s)?;
         let row = self.int(s.row)?;
         let q = usize::try_from(row).map_err(|_| err("negative slice offset"))?;
         let spec = search_spec(
@@ -922,20 +1011,15 @@ impl<'t> TapeVm<'t> {
             let &[rows, cols] = query.shape() else {
                 return Err(err("extract_slice supports rank-2 tensors"));
             };
-            let end = s.col.saturating_add(s.width);
-            let window = if q < rows && end <= cols {
-                &query.data()[q * cols + s.col..q * cols + end]
-            } else {
-                // `exec_extract_slice`'s clamp: copy what the tensor
-                // holds of the window, zeros beyond it.
-                scratch.clear();
-                scratch.resize(s.width, 0.0);
-                if q < rows && s.col < cols {
-                    let have = cols - s.col;
-                    scratch[..have].copy_from_slice(&query.data()[q * cols + s.col..][..have]);
-                }
-                &scratch[..]
+            // `exec_extract_slice`'s clamp: zeros beyond the tensor.
+            let windows = QueryWindows {
+                data: query.data(),
+                rows,
+                cols,
+                col: s.col,
+                width: s.width,
             };
+            let window = windows.window(q, &mut scratch);
             machine
                 .search(sub, window, spec)
                 .map_err(|e| err(e.message))?;
@@ -990,6 +1074,16 @@ impl<'t> TapeVm<'t> {
             });
         }
         Ok(())
+    }
+
+    /// The subarray a fused search names: its handle table's entry.
+    fn search_merge_sub(&self, s: &SearchMergeInst) -> VResult<SubarrayId> {
+        let table = self.tensor_view(s.table)?;
+        let id = table
+            .data()
+            .get(s.pos)
+            .ok_or_else(|| err("handle table index out of bounds"))?;
+        Ok(SubarrayId(*id as usize))
     }
 
     /// Clamped + zero-padded rank-2 window (walker-identical semantics).

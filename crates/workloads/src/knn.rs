@@ -132,27 +132,6 @@ impl KnnDataset {
             })
             .collect()
     }
-
-    /// Majority-vote classification of query `q` among its `k` nearest.
-    pub fn classify_cpu(&self, q: usize, k: usize) -> usize {
-        let mut votes = vec![0usize; self.classes];
-        for i in self.nearest_cpu(q, k) {
-            votes[self.train_labels[i]] += 1;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .map(|(c, _)| c)
-            .unwrap_or(0)
-    }
-
-    /// Classify all queries on the CPU.
-    pub fn classify_all_cpu(&self, k: usize) -> Vec<usize> {
-        (0..self.queries.shape()[0])
-            .map(|q| self.classify_cpu(q, k))
-            .collect()
-    }
 }
 
 /// The rows of a 0/1 rank-2 tensor, 64 features to a word.
@@ -204,7 +183,11 @@ mod tests {
     #[test]
     fn knn_classifies_structured_data() {
         let d = KnnDataset::synthetic(100, 256, 2, 20, 0.1, 1);
-        let pred = d.classify_all_cpu(5);
+        let pred: Vec<usize> = d
+            .nearest_labels()
+            .into_iter()
+            .map(|i| d.train_labels[i])
+            .collect();
         assert!(accuracy(&pred, &d.query_labels) > 0.9);
     }
 

@@ -28,8 +28,11 @@ use c4cam::hal::{BackendRegistry, ExecOptions};
 use c4cam::ir::Module;
 use c4cam::runtime::kernels::{merge_partial_rows, merge_search_result, read_tensors_into};
 use c4cam::runtime::Value;
+use c4cam::telemetry::Telemetry;
 use c4cam::tensor::Tensor;
-use c4cam::workloads::{DtreeWorkload, GpuComparisonWorkload, HdcWorkload, KnnWorkload, Workload};
+use c4cam::workloads::{
+    ArgOrder, DtreeWorkload, GpuComparisonWorkload, HdcWorkload, KnnWorkload, Workload,
+};
 use proptest::prelude::*;
 
 const OPTIMIZATIONS: [Optimization; 4] = [
@@ -181,6 +184,52 @@ fn every_shipped_workload_specialises_or_says_why_not() {
                 workload.name(),
                 workload.query_count()
             );
+        }
+    }
+}
+
+/// The blocked order answers as the per-query order does, bit for bit.
+/// Every shipped workload, as shipped and with twinned rows, at 1, 2
+/// and 4 bits per cell, runs through `run_batched` on a functional
+/// machine (the blocked order) at one and two threads, and through
+/// `Tape::run` on a charging machine (the per-query order).
+#[test]
+fn the_blocked_order_answers_as_the_per_query_order_does() {
+    let twinned = common::shipped_workloads()
+        .into_iter()
+        .map(|w| Box::new(common::Twinned(w)) as Box<dyn Workload>);
+    let telemetry = Telemetry::default();
+    for workload in common::shipped_workloads().into_iter().chain(twinned) {
+        for bits in [1, 2, 4] {
+            let spec = build_arch((16, 16), (4, 4, 8), Optimization::Base, bits).unwrap();
+            let built = workload.build_module(&spec);
+            let lowered = C4camPipeline::new(spec.clone())
+                .compile(built.module)
+                .unwrap();
+            let tape = Tape::compile(&lowered.module, built.func).unwrap();
+            let what = format!("{} at {bits} bits", workload.name());
+            assert_eq!(tape.blocked(), Ok(()), "{what}");
+            let inputs = workload.inputs(&spec);
+            let (q, st) = (Value::Tensor(inputs.queries), Value::Tensor(inputs.stored));
+            let args = match built.arg_order {
+                ArgOrder::QueriesThenStored => [q, st],
+                ArgOrder::StoredThenQueries => [st, q],
+            };
+            let per_query = tape.run(&mut CamMachine::new(&spec), &args).unwrap();
+            for threads in [1, 2] {
+                let mut functional = CamMachine::functional(&spec);
+                let blocked = tape
+                    .run_batched(&mut functional, &args, threads, &telemetry)
+                    .unwrap();
+                assert_eq!(per_query.len(), blocked.len(), "{what}");
+                for (a, b) in per_query.iter().zip(&blocked) {
+                    let bits = |v: &Value| {
+                        let t = v.snapshot_tensor().unwrap();
+                        t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(a), bits(b), "{what} at {threads} threads");
+                }
+            }
         }
     }
 }

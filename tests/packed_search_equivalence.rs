@@ -8,12 +8,18 @@
 //! The full-array cases hold the dense sweep (every row programmed, the
 //! whole window, exact-integer Euclidean) to the oracle and to the
 //! generic sweep, which the same rows searched as two windows take.
+//!
+//! The block search ([`Subarray::search_merge_block`]) is held to what
+//! it replaces: per query, [`Subarray::search`] and then
+//! `merge_search_result`, compared by the accumulator's bits.
 
 use c4cam::arch::{MatchKind, Metric};
 use c4cam::camsim::{
-    CamCell, FaultConfig, FaultModel, KernelTier, Resilience, RowSelection, SearchScratch,
-    Subarray, SubarrayFaults,
+    CamCell, FaultConfig, FaultModel, KernelTier, MergeInto, QueryWindows, Resilience,
+    RowSelection, SearchScratch, Subarray, SubarrayFaults,
 };
+use c4cam::runtime::kernels::merge_search_result;
+use c4cam::tensor::Tensor;
 use proptest::prelude::*;
 
 const COLS: usize = 70; // crosses a u64 plane-word boundary
@@ -569,4 +575,245 @@ fn dense_blocks_equal_naive_and_generic() {
             case += 1;
         }
     }
+}
+
+/// Subarrays whose rows take each sweep a block search shares with a
+/// search: binary rows with holes and ragged ends, 2-bit level rows,
+/// every row a full-width 2-bit row (the dense sweep), and binary rows
+/// beside per-cell (`Other`) rows. `width` is the query window's.
+fn block_subarrays(width: usize) -> Vec<(&'static str, Subarray)> {
+    let (rows, cols) = (12, 70);
+    let mut seed = 5;
+    let mut draw = |n: u64| next(&mut seed) % n;
+    let mut binary = Subarray::new(rows, cols);
+    let mut levels = Subarray::new(rows, cols);
+    let mut dense = Subarray::new(rows, cols);
+    let mut other = Subarray::new(rows, cols);
+    for r in 0..rows {
+        let ragged = if r % 3 == 1 { width - 3 } else { width };
+        let bits: Vec<f32> = (0..ragged).map(|_| draw(2) as f32).collect();
+        let lv: Vec<f32> = (0..ragged).map(|_| draw(4) as f32).collect();
+        if r != 2 && r != 7 {
+            binary
+                .write_rows(r, std::slice::from_ref(&bits), 1)
+                .unwrap();
+            levels.write_rows(r, &[lv], 2).unwrap();
+        }
+        let full: Vec<f32> = (0..width).map(|_| draw(4) as f32).collect();
+        dense.write_rows(r, &[full], 2).unwrap();
+        if r % 4 == 3 {
+            let cells: Vec<CamCell> = (0..width)
+                .map(|c| match draw(3) {
+                    0 => CamCell::Range(-0.5, 1.5),
+                    1 => CamCell::Multi((c % 4) as u8),
+                    _ => CamCell::One,
+                })
+                .collect();
+            other.write_cells(r, &[cells]).unwrap();
+        } else {
+            other.write_rows(r, &[bits], 1).unwrap();
+        }
+    }
+    vec![
+        ("binary", binary),
+        ("levels", levels),
+        ("dense", dense),
+        ("other", other),
+    ]
+}
+
+/// The accumulator a block case starts from: nonzero, so that a merge
+/// landing on the wrong column or a missing one shows.
+const ACC: (usize, usize) = (6, 24);
+
+fn acc_start() -> Vec<f32> {
+    (0..ACC.0 * ACC.1).map(|i| (i % 7) as f32 * 0.25).collect()
+}
+
+/// Query `q`'s window, zero-padded past the query tensor, built here
+/// without the kernel's helper.
+fn padded(queries: &[f32], qcols: usize, q: usize, col: usize, width: usize) -> Vec<f32> {
+    (col..col + width)
+        .map(|c| match queries.get(q * qcols + c) {
+            Some(&v) if c < qcols => v,
+            _ => 0.0,
+        })
+        .collect()
+}
+
+/// One block search against the per-query searches and merges it
+/// replaces, on every supported tier: the accumulator's bits must agree.
+#[allow(clippy::too_many_arguments)]
+fn assert_block_merges_as_searches_do(
+    s: &Subarray,
+    (queries, qrows, qcols): (&[f32], usize, usize),
+    rows: &[usize],
+    (col, width): (usize, usize),
+    (kind, metric): (MatchKind, Metric),
+    selection: RowSelection,
+    wta: Option<u32>,
+    (declared, offset): (usize, i64),
+    what: &str,
+) {
+    for tier in supported_tiers() {
+        let mut scratch = primed_scratch(tier);
+        let mut want = Tensor::from_vec(vec![ACC.0, ACC.1], acc_start()).unwrap();
+        let mut one = s.clone();
+        for &q in rows {
+            let window = padded(queries, qcols, q, col, width);
+            let result = one
+                .search(&window, kind, metric, selection, 2.0, wta, &mut scratch)
+                .unwrap();
+            merge_search_result(&mut want, result, declared, q, offset).unwrap();
+        }
+        let mut got = acc_start();
+        let windows = QueryWindows {
+            data: queries,
+            rows: qrows,
+            cols: qcols,
+            col,
+            width,
+        };
+        let into = MergeInto {
+            acc: &mut got,
+            rows: ACC.0,
+            cols: ACC.1,
+            offset,
+            declared,
+        };
+        let mut block = s.clone();
+        assert!(
+            block.search_merge_block(&windows, rows, metric, selection, wta, into, &mut scratch),
+            "{what}: the block was not served"
+        );
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(want.data()),
+            bits(&got),
+            "{what} {kind:?}/{metric:?}/{selection:?}/wta={wta:?}/declared={declared}/offset={offset}/tier={tier:?}"
+        );
+    }
+}
+
+/// A block search adds into each query's accumulator row exactly what
+/// a search and a merge per query add: binary, level, dense and
+/// per-cell rows; full and selective windows; the WTA clamp; all three
+/// match kinds and metrics; a `declared` below the valid rows; a
+/// nonzero offset; and windows that run past the query tensor's
+/// columns, or lie wholly below its rows (zero padding).
+#[test]
+fn block_searches_merge_as_per_query_searches_do() {
+    let (qrows, qcols, width) = (4, 50, 40);
+    let mut seed = 17;
+    let values = [0.0, 1.0, 2.0, 3.0, 0.5, -1.0];
+    let queries: Vec<f32> = (0..qrows * qcols)
+        .map(|_| values[next(&mut seed) as usize % values.len()])
+        .collect();
+    // Integral and in range, so the dense sweep's exact-integer path runs.
+    let integral: Vec<f32> = queries.iter().map(|v| v.abs().floor()).collect();
+    // Row 5 is past the query tensor's rows: an all-zero window.
+    let rows = [0, 1, 2, 3, 5];
+    let selections = [
+        RowSelection::All,
+        RowSelection::Window { start: 1, len: 5 },
+        RowSelection::Window {
+            start: 3,
+            len: usize::MAX,
+        },
+    ];
+    for (name, s) in block_subarrays(width) {
+        let q = if name == "dense" { &integral } else { &queries };
+        // The second window runs 30 columns past the tensor's edge.
+        for window in [(0, width), (qcols - 10, width)] {
+            for kind in kinds() {
+                for metric in metrics() {
+                    for selection in selections {
+                        for wta in [None, Some(2)] {
+                            for merge in [(64, 0), (3, 5)] {
+                                assert_block_merges_as_searches_do(
+                                    &s,
+                                    (q, qrows, qcols),
+                                    &rows,
+                                    window,
+                                    (kind, metric),
+                                    selection,
+                                    wta,
+                                    merge,
+                                    name,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A block search serves nothing, and writes nothing, where a query by
+/// query search or merge would fail or could differ: a merged column
+/// or a query row outside the accumulator, a window wider than the
+/// subarray, installed faults.
+#[test]
+fn a_block_search_declines_what_per_query_searches_must_report() {
+    let width = 40;
+    let queries = vec![1.0; 4 * width];
+    let windows = QueryWindows {
+        data: &queries,
+        rows: 4,
+        cols: width,
+        col: 0,
+        width,
+    };
+    let (_, s) = block_subarrays(width).swap_remove(0);
+    let declined = |s: &Subarray, windows: &QueryWindows, rows: &[usize], merge: (usize, i64)| {
+        let mut acc = acc_start();
+        let into = MergeInto {
+            acc: &mut acc,
+            rows: ACC.0,
+            cols: ACC.1,
+            offset: merge.1,
+            declared: merge.0,
+        };
+        let mut s = s.clone();
+        let mut scratch = SearchScratch::default();
+        let all = RowSelection::All;
+        let served = s.search_merge_block(
+            windows,
+            rows,
+            Metric::Hamming,
+            all,
+            None,
+            into,
+            &mut scratch,
+        );
+        assert!(served || acc == acc_start(), "a declined block wrote");
+        !served
+    };
+    // Row 11 lands on column 11 + 13 = 24 of 24; row 0 on −1.
+    assert!(declined(&s, &windows, &[0, 1], (64, 13)));
+    assert!(declined(&s, &windows, &[0, 1], (64, -1)));
+    assert!(!declined(&s, &windows, &[0, 1], (64, 12)));
+    // A declared bound that stops short of row 11 fits.
+    assert!(!declined(&s, &windows, &[0, 1], (3, 13)));
+    // Accumulator row 6 of 6.
+    assert!(declined(&s, &windows, &[0, 6], (64, 0)));
+    let wide = QueryWindows {
+        width: 71,
+        ..windows
+    };
+    assert!(declined(&s, &wide, &[0], (64, 0)));
+    let mut faulty = s.clone();
+    let cfg = FaultConfig {
+        model: FaultModel {
+            seed: 1,
+            stuck_at_zero: 0.0,
+            stuck_at_one: 0.0,
+            drift: 0.0,
+            transient: 0.1,
+        },
+        resilience: Resilience::default(),
+    };
+    faulty.set_faults(Some(Box::new(SubarrayFaults::generate(&cfg, 0, 12, 70))));
+    assert!(declined(&faulty, &windows, &[0], (64, 0)));
 }

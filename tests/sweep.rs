@@ -3,6 +3,8 @@
 //! [`Experiment`] runs exactly, and the CLI's JSON/CSV reports must
 //! parse and carry the same numbers.
 
+mod common;
+
 use c4cam::cli::{execute, parse_args, Command};
 use c4cam::compiler::mapping::MappingProblem;
 use c4cam::compiler::passes::cam_map::{map_key, MapKey};
@@ -15,19 +17,10 @@ use c4cam::telemetry::{cat, ArgValue, CollectingRecorder, Phase, Span, Telemetry
 use c4cam::workloads::{HdcWorkload, KnnWorkload, Workload, WorkloadInputs, WorkloadModule};
 use c4cam_arch::{ArchSpec, CamKind, Optimization};
 use c4cam_server::json::Json;
+use common::{shipped_workloads, small_hdc, Twinned};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-fn small_hdc() -> HdcWorkload {
-    HdcWorkload {
-        classes: 4,
-        dims: 128,
-        queries: 4,
-        flip_rate: 0.1,
-        seed: 42,
-    }
-}
 
 /// Rebuild the architecture a sweep grid point uses (the paper
 /// hierarchy; kind follows bits).
@@ -431,62 +424,6 @@ fn a_mixed_sweep_equals_individual_runs_point_by_point() {
         let individual = experiment.run().unwrap();
         assert_eq!(point.outcome.predictions, individual.predictions, "{gp}");
         assert_eq!(point.outcome.total, individual.total, "{gp}");
-    }
-}
-
-/// Every shipped workload kind, small: the ones a sweep may run.
-fn shipped_workloads() -> Vec<Box<dyn Workload>> {
-    use c4cam::datasets::{mini_mnist, DatasetTask, DatasetWorkload};
-    use c4cam::workloads::{DtreeWorkload, GpuComparisonWorkload};
-    let knn = KnnWorkload {
-        patterns: 24,
-        dims: 96,
-        queries: 3,
-        k: 1,
-        noise: 0.1,
-        seed: 3,
-    };
-    let on_dataset =
-        |task| DatasetWorkload::new(mini_mnist::dataset(), task, Some(3)).expect("fixture");
-    vec![
-        Box::new(small_hdc()),
-        Box::new(knn),
-        Box::new(DtreeWorkload::new(8, 3, 3, 4, 1)),
-        Box::new(GpuComparisonWorkload::paper(2)),
-        Box::new(on_dataset(DatasetTask::Hdc)),
-        Box::new(on_dataset(DatasetTask::Knn)),
-    ]
-}
-
-/// A workload whose stored rows come in identical pairs: row `2i + 1`
-/// repeats row `2i`. Every query's best match is then tied with its
-/// twin, and the lower index, always an even one, must win.
-struct Twinned(Box<dyn Workload>);
-
-impl Workload for Twinned {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn query_count(&self) -> usize {
-        self.0.query_count()
-    }
-    fn stored_rows(&self) -> usize {
-        self.0.stored_rows()
-    }
-    fn dims(&self) -> usize {
-        self.0.dims()
-    }
-    fn build_module(&self, spec: &ArchSpec) -> WorkloadModule {
-        self.0.build_module(spec)
-    }
-    fn inputs(&self, spec: &ArchSpec) -> WorkloadInputs {
-        let mut inputs = self.0.inputs(spec);
-        let dims = inputs.stored.shape()[1];
-        for pair in inputs.stored.data_mut().chunks_exact_mut(2 * dims) {
-            let (first, second) = pair.split_at_mut(dims);
-            second.copy_from_slice(first);
-        }
-        inputs
     }
 }
 
